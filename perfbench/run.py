@@ -5,8 +5,9 @@
 
 Run it from a checkout that holds `src/playwm`; the package is imported from
 there. With `--trace 0` the last line carries the end-to-end metrics; with
-`--trace 1` the timed section runs once plainly and once under the per-layer
-spans of `tracing.py`, and the last line carries the per-layer metrics. The
+`--trace 1` the timed section runs once plainly, then the set-up and the timed
+section run again under the per-layer spans of `tracing.py`, and the last line
+carries the per-layer metrics. The
 line before it is a record of the run: environment, seeded output digests,
 operation counts and any failures. See README.md for the workloads.
 """
@@ -15,9 +16,26 @@ import os
 
 # One BLAS thread: the host has two shared cores, and a threaded OpenBLAS
 # would make the matmul-heavy layers contend with each other and other jobs.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ[_var] = "1"
+# No transparent huge pages for numpy arrays: whether the kernel can back an
+# array with them varies from run to run, and peak memory varied by 40 MB.
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "NUMPY_MADVISE_HUGEPAGE": "0"}
+os.environ.update(PINNED)
+
+import ctypes  # noqa: E402
+
+# glibc raises its mmap threshold whenever it frees a mapped block, so whether
+# a large zeroed array (such as the DSRL replay buffer's 27 MB state arrays)
+# is mapped lazily or taken from the heap and zeroed, so resident, depended on
+# what the run had freed before: peak memory moved by 44 MB between seeds. Map
+# every block of 4 MiB or more; keep the trim threshold at the 64 MiB that
+# glibc's own adjustment would reach. The setting is recorded with the run.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+try:
+    _libc = ctypes.CDLL(None)
+    MALLOC_PINNED = bool(_libc.mallopt(M_MMAP_THRESHOLD, 4 << 20) and
+                         _libc.mallopt(M_TRIM_THRESHOLD, 64 << 20))
+except (OSError, AttributeError):  # not glibc
+    MALLOC_PINNED = False
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -40,6 +58,7 @@ WORK = os.path.join(ROOT, ".perfbench_work")
 
 REFERENCE_SECONDS = 12   # the timed stages are sized to take about this long in all
 ROUNDS = 3               # each round sets up once; setup_s is the median
+COLLECT_PARTS = 6        # play's collection runs in parts, two a round
 
 END_TO_END = {
     "setup_s": "s",
@@ -62,118 +81,153 @@ END_TO_END = {
 class Workload:
     setup: tuple   # stages run at the start of every round; setup_s is the median
     timed: tuple   # per round, the stages timed into wall_s
-    probe: tuple   # smaller stages after the timed ones, so every rate is measured
+    probe: tuple = ()    # per round, stages of the other workloads run between timed ones
     fresh: bool = False  # the timed stages build on each other, not on the set-up
 
 
 def workload(name: str, seconds: int) -> Workload:
-    from study import CollectSize, ImagineSize, Study, TrainSize
+    from study import CollectSize, Study, TrainSize
 
     f = seconds / REFERENCE_SECONDS
 
     def scaled(small, full):
         """`full` at the reference duration, scaled by duration, never below `small`."""
+        if isinstance(small, int):
+            return max(small, round(f * full))
         return type(small)(*(max(s, round(f * v)) for s, v in zip(vars(small).values(),
                                                                    vars(full).values())))
 
-    def stage(method, size=None):
-        return functools.partial(method, size=size) if size else functools.partial(method)
+    def stage(method, **kwargs):
+        return functools.partial(method, **kwargs)
 
-    brief_train = TrainSize(wm_steps=30, bc_steps=30, progress_steps=400, passes=1)
-    small_imagine = ImagineSize(clips_per_mode=3, n_wm=8, n_real=32, dsrl_updates=30, passes=1)
+    def training(size: TrainSize, passes: int) -> tuple:
+        return tuple(stage(Study.train_pass, size=size, n=n) for n in range(passes)) + \
+            (stage(Study.save_models),)
+
+    brief_train = TrainSize(wm_steps=10, bc_steps=10, progress_steps=150)
 
     def fixture(collect: CollectSize, train: bool = True) -> tuple:
-        stages = (stage(Study.collect, collect), stage(Study.curate))
-        return stages + (stage(Study.train, brief_train),) if train else stages
+        stages = (stage(Study.collect, size=collect), stage(Study.curate))
+        return stages + training(brief_train, 3) if train else stages
 
-    # enough held-out clips for the probe's 3 per mode at every seed tried
+    # enough held-out clips for 3 per mode at every seed tried
     small = CollectSize(play=80, demo=30, bench=80)
 
+    def evaluation(clips_per_mode: int, **dsrl) -> tuple:
+        """Replay, imagined, real and DSRL evaluation, calls of one kind apart."""
+        return (stage(Study.replay_bench, clips_per_mode=clips_per_mode),
+                stage(Study.replay, i=0), stage(Study.real, i=0), stage(Study.imagined),
+                stage(Study.real, i=1), stage(Study.replay, i=1), stage(Study.finetune, **dsrl),
+                stage(Study.real, i=2))
+
+    # DSRL runs at batch 16 in the probe: at the default 64 each call needs 64
+    # imagined steps before its first update, 2.7 s on the reference host
+    # against 0.85 s.
+    probe = evaluation(3, updates=20, batch=16, eval_rollouts=2)
+    # more curation passes over the set-up's stores, for the workloads whose
+    # set-up is their only other curation
+    curation = (stage(Study.curate),)
+
     if name == "play":
-        # one write phase into empty stores that grow past 1000 episodes,
-        # then one read pass over them in each later round
+        # a write phase into empty stores that grow past 1000 episodes, in
+        # two parts a round, each round ending with a read pass over the
+        # stores as they are, and one more over the full stores
+        size = scaled(small, CollectSize(1000, 60, 80))
+        parts = tuple(stage(Study.collect, size=size, part=k, parts=COLLECT_PARTS)
+                      for k in range(COLLECT_PARTS))
         read = (stage(Study.curate),)
-        return Workload(
-            setup=fixture(small),
-            timed=((stage(Study.collect, scaled(small, CollectSize(1000, 60, 80))),), read, read),
-            probe=(stage(Study.imagine, small_imagine),),
-            fresh=True,
-        )
+        return Workload(setup=fixture(small),
+                        timed=(parts[0:2] + read, parts[2:4] + read, parts[4:6] + read * 2),
+                        probe=probe, fresh=True)
     if name == "train":
-        timed = (stage(Study.train, scaled(brief_train, TrainSize(60, 50, 400, 2))),)
+        timed = training(scaled(brief_train, TrainSize(60, 80, 600)), 2)
+        half = len(probe) // 2
         return Workload(setup=fixture(small, train=False), timed=(timed,) * ROUNDS,
-                        probe=(stage(Study.imagine, small_imagine),))
+                        probe=curation + probe[:half] + curation + probe[half:])
     if name == "imagine":
         # enough held-out clips for 6 per mode at every seed tried
-        timed = (stage(Study.imagine, scaled(small_imagine, ImagineSize(6, 24, 64, 30, 2))),)
+        timed = evaluation(scaled(3, 6), updates=scaled(10, 30))
         return Workload(setup=fixture(CollectSize(play=120, demo=30, bench=100)),
-                        timed=(timed,) * ROUNDS, probe=())
+                        timed=(timed,) * ROUNDS, probe=curation * 2)
     raise ValueError(f"unknown workload {name!r}")
 
 
 def run_workload(name: str, seed: int, seconds: int, trace: bool, work: str):
-    from study import Ops, Study, pooled_samples
+    from study import Ops, Study
 
     plan = workload(name, seconds)
     ops = Ops()
-    # Each round sets up, runs its timed stages, then the probe, so that every
-    # metric is sampled across the whole run; a toy run of a few seconds makes
-    # at most one round a second. A traced run makes one round, without the
-    # probe, whose timed part is every round's timed stages run once plainly
-    # and once traced.
-    rounds = 1 if trace else min(ROUNDS, seconds)
-    timed_stages = [sum(plan.timed, ())] if trace else plan.timed[:rounds]
-    setups, hosts, timeds, setup_times, walls = [], [], [], [], []
+    # Each round sets up, then runs its timed stages with the probe stages
+    # spread evenly between them, so that every metric is sampled across the
+    # whole run. A
+    # traced run, or one of fewer seconds than rounds, makes one round that
+    # holds every round's timed stages. A traced run has no probe; it sets up
+    # and runs that round again under the spans.
+    one = trace or seconds < ROUNDS
+    rounds = [sum(plan.timed, ())] if one else list(plan.timed)
+    probe = () if trace else plan.probe
+    setup_times, walls = [], []
+    home, other = {}, {}  # samples of the timed stages; of set-ups and probes
     chain = None
-    for r, stages in enumerate(timed_stages):
+    for r, stages in enumerate(rounds):
         t0 = time.perf_counter()
-        study = Study(os.path.join(work, f"setup{r}"), seed, ops)
-        study.run(plan.setup)
+        setup = Study(os.path.join(work, f"setup{r}"), seed, ops)
+        setup.samples = other
+        setup.run(plan.setup)
         setup_times.append(time.perf_counter() - t0)
-        setups.append(study)
         if plan.fresh:
             chain = chain or Study(os.path.join(work, "timed"), seed, ops)
-            timed, host = chain, study
+            timed, host = chain, setup
         else:
-            timed = host = study.fork("timed")
-        t0 = time.perf_counter()
-        timed.run(stages)
-        walls.append(time.perf_counter() - t0)
-        timeds.append(timed)
-        if trace:
-            from tracing import Tracer
+            timed = host = setup.fork("timed")
+        for i, stage in enumerate(stages):
+            timed.samples = home
+            t0 = time.perf_counter()
+            timed.run([stage])
+            walls.append(time.perf_counter() - t0)
+            host.samples = other
+            host.run(probe[i * len(probe) // len(stages):(i + 1) * len(probe) // len(stages)])
+    final = timed
+    collected = chain or setup
+    if trace:
+        from tracing import Tracer
 
-            traced = Study(os.path.join(work, "traced"), seed, ops) if plan.fresh \
-                else study.fork("traced")
-            with Tracer() as tracer:
-                t0 = time.perf_counter()
-                traced.run(stages)
-                traced_wall_s = time.perf_counter() - t0
-        else:
-            host.run(plan.probe)
-            hosts.append(host)
+        with Tracer() as tracer:
+            traced_setup = Study(os.path.join(work, "traced-setup"), seed, ops)
+            traced_setup.run(plan.setup)
+            final = Study(os.path.join(work, "traced"), seed, ops) if plan.fresh \
+                else traced_setup.fork("traced")
+            t0 = time.perf_counter()
+            final.run(rounds[0])
+            traced_wall_s = time.perf_counter() - t0
 
     # a metric sampled in timed stages ignores samples of set-ups and probes
-    samples = pooled_samples(setups + [h for h in hosts if h not in setups])
-    samples.update(pooled_samples(timeds))
-    samples["setup_s"] = setup_times
-    samples["wall_s"] = [sum(walls)]
-    final = traced if trace else timed
+    samples = {**other, **home}
     if trace:
         metrics = tracer.metrics()
-        # bytes written by collection inside the traced section (0 when none)
-        metrics["store.bytes"] = (round(traced.samples.get("store_mb", [0.0])[0] * 1e6), "bytes")
-        metrics["trace_overhead_frac"] = (traced_wall_s / walls[0] - 1.0, "ratio")
+        # bytes of every store collected inside the traced section
+        metrics["store.bytes"] = (traced_setup.store_bytes +
+                                  (final.store_bytes if plan.fresh else 0), "bytes")
+        metrics["trace_overhead_frac"] = (traced_wall_s / sum(walls) - 1.0, "ratio")
     else:
-        rates = {metric: statistics.median(values) for metric, values in samples.items()}
-        rates["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        # all the work of a metric's samples over all their time
+        values = {metric: sum(w for w, _ in s) / sum(t for _, t in s)
+                  for metric, s in samples.items()}
+        values["setup_s"] = statistics.median(setup_times)
+        values["wall_s"] = sum(walls)
+        values["store_mb"] = collected.store_bytes / 1e6
+        values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         # a stage that stopped on a failed operation leaves its rates at 0
-        metrics = {k: (rates.get(k, 0.0), unit) for k, unit in END_TO_END.items()}
+        metrics = {k: (values.get(k, 0.0), unit) for k, unit in END_TO_END.items()}
+    samples["setup_s"] = setup_times
+    samples["wall_s"] = walls
     # with fresh timed stages the set-up's stores are separate and checked too
-    checked = [setups[-1], final] if plan.fresh else [final]
+    checked = [setup] + [timed] * plan.fresh
+    if trace:
+        checked += [traced_setup] + [final] * plan.fresh
     for study in checked:
         study.verify_stores()
-    digests = {"setup": setups[-1].digests, "timed": final.digests}
+    digests = {"setup": setup.digests, "timed": final.digests}
     return metrics, samples, digests, ops
 
 
@@ -192,7 +246,8 @@ def environment(seed: int) -> dict:
     except (OSError, subprocess.TimeoutExpired):
         revision = "unknown"
     return {
-        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "pinned": {var: os.environ.get(var) for var in PINNED},
+        "malloc_thresholds_pinned": MALLOC_PINNED,
         "numpy": np.__version__,
         "blas": blas,
         "python": platform.python_version(),

@@ -6,11 +6,10 @@ curation, training and imagined evaluation. Each stage calls the public
 replace module attributes, see every call), records throughput samples in
 `samples`, and counts every public call as one attempted operation.
 
-A rate is the median over several samples: passes of equal work for the
-stages that can repeat, consecutive slices for collection, which fills empty
-stores once. On a host with shared cores the speed changes in stretches of
-seconds; the median of many short samples follows the common state and
-ignores the stretches that are much faster or slower.
+A sample is one call's (work, seconds). The workloads interleave their stages
+so that each metric's samples spread over the whole run; on a host with shared
+cores the speed changes in stretches of seconds, and samples taken at one
+moment would all share its speed.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ EVAL_TASK = TaskSpec("put_in", 1, 0)
 HELD_OUT = 0.2          # play-episode share kept out of training for the replay benchmark
 SUCCESS_CLUSTERS = 8
 BENCH_STRIDE = 3
-COLLECT_SLICES = 10
 
 
 class Skip(Exception):
@@ -82,16 +80,6 @@ class TrainSize:
     wm_steps: int         # per pass; the world model and policy keep training
     bc_steps: int
     progress_steps: int   # per pass; each pass trains a fresh progress model
-    passes: int
-
-
-@dataclass(frozen=True)
-class ImagineSize:
-    clips_per_mode: int
-    n_wm: int
-    n_real: int
-    dsrl_updates: int
-    passes: int
 
 
 class Study:
@@ -105,9 +93,11 @@ class Study:
         self.broken = False
         self.scene = default_scene()
         self.wm_cfg = worldmodel.WmConfig()
-        self.samples: dict[str, list[float]] = {}
+        self.eval_cfg = bench.EvalStudyConfig(task=EVAL_TASK, replan=self.wm_cfg.chunk)
+        self.samples: dict[str, list[tuple[float, float]]] = {}
         self.digests: dict[str, object] = {}
         self.stores: dict[str, store.EpisodeStore] = {}
+        self.store_bytes = 0
         self.embedder = curation.Embedder.create(self.rng("embedder").spawn_seed())
 
     def fork(self, name: str) -> "Study":
@@ -139,47 +129,44 @@ class Study:
         return os.path.join(self.root, *parts)
 
     def measure(self, rate: str, what: str, fn, *args, work=None, **kwargs):
-        """Call fn as one operation and add its rate to the samples of `rate`.
-
-        `work` is the amount done, or a function of the result giving it."""
+        """Call fn as one operation and add (work, seconds) to the samples of
+        `rate`; `work` is the amount done, or a function of the result giving it."""
         t0 = time.perf_counter()
         out = self.ops.call(what, fn, *args, **kwargs)
         elapsed = time.perf_counter() - t0
-        self.sample(rate, (work(out) if callable(work) else work) / elapsed)
+        self.samples.setdefault(rate, []).append(
+            (work(out) if callable(work) else work, elapsed))
         return out
-
-    def sample(self, metric: str, value: float) -> None:
-        self.samples.setdefault(metric, []).append(value)
 
     # -- collection: write phase ------------------------------------------
 
-    def collect(self, size: CollectSize) -> None:
-        """Play episodes, expert demos and a rare-mode source store, with frames."""
+    def collect(self, size: CollectSize, part: int = 0, parts: int = 1) -> None:
+        """Part `part` of `parts` of the play episodes, expert demos and
+        rare-mode source episodes, with frames, appended to this study's
+        stores. `collect` numbers episodes from 0 in each call, so each part
+        tags its episodes with its own source name."""
         plans = (
             ("play", playsys.ProposerConfig(), size.play, False),
             ("demo", playsys.expert_config(), size.demo, True),
             ("bench", playsys.bench_config(), size.bench, False),
         )
-        marks = []  # (time, steps) after each append, in order
+        steps = [0]
         t0 = time.perf_counter()
         for name, proposer, episodes, reset_each in plans:
-            st = store.EpisodeStore(self.path(name))
-            st.append = functools.partial(_marked_append, st.append, marks)
-            self.ops.call(f"collect {name}", playsys.collect, self.scene, proposer, episodes,
-                          self.rng(f"collect.{name}"), st, source=name, reset_each=reset_each)
-            del st.append
+            count = _share(episodes, part, parts)
+            st = self.stores.get(name) or store.EpisodeStore(self.path(name))
             self.stores[name] = st
-        # the stores fill once, so the samples are consecutive slices of the
-        # appends; later slices cost more as the play store grows
-        k = min(COLLECT_SLICES, len(marks))
-        bounds = [round(i * len(marks) / k) for i in range(k + 1)]
-        start = t0
-        for lo, hi in zip(bounds, bounds[1:]):
-            end = marks[hi - 1][0]
-            self.sample("collect_steps_per_s", sum(n for _, n in marks[lo:hi]) / (end - start))
-            start = end
-        self.sample("store_mb", sum(_tree_bytes(st.root) for st in self.stores.values()) / 1e6)
-        self.digests["collect_steps"] = sum(n for _, n in marks)
+            st.append = functools.partial(_counted_append, st.append, steps)
+            try:
+                self.ops.call(f"collect {name}", playsys.collect, self.scene, proposer, count,
+                              self.rng(f"collect.{name}.{part}"), st,
+                              source=f"{name}-{part}", reset_each=reset_each)
+            finally:
+                del st.append
+        self.samples.setdefault("collect_steps_per_s", []).append(
+            (steps[0], time.perf_counter() - t0))
+        self.store_bytes = sum(_tree_bytes(st.root) for st in self.stores.values())
+        self.digests["collect_steps"] = self.digests.get("collect_steps", 0) + steps[0]
 
     # -- curation: read phase ---------------------------------------------
 
@@ -202,41 +189,46 @@ class Study:
                               curation.distances_to_success(centroids, embs), wins=wins)
         self.dataset = ops.call("worldmodel.build_dataset", worldmodel.build_dataset,
                                 play, self.wm_cfg, wins=wins)
-        self.sample("curate_windows_per_s", len(wins) / (time.perf_counter() - t0))
+        self.samples.setdefault("curate_windows_per_s", []).append(
+            (len(wins), time.perf_counter() - t0))
         self.digests["curate_windows"] = len(wins)
         self.digests["rank_counts"] = [len(m) for m in self.index.members]
 
     # -- training ---------------------------------------------------------
 
-    def train(self, size: TrainSize) -> None:
-        """World model with curriculum sampling, BC policy and progress model,
-        trained in interleaved passes, then each saved and loaded once."""
+    def train_pass(self, size: TrainSize, n: int) -> None:
+        """Pass `n` of training: the world model with curriculum sampling and
+        the BC policy (both fresh at pass 0), and a fresh progress model."""
         demo = self.stores["demo"]
-        wm = worldmodel.create_worldmodel(self.scene, self.wm_cfg, self.rng("wm.init"))
-        policy = policies.create_policy(self.scene, policies.PolicyConfig(),
-                                        self.rng("policy.init"))
-        schedule = curation.AnnealSchedule()
-        for r in range(size.passes):
-            trace = self.measure("wm_train_steps_per_s", "worldmodel.train", worldmodel.train,
-                                 wm, self.dataset, size.wm_steps, self.rng(f"wm.train{r}"),
-                                 curriculum=(self.index, schedule), work=size.wm_steps)
-            self.ops.check("world-model losses finite", _finite(trace))
-            trace = self.measure("bc_train_steps_per_s", "policies.train_bc", policies.train_bc,
-                                 policy, demo, size.bc_steps, self.rng(f"policy.train{r}"),
-                                 work=size.bc_steps)
-            self.ops.check("policy losses finite", _finite(trace))
-            # patience past the step budget: every requested step runs, so the
-            # rate counts work actually done
-            prog = self.measure("progress_train_steps_per_s", "progress.train_progress",
-                                progress.train_progress, demo, self.scene,
-                                self.rng("progress.train"), steps=size.progress_steps,
-                                patience=size.progress_steps + 1, work=size.progress_steps)
+        if n == 0:
+            self.wm = worldmodel.create_worldmodel(self.scene, self.wm_cfg,
+                                                   self.rng("wm.init"))
+            self.policy = policies.create_policy(self.scene, policies.PolicyConfig(),
+                                                 self.rng("policy.init"))
+        trace = self.measure("wm_train_steps_per_s", "worldmodel.train", worldmodel.train,
+                             self.wm, self.dataset, size.wm_steps, self.rng(f"wm.train{n}"),
+                             curriculum=(self.index, curation.AnnealSchedule()),
+                             work=size.wm_steps)
+        self.ops.check("world-model losses finite", _finite(trace))
+        trace = self.measure("bc_train_steps_per_s", "policies.train_bc", policies.train_bc,
+                             self.policy, demo, size.bc_steps, self.rng(f"policy.train{n}"),
+                             work=size.bc_steps)
+        self.ops.check("policy losses finite", _finite(trace))
+        # patience past the step budget: every requested step runs, so the
+        # rate counts work actually done
+        self.progress = self.measure("progress_train_steps_per_s", "progress.train_progress",
+                                     progress.train_progress, demo, self.scene,
+                                     self.rng(f"progress.train{n}"), steps=size.progress_steps,
+                                     patience=size.progress_steps + 1,
+                                     work=size.progress_steps)
 
-        self.wm = self._round_trip("worldmodel", wm, worldmodel.save_worldmodel,
+    def save_models(self) -> None:
+        """Save and reload each trained model once through `checkpoint`."""
+        self.wm = self._round_trip("worldmodel", self.wm, worldmodel.save_worldmodel,
                                    worldmodel.load_worldmodel, lambda m: m.param_hash())
-        self.policy = self._round_trip("policy", policy, policies.save_policy,
+        self.policy = self._round_trip("policy", self.policy, policies.save_policy,
                                        policies.load_policy, lambda m: m.param_hash())
-        self.progress = self._round_trip("progress", prog, progress.save_progress,
+        self.progress = self._round_trip("progress", self.progress, progress.save_progress,
                                          progress.load_progress, lambda m: m.net.param_hash())
 
     def _round_trip(self, kind: str, model, save, load, digest):
@@ -251,56 +243,65 @@ class Study:
 
     # -- imagined evaluation ----------------------------------------------
 
-    def imagine(self, size: ImagineSize) -> None:
-        """Replay benchmark (model and oracle), lockstep imagined evaluation,
-        real rollouts and DSRL fine-tuning in the world model."""
-        ops, C = self.ops, self.wm_cfg.chunk
+    def replay_bench(self, clips_per_mode: int) -> None:
+        """Draw the replay benchmark from held-out clips and check that the
+        oracle scores the ideal on it."""
         srcs = {"play": self.stores["play"], "bench": self.stores["bench"]}
         # the rare-mode store never trains anything, so all of it is held out
         held = {"play": self.held_play, "bench": srcs["bench"].ids()}
-        bm = ops.call("bench.build_benchmark", bench.build_benchmark, srcs, held,
-                      size.clips_per_mode, self.rng("replay.clips"),
-                      history=self.wm_cfg.history, chunk=C, stride=BENCH_STRIDE)
-        cfg = bench.EvalStudyConfig(task=EVAL_TASK, n_real=size.n_real, n_wm=size.n_wm,
-                                    replan=C)
-        dcfg = dsrl.DsrlConfig(batch=16, initial_rollout_steps=16 * C, replan=C,
-                               buffer_capacity=4096, eval_every=10 ** 9, eval_rollouts=2)
-        oracle = ops.call("replay oracle", bench.run_replay, bm, "oracle", self.embedder,
-                          scene=self.scene)
+        self.bm = self.ops.call("bench.build_benchmark", bench.build_benchmark, srcs, held,
+                                clips_per_mode, self.rng("replay.clips"),
+                                history=self.wm_cfg.history, chunk=self.wm_cfg.chunk,
+                                stride=BENCH_STRIDE)
+        oracle = self.ops.call("replay oracle", bench.run_replay, self.bm, "oracle",
+                               self.embedder, scene=self.scene)
         ideal = {"mse": 0.0, "ssim": 1.0, "lpips_proxy": 0.0}
-        ops.check("oracle replay ideal", all(oracle.overall[k] == v for k, v in ideal.items()),
-                  str(oracle.overall))
-        for _ in range(size.passes):
-            self._evaluate(bm, cfg, dcfg, size.dsrl_updates)
+        self.ops.check("oracle replay ideal",
+                       all(oracle.overall[k] == v for k, v in ideal.items()),
+                       str(oracle.overall))
 
-    def _evaluate(self, bm, cfg, dcfg, dsrl_updates: int) -> None:
-        """One pass of every timed evaluation; all passes do the same work."""
-        ops, C = self.ops, self.wm_cfg.chunk
-        report = self.measure("replay_clips_per_s", "replay model", bench.run_replay, bm,
-                              self.wm, self.embedder, self.rng("replay.model"),
-                              work=len(bm.clips))
+    def replay(self, i: int = 0) -> None:
+        """Score the world model's predicted frames on every benchmark clip;
+        `i` numbers the calls of one round."""
+        report = self.measure("replay_clips_per_s", "replay model", bench.run_replay, self.bm,
+                              self.wm, self.embedder, self.rng(f"replay.model{i}"),
+                              work=len(self.bm.clips))
         self.digests["replay_overall"] = report.overall
-        self.digests["replay_clips"] = len(bm.clips)
+        self.digests["replay_clips"] = len(self.bm.clips)
 
-        # the lockstep loop advances every rollout by whole chunks until max_steps
-        self.measure("imagined_steps_per_s", "bench.measure_imagined", bench.measure_imagined,
-                     self.policy, self.wm, cfg, self.rng("eval.imagined"),
-                     work=cfg.n_wm * C * math.ceil(cfg.max_steps / C))
-        with _counting_env_steps(bench) as real_steps:
+    def imagined(self) -> None:
+        """Lockstep imagined evaluation of `n_wm` rollouts in the world model;
+        the work is the control steps of rollouts that had not yet succeeded."""
+        with _counting_calls(bench, "infer_transition_event") as steps:
+            self.measure("imagined_steps_per_s", "bench.measure_imagined",
+                         bench.measure_imagined, self.policy, self.wm, self.eval_cfg,
+                         self.rng("eval.imagined"), work=lambda _: steps[0])
+
+    def real(self, i: int = 0) -> None:
+        """Real evaluation of `n_real` rollouts; `i` numbers the calls of one round."""
+        with _counting_calls(bench.Env, "step") as steps:
             self.measure("real_steps_per_s", "bench.measure_real", bench.measure_real,
-                         self.policy, self.scene, cfg, self.rng("eval.real"),
-                         work=lambda _: real_steps[0])
+                         self.policy, self.scene, self.eval_cfg, self.rng(f"eval.real{i}"),
+                         work=lambda _: steps[0])
 
+    def finetune(self, updates: int, batch: int = dsrl.DsrlConfig.batch, **overrides) -> None:
+        """DSRL fine-tuning in the world model, then an actor round trip. The
+        `DsrlConfig` defaults hold, but the warm-up is cut to `batch` imagined
+        steps: the fewest that fill one minibatch, so updates start at once."""
+        C = self.wm_cfg.chunk
+        dcfg = dsrl.DsrlConfig(batch=batch, initial_rollout_steps=batch * C, replan=C,
+                               **overrides)
         backend = worldmodel.RolloutBackend(self.wm, self.rng("dsrl.backend"))
         st, _, _ = self.measure("dsrl_steps_per_s", "dsrl.finetune", dsrl.finetune, backend,
                                 self.policy, self.progress, self.scene, EVAL_TASK, dcfg,
-                                self.rng("dsrl.finetune"), total_updates=dsrl_updates,
+                                self.rng("dsrl.finetune"), total_updates=updates,
                                 work=lambda out: out[0].buffer.size * dcfg.replan)
         path = self.path("actor.ckpt")
-        ops.call("save actor", dsrl.save_actor, st, path)
-        header, params = ops.call("load actor", dsrl.load_actor_params, path)
+        self.ops.call("save actor", dsrl.save_actor, st, path)
+        header, params = self.ops.call("load actor", dsrl.load_actor_params, path)
         loaded = nets.Mlp(widths=header["widths"], activation="relu", params=params)
-        ops.check("actor checkpoint round trip", loaded.param_hash() == st.actor.param_hash())
+        self.ops.check("actor checkpoint round trip",
+                       loaded.param_hash() == st.actor.param_hash())
         self.digests["dsrl_actor_param_hash"] = loaded.param_hash()
 
     # -- output checks ----------------------------------------------------
@@ -313,37 +314,32 @@ class Study:
             self.digests[f"{name}_manifest_hash"] = st.manifest_hash()
 
 
-def pooled_samples(studies) -> dict[str, list[float]]:
-    """Each metric's samples from all the given studies, in order."""
-    pooled: dict[str, list[float]] = {}
-    for study in studies:
-        for metric, values in study.samples.items():
-            pooled.setdefault(metric, []).extend(values)
-    return pooled
+def _share(total: int, part: int, parts: int) -> int:
+    return round(total * (part + 1) / parts) - round(total * part / parts)
 
 
-def _marked_append(append, marks: list, episode):
+def _counted_append(append, steps: list, episode):
     out = append(episode)
-    marks.append((time.perf_counter(), episode.n_steps))
+    steps[0] += episode.n_steps
     return out
 
 
 @contextlib.contextmanager
-def _counting_env_steps(module):
-    """Count simulator steps taken through `module.Env` while active."""
-    base = module.Env
+def _counting_calls(owner, attr: str):
+    """Count calls to `owner.attr` (a function or a method) while active."""
+    original = owner.__dict__[attr]
     count = [0]
 
-    class CountingEnv(base):
-        def step(self, *args, **kwargs):
-            count[0] += 1
-            return super().step(*args, **kwargs)
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
 
-    module.Env = CountingEnv
+    setattr(owner, attr, counted)
     try:
         yield count
     finally:
-        module.Env = base
+        setattr(owner, attr, original)
 
 
 def _finite(trace) -> bool:

@@ -62,6 +62,8 @@ def test_traced_counts_repeat(workload):
     busy = {"play": "store.EpisodeStore.append.calls", "train": "optim.Adam.step.calls",
             "imagine": "diffusion.ddpm_sample.calls"}[workload]
     assert first["metrics"][busy]["value"] > 0
+    # the set-up runs under the spans too, so its curation reports everywhere
+    assert first["metrics"]["curation.embed_store_windows.calls"]["value"] > 0
 
 
 def test_tracer_reaches_by_name_imports():
