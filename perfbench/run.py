@@ -4,12 +4,14 @@
         --seconds 12 --trace {0,1}
 
 Run it from a checkout that holds `src/playwm`; the package is imported from
-there. With `--trace 0` the last line carries the end-to-end metrics; with
-`--trace 1` the timed section runs once plainly, then the set-up and the timed
-section run again under the per-layer spans of `tracing.py`, and the last line
-carries the per-layer metrics. The
-line before it is a record of the run: environment, seeded output digests,
-operation counts and any failures. See README.md for the workloads.
+there. Times are CPU seconds scaled to the reference host's speed by
+`yardstick.py`. With `--trace 0` the last line carries the end-to-end
+metrics; with `--trace 1` the timed section runs once plainly, then the
+set-up and the timed section run again under the per-layer spans of
+`tracing.py`, and the last line carries the per-layer metrics. The line before
+it is a record of the run: environment, seeded output digests, every sample,
+the clock's readings, operation counts and any failures. See README.md for the
+workloads.
 """
 
 import os
@@ -48,7 +50,6 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-import time  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -120,24 +121,26 @@ def workload(name: str, seconds: int) -> Workload:
                 stage(Study.real, i=1), stage(Study.replay, i=1), stage(Study.finetune, **dsrl),
                 stage(Study.real, i=2))
 
-    # DSRL runs at batch 16 in the probe: at the default 64 each call needs 64
-    # imagined steps before its first update, 2.7 s on the reference host
-    # against 0.85 s.
-    probe = evaluation(3, updates=20, batch=16, eval_rollouts=2)
+    # The probe runs each evaluation stage once or twice a round. DSRL runs
+    # at batch 16 in it: at the default 64 each call needs 64 imagined steps
+    # before its first update, 2.7 s on the reference host against 0.85 s.
+    probe = (stage(Study.replay_bench, clips_per_mode=3), stage(Study.replay, i=0),
+             stage(Study.real, i=0), stage(Study.imagined), stage(Study.real, i=1),
+             stage(Study.finetune, updates=20, batch=16, eval_rollouts=2))
     # more curation passes over the set-up's stores, for the workloads whose
     # set-up is their only other curation
     curation = (stage(Study.curate),)
 
     if name == "play":
-        # a write phase into empty stores that grow past 1000 episodes, in
-        # two parts a round, each round ending with a read pass over the
-        # stores as they are, and one more over the full stores
-        size = scaled(small, CollectSize(1000, 60, 80))
+        # a write phase into empty play and demo stores that grow past 1000
+        # episodes, in two parts a round, each round ending with a read pass
+        # over the stores as they are
+        size = scaled(CollectSize(play=80, demo=30, bench=0), CollectSize(1000, 60, 0))
         parts = tuple(stage(Study.collect, size=size, part=k, parts=COLLECT_PARTS)
                       for k in range(COLLECT_PARTS))
         read = (stage(Study.curate),)
         return Workload(setup=fixture(small),
-                        timed=(parts[0:2] + read, parts[2:4] + read, parts[4:6] + read * 2),
+                        timed=(parts[0:2] + read, parts[2:4] + read, parts[4:6] + read),
                         probe=probe, fresh=True)
     if name == "train":
         timed = training(scaled(brief_train, TrainSize(60, 80, 600)), 2)
@@ -154,6 +157,7 @@ def workload(name: str, seconds: int) -> Workload:
 
 def run_workload(name: str, seed: int, seconds: int, trace: bool, work: str):
     from study import Ops, Study
+    from yardstick import REFERENCE_S, Yardstick, now
 
     plan = workload(name, seconds)
     ops = Ops()
@@ -166,27 +170,29 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool, work: str):
     one = trace or seconds < ROUNDS
     rounds = [sum(plan.timed, ())] if one else list(plan.timed)
     probe = () if trace else plan.probe
-    setup_times, walls = [], []
+    setups, walls = [], []  # (start, end) of each set-up and timed stage
     home, other = {}, {}  # samples of the timed stages; of set-ups and probes
     chain = None
-    for r, stages in enumerate(rounds):
-        t0 = time.perf_counter()
-        setup = Study(os.path.join(work, f"setup{r}"), seed, ops)
-        setup.samples = other
-        setup.run(plan.setup)
-        setup_times.append(time.perf_counter() - t0)
-        if plan.fresh:
-            chain = chain or Study(os.path.join(work, "timed"), seed, ops)
-            timed, host = chain, setup
-        else:
-            timed = host = setup.fork("timed")
-        for i, stage in enumerate(stages):
-            timed.samples = home
-            t0 = time.perf_counter()
-            timed.run([stage])
-            walls.append(time.perf_counter() - t0)
-            host.samples = other
-            host.run(probe[i * len(probe) // len(stages):(i + 1) * len(probe) // len(stages)])
+    with Yardstick() as clock:
+        for r, stages in enumerate(rounds):
+            t0 = now()
+            setup = Study(os.path.join(work, f"setup{r}"), seed, ops)
+            setup.samples = other
+            setup.run(plan.setup)
+            setups.append((t0, now()))
+            if plan.fresh:
+                chain = chain or Study(os.path.join(work, "timed"), seed, ops)
+                timed, host = chain, setup
+            else:
+                timed = host = setup.fork("timed")
+            for i, stage in enumerate(stages):
+                timed.samples = home
+                t0 = now()
+                timed.run([stage])
+                walls.append((t0, now()))
+                host.samples = other
+                host.run(probe[i * len(probe) // len(stages):
+                               (i + 1) * len(probe) // len(stages)])
     final = timed
     collected = chain or setup
     if trace:
@@ -197,30 +203,33 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool, work: str):
             traced_setup.run(plan.setup)
             final = Study(os.path.join(work, "traced"), seed, ops) if plan.fresh \
                 else traced_setup.fork("traced")
-            t0 = time.perf_counter()
+            t0 = now()
             final.run(rounds[0])
-            traced_wall_s = time.perf_counter() - t0
+            traced_wall_s = now() - t0
 
-    # a metric sampled in timed stages ignores samples of set-ups and probes
-    samples = {**other, **home}
+    # a metric sampled in timed stages ignores samples of set-ups and probes;
+    # each sample becomes (work, reference seconds, CPU seconds)
+    samples = {metric: [(w, clock.seconds(t0, t1), clock.raw_seconds(t0, t1)) for w, t0, t1 in s]
+               for metric, s in {**other, **home}.items()}
+    samples["setup_s"] = [(1, clock.seconds(*s), clock.raw_seconds(*s)) for s in setups]
+    samples["wall_s"] = [(1, clock.seconds(*w), clock.raw_seconds(*w)) for w in walls]
     if trace:
         metrics = tracer.metrics()
         # bytes of every store collected inside the traced section
         metrics["store.bytes"] = (traced_setup.store_bytes +
                                   (final.store_bytes if plan.fresh else 0), "bytes")
-        metrics["trace_overhead_frac"] = (traced_wall_s / sum(walls) - 1.0, "ratio")
+        untraced = sum(raw for _, _, raw in samples["wall_s"])
+        metrics["trace_overhead_frac"] = (traced_wall_s / untraced - 1.0, "ratio")
     else:
         # all the work of a metric's samples over all their time
-        values = {metric: sum(w for w, _ in s) / sum(t for _, t in s)
-                  for metric, s in samples.items()}
-        values["setup_s"] = statistics.median(setup_times)
-        values["wall_s"] = sum(walls)
+        values = {metric: sum(s[0] for s in ss) / sum(s[1] for s in ss)
+                  for metric, ss in samples.items()}
+        values["setup_s"] = statistics.median(s[1] for s in samples["setup_s"])
+        values["wall_s"] = sum(s[1] for s in samples["wall_s"])
         values["store_mb"] = collected.store_bytes / 1e6
         values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         # a stage that stopped on a failed operation leaves its rates at 0
         metrics = {k: (values.get(k, 0.0), unit) for k, unit in END_TO_END.items()}
-    samples["setup_s"] = setup_times
-    samples["wall_s"] = walls
     # with fresh timed stages the set-up's stores are separate and checked too
     checked = [setup] + [timed] * plan.fresh
     if trace:
@@ -228,7 +237,11 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool, work: str):
     for study in checked:
         study.verify_stores()
     digests = {"setup": setup.digests, "timed": final.digests}
-    return metrics, samples, digests, ops
+    speed = {"readings": len(clock.durations), "reference_s": REFERENCE_S,
+             "median_reading_s": statistics.median(clock.durations) if clock.durations else None,
+             "scale_quartiles": statistics.quantiles(clock.scales, n=4)
+             if len(clock.scales) > 1 else clock.scales * 3}
+    return metrics, samples, digests, ops, speed
 
 
 def environment(seed: int) -> dict:
@@ -279,7 +292,7 @@ def main(argv=None) -> int:
     os.makedirs(WORK, exist_ok=True)
     work = tempfile.mkdtemp(prefix=f"{args.workload}-", dir=WORK)
     try:
-        metrics, samples, digests, ops = run_workload(args.workload, args.seed, args.seconds,
+        metrics, samples, digests, ops, speed = run_workload(args.workload, args.seed, args.seconds,
                                                       bool(args.trace), work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -292,6 +305,7 @@ def main(argv=None) -> int:
         "environment": environment(args.seed),
         "digests": digests,
         "samples": samples,
+        "speed": speed,
         "fail_frac": ops.failed / ops.attempted,
         "errors": ops.errors[:20],
     }

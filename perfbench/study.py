@@ -6,7 +6,8 @@ curation, training and imagined evaluation. Each stage calls the public
 replace module attributes, see every call), records throughput samples in
 `samples`, and counts every public call as one attempted operation.
 
-A sample is one call's (work, seconds). The workloads interleave their stages
+A sample is one call's (work, start, end), its times read from the
+benchmark's clock (`yardstick.now`). The workloads interleave their stages
 so that each metric's samples spread over the whole run; on a host with shared
 cores the speed changes in stretches of seconds, and samples taken at one
 moment would all share its speed.
@@ -19,7 +20,6 @@ import copy
 import functools
 import math
 import os
-import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -28,6 +28,7 @@ from playwm import (bench, curation, diffusion, dsrl, nets, playsys, policies, p
 from playwm.rng import Rng
 from playwm.scene import default_scene
 from playwm.tasks import TaskSpec
+from yardstick import now
 
 # Errors a public call may raise on bad numbers or too little data; each one
 # counts as a failed operation instead of ending the run.
@@ -94,7 +95,7 @@ class Study:
         self.scene = default_scene()
         self.wm_cfg = worldmodel.WmConfig()
         self.eval_cfg = bench.EvalStudyConfig(task=EVAL_TASK, replan=self.wm_cfg.chunk)
-        self.samples: dict[str, list[tuple[float, float]]] = {}
+        self.samples: dict[str, list[tuple[float, float, float]]] = {}
         self.digests: dict[str, object] = {}
         self.stores: dict[str, store.EpisodeStore] = {}
         self.store_bytes = 0
@@ -129,13 +130,12 @@ class Study:
         return os.path.join(self.root, *parts)
 
     def measure(self, rate: str, what: str, fn, *args, work=None, **kwargs):
-        """Call fn as one operation and add (work, seconds) to the samples of
-        `rate`; `work` is the amount done, or a function of the result giving it."""
-        t0 = time.perf_counter()
+        """Call fn as one operation and add (work, start, end) to the samples
+        of `rate`; `work` is the amount done, or a function of the result giving it."""
+        t0 = now()
         out = self.ops.call(what, fn, *args, **kwargs)
-        elapsed = time.perf_counter() - t0
-        self.samples.setdefault(rate, []).append(
-            (work(out) if callable(work) else work, elapsed))
+        t1 = now()
+        self.samples.setdefault(rate, []).append((work(out) if callable(work) else work, t0, t1))
         return out
 
     # -- collection: write phase ------------------------------------------
@@ -143,17 +143,20 @@ class Study:
     def collect(self, size: CollectSize, part: int = 0, parts: int = 1) -> None:
         """Part `part` of `parts` of the play episodes, expert demos and
         rare-mode source episodes, with frames, appended to this study's
-        stores. `collect` numbers episodes from 0 in each call, so each part
-        tags its episodes with its own source name."""
+        stores (a kind with no episodes gets no store). `collect` numbers
+        episodes from 0 in each call, so each part tags its episodes with its
+        own source name."""
         plans = (
             ("play", playsys.ProposerConfig(), size.play, False),
             ("demo", playsys.expert_config(), size.demo, True),
             ("bench", playsys.bench_config(), size.bench, False),
         )
         steps = [0]
-        t0 = time.perf_counter()
+        t0 = now()
         for name, proposer, episodes, reset_each in plans:
             count = _share(episodes, part, parts)
+            if count == 0:
+                continue
             st = self.stores.get(name) or store.EpisodeStore(self.path(name))
             self.stores[name] = st
             st.append = functools.partial(_counted_append, st.append, steps)
@@ -164,7 +167,7 @@ class Study:
             finally:
                 del st.append
         self.samples.setdefault("collect_steps_per_s", []).append(
-            (steps[0], time.perf_counter() - t0))
+            (steps[0], t0, now()))
         self.store_bytes = sum(_tree_bytes(st.root) for st in self.stores.values())
         self.digests["collect_steps"] = self.digests.get("collect_steps", 0) + steps[0]
 
@@ -174,7 +177,7 @@ class Study:
         """Split, label, embed, rank and assemble the world-model windows."""
         ops, play = self.ops, self.stores["play"]
         W = self.wm_cfg.window_len
-        t0 = time.perf_counter()
+        t0 = now()
         train_ids, self.held_play = ops.call("store.split", store.split, play, HELD_OUT,
                                              self.rng("split"))
         keep = set(train_ids)
@@ -190,7 +193,7 @@ class Study:
         self.dataset = ops.call("worldmodel.build_dataset", worldmodel.build_dataset,
                                 play, self.wm_cfg, wins=wins)
         self.samples.setdefault("curate_windows_per_s", []).append(
-            (len(wins), time.perf_counter() - t0))
+            (len(wins), t0, now()))
         self.digests["curate_windows"] = len(wins)
         self.digests["rank_counts"] = [len(m) for m in self.index.members]
 

@@ -2,7 +2,8 @@
 
 Runs every workload for one second, plain and traced, and checks that the
 result line names every metric of BENCHMARK.json with its unit, that every
-output check passed, and that span counts repeat exactly for one seed.
+output check passed, and that span counts repeat exactly for one seed; and
+checks that the benchmark's clock leaves out the time of its own readings.
 """
 
 import json
@@ -82,3 +83,23 @@ def test_tracer_reaches_by_name_imports():
         assert bench.render is originals[0] and dsrl.act is originals[2]
     finally:
         del sys.path[:2]
+
+
+def test_yardstick_leaves_out_its_readings():
+    sys.path.insert(0, HERE)
+    try:
+        from yardstick import PERIOD, Yardstick, now
+
+        with Yardstick() as clock:
+            t0 = now()
+            while now() - t0 < 20 * PERIOD:
+                pass
+            t1 = now()
+        assert len(clock.durations) >= 10
+        raw = clock.raw_seconds(t0, t1)
+        # each reading takes a few percent of its period, warm-up pass included
+        assert 0.8 * (t1 - t0) < raw < t1 - t0 - sum(clock.durations)
+        scales = clock.scales
+        assert min(scales) * raw <= clock.seconds(t0, t1) <= max(scales) * raw
+    finally:
+        del sys.path[0]
