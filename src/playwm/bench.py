@@ -24,10 +24,10 @@ from .policies import DiffusionPolicy, SuiteEntry, act
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
-from .store import ClipWindow, EpisodeStore
+from .store import ClipWindow, EpisodeStore, windows
 from .tasks import (BehaviorMode, MODES, TaskSpec, check_success, classify_clip,
                     infer_transition_event)
-from .worldmodel import WorldModel
+from .worldmodel import WorldModel, predicted_frames
 
 FAILURE_BENCH_MODES = (BehaviorMode.MISSED_GRASP, BehaviorMode.SLIDE,
                        BehaviorMode.SLIP, BehaviorMode.COLLISION)
@@ -70,15 +70,8 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
     W = history + chunk
     candidates: dict[BehaviorMode, list[tuple[str, ClipWindow]]] = {m: [] for m in MODES}
     for name, store in stores.items():
-        allowed = set(heldout.get(name, []))
-        for eid in store.ids():
-            if eid not in allowed:
-                continue
-            ep = store.read(eid)
-            for start in range(0, ep.n_frames - W + 1, stride):
-                mode = classify_clip(ep.events[start:start + W - 1], ep.instruction.task,
-                                     ep.states[start + W - 1])
-                candidates[mode].append((name, ClipWindow(eid, start, W, mode)))
+        for w in windows(store, W, stride, ids=heldout.get(name, [])):
+            candidates[w.mode].append((name, w))
     floor = int(np.ceil(target_per_mode * min_fraction))
     shortfall = {m.value: len(candidates[m]) for m in MODES
                  if len(candidates[m]) < floor}
@@ -98,14 +91,12 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
 
 def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) -> ReplayClip:
     ep = store.read(w.episode_id)
-    if ep.frames is None:
-        raise BenchmarkError(f"episode {w.episode_id} has no frames")
     s0 = w.start
     hist = np.stack([statecodec.encode_state(s) for s in ep.states[s0:s0 + H]])
     acts = np.stack([statecodec.encode_action(a) for a in ep.actions[s0:s0 + H - 1 + C]])
     return ReplayClip(
         store_name=name, window=w, hist_states=hist, actions=acts,
-        gt_frames=[ep.frames[s0 + H + i] for i in range(C)],
+        gt_frames=[render(s) for s in ep.states[s0 + H:s0 + H + C]],
         init_state=ep.states[s0 + H - 1],
         raw_actions=ep.actions[s0 + H - 1:s0 + H - 1 + C],
         noise=ep.noise[s0 + H - 1:s0 + H - 1 + C],
@@ -145,25 +136,15 @@ def _model_predictions(benchmark: ReplayBenchmark, wm: WorldModel, rng: Rng):
     clips = benchmark.clips
     hist = np.stack([c.hist_states for c in clips])
     acts = np.stack([c.actions for c in clips])
-    chunks = predict_chunk(wm, hist, acts, rng)
-    template = wm.scene.nominal_state()
-    out = []
-    for row in chunks:
-        states = [statecodec.decode_state(vec, template) for vec in row]
-        out.append([render(s) for s in states])
-    return out
+    return [predicted_frames(wm, row) for row in predict_chunk(wm, hist, acts, rng)]
 
 
 def _oracle_predictions(benchmark: ReplayBenchmark, scene: SceneConfig):
     out = []
     for clip in benchmark.clips:
-        env = Env(scene, seed=0, render_frames=True)
+        env = Env(scene, seed=0)
         env.reset(clip.init_state)
-        frames = []
-        for a, u in zip(clip.raw_actions, clip.noise):
-            _, _, frame = env.step(a, u=u)
-            frames.append(frame)
-        out.append(frames)
+        out.append([render(env.step(a, u=u)[0]) for a, u in zip(clip.raw_actions, clip.noise)])
     return out
 
 
@@ -214,7 +195,7 @@ def measure_real(policy: DiffusionPolicy, scene: SceneConfig, cfg: EvalStudyConf
     wins = 0
     hist = {m.value: 0 for m in MODES}
     for _ in range(cfg.n_real):
-        env = Env(scene, seed=rng.spawn_seed(), render_frames=False)
+        env = Env(scene, seed=rng.spawn_seed())
         env.reset(jittered_state(scene, rng, cfg.init_jitter))
         states = [env.state.copy()]
         events = []
@@ -225,7 +206,7 @@ def measure_real(policy: DiffusionPolicy, scene: SceneConfig, cfg: EvalStudyConf
             for a in chunk[:cfg.replan]:
                 if t >= cfg.max_steps or success:
                     break
-                s, ev, _ = env.step(a)
+                s, ev = env.step(a)
                 states.append(s.copy())
                 events.append(ev)
                 success = check_success(s, cfg.task, env.phys)
@@ -245,7 +226,7 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
     hist = {m.value: 0 for m in MODES}
     scene = wm
     for _ in range(cfg.n_wm):
-        env = Env(scene, seed=rng.spawn_seed(), render_frames=False)
+        env = Env(scene, seed=rng.spawn_seed())
         env.reset(jittered_state(scene, rng, cfg.init_jitter))
         states = [env.state.copy()]
         events = []
@@ -256,7 +237,7 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
             for a in chunk[:cfg.replan]:
                 if t >= cfg.max_steps or success:
                     break
-                s, ev, _ = env.step(a)
+                s, ev = env.step(a)
                 states.append(s.copy())
                 events.append(ev)
                 success = check_success(s, cfg.task, env.phys)
@@ -271,6 +252,9 @@ def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
     """All rollouts advance in lockstep so the denoiser runs on full batches."""
     B = cfg.n_wm
     H, C = wm.cfg.history, wm.cfg.chunk
+    if cfg.replan != C:
+        raise ValueError(f"imagined rollouts re-plan once per model chunk: replan is "
+                         f"{cfg.replan}, the model chunk is {C}")
     width = wm.state_width
     template = wm.scene.nominal_state()
     init_rng = rng
@@ -283,7 +267,6 @@ def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
     succeeded = np.zeros(B, dtype=bool)
     all_events: list[list] = [[] for _ in range(B)]
     t = 0
-    assert cfg.replan == C, "imagined rollouts re-plan once per model chunk"
     while t < cfg.max_steps:
         from .worldmodel import predict_chunk
 

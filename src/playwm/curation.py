@@ -1,7 +1,8 @@
 """Curriculum machinery over play data.
 
 Windows are embedded with a frozen sign projection of four evenly spaced
-frames. Success centroids come from k-means over demo-success windows; each
+frames, rendered on demand from the stored states (the store keeps no
+frames). Success centroids come from k-means over demo-success windows; each
 play window gets a distance-to-success (min Euclidean distance to any
 centroid) and a rank from equal-mass quantile thresholds. Training samples
 ranks from an annealed distribution that starts concentrated on the
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .projection import Projection, random_projection
-from .render import FRAME_SIZE
+from .render import FRAME_SIZE, render
 from .rng import Rng
 from .store import ClipWindow, EpisodeStore
 from .tasks import BehaviorMode
@@ -57,20 +58,24 @@ def window_sample_indices(W: int) -> tuple[int, int, int, int]:
 
 def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
                         embedder: Embedder) -> np.ndarray:
-    """Embed every window, loading each episode's frames once."""
+    """Embed every window, reading each episode once and rendering only the
+    sampled frames."""
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
     out = np.zeros((len(wins), embedder.dim))
     for eid, rows in by_ep.items():
         ep = store.read(eid)
-        if ep.frames is None:
-            raise ValueError(f"episode {eid} stored without frames")
-        flat = np.stack([f.reshape(FRAME_PIXELS) for f in ep.frames])
+        picks = {i: [wins[i].start + j for j in window_sample_indices(wins[i].length)]
+                 for i in rows}
+        # Unsampled frames stay zero. Projecting the whole-episode stack keeps
+        # the BLAS kernel, and so every sampled row's rounding, of the full
+        # product: a few-row product takes a different kernel.
+        flat = np.zeros((ep.n_frames, FRAME_PIXELS))
+        for t in {t for idx in picks.values() for t in idx}:
+            flat[t] = render(ep.states[t]).reshape(FRAME_PIXELS)
         proj = embedder.projection.apply(flat)
-        for i in rows:
-            w = wins[i]
-            idx = [w.start + j for j in window_sample_indices(w.length)]
+        for i, idx in picks.items():
             out[i] = proj[idx].reshape(-1)
     return out
 

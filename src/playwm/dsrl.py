@@ -285,7 +285,7 @@ def evaluate_steered(st: DsrlState | None, policy: DiffusionPolicy, scene: Scene
     """Real-simulator success of the (optionally steered) policy."""
     wins = 0
     for _ in range(n_rollouts):
-        env = Env(scene, seed=rng.spawn_seed(), render_frames=False)
+        env = Env(scene, seed=rng.spawn_seed())
         env.reset(jittered_state(scene, rng, 0.03))
         t = 0
         success = check_success(env.state, task, env.phys)
@@ -299,7 +299,7 @@ def evaluate_steered(st: DsrlState | None, policy: DiffusionPolicy, scene: Scene
             for a in chunk[:cadence]:
                 if t >= max_steps or success:
                     break
-                state, _, _ = env.step(a)
+                state, _ = env.step(a)
                 success = check_success(state, task, env.phys)
                 t += 1
         wins += success

@@ -7,20 +7,17 @@ fates and nothing else).
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import dynamics, render
+from . import dynamics
 from .dynamics import Action, Event
 from .rng import Rng
 from .scene import EnvState, SceneConfig
 
 
 class Env:
-    def __init__(self, scene: SceneConfig, seed: int = 0, render_frames: bool = True):
+    def __init__(self, scene: SceneConfig, seed: int = 0):
         self.scene = scene
         self.phys = scene.physics
         self.rng = Rng(seed)
-        self.render_frames = render_frames
         self.state = scene.nominal_state()
         self.noise_log: list[float] = []
 
@@ -29,13 +26,9 @@ class Env:
         self.noise_log = []
         return self.state
 
-    def step(self, action: Action, u: float | None = None) -> tuple[EnvState, Event, np.ndarray | None]:
+    def step(self, action: Action, u: float | None = None) -> tuple[EnvState, Event]:
         if u is None:
             u = self.rng.uniform()
         self.noise_log.append(u)
         self.state, event = dynamics.step(self.state, action, u, self.phys)
-        frame = render.render(self.state) if self.render_frames else None
-        return self.state, event, frame
-
-    def frame(self) -> np.ndarray:
-        return render.render(self.state)
+        return self.state, event

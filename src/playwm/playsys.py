@@ -168,7 +168,6 @@ def execute(env: Env, instr: Instruction, rng: Rng,
     limits = limits or SafetyLimits()
     skill = SkillController(instr, env.state, env.phys, rng)
     states = [env.state.copy()]
-    frames = [env.frame()] if env.render_frames else None
     actions: list[Action] = []
     events: list[Event] = []
     noise: list[float] = []
@@ -178,17 +177,15 @@ def execute(env: Env, instr: Instruction, rng: Rng,
         if act is None:
             break
         act = _safety_clamp(act, limits)
-        state, event, frame = env.step(act)
+        state, event = env.step(act)
         states.append(state.copy())
         actions.append(act.sanitized(env.phys))
         events.append(event)
         noise.append(env.noise_log[-1])
-        if frames is not None:
-            frames.append(frame)
         success = check_success(state, instr.task, env.phys)
     return Episode(
         eid="", source="", instruction=instr, outcome=bool(success), seed=0,
-        states=states, actions=actions, events=events, noise=noise, frames=frames,
+        states=states, actions=actions, events=events, noise=noise,
     )
 
 
@@ -199,8 +196,7 @@ def _safety_clamp(a: Action, limits: SafetyLimits) -> Action:
 
 def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rng,
             store: EpisodeStore, source: str = "play", reset_each: bool = False,
-            reset_jitter: float = 0.02, limits: SafetyLimits | None = None,
-            render_frames: bool = True) -> EpisodeStore:
+            reset_jitter: float = 0.02, limits: SafetyLimits | None = None) -> EpisodeStore:
     """Alternate propose/execute for a fixed number of episodes.
 
     Play mode leaves the scene wherever the last episode ended; demo mode
@@ -208,7 +204,7 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
     """
     limits = limits or SafetyLimits(step_clamp=scene.physics.a_max,
                                     max_episode_steps=scene.physics.max_steps)
-    env = Env(scene, seed=rng.spawn_seed(), render_frames=render_frames)
+    env = Env(scene, seed=rng.spawn_seed())
     if not reset_each:
         env.reset(jittered_state(scene, rng, reset_jitter))
     for i in range(episodes):

@@ -143,7 +143,6 @@ def run_policy_env(policy: DiffusionPolicy, env: Env, task: TaskSpec, rng: Rng,
     """Closed-loop policy rollout in the real environment."""
     replan = replan if replan is not None else policy.cfg.replan
     states = [env.state.copy()]
-    frames = [env.frame()] if env.render_frames else None
     actions, events, noise = [], [], []
     success = check_success(env.state, task, env.phys)
     t = 0
@@ -152,18 +151,16 @@ def run_policy_env(policy: DiffusionPolicy, env: Env, task: TaskSpec, rng: Rng,
         for a in chunk[:replan]:
             if t >= max_steps or success:
                 break
-            state, event, frame = env.step(a)
+            state, event = env.step(a)
             states.append(state.copy())
             actions.append(a.sanitized(env.phys))
             events.append(event)
             noise.append(env.noise_log[-1])
-            if frames is not None:
-                frames.append(frame)
             success = check_success(state, task, env.phys)
             t += 1
     return Episode(eid="", source="policy_rollout", instruction=Instruction(task),
                    outcome=bool(success), seed=0, states=states, actions=actions,
-                   events=events, noise=noise, frames=frames)
+                   events=events, noise=noise)
 
 
 # -- the degraded-policy suite -------------------------------------------------
@@ -213,10 +210,10 @@ class SuiteEntry:
 
 def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise: float,
                        rng: Rng, store: EpisodeStore, source: str = "demo",
-                       render_frames: bool = True, jitter: float = 0.03) -> None:
+                       jitter: float = 0.03) -> None:
     """Fixed-task expert demos; noise scales the perturbation knobs together."""
     for i in range(episodes):
-        env = Env(scene, seed=rng.spawn_seed(), render_frames=render_frames)
+        env = Env(scene, seed=rng.spawn_seed())
         env.reset(jittered_state(scene, rng, jitter))
         perturb = Perturbation(sigma_w=0.06 * noise, sigma_g=0.05 * noise,
                                speed_mult=1.0 + 0.6 * noise * (rng.uniform() - 0.3))
@@ -235,7 +232,7 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
     hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
     rollouts = []
     for _ in range(n_rollouts):
-        env = Env(scene, seed=rng.spawn_seed(), render_frames=False)
+        env = Env(scene, seed=rng.spawn_seed())
         env.reset(jittered_state(scene, rng, 0.03))
         ep = run_policy_env(policy, env, task, rng, max_steps=max_steps, replan=replan)
         wins += ep.outcome
@@ -258,7 +255,7 @@ def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
         if variant.demo_count > 0:
             demo_store = EpisodeStore(os.path.join(root, variant.name))
             collect_task_demos(scene, spec.task, variant.demo_count, variant.noise,
-                               Rng(rng.spawn_seed()), demo_store, render_frames=False)
+                               Rng(rng.spawn_seed()), demo_store)
             train_bc(policy, demo_store, variant.train_steps, Rng(rng.spawn_seed()))
         rate, hist, _ = measure_env_success(policy, scene, spec.task, spec.n_real,
                                             Rng(rng.spawn_seed()), spec.max_steps)

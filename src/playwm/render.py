@@ -27,51 +27,62 @@ def object_intensity(oid: int) -> float:
 def render(state: EnvState) -> np.ndarray:
     frame = np.zeros((FRAME_SIZE, FRAME_SIZE))
     for obj in sorted(state.objects, key=lambda o: (o.z_level, o.oid)):
-        mask = _object_mask(obj)
-        frame[mask] = object_intensity(obj.oid)
+        box = _box(obj.x, obj.y, _reach(obj))
+        frame[box][_object_mask(obj, _PX[box], _PY[box])] = object_intensity(obj.oid)
     g = state.gripper
-    gmask = (_PX - g.x) ** 2 + (_PY - g.y) ** 2 < (2.0 / FRAME_SIZE) ** 2
-    frame[gmask] = 1.0 if g.aperture > 0.5 else 0.9
+    radius = 2.0 / FRAME_SIZE
+    box = _box(g.x, g.y, radius)
+    gmask = (_PX[box] - g.x) ** 2 + (_PY[box] - g.y) ** 2 < radius ** 2
+    frame[box][gmask] = 1.0 if g.aperture > 0.5 else 0.9
     return frame
 
 
-def _object_mask(obj: ObjectState) -> np.ndarray:
+def _reach(obj: ObjectState) -> float:
+    """Distance from (x, y) that bounds every point of the object's shape."""
+    if obj.kind in ("disk", "bowl"):
+        return obj.size[0]
+    return math.hypot(*obj.size)  # rect half-diagonal; towel link length and half-width
+
+
+def _box(x: float, y: float, reach: float) -> tuple[slice, slice]:
+    """Rows and columns of the pixels within `reach` of (x, y), plus a margin
+    of over a pixel. Every pixel outside is beyond the shape, and a pixel's
+    test inside is the same arithmetic as over the whole grid, so frames do
+    not change."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return slice(0, 0), slice(0, 0)  # a non-finite pose covers no pixel center
+    return tuple(slice(max(math.floor((c - reach) * FRAME_SIZE) - 1, 0),
+                       max(math.ceil((c + reach) * FRAME_SIZE) + 1, 0)) for c in (y, x))
+
+
+def _object_mask(obj: ObjectState, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The object's pixels among the pixel centers (px, py)."""
     if obj.kind == "disk":
-        return (_PX - obj.x) ** 2 + (_PY - obj.y) ** 2 < obj.size[0] ** 2
+        return (px - obj.x) ** 2 + (py - obj.y) ** 2 < obj.size[0] ** 2
     if obj.kind == "rect":
-        return _rect_mask(obj.x, obj.y, obj.theta, obj.size[0], obj.size[1])
+        return _rect_mask(px, py, obj.x, obj.y, obj.theta, obj.size[0], obj.size[1])
     if obj.kind == "bowl":
-        d2 = (_PX - obj.x) ** 2 + (_PY - obj.y) ** 2
+        d2 = (px - obj.x) ** 2 + (py - obj.y) ** 2
         return (d2 < obj.size[0] ** 2) & (d2 >= obj.size[1] ** 2)
     if obj.kind == "towel2link":
         length, half_w = obj.size
-        m = _link_mask(obj.x, obj.y, obj.theta, length, half_w)
+        m = _link_mask(px, py, obj.x, obj.y, obj.theta, length, half_w)
         phi = obj.theta + math.pi - obj.fold_angle
-        return m | _link_mask(obj.x, obj.y, phi, length, half_w)
+        return m | _link_mask(px, py, obj.x, obj.y, phi, length, half_w)
     raise ValueError(f"unknown kind {obj.kind!r}")
 
 
-def _rect_mask(cx, cy, theta, half_w, half_h) -> np.ndarray:
+def _rect_mask(px, py, cx, cy, theta, half_w, half_h) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
-    dx = _PX - cx
-    dy = _PY - cy
+    dx = px - cx
+    dy = py - cy
     u = c * dx + s * dy
     v = -s * dx + c * dy
     return (np.abs(u) < half_w) & (np.abs(v) < half_h)
 
 
-def _link_mask(px, py, phi, length, half_w) -> np.ndarray:
+def _link_mask(px, py, pivot_x, pivot_y, phi, length, half_w) -> np.ndarray:
     """A towel link: rectangle from the pivot outward along direction phi."""
-    cx = px + 0.5 * length * math.cos(phi)
-    cy = py + 0.5 * length * math.sin(phi)
-    return _rect_mask(cx, cy, phi, 0.5 * length, half_w)
-
-
-def encode_frame(frame: np.ndarray) -> bytes:
-    """Pack a palette frame into one byte per pixel (intensity times ten)."""
-    return np.round(frame * 10.0).astype(np.uint8).tobytes()
-
-
-def decode_frame(raw: bytes) -> np.ndarray:
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(FRAME_SIZE, FRAME_SIZE)
-    return arr.astype(np.float64) / 10.0
+    cx = pivot_x + 0.5 * length * math.cos(phi)
+    cy = pivot_y + 0.5 * length * math.sin(phi)
+    return _rect_mask(px, py, cx, cy, phi, 0.5 * length, half_w)

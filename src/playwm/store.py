@@ -1,23 +1,32 @@
-"""Episode persistence: one binary blob per episode plus a JSONL manifest.
+"""Episode persistence: one states-only blob per episode plus an append-only
+JSONL manifest.
 
-Blob layout (little-endian throughout):
+Blob layout, version 2 (little-endian throughout):
 
     magic   4 bytes  b"PWEP"
-    version u32      1
+    version u32      2
     meta_len u32     length of the UTF-8 JSON metadata block
     meta    bytes    id, source, instruction, outcome, seed, counts
     states  (n_frames, 6 + 5*n_objects) f8   raw state rows
     actions (n_steps, 4) f8                  sanitized (dx, dy, dz, dg)
     events  (n_steps, 3) i4                  kind, oid0, oid1 (-1 if absent)
     noise   (n_steps,) f8                    per-step uniform draws
-    frames  n_frames * 4096 u1               palette-packed 64x64 frames
 
 n_frames = n_steps + 1 (initial state included). A state row is
 [gx, gy, gz, aperture, held_id, slip_fated] followed by
-[x, y, theta, z_level, fold_angle] per object in roster order.
+[x, y, theta, z_level, fold_angle] per object in roster order. Frames are
+not stored: `render.render` reproduces them bit-exactly from the states, so
+readers render only the frames they consume. Version 1 blobs, which also
+held 64x64 frames, are not readable; reading one raises StoreError naming
+the file and its version.
 
-Writes go to a temp file and rename into place; the manifest line carries
-the blob's sha256. Such appends are atomic and re-hashable.
+Durability: `append` writes the blob to a temp file and renames it into
+place, then writes the episode's manifest line (carrying the blob's sha256)
+in append mode, flushes and fsyncs it; earlier lines are never rewritten.
+A crash can leave a torn final line, which opening the store drops,
+truncating the file back to the last complete line. A bad line anywhere
+else raises StoreError naming the manifest and the line number. `read`
+re-hashes every blob against its manifest record.
 """
 
 from __future__ import annotations
@@ -25,18 +34,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Action, Event, EventKind
-from .render import FRAME_SIZE, decode_frame, encode_frame
 from .scene import EnvState, GripperState, ObjectState
 from .skills import Instruction, Perturbation
 from .tasks import BehaviorMode, TaskSpec, classify_clip
 
 MAGIC = b"PWEP"
-VERSION = 1
+VERSION = 2
+HEADER_BYTES = 12  # magic, version, meta_len
 
 
 @dataclass
@@ -50,7 +59,6 @@ class Episode:
     actions: list[Action]
     events: list[Event]
     noise: list[float]
-    frames: list[np.ndarray] | None = None
 
     @property
     def n_steps(self) -> int:
@@ -67,8 +75,6 @@ class Episode:
             raise ValueError("states must be one longer than actions")
         if len(self.events) != len(self.actions) or len(self.noise) != len(self.actions):
             raise ValueError("events/noise must align with actions")
-        if self.frames is not None and len(self.frames) != len(self.states):
-            raise ValueError("frames must align with states")
 
 
 @dataclass(frozen=True)
@@ -90,10 +96,31 @@ class EpisodeStore:
         self._manifest_path = os.path.join(root, "manifest.jsonl")
         self._index: dict[str, dict] = {}
         if os.path.exists(self._manifest_path):
-            with open(self._manifest_path) as fh:
-                for line in fh:
-                    rec = json.loads(line)
-                    self._index[rec["id"]] = rec
+            self._load_manifest()
+
+    def _load_manifest(self) -> None:
+        """Index every manifest line; drop a torn final line from the file."""
+        with open(self._manifest_path, "rb") as fh:
+            data = fh.read()
+        *lines, tail = data.split(b"\n")  # a non-empty tail lacks its newline
+        good_end = 0
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                rec = json.loads(line)
+                eid = rec["id"]
+            except (ValueError, KeyError, TypeError):
+                if lineno == len(lines) and not tail:
+                    break
+                raise StoreError(f"{self._manifest_path}: line {lineno} is not a manifest "
+                                 f"record") from None
+            if eid in self._index:
+                raise StoreError(f"{self._manifest_path}: line {lineno} repeats id {eid!r}")
+            self._index[eid] = rec
+            good_end += len(line) + 1
+        if good_end < len(data):
+            with open(self._manifest_path, "r+b") as fh:
+                fh.truncate(good_end)
+                os.fsync(fh.fileno())
 
     def __len__(self) -> int:
         return len(self._index)
@@ -102,14 +129,16 @@ class EpisodeStore:
         return list(self._index.keys())
 
     def meta(self, eid: str) -> dict:
-        return self._index[eid]
+        rec = self._index.get(eid)
+        if rec is None:
+            raise StoreError(f"unknown episode id {eid!r} in {self.root}")
+        return rec
 
     def append(self, episode: Episode) -> str:
         episode.validate()
         if episode.eid in self._index:
             raise StoreError(f"duplicate episode id {episode.eid!r}")
         blob = _pack(episode)
-        digest = hashlib.sha256(blob).hexdigest()
         rel = os.path.join("episodes", f"{episode.eid}.bin")
         path = os.path.join(self.root, rel)
         tmp = path + ".tmp"
@@ -119,35 +148,36 @@ class EpisodeStore:
         rec = {
             "id": episode.eid,
             "file": rel,
-            "sha256": digest,
+            "sha256": hashlib.sha256(blob).hexdigest(),
             "source": episode.source,
             "verb": episode.instruction.task.verb,
             "outcome": episode.outcome,
             "n_steps": episode.n_steps,
             "seed": episode.seed,
         }
-        line = json.dumps(rec, sort_keys=True)
-        tmp_manifest = self._manifest_path + ".tmp"
-        with open(tmp_manifest, "w") as fh:
-            for old in self._index.values():
-                fh.write(json.dumps(old, sort_keys=True) + "\n")
-            fh.write(line + "\n")
-        os.replace(tmp_manifest, self._manifest_path)
+        with open(self._manifest_path, "ab") as fh:
+            fh.write((json.dumps(rec, sort_keys=True) + "\n").encode())
+            fh.flush()
+            os.fsync(fh.fileno())
         self._index[episode.eid] = rec
         return episode.eid
 
-    def read(self, eid: str) -> Episode:
-        rec = self._index.get(eid)
-        if rec is None:
-            raise StoreError(f"unknown episode id {eid!r}")
-        with open(os.path.join(self.root, rec["file"]), "rb") as fh:
+    def _blob(self, eid: str) -> tuple[str, bytes, bool]:
+        """(path, bytes, whether the bytes match the manifest's sha256)."""
+        rec = self.meta(eid)
+        path = os.path.join(self.root, rec["file"])
+        with open(path, "rb") as fh:
             blob = fh.read()
-        return _unpack(blob)
+        return path, blob, hashlib.sha256(blob).hexdigest() == rec["sha256"]
+
+    def read(self, eid: str) -> Episode:
+        path, blob, intact = self._blob(eid)
+        if not intact:
+            raise StoreError(f"{path}: sha256 does not match the manifest record")
+        return _unpack(blob, path)
 
     def verify(self, eid: str) -> bool:
-        rec = self._index[eid]
-        with open(os.path.join(self.root, rec["file"]), "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest() == rec["sha256"]
+        return self._blob(eid)[2]
 
     def manifest_hash(self) -> str:
         with open(self._manifest_path, "rb") as fh:
@@ -158,13 +188,18 @@ class EpisodeStore:
             yield self.read(eid)
 
 
-def windows(store: EpisodeStore, W: int, stride: int | None = None) -> list[ClipWindow]:
-    """All maximal windows of W frames at the given stride, mode-labeled."""
+def windows(store: EpisodeStore, W: int, stride: int | None = None,
+            ids: list[str] | None = None) -> list[ClipWindow]:
+    """All maximal windows of W frames at the given stride, mode-labeled, in
+    store order; only episodes listed in `ids` are read when it is given."""
     if W < 2:
         raise ValueError("window length must be at least 2")
     stride = W if stride is None else stride
+    keep = None if ids is None else set(ids)
     out: list[ClipWindow] = []
     for eid in store.ids():
+        if keep is not None and eid not in keep:
+            continue
         ep = store.read(eid)
         n = ep.n_frames
         for start in range(0, n - W + 1, stride):
@@ -219,7 +254,6 @@ def _pack(ep: Episode) -> bytes:
         "outcome": ep.outcome,
         "seed": ep.seed,
         "n_steps": ep.n_steps,
-        "has_frames": ep.frames is not None,
         "objects": [{"id": o.oid, "kind": o.kind, "size": list(o.size)}
                     for o in ep.states[0].objects],
         "task": {"verb": task.verb, "subject": task.subject, "target": task.target,
@@ -240,25 +274,25 @@ def _pack(ep: Episode) -> bytes:
             events[i, 1 + j] = oid
     noise = np.asarray(ep.noise, dtype="<f8")
     chunks += [states.tobytes(), actions.tobytes(), events.tobytes(), noise.tobytes()]
-    if ep.frames is not None:
-        for f in ep.frames:
-            chunks.append(encode_frame(f))
     return b"".join(chunks)
 
 
-def _unpack(blob: bytes) -> Episode:
-    if blob[:4] != MAGIC:
-        raise StoreError("bad magic; not an episode blob")
-    version, meta_len = np.frombuffer(blob[4:12], dtype="<u4")
+def _unpack(blob: bytes, path: str) -> Episode:
+    if len(blob) < HEADER_BYTES or blob[:4] != MAGIC:
+        raise StoreError(f"{path}: bad magic; not an episode blob")
+    version, meta_len = (int(v) for v in np.frombuffer(blob[4:HEADER_BYTES], dtype="<u4"))
     if version != VERSION:
-        raise StoreError(f"unsupported blob version {version}")
-    off = 12
-    meta = json.loads(blob[off:off + meta_len].decode())
-    off += int(meta_len)
+        raise StoreError(f"{path}: blob version {version} is not readable "
+                         f"(this store reads version {VERSION})")
+    off = HEADER_BYTES + meta_len
+    meta = json.loads(blob[HEADER_BYTES:off].decode())
     n_steps = meta["n_steps"]
     n_frames = n_steps + 1
     n_obj = len(meta["objects"])
     row_w = 6 + 5 * n_obj
+    size = off + 8 * (n_frames * row_w + n_steps * 4 + n_steps) + 4 * n_steps * 3
+    if len(blob) != size:
+        raise StoreError(f"{path}: blob holds {len(blob)} bytes, its header implies {size}")
 
     states_arr = np.frombuffer(blob, dtype="<f8", count=n_frames * row_w, offset=off).reshape(n_frames, row_w)
     off += states_arr.nbytes
@@ -267,14 +301,6 @@ def _unpack(blob: bytes) -> Episode:
     events_arr = np.frombuffer(blob, dtype="<i4", count=n_steps * 3, offset=off).reshape(n_steps, 3)
     off += events_arr.nbytes
     noise_arr = np.frombuffer(blob, dtype="<f8", count=n_steps, offset=off)
-    off += noise_arr.nbytes
-    frames = None
-    if meta["has_frames"]:
-        frames = []
-        span = FRAME_SIZE * FRAME_SIZE
-        for _ in range(n_frames):
-            frames.append(decode_frame(blob[off:off + span]))
-            off += span
 
     states = [_state_from_row(states_arr[i], meta, i) for i in range(n_frames)]
     actions = [Action(*actions_arr[i]) for i in range(n_steps)]
@@ -291,4 +317,4 @@ def _unpack(blob: bytes) -> Episode:
     )
     return Episode(eid=meta["id"], source=meta["source"], instruction=instr,
                    outcome=meta["outcome"], seed=meta["seed"], states=states,
-                   actions=actions, events=events, noise=list(noise_arr), frames=frames)
+                   actions=actions, events=events, noise=list(noise_arr))

@@ -23,10 +23,9 @@ from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig
-from .store import ClipWindow, EpisodeStore
+from .store import ClipWindow, Episode, EpisodeStore, windows
 from .tasks import infer_transition_event
 from .skills import Instruction, Perturbation
-from .store import Episode
 from .tasks import TaskSpec
 
 
@@ -134,24 +133,10 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, ids: list[str] | None = No
                   stride: int | None = None,
                   wins: list[ClipWindow] | None = None) -> WindowDataset:
     """Assemble (conditioning, target) arrays for every training window."""
-    from .store import windows as store_windows
-    from .tasks import classify_clip
-
     W = cfg.window_len
     H, C = cfg.history, cfg.chunk
     if wins is None:
-        wins = []
-        id_set = set(ids) if ids is not None else None
-        for eid in store.ids():
-            if id_set is not None and eid not in id_set:
-                continue
-            ep = store.read(eid)
-            n = ep.n_frames
-            s = W if stride is None else stride
-            for start in range(0, n - W + 1, s):
-                mode = classify_clip(ep.events[start:start + W - 1], ep.instruction.task,
-                                     ep.states[start + W - 1])
-                wins.append(ClipWindow(eid, start, W, mode))
+        wins = windows(store, W, stride, ids=ids)
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
@@ -244,6 +229,12 @@ def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
     return x.reshape(B, C, width)
 
 
+def predicted_frames(wm: WorldModel, chunk: np.ndarray) -> list[np.ndarray]:
+    """Frames of one predicted chunk: each raw vector decoded, then rendered."""
+    template = wm.scene.nominal_state()
+    return [render(statecodec.decode_state(vec, template)) for vec in chunk]
+
+
 def sanitize_chunk(wm: WorldModel, chunk: np.ndarray) -> tuple[list[EnvState], np.ndarray]:
     """Project raw predicted vectors onto valid states; return both forms."""
     template = wm.scene.nominal_state()
@@ -308,7 +299,7 @@ class OracleBackend:
     def __init__(self, scene: SceneConfig, seed: int = 0, noise: list[float] | None = None):
         from .env import Env
 
-        self.env = Env(scene, seed=seed, render_frames=False)
+        self.env = Env(scene, seed=seed)
         self.noise = list(noise) if noise else None
         self.preferred_chunk = 8
         self._cursor = 0
@@ -327,7 +318,7 @@ class OracleBackend:
             if self.noise is not None and self._cursor < len(self.noise):
                 u = self.noise[self._cursor]
                 self._cursor += 1
-            s, ev, _ = self.env.step(a, u=u)
+            s, ev = self.env.step(a, u=u)
             states.append(s.copy())
             events.append(ev)
         self.state = self.env.state
@@ -335,8 +326,7 @@ class OracleBackend:
 
 
 def rollout(wm_or_backend, initial_state: EnvState, action_source, horizon: int,
-            rng: Rng | None = None, render_frames: bool = False,
-            eid: str = "rollout", task: TaskSpec | None = None) -> Episode:
+            rng: Rng | None = None, eid: str = "rollout", task: TaskSpec | None = None) -> Episode:
     """Imagined episode: open-loop (list of actions) or closed-loop (callable).
 
     A callable source receives (state, t) each control step and returns the
@@ -349,7 +339,6 @@ def rollout(wm_or_backend, initial_state: EnvState, action_source, horizon: int,
     group = getattr(backend, "preferred_chunk", 8)
     state = backend.reset(initial_state)
     states = [state.copy()]
-    frames = [render(state)] if render_frames else None
     all_actions: list[Action] = []
     all_events = []
     t = 0
@@ -368,15 +357,13 @@ def rollout(wm_or_backend, initial_state: EnvState, action_source, horizon: int,
             states.append(s.copy())
             all_events.append(e)
             all_actions.append(a)
-            if frames is not None:
-                frames.append(render(s))
         t += len(acts)
     if task is None:
         task = TaskSpec("push_to", states[0].objects[0].oid, region=(0.5, 0.5))
     instr = Instruction(task, Perturbation())
     return Episode(eid=eid, source="policy_rollout", instruction=instr, outcome=False,
                    seed=0, states=states, actions=all_actions, events=all_events,
-                   noise=[0.0] * len(all_actions), frames=frames)
+                   noise=[0.0] * len(all_actions))
 
 
 # -- persistence ----------------------------------------------------------

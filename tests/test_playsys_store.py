@@ -1,24 +1,56 @@
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
+from playwm import bench
 from playwm.dynamics import EventKind
 from playwm.env import Env
 from playwm.playsys import (ProposalError, ProposerConfig, SafetyLimits,
                             applicable_tasks, collect, execute, expert_config,
                             human_play_config, propose)
+from playwm.render import render
 from playwm.rng import Rng
 from playwm.scene import EnvState, GripperState, ObjectState, Physics, default_scene, jittered_state
 from playwm.skills import Instruction, Perturbation
-from playwm.store import EpisodeStore, split, windows
+from playwm.store import EpisodeStore, StoreError, split, windows
 from playwm.tasks import BehaviorMode, TaskSpec, check_success
+from playwm.worldmodel import WmConfig, build_dataset
 
 
-def fresh_env(seed=0, render=False):
-    return Env(default_scene(), seed=seed, render_frames=render)
+def fresh_env(seed=0):
+    return Env(default_scene(), seed=seed)
 
 
 def expert_instruction(task):
     return Instruction(task, Perturbation())
+
+
+def expert_episode(eid, seed=1):
+    ep = execute(fresh_env(), expert_instruction(TaskSpec("put_in", 1, 0)), Rng(seed))
+    ep.eid, ep.source = eid, "demo"
+    return ep
+
+
+def manifest_bytes(root):
+    with open(os.path.join(root, "manifest.jsonl"), "rb") as fh:
+        return fh.read()
+
+
+# seed 7, 8 play episodes, blob version 2
+GOLDEN_MANIFEST_HASH = "924a033fb495dc793a23602363f534dcb36e37c1895a8a07c7cb53dc3914f688"
+
+
+class ReopeningStore:
+    """Opens the store afresh for every append, as separate runs would."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def append(self, episode):
+        return EpisodeStore(self.root).append(episode)
 
 
 class TestSkills:
@@ -33,7 +65,7 @@ class TestSkills:
         scene = default_scene()
         for seed in range(100):
             rng = Rng(1000 + seed)
-            env = Env(scene, seed=rng.spawn_seed(), render_frames=False)
+            env = Env(scene, seed=rng.spawn_seed())
             env.reset(jittered_state(scene, rng, 0.03))
             task = [TaskSpec("put_in", 1, 0), TaskSpec("stack", 1, 3),
                     TaskSpec("put_near", 2, 1), TaskSpec("fold", 4)][seed % 4]
@@ -46,7 +78,7 @@ class TestSkills:
         scene = default_scene()
         for seed in range(100):
             rng = Rng(seed)
-            env = Env(scene, seed=rng.spawn_seed(), render_frames=False)
+            env = Env(scene, seed=rng.spawn_seed())
             env.reset(jittered_state(scene, rng, 0.03))
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_g=0.08))
             ep = execute(env, instr, rng)
@@ -141,7 +173,7 @@ class TestProposer:
 class TestCollect:
     def test_collect_counts_and_clamps(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        collect(default_scene(), ProposerConfig(), 10, Rng(5), store, render_frames=False)
+        collect(default_scene(), ProposerConfig(), 10, Rng(5), store)
         assert len(store) == 10
         for ep in store.episodes():
             for a in ep.actions:
@@ -151,17 +183,17 @@ class TestCollect:
         h = []
         for d in ("a", "b"):
             store = EpisodeStore(str(tmp_path / d))
-            collect(default_scene(), ProposerConfig(), 8, Rng(7), store, render_frames=True)
+            collect(default_scene(), ProposerConfig(), 8, Rng(7), store)
             h.append(store.manifest_hash())
         assert h[0] == h[1]
 
     def test_play_initial_variance_exceeds_demo(self, tmp_path):
         play = EpisodeStore(str(tmp_path / "play"))
         collect(default_scene(), ProposerConfig(), 60, Rng(1), play,
-                source="play", reset_each=False, render_frames=False)
+                source="play", reset_each=False)
         demo = EpisodeStore(str(tmp_path / "demo"))
         collect(default_scene(), expert_config(), 60, Rng(1), demo,
-                source="demo", reset_each=True, render_frames=False)
+                source="demo", reset_each=True)
 
         def initial_var(store):
             pos = []
@@ -175,7 +207,7 @@ class TestCollect:
 
     def test_oob_recovery(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        collect(default_scene(), human_play_config(), 40, Rng(11), store, render_frames=False)
+        collect(default_scene(), human_play_config(), 40, Rng(11), store)
         # reset priority keeps strays from persisting over consecutive episodes
         consecutive = 0
         worst = 0
@@ -190,7 +222,16 @@ class TestCollect:
 class TestStore:
     def test_roundtrip_identity(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env(render=True)
+        env = fresh_env()
+        frames = [render(env.state)]
+        env_step = env.step
+
+        def rendering_step(*args, **kwargs):
+            state, event = env_step(*args, **kwargs)
+            frames.append(render(state))
+            return state, event
+
+        env.step = rendering_step
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
         ep.eid, ep.source, ep.seed = "e1", "demo", 42
         store.append(ep)
@@ -204,12 +245,15 @@ class TestStore:
         assert back.actions == ep.actions
         assert back.events == ep.events
         assert back.noise == ep.noise
-        for fa, fb in zip(back.frames, ep.frames):
-            assert fa.tobytes() == fb.tobytes()
+        # frames are not stored: rendering the read-back states reproduces
+        # the collection-time frames byte for byte
+        assert len(frames) == len(back.states)
+        for s_back, frame in zip(back.states, frames):
+            assert render(s_back).tobytes() == frame.tobytes()
 
     def test_hash_verifies(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env(render=True)
+        env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
         ep.eid, ep.source = "e1", "demo"
         store.append(ep)
@@ -217,7 +261,7 @@ class TestStore:
 
     def test_duplicate_id_rejected(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env(render=False)
+        env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
         ep.eid, ep.source = "e1", "demo"
         store.append(ep)
@@ -227,7 +271,7 @@ class TestStore:
     def test_reload_from_disk(self, tmp_path):
         path = str(tmp_path / "s")
         store = EpisodeStore(path)
-        env = fresh_env(render=False)
+        env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
         ep.eid, ep.source = "e1", "demo"
         store.append(ep)
@@ -236,10 +280,108 @@ class TestStore:
         assert again.read("e1").outcome == ep.outcome
 
 
+    def test_golden_manifest_hash(self, tmp_path):
+        store = EpisodeStore(str(tmp_path / "s"))
+        collect(default_scene(), ProposerConfig(), 8, Rng(7), store)
+        assert store.manifest_hash() == GOLDEN_MANIFEST_HASH
+
+    def test_golden_manifest_hash_reopening_between_appends(self, tmp_path):
+        root = str(tmp_path / "s")
+        collect(default_scene(), ProposerConfig(), 8, Rng(7), ReopeningStore(root))
+        assert EpisodeStore(root).manifest_hash() == GOLDEN_MANIFEST_HASH
+
+    def test_manifest_is_append_only(self, tmp_path):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        before = b""
+        for i in range(5):
+            store.append(expert_episode(f"e{i}", seed=i))
+            now = manifest_bytes(root)
+            assert now.startswith(before)
+            assert now.count(b"\n") == i + 1 and now.endswith(b"\n")
+            before = now
+
+    @pytest.mark.parametrize("torn", [b'{"id": "e9", "fi', b"not json\n", b"\n"])
+    def test_torn_final_line_dropped(self, tmp_path, torn):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        for i in range(2):
+            store.append(expert_episode(f"e{i}", seed=i))
+        intact = manifest_bytes(root)
+        with open(os.path.join(root, "manifest.jsonl"), "ab") as fh:
+            fh.write(torn)
+        again = EpisodeStore(root)
+        assert again.ids() == ["e0", "e1"]
+        assert manifest_bytes(root) == intact
+        again.append(expert_episode("e2", seed=2))
+        reopened = EpisodeStore(root)
+        assert reopened.ids() == ["e0", "e1", "e2"]
+        assert [reopened.read(eid).eid for eid in reopened.ids()] == ["e0", "e1", "e2"]
+
+    def test_bad_inner_manifest_line_raises(self, tmp_path):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e0"))
+        good = manifest_bytes(root)
+        with open(os.path.join(root, "manifest.jsonl"), "wb") as fh:
+            fh.write(b"{broken\n" + good)
+        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 1 "):
+            EpisodeStore(root)
+
+    def _blob_path(self, store, eid):
+        return os.path.join(store.root, store.meta(eid)["file"])
+
+    def test_truncated_blob_raises(self, tmp_path):
+        store = EpisodeStore(str(tmp_path / "s"))
+        store.append(expert_episode("e1"))
+        path = self._blob_path(store, "e1")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 5)
+        assert not store.verify("e1")
+        with pytest.raises(StoreError, match="e1.bin"):
+            store.read("e1")
+
+    def test_flipped_byte_raises(self, tmp_path):
+        store = EpisodeStore(str(tmp_path / "s"))
+        store.append(expert_episode("e1"))
+        path = self._blob_path(store, "e1")
+        with open(path, "r+b") as fh:
+            fh.seek(-3, os.SEEK_END)
+            byte = fh.read(1)
+            fh.seek(-3, os.SEEK_END)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        assert not store.verify("e1")
+        with pytest.raises(StoreError, match="e1.bin.*sha256"):
+            store.read("e1")
+
+    def test_unknown_id_raises(self, tmp_path):
+        store = EpisodeStore(str(tmp_path / "s"))
+        for call in (store.read, store.verify, store.meta):
+            with pytest.raises(StoreError, match="unknown episode id"):
+                call("nope")
+
+    def test_version_1_blob_rejected(self, tmp_path):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e1"))
+        rec = store.meta("e1")
+        path = self._blob_path(store, "e1")
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[4:8] = (1).to_bytes(4, "little")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        line = json.dumps({**rec, "sha256": hashlib.sha256(blob).hexdigest()}, sort_keys=True)
+        with open(os.path.join(root, "manifest.jsonl"), "w") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(StoreError, match="e1.bin: blob version 1"):
+            EpisodeStore(root).read("e1")
+
+
 class TestWindows:
     def _store_with_lengths(self, tmp_path, lengths):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env(render=False)
+        env = fresh_env()
         for i, n in enumerate(lengths):
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_w=0.2, sigma_g=0.1))
             ep = execute(env, instr, Rng(i), SafetyLimits(max_episode_steps=n))
@@ -257,7 +399,7 @@ class TestWindows:
 
     def test_short_episode_yields_nothing(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env(render=False)
+        env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1),
                      SafetyLimits(max_episode_steps=3))
         ep.eid, ep.source = "e1", "play"
@@ -276,7 +418,7 @@ class TestWindows:
         scene = default_scene()
         for i in range(20):
             rng = Rng(100 + i)
-            env = Env(scene, seed=rng.spawn_seed(), render_frames=False)
+            env = Env(scene, seed=rng.spawn_seed())
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_g=0.09))
             ep = execute(env, instr, rng)
             ep.eid, ep.source = f"e{i}", "play"
@@ -293,10 +435,59 @@ class TestWindows:
         assert {eid for eid, _ in miss_eps} <= labeled | set()
 
 
+def window_digest(ws):
+    rows = [(w.episode_id, w.start, w.length, w.mode.value) for w in ws]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seeded_play_store(tmp_path_factory):
+    store = EpisodeStore(str(tmp_path_factory.mktemp("play")))
+    collect(default_scene(), ProposerConfig(), 30, Rng(21), store)
+    return store
+
+
+class TestWindowEnumerator:
+    # windows of the seeded store as enumerated before the window loops of
+    # build_dataset and build_benchmark were folded into store.windows
+    GOLDEN = {
+        None: (33, "09530b6e2fa7fb7cba28ed08cebfa34a7d9055fda984ba9beed459f8c4f563c4"),
+        3: (85, "41d4e2997b3d2e4301ba07ad88f98626fe617b0df2cf3036e3f03ea695edf0d0"),
+    }
+
+    @pytest.mark.parametrize("stride", [None, 3])
+    def test_windows_and_order_pinned(self, seeded_play_store, stride):
+        ws = windows(seeded_play_store, 12, stride)
+        assert (len(ws), window_digest(ws)) == self.GOLDEN[stride]
+
+    def test_ids_filter_keeps_store_order(self, seeded_play_store):
+        ids = seeded_play_store.ids()
+        subset = ids[::3][::-1]
+        keep = set(subset)
+        assert windows(seeded_play_store, 12, 3, ids=subset) == \
+            [w for w in windows(seeded_play_store, 12, 3) if w.episode_id in keep]
+
+    def test_build_dataset_enumerates_store_windows(self, seeded_play_store):
+        train, _ = split(seeded_play_store, 0.25, Rng(5))
+        ds = build_dataset(seeded_play_store, WmConfig(), ids=train)
+        assert ds.windows == windows(seeded_play_store, WmConfig().window_len, ids=train)
+
+    def test_build_benchmark_reads_only_held_out(self, seeded_play_store):
+        _, held = split(seeded_play_store, 0.25, Rng(5))
+        store = EpisodeStore(seeded_play_store.root)
+        read = []
+        store_read = store.read
+        store.read = lambda eid: read.append(eid) or store_read(eid)
+        bm = bench.build_benchmark({"play": store}, {"play": held}, 2, Rng(1),
+                                   stride=3, min_fraction=0.0)
+        assert bm.clips and read
+        assert set(read) <= set(held)
+
+
 class TestSplit:
     def test_fraction_and_disjoint(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env(render=False)
+        env = fresh_env()
         for i in range(100):
             ep = execute(env, expert_instruction(TaskSpec("put_near", 1, 2)), Rng(i),
                          SafetyLimits(max_episode_steps=5))

@@ -6,7 +6,7 @@ import pytest
 from playwm import statecodec
 from playwm.dynamics import Action, Event, EventKind, step
 from playwm.env import Env
-from playwm.render import FRAME_SIZE, decode_frame, encode_frame, render
+from playwm.render import FRAME_SIZE, render
 from playwm.rng import Rng
 from playwm.scene import (EnvState, GripperState, ObjectState, Physics,
                           default_scene, jittered_state, scene_from_dict,
@@ -149,12 +149,12 @@ class TestStep:
 
     def test_object_count_conserved_under_random_actions(self):
         rng = Rng(3)
-        env = Env(default_scene(), seed=1, render_frames=False)
+        env = Env(default_scene(), seed=1)
         n = len(env.state.objects)
         for _ in range(200):
             a = Action(dx=rng.gauss() * 0.05, dy=rng.gauss() * 0.05,
                        dz=rng.gauss(), dg=rng.gauss())
-            state, _, _ = env.step(a)
+            state, _ = env.step(a)
             assert len(state.objects) == n
             for o in state.objects:
                 assert 0.0 <= o.x <= 1.0 and 0.0 <= o.y <= 1.0
@@ -168,8 +168,8 @@ class TestStep:
             for _ in range(40):
                 a = Action(dx=rng.gauss() * 0.04, dy=rng.gauss() * 0.04,
                            dz=rng.gauss(), dg=rng.gauss())
-                state, event, frame = env.step(a)
-                out.append((frame.tobytes(), event.kind))
+                state, event = env.step(a)
+                out.append((render(state).tobytes(), event.kind))
             return out
 
         assert run() == run()
@@ -203,11 +203,34 @@ class TestRender:
                 want = 1.0 if in_grip else (intensity if in_disk else 0.0)
                 assert f[row, col] == want, (row, col)
 
-    def test_frame_codec_roundtrip_bitexact(self):
-        s = default_scene().nominal_state()
-        f = render(s)
-        back = decode_frame(encode_frame(f))
-        assert back.tobytes() == f.tobytes()
+    def test_boxed_shape_tests_match_whole_grid(self):
+        from playwm.render import _PX, _PY, _object_mask, object_intensity
+
+        def whole_grid_render(state):
+            frame = np.zeros((FRAME_SIZE, FRAME_SIZE))
+            for obj in sorted(state.objects, key=lambda o: (o.z_level, o.oid)):
+                frame[_object_mask(obj, _PX, _PY)] = object_intensity(obj.oid)
+            g = state.gripper
+            frame[(_PX - g.x) ** 2 + (_PY - g.y) ** 2 < (2.0 / FRAME_SIZE) ** 2] = \
+                1.0 if g.aperture > 0.5 else 0.9
+            return frame
+
+        rng = Rng(4)
+        scene = default_scene()
+        for i in range(300):
+            s = jittered_state(scene, rng, 0.05)
+            for o in s.objects:  # anywhere on or just off the table, any size, angle and fold
+                o.x, o.y = -0.15 + 1.3 * rng.uniform(), -0.15 + 1.3 * rng.uniform()
+                scale = 0.2 + 4.8 * rng.uniform()
+                o.size = tuple(scale * v for v in o.size)
+                o.theta = 14.0 * rng.uniform() - 7.0
+                o.fold_angle = math.pi * rng.uniform()
+                o.z_level = rng.randint(3)
+            s.gripper.x, s.gripper.y = -0.1 + 1.2 * rng.uniform(), -0.1 + 1.2 * rng.uniform()
+            if i % 50 == 0:
+                s.objects[0].x = math.inf
+                s.objects[1].y = math.nan
+            assert render(s).tobytes() == whole_grid_render(s).tobytes(), i
 
 
 class TestTasks:
