@@ -1,0 +1,118 @@
+"""Golden digests of one seeded curation pass and of every reader of stored
+episodes: window modes, embeddings, distances to success, rank counts, the
+world-model dataset, the BC chunk dataset, the progress training inputs and
+the replay clips. A refactor of the read path must leave each one bit-identical.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from playwm import bench, curation, nets, policies, progress, store
+from playwm.playsys import ProposerConfig, collect, expert_config
+from playwm.rng import Rng
+from playwm.scene import default_scene
+from playwm.worldmodel import WmConfig, build_dataset
+
+W = WmConfig().window_len
+
+GOLDEN = {
+    "window_modes": "bd5d94c60ed618cc4aabe3f928674533adb6cdee3ed1696d4b9234b4f967cc6e",
+    "embeddings": "2533b7fee4a3bd84b89b49dc1e245022e93c2573b0fca9e038d9e683a9757eb5",
+    "distances": "2c18e89b04909847cbb9b0e6e5f9e162044cb89b0021fe3b66aa7c093a41630e",
+    "rank_counts": [4, 4, 3, 4, 3],
+    "dataset": "fccfaf1ec651d8bc39909573d2dd625da512bbeb8ec477ef753de251b31c7875",
+    "chunk_dataset": "01771a815e19df96691a6d2a2447e233abbd40c50f5c804187f4444fc316a211",
+    "progress_inputs": "bf25dbee732f3ecbc6f9cb1aac9698cc540637d655c3631c7c5d5e3a9367aa5a",
+    "progress_params": "717f41b9d43789e440f8f04c502641d8b40765dd26bfe854172ceefb08c542c5",
+    "replay_clips": "bc99647d402f76ed0b7437b151f6933e516221d2451defa7d20055a2def05a04",
+}
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray)
+                 else repr(p).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def stores(tmp_path_factory):
+    scene = default_scene()
+    play = store.EpisodeStore(str(tmp_path_factory.mktemp("play")))
+    collect(scene, ProposerConfig(), 24, Rng(31), play)
+    demo = store.EpisodeStore(str(tmp_path_factory.mktemp("demo")))
+    collect(scene, expert_config(), 10, Rng(32), demo, source="demo", reset_each=True)
+    return scene, play, demo
+
+
+@pytest.fixture(scope="module")
+def curated(stores):
+    """One curation pass as the pipeline runs it: split, label, embed, rank."""
+    _, play, demo = stores
+    train_ids, held = store.split(play, 0.25, Rng(33))
+    keep = set(train_ids)
+    wins = [w for w in store.windows(play, W) if w.episode_id in keep]
+    embedder = curation.Embedder.create(34)
+    embs = curation.embed_store_windows(play, wins, embedder)
+    centroids = curation.fit_success_centroids(demo, embedder, 4, Rng(35), window_len=W)
+    dists = curation.distances_to_success(centroids, embs)
+    index = curation.build_ranks(dists, wins=wins)
+    return dict(wins=wins, held=held, embs=embs, dists=dists, index=index)
+
+
+def test_window_modes(curated):
+    rows = [(w.episode_id, w.start, w.length, w.mode.value) for w in curated["wins"]]
+    assert digest(rows) == GOLDEN["window_modes"]
+
+
+def test_embeddings_and_distances(curated):
+    assert digest(curated["embs"]) == GOLDEN["embeddings"]
+    assert digest(curated["dists"]) == GOLDEN["distances"]
+
+
+def test_rank_counts(curated):
+    assert [len(m) for m in curated["index"].members] == GOLDEN["rank_counts"]
+
+
+def test_world_model_dataset(stores, curated):
+    ds = build_dataset(stores[1], WmConfig(), wins=curated["wins"])
+    assert digest(ds.conds, ds.targets) == GOLDEN["dataset"]
+
+
+def test_chunk_dataset(stores):
+    conds, chunks = policies.chunk_dataset(stores[2], policies.PolicyConfig())
+    assert digest(conds, chunks) == GOLDEN["chunk_dataset"]
+
+
+def test_progress_training_pairs(stores, monkeypatch):
+    """The encoded states reach the network only through `nets.forward`; a
+    batch far larger than the pair count draws every training pair, and each
+    evaluation sees every held-out pair. The targets shape the parameters."""
+    scene, _, demo = stores
+    seen = []
+    forward = nets.forward
+
+    def spy(net, x, *args, **kwargs):
+        seen.append(np.array(x))
+        return forward(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(nets, "forward", spy)
+    model = progress.train_progress(demo, scene, Rng(36), steps=3, batch=4096,
+                                    eval_every=1, patience=10)
+    assert digest(*seen) == GOLDEN["progress_inputs"]
+    assert model.net.param_hash() == GOLDEN["progress_params"]
+
+
+def test_replay_clips(stores, curated):
+    bm = bench.build_benchmark({"play": stores[1]}, {"play": curated["held"]}, 3, Rng(37),
+                               stride=3, min_fraction=0.0)
+    parts = []
+    for c in bm.clips:
+        s = c.init_state
+        parts += [c.window.episode_id, c.window.start, c.hist_states, c.actions,
+                  *c.gt_frames, s.gripper, s.objects, s.step_index, s.slip_fated,
+                  c.raw_actions, c.noise]
+    assert digest(*parts) == GOLDEN["replay_clips"]
