@@ -90,16 +90,17 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
 
 
 def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) -> ReplayClip:
-    ep = store.read(w.episode_id)
+    view = store.read(w.episode_id)
     s0 = w.start
-    hist = np.stack([statecodec.encode_state(s) for s in ep.states[s0:s0 + H]])
-    acts = np.stack([statecodec.encode_action(a) for a in ep.actions[s0:s0 + H - 1 + C]])
+    t = s0 + H - 1  # the last history frame
     return ReplayClip(
-        store_name=name, window=w, hist_states=hist, actions=acts,
-        gt_frames=[render(s) for s in ep.states[s0 + H:s0 + H + C]],
-        init_state=ep.states[s0 + H - 1],
-        raw_actions=ep.actions[s0 + H - 1:s0 + H - 1 + C],
-        noise=ep.noise[s0 + H - 1:s0 + H - 1 + C],
+        store_name=name, window=w,
+        hist_states=statecodec.encode_rows(view.states[s0:s0 + H], view.roster),
+        actions=statecodec.encode_action_rows(view.actions[s0:t + C]),
+        gt_frames=[render(view.state(i)) for i in range(t + 1, t + 1 + C)],
+        init_state=view.state(t),
+        raw_actions=[Action(*a) for a in view.actions[t:t + C]],
+        noise=list(view.noise[t:t + C]),
     )
 
 
@@ -345,8 +346,7 @@ class ScalingPoint:
 
 def run_scaling(play_store: EpisodeStore, train_ids: list[str], fractions: list[float],
                 steps_per_point: int, benchmark: ReplayBenchmark, scene: SceneConfig,
-                embedder: Embedder, rng: Rng, wm_config=None,
-                curriculum: bool = False) -> list[ScalingPoint]:
+                embedder: Embedder, rng: Rng, wm_config=None) -> list[ScalingPoint]:
     """One fresh model per data fraction, all scored on the fixed benchmark."""
     from .worldmodel import WmConfig, build_dataset, create_worldmodel, train
 

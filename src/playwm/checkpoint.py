@@ -8,6 +8,7 @@ its contents, no timestamps, so equal-seed runs write identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -39,22 +40,32 @@ def save_checkpoint(path: str, kind: str, header: dict, params: dict[str, np.nda
 
 
 def load_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, header, params); a file that does not hold exactly what its
+    header lists raises CheckpointError naming the path."""
     if not os.path.exists(path):
         raise CheckpointError(f"missing checkpoint: {path}")
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != MAGIC:
+    if len(blob) < 12 or blob[:4] != MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
-    version, head_len = np.frombuffer(blob[4:12], dtype="<u4")
+    version, head_len = (int(v) for v in np.frombuffer(blob[4:12], dtype="<u4"))
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    head = json.loads(blob[12:12 + int(head_len)].decode())
-    off = 12 + int(head_len)
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version} "
+                              f"(this code reads version {VERSION})")
+    off = 12 + head_len
+    try:
+        head = json.loads(blob[12:off].decode())
+        kind, header = head["kind"], head["header"]
+        specs = [(spec["name"], tuple(int(d) for d in spec["shape"])) for spec in head["params"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from None
+    size = off + 8 * sum(math.prod(shape) for _, shape in specs)
+    if len(blob) != size:
+        raise CheckpointError(f"{path}: checkpoint holds {len(blob)} bytes, "
+                              f"its header implies {size}")
     params: dict[str, np.ndarray] = {}
-    for spec in head["params"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        params[spec["name"]] = arr.copy()
+    for name, shape in specs:
+        arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=off).reshape(shape)
+        params[name] = arr.copy()
         off += arr.nbytes
-    return head["kind"], head["header"], params
+    return kind, header, params

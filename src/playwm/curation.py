@@ -1,8 +1,9 @@
 """Curriculum machinery over play data.
 
 Windows are embedded with a frozen sign projection of four evenly spaced
-frames, rendered on demand from the stored states (the store keeps no
-frames). Success centroids come from k-means over demo-success windows; each
+frames. The store keeps no frames: each episode is read once as an array
+view, and only its sampled state rows are built into states and rendered.
+Success centroids come from k-means over demo-success windows; each
 play window gets a distance-to-success (min Euclidean distance to any
 centroid) and a rank from equal-mass quantile thresholds. Training samples
 ranks from an annealed distribution that starts concentrated on the
@@ -65,15 +66,15 @@ def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
         by_ep.setdefault(w.episode_id, []).append(i)
     out = np.zeros((len(wins), embedder.dim))
     for eid, rows in by_ep.items():
-        ep = store.read(eid)
+        view = store.read(eid)
         picks = {i: [wins[i].start + j for j in window_sample_indices(wins[i].length)]
                  for i in rows}
         # Unsampled frames stay zero. Projecting the whole-episode stack keeps
         # the BLAS kernel, and so every sampled row's rounding, of the full
         # product: a few-row product takes a different kernel.
-        flat = np.zeros((ep.n_frames, FRAME_PIXELS))
+        flat = np.zeros((view.n_frames, FRAME_PIXELS))
         for t in {t for idx in picks.values() for t in idx}:
-            flat[t] = render(ep.states[t]).reshape(FRAME_PIXELS)
+            flat[t] = render(view.state(t)).reshape(FRAME_PIXELS)
         proj = embedder.projection.apply(flat)
         for i, idx in picks.items():
             out[i] = proj[idx].reshape(-1)

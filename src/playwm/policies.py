@@ -84,18 +84,17 @@ def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig,
     for eid in store.ids():
         if id_set is not None and eid not in id_set:
             continue
-        ep = store.read(eid)
-        enc_states = [statecodec.encode_state(s) for s in ep.states]
-        enc_actions = [statecodec.encode_action(a) for a in ep.actions]
-        for j in range(ep.n_steps):
-            chunk = enc_actions[j:j + cfg.horizon]
-            while len(chunk) < cfg.horizon:
-                chunk.append(np.zeros(4))
-            conds.append(enc_states[j])
-            chunks.append(np.concatenate(chunk))
-    if not conds:
+        view = store.read(eid)
+        T = view.n_steps
+        # chunks running past the last action are padded with zero actions
+        padded = np.vstack([statecodec.encode_action_rows(view.actions),
+                            np.zeros((cfg.horizon - 1, 4))])
+        steps = np.arange(T)[:, None] + np.arange(cfg.horizon)
+        conds.append(statecodec.encode_rows(view.states[:T], view.roster))
+        chunks.append(padded[steps].reshape(T, 4 * cfg.horizon))
+    if not sum(len(c) for c in conds):
         raise ValueError("no training pairs in store")
-    return np.stack(conds), np.stack(chunks)
+    return np.concatenate(conds), np.concatenate(chunks)
 
 
 def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,

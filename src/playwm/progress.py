@@ -50,12 +50,11 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
     def pairs(ids):
         xs, ys = [], []
         for eid in ids:
-            ep = demos.read(eid)
-            T = ep.n_frames
-            for j, s in enumerate(ep.states):
-                xs.append(statecodec.encode_state(s))
-                ys.append(j / (T - 1) if T > 1 else 1.0)
-        return np.stack(xs), np.array(ys)[:, None]
+            view = demos.read(eid)
+            T = view.n_frames
+            xs.append(statecodec.encode_rows(view.states, view.roster))
+            ys.append(np.arange(T) / (T - 1) if T > 1 else np.ones(1))
+        return np.concatenate(xs), np.concatenate(ys)[:, None]
 
     x_tr, y_tr = pairs(train_ids)
     x_ho, y_ho = pairs(held_ids)

@@ -3,12 +3,15 @@
 Encoded components live in roughly [-1, 1]. The object roster (ids, kinds,
 sizes) is scene metadata and never encoded; decode() needs a template state
 to restore it and projects the vector back onto the valid state manifold
-(clamped positions, binary height, rounded stack levels).
+(clamped positions, binary height, rounded stack levels). `encode_rows` and
+`encode_action_rows` encode a stored episode's row matrices at once, equal
+bit for bit to the per-object encoders.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -36,6 +39,23 @@ def encode_state(state: EnvState) -> np.ndarray:
             obj.fold_angle / math.pi * 2 - 1,
         ])
     return np.array(parts)
+
+
+def encode_rows(rows: np.ndarray, roster: Sequence[int]) -> np.ndarray:
+    """`encode_state` of every row of a stored states matrix at once (row
+    layout in `store`); `roster` is the object ids in row order. Equal bit
+    for bit to encoding each state the rows decode to."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = len(roster)
+    objs = rows[:, 6:].reshape(rows.shape[0], n, 5)
+    body = np.stack([objs[..., 0] * 2 - 1,
+                     objs[..., 1] * 2 - 1,
+                     _wrap_angle(objs[..., 2]) / math.pi,
+                     objs[..., 3] - 1.0,
+                     objs[..., 4] / math.pi * 2 - 1], axis=-1)
+    held = np.where(rows[:, 4:5] == np.asarray(roster, dtype=np.float64), 1.0, -1.0)
+    return np.concatenate([rows[:, :4] * 2 - 1, held, body.reshape(rows.shape[0], 5 * n)],
+                          axis=1)
 
 
 def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
@@ -74,6 +94,13 @@ def encode_action(a: Action, a_max: float = 0.08) -> np.ndarray:
     return np.array([a.dx / a_max, a.dy / a_max, a.dz, a.dg])
 
 
+def encode_action_rows(actions: np.ndarray, a_max: float = 0.08) -> np.ndarray:
+    """`encode_action` of every (dx, dy, dz, dg) row at once."""
+    out = np.array(actions, dtype=np.float64)
+    out[:, :2] /= a_max
+    return out
+
+
 def decode_action(vec: np.ndarray, a_max: float = 0.08) -> Action:
     vec = np.asarray(vec, dtype=np.float64)
     return Action(
@@ -88,6 +115,6 @@ def _unit(v: float) -> float:
     return float(np.clip((v + 1.0) / 2.0, 0.0, 1.0))
 
 
-def _wrap_angle(theta: float) -> float:
-    """Wrap to [-pi, pi)."""
+def _wrap_angle(theta):
+    """Wrap to [-pi, pi); elementwise on arrays."""
     return (theta + math.pi) % (2 * math.pi) - math.pi

@@ -20,13 +20,22 @@ readers render only the frames they consume. Version 1 blobs, which also
 held 64x64 frames, are not readable; reading one raises StoreError naming
 the file and its version.
 
+Reading: `read` returns an `EpisodeView`, read-only arrays over the blob's
+states, actions, events and noise plus the metadata (instruction and object
+roster). Objects are built only on demand: `view.state(t)` builds one
+`EnvState`, `view.events(a, b)` decodes one slice into `Event`s, and
+`statecodec.encode_rows` encodes a whole states matrix at once. `Episode`,
+the object-list record, is the write side: `collect` builds it and `append`
+takes it.
+
 Durability: `append` writes the blob to a temp file and renames it into
 place, then writes the episode's manifest line (carrying the blob's sha256)
 in append mode, flushes and fsyncs it; earlier lines are never rewritten.
 A crash can leave a torn final line, which opening the store drops,
 truncating the file back to the last complete line. A bad line anywhere
-else raises StoreError naming the manifest and the line number. `read`
-re-hashes every blob against its manifest record.
+else raises StoreError naming the manifest and the line number. Every
+`read` re-hashes the blob against its manifest record and checks its magic,
+version and size.
 """
 
 from __future__ import annotations
@@ -75,6 +84,41 @@ class Episode:
             raise ValueError("states must be one longer than actions")
         if len(self.events) != len(self.actions) or len(self.noise) != len(self.actions):
             raise ValueError("events/noise must align with actions")
+
+
+@dataclass(frozen=True)
+class EpisodeView:
+    """A stored episode as read-only arrays over its blob (layout above)."""
+    eid: str
+    source: str
+    instruction: Instruction
+    outcome: bool
+    seed: int
+    objects: list[dict]     # roster metadata in row order: id, kind, size
+    states: np.ndarray      # (n_frames, 6 + 5 * n_objects) raw state rows
+    actions: np.ndarray     # (n_steps, 4)
+    event_rows: np.ndarray  # (n_steps, 3) kind, oid0, oid1 (-1 if absent)
+    noise: np.ndarray       # (n_steps,)
+
+    @property
+    def n_steps(self) -> int:
+        return self.actions.shape[0]
+
+    @property
+    def n_frames(self) -> int:
+        return self.states.shape[0]
+
+    @property
+    def roster(self) -> tuple[int, ...]:
+        """Object ids in row order."""
+        return tuple(o["id"] for o in self.objects)
+
+    def state(self, t: int) -> EnvState:
+        return _state_from_row(self.states[t], self.objects, t)
+
+    def events(self, start: int = 0, stop: int | None = None) -> list[Event]:
+        return [Event(EventKind(kind), tuple(o for o in oids if o >= 0))
+                for kind, *oids in self.event_rows[start:stop].tolist()]
 
 
 @dataclass(frozen=True)
@@ -170,7 +214,7 @@ class EpisodeStore:
             blob = fh.read()
         return path, blob, hashlib.sha256(blob).hexdigest() == rec["sha256"]
 
-    def read(self, eid: str) -> Episode:
+    def read(self, eid: str) -> EpisodeView:
         path, blob, intact = self._blob(eid)
         if not intact:
             raise StoreError(f"{path}: sha256 does not match the manifest record")
@@ -200,11 +244,11 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
     for eid in store.ids():
         if keep is not None and eid not in keep:
             continue
-        ep = store.read(eid)
-        n = ep.n_frames
-        for start in range(0, n - W + 1, stride):
-            mode = classify_clip(ep.events[start:start + W - 1], ep.instruction.task,
-                                 ep.states[start + W - 1])
+        view = store.read(eid)
+        task = view.instruction.task
+        for start in range(0, view.n_frames - W + 1, stride):
+            end = start + W - 1
+            mode = classify_clip(view.events(start, end), task, view.state(end))
             out.append(ClipWindow(eid, start, W, mode))
     return out
 
@@ -233,11 +277,11 @@ def _state_row(s: EnvState) -> list[float]:
     return row
 
 
-def _state_from_row(row: np.ndarray, meta: dict, step_index: int) -> EnvState:
+def _state_from_row(row: np.ndarray, objects: list[dict], step_index: int) -> EnvState:
     g = GripperState(x=row[0], y=row[1], z=int(row[2]), aperture=row[3],
                      held=int(row[4]) if row[4] >= 0 else None)
     objs = []
-    for i, om in enumerate(meta["objects"]):
+    for i, om in enumerate(objects):
         x, y, theta, z, fold = row[6 + 5 * i:11 + 5 * i]
         objs.append(ObjectState(om["id"], om["kind"], x, y, theta,
                                 tuple(om["size"]), int(z), fold))
@@ -277,7 +321,7 @@ def _pack(ep: Episode) -> bytes:
     return b"".join(chunks)
 
 
-def _unpack(blob: bytes, path: str) -> Episode:
+def _unpack(blob: bytes, path: str) -> EpisodeView:
     if len(blob) < HEADER_BYTES or blob[:4] != MAGIC:
         raise StoreError(f"{path}: bad magic; not an episode blob")
     version, meta_len = (int(v) for v in np.frombuffer(blob[4:HEADER_BYTES], dtype="<u4"))
@@ -294,27 +338,19 @@ def _unpack(blob: bytes, path: str) -> Episode:
     if len(blob) != size:
         raise StoreError(f"{path}: blob holds {len(blob)} bytes, its header implies {size}")
 
-    states_arr = np.frombuffer(blob, dtype="<f8", count=n_frames * row_w, offset=off).reshape(n_frames, row_w)
-    off += states_arr.nbytes
-    actions_arr = np.frombuffer(blob, dtype="<f8", count=n_steps * 4, offset=off).reshape(n_steps, 4)
-    off += actions_arr.nbytes
-    events_arr = np.frombuffer(blob, dtype="<i4", count=n_steps * 3, offset=off).reshape(n_steps, 3)
-    off += events_arr.nbytes
-    noise_arr = np.frombuffer(blob, dtype="<f8", count=n_steps, offset=off)
-
-    states = [_state_from_row(states_arr[i], meta, i) for i in range(n_frames)]
-    actions = [Action(*actions_arr[i]) for i in range(n_steps)]
-    events = []
-    for i in range(n_steps):
-        kind = EventKind(int(events_arr[i, 0]))
-        oids = tuple(int(v) for v in events_arr[i, 1:] if v >= 0)
-        events.append(Event(kind, oids))
+    states = np.frombuffer(blob, dtype="<f8", count=n_frames * row_w, offset=off).reshape(n_frames, row_w)
+    off += states.nbytes
+    actions = np.frombuffer(blob, dtype="<f8", count=n_steps * 4, offset=off).reshape(n_steps, 4)
+    off += actions.nbytes
+    event_rows = np.frombuffer(blob, dtype="<i4", count=n_steps * 3, offset=off).reshape(n_steps, 3)
+    off += event_rows.nbytes
+    noise = np.frombuffer(blob, dtype="<f8", count=n_steps, offset=off)
     task = meta["task"]
     instr = Instruction(
         TaskSpec(task["verb"], task["subject"], task["target"],
                  tuple(task["region"]) if task["region"] else None),
         Perturbation(**meta["perturb"]),
     )
-    return Episode(eid=meta["id"], source=meta["source"], instruction=instr,
-                   outcome=meta["outcome"], seed=meta["seed"], states=states,
-                   actions=actions, events=events, noise=list(noise_arr))
+    return EpisodeView(eid=meta["id"], source=meta["source"], instruction=instr,
+                       outcome=meta["outcome"], seed=meta["seed"], objects=meta["objects"],
+                       states=states, actions=actions, event_rows=event_rows, noise=noise)

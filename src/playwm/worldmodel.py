@@ -140,22 +140,21 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, ids: list[str] | None = No
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
-    first = store.read(next(iter(by_ep))) if by_ep else None
-    width = statecodec.state_dim(len(first.states[0].objects)) if first else 0
-    conds = np.zeros((len(wins), H * width + (H - 1 + C) * 4))
-    targets = np.zeros((len(wins), C * width))
+    conds = targets = None
     for eid, rows in by_ep.items():
-        ep = store.read(eid)
-        enc_states = np.stack([statecodec.encode_state(s) for s in ep.states])
-        enc_actions = np.stack([statecodec.encode_action(a) for a in ep.actions]) \
-            if ep.actions else np.zeros((0, 4))
-        for i in rows:
-            w = wins[i]
-            s0 = w.start
-            hist = enc_states[s0:s0 + H].reshape(-1)
-            acts = enc_actions[s0:s0 + H - 1 + C].reshape(-1)
-            conds[i] = np.concatenate([hist, acts])
-            targets[i] = enc_states[s0 + H:s0 + W].reshape(-1)
+        view = store.read(eid)
+        enc_states = statecodec.encode_rows(view.states, view.roster)
+        enc_actions = statecodec.encode_action_rows(view.actions)
+        if conds is None:
+            width = enc_states.shape[1]
+            conds = np.zeros((len(wins), H * width + (H - 1 + C) * 4))
+            targets = np.zeros((len(wins), C * width))
+        starts = np.array([wins[i].start for i in rows])[:, None]
+        conds[rows, :H * width] = enc_states[starts + np.arange(H)].reshape(len(rows), -1)
+        conds[rows, H * width:] = enc_actions[starts + np.arange(H - 1 + C)].reshape(len(rows), -1)
+        targets[rows] = enc_states[starts + np.arange(H, W)].reshape(len(rows), -1)
+    if conds is None:  # no windows
+        conds, targets = np.zeros((0, (H - 1 + C) * 4)), np.zeros((0, 0))
     return WindowDataset(windows=wins, conds=conds, targets=targets)
 
 

@@ -1,0 +1,84 @@
+import json
+import re
+
+import numpy as np
+import pytest
+
+from playwm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+
+PARAMS = {"w": np.arange(6, dtype=np.float64).reshape(2, 3), "b": np.array([0.5, -1.5])}
+
+
+@pytest.fixture
+def ckpt(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, "mlp", {"widths": [3, 2]}, PARAMS)
+    with open(path, "rb") as fh:
+        return path, fh.read()
+
+
+def raises_naming(path, pattern):
+    return pytest.raises(CheckpointError, match=re.escape(path) + ": " + pattern)
+
+
+def rewrite(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def test_round_trip(ckpt):
+    kind, header, params = load_checkpoint(ckpt[0])
+    assert (kind, header) == ("mlp", {"widths": [3, 2]})
+    assert params.keys() == PARAMS.keys()
+    for name, value in PARAMS.items():
+        assert params[name].tobytes() == value.tobytes() and params[name].shape == value.shape
+
+
+def test_truncated_parameter_data(ckpt):
+    path, blob = ckpt
+    rewrite(path, blob[:-8])
+    with raises_naming(path, r".*header implies"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes(ckpt):
+    path, blob = ckpt
+    rewrite(path, blob + b"\0" * 8)
+    with raises_naming(path, r".*header implies"):
+        load_checkpoint(path)
+
+
+def test_unparsable_header(ckpt):
+    path, blob = ckpt
+    head_len = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+    rewrite(path, blob[:12] + b"{" * head_len + blob[12 + head_len:])
+    with raises_naming(path, r"unreadable checkpoint header"):
+        load_checkpoint(path)
+
+
+def test_header_missing_fields(ckpt):
+    path, blob = ckpt
+    head = json.dumps({"kind": "mlp"}).encode()
+    rewrite(path, blob[:4] + np.array([1, len(head)], dtype="<u4").tobytes() + head)
+    with raises_naming(path, r"unreadable checkpoint header"):
+        load_checkpoint(path)
+
+
+def test_wrong_version(ckpt):
+    path, blob = ckpt
+    rewrite(path, blob[:4] + (2).to_bytes(4, "little") + blob[8:])
+    with raises_naming(path, r"unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("blob", [b"", b"PWCK\x01\x00", b"XXXX" + b"\0" * 16])
+def test_not_a_checkpoint(tmp_path, blob):
+    path = str(tmp_path / "m.ckpt")
+    rewrite(path, blob)
+    with pytest.raises(CheckpointError, match="not a checkpoint file"):
+        load_checkpoint(path)
+
+
+def test_missing_file(tmp_path):
+    with pytest.raises(CheckpointError, match="missing checkpoint"):
+        load_checkpoint(str(tmp_path / "none.ckpt"))

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from playwm import bench
-from playwm.dynamics import EventKind
+from playwm import bench, statecodec
+from playwm.dynamics import Action, EventKind
 from playwm.env import Env
 from playwm.playsys import (ProposalError, ProposerConfig, SafetyLimits,
                             applicable_tasks, collect, execute, expert_config,
@@ -176,8 +176,7 @@ class TestCollect:
         collect(default_scene(), ProposerConfig(), 10, Rng(5), store)
         assert len(store) == 10
         for ep in store.episodes():
-            for a in ep.actions:
-                assert abs(a.dx) <= 0.08 + 1e-12 and abs(a.dy) <= 0.08 + 1e-12
+            assert np.all(np.abs(ep.actions[:, :2]) <= 0.08 + 1e-12)
 
     def test_two_runs_identical_manifests(self, tmp_path):
         h = []
@@ -198,7 +197,7 @@ class TestCollect:
         def initial_var(store):
             pos = []
             for ep in store.episodes():
-                for o in ep.states[0].objects:
+                for o in ep.state(0).objects:
                     if o.kind in ("disk", "rect"):
                         pos.append([o.x, o.y])
             return np.var(np.array(pos), axis=0).sum()
@@ -213,7 +212,7 @@ class TestCollect:
         worst = 0
         for ep in store.episodes():
             oob_start = any(not (0.05 <= o.x <= 0.95 and 0.05 <= o.y <= 0.95)
-                            for o in ep.states[0].objects if o.kind != "towel2link")
+                            for o in ep.state(0).objects if o.kind != "towel2link")
             consecutive = consecutive + 1 if oob_start else 0
             worst = max(worst, consecutive)
         assert worst <= 3
@@ -238,18 +237,34 @@ class TestStore:
         back = store.read("e1")
         assert back.eid == ep.eid and back.outcome == ep.outcome
         assert back.instruction == ep.instruction
-        assert len(back.states) == len(ep.states)
-        for a, b in zip(back.states, ep.states):
-            assert a.gripper == b.gripper
-            assert a.objects == b.objects
-        assert back.actions == ep.actions
-        assert back.events == ep.events
-        assert back.noise == ep.noise
+        assert back.n_frames == len(ep.states) and back.n_steps == len(ep.actions)
+        for t, live in enumerate(ep.states):
+            s = back.state(t)
+            assert s.gripper == live.gripper and s.objects == live.objects
+            assert s.step_index == t and s.slip_fated == live.slip_fated
+        assert [Action(*row) for row in back.actions] == ep.actions
+        assert back.events() == ep.events
+        assert back.noise.tolist() == ep.noise
         # frames are not stored: rendering the read-back states reproduces
         # the collection-time frames byte for byte
-        assert len(frames) == len(back.states)
-        for s_back, frame in zip(back.states, frames):
-            assert render(s_back).tobytes() == frame.tobytes()
+        assert len(frames) == back.n_frames
+        for t, frame in enumerate(frames):
+            assert render(back.state(t)).tobytes() == frame.tobytes()
+
+    def test_encode_rows_equals_stacked_encode_state(self, tmp_path):
+        ep = expert_episode("e1")
+        assert any(s.gripper.held is not None for s in ep.states)
+        near_pi = [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+                   np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0), 3 * np.pi]
+        for t, s in enumerate(ep.states):
+            s.objects[t % len(s.objects)].theta = near_pi[t % len(near_pi)]
+        store = EpisodeStore(str(tmp_path / "s"))
+        store.append(ep)
+        view = store.read("e1")
+        states = np.stack([statecodec.encode_state(view.state(t)) for t in range(view.n_frames)])
+        actions = np.stack([statecodec.encode_action(Action(*a)) for a in view.actions])
+        assert statecodec.encode_rows(view.states, view.roster).tobytes() == states.tobytes()
+        assert statecodec.encode_action_rows(view.actions).tobytes() == actions.tobytes()
 
     def test_hash_verifies(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
@@ -427,7 +442,7 @@ class TestWindows:
         miss_eps = set()
         for eid in store.ids():
             ep = store.read(eid)
-            for j, e in enumerate(ep.events):
+            for j, e in enumerate(ep.events()):
                 if e.kind == EventKind.GRASP_MISS:
                     miss_eps.add((eid, j))
         labeled = {w.episode_id for w in ws if w.mode == BehaviorMode.MISSED_GRASP}
@@ -471,6 +486,15 @@ class TestWindowEnumerator:
         train, _ = split(seeded_play_store, 0.25, Rng(5))
         ds = build_dataset(seeded_play_store, WmConfig(), ids=train)
         assert ds.windows == windows(seeded_play_store, WmConfig().window_len, ids=train)
+
+    def test_build_dataset_reads_each_episode_once(self, seeded_play_store):
+        wins = windows(seeded_play_store, WmConfig().window_len)
+        store = EpisodeStore(seeded_play_store.root)
+        read = []
+        store_read = store.read
+        store.read = lambda eid: read.append(eid) or store_read(eid)
+        build_dataset(store, WmConfig(), wins=wins)
+        assert sorted(read) == sorted({w.episode_id for w in wins})
 
     def test_build_benchmark_reads_only_held_out(self, seeded_play_store):
         _, held = split(seeded_play_store, 0.25, Rng(5))
