@@ -114,9 +114,11 @@ class EpisodeView:
         return tuple(o["id"] for o in self.objects)
 
     def state(self, t: int) -> EnvState:
+        """The state at frame t, built from its row."""
         return _state_from_row(self.states[t], self.objects, t)
 
     def events(self, start: int = 0, stop: int | None = None) -> list[Event]:
+        """The events of steps start..stop-1 (all steps by default), decoded."""
         return [Event(EventKind(kind), tuple(o for o in oids if o >= 0))
                 for kind, *oids in self.event_rows[start:stop].tolist()]
 
