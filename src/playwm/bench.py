@@ -95,7 +95,7 @@ def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) ->
     t = s0 + H - 1  # the last history frame
     return ReplayClip(
         store_name=name, window=w,
-        hist_states=statecodec.encode_rows(view.states[s0:s0 + H], view.roster),
+        hist_states=statecodec.encode_states(*view.state_arrays(s0, s0 + H)),
         actions=statecodec.encode_action_rows(view.actions[s0:t + C]),
         gt_frames=[render(view.state(i)) for i in range(t + 1, t + 1 + C)],
         init_state=view.state(t),

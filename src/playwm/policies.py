@@ -90,7 +90,7 @@ def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig,
         padded = np.vstack([statecodec.encode_action_rows(view.actions),
                             np.zeros((cfg.horizon - 1, 4))])
         steps = np.arange(T)[:, None] + np.arange(cfg.horizon)
-        conds.append(statecodec.encode_rows(view.states[:T], view.roster))
+        conds.append(statecodec.encode_states(*view.state_arrays(0, T)))
         chunks.append(padded[steps].reshape(T, 4 * cfg.horizon))
     if not sum(len(c) for c in conds):
         raise ValueError("no training pairs in store")

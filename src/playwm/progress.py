@@ -52,7 +52,7 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
         for eid in ids:
             view = demos.read(eid)
             T = view.n_frames
-            xs.append(statecodec.encode_rows(view.states, view.roster))
+            xs.append(statecodec.encode_states(*view.state_arrays()))
             ys.append(np.arange(T) / (T - 1) if T > 1 else np.ones(1))
         return np.concatenate(xs), np.concatenate(ys)[:, None]
 

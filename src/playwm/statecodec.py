@@ -3,15 +3,14 @@
 Encoded components live in roughly [-1, 1]. The object roster (ids, kinds,
 sizes) is scene metadata and never encoded; decode() needs a template state
 to restore it and projects the vector back onto the valid state manifold
-(clamped positions, binary height, rounded stack levels). `encode_rows` and
-`encode_action_rows` encode a stored episode's row matrices at once, equal
-bit for bit to the per-object encoders.
+(clamped positions, binary height, rounded stack levels). `encode_states`
+and `encode_action_rows` encode many states or actions given as arrays at
+once, equal bit for bit to the per-object encoders.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .dynamics import Action
 from .scene import EnvState
 
 MAX_Z_LEVEL = 2
+A_MAX = 0.08  # action scale: encoded dx, dy = dx / A_MAX, dy / A_MAX
 
 
 def state_dim(n_objects: int) -> int:
@@ -41,21 +41,21 @@ def encode_state(state: EnvState) -> np.ndarray:
     return np.array(parts)
 
 
-def encode_rows(rows: np.ndarray, roster: Sequence[int]) -> np.ndarray:
-    """`encode_state` of every row of a stored states matrix at once (row
-    layout in `store`); `roster` is the object ids in row order. Equal bit
-    for bit to encoding each state the rows decode to."""
-    rows = np.asarray(rows, dtype=np.float64)
-    n = len(roster)
-    objs = rows[:, 6:].reshape(rows.shape[0], n, 5)
-    body = np.stack([objs[..., 0] * 2 - 1,
-                     objs[..., 1] * 2 - 1,
-                     _wrap_angle(objs[..., 2]) / math.pi,
-                     objs[..., 3] - 1.0,
-                     objs[..., 4] / math.pi * 2 - 1], axis=-1)
-    held = np.where(rows[:, 4:5] == np.asarray(roster, dtype=np.float64), 1.0, -1.0)
-    return np.concatenate([rows[:, :4] * 2 - 1, held, body.reshape(rows.shape[0], 5 * n)],
-                          axis=1)
+def encode_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray) -> np.ndarray:
+    """`encode_state` of T states given as arrays, at once: `gripper` (T, 4)
+    is x, y, z, aperture; `held` (T, n) is whether the gripper holds each
+    object; `objects` (T, n, 5) is x, y, theta, z_level, fold_angle per
+    object. Equal bit for bit to stacking `encode_state` of each state."""
+    objects = np.asarray(objects, dtype=np.float64)
+    T, n = objects.shape[:2]
+    body = np.stack([objects[..., 0] * 2 - 1,
+                     objects[..., 1] * 2 - 1,
+                     _wrap_angle(objects[..., 2]) / math.pi,
+                     objects[..., 3] - 1.0,
+                     objects[..., 4] / math.pi * 2 - 1], axis=-1)
+    return np.concatenate([np.asarray(gripper, dtype=np.float64) * 2 - 1,
+                           np.where(held, 1.0, -1.0),
+                           body.reshape(T, 5 * n)], axis=1)
 
 
 def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
@@ -90,18 +90,18 @@ def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
     return s
 
 
-def encode_action(a: Action, a_max: float = 0.08) -> np.ndarray:
+def encode_action(a: Action, a_max: float = A_MAX) -> np.ndarray:
     return np.array([a.dx / a_max, a.dy / a_max, a.dz, a.dg])
 
 
-def encode_action_rows(actions: np.ndarray, a_max: float = 0.08) -> np.ndarray:
+def encode_action_rows(actions: np.ndarray) -> np.ndarray:
     """`encode_action` of every (dx, dy, dz, dg) row at once."""
     out = np.array(actions, dtype=np.float64)
-    out[:, :2] /= a_max
+    out[:, :2] /= A_MAX
     return out
 
 
-def decode_action(vec: np.ndarray, a_max: float = 0.08) -> Action:
+def decode_action(vec: np.ndarray, a_max: float = A_MAX) -> Action:
     vec = np.asarray(vec, dtype=np.float64)
     return Action(
         dx=float(np.clip(vec[0], -1, 1)) * a_max,

@@ -24,7 +24,9 @@ Reading: `read` returns an `EpisodeView`, read-only arrays over the blob's
 states, actions, events and noise plus the metadata (instruction and object
 roster). Objects are built only on demand: `view.state(t)` builds one
 `EnvState`, `view.events(a, b)` decodes one slice into `Event`s, and
-`statecodec.encode_rows` encodes a whole states matrix at once. `Episode`,
+`view.state_arrays(a, b)` splits a run of state rows into gripper, held and
+object arrays, which `statecodec.encode_states` encodes at once. Only this
+module knows the row layout. `Episode`,
 the object-list record, is the write side: `collect` builds it and `append`
 takes it.
 
@@ -108,14 +110,20 @@ class EpisodeView:
     def n_frames(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def roster(self) -> tuple[int, ...]:
-        """Object ids in row order."""
-        return tuple(o["id"] for o in self.objects)
-
     def state(self, t: int) -> EnvState:
         """The state at frame t, built from its row."""
         return _state_from_row(self.states[t], self.objects, t)
+
+    def state_arrays(self, start: int = 0, stop: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Frames start..stop-1 (all frames by default) as arrays: gripper
+        (T, 4) x, y, z, aperture; held (T, n) bool, whether the gripper
+        holds each roster object; objects (T, n, 5) x, y, theta, z_level,
+        fold_angle. The `statecodec.encode_states` inputs."""
+        rows = self.states[start:stop]
+        roster = np.array([o["id"] for o in self.objects], dtype=np.float64)
+        held = rows[:, 4:5] == roster
+        return rows[:, :4], held, rows[:, 6:].reshape(len(rows), len(self.objects), 5)
 
     def events(self, start: int = 0, stop: int | None = None) -> list[Event]:
         """The events of steps start..stop-1 (all steps by default), decoded."""

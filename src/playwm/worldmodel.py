@@ -143,7 +143,7 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, ids: list[str] | None = No
     conds = targets = None
     for eid, rows in by_ep.items():
         view = store.read(eid)
-        enc_states = statecodec.encode_rows(view.states, view.roster)
+        enc_states = statecodec.encode_states(*view.state_arrays())
         enc_actions = statecodec.encode_action_rows(view.actions)
         if conds is None:
             width = enc_states.shape[1]

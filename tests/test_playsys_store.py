@@ -251,7 +251,7 @@ class TestStore:
         for t, frame in enumerate(frames):
             assert render(back.state(t)).tobytes() == frame.tobytes()
 
-    def test_encode_rows_equals_stacked_encode_state(self, tmp_path):
+    def test_encode_states_equals_stacked_encode_state(self, tmp_path):
         ep = expert_episode("e1")
         assert any(s.gripper.held is not None for s in ep.states)
         near_pi = [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
@@ -263,7 +263,7 @@ class TestStore:
         view = store.read("e1")
         states = np.stack([statecodec.encode_state(view.state(t)) for t in range(view.n_frames)])
         actions = np.stack([statecodec.encode_action(Action(*a)) for a in view.actions])
-        assert statecodec.encode_rows(view.states, view.roster).tobytes() == states.tobytes()
+        assert statecodec.encode_states(*view.state_arrays()).tobytes() == states.tobytes()
         assert statecodec.encode_action_rows(view.actions).tobytes() == actions.tobytes()
 
     def test_hash_verifies(self, tmp_path):
