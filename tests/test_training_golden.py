@@ -1,0 +1,125 @@
+"""Golden digests of seeded training at tiny sizes: the world model with
+uniform and curriculum sampling, behaviour cloning, the progress model, a
+few DSRL updates on a seeded buffer and one short DSRL fine-tuning run. Each
+pins parameter hashes and loss traces, so a change to the training math
+must leave every one bit-identical.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from playwm import curation, dsrl, nets, policies, progress, statecodec, store, worldmodel
+from playwm.playsys import ProposerConfig, collect, expert_config
+from playwm.rng import Rng
+from playwm.scene import default_scene, jittered_state
+from playwm.tasks import TaskSpec
+
+WM_CFG = worldmodel.WmConfig(hidden=32, depth=2, batch=16, denoise_steps=25, warmup=3)
+BC_CFG = policies.PolicyConfig(hidden=32, depth=2, batch=16, denoise_steps=25)
+DSRL_CFG = dsrl.DsrlConfig(hidden=32, depth=2, batch=16, buffer_capacity=64,
+                           initial_rollout_steps=20, max_episode_steps=10, train_freq=5,
+                           utd=2, eval_every=4, eval_rollouts=1)
+
+GOLDEN = {
+    "wm_uniform": "12bdeaac2e83fbeee77f1ffb0d053a30c1951583c4392f5375c13e2e57f40680",
+    "wm_curriculum": "a37e2b0391121952413538bb0de1106027a81deea2e02405d53eaa255baa0b0e",
+    "bc": "8824499a70553bc7410d1bdd8948fe2b797457f26f0c1d832478b8dc972a3a75",
+    "progress": "7b1a72a56fe29fe276842a524846030453893d242067c748aae2bc65f0f8c834",
+    "dsrl_update": "826aaa09a10f21fcd98b66839c819da3a89c581312d61b92fbfb48ac41dbeb23",
+    "dsrl_finetune": "26f5178d491e154a0d3e6807b1aed671c2f389823480a3144589882a9c905b8a",
+}
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(np.ascontiguousarray(p).tobytes() if isinstance(p, np.ndarray)
+                 else repr(p).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def stores(tmp_path_factory):
+    scene = default_scene()
+    play = store.EpisodeStore(str(tmp_path_factory.mktemp("play")))
+    collect(scene, ProposerConfig(), 8, Rng(41), play)
+    demo = store.EpisodeStore(str(tmp_path_factory.mktemp("demo")))
+    collect(scene, expert_config(), 8, Rng(42), demo, source="demo", reset_each=True)
+    return scene, play, demo
+
+
+@pytest.fixture(scope="module")
+def dataset(stores):
+    _, play, demo = stores
+    wins = store.windows(play, WM_CFG.window_len)
+    embedder = curation.Embedder.create(43)
+    embs = curation.embed_store_windows(play, wins, embedder)
+    centroids = curation.fit_success_centroids(demo, embedder, 3, Rng(44),
+                                               window_len=WM_CFG.window_len)
+    index = curation.build_ranks(curation.distances_to_success(centroids, embs), wins=wins)
+    return worldmodel.build_dataset(play, WM_CFG, wins=wins), index
+
+
+@pytest.mark.parametrize("sampling", ["uniform", "curriculum"])
+def test_worldmodel_train(stores, dataset, sampling):
+    ds, index = dataset
+    wm = worldmodel.create_worldmodel(stores[0], WM_CFG, Rng(45))
+    curriculum = (index, curation.AnnealSchedule(update_period=4, total_steps=12))
+    trace = worldmodel.train(wm, ds, 12, Rng(46), log_every=3,
+                             curriculum=curriculum if sampling == "curriculum" else None)
+    assert digest(wm.param_hash(), trace) == GOLDEN[f"wm_{sampling}"]
+
+
+def test_train_bc(stores):
+    policy = policies.create_policy(stores[0], BC_CFG, Rng(47))
+    trace = policies.train_bc(policy, stores[2], 12, Rng(48), log_every=3)
+    assert digest(policy.param_hash(), trace) == GOLDEN["bc"]
+
+
+def test_train_progress(stores):
+    scene, _, demo = stores
+    model = progress.train_progress(demo, scene, Rng(49), steps=40, hidden=16, batch=16,
+                                    eval_every=5, patience=3)
+    assert digest(model.net.param_hash()) == GOLDEN["progress"]
+
+
+def _dsrl_state(seed: int):
+    scene = default_scene()
+    width = statecodec.state_dim(len(scene.objects))
+    st = dsrl.make_dsrl(width, 8, DSRL_CFG, Rng(seed))
+    rng = Rng(seed + 1)
+    for _ in range(40):
+        st.buffer.push(rng.normal(width), rng.normal(8) * 0.3, rng.normal(1)[0],
+                       rng.normal(width), rng.uniform() < 0.2)
+    return st
+
+
+def test_dsrl_updates():
+    st = _dsrl_state(50)
+    rng = Rng(52)
+    losses = [dsrl.update(st, rng) for _ in range(4)]
+    nets_ = (st.actor.net, st.critics.q1, st.critics.q2, st.critics.t1, st.critics.t2)
+    assert digest([n.param_hash() for n in nets_], losses, st.log_alpha) == GOLDEN["dsrl_update"]
+
+
+def test_dsrl_finetune(stores):
+    scene = stores[0]
+    wm = worldmodel.create_worldmodel(scene, WM_CFG, Rng(53))
+    policy = policies.create_policy(scene, policies.PolicyConfig(hidden=32, depth=2,
+                                                                 denoise_steps=25), Rng(54))
+    width = statecodec.state_dim(len(scene.objects))
+    prog = progress.ProgressModel(nets.init_mlp([width, 16, 16, 1], Rng(55), "silu"), scene)
+    init_rng = Rng(56)
+    inits = [jittered_state(scene, init_rng, 0.03) for _ in range(2)]
+    cfg = dsrl.DsrlConfig(hidden=32, depth=2, batch=8, buffer_capacity=64,
+                          initial_rollout_steps=10, max_episode_steps=10, train_freq=5,
+                          utd=2, eval_every=4, eval_rollouts=1)
+    backend = worldmodel.RolloutBackend(wm, Rng(57))
+    st, trace, best = dsrl.finetune(backend, policy, prog, scene, TaskSpec("put_in", 1, 0),
+                                    cfg, Rng(58), total_updates=8, inits=inits)
+    best_hash = nets.Mlp(widths=st.actor.net.widths, activation="relu", params=best).param_hash()
+    assert digest(st.actor.param_hash(), best_hash, st.log_alpha, st.buffer.size,
+                  [(p.updates, p.env_success, p.imagined_return) for p in trace]) \
+        == GOLDEN["dsrl_finetune"]
