@@ -1,307 +1,100 @@
-"""Reverse-mode autodiff over dense float64 numpy arrays.
+"""Hand-written training passes for the package's MLPs.
 
-A Var wraps a value plus a closure that routes an upstream gradient to its
-parents; backward() walks the implicit DAG once in reverse topological
-order. The op set is deliberately small: affine maps, elementwise
-activations and algebra, concatenation, mean/sum reductions, layer norm,
-and elementwise minimum. That covers every network in this package.
+Every trained network is an nets.Mlp, so training needs no general graph:
+forward() runs the net and keeps, per layer, the input and what the
+activation and layer norm need; backward() walks the layers in reverse and
+writes the parameter gradient into a FlatParams laid out like the net's
+parameters, and returns the gradient with respect to the input when asked
+(the DSRL actor is trained through the critics' inputs). Each loss writes
+its gradient with respect to the net output by hand next to the loss:
+diffusion.diffusion_loss (both weightings), progress.progress_loss (sigmoid
+then squared error), and the critic and actor losses in dsrl.update and
+dsrl.actor_loss. mse() is the shared squared-error piece.
 
-Gradients accumulate into Var.grad; leaves created by the caller (network
-parameters) keep their grads after backward, interior nodes are released.
-All values are float64 and must stay finite; check_finite guards the
-training loops.
+The arithmetic is the reverse-mode chain rule written out in a fixed
+operation order, so seeded training reproduces to the bit. The training
+forward pass therefore computes silu, relu and layer norm the way their
+derivatives need them, which can differ in the last bit from the inference
+forward in nets.forward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .nets import FlatParams, Mlp, ShapeError
 
-class Var:
-    __slots__ = ("value", "grad", "_parents", "_backward")
-
-    def __init__(self, value, parents=(), backward=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self._parents = parents
-        self._backward = backward
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
+LN_EPS = 1e-5
 
 
-def _accum(var: Var, g: np.ndarray) -> None:
-    if var.grad is None:
-        var.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
-    else:
-        var.grad = var.grad + g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def backward(loss: Var) -> None:
-    """Backpropagate from a scalar loss through the recorded graph."""
-    if loss.value.size != 1:
-        raise ValueError("backward requires a scalar loss node")
-    order: list[Var] = []
-    seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """Net output for a (batch, in_dim) array plus the cache backward() reads."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != net.in_dim:
+        raise ShapeError(f"input shape {h.shape} != (batch, {net.in_dim}) of layer 0")
+    cache = []
+    for i in range(net.n_layers):
+        z = h @ net.params[f"w{i}"] + net.params[f"b{i}"]
+        if i == net.n_layers - 1:
+            cache.append((h, None, None))
+            h = z
             continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-    # interior nodes are garbage once the step is done; keep leaf grads only
-    for node in order:
-        if node._backward is not None:
-            node._parents = ()
-            node._backward = None
+        norm = None
+        if net.layer_norm:
+            xc = z - z.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+            z = xc * inv
+            norm = (z, inv)
+        if net.activation == "silu":
+            s = 1.0 / (1.0 + np.exp(-z))
+            act, out = (z, s), z * s
+        elif net.activation == "relu":
+            act = z > 0.0
+            out = np.where(act, z, 0.0)
+        elif net.activation == "tanh":
+            out = np.tanh(z)
+            act = out
+        else:  # identity
+            act, out = None, z
+        cache.append((h, norm, act))
+        h = out
+    return h, cache
+
+
+def backward(net: Mlp, cache: list[tuple], dout: np.ndarray, grads: FlatParams | None,
+             input_grad: bool = False) -> np.ndarray | None:
+    """Backpropagate dout (the loss gradient at the net output) through the net.
+
+    Writes every parameter gradient into `grads` (None skips them, for a net
+    that is only differentiated through); returns the gradient with respect
+    to the input when input_grad is set, else None.
+    """
+    g = dout
+    for i in reversed(range(net.n_layers)):
+        h, norm, act = cache[i]
+        if i < net.n_layers - 1:
+            if net.activation == "silu":
+                z, s = act
+                g = g * (s * (1.0 + z * (1.0 - s)))
+            elif net.activation == "relu":
+                g = g * act
+            elif net.activation == "tanh":
+                g = g * (1.0 - act * act)
+            if norm is not None:
+                y, inv = norm
+                gy = g * inv
+                g = gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True)
+        if grads is not None:
+            np.matmul(h.T, g, out=grads[f"w{i}"])
+            g.sum(axis=0, out=grads[f"b{i}"])
+        if i > 0 or input_grad:
+            g = g @ net.params[f"w{i}"].T
+    return g if input_grad else None
+
+
+def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error against a constant target and its gradient in pred."""
+    diff = pred - target
+    inv_n = 1.0 / diff.size
+    return float((diff * diff).sum() * inv_n), (2.0 * diff) * inv_n
 
-
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
-def matmul(a: Var, b: Var) -> Var:
-    out = Var(a.value @ b.value, (a, b))
-
-    def bw(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
-
-    out._backward = bw
-    return out
-
-
-def add(a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value, (a, b))
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
-
-    out._backward = bw
-    return out
-
-
-def sub(a: Var, b: Var) -> Var:
-    out = Var(a.value - b.value, (a, b))
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(-g, b.value.shape))
-
-    out._backward = bw
-    return out
-
-
-def mul(a: Var, b: Var) -> Var:
-    out = Var(a.value * b.value, (a, b))
-
-    def bw(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
-
-    out._backward = bw
-    return out
-
-
-def div(a: Var, b: Var) -> Var:
-    out = Var(a.value / b.value, (a, b))
-
-    def bw(g):
-        _accum(a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    out._backward = bw
-    return out
-
-
-def scale(a: Var, c: float) -> Var:
-    out = Var(a.value * c, (a,))
-    out._backward = lambda g: _accum(a, g * c)
-    return out
-
-
-def shift(a: Var, c: float) -> Var:
-    out = Var(a.value + c, (a,))
-    out._backward = lambda g: _accum(a, g)
-    return out
-
-
-def neg(a: Var) -> Var:
-    return scale(a, -1.0)
-
-
-def square(a: Var) -> Var:
-    out = Var(a.value * a.value, (a,))
-    out._backward = lambda g: _accum(a, 2.0 * a.value * g)
-    return out
-
-
-def sqrt(a: Var) -> Var:
-    root = np.sqrt(a.value)
-    out = Var(root, (a,))
-    out._backward = lambda g: _accum(a, g * 0.5 / root)
-    return out
-
-
-def exp(a: Var) -> Var:
-    e = np.exp(a.value)
-    out = Var(e, (a,))
-    out._backward = lambda g: _accum(a, g * e)
-    return out
-
-
-def log(a: Var) -> Var:
-    out = Var(np.log(a.value), (a,))
-    out._backward = lambda g: _accum(a, g / a.value)
-    return out
-
-
-def tanh(a: Var) -> Var:
-    t = np.tanh(a.value)
-    out = Var(t, (a,))
-    out._backward = lambda g: _accum(a, g * (1.0 - t * t))
-    return out
-
-
-def sigmoid(a: Var) -> Var:
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    out = Var(s, (a,))
-    out._backward = lambda g: _accum(a, g * s * (1.0 - s))
-    return out
-
-
-def relu(a: Var) -> Var:
-    mask = a.value > 0.0
-    out = Var(np.where(mask, a.value, 0.0), (a,))
-    out._backward = lambda g: _accum(a, g * mask)
-    return out
-
-
-def silu(a: Var) -> Var:
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    out = Var(a.value * s, (a,))
-    out._backward = lambda g: _accum(a, g * (s * (1.0 + a.value * (1.0 - s))))
-    return out
-
-
-def identity(a: Var) -> Var:
-    out = Var(a.value, (a,))
-    out._backward = lambda g: _accum(a, g)
-    return out
-
-
-def minimum(a: Var, b: Var) -> Var:
-    take_a = a.value <= b.value
-    out = Var(np.where(take_a, a.value, b.value), (a, b))
-
-    def bw(g):
-        _accum(a, _unbroadcast(g * take_a, a.value.shape))
-        _accum(b, _unbroadcast(g * (~take_a), b.value.shape))
-
-    out._backward = bw
-    return out
-
-
-def concat(parts: list[Var], axis: int = -1) -> Var:
-    values = [p.value for p in parts]
-    out = Var(np.concatenate(values, axis=axis), tuple(parts))
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
-
-    out._backward = bw
-    return out
-
-
-def slice_last(a: Var, lo: int, hi: int) -> Var:
-    out = Var(a.value[..., lo:hi], (a,))
-
-    def bw(g):
-        big = np.zeros_like(a.value)
-        big[..., lo:hi] = g
-        _accum(a, big)
-
-    out._backward = bw
-    return out
-
-
-def sum_(a: Var, axis=None) -> Var:
-    out = Var(a.value.sum(axis=axis), (a,))
-
-    def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.value.shape).astype(np.float64))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).astype(np.float64))
-
-    out._backward = bw
-    return out
-
-
-def mean(a: Var, axis=None) -> Var:
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return scale(sum_(a, axis=axis), 1.0 / n)
-
-
-def layer_norm(a: Var, eps: float = 1e-5) -> Var:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
-    mu = a.value.mean(axis=-1, keepdims=True)
-    xc = a.value - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = Var(y, (a,))
-    n = a.value.shape[-1]
-
-    def bw(g):
-        gy = g * inv
-        _accum(a, gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
-
-    out._backward = bw
-    return out
-
-
-def mse(pred: Var, target: np.ndarray) -> Var:
-    """Mean squared error against a constant target."""
-    diff = sub(pred, Var(target))
-    return mean(square(diff))
-
-
-def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {what}")
-    return arr

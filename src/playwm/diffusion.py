@@ -82,9 +82,8 @@ class DenoiserNet:
         return DenoiserNet(target_dim, cond_dim, nets.init_mlp(widths, rng, activation),
                            x0_head=x0_head)
 
-    def raw(self, x_t: np.ndarray, cond: np.ndarray, t, T: int,
-            pvars: dict[str, ad.Var] | None = None):
-        """The MLP head output (noise, or the clean-signal estimate)."""
+    def inputs(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
+        """The MLP input: noised target, conditioning and time embedding per row."""
         x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
         cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
         if cond.shape[0] == 1 and x_t.shape[0] > 1:
@@ -92,8 +91,11 @@ class DenoiserNet:
         temb = np.atleast_2d(time_embedding(t, T))
         if temb.shape[0] == 1 and x_t.shape[0] > 1:
             temb = np.broadcast_to(temb, (x_t.shape[0], temb.shape[1]))
-        inp = np.concatenate([x_t, cond, temb], axis=-1)
-        return nets.forward(self.net, inp, pvars)
+        return np.concatenate([x_t, cond, temb], axis=-1)
+
+    def raw(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
+        """The MLP head output (noise, or the clean-signal estimate)."""
+        return nets.forward(self.net, self.inputs(x_t, cond, t, T))
 
     def predict_eps(self, x_t: np.ndarray, cond: np.ndarray, t, schedule: "NoiseSchedule"):
         """Predicted noise at step t (inference only)."""
@@ -140,14 +142,14 @@ def q_sample(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.
 
 
 def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarray,
-                   cond: np.ndarray, rng: Rng,
-                   pvars: dict[str, ad.Var] | None = None,
-                   weighting: str = "eps"):
+                   cond: np.ndarray, rng: Rng, grads: nets.FlatParams | None = None,
+                   weighting: str = "eps") -> float:
     """Noise-prediction loss: mean squared error between eps and its estimate.
 
-    Samples t uniformly in {1..T} and eps ~ N(0, I) per batch row. Returns a
-    Var when pvars is given (training), else a float. For an x0-head net the
-    residual is evaluated through the exact identity
+    Samples t uniformly in {1..T} and eps ~ N(0, I) per batch row. With
+    grads (a FlatParams laid out like the denoiser's parameters) this is a
+    training step's loss: its parameter gradient is written into grads. For
+    an x0-head net the residual is evaluated through the exact identity
     eps - eps_hat = sqrt(abar/(1-abar)) * (f - x0).
 
     weighting="eps" is the exact noise-space objective. weighting="x0"
@@ -161,23 +163,30 @@ def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarra
     t = rng.randint_array(batch, schedule.T) + 1
     eps = rng.normal(x0.shape)
     x_t = q_sample(schedule, x0, t, eps)
-    out = denoiser.raw(x_t, cond, t, schedule.T, pvars)
     if weighting not in ("eps", "x0"):
         raise ValueError(f"unknown weighting {weighting!r}")
+    if weighting == "x0" and not denoiser.x0_head:
+        raise ValueError("x0 weighting requires an x0-head denoiser")
+    inp = denoiser.inputs(x_t, cond, t, schedule.T)
+    if grads is None:
+        out = nets.forward(denoiser.net, inp)
+    else:
+        out, cache = ad.forward(denoiser.net, inp)
+    coef = None
     if denoiser.x0_head:
         abar = schedule.alpha_bars[t][:, None]
         coef = np.sqrt(abar / (1.0 - abar)) if weighting == "eps" else np.ones_like(abar)
-        if pvars is None:
-            diff = (out - x0) * coef
-            return float((diff * diff).mean())
-        diff = ad.mul(ad.sub(out, ad.Var(x0)), ad.Var(coef))
-        return ad.mean(ad.square(diff))
-    if weighting == "x0":
-        raise ValueError("x0 weighting requires an x0-head denoiser")
-    if pvars is None:
+        diff = (out - x0) * coef
+    else:
         diff = out - eps
+    if grads is None:
         return float((diff * diff).mean())
-    return ad.mse(out, eps)
+    inv_n = 1.0 / diff.size
+    dout = (2.0 * diff) * inv_n
+    if coef is not None:
+        dout = dout * coef
+    ad.backward(denoiser.net, cache, dout, grads)
+    return float((diff * diff).sum() * inv_n)
 
 
 def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray,

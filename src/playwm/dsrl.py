@@ -73,15 +73,13 @@ class NoiseActor:
     def _dist_params(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = nets.forward(self.net, states)
         mu = out[:, :self.latent_dim]
-        log_std = self._squash_log_std(out[:, self.latent_dim:])
+        log_std = self._squash_log_std(np.tanh(out[:, self.latent_dim:]))
         return mu, np.exp(log_std)
 
-    def _squash_log_std(self, raw):
+    def _squash_log_std(self, tanh_raw: np.ndarray) -> np.ndarray:
+        """Map tanh of the raw head output onto [log_std_min, log_std_max]."""
         lo, hi = self.cfg.log_std_min, self.cfg.log_std_max
-        t = np.tanh(raw) if not isinstance(raw, ad.Var) else None
-        if t is not None:
-            return lo + 0.5 * (hi - lo) * (t + 1.0)
-        return ad.shift(ad.scale(ad.shift(ad.tanh(raw), 1.0), 0.5 * (hi - lo)), lo)
+        return lo + 0.5 * (hi - lo) * (tanh_raw + 1.0)
 
     def sample(self, states: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
         """Latents and their log densities, inference mode."""
@@ -110,10 +108,8 @@ class Critics:
         widths = [state_dim + latent_dim] + [cfg.hidden] * cfg.depth + [1]
         self.q1 = nets.init_mlp(widths, rng, "relu", layer_norm=True)
         self.q2 = nets.init_mlp(widths, rng, "relu", layer_norm=True)
-        self.t1 = nets.Mlp(widths=list(widths), activation="relu", layer_norm=True,
-                           params={k: v.copy() for k, v in self.q1.params.items()})
-        self.t2 = nets.Mlp(widths=list(widths), activation="relu", layer_norm=True,
-                           params={k: v.copy() for k, v in self.q2.params.items()})
+        self.t1 = nets.Mlp(widths, "relu", layer_norm=True, params=self.q1.params)
+        self.t2 = nets.Mlp(widths, "relu", layer_norm=True, params=self.q2.params)
 
     def target_min(self, states: np.ndarray, latents: np.ndarray) -> np.ndarray:
         joint = np.concatenate([states, latents], axis=1)
@@ -125,9 +121,8 @@ class Critics:
 
     def polyak(self, tau: float) -> None:
         for online, target in ((self.q1, self.t1), (self.q2, self.t2)):
-            for k in online.params:
-                target.params[k] *= 1.0 - tau
-                target.params[k] += tau * online.params[k]
+            target.params.flat *= 1.0 - tau
+            target.params.flat += tau * online.params.flat
 
 
 class ReplayBuffer:
@@ -203,45 +198,26 @@ def update(st: DsrlState, rng: Rng) -> dict:
     joint = np.concatenate([s, w], axis=1)
     losses = {}
     for name, net, opt in (("q1", st.critics.q1, st.q1_opt), ("q2", st.critics.q2, st.q2_opt)):
-        pvars = nets.wrap_params(net)
-        pred = nets.forward(net, joint, pvars)
-        loss = ad.mse(pred, y)
-        if not np.isfinite(loss.value):
+        pred, cache = ad.forward(net, joint)
+        loss, dpred = ad.mse(pred, y)
+        if not np.isfinite(loss):
             raise FloatingPointError(f"NaN loss in critic {name}")
-        ad.backward(loss)
-        opt.step(net.params, nets.grads_from(pvars))
-        losses[name] = float(loss.value)
+        grads = net.params.zeros_like()
+        ad.backward(net, cache, dpred, grads)
+        opt.step(net.params, grads)
+        losses[name] = loss
 
     # actor update via the reparameterized squashed sample
-    pvars = nets.wrap_params(st.actor.net)
-    out = nets.forward(st.actor.net, s, pvars)
-    L = st.actor.latent_dim
-    mu = ad.slice_last(out, 0, L)
-    log_std = st.actor._squash_log_std(ad.slice_last(out, L, 2 * L))
-    std = ad.exp(log_std)
-    xi = rng.normal((cfg.batch, L))
-    raw = ad.add(mu, ad.mul(std, ad.Var(xi)))
-    tanh_raw = ad.tanh(raw)
-    w_var = ad.scale(tanh_raw, cfg.action_magnitude)
-    logp = ad.sum_(ad.sub(ad.scale(ad.square(ad.Var(xi)), -0.5),
-                          ad.shift(log_std, 0.5 * LOG2PI)), axis=1)
-    sq = ad.shift(ad.scale(ad.square(tanh_raw), -1.0), 1.0)  # 1 - tanh^2
-    logp = ad.sub(logp, ad.sum_(ad.log(ad.shift(ad.scale(sq, cfg.action_magnitude), 1e-9)), axis=1))
-    sv = ad.Var(s)
-    joint_var = ad.concat([sv, w_var], axis=1)
-    q1 = nets.forward(st.critics.q1, joint_var, nets.wrap_params(st.critics.q1))
-    q2 = nets.forward(st.critics.q2, joint_var, nets.wrap_params(st.critics.q2))
-    qmin = ad.minimum(q1, q2)
-    actor_loss = ad.mean(ad.sub(ad.scale(logp, alpha), ad.sum_(qmin, axis=1)))
-    if not np.isfinite(actor_loss.value):
+    xi = rng.normal((cfg.batch, st.actor.latent_dim))
+    grads = st.actor.net.params.zeros_like()
+    loss, logp = actor_loss(st, s, xi, alpha, grads)
+    if not np.isfinite(loss):
         raise FloatingPointError("NaN loss in actor")
-    ad.backward(actor_loss)
-    st.actor_opt.step(st.actor.net.params, nets.grads_from(pvars))
-    losses["actor"] = float(actor_loss.value)
+    st.actor_opt.step(st.actor.net.params, grads)
+    losses["actor"] = loss
 
     # temperature toward the entropy target
-    logp_val = logp.value
-    alpha_grad = float(np.mean(-(logp_val + cfg.target_entropy)))
+    alpha_grad = float(np.mean(-(logp + cfg.target_entropy)))
     la = {"log_alpha": np.array([st.log_alpha])}
     st.alpha_opt.step(la, {"log_alpha": np.array([alpha_grad])})
     st.log_alpha = float(np.clip(la["log_alpha"][0], -10.0, 4.0))
@@ -250,6 +226,48 @@ def update(st: DsrlState, rng: Rng) -> dict:
     st.critics.polyak(cfg.tau)
     st.updates_done += 1
     return losses
+
+
+def actor_loss(st: DsrlState, s: np.ndarray, xi: np.ndarray, alpha: float,
+               grads: nets.FlatParams | None = None) -> tuple[float, np.ndarray]:
+    """The SAC actor objective and the log densities of its samples.
+
+    loss = mean(alpha * logp(w | s) - min(q1, q2)(s, w)) over the
+    reparameterized squashed sample w = M tanh(mu + std * xi). With grads,
+    the loss gradient in the actor's parameters is written into grads; it
+    reaches the actor through both critics' inputs and through logp.
+    """
+    B, L, M = s.shape[0], st.actor.latent_dim, st.cfg.action_magnitude
+    out, cache = ad.forward(st.actor.net, s)
+    mu = out[:, :L]
+    tl = np.tanh(out[:, L:])
+    log_std = st.actor._squash_log_std(tl)
+    std = np.exp(log_std)
+    t = np.tanh(mu + std * xi)
+    u = ((t * t) * -1.0 + 1.0) * M + 1e-9  # the squash's Jacobian, M (1 - t^2), kept off zero
+    logp = ((xi * xi) * -0.5 - (log_std + 0.5 * LOG2PI)).sum(axis=1) - np.log(u).sum(axis=1)
+    joint = np.concatenate([s, t * M], axis=1)
+    q1, cache1 = ad.forward(st.critics.q1, joint)
+    q2, cache2 = ad.forward(st.critics.q2, joint)
+    take1 = q1 <= q2
+    loss = float((logp * alpha - np.where(take1, q1, q2).sum(axis=1)).sum() * (1.0 / B))
+    if grads is None:
+        return loss, logp
+
+    g_logp = np.full(B, 1.0 / B) * alpha
+    g_q = np.full((B, 1), -(1.0 / B))
+    g_joint = (ad.backward(st.critics.q1, cache1, g_q * take1, None, input_grad=True)
+               + ad.backward(st.critics.q2, cache2, g_q * ~take1, None, input_grad=True))
+    g_u = -g_logp[:, None] / u
+    g_t = g_joint[:, s.shape[1]:] * M + (2.0 * t) * ((g_u * M) * -1.0)
+    g_raw = g_t * (1.0 - t * t)
+    g_log_std = (g_raw * xi) * std - g_logp[:, None]
+    lo, hi = st.cfg.log_std_min, st.cfg.log_std_max
+    g_tl = (g_log_std * (0.5 * (hi - lo))) * (1.0 - tl * tl)
+    # + 0.0 turns -0.0 into 0.0, as summing the two zero-padded halves always has
+    dout = np.concatenate([g_raw, g_tl], axis=1) + 0.0
+    ad.backward(st.actor.net, cache, dout, grads)
+    return loss, logp
 
 
 def imagined_step(backend, policy: DiffusionPolicy, st: DsrlState,
@@ -379,7 +397,11 @@ def save_actor(st: DsrlState, path: str, extra: dict | None = None) -> None:
 
 
 def load_actor_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, parameters) of a saved actor; the parameters must fit the
+    saved widths, else CheckpointError names the path."""
     kind, header, params = load_checkpoint(path)
     if kind != "noise_actor":
         raise ValueError(f"checkpoint kind {kind!r} is not a noise actor")
-    return header, params
+    net = nets.Mlp(header["widths"], "relu")
+    nets.load_params(net, params, path)
+    return header, net.params

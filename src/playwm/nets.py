@@ -1,24 +1,28 @@
-"""Plain fully connected networks over the autodiff tape.
+"""Plain fully connected networks over one flat parameter vector.
 
-An Mlp owns named float64 parameter arrays ("w0", "b0", ...). forward()
-runs in one of two modes: inference (pure numpy, no graph) or training
-(parameters wrapped in Vars so backward() can reach them).
+An Mlp owns a single contiguous float64 vector holding every parameter;
+`net.params` is a FlatParams, a dict of named views into it ("w0", "b0",
+...), so code that walks names (param_hash, checkpoints) reads it like any
+parameter dict while Adam and Polyak averaging update the whole vector at
+once. forward() here is inference only; autodiff.forward is the training
+pass that caches activations for autodiff.backward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import math
 
 import numpy as np
 
-from . import autodiff as ad
+from .checkpoint import CheckpointError
 from .rng import Rng
 
 ACTIVATIONS = {
-    "tanh": (ad.tanh, np.tanh),
-    "relu": (ad.relu, lambda x: np.maximum(x, 0.0)),
-    "silu": (ad.silu, lambda x: x / (1.0 + np.exp(-x))),
-    "identity": (ad.identity, lambda x: x),
+    "tanh": np.tanh,
+    "relu": lambda x: np.maximum(x, 0.0),
+    "silu": lambda x: x / (1.0 + np.exp(-x)),
+    "identity": lambda x: x,
 }
 
 
@@ -26,12 +30,46 @@ class ShapeError(ValueError):
     pass
 
 
-@dataclass
+class FlatParams(dict):
+    """Named views, in layout order, into one contiguous float64 vector `flat`."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        self.flat = np.zeros(sum(math.prod(s) for s in shapes.values()))
+        off = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self[name] = self.flat[off:off + size].reshape(shape)
+            off += size
+
+    def zeros_like(self) -> "FlatParams":
+        """A zeroed vector with the same layout (a gradient buffer)."""
+        return FlatParams({name: view.shape for name, view in self.items()})
+
+
 class Mlp:
-    widths: list[int]
-    activation: str = "silu"
-    layer_norm: bool = False
-    params: dict[str, np.ndarray] = field(default_factory=dict)
+    """Hidden layers apply layer norm (when enabled) and then the activation;
+    the output layer is linear. A `params` dict given to the constructor is
+    copied into the net's vector through load_params."""
+
+    def __init__(self, widths: list[int], activation: str = "silu", layer_norm: bool = False,
+                 params: dict[str, np.ndarray] | None = None):
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        self.widths = list(widths)
+        self.activation = activation
+        self.layer_norm = layer_norm
+        shapes: dict[str, tuple[int, ...]] = {}
+        for i, (fan_in, fan_out) in enumerate(zip(self.widths[:-1], self.widths[1:])):
+            shapes[f"w{i}"] = (fan_in, fan_out)
+            shapes[f"b{i}"] = (fan_out,)
+        self._params = FlatParams(shapes)
+        if params is not None:
+            load_params(self, params, "Mlp parameters")
+
+    @property
+    def params(self) -> FlatParams:
+        return self._params
 
     @property
     def in_dim(self) -> int:
@@ -41,78 +79,61 @@ class Mlp:
     def out_dim(self) -> int:
         return self.widths[-1]
 
+    @property
+    def n_layers(self) -> int:
+        return len(self.widths) - 1
+
     def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.params.flat.size
 
     def param_hash(self) -> str:
-        import hashlib
-
         h = hashlib.sha256()
         for name in sorted(self.params):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(self.params[name]).tobytes())
+            h.update(self.params[name].tobytes())
         return h.hexdigest()
 
 
-def init_mlp(widths: list[int], rng: Rng, activation: str = "silu", layer_norm: bool = False) -> Mlp:
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    params: dict[str, np.ndarray] = {}
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        std = 1.0 / np.sqrt(fan_in)
-        params[f"w{i}"] = rng.normal((fan_in, fan_out)) * std
-        params[f"b{i}"] = np.zeros(fan_out)
-    return Mlp(widths=list(widths), activation=activation, layer_norm=layer_norm, params=params)
+def load_params(net: Mlp, params: dict[str, np.ndarray], source: str) -> None:
+    """Copy named arrays into the net's parameter vector.
 
-
-def forward(net: Mlp, x, pvars: dict[str, ad.Var] | None = None):
-    """Run the net on a (batch, in_dim) array or Var.
-
-    With pvars (training mode) the result is a Var wired to those parameter
-    Vars; a Var input also joins the graph (used when gradients must flow
-    into the inputs, e.g. an actor update through a critic). Hidden layers
-    apply the activation (and layer norm first, when enabled); the output
-    layer is linear.
+    The names and shapes must be exactly those the net's widths imply;
+    anything else raises CheckpointError naming `source` (the checkpoint
+    path, for the loaders), before a single value is copied.
     """
-    in_var = isinstance(x, ad.Var)
-    raw = x.value if in_var else np.asarray(x, dtype=np.float64)
-    if raw.ndim == 1:
-        raw = raw[None, :]
-        if in_var:
-            raise ShapeError("Var inputs must already be 2-dimensional")
-    if raw.shape[-1] != net.in_dim:
-        raise ShapeError(f"input width {raw.shape[-1]} != layer 0 width {net.in_dim}")
-    n_layers = len(net.widths) - 1
-    act_var, act_np = ACTIVATIONS[net.activation]
-    if pvars is None and not in_var:
-        h = raw
-        for i in range(n_layers):
-            h = h @ net.params[f"w{i}"] + net.params[f"b{i}"]
-            if i < n_layers - 1:
-                if net.layer_norm:
-                    mu = h.mean(axis=-1, keepdims=True)
-                    hc = h - mu
-                    h = hc / np.sqrt((hc * hc).mean(axis=-1, keepdims=True) + 1e-5)
-                h = act_np(h)
-        return h
-    if pvars is None:
-        pvars = wrap_params(net)
-    hv = x if in_var else ad.Var(raw)
-    for i in range(n_layers):
-        hv = ad.add(ad.matmul(hv, pvars[f"w{i}"]), pvars[f"b{i}"])
-        if i < n_layers - 1:
+    want = {name: view.shape for name, view in net.params.items()}
+    got = {name: tuple(np.shape(arr)) for name, arr in params.items()}
+    if got != want:
+        bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+        detail = ", ".join(f"{n}: {got.get(n, 'missing')} (want {want.get(n, 'none')})"
+                           for n in bad)
+        raise CheckpointError(f"{source}: parameters do not fit widths {net.widths}: {detail}")
+    for name, view in net.params.items():
+        view[...] = params[name]
+
+
+def init_mlp(widths: list[int], rng: Rng, activation: str = "silu", layer_norm: bool = False) -> Mlp:
+    net = Mlp(widths, activation, layer_norm)
+    for i, fan_in in enumerate(widths[:-1]):
+        w = net.params[f"w{i}"]
+        w[...] = rng.normal(w.shape) * (1.0 / np.sqrt(fan_in))
+    return net
+
+
+def forward(net: Mlp, x) -> np.ndarray:
+    """Run the net on a (batch, in_dim) or (in_dim,) array; inference only."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim == 1:
+        h = h[None, :]
+    if h.shape[-1] != net.in_dim:
+        raise ShapeError(f"input width {h.shape[-1]} != layer 0 width {net.in_dim}")
+    act = ACTIVATIONS[net.activation]
+    for i in range(net.n_layers):
+        h = h @ net.params[f"w{i}"] + net.params[f"b{i}"]
+        if i < net.n_layers - 1:
             if net.layer_norm:
-                hv = ad.layer_norm(hv)
-            hv = act_var(hv)
-    return hv
-
-
-def wrap_params(net: Mlp) -> dict[str, ad.Var]:
-    return {name: ad.Var(arr) for name, arr in net.params.items()}
-
-
-def grads_from(pvars: dict[str, ad.Var]) -> dict[str, np.ndarray]:
-    out = {}
-    for name, v in pvars.items():
-        out[name] = v.grad if v.grad is not None else np.zeros_like(v.value)
-    return out
+                mu = h.mean(axis=-1, keepdims=True)
+                hc = h - mu
+                h = hc / np.sqrt((hc * hc).mean(axis=-1, keepdims=True) + 1e-5)
+            h = act(h)
+    return h

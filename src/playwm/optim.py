@@ -1,4 +1,13 @@
-"""Adam with bias correction, plus the warmup/cosine learning-rate schedule."""
+"""Adam with bias correction, plus gradient clipping and the warmup/cosine
+learning-rate schedule.
+
+Adam keeps its moments as flat vectors. Given a net's FlatParams and a
+gradient FlatParams of the same layout it updates the whole parameter
+vector in place, one cache-sized block at a time, with scratch for one
+block allocated once; given plain dicts it walks the arrays in dict order
+over the same flat moments. Either way each element sees the same
+operations in the same order, so results do not depend on the blocking.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .nets import FlatParams
+
+BLOCK = 32768  # elements per update block: a block of p, g, m, v and the scratch fit in L2
 
 
 @dataclass
@@ -15,30 +28,65 @@ class Adam:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    _scratch: np.ndarray | None = field(default=None, repr=False)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float | None = None) -> None:
-        """One in-place Adam update. NaN gradients abort with the parameter name."""
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             lr: float | None = None) -> None:
+        """One in-place Adam update.
+
+        The whole gradient is checked first: a non-finite value raises
+        FloatingPointError naming its parameter, and leaves the parameters,
+        the moments and the step count untouched.
+        """
+        if isinstance(params, FlatParams) and isinstance(grads, FlatParams):
+            if params.flat.size != grads.flat.size:
+                raise ValueError("gradient layout does not match the parameters")
+            segments = [(params.flat, grads.flat)]
+        else:
+            segments = [(params[n].reshape(-1), np.asarray(grads[n], dtype=np.float64).reshape(-1))
+                        for n in params]
+        if not all(np.isfinite(g).all() for _, g in segments):
+            bad = next(n for n in params if not np.isfinite(grads[n]).all())
+            raise FloatingPointError(f"NaN gradient for parameter {bad!r}")
+        size = sum(p.size for p, _ in segments)
+        if self.m is None:
+            self.m, self.v = np.zeros(size), np.zeros(size)
+            self._scratch = np.empty((2, min(BLOCK, size)))
+        elif self.m.size != size:
+            raise ValueError(f"Adam state holds {self.m.size} parameters, got {size}")
         eta = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in params.items():
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"NaN gradient for parameter {name!r}")
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= eta * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        off = 0
+        for p, g in segments:
+            for lo in range(0, p.size, BLOCK):
+                hi = min(lo + BLOCK, p.size)
+                self._update(p[lo:hi], g[lo:hi], self.m[off + lo:off + hi],
+                             self.v[off + lo:off + hi], eta, bc1, bc2)
+            off += p.size
+
+    def _update(self, p, g, m, v, eta: float, bc1: float, bc2: float) -> None:
+        """m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2;
+        p -= eta (m/bc1) / (sqrt(v/bc2) + eps), through the scratch rows."""
+        a, b = self._scratch[0, :p.size], self._scratch[1, :p.size]
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= eta
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import autodiff as ad
 from . import nets, statecodec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diffusion import DenoiserNet, NoiseSchedule, ddim_sample, diffusion_loss
@@ -99,20 +98,23 @@ def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig,
 
 def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
              ids: list[str] | None = None, log_every: int = 50) -> list[tuple[int, float]]:
+    """Behaviour-clone the denoiser on (state, action chunk) pairs for `steps` steps.
+
+    Each call starts a fresh Adam, and checkpoints hold no optimizer state:
+    resuming is not supported, so train_bc(50) then train_bc(50) is not
+    train_bc(100). train_steps_done and the loss trace do continue.
+    """
     conds, chunks = chunk_dataset(demos, policy.cfg, ids)
     opt = Adam(lr=policy.cfg.lr)
+    grads = policy.denoiser.net.params.zeros_like()
     n = conds.shape[0]
     trace = []
     for step in range(steps):
         rows = rng.randint_array(policy.cfg.batch, n)
-        pvars = nets.wrap_params(policy.denoiser.net)
-        loss = diffusion_loss(policy.denoiser, policy.schedule, chunks[rows],
-                              conds[rows], rng, pvars, weighting="x0")
-        value = float(loss.value)
+        value = diffusion_loss(policy.denoiser, policy.schedule, chunks[rows],
+                               conds[rows], rng, grads, weighting="x0")
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite BC loss at step {step}")
-        ad.backward(loss)
-        grads = nets.grads_from(pvars)
         clip_grad_norm(grads, policy.cfg.grad_clip)
         opt.step(policy.denoiser.net.params, grads)
         if step % log_every == 0 or step == steps - 1:
@@ -284,6 +286,6 @@ def load_policy(path: str) -> DiffusionPolicy:
         raise ValueError(f"checkpoint kind {kind!r} is not a policy")
     policy = create_policy(scene_from_dict(header["scene"]),
                            PolicyConfig(**header["config"]), Rng(0))
-    policy.denoiser.net.params = params
+    nets.load_params(policy.denoiser.net, params, path)
     policy.train_steps_done = header["train_steps_done"]
     return policy

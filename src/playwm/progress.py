@@ -37,6 +37,18 @@ class NoSuccessDemos(ValueError):
     pass
 
 
+def progress_loss(net: nets.Mlp, x: np.ndarray, y: np.ndarray,
+                  grads: nets.FlatParams | None = None) -> float:
+    """Mean squared error of sigmoid(net(x)) against the progress targets y;
+    with grads, the parameter gradient is written into grads."""
+    out, cache = ad.forward(net, x)
+    pred = 1.0 / (1.0 + np.exp(-out))
+    loss, dpred = ad.mse(pred, y)
+    if grads is not None:
+        ad.backward(net, cache, dpred * pred * (1.0 - pred), grads)
+    return loss
+
+
 def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
                    steps: int = 1500, hidden: int = 64, batch: int = 64,
                    eval_every: int = 50, patience: int = 8) -> ProgressModel:
@@ -61,18 +73,14 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
     width = statecodec.state_dim(len(scene.objects))
     net = nets.init_mlp([width, hidden, hidden, 1], rng, "silu")
     opt = Adam(lr=3e-3)
+    grads = net.params.zeros_like()
     best = {k: v.copy() for k, v in net.params.items()}
     best_err = np.inf
     stale = 0
     n = x_tr.shape[0]
     for step in range(steps):
         rows = rng.randint_array(batch, n)
-        pvars = nets.wrap_params(net)
-        out = nets.forward(net, x_tr[rows], pvars)
-        pred = ad.sigmoid(out)
-        loss = ad.mse(pred, y_tr[rows])
-        ad.backward(loss)
-        grads = nets.grads_from(pvars)
+        progress_loss(net, x_tr[rows], y_tr[rows], grads)
         clip_grad_norm(grads, 1.0)
         opt.step(net.params, grads)
         if step % eval_every == 0 or step == steps - 1:
@@ -86,7 +94,7 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
                 stale += 1
                 if stale >= patience:
                     break
-    net.params = best
+    nets.load_params(net, best, "best progress parameters")
     return ProgressModel(net=net, scene=scene)
 
 
@@ -109,5 +117,6 @@ def load_progress(path: str) -> ProgressModel:
     kind, header, params = load_checkpoint(path)
     if kind != "progress":
         raise ValueError(f"checkpoint kind {kind!r} is not a progress model")
-    net = nets.Mlp(widths=header["widths"], activation="silu", params=params)
+    net = nets.Mlp(widths=header["widths"], activation="silu")
+    nets.load_params(net, params, path)
     return ProgressModel(net=net, scene=scene_from_dict(header["scene"]))

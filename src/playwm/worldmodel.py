@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import autodiff as ad
 from . import nets, statecodec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .curation import AnnealSchedule, CurriculumIndex, sample_batch
@@ -173,10 +172,18 @@ def last_history_state(wm: WorldModel, conds: np.ndarray) -> np.ndarray:
 def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
           curriculum: tuple[CurriculumIndex, AnnealSchedule] | None = None,
           log_every: int = 50) -> list[tuple[int, float]]:
-    """Fit the denoiser; sampling is uniform or curriculum-driven per batch."""
+    """Fit the denoiser for `steps` steps; sampling is uniform or
+    curriculum-driven per batch.
+
+    Each call starts a fresh Adam and a fresh warmup/cosine learning-rate
+    schedule (and the curriculum restarts at its step 0), and checkpoints
+    hold no optimizer state: resuming is not supported, so train(50) then
+    train(50) is not train(100). step_count and the loss trace do continue.
+    """
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
     opt = Adam(lr=wm.cfg.lr)
+    grads = wm.denoiser.net.params.zeros_like()
     trace: list[tuple[int, float]] = []
     n = len(dataset)
     for step in range(steps):
@@ -187,14 +194,10 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
             rows = sample_batch(index, schedule, step, wm.cfg.batch, rng)
         cond = dataset.conds[rows]
         x0 = wm.to_targets(dataset.targets[rows], last_history_state(wm, cond))
-        pvars = nets.wrap_params(wm.denoiser.net)
-        loss = diffusion_loss(wm.denoiser, wm.schedule, x0, cond, rng, pvars,
-                              weighting="x0")
-        value = float(loss.value)
+        value = diffusion_loss(wm.denoiser, wm.schedule, x0, cond, rng, grads,
+                               weighting="x0")
         if not np.isfinite(value):
             raise TrainingError(f"non-finite loss at step {wm.step_count + step}")
-        ad.backward(loss)
-        grads = nets.grads_from(pvars)
         clip_grad_norm(grads, wm.cfg.grad_clip)
         lr = warmup_cosine_lr(wm.cfg.lr, step, wm.cfg.warmup, steps)
         opt.step(wm.denoiser.net.params, grads, lr=lr)
@@ -388,7 +391,7 @@ def load_worldmodel(path: str) -> WorldModel:
     cfg = WmConfig(**header["config"])
     scene = scene_from_dict(header["scene"])
     wm = create_worldmodel(scene, cfg, Rng(0))
-    wm.denoiser.net.params = params
+    nets.load_params(wm.denoiser.net, params, path)
     wm.step_count = header["step_count"]
     wm.loss_trace = [tuple(x) for x in header.get("loss_trace", [])]
     return wm

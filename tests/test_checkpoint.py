@@ -82,3 +82,56 @@ def test_not_a_checkpoint(tmp_path, blob):
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="missing checkpoint"):
         load_checkpoint(str(tmp_path / "none.ckpt"))
+
+
+
+def _saved_model(tmp_path, kind):
+    """Save one tiny model of `kind`; return its path, a function that loads
+    that path and hashes the loaded parameters, and the saved model's hash."""
+    from playwm import dsrl, nets, policies, progress, worldmodel
+    from playwm.rng import Rng
+    from playwm.scene import default_scene
+
+    scene = default_scene()
+    path = str(tmp_path / f"{kind}.ckpt")
+    if kind == "worldmodel":
+        wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=8, depth=1,
+                                                                     denoise_steps=25), Rng(1))
+        worldmodel.save_worldmodel(wm, path)
+        return path, lambda p: worldmodel.load_worldmodel(p).param_hash(), wm.param_hash()
+    if kind == "policy":
+        policy = policies.create_policy(scene, policies.PolicyConfig(hidden=8, depth=1,
+                                                                     denoise_steps=25), Rng(2))
+        policies.save_policy(policy, path)
+        return path, lambda p: policies.load_policy(p).param_hash(), policy.param_hash()
+    if kind == "progress":
+        model = progress.ProgressModel(nets.init_mlp([6, 4, 1], Rng(3)), scene)
+        progress.save_progress(model, path)
+        return path, lambda p: progress.load_progress(p).net.param_hash(), model.net.param_hash()
+    st = dsrl.make_dsrl(6, 3, dsrl.DsrlConfig(hidden=8, depth=1), Rng(4))
+    dsrl.save_actor(st, path)
+
+    def actor_hash(p):
+        header, params = dsrl.load_actor_params(p)
+        return nets.Mlp(header["widths"], "relu", params=params).param_hash()
+
+    return path, actor_hash, st.actor.param_hash()
+
+
+KINDS = ["worldmodel", "policy", "progress", "noise_actor"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_round_trip(tmp_path, kind):
+    path, loaded_hash, want = _saved_model(tmp_path, kind)
+    assert loaded_hash(path) == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_with_wrong_parameter_shape(tmp_path, kind):
+    path, loaded_hash, _ = _saved_model(tmp_path, kind)
+    saved_kind, header, params = load_checkpoint(path)
+    params["w0"] = params["w0"][:-1]
+    save_checkpoint(path, saved_kind, header, params)
+    with raises_naming(path, r"parameters do not fit widths .*w0"):
+        loaded_hash(path)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from playwm import diffusion as df
-from playwm import nets
 from playwm.optim import Adam, clip_grad_norm
-from playwm import autodiff as ad
 from playwm.rng import Rng
+from test_numerics import assert_grads_close, finite_diff
 
 
 def zero_denoiser(target_dim=2, cond_dim=3):
@@ -103,11 +102,26 @@ class TestLoss:
     def test_loss_nonnegative_and_differentiable(self):
         s = df.NoiseSchedule.linear(10)
         net = df.DenoiserNet.create(3, 2, Rng(5), hidden=8, depth=1)
-        pvars = nets.wrap_params(net.net)
-        loss = df.diffusion_loss(net, s, np.ones((8, 3)), np.zeros((8, 2)), Rng(3), pvars)
-        assert loss.value >= 0.0
-        ad.backward(loss)
-        assert any(np.any(v.grad != 0) for v in pvars.values() if v.grad is not None)
+        grads = net.net.params.zeros_like()
+        loss = df.diffusion_loss(net, s, np.ones((8, 3)), np.zeros((8, 2)), Rng(3), grads)
+        assert loss >= 0.0
+        assert np.any(grads.flat != 0)
+
+    @pytest.mark.parametrize("x0_head,weighting", [(False, "eps"), (True, "eps"), (True, "x0")])
+    def test_gradient_matches_finite_differences(self, x0_head, weighting):
+        s = df.NoiseSchedule.linear(10)
+        net = df.DenoiserNet.create(3, 2, Rng(6), hidden=8, depth=2, x0_head=x0_head)
+        rng = Rng(7)
+        x0, cond = rng.normal((5, 3)), rng.normal((5, 2))
+
+        def loss(grads=None):
+            # a fresh generator per call: every evaluation draws the same t and eps
+            return df.diffusion_loss(net, s, x0, cond, Rng(8), grads, weighting=weighting)
+
+        grads = net.net.params.zeros_like()
+        assert loss(grads) == pytest.approx(loss(), rel=1e-12)
+        for name, p in net.net.params.items():
+            assert_grads_close(grads[name], finite_diff(p, loss), name)
 
 
 class TestDdpm:
@@ -136,11 +150,9 @@ class TestDdpm:
         opt = Adam(lr=3e-3)
         x0 = np.full((128, 1), target)
         cond = np.zeros((128, 1))
+        grads = net.net.params.zeros_like()
         for _ in range(800):
-            pvars = nets.wrap_params(net.net)
-            loss = df.diffusion_loss(net, s, x0, cond, rng, pvars)
-            ad.backward(loss)
-            grads = nets.grads_from(pvars)
+            df.diffusion_loss(net, s, x0, cond, rng, grads)
             clip_grad_norm(grads, 1.0)
             opt.step(net.net.params, grads)
         samples = df.ddpm_sample(net, s, np.zeros((256, 1)), Rng(5))
@@ -195,13 +207,11 @@ def test_gaussian_mixture_recovery_small():
     net = df.DenoiserNet.create(1, 1, rng, hidden=64, depth=2)
     opt = Adam(lr=2e-3)
     n = 256
+    grads = net.net.params.zeros_like()
     for _ in range(1200):
         comp = rng.uniform_array(n) < 0.5
         x0 = np.where(comp, means[0], means[1])[:, None] + rng.normal((n, 1)) * 0.2
-        pvars = nets.wrap_params(net.net)
-        loss = df.diffusion_loss(net, s, x0, np.zeros((n, 1)), rng, pvars)
-        ad.backward(loss)
-        grads = nets.grads_from(pvars)
+        df.diffusion_loss(net, s, x0, np.zeros((n, 1)), rng, grads)
         clip_grad_norm(grads, 1.0)
         opt.step(net.net.params, grads)
     samples = df.ddpm_sample(net, s, np.zeros((512, 1)), Rng(30)).ravel()

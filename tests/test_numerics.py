@@ -2,62 +2,74 @@ import numpy as np
 import pytest
 
 from playwm import autodiff as ad
-from playwm import nets, optim
+from playwm import dsrl, nets, optim, progress
 from playwm.projection import random_projection
 from playwm.rng import Rng
 
 
-def finite_diff_grads(net, x, h=1e-5):
-    """Central-difference gradient of mean(net(x)^2) w.r.t. every parameter."""
-
-    def loss_value():
-        out = nets.forward(net, x)
-        return float((out * out).mean())
-
-    grads = {}
-    for name, p in net.params.items():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_value()
-            flat[i] = orig - h
-            down = loss_value()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * h)
-        grads[name] = g
-    return grads
+def finite_diff(arr, loss_value, h=1e-5):
+    """Central-difference gradient of loss_value() in every entry of arr,
+    which is perturbed in place and restored."""
+    g = np.zeros_like(arr)
+    flat, gflat = arr.reshape(-1), g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_value()
+        flat[i] = orig - h
+        down = loss_value()
+        flat[i] = orig
+        gflat[i] = (up - down) / (2 * h)
+    return g
 
 
-def autodiff_grads(net, x):
-    pvars = nets.wrap_params(net)
-    out = nets.forward(net, x, pvars)
-    loss = ad.mean(ad.square(out))
-    ad.backward(loss)
-    return nets.grads_from(pvars)
+def assert_grads_close(got, want, what=""):
+    denom = np.maximum(np.abs(want), 1e-3)
+    rel = np.abs(got - want) / denom
+    assert rel.max() < 1e-4, f"{what}: max rel err {rel.max()}"
+
+
+def mean_square_grads(net, x, input_grad=False):
+    """Gradients of mean(net(x)^2) from the hand-written backward pass."""
+    out, cache = ad.forward(net, x)
+    _, dout = ad.mse(out, np.zeros_like(out))
+    grads = net.params.zeros_like()
+    gx = ad.backward(net, cache, dout, grads, input_grad=input_grad)
+    return grads, gx
+
+
+def mean_square(net, x):
+    out = nets.forward(net, x)
+    return float((out * out).mean())
 
 
 class TestBackward:
     def test_scalar_square(self):
-        theta = ad.Var(np.array([3.0]))
-        loss = ad.mean(ad.square(theta))
-        ad.backward(loss)
-        assert theta.grad[0] == pytest.approx(6.0)
+        loss, grad = ad.mse(np.array([3.0]), np.zeros(1))
+        assert loss == 9.0
+        assert grad[0] == pytest.approx(6.0)
 
     def test_linear_sum_grad_equals_input(self):
-        w = ad.Var(np.ones((2, 2)))
+        net = nets.Mlp([2, 2], "identity", params={"w0": np.ones((2, 2)), "b0": np.zeros(2)})
         x = np.array([[1.0, 1.0]])
-        out = ad.matmul(ad.Var(x), w)
-        loss = ad.sum_(out)
-        ad.backward(loss)
-        assert np.allclose(w.grad, np.ones((2, 2)) * 1.0)
+        out, cache = ad.forward(net, x)
+        grads = net.params.zeros_like()
+        ad.backward(net, cache, np.ones_like(out), grads)
+        assert np.allclose(grads["w0"], np.ones((2, 2)))
+        assert np.allclose(grads["b0"], np.ones(2))
 
-    def test_non_scalar_loss_rejected(self):
-        v = ad.Var(np.zeros(3))
+    def test_dout_shape_mismatch_rejected(self):
+        net = nets.init_mlp([3, 4, 2], Rng(0), "tanh")
+        _, cache = ad.forward(net, np.zeros((5, 3)))
         with pytest.raises(ValueError):
-            ad.backward(v)
+            ad.backward(net, cache, np.zeros((5, 3)), net.params.zeros_like())
+
+    def test_forward_matches_inference(self):
+        rng = Rng(4)
+        for activation in ("tanh", "silu", "relu", "identity"):
+            net = nets.init_mlp([3, 8, 5, 2], rng, activation, layer_norm=True)
+            x = rng.normal((4, 3))
+            assert np.allclose(ad.forward(net, x)[0], nets.forward(net, x), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("activation", ["tanh", "silu", "relu", "identity"])
     def test_mlp_matches_finite_differences(self, activation):
@@ -67,30 +79,93 @@ class TestBackward:
         if activation == "relu":
             # keep pre-activations away from the kink
             x = x + 0.05
-        got = autodiff_grads(net, x)
-        want = finite_diff_grads(net, x)
-        for name in net.params:
-            denom = np.maximum(np.abs(want[name]), 1e-3)
-            rel = np.abs(got[name] - want[name]) / denom
-            assert rel.max() < 1e-4, f"{activation}/{name}: max rel err {rel.max()}"
+        got, _ = mean_square_grads(net, x)
+        for name, p in net.params.items():
+            assert_grads_close(got[name], finite_diff(p, lambda: mean_square(net, x)),
+                               f"{activation}/{name}")
 
     def test_layer_norm_gradient(self):
-        rng = Rng(5)
-        net = nets.init_mlp([4, 6, 3], rng, "tanh", layer_norm=True)
-        x = rng.normal((3, 4))
-        got = autodiff_grads(net, x)
-        want = finite_diff_grads(net, x)
-        for name in net.params:
-            denom = np.maximum(np.abs(want[name]), 1e-3)
-            assert (np.abs(got[name] - want[name]) / denom).max() < 1e-4
+        for activation in ("tanh", "relu"):
+            rng = Rng(5)
+            net = nets.init_mlp([4, 6, 6, 3], rng, activation, layer_norm=True)
+            x = rng.normal((3, 4))
+            got, gx = mean_square_grads(net, x, input_grad=True)
+            for name, p in net.params.items():
+                assert_grads_close(got[name], finite_diff(p, lambda: mean_square(net, x)),
+                                   f"{activation}/{name}")
+            assert_grads_close(gx, finite_diff(x, lambda: mean_square(net, x)), activation)
+
+    @pytest.mark.parametrize("activation", ["tanh", "silu", "relu", "identity"])
+    def test_input_gradient(self, activation):
+        rng = Rng(12)
+        net = nets.init_mlp([3, 8, 5, 2], rng, activation)
+        x = rng.normal((4, 3)) + 0.05
+        got, gx = mean_square_grads(net, x, input_grad=True)
+        assert_grads_close(gx, finite_diff(x, lambda: mean_square(net, x)), activation)
+        # the parameter gradients are the same whether or not the input's is asked for
+        without, none = mean_square_grads(net, x)
+        assert none is None
+        assert np.array_equal(got.flat, without.flat)
+
+    def test_input_gradient_without_parameter_gradients(self):
+        rng = Rng(13)
+        net = nets.init_mlp([3, 8, 2], rng, "silu", layer_norm=True)
+        x = rng.normal((4, 3))
+        out, cache = ad.forward(net, x)
+        _, dout = ad.mse(out, np.zeros_like(out))
+        _, want = mean_square_grads(net, x, input_grad=True)
+        assert np.array_equal(ad.backward(net, cache, dout, None, input_grad=True), want)
 
     def test_minimum_routes_gradient(self):
-        a = ad.Var(np.array([1.0, 5.0]))
-        b = ad.Var(np.array([2.0, 3.0]))
-        loss = ad.sum_(ad.minimum(a, b))
-        ad.backward(loss)
-        assert np.allclose(a.grad, [1.0, 0.0])
-        assert np.allclose(b.grad, [0.0, 1.0])
+        """The actor's gradient reaches it only through the critic whose
+        value is the smaller one."""
+        st, s, xi = small_dsrl(21)
+        n = st.critics.q2.n_layers
+        st.critics.q2.params[f"b{n - 1}"][:] += 1e3  # q1 is the minimum on every row
+
+        def actor_grads():
+            grads = st.actor.net.params.zeros_like()
+            dsrl.actor_loss(st, s, xi, 0.2, grads)
+            return grads.flat.copy()
+
+        base = actor_grads()
+        st.critics.q2.params[f"w{n - 1}"][:] *= 2.0
+        assert np.array_equal(actor_grads(), base)
+        st.critics.q1.params[f"w{n - 1}"][:] *= 2.0
+        assert not np.allclose(actor_grads(), base)
+
+
+def small_dsrl(seed, batch=16):
+    cfg = dsrl.DsrlConfig(hidden=8, depth=2, batch=batch)
+    st = dsrl.make_dsrl(5, 3, cfg, Rng(seed))
+    rng = Rng(seed + 1)
+    return st, rng.normal((batch, 5)), rng.normal((batch, 3))
+
+
+class TestLossGradients:
+    def test_progress_loss(self):
+        rng = Rng(14)
+        net = nets.init_mlp([5, 8, 8, 1], rng, "silu")
+        x, y = rng.normal((6, 5)), rng.uniform_array(6)[:, None]
+        grads = net.params.zeros_like()
+        loss = progress.progress_loss(net, x, y, grads)
+        p = 1.0 / (1.0 + np.exp(-nets.forward(net, x)))
+        assert loss == pytest.approx(float(((p - y) ** 2).mean()), rel=1e-12)
+        for name, arr in net.params.items():
+            assert_grads_close(grads[name],
+                               finite_diff(arr, lambda: progress.progress_loss(net, x, y)), name)
+
+    def test_dsrl_actor_loss_through_both_critics(self):
+        st, s, xi = small_dsrl(15)
+        mu, std = st.actor._dist_params(s)
+        joint = np.concatenate([s, st.cfg.action_magnitude * np.tanh(mu + std * xi)], axis=1)
+        take1 = nets.forward(st.critics.q1, joint) <= nets.forward(st.critics.q2, joint)
+        assert 0 < take1.sum() < len(s), "both critics should be the minimum on some rows"
+        grads = st.actor.net.params.zeros_like()
+        dsrl.actor_loss(st, s, xi, 0.3, grads)
+        for name, arr in st.actor.net.params.items():
+            want = finite_diff(arr, lambda: dsrl.actor_loss(st, s, xi, 0.3)[0])
+            assert_grads_close(grads[name], want, name)
 
 
 class TestMlpForward:
@@ -156,6 +231,51 @@ class TestAdam:
         opt = optim.Adam()
         with pytest.raises(FloatingPointError, match="theta"):
             opt.step(params, {"theta": np.array([np.nan])})
+
+    def test_nan_gradient_changes_nothing(self):
+        params = {"a": np.array([1.0]), "b": np.array([2.0])}
+        opt = optim.Adam(lr=0.1)
+        with pytest.raises(FloatingPointError, match="'b'"):
+            opt.step(params, {"a": np.array([1.0]), "b": np.array([np.nan])})
+        assert params["a"][0] == 1.0 and params["b"][0] == 2.0
+        assert opt.step_count == 0 and opt.m is None
+        opt.step(params, {"a": np.array([1.0]), "b": np.array([1.0])})
+        assert opt.step_count == 1 and params["a"][0] == pytest.approx(0.9)
+
+    def test_nan_gradient_in_flat_params_names_parameter(self):
+        net = nets.init_mlp([3, 4, 2], Rng(2))
+        before = net.params.flat.copy()
+        grads = net.params.zeros_like()
+        grads["w1"][1, 0] = np.inf
+        opt = optim.Adam()
+        with pytest.raises(FloatingPointError, match="'w1'"):
+            opt.step(net.params, grads)
+        assert np.array_equal(net.params.flat, before) and opt.step_count == 0
+
+    def test_blocked_flat_update_matches_per_array_reference(self):
+        """The flat, blocked update is bit-identical to Adam applied array by
+        array with whole-array temporaries, across several block boundaries."""
+        rng = Rng(3)
+        net = nets.init_mlp([300, 150, 40], rng)  # 51 190 parameters: two blocks, w0 split
+        assert net.n_params() > optim.BLOCK
+        ref = {k: v.copy() for k, v in net.params.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+        opt = optim.Adam(lr=1e-2)
+        grads = net.params.zeros_like()
+        b1, b2 = opt.beta1, opt.beta2
+        for t in range(1, 5):
+            grads.flat[:] = rng.normal(grads.flat.size)
+            lr = 1e-2 / t
+            opt.step(net.params, grads, lr=lr)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, p in ref.items():
+                g = grads[k]
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * (g * g)
+                p -= lr * (ref_m[k] / bc1) / (np.sqrt(ref_v[k] / bc2) + opt.eps)
+        for k in ref:
+            assert np.array_equal(net.params[k], ref[k]), k
 
     def test_grad_clip(self):
         grads = {"a": np.array([3.0, 4.0])}

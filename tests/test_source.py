@@ -30,3 +30,26 @@ def test_package_imports_only_stdlib_and_numpy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert not found, f"imports outside the stdlib and numpy in src/playwm: {found}"
+
+
+def test_traced_layers_resolve():
+    """Every (module, attribute) that the benchmark's tracer wraps exists in
+    playwm, defined on the module or class itself as the tracer requires, so
+    a refactor cannot silently break a traced benchmark run."""
+    import importlib
+
+    tracing = SRC.parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), filename=str(tracing))
+    layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    entries = [(entry.elts[0].value, entry.elts[1].value) for entry in layers.elts]
+    assert len(entries) > 10
+    missing = []
+    for module, path in entries:
+        owner = importlib.import_module(f"playwm.{module}")
+        *cls, attr = path.split(".")
+        if cls:
+            owner = getattr(owner, cls[0], None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{path}")
+    assert not missing, f"traced layers missing from playwm: {missing}"
