@@ -1,0 +1,31 @@
+"""Shared fixtures: a tiny diffusion policy and world model, trained briefly
+at fixed seeds, whose closed-loop rollouts end in more than one behaviour
+mode."""
+
+import pytest
+
+from playwm import policies, store, worldmodel
+from playwm.playsys import ProposerConfig, collect
+from playwm.rng import Rng
+from playwm.scene import default_scene
+from playwm.tasks import TaskSpec
+
+TASK = TaskSpec("put_in", 1, 0)
+
+
+@pytest.fixture(scope="session")
+def trained(tmp_path_factory):
+    """(scene, policy, world model): BC on six noisy task demos, the world
+    model on eight play episodes."""
+    scene = default_scene()
+    play = store.EpisodeStore(str(tmp_path_factory.mktemp("loop-play")))
+    collect(scene, ProposerConfig(), 8, Rng(41), play)
+    demo = store.EpisodeStore(str(tmp_path_factory.mktemp("loop-demo")))
+    policies.collect_task_demos(scene, TASK, 6, 0.3, Rng(42), demo)
+    wm_cfg = worldmodel.WmConfig(hidden=32, depth=2, batch=16, denoise_steps=25, warmup=3)
+    wm = worldmodel.create_worldmodel(scene, wm_cfg, Rng(60))
+    worldmodel.train(wm, worldmodel.build_dataset(play, wm_cfg), 100, Rng(61))
+    policy = policies.create_policy(scene, policies.PolicyConfig(hidden=32, depth=2, batch=16,
+                                                                 denoise_steps=25), Rng(62))
+    policies.train_bc(policy, demo, 2000, Rng(63))
+    return scene, policy, wm

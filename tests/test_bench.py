@@ -1,10 +1,12 @@
 import pytest
 
+from conftest import TASK
+from playwm import bench
 from playwm.bench import EvalStudyConfig, measure_imagined
 from playwm.policies import PolicyConfig, create_policy
 from playwm.rng import Rng
 from playwm.scene import default_scene
-from playwm.tasks import TaskSpec
+from playwm.tasks import TaskSpec, check_success
 from playwm.worldmodel import WmConfig, create_worldmodel
 
 
@@ -15,3 +17,46 @@ def test_imagined_replan_must_match_model_chunk():
     cfg = EvalStudyConfig(task=TaskSpec("put_in", 1, 0), n_wm=2, replan=wm.cfg.chunk - 1)
     with pytest.raises(ValueError, match="re-plan once per model chunk"):
         measure_imagined(policy, wm, cfg, Rng(2))
+
+
+def test_step_counters_see_every_step(trained, monkeypatch):
+    """The benchmark counts imagined steps by replacing
+    `bench.infer_transition_event` and real steps by replacing `bench.Env.step`;
+    each must see exactly one call per step of a rollout that has not yet
+    succeeded."""
+    scene, policy, wm = trained
+    cfg = EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
+    infer, step = bench.infer_transition_event, bench.Env.step
+    imagined: list[bool] = []          # per call: did the step reach success
+    real: dict[object, list[bool]] = {}  # the same per env
+
+    def counted_infer(prev, action, nxt):
+        imagined.append(check_success(nxt, TASK, scene.physics))
+        return infer(prev, action, nxt)
+
+    def counted_step(env, action, u=None):
+        out = step(env, action, u)
+        real.setdefault(env, []).append(check_success(out[0], TASK, env.phys))
+        return out
+
+    monkeypatch.setattr(bench, "infer_transition_event", counted_infer)
+    monkeypatch.setattr(bench.Env, "step", counted_step)
+
+    rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))
+    wins = round(rate * cfg.n_wm)
+    C = wm.cfg.chunk
+    walked = -(-cfg.max_steps // C) * C  # whole model chunks
+    assert 0 < wins < cfg.n_wm
+    # a rollout stops counting at its first success
+    assert sum(imagined) == wins
+    assert (cfg.n_wm - wins) * walked + wins <= len(imagined) <= cfg.n_wm * walked
+    assert not real
+
+    rate, _ = bench.measure_real(policy, scene, cfg, Rng(70))
+    wins = round(rate * cfg.n_real)
+    assert 0 < wins < cfg.n_real and len(real) == cfg.n_real
+    for flags in real.values():
+        n = len(flags)
+        assert flags == [False] * cfg.max_steps or (n <= cfg.max_steps and
+                                                    flags == [False] * (n - 1) + [True])
+    assert sum(map(sum, real.values())) == wins

@@ -1,0 +1,71 @@
+"""Golden digests of every closed-loop evaluation: real and imagined success
+rates with their mode histograms, and the unsteered and steered DSRL
+evaluation, each from a tiny trained policy and world model at fixed seeds.
+A change to how a loop draws its random numbers, encodes its actions or
+counts its steps must leave every one bit-identical."""
+
+import hashlib
+
+import pytest
+
+from conftest import TASK
+from playwm import bench, dsrl, policies, statecodec
+from playwm.rng import Rng
+
+CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
+
+GOLDEN = {
+    "real": "3e17285ba41ae9545d54c6dbd163d0f25279579936fb8e7dfd1a9e6e954b8d34",
+    "imagined_world_model": "da229fad4542c10ca428f823936f0e1279bbfce48b8a3286df24a8a23b06b5de",
+    "imagined_scene": "7fe8d3214b2695f92f63f17dc522b54b90a49bf5a4f5e575ceae80708bae6a8d",
+    "env_success": "8628fccdc5eb4a26d9006bc647ec65405509f492443349d99403f88bd8203e93",
+    "steered_False": "fe0b040cb5f683e08c94dfde8dfc1e8346c93dadb466e07d4308991942b608f4",
+    "steered_True": "ac72c0f552d7551e2ed4102327c83dbe490f0b5d3450358d7d8104aca05f8044",
+}
+
+
+def digest(rng, rate, hist=None) -> str:
+    """The result and the next seed of the loop's stream, which pins how
+    many numbers the loop drew."""
+    return hashlib.sha256(repr((rate, sorted((hist or {}).items()),
+                                rng.spawn_seed())).encode()).hexdigest()
+
+
+def pin(name, rng, rate, hist):
+    # a histogram of one mode would pin too little of the loop
+    assert sum(1 for n in hist.values() if n) > 1, hist
+    assert digest(rng, rate, hist) == GOLDEN[name]
+
+
+def test_measure_real(trained):
+    scene, policy, _ = trained
+    rng = Rng(70)
+    pin("real", rng, *bench.measure_real(policy, scene, CFG, rng))
+
+
+@pytest.mark.parametrize("backend", ["world_model", "scene"])
+def test_measure_imagined(trained, backend):
+    scene, policy, wm = trained
+    rng = Rng(71)
+    pin(f"imagined_{backend}", rng,
+        *bench.measure_imagined(policy, wm if backend == "world_model" else scene, CFG, rng))
+
+
+def test_measure_env_success(trained):
+    scene, policy, _ = trained
+    rng = Rng(73)
+    pin("env_success", rng, *policies.measure_env_success(policy, scene, TASK, 10, rng,
+                                                          max_steps=30)[:2])
+
+
+@pytest.mark.parametrize("steered", [False, True])
+def test_evaluate_steered(trained, steered):
+    scene, policy, _ = trained
+    st = None
+    if steered:
+        st = dsrl.make_dsrl(statecodec.state_dim(len(scene.objects)), policy.latent_dim,
+                            dsrl.DsrlConfig(hidden=32, depth=2), Rng(80))
+    rng = Rng(74)
+    rate = dsrl.evaluate_steered(st, policy, scene, TASK, rng, 10, 30, 5)
+    assert 0.0 < rate < 1.0
+    assert digest(rng, rate) == GOLDEN[f"steered_{steered}"]
