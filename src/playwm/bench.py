@@ -16,18 +16,18 @@ import numpy as np
 
 from . import metrics, statecodec
 from .curation import Embedder
-from .diffusion import ddpm_sample
+from .diffusion import ddim_sample, ddpm_sample
 from .dynamics import Action
 from .env import Env
 from .metrics import lpips_proxy, mse, psnr, ssim
-from .policies import DiffusionPolicy, SuiteEntry, act
+from .policies import DiffusionPolicy, SuiteEntry, act, measure_env_success
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .store import ClipWindow, EpisodeStore, windows
 from .tasks import (BehaviorMode, MODES, TaskSpec, check_success, classify_clip,
                     infer_transition_event)
-from .worldmodel import WorldModel, predicted_frames
+from .worldmodel import RolloutBackend, WorldModel, predicted_frames
 
 FAILURE_BENCH_MODES = (BehaviorMode.MISSED_GRASP, BehaviorMode.SLIDE,
                        BehaviorMode.SLIP, BehaviorMode.COLLISION)
@@ -193,122 +193,63 @@ def _mode_distribution(hist: dict[str, int]) -> np.ndarray:
 
 def measure_real(policy: DiffusionPolicy, scene: SceneConfig, cfg: EvalStudyConfig,
                  rng: Rng) -> tuple[float, dict[str, int]]:
-    wins = 0
-    hist = {m.value: 0 for m in MODES}
-    for _ in range(cfg.n_real):
-        env = Env(scene, seed=rng.spawn_seed())
-        env.reset(jittered_state(scene, rng, cfg.init_jitter))
-        states = [env.state.copy()]
-        events = []
-        t = 0
-        success = check_success(env.state, cfg.task, env.phys)
-        while t < cfg.max_steps and not success:
-            chunk = act(policy, env.state, rng=rng)
-            for a in chunk[:cfg.replan]:
-                if t >= cfg.max_steps or success:
-                    break
-                s, ev = env.step(a)
-                states.append(s.copy())
-                events.append(ev)
-                success = check_success(s, cfg.task, env.phys)
-                t += 1
-        wins += success
-        mode = classify_clip(events, cfg.task, states[-1])
-        hist[mode.value] += 1
-    return wins / cfg.n_real, hist
+    """Success rate and mode histogram of n_real rollouts in the simulator."""
+    return measure_env_success(policy, scene, cfg.task, cfg.n_real, rng, cfg.max_steps,
+                               cfg.replan, cfg.init_jitter)
 
 
 def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
                      cfg: EvalStudyConfig, rng: Rng) -> tuple[float, dict[str, int]]:
-    """Closed-loop rollouts inside the model (or the env, for oracle mode)."""
+    """Success rate and mode histogram of n_wm closed-loop rollouts inside
+    the world model, or inside the simulator when given its scene."""
     if isinstance(wm, WorldModel):
         return _measure_imagined_batch(policy, wm, cfg, rng)
-    wins = 0
-    hist = {m.value: 0 for m in MODES}
-    scene = wm
-    for _ in range(cfg.n_wm):
-        env = Env(scene, seed=rng.spawn_seed())
-        env.reset(jittered_state(scene, rng, cfg.init_jitter))
-        states = [env.state.copy()]
-        events = []
-        t = 0
-        success = check_success(env.state, cfg.task, env.phys)
-        while t < cfg.max_steps and not success:
-            chunk = act(policy, env.state, rng=rng)
-            for a in chunk[:cfg.replan]:
-                if t >= cfg.max_steps or success:
-                    break
-                s, ev = env.step(a)
-                states.append(s.copy())
-                events.append(ev)
-                success = check_success(s, cfg.task, env.phys)
-                t += 1
-        wins += success
-        hist[classify_clip(events, cfg.task, states[-1]).value] += 1
-    return wins / cfg.n_wm, hist
+    return measure_env_success(policy, wm, cfg.task, cfg.n_wm, rng, cfg.max_steps,
+                               cfg.replan, cfg.init_jitter)
 
 
 def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
                             cfg: EvalStudyConfig, rng: Rng) -> tuple[float, dict[str, int]]:
-    """All rollouts advance in lockstep so the denoiser runs on full batches."""
+    """All rollouts advance in lockstep so the denoiser runs on full batches.
+
+    The world model is conditioned on the policy's raw action rows. A rollout
+    that succeeds keeps its success state and records no further events,
+    though the batch still steps it.
+    """
     B = cfg.n_wm
-    H, C = wm.cfg.history, wm.cfg.chunk
+    C = wm.cfg.chunk
     if cfg.replan != C:
         raise ValueError(f"imagined rollouts re-plan once per model chunk: replan is "
                          f"{cfg.replan}, the model chunk is {C}")
-    width = wm.state_width
-    template = wm.scene.nominal_state()
-    init_rng = rng
-    cur_states: list[EnvState] = []
-    for _ in range(B):
-        cur_states.append(jittered_state(wm.scene, init_rng, cfg.init_jitter))
-    enc = np.stack([statecodec.encode_state(s) for s in cur_states])
-    hist_states = np.repeat(enc[:, None, :], H, axis=1)
-    hist_actions = np.zeros((B, H - 1, 4))
+    cur_states = [jittered_state(wm.scene, rng, cfg.init_jitter) for _ in range(B)]
+    backend = RolloutBackend(wm, rng)
+    backend.reset(cur_states)
     succeeded = np.zeros(B, dtype=bool)
     all_events: list[list] = [[] for _ in range(B)]
     t = 0
     while t < cfg.max_steps:
-        from .worldmodel import predict_chunk
-
         conds = np.stack([statecodec.encode_state(s) for s in cur_states])
         w0 = rng.normal((B, policy.latent_dim))
-        chunks = _act_batch(policy, conds, w0)
+        chunks = ddim_sample(policy.denoiser, policy.schedule, conds, policy.cfg.ddim_steps, w0)
         acts_enc = chunks[:, :C * 4].reshape(B, C, 4)
-        window_actions = np.concatenate([hist_actions, acts_enc], axis=1)
-        pred = predict_chunk(wm, hist_states, window_actions, rng)
+        pred = backend.step_chunk(acts_enc)
         for b in range(B):
             if succeeded[b]:
                 continue
             prev = cur_states[b]
-            for i in range(C):
-                s = statecodec.decode_state(pred[b, i], template)
+            for i, s in enumerate(pred[b]):
                 a = statecodec.decode_action(acts_enc[b, i])
                 all_events[b].append(infer_transition_event(prev, a, s))
                 prev = s
                 if check_success(s, cfg.task, wm.scene.physics):
                     succeeded[b] = True
-                    cur_states[b] = s
                     break
-            if not succeeded[b]:
-                cur_states[b] = prev
-        clean = np.stack([
-            np.stack([statecodec.encode_state(statecodec.decode_state(pred[b, i], template))
-                      for i in range(C)]) for b in range(B)])
-        hist_states = np.concatenate([hist_states, clean], axis=1)[:, -H:, :]
-        hist_actions = np.concatenate([hist_actions, acts_enc], axis=1)[:, -(H - 1):, :]
+            cur_states[b] = prev
         t += C
     hist = {m.value: 0 for m in MODES}
     for b in range(B):
         hist[classify_clip(all_events[b], cfg.task, cur_states[b]).value] += 1
     return float(succeeded.mean()), hist
-
-
-def _act_batch(policy: DiffusionPolicy, conds: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    from .diffusion import ddim_sample
-
-    return ddim_sample(policy.denoiser, policy.schedule, conds,
-                       policy.cfg.ddim_steps, w0)
 
 
 def run_policy_eval(entries: list[SuiteEntry], wm: WorldModel | SceneConfig,

@@ -1,12 +1,12 @@
 """Latent-noise RL fine-tuning of a frozen diffusion policy.
 
 The RL action is the diffusion policy's initial latent w; the frozen
-sampler plus the (learned or real) dynamics form the environment. A
-tanh-squashed Gaussian actor proposes w per re-plan decision, twin critics
-with layer norm and Polyak targets score (state, w), and the temperature
-auto-tunes toward a fixed entropy target. Decisions happen every `replan`
-imagined control steps; the reward is the progress change over the
-executed sub-chunk, which telescopes the per-step dense reward.
+sampler plus the learned world model form the environment, and the real
+simulator only evaluates. A tanh-squashed Gaussian actor proposes w per
+re-plan decision, twin critics with layer norm and Polyak targets score
+(state, w), and the temperature auto-tunes toward a fixed entropy target.
+Decisions happen once per world-model chunk; the reward is the progress
+change over the executed chunk, which telescopes the per-step dense reward.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from . import nets, statecodec
 from .checkpoint import save_checkpoint, load_checkpoint
-from .env import Env
 from .optim import Adam
-from .policies import DiffusionPolicy, act, run_policy_env
+from .policies import DiffusionPolicy, act, measure_env_success
 from .progress import ProgressModel
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
+from .worldmodel import RolloutBackend
 from .tasks import TaskSpec, check_success
 
 LOG2PI = math.log(2.0 * math.pi)
@@ -270,12 +270,13 @@ def actor_loss(st: DsrlState, s: np.ndarray, xi: np.ndarray, alpha: float,
     return loss, logp
 
 
-def imagined_step(backend, policy: DiffusionPolicy, st: DsrlState,
-                  progress_model: ProgressModel, rng: Rng,
-                  explore: bool = False) -> tuple[np.ndarray, list, list[EnvState], float]:
-    """One decision in the (imagined) environment: draw w, denoise, execute."""
+def imagined_step(backend: RolloutBackend, state: EnvState, policy: DiffusionPolicy,
+                  st: DsrlState, progress_model: ProgressModel, rng: Rng,
+                  explore: bool = False) -> tuple[np.ndarray, EnvState, float]:
+    """One decision in the world model from `state`: draw w, denoise, execute
+    the first `replan` actions as one model chunk. Returns w, the state the
+    chunk ends in and the progress gained."""
     cfg = st.cfg
-    state = backend.state
     s_vec = statecodec.encode_state(state)
     if explore:
         w = np.clip(rng.normal(st.actor.latent_dim), -cfg.action_magnitude,
@@ -283,11 +284,9 @@ def imagined_step(backend, policy: DiffusionPolicy, st: DsrlState,
     else:
         w, _ = st.actor.sample(s_vec[None, :], rng)
         w = w[0]
-    chunk = act(policy, state, w0=w)
-    sub = chunk[:cfg.replan]
-    states, _events = backend.step_chunk(sub)
-    reward = progress_model(states[-1]) - progress_model(state)
-    return w, chunk, states, reward
+    sub = act(policy, state, w0=w)[:cfg.replan]
+    end = backend.step_chunk(np.stack([statecodec.encode_action(a) for a in sub])[None])[0][-1]
+    return w, end, progress_model(end) - progress_model(state)
 
 
 @dataclass
@@ -300,39 +299,29 @@ class EvalPoint:
 def evaluate_steered(st: DsrlState | None, policy: DiffusionPolicy, scene: SceneConfig,
                      task: TaskSpec, rng: Rng, n_rollouts: int = 20,
                      max_steps: int = 30, replan: int | None = None) -> float:
-    """Real-simulator success of the (optionally steered) policy."""
-    wins = 0
-    for _ in range(n_rollouts):
-        env = Env(scene, seed=rng.spawn_seed())
-        env.reset(jittered_state(scene, rng, 0.03))
-        t = 0
-        success = check_success(env.state, task, env.phys)
-        cadence = replan if replan is not None else (st.cfg.replan if st else policy.cfg.replan)
-        while t < max_steps and not success:
-            if st is None:
-                chunk = act(policy, env.state, rng=rng)
-            else:
-                w = st.actor.mean_latent(statecodec.encode_state(env.state))
-                chunk = act(policy, env.state, w0=w)
-            for a in chunk[:cadence]:
-                if t >= max_steps or success:
-                    break
-                state, _ = env.step(a)
-                success = check_success(state, task, env.phys)
-                t += 1
-        wins += success
-    return wins / n_rollouts
+    """Real-simulator success of the policy, steered by the actor's mean
+    latent when st is given, else denoising from latents drawn from rng."""
+    cadence = replan if replan is not None else (st.cfg.replan if st else policy.cfg.replan)
+    latent = None if st is None else (
+        lambda state: st.actor.mean_latent(statecodec.encode_state(state)))
+    return measure_env_success(policy, scene, task, n_rollouts, rng, max_steps, cadence,
+                               latent=latent)[0]
 
 
-def finetune(backend, policy: DiffusionPolicy, progress_model: ProgressModel,
+def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: ProgressModel,
              scene: SceneConfig, task: TaskSpec, cfg: DsrlConfig, rng: Rng,
              total_updates: int = 4000, inits: list[EnvState] | None = None,
              eval_seed: int = 424242) -> tuple[DsrlState, list[EvalPoint], dict[str, np.ndarray]]:
-    """Rollout/update loop inside the given backend, with periodic env evals.
+    """Rollout/update loop inside the world model of `backend`, one imagined
+    rollout at a time, with periodic env evals. cfg.replan must be the
+    model chunk.
 
     Returns the DSRL state, the evaluation trace, and the best actor
     parameters by real-env success (the conservative stopping rule).
     """
+    if cfg.replan != backend.wm.cfg.chunk:
+        raise ValueError(f"DSRL decides once per model chunk: replan is {cfg.replan}, "
+                         f"the model chunk is {backend.wm.cfg.chunk}")
     state_dim = statecodec.state_dim(len(scene.objects))
     st = make_dsrl(state_dim, policy.cfg.horizon * 4, cfg, rng)
     if inits is None:
@@ -352,20 +341,21 @@ def finetune(backend, policy: DiffusionPolicy, progress_model: ProgressModel,
     while st.updates_done < total_updates:
         init = inits[episode_idx % len(inits)]
         episode_idx += 1
-        backend.reset(init)
+        backend.reset([init])
+        state = init
         ep_return = 0.0
         t = 0
         done = False
         while t < cfg.max_episode_steps and not done:
             explore = control_steps < cfg.initial_rollout_steps
-            s_vec = statecodec.encode_state(backend.state)
-            w, _chunk, states, reward = imagined_step(backend, policy, st,
-                                                      progress_model, rng, explore)
+            s_vec = statecodec.encode_state(state)
+            w, state, reward = imagined_step(backend, state, policy, st, progress_model,
+                                             rng, explore)
             t += cfg.replan
             control_steps += cfg.replan
-            done = check_success(states[-1], task, scene.physics) or t >= cfg.max_episode_steps
-            terminal = check_success(states[-1], task, scene.physics)
-            st.buffer.push(s_vec, w, reward, statecodec.encode_state(states[-1]), terminal)
+            terminal = check_success(state, task, scene.physics)
+            done = terminal or t >= cfg.max_episode_steps
+            st.buffer.push(s_vec, w, reward, statecodec.encode_state(state), terminal)
             ep_return += reward
             if control_steps % cfg.train_freq < cfg.replan and st.buffer.size >= cfg.batch \
                     and control_steps >= cfg.initial_rollout_steps:

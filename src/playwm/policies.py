@@ -11,6 +11,7 @@ actions before re-planning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .playsys import SafetyLimits, execute
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .skills import Instruction, Perturbation, SkillController
-from .store import Episode, EpisodeStore
+from .store import EpisodeStore
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 
 
@@ -140,28 +141,29 @@ def act(policy: DiffusionPolicy, state: EnvState, w0: np.ndarray | None = None,
 
 
 def run_policy_env(policy: DiffusionPolicy, env: Env, task: TaskSpec, rng: Rng,
-                   max_steps: int = 30, replan: int | None = None) -> Episode:
-    """Closed-loop policy rollout in the real environment."""
+                   max_steps: int = 30, replan: int | None = None,
+                   latent: Callable[[EnvState], np.ndarray] | None = None) -> tuple[bool, list]:
+    """The closed loop of a policy in the simulator, from env's current state.
+
+    Each decision denoises a chunk from latent(state), or from a latent drawn
+    from rng without it, and executes its first `replan` actions; the loop
+    stops at the task's success or after max_steps steps. Returns the
+    outcome and the step events; the final state is env.state.
+    """
     replan = replan if replan is not None else policy.cfg.replan
-    states = [env.state.copy()]
-    actions, events, noise = [], [], []
+    events = []
     success = check_success(env.state, task, env.phys)
     t = 0
     while t < max_steps and not success:
-        chunk = act(policy, env.state, rng=rng)
-        for a in chunk[:replan]:
+        w0 = latent(env.state) if latent is not None else None
+        for a in act(policy, env.state, w0=w0, rng=rng)[:replan]:
             if t >= max_steps or success:
                 break
             state, event = env.step(a)
-            states.append(state.copy())
-            actions.append(a.sanitized(env.phys))
             events.append(event)
-            noise.append(env.noise_log[-1])
             success = check_success(state, task, env.phys)
             t += 1
-    return Episode(eid="", source="policy_rollout", instruction=Instruction(task),
-                   outcome=bool(success), seed=0, states=states, actions=actions,
-                   events=events, noise=noise)
+    return success, events
 
 
 # -- the degraded-policy suite -------------------------------------------------
@@ -228,19 +230,20 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
 
 def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,
                         n_rollouts: int, rng: Rng, max_steps: int = 30,
-                        replan: int | None = None) -> tuple[float, dict[str, int], list[Episode]]:
+                        replan: int | None = None, jitter: float = 0.03,
+                        latent: Callable[[EnvState], np.ndarray] | None = None
+                        ) -> tuple[float, dict[str, int]]:
+    """Success rate and mode histogram of n_rollouts simulator rollouts, each
+    from a jittered nominal scene in an env of its own noise seed."""
     wins = 0
     hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
-    rollouts = []
     for _ in range(n_rollouts):
         env = Env(scene, seed=rng.spawn_seed())
-        env.reset(jittered_state(scene, rng, 0.03))
-        ep = run_policy_env(policy, env, task, rng, max_steps=max_steps, replan=replan)
-        wins += ep.outcome
-        mode = classify_clip(ep.events, task, ep.states[-1])
-        hist[mode.value] += 1
-        rollouts.append(ep)
-    return wins / n_rollouts, hist, rollouts
+        env.reset(jittered_state(scene, rng, jitter))
+        success, events = run_policy_env(policy, env, task, rng, max_steps, replan, latent)
+        wins += success
+        hist[classify_clip(events, task, env.state).value] += 1
+    return wins / n_rollouts, hist
 
 
 def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
@@ -258,7 +261,7 @@ def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
             collect_task_demos(scene, spec.task, variant.demo_count, variant.noise,
                                Rng(rng.spawn_seed()), demo_store)
             train_bc(policy, demo_store, variant.train_steps, Rng(rng.spawn_seed()))
-        rate, hist, _ = measure_env_success(policy, scene, spec.task, spec.n_real,
+        rate, hist = measure_env_success(policy, scene, spec.task, spec.n_real,
                                             Rng(rng.spawn_seed()), spec.max_steps)
         entries.append(SuiteEntry(variant=variant, policy=policy,
                                   env_success=rate, mode_hist=hist))

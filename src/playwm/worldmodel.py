@@ -17,15 +17,11 @@ from . import nets, statecodec
 from .checkpoint import load_checkpoint, save_checkpoint
 from .curation import AnnealSchedule, CurriculumIndex, sample_batch
 from .diffusion import DenoiserNet, NoiseSchedule, ddpm_sample, diffusion_loss
-from .dynamics import Action
 from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig
-from .store import ClipWindow, Episode, EpisodeStore, windows
-from .tasks import infer_transition_event
-from .skills import Instruction, Perturbation
-from .tasks import TaskSpec
+from .store import ClipWindow, EpisodeStore, windows
 
 
 @dataclass(frozen=True)
@@ -237,135 +233,42 @@ def predicted_frames(wm: WorldModel, chunk: np.ndarray) -> list[np.ndarray]:
     return [render(statecodec.decode_state(vec, template)) for vec in chunk]
 
 
-def sanitize_chunk(wm: WorldModel, chunk: np.ndarray) -> tuple[list[EnvState], np.ndarray]:
-    """Project raw predicted vectors onto valid states; return both forms."""
-    template = wm.scene.nominal_state()
-    states = [statecodec.decode_state(vec, template) for vec in chunk]
-    clean = np.stack([statecodec.encode_state(s) for s in states])
-    return states, clean
-
-
 class RolloutBackend:
-    """Chunked imagination loop usable by the benchmark and the RL stack."""
+    """B imagined rollouts that the world model advances one chunk per call.
+
+    It holds each rollout's history window: the last H encoded states and
+    the H-1 encoded actions between them.
+    """
 
     def __init__(self, wm: WorldModel, rng: Rng):
         self.wm = wm
         self.rng = rng
-        self.preferred_chunk = wm.cfg.chunk
-        self.hist_states: list[np.ndarray] = []
-        self.hist_actions: list[np.ndarray] = []
-        self.state: EnvState | None = None
+        self.template = wm.scene.nominal_state()
+        self.hist_states = np.zeros((0, wm.cfg.history, wm.state_width))
+        self.hist_actions = np.zeros((0, wm.cfg.history - 1, 4))
 
-    def reset(self, state: EnvState) -> EnvState:
-        enc = statecodec.encode_state(state)
+    def reset(self, states: list[EnvState]) -> None:
+        """Start one rollout per state, its history that state held still."""
         H = self.wm.cfg.history
-        self.hist_states = [enc.copy() for _ in range(H)]
-        self.hist_actions = [np.zeros(4) for _ in range(H - 1)]
-        self.state = state.copy()
-        return self.state
+        enc = np.stack([statecodec.encode_state(s) for s in states])
+        self.hist_states = np.repeat(enc[:, None, :], H, axis=1)
+        self.hist_actions = np.zeros((len(states), H - 1, 4))
 
-    def step_chunk(self, actions: list[Action]) -> tuple[list[EnvState], list]:
-        """Advance exactly len(actions) steps (at most C per model call)."""
-        out_states: list[EnvState] = []
-        out_events = []
-        queue = list(actions)
-        C = self.wm.cfg.chunk
-        while queue:
-            take = queue[:C]
-            queue = queue[C:]
-            enc_all = [statecodec.encode_action(a) for a in take]
-            while len(enc_all) < C:
-                enc_all.append(np.zeros(4))  # pad a truncated final chunk
-            cond_actions = np.stack(self.hist_actions + enc_all)
-            hist = np.stack(self.hist_states)
-            chunk = predict_chunk(self.wm, hist, cond_actions, self.rng)[0]
-            states, clean = sanitize_chunk(self.wm, chunk)
-            prev = self.state
-            for i in range(len(take)):
-                ev = infer_transition_event(prev, take[i], states[i])
-                out_events.append(ev)
-                out_states.append(states[i])
-                prev = states[i]
-                self.hist_states.append(clean[i])
-                self.hist_actions.append(statecodec.encode_action(take[i]))
-            H = self.wm.cfg.history
-            self.hist_states = self.hist_states[-H:]
-            self.hist_actions = self.hist_actions[-(H - 1):]
-            self.state = states[min(len(take), len(states)) - 1].copy()
-        return out_states, out_events
-
-
-class OracleBackend:
-    """The simulator itself behind the rollout interface (harness bound)."""
-
-    def __init__(self, scene: SceneConfig, seed: int = 0, noise: list[float] | None = None):
-        from .env import Env
-
-        self.env = Env(scene, seed=seed)
-        self.noise = list(noise) if noise else None
-        self.preferred_chunk = 8
-        self._cursor = 0
-        self.state: EnvState | None = None
-
-    def reset(self, state: EnvState) -> EnvState:
-        self.env.reset(state)
-        self.state = self.env.state
-        self._cursor = 0
-        return self.state
-
-    def step_chunk(self, actions: list[Action]) -> tuple[list[EnvState], list]:
-        states, events = [], []
-        for a in actions:
-            u = None
-            if self.noise is not None and self._cursor < len(self.noise):
-                u = self.noise[self._cursor]
-                self._cursor += 1
-            s, ev = self.env.step(a, u=u)
-            states.append(s.copy())
-            events.append(ev)
-        self.state = self.env.state
-        return states, events
-
-
-def rollout(wm_or_backend, initial_state: EnvState, action_source, horizon: int,
-            rng: Rng | None = None, eid: str = "rollout", task: TaskSpec | None = None) -> Episode:
-    """Imagined episode: open-loop (list of actions) or closed-loop (callable).
-
-    A callable source receives (state, t) each control step and returns the
-    next action or sub-chunk of actions; predicted states feed back into the
-    history window. Fixed sequences are consumed a model chunk at a time.
-    """
-    backend = wm_or_backend
-    if isinstance(wm_or_backend, WorldModel):
-        backend = RolloutBackend(wm_or_backend, rng or Rng(0))
-    group = getattr(backend, "preferred_chunk", 8)
-    state = backend.reset(initial_state)
-    states = [state.copy()]
-    all_actions: list[Action] = []
-    all_events = []
-    t = 0
-    while t < horizon:
-        if callable(action_source):
-            acts = action_source(backend.state, t)
-            if not isinstance(acts, list):
-                acts = [acts]
-        else:
-            acts = list(action_source[t:t + group])
-        acts = acts[:horizon - t]
-        if not acts:
-            break
-        new_states, events = backend.step_chunk(acts)
-        for s, e, a in zip(new_states, events, acts):
-            states.append(s.copy())
-            all_events.append(e)
-            all_actions.append(a)
-        t += len(acts)
-    if task is None:
-        task = TaskSpec("push_to", states[0].objects[0].oid, region=(0.5, 0.5))
-    instr = Instruction(task, Perturbation())
-    return Episode(eid=eid, source="policy_rollout", instruction=instr, outcome=False,
-                   seed=0, states=states, actions=all_actions, events=all_events,
-                   noise=[0.0] * len(all_actions))
+    def step_chunk(self, actions: np.ndarray) -> list[list[EnvState]]:
+        """Drive every rollout by its C encoded actions, (B, C, 4); return
+        each rollout's C predicted states. The raw predicted vectors are
+        decoded onto valid states, and those re-encoded enter the history."""
+        H, C = self.wm.cfg.history, self.wm.cfg.chunk
+        if actions.shape != (len(self.hist_states), C, 4):
+            raise ValueError(f"step_chunk takes (B, C, 4) = ({len(self.hist_states)}, {C}, 4) "
+                             f"encoded actions, got {actions.shape}")
+        window = np.concatenate([self.hist_actions, actions], axis=1)
+        pred = predict_chunk(self.wm, self.hist_states, window, self.rng)
+        states = [[statecodec.decode_state(vec, self.template) for vec in row] for row in pred]
+        clean = np.array([[statecodec.encode_state(s) for s in row] for row in states])
+        self.hist_states = np.concatenate([self.hist_states, clean], axis=1)[:, -H:]
+        self.hist_actions = window[:, C:]
+        return states
 
 
 # -- persistence ----------------------------------------------------------

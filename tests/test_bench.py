@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import TASK
-from playwm import bench
+from playwm import bench, statecodec
 from playwm.bench import EvalStudyConfig, measure_imagined
 from playwm.policies import PolicyConfig, create_policy
 from playwm.rng import Rng
@@ -60,3 +60,14 @@ def test_step_counters_see_every_step(trained, monkeypatch):
         assert flags == [False] * cfg.max_steps or (n <= cfg.max_steps and
                                                     flags == [False] * (n - 1) + [True])
     assert sum(map(sum, real.values())) == wins
+
+
+def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
+    scene, policy, wm = trained
+    cfg = EvalStudyConfig(task=TASK, n_wm=10, max_steps=30)
+    decode, calls = statecodec.decode_state, []
+    monkeypatch.setattr(statecodec, "decode_state",
+                        lambda *args: calls.append(1) or decode(*args))
+    bench.measure_imagined(policy, wm, cfg, Rng(71))
+    C = wm.cfg.chunk
+    assert len(calls) == cfg.n_wm * -(-cfg.max_steps // C) * C
