@@ -346,7 +346,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
         ep_return = 0.0
         t = 0
         done = False
-        while t < cfg.max_episode_steps and not done:
+        while t < cfg.max_episode_steps and not done and st.updates_done < total_updates:
             explore = control_steps < cfg.initial_rollout_steps
             s_vec = statecodec.encode_state(state)
             w, state, reward = imagined_step(backend, state, policy, st, progress_model,

@@ -28,7 +28,7 @@ GOLDEN = {
     "bc": "8824499a70553bc7410d1bdd8948fe2b797457f26f0c1d832478b8dc972a3a75",
     "progress": "7b1a72a56fe29fe276842a524846030453893d242067c748aae2bc65f0f8c834",
     "dsrl_update": "826aaa09a10f21fcd98b66839c819da3a89c581312d61b92fbfb48ac41dbeb23",
-    "dsrl_finetune": "26f5178d491e154a0d3e6807b1aed671c2f389823480a3144589882a9c905b8a",
+    "dsrl_finetune": "ac7a129d66a3765a089227066cfc376bb542d3122706a41a7272a7fe67d7cd27",
 }
 
 
