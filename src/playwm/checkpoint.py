@@ -39,9 +39,11 @@ def save_checkpoint(path: str, kind: str, header: dict, params: dict[str, np.nda
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
+def load_checkpoint(path: str, kind: str | None = None,
+                    fields: tuple[str, ...] = ()) -> tuple[str, dict, dict[str, np.ndarray]]:
     """(kind, header, params); a file that does not hold exactly what its
-    header lists raises CheckpointError naming the path."""
+    header lists raises CheckpointError naming the path, and so does one
+    not of `kind` (when given) or whose header lacks one of `fields`."""
     if not os.path.exists(path):
         raise CheckpointError(f"missing checkpoint: {path}")
     with open(path, "rb") as fh:
@@ -55,10 +57,15 @@ def load_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
     off = 12 + head_len
     try:
         head = json.loads(blob[12:off].decode())
-        kind, header = head["kind"], head["header"]
+        found, header = head["kind"], head["header"]
         specs = [(spec["name"], tuple(int(d) for d in spec["shape"])) for spec in head["params"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if kind is not None and found != kind:
+        raise CheckpointError(f"{path}: checkpoint kind {found!r} is not {kind!r}")
+    missing = [name for name in fields if name not in header]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     size = off + 8 * sum(math.prod(shape) for _, shape in specs)
     if len(blob) != size:
         raise CheckpointError(f"{path}: checkpoint holds {len(blob)} bytes, "
@@ -68,4 +75,4 @@ def load_checkpoint(path: str) -> tuple[str, dict, dict[str, np.ndarray]]:
         arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=off).reshape(shape)
         params[name] = arr.copy()
         off += arr.nbytes
-    return kind, header, params
+    return found, header, params

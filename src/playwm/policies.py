@@ -284,9 +284,7 @@ def save_policy(policy: DiffusionPolicy, path: str) -> None:
 def load_policy(path: str) -> DiffusionPolicy:
     from .scene import scene_from_dict
 
-    kind, header, params = load_checkpoint(path)
-    if kind != "policy":
-        raise ValueError(f"checkpoint kind {kind!r} is not a policy")
+    _, header, params = load_checkpoint(path, "policy", ("config", "scene", "train_steps_done"))
     policy = create_policy(scene_from_dict(header["scene"]),
                            PolicyConfig(**header["config"]), Rng(0))
     nets.load_params(policy.denoiser.net, params, path)

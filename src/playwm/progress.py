@@ -114,9 +114,7 @@ def save_progress(model: ProgressModel, path: str) -> None:
 def load_progress(path: str) -> ProgressModel:
     from .scene import scene_from_dict
 
-    kind, header, params = load_checkpoint(path)
-    if kind != "progress":
-        raise ValueError(f"checkpoint kind {kind!r} is not a progress model")
+    _, header, params = load_checkpoint(path, "progress", ("widths", "scene"))
     net = nets.Mlp(widths=header["widths"], activation="silu")
     nets.load_params(net, params, path)
     return ProgressModel(net=net, scene=scene_from_dict(header["scene"]))

@@ -288,9 +288,7 @@ def save_worldmodel(wm: WorldModel, path: str) -> None:
 def load_worldmodel(path: str) -> WorldModel:
     from .scene import scene_from_dict
 
-    kind, header, params = load_checkpoint(path)
-    if kind != "worldmodel":
-        raise ValueError(f"checkpoint kind {kind!r} is not a world model")
+    _, header, params = load_checkpoint(path, "worldmodel", ("config", "scene", "step_count"))
     cfg = WmConfig(**header["config"])
     scene = scene_from_dict(header["scene"])
     wm = create_worldmodel(scene, cfg, Rng(0))

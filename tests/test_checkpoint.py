@@ -135,3 +135,28 @@ def test_model_with_wrong_parameter_shape(tmp_path, kind):
     save_checkpoint(path, saved_kind, header, params)
     with raises_naming(path, r"parameters do not fit widths .*w0"):
         loaded_hash(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_of_another_kind(tmp_path, kind):
+    path, loaded_hash, _ = _saved_model(tmp_path, kind)
+    _, header, params = load_checkpoint(path)
+    save_checkpoint(path, "mlp", header, params)
+    with raises_naming(path, f"checkpoint kind 'mlp' is not '{kind}'"):
+        loaded_hash(path)
+
+
+REQUIRED = {"worldmodel": ("config", "scene", "step_count"),
+            "policy": ("config", "scene", "train_steps_done"),
+            "progress": ("widths", "scene"),
+            "noise_actor": ("widths",)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_header_missing_fields(tmp_path, kind):
+    path, loaded_hash, _ = _saved_model(tmp_path, kind)
+    saved_kind, header, params = load_checkpoint(path)
+    for name in REQUIRED[kind]:
+        save_checkpoint(path, saved_kind, {k: v for k, v in header.items() if k != name}, params)
+        with raises_naming(path, f"checkpoint header lacks {name}"):
+            loaded_hash(path)
