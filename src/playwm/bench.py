@@ -20,7 +20,7 @@ from .diffusion import ddim_sample, ddpm_sample
 from .dynamics import Action
 from .env import Env
 from .metrics import lpips_proxy, mse, psnr, ssim
-from .policies import DiffusionPolicy, SuiteEntry, act, measure_env_success
+from .policies import INIT_JITTER, DiffusionPolicy, SuiteEntry, measure_env_success
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
@@ -158,7 +158,6 @@ class EvalStudyConfig:
     n_wm: int = 50
     max_steps: int = 30
     replan: int = 5      # aligned with the model chunk inside rollouts
-    init_jitter: float = 0.03
 
 
 @dataclass
@@ -195,7 +194,7 @@ def measure_real(policy: DiffusionPolicy, scene: SceneConfig, cfg: EvalStudyConf
                  rng: Rng) -> tuple[float, dict[str, int]]:
     """Success rate and mode histogram of n_real rollouts in the simulator."""
     return measure_env_success(policy, scene, cfg.task, cfg.n_real, rng, cfg.max_steps,
-                               cfg.replan, cfg.init_jitter)
+                               cfg.replan)
 
 
 def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
@@ -205,7 +204,7 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
     if isinstance(wm, WorldModel):
         return _measure_imagined_batch(policy, wm, cfg, rng)
     return measure_env_success(policy, wm, cfg.task, cfg.n_wm, rng, cfg.max_steps,
-                               cfg.replan, cfg.init_jitter)
+                               cfg.replan)
 
 
 def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
@@ -221,7 +220,7 @@ def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
     if cfg.replan != C:
         raise ValueError(f"imagined rollouts re-plan once per model chunk: replan is "
                          f"{cfg.replan}, the model chunk is {C}")
-    cur_states = [jittered_state(wm.scene, rng, cfg.init_jitter) for _ in range(B)]
+    cur_states = [jittered_state(wm.scene, rng, INIT_JITTER) for _ in range(B)]
     backend = RolloutBackend(wm, rng)
     backend.reset(cur_states)
     succeeded = np.zeros(B, dtype=bool)

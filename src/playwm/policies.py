@@ -228,9 +228,13 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
         store.append(ep)
 
 
+# Pose jitter of the start states that policy evaluation draws.
+INIT_JITTER = 0.03
+
+
 def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,
                         n_rollouts: int, rng: Rng, max_steps: int = 30,
-                        replan: int | None = None, jitter: float = 0.03,
+                        replan: int | None = None,
                         latent: Callable[[EnvState], np.ndarray] | None = None
                         ) -> tuple[float, dict[str, int]]:
     """Success rate and mode histogram of n_rollouts simulator rollouts, each
@@ -239,7 +243,7 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
     hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
     for _ in range(n_rollouts):
         env = Env(scene, seed=rng.spawn_seed())
-        env.reset(jittered_state(scene, rng, jitter))
+        env.reset(jittered_state(scene, rng, INIT_JITTER))
         success, events = run_policy_env(policy, env, task, rng, max_steps, replan, latent)
         wins += success
         hist[classify_clip(events, task, env.state).value] += 1

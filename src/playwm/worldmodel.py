@@ -207,19 +207,15 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
 # -- inference ----------------------------------------------------------------
 
 def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
-                  rng: Rng, batch: int = 1) -> np.ndarray:
+                  rng: Rng) -> np.ndarray:
     """Sample C future encoded states given encoded history and window actions.
 
-    hist_states: (H, width) or (B, H, width); actions: (H-1+C, 4) likewise.
-    Returns (B, C, width).
+    hist_states: (B, H, width); actions: (B, H-1+C, 4). Returns (B, C, width).
     """
-    H, C = wm.cfg.history, wm.cfg.chunk
+    C = wm.cfg.chunk
     width = wm.state_width
     hs = np.asarray(hist_states, dtype=np.float64)
     ac = np.asarray(actions, dtype=np.float64)
-    if hs.ndim == 2:
-        hs = hs[None]
-        ac = ac[None]
     B = hs.shape[0]
     cond = np.concatenate([hs.reshape(B, -1), ac.reshape(B, -1)], axis=1)
     x = ddpm_sample(wm.denoiser, wm.schedule, cond, rng, clip_x0=wm.cfg.clip_x0)

@@ -3,9 +3,7 @@ import pytest
 from playwm import dsrl, nets, policies, progress, statecodec, worldmodel
 from playwm.rng import Rng
 from playwm.scene import default_scene, jittered_state
-from playwm.tasks import TaskSpec
-
-TASK = TaskSpec("put_in", 1, 0)
+from conftest import TASK
 
 
 def _finetune(total_updates, **overrides):
