@@ -243,12 +243,22 @@ class RolloutBackend:
         self.hist_states = np.zeros((0, wm.cfg.history, wm.state_width))
         self.hist_actions = np.zeros((0, wm.cfg.history - 1, 4))
 
-    def reset(self, states: list[EnvState]) -> None:
-        """Start one rollout per state, its history that state held still."""
+    def reset(self, states: list[EnvState], rows: list[int] | None = None) -> None:
+        """Start one rollout per state, its history that state held still.
+
+        With rows, restart only those rollouts, rows[i] from states[i], and
+        leave every other rollout's history as it is."""
         H = self.wm.cfg.history
         enc = np.stack([statecodec.encode_state(s) for s in states])
-        self.hist_states = np.repeat(enc[:, None, :], H, axis=1)
-        self.hist_actions = np.zeros((len(states), H - 1, 4))
+        held = np.repeat(enc[:, None, :], H, axis=1)
+        if rows is None:
+            self.hist_states = held
+            self.hist_actions = np.zeros((len(states), H - 1, 4))
+            return
+        if len(rows) != len(states):
+            raise ValueError(f"reset got {len(states)} states for {len(rows)} rows")
+        self.hist_states[rows] = held
+        self.hist_actions[rows] = 0.0
 
     def step_chunk(self, actions: np.ndarray) -> list[list[EnvState]]:
         """Drive every rollout by its C encoded actions, (B, C, 4); return

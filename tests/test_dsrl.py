@@ -55,3 +55,28 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
     assert (backend.hist_actions[:, -C:] == actions).all()
     with pytest.raises(ValueError, match="encoded actions"):
         backend.step_chunk(actions[:, :C - 1])
+
+
+def test_rollout_backend_resets_only_the_chosen_rows():
+    scene = default_scene()
+    wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=16, depth=1), Rng(1))
+    backend = worldmodel.RolloutBackend(wm, Rng(2))
+    init_rng = Rng(3)
+    starts = [jittered_state(scene, init_rng, 0.03) for _ in range(4)]
+    backend.reset(starts)
+    H, C = wm.cfg.history, wm.cfg.chunk
+    backend.step_chunk(Rng(4).normal((4, C, 4)) * 0.1)
+    kept_states, kept_actions = backend.hist_states.copy(), backend.hist_actions.copy()
+    fresh = [jittered_state(scene, init_rng, 0.03) for _ in range(2)]
+    backend.reset(fresh, rows=[3, 1])
+    # the restarted rows hold their new state still, with zero actions
+    for b, state in ((3, fresh[0]), (1, fresh[1])):
+        assert (backend.hist_states[b] == statecodec.encode_state(state)).all()
+        assert (backend.hist_actions[b] == 0.0).all()
+    # the other rows keep their histories
+    for b in (0, 2):
+        assert (backend.hist_states[b] == kept_states[b]).all()
+        assert (backend.hist_actions[b] == kept_actions[b]).all()
+    assert backend.hist_states.shape == (4, H, wm.state_width)
+    with pytest.raises(ValueError, match="2 states for 1 rows"):
+        backend.reset(fresh, rows=[0])
