@@ -75,12 +75,15 @@ class DenoiserNet:
     x0_head: bool = False
 
     @staticmethod
-    def create(target_dim: int, cond_dim: int, rng: Rng, hidden: int = 256,
+    def create(target_dim: int, cond_dim: int, rng: Rng | None, hidden: int = 256,
                depth: int = 3, activation: str = "silu",
                x0_head: bool = False) -> "DenoiserNet":
+        """A randomly initialised net, or with rng None an all-zero one for a
+        loader to fill."""
         widths = [target_dim + cond_dim + TIME_EMBED_DIM] + [hidden] * depth + [target_dim]
-        return DenoiserNet(target_dim, cond_dim, nets.init_mlp(widths, rng, activation),
-                           x0_head=x0_head)
+        net = nets.Mlp(widths, activation) if rng is None else nets.init_mlp(widths, rng,
+                                                                              activation)
+        return DenoiserNet(target_dim, cond_dim, net, x0_head=x0_head)
 
     def inputs(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
         """The MLP input: noised target, conditioning and time embedding per row."""

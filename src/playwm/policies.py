@@ -60,7 +60,8 @@ class DiffusionPolicy:
         return self.denoiser.net.param_hash()
 
 
-def create_policy(scene: SceneConfig, cfg: PolicyConfig, rng: Rng) -> DiffusionPolicy:
+def create_policy(scene: SceneConfig, cfg: PolicyConfig, rng: Rng | None) -> DiffusionPolicy:
+    """A fresh policy; with rng None its parameters are zero, for load_policy."""
     cond_dim = statecodec.state_dim(len(scene.objects))
     denoiser = DenoiserNet.create(cfg.horizon * 4, cond_dim, rng, hidden=cfg.hidden,
                                   depth=cfg.depth, activation=cfg.activation,
@@ -290,7 +291,7 @@ def load_policy(path: str) -> DiffusionPolicy:
 
     _, header, params = load_checkpoint(path, "policy", ("config", "scene", "train_steps_done"))
     policy = create_policy(scene_from_dict(header["scene"]),
-                           PolicyConfig(**header["config"]), Rng(0))
+                           PolicyConfig(**header["config"]), None)
     nets.load_params(policy.denoiser.net, params, path)
     policy.train_steps_done = header["train_steps_done"]
     return policy

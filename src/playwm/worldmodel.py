@@ -101,7 +101,8 @@ def pose_delta_mask(n_objects: int) -> np.ndarray:
     return mask
 
 
-def create_worldmodel(scene: SceneConfig, cfg: WmConfig, rng: Rng) -> WorldModel:
+def create_worldmodel(scene: SceneConfig, cfg: WmConfig, rng: Rng | None) -> WorldModel:
+    """A fresh world model; with rng None its parameters are zero, for load_worldmodel."""
     width = statecodec.state_dim(len(scene.objects))
     target_dim = cfg.chunk * width
     cond_dim = cfg.history * width + (cfg.history - 1 + cfg.chunk) * 4
@@ -297,7 +298,7 @@ def load_worldmodel(path: str) -> WorldModel:
     _, header, params = load_checkpoint(path, "worldmodel", ("config", "scene", "step_count"))
     cfg = WmConfig(**header["config"])
     scene = scene_from_dict(header["scene"])
-    wm = create_worldmodel(scene, cfg, Rng(0))
+    wm = create_worldmodel(scene, cfg, None)
     nets.load_params(wm.denoiser.net, params, path)
     wm.step_count = header["step_count"]
     wm.loss_trace = [tuple(x) for x in header.get("loss_trace", [])]

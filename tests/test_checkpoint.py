@@ -160,3 +160,18 @@ def test_model_header_missing_fields(tmp_path, kind):
         save_checkpoint(path, saved_kind, {k: v for k, v in header.items() if k != name}, params)
         with raises_naming(path, f"checkpoint header lacks {name}"):
             loaded_hash(path)
+
+
+@pytest.mark.parametrize("kind", ["worldmodel", "policy"])
+def test_denoiser_load_draws_no_random_init(tmp_path, monkeypatch, kind):
+    """The loaders overwrite every parameter, so they build the net without
+    drawing a random initialisation to throw away."""
+    from playwm import nets
+
+    path, loaded_hash, want = _saved_model(tmp_path, kind)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("a loader called nets.init_mlp")
+
+    monkeypatch.setattr(nets, "init_mlp", no_init)
+    assert loaded_hash(path) == want
