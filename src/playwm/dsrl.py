@@ -7,6 +7,9 @@ re-plan decision, twin critics with layer norm and Polyak targets score
 (state, w), and the temperature auto-tunes toward a fixed entropy target.
 Decisions happen once per world-model chunk; the reward is the progress
 change over the executed chunk, which telescopes the per-step dense reward.
+Fine-tuning runs one imagined rollout per start state, all in lockstep, so
+the policy sampler and the world model each run once per decision for the
+whole batch of rollouts.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from . import nets, statecodec
 from .checkpoint import save_checkpoint, load_checkpoint
+from .diffusion import ddim_sample
 from .optim import Adam
-from .policies import DiffusionPolicy, act, measure_env_success
+from .policies import INIT_JITTER, DiffusionPolicy, measure_env_success
 from .progress import ProgressModel
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
@@ -270,25 +274,6 @@ def actor_loss(st: DsrlState, s: np.ndarray, xi: np.ndarray, alpha: float,
     return loss, logp
 
 
-def imagined_step(backend: RolloutBackend, state: EnvState, policy: DiffusionPolicy,
-                  st: DsrlState, progress_model: ProgressModel, rng: Rng,
-                  explore: bool = False) -> tuple[np.ndarray, EnvState, float]:
-    """One decision in the world model from `state`: draw w, denoise, execute
-    the first `replan` actions as one model chunk. Returns w, the state the
-    chunk ends in and the progress gained."""
-    cfg = st.cfg
-    s_vec = statecodec.encode_state(state)
-    if explore:
-        w = np.clip(rng.normal(st.actor.latent_dim), -cfg.action_magnitude,
-                    cfg.action_magnitude)
-    else:
-        w, _ = st.actor.sample(s_vec[None, :], rng)
-        w = w[0]
-    sub = act(policy, state, w0=w)[:cfg.replan]
-    end = backend.step_chunk(np.stack([statecodec.encode_action(a) for a in sub])[None])[0][-1]
-    return w, end, progress_model(end) - progress_model(state)
-
-
 @dataclass
 class EvalPoint:
     updates: int
@@ -312,9 +297,16 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
              scene: SceneConfig, task: TaskSpec, cfg: DsrlConfig, rng: Rng,
              total_updates: int = 4000, inits: list[EnvState] | None = None,
              eval_seed: int = 424242) -> tuple[DsrlState, list[EvalPoint], dict[str, np.ndarray]]:
-    """Rollout/update loop inside the world model of `backend`, one imagined
-    rollout at a time, with periodic env evals. cfg.replan must be the
-    model chunk.
+    """Rollout/update loop inside the world model of `backend`, with periodic
+    env evals. cfg.replan must be the model chunk.
+
+    One imagined rollout runs per start state in `inits` (N of them), all in
+    lockstep. Each step draws the N latents at once, denoises the N policy
+    chunks in one DDIM call and advances every rollout by one model chunk,
+    driven by the clipped actions the simulator would execute. The N
+    transitions then enter the buffer in row order, each push followed by
+    the update-burst rule, and a rollout that succeeds or reaches
+    max_episode_steps restarts from its own start state.
 
     Returns the DSRL state, the evaluation trace, and the best actor
     parameters by real-env success (the conservative stopping rule).
@@ -323,10 +315,11 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
         raise ValueError(f"DSRL decides once per model chunk: replan is {cfg.replan}, "
                          f"the model chunk is {backend.wm.cfg.chunk}")
     state_dim = statecodec.state_dim(len(scene.objects))
-    st = make_dsrl(state_dim, policy.cfg.horizon * 4, cfg, rng)
+    st = make_dsrl(state_dim, policy.latent_dim, cfg, rng)
     if inits is None:
         init_rng = Rng(rng.spawn_seed())
-        inits = [jittered_state(scene, init_rng, 0.03) for _ in range(16)]
+        inits = [jittered_state(scene, init_rng, INIT_JITTER) for _ in range(16)]
+    N, C, M = len(inits), cfg.replan, cfg.action_magnitude
 
     trace = [EvalPoint(0, evaluate_steered(None, policy, scene, task, Rng(eval_seed),
                                            cfg.eval_rollouts, cfg.max_episode_steps,
@@ -334,32 +327,45 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
     best_success = -1.0
     best_params = {k: v.copy() for k, v in st.actor.net.params.items()}
     control_steps = 0
-    episode_idx = 0
     recent_returns: list[float] = []
     next_eval = cfg.eval_every
 
+    backend.reset(inits)
+    init_vecs = backend.hist_states[:, -1].copy()
+    init_values = np.array([progress_model.value(v) for v in init_vecs])
+    s_vecs, values = init_vecs.copy(), init_values.copy()
+    steps = np.zeros(N, dtype=int)
+    returns = np.zeros(N)
+
     while st.updates_done < total_updates:
-        init = inits[episode_idx % len(inits)]
-        episode_idx += 1
-        backend.reset([init])
-        state = init
-        ep_return = 0.0
-        t = 0
-        done = False
-        while t < cfg.max_episode_steps and not done and st.updates_done < total_updates:
-            explore = control_steps < cfg.initial_rollout_steps
-            s_vec = statecodec.encode_state(state)
-            w, state, reward = imagined_step(backend, state, policy, st, progress_model,
-                                             rng, explore)
-            t += cfg.replan
-            control_steps += cfg.replan
-            terminal = check_success(state, task, scene.physics)
-            done = terminal or t >= cfg.max_episode_steps
-            st.buffer.push(s_vec, w, reward, statecodec.encode_state(state), terminal)
-            ep_return += reward
-            if control_steps % cfg.train_freq < cfg.replan and st.buffer.size >= cfg.batch \
+        if control_steps < cfg.initial_rollout_steps:
+            w = np.clip(rng.normal((N, st.actor.latent_dim)), -M, M)
+        else:
+            w, _ = st.actor.sample(s_vecs, rng)
+        chunks = ddim_sample(policy.denoiser, policy.schedule, s_vecs, policy.cfg.ddim_steps, w)
+        # the first C actions, clipped as the simulator executes them, re-encoded
+        rows = np.clip(chunks[:, :4 * C].reshape(N * C, 4), -1.0, 1.0)
+        rows[:, :2] *= statecodec.A_MAX
+        ends = [row[-1] for row in
+                backend.step_chunk(statecodec.encode_action_rows(rows).reshape(N, C, 4))]
+        end_vecs = backend.hist_states[:, -1].copy()
+        end_values = np.array([progress_model.value(v) for v in end_vecs])
+        restart = []
+        for b in range(N):
+            terminal = check_success(ends[b], task, scene.physics)
+            reward = end_values[b] - values[b]
+            st.buffer.push(s_vecs[b], w[b], reward, end_vecs[b], terminal)
+            returns[b] += reward
+            steps[b] += C
+            control_steps += C
+            if terminal or steps[b] >= cfg.max_episode_steps:
+                recent_returns.append(float(returns[b]))
+                restart.append(b)
+            if control_steps % cfg.train_freq < C and st.buffer.size >= cfg.batch \
                     and control_steps >= cfg.initial_rollout_steps:
                 for _ in range(cfg.utd):
+                    if st.updates_done >= total_updates:
+                        break
                     update(st, rng)
                     if st.updates_done >= next_eval:
                         success = evaluate_steered(st, policy, scene, task, Rng(eval_seed),
@@ -371,9 +377,12 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
                             best_success = success
                             best_params = {k: v.copy() for k, v in st.actor.net.params.items()}
                         next_eval += cfg.eval_every
-                    if st.updates_done >= total_updates:
-                        break
-        recent_returns.append(ep_return)
+        s_vecs, values = end_vecs, end_values
+        if restart:
+            backend.reset([inits[b] for b in restart], restart)
+            s_vecs[restart], values[restart] = init_vecs[restart], init_values[restart]
+            steps[restart] = 0
+            returns[restart] = 0.0
     if best_success < 0:
         best_params = {k: v.copy() for k, v in st.actor.net.params.items()}
     return st, trace, best_params

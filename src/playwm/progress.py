@@ -1,4 +1,4 @@
-"""Progress regressor and the dense telescoping reward built on it.
+"""Progress regressor, whose change over a chunk is DSRL's dense reward.
 
 The model maps an encoded state to a sigmoid progress value; training
 targets are the normalized time indices of successful demo episodes, with
@@ -96,11 +96,6 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
                     break
     nets.load_params(net, best, "best progress parameters")
     return ProgressModel(net=net, scene=scene)
-
-
-def dense_reward(model: ProgressModel, s: EnvState, s_next: EnvState) -> float:
-    """Per-step reward: change in predicted progress (telescoping by design)."""
-    return model(s_next) - model(s)
 
 
 def save_progress(model: ProgressModel, path: str) -> None:

@@ -1,34 +1,114 @@
+import numpy as np
 import pytest
 
 from playwm import dsrl, nets, policies, progress, statecodec, worldmodel
+from playwm.diffusion import ddim_sample
 from playwm.rng import Rng
 from playwm.scene import default_scene, jittered_state
 from conftest import TASK
 
 
-def _finetune(total_updates, **overrides):
+class RecordingBackend(worldmodel.RolloutBackend):
+    """A stepper that records the actions it is given, and each reset with
+    the number of steps before it."""
+
+    def __init__(self, wm, rng):
+        super().__init__(wm, rng)
+        self.actions, self.resets = [], []
+
+    def reset(self, states, rows=None):
+        self.resets.append((len(self.actions), list(states), rows))
+        super().reset(states, rows)
+
+    def step_chunk(self, actions):
+        self.actions.append(actions.copy())
+        return super().step_chunk(actions)
+
+
+def _finetune(total_updates, n_inits=2, policy=None, **overrides):
+    """(DSRL state, backend, start states) of a tiny fine-tuning run."""
     scene = default_scene()
     wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=16, depth=1,
                                                                  denoise_steps=25), Rng(1))
-    policy = policies.create_policy(scene, policies.PolicyConfig(hidden=16, depth=1,
-                                                                 denoise_steps=25), Rng(2))
+    policy = policy or _policy(scene)
     width = statecodec.state_dim(len(scene.objects))
     prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), scene)
     init_rng = Rng(4)
-    inits = [jittered_state(scene, init_rng, 0.03) for _ in range(2)]
+    inits = [jittered_state(scene, init_rng, policies.INIT_JITTER) for _ in range(n_inits)]
     cfg = dsrl.DsrlConfig(**{**dict(hidden=16, depth=1, batch=8, buffer_capacity=64,
                                     initial_rollout_steps=10, max_episode_steps=10,
                                     train_freq=5, eval_every=1000, eval_rollouts=1),
                              **overrides})
-    backend = worldmodel.RolloutBackend(wm, Rng(5))
-    return dsrl.finetune(backend, policy, prog, scene, TASK, cfg, Rng(6),
-                         total_updates=total_updates, inits=inits)
+    backend = RecordingBackend(wm, Rng(5))
+    st, _, _ = dsrl.finetune(backend, policy, prog, scene, TASK, cfg, Rng(6),
+                             total_updates=total_updates, inits=inits)
+    return st, backend, inits
+
+
+def _policy(scene, gain=1.0):
+    """A tiny untrained policy; gain scales its output layer."""
+    policy = policies.create_policy(scene, policies.PolicyConfig(hidden=16, depth=1,
+                                                                 denoise_steps=25), Rng(2))
+    policy.denoiser.net.params["w1"][...] *= gain
+    policy.denoiser.net.params["b1"][...] *= gain
+    return policy
 
 
 @pytest.mark.parametrize("total_updates, utd", [(8, 2), (30, 10), (7, 3)])
 def test_finetune_stops_at_total_updates(total_updates, utd):
     st, _, _ = _finetune(total_updates, utd=utd)
     assert st.updates_done == total_updates
+
+
+def test_finetune_steps_every_start_state_in_lockstep():
+    st, backend, inits = _finetune(12, n_inits=3, utd=4)
+    C = backend.wm.cfg.chunk
+    assert backend.actions and all(a.shape == (3, C, 4) for a in backend.actions)
+    # every step pushes one transition per rollout
+    assert st.buffer.size == 3 * len(backend.actions)
+
+
+def test_finetune_restarts_each_rollout_from_its_own_start_state():
+    # max_episode_steps 10 is two chunks of 5, so every rollout restarts
+    # after each second step if it has not succeeded before
+    st, backend, inits = _finetune(12, n_inits=3, utd=4)
+    (_, first, rows), *restarts = backend.resets
+    assert rows is None and first == inits
+    assert restarts
+    for step, states, rows in restarts:
+        assert len(rows) == len(states) and sorted(set(rows)) == list(rows)
+        assert all(s is inits[b] for s, b in zip(states, rows))
+        # the rollout's next transition starts from its start state
+        if step < len(backend.actions):
+            for b in rows:
+                assert (st.buffer.s[3 * step + b] == statecodec.encode_state(inits[b])).all()
+
+
+def test_finetune_is_seed_deterministic():
+    (a, _, _), (b, _, _) = _finetune(12), _finetune(12)
+    assert a.actor.param_hash() == b.actor.param_hash()
+    assert a.buffer.size == b.buffer.size
+    for name in ("s", "w", "r", "s2", "done"):
+        assert (getattr(a.buffer, name) == getattr(b.buffer, name)).all(), name
+
+
+def test_finetune_drives_the_model_with_the_executed_actions():
+    """The model sees the actions `act` would decode, clipped, re-encoded.
+    (The policy chunks are denoised as one batch, as finetune does: a batch
+    of rows and rows one at a time differ in the last bits.)"""
+    policy = _policy(default_scene(), gain=4.0)
+    st, backend, inits = _finetune(2, n_inits=2, policy=policy)
+    C = backend.wm.cfg.chunk
+    # the buffer's first two rows are the first step's states and latents
+    conds = np.stack([statecodec.encode_state(s) for s in inits])
+    assert (st.buffer.s[:2] == conds).all()
+    chunks = ddim_sample(policy.denoiser, policy.schedule, conds, policy.cfg.ddim_steps,
+                         st.buffer.w[:2])
+    assert (np.abs(chunks[:, :4 * C]) > 1.0).any()  # some actions are clipped
+    for b in range(len(inits)):
+        want = [statecodec.encode_action(statecodec.decode_action(chunks[b, 4 * i:4 * i + 4]))
+                for i in range(C)]
+        assert (backend.actions[0][b] == np.stack(want)).all()
 
 
 def test_finetune_replan_must_match_model_chunk():
