@@ -28,7 +28,7 @@ GOLDEN = {
     "bc": "8824499a70553bc7410d1bdd8948fe2b797457f26f0c1d832478b8dc972a3a75",
     "progress": "7b1a72a56fe29fe276842a524846030453893d242067c748aae2bc65f0f8c834",
     "dsrl_update": "826aaa09a10f21fcd98b66839c819da3a89c581312d61b92fbfb48ac41dbeb23",
-    "dsrl_finetune": "ac7a129d66a3765a089227066cfc376bb542d3122706a41a7272a7fe67d7cd27",
+    "dsrl_finetune": "6854e8a21b8cc4aca988ad1b39cd8ce922949cfdacb8823c4e31442d79c3cada",
 }
 
 
