@@ -81,8 +81,8 @@ class DenoiserNet:
         """A randomly initialised net, or with rng None an all-zero one for a
         loader to fill."""
         widths = [target_dim + cond_dim + TIME_EMBED_DIM] + [hidden] * depth + [target_dim]
-        net = nets.Mlp(widths, activation) if rng is None else nets.init_mlp(widths, rng,
-                                                                              activation)
+        net = (nets.Mlp(widths, activation) if rng is None
+               else nets.init_mlp(widths, rng, activation))
         return DenoiserNet(target_dim, cond_dim, net, x0_head=x0_head)
 
     def inputs(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:

@@ -333,7 +333,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
     backend.reset(inits)
     init_vecs = backend.hist_states[:, -1].copy()
     init_values = np.array([progress_model.value(v) for v in init_vecs])
-    s_vecs, values = init_vecs.copy(), init_values.copy()
+    s_vecs, values = init_vecs, init_values
     steps = np.zeros(N, dtype=int)
     returns = np.zeros(N)
 
