@@ -7,7 +7,7 @@ writes the parameter gradient into a FlatParams laid out like the net's
 parameters, and returns the gradient with respect to the input when asked
 (the DSRL actor is trained through the critics' inputs). Each loss writes
 its gradient with respect to the net output by hand next to the loss:
-diffusion.diffusion_loss (both weightings), progress.progress_loss (sigmoid
+diffusion.diffusion_loss (clean-signal regression), progress.progress_loss (sigmoid
 then squared error), and the critic and actor losses in dsrl.update and
 dsrl.actor_loss. mse() is the shared squared-error piece.
 

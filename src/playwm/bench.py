@@ -1,5 +1,4 @@
-"""Study orchestration: replay benchmark, policy-evaluation correlation,
-and the data-scaling curve.
+"""Study orchestration: replay benchmark and policy-evaluation correlation.
 
 Replay: held-out clips balanced across the six behavior modes; the model
 conditions on the H-frame prefix, replays the ground-truth actions, and its
@@ -10,7 +9,7 @@ must reach the ideal scores, bounding harness error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +27,6 @@ from .store import ClipWindow, EpisodeStore, windows
 from .tasks import (BehaviorMode, MODES, TaskSpec, check_success, classify_clip,
                     infer_transition_event)
 from .worldmodel import RolloutBackend, WorldModel, predicted_frames
-
-FAILURE_BENCH_MODES = (BehaviorMode.MISSED_GRASP, BehaviorMode.SLIDE,
-                       BehaviorMode.SLIP, BehaviorMode.COLLISION)
-
 
 class BenchmarkError(RuntimeError):
     pass
@@ -213,7 +208,8 @@ def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
 
     The world model is conditioned on the policy's raw action rows. A rollout
     that succeeds keeps its success state and records no further events,
-    though the batch still steps it.
+    though the batch still steps it; the last chunk records only the steps
+    up to max_steps.
     """
     B = cfg.n_wm
     C = wm.cfg.chunk
@@ -236,7 +232,7 @@ def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
             if succeeded[b]:
                 continue
             prev = cur_states[b]
-            for i, s in enumerate(pred[b]):
+            for i, s in enumerate(pred[b][:cfg.max_steps - t]):
                 a = statecodec.decode_action(acts_enc[b, i])
                 all_events[b].append(infer_transition_event(prev, a, s))
                 prev = s
@@ -273,35 +269,3 @@ def run_policy_eval(entries: list[SuiteEntry], wm: WorldModel | SceneConfig,
     return PolicyEvalReport(rows=rows, pearson=r,
                             mean_tv=float(np.mean([x.tv for x in rows])), flagged=flagged)
 
-
-# -- scaling study ----------------------------------------------------------
-
-@dataclass
-class ScalingPoint:
-    fraction: float
-    n_episodes: int
-    lpips_proxy: float
-    normalized: float
-
-
-def run_scaling(play_store: EpisodeStore, train_ids: list[str], fractions: list[float],
-                steps_per_point: int, benchmark: ReplayBenchmark, scene: SceneConfig,
-                embedder: Embedder, rng: Rng, wm_config=None) -> list[ScalingPoint]:
-    """One fresh model per data fraction, all scored on the fixed benchmark."""
-    from .worldmodel import WmConfig, build_dataset, create_worldmodel, train
-
-    cfg = wm_config or WmConfig()
-    order = list(train_ids)
-    rng.shuffle(order)
-    points = []
-    for frac in fractions:
-        k = max(1, int(round(len(order) * frac)))
-        ids = order[:k]
-        wm = create_worldmodel(scene, cfg, Rng(rng.spawn_seed()))
-        dataset = build_dataset(play_store, cfg, ids=ids)
-        train(wm, dataset, steps_per_point, Rng(rng.spawn_seed()))
-        report = run_replay(benchmark, wm, embedder, Rng(rng.spawn_seed()))
-        raw = report.overall["lpips_proxy"]
-        points.append(ScalingPoint(fraction=frac, n_episodes=k, lpips_proxy=raw,
-                                   normalized=metrics.normalize_score(raw)))
-    return points

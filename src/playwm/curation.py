@@ -227,9 +227,6 @@ class AnnealSchedule:
             raise ValueError("distributions must have equal length")
 
 
-PAPER_ANNEAL = AnnealSchedule(update_period=5000, total_steps=25000)
-
-
 def rank_distribution(schedule: AnnealSchedule, step: int) -> np.ndarray:
     """Piecewise-constant interpolation, frozen within each update period."""
     if step < 0:

@@ -1,5 +1,9 @@
 """Denoising diffusion machinery: schedule, noising, loss, and samplers.
 
+Every denoiser here estimates the clean signal x0 (not the noise), trains
+on uniform clean-signal regression, and samples by clamped ancestral DDPM
+or by deterministic DDIM, which derives the noise from the x0 estimate.
+
 Index convention: alpha_bars has length T+1 with alpha_bars[0] = 1 (the
 clean level); betas/alphas are indexed 1..T via betas[t-1]. Timesteps fed
 to the denoiser are embedded as 16 sinusoidal features of t/T.
@@ -32,6 +36,9 @@ class NoiseSchedule:
     @staticmethod
     def linear(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> "NoiseSchedule":
         betas = np.linspace(beta_start, beta_end, T)
+        if not np.all((betas > 0.0) & (betas < 1.0)):
+            raise ValueError(f"a {T}-step linear schedule has betas outside (0, 1): "
+                             f"[{betas.min()}, {betas.max()}]")
         alphas = 1.0 - betas
         alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
         return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
@@ -42,7 +49,8 @@ class NoiseSchedule:
 
         The (1e-4, 0.02) endpoints describe a 1000-step reference process;
         per-step betas scale by 1000/T so alpha_bar_T stays near zero at any
-        T and the N(0, I) sampling prior matches the forward marginal.
+        T and the N(0, I) sampling prior matches the forward marginal. At
+        T <= 20 the last beta reaches 1, so T must be at least 21.
         """
         scale = 1000.0 / T
         return NoiseSchedule.linear(T, 1e-4 * scale, 0.02 * scale)
@@ -59,71 +67,39 @@ def time_embedding(t, T: int) -> np.ndarray:
 
 @dataclass
 class DenoiserNet:
-    """Noise predictor over (noised target | conditioning | time embedding).
+    """Clean-signal estimator over (noised target | conditioning | time embedding).
 
-    With x0_head=False the MLP output is the predicted noise directly. With
-    x0_head=True the MLP estimates the clean signal and the predicted noise
-    is derived as (x_t - sqrt(abar_t)*f) / sqrt(1 - abar_t); a plain MLP
-    cannot represent the t-dependent gain that direct noise regression
-    needs, so the learned stacks all enable the head. Either way the
-    emitted quantity, the training target, and the loss are the noise.
+    The MLP output is the estimate of x0. A plain MLP cannot represent the
+    t-dependent gain that direct noise regression needs; the samplers derive
+    the noise from the estimate where they need it.
     """
 
     target_dim: int
     cond_dim: int
     net: nets.Mlp
-    x0_head: bool = False
 
     @staticmethod
     def create(target_dim: int, cond_dim: int, rng: Rng | None, hidden: int = 256,
-               depth: int = 3, activation: str = "silu",
-               x0_head: bool = False) -> "DenoiserNet":
+               depth: int = 3, activation: str = "silu") -> "DenoiserNet":
         """A randomly initialised net, or with rng None an all-zero one for a
         loader to fill."""
         widths = [target_dim + cond_dim + TIME_EMBED_DIM] + [hidden] * depth + [target_dim]
         net = (nets.Mlp(widths, activation) if rng is None
                else nets.init_mlp(widths, rng, activation))
-        return DenoiserNet(target_dim, cond_dim, net, x0_head=x0_head)
+        return DenoiserNet(target_dim, cond_dim, net)
 
     def inputs(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
         """The MLP input: noised target, conditioning and time embedding per row."""
         x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
         cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-        if cond.shape[0] == 1 and x_t.shape[0] > 1:
-            cond = np.broadcast_to(cond, (x_t.shape[0], cond.shape[1]))
         temb = np.atleast_2d(time_embedding(t, T))
         if temb.shape[0] == 1 and x_t.shape[0] > 1:
             temb = np.broadcast_to(temb, (x_t.shape[0], temb.shape[1]))
         return np.concatenate([x_t, cond, temb], axis=-1)
 
-    def raw(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
-        """The MLP head output (noise, or the clean-signal estimate)."""
+    def predict_x0(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
+        """Clean-signal estimate at step t (inference only)."""
         return nets.forward(self.net, self.inputs(x_t, cond, t, T))
-
-    def predict_eps(self, x_t: np.ndarray, cond: np.ndarray, t, schedule: "NoiseSchedule"):
-        """Predicted noise at step t (inference only)."""
-        out = self.raw(x_t, cond, t, schedule.T)
-        if not self.x0_head:
-            return out
-        abar = _per_row(schedule.alpha_bars[np.asarray(t)], out)
-        x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-        return (x_t - np.sqrt(abar) * out) / np.sqrt(1.0 - abar)
-
-    def predict_x0(self, x_t: np.ndarray, cond: np.ndarray, t, schedule: "NoiseSchedule"):
-        """Implied clean-signal estimate at step t (inference only)."""
-        out = self.raw(x_t, cond, t, schedule.T)
-        x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-        abar = _per_row(schedule.alpha_bars[np.asarray(t)], out)
-        if self.x0_head:
-            return out
-        return (x_t - np.sqrt(1.0 - abar) * out) / np.sqrt(abar)
-
-
-def _per_row(abar, like: np.ndarray):
-    abar = np.asarray(abar, dtype=np.float64)
-    if abar.ndim > 0 and like.ndim > 1:
-        return abar[:, None]
-    return abar
 
 
 def q_sample(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
@@ -145,77 +121,49 @@ def q_sample(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.
 
 
 def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarray,
-                   cond: np.ndarray, rng: Rng, grads: nets.FlatParams | None = None,
-                   weighting: str = "eps") -> float:
-    """Noise-prediction loss: mean squared error between eps and its estimate.
+                   cond: np.ndarray, rng: Rng, grads: nets.FlatParams | None = None) -> float:
+    """Clean-signal loss: mean squared error between x0 and its estimate.
 
     Samples t uniformly in {1..T} and eps ~ N(0, I) per batch row. With
     grads (a FlatParams laid out like the denoiser's parameters) this is a
-    training step's loss: its parameter gradient is written into grads. For
-    an x0-head net the residual is evaluated through the exact identity
-    eps - eps_hat = sqrt(abar/(1-abar)) * (f - x0).
-
-    weighting="eps" is the exact noise-space objective. weighting="x0"
-    (head nets only) rescales each row by the inverse signal-to-noise
-    factor, i.e. uniform clean-signal regression across timesteps; the raw
-    objective barely weights the high-noise steps that few-step samplers
-    depend on, so the learned stacks train with the rescaled variant.
+    training step's loss: its parameter gradient is written into grads.
+    Every timestep weighs the same; the noise-space objective would barely
+    weigh the high-noise steps that few-step samplers depend on.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     batch = x0.shape[0]
     t = rng.randint_array(batch, schedule.T) + 1
     eps = rng.normal(x0.shape)
     x_t = q_sample(schedule, x0, t, eps)
-    if weighting not in ("eps", "x0"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    if weighting == "x0" and not denoiser.x0_head:
-        raise ValueError("x0 weighting requires an x0-head denoiser")
     inp = denoiser.inputs(x_t, cond, t, schedule.T)
     if grads is None:
-        out = nets.forward(denoiser.net, inp)
-    else:
-        out, cache = ad.forward(denoiser.net, inp)
-    coef = None
-    if denoiser.x0_head:
-        abar = schedule.alpha_bars[t][:, None]
-        coef = np.sqrt(abar / (1.0 - abar)) if weighting == "eps" else np.ones_like(abar)
-        diff = (out - x0) * coef
-    else:
-        diff = out - eps
-    if grads is None:
+        diff = nets.forward(denoiser.net, inp) - x0
         return float((diff * diff).mean())
+    out, cache = ad.forward(denoiser.net, inp)
+    diff = out - x0
     inv_n = 1.0 / diff.size
-    dout = (2.0 * diff) * inv_n
-    if coef is not None:
-        dout = dout * coef
-    ad.backward(denoiser.net, cache, dout, grads)
+    ad.backward(denoiser.net, cache, (2.0 * diff) * inv_n, grads)
     return float((diff * diff).sum() * inv_n)
 
 
 def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray,
-                rng: Rng, batch: int | None = None,
-                clip_x0: float | None = None) -> np.ndarray:
+                rng: Rng, *, clip_x0: float) -> np.ndarray:
     """Ancestral reverse sampler; sigma_t^2 = beta_t, no noise at the last step.
 
-    clip_x0 bounds the implied clean-signal estimate each step (the update
-    is the same recurrence rewritten through the posterior mean; clamping
-    keeps small models from running away outside the data range).
+    Each step takes the posterior mean given the clean-signal estimate,
+    clamped to [-clip_x0, clip_x0]; the clamp keeps small models from
+    running away outside the data range.
     """
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-    n = cond.shape[0] if batch is None else batch
-    x = rng.normal((n, denoiser.target_dim))
+    x = rng.normal((cond.shape[0], denoiser.target_dim))
     for t in range(schedule.T, 0, -1):
         beta = schedule.betas[t - 1]
         alpha = schedule.alphas[t - 1]
         abar = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t - 1]
-        if clip_x0 is None:
-            eps_hat = denoiser.predict_eps(x, cond, t, schedule)
-            x = (x - beta / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
-        else:
-            x0_hat = np.clip(denoiser.predict_x0(x, cond, t, schedule), -clip_x0, clip_x0)
-            x = (np.sqrt(abar_prev) * beta * x0_hat
-                 + np.sqrt(alpha) * (1.0 - abar_prev) * x) / (1.0 - abar)
+        x0_hat = np.clip(denoiser.predict_x0(x, cond, t, schedule.T), -clip_x0, clip_x0)
+        x = (np.sqrt(abar_prev) * beta * x0_hat
+             + np.sqrt(alpha) * (1.0 - abar_prev) * x) / (1.0 - abar)
         if t > 1:
             x = x + np.sqrt(beta) * rng.normal(x.shape)
         if not np.all(np.isfinite(x)):
@@ -242,7 +190,8 @@ def ddim_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
         t_prev = taus[i + 1] if i + 1 < len(taus) else 0
         abar_t = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t_prev]
-        eps_hat = denoiser.predict_eps(x, cond, int(t), schedule)
+        out = denoiser.predict_x0(x, cond, int(t), schedule.T)
+        eps_hat = (x - np.sqrt(abar_t) * out) / np.sqrt(1.0 - abar_t)
         x0_pred = (x - np.sqrt(1.0 - abar_t) * eps_hat) / np.sqrt(abar_t)
         x = np.sqrt(abar_prev) * x0_pred + np.sqrt(1.0 - abar_prev) * eps_hat
         if not np.all(np.isfinite(x)):

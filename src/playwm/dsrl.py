@@ -119,10 +119,6 @@ class Critics:
         joint = np.concatenate([states, latents], axis=1)
         return np.minimum(nets.forward(self.t1, joint), nets.forward(self.t2, joint))[:, 0]
 
-    def online_min(self, states: np.ndarray, latents: np.ndarray) -> np.ndarray:
-        joint = np.concatenate([states, latents], axis=1)
-        return np.minimum(nets.forward(self.q1, joint), nets.forward(self.q2, joint))[:, 0]
-
     def polyak(self, tau: float) -> None:
         for online, target in ((self.q1, self.t1), (self.q2, self.t2)):
             target.params.flat *= 1.0 - tau
@@ -282,14 +278,13 @@ class EvalPoint:
 
 
 def evaluate_steered(st: DsrlState | None, policy: DiffusionPolicy, scene: SceneConfig,
-                     task: TaskSpec, rng: Rng, n_rollouts: int = 20,
-                     max_steps: int = 30, replan: int | None = None) -> float:
+                     task: TaskSpec, rng: Rng, n_rollouts: int, max_steps: int,
+                     replan: int) -> float:
     """Real-simulator success of the policy, steered by the actor's mean
     latent when st is given, else denoising from latents drawn from rng."""
-    cadence = replan if replan is not None else (st.cfg.replan if st else policy.cfg.replan)
     latent = None if st is None else (
         lambda state: st.actor.mean_latent(statecodec.encode_state(state)))
-    return measure_env_success(policy, scene, task, n_rollouts, rng, max_steps, cadence,
+    return measure_env_success(policy, scene, task, n_rollouts, rng, max_steps, replan,
                                latent=latent)[0]
 
 

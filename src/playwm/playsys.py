@@ -51,7 +51,6 @@ class ProposerConfig:
 
 @dataclass(frozen=True)
 class SafetyLimits:
-    margin: float = 0.05
     step_clamp: float = 0.08
     max_episode_steps: int = 30
 
@@ -76,14 +75,6 @@ def bench_config() -> ProposerConfig:
                "unstack": 0.05, "fold": 0.02, "unfold": 0.02, "push_to": 0.27}
     return ProposerConfig(verb_weights=weights, sigma_w_max=0.09, sigma_g_max=0.08,
                           speed_range=(0.6, 1.9), towel_bias=4)
-
-
-PROPOSER_PRESETS = {
-    "play": ProposerConfig,
-    "demo": expert_config,
-    "human_play": human_play_config,
-    "bench": bench_config,
-}
 
 
 def applicable_tasks(state: EnvState, cfg: ProposerConfig, phys: Physics) -> dict[str, list[TaskSpec]]:
@@ -195,21 +186,20 @@ def _safety_clamp(a: Action, limits: SafetyLimits) -> Action:
 
 
 def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rng,
-            store: EpisodeStore, source: str = "play", reset_each: bool = False,
-            reset_jitter: float = 0.02, limits: SafetyLimits | None = None) -> EpisodeStore:
+            store: EpisodeStore, source: str = "play", reset_each: bool = False) -> EpisodeStore:
     """Alternate propose/execute for a fixed number of episodes.
 
     Play mode leaves the scene wherever the last episode ended; demo mode
     (reset_each) restores a jittered nominal scene before every episode.
     """
-    limits = limits or SafetyLimits(step_clamp=scene.physics.a_max,
-                                    max_episode_steps=scene.physics.max_steps)
+    limits = SafetyLimits(step_clamp=scene.physics.a_max,
+                          max_episode_steps=scene.physics.max_steps)
     env = Env(scene, seed=rng.spawn_seed())
     if not reset_each:
-        env.reset(jittered_state(scene, rng, reset_jitter))
+        env.reset(jittered_state(scene, rng))
     for i in range(episodes):
         if reset_each:
-            env.reset(jittered_state(scene, rng, reset_jitter))
+            env.reset(jittered_state(scene, rng))
         ep_seed = rng.spawn_seed()
         ep_rng = Rng(ep_seed)
         instr = propose(env.state, proposer, ep_rng, env.phys)

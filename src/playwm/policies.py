@@ -24,7 +24,7 @@ from .optim import Adam, clip_grad_norm
 from .playsys import SafetyLimits, execute
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
-from .skills import Instruction, Perturbation, SkillController
+from .skills import Instruction, Perturbation
 from .store import EpisodeStore
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 
@@ -64,15 +64,9 @@ def create_policy(scene: SceneConfig, cfg: PolicyConfig, rng: Rng | None) -> Dif
     """A fresh policy; with rng None its parameters are zero, for load_policy."""
     cond_dim = statecodec.state_dim(len(scene.objects))
     denoiser = DenoiserNet.create(cfg.horizon * 4, cond_dim, rng, hidden=cfg.hidden,
-                                  depth=cfg.depth, activation=cfg.activation,
-                                  x0_head=True)
+                                  depth=cfg.depth, activation=cfg.activation)
     return DiffusionPolicy(cfg=cfg, scene=scene, denoiser=denoiser,
                            schedule=NoiseSchedule.linear_scaled(cfg.denoise_steps))
-
-
-def make_expert(task: TaskSpec, state: EnvState, phys, rng: Rng) -> SkillController:
-    """The zero-perturbation skill controller; the demo-collection policy."""
-    return SkillController(Instruction(task, Perturbation()), state, phys, rng)
 
 
 # -- behavior cloning ---------------------------------------------------------
@@ -114,7 +108,7 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
     for step in range(steps):
         rows = rng.randint_array(policy.cfg.batch, n)
         value = diffusion_loss(policy.denoiser, policy.schedule, chunks[rows],
-                               conds[rows], rng, grads, weighting="x0")
+                               conds[rows], rng, grads)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite BC loss at step {step}")
         clip_grad_norm(grads, policy.cfg.grad_clip)
@@ -212,13 +206,16 @@ class SuiteEntry:
     mode_hist: dict[str, int]
 
 
+# Pose jitter of the start states that task demos and policy evaluation draw.
+INIT_JITTER = 0.03
+
+
 def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise: float,
-                       rng: Rng, store: EpisodeStore, source: str = "demo",
-                       jitter: float = 0.03) -> None:
+                       rng: Rng, store: EpisodeStore, source: str = "demo") -> None:
     """Fixed-task expert demos; noise scales the perturbation knobs together."""
     for i in range(episodes):
         env = Env(scene, seed=rng.spawn_seed())
-        env.reset(jittered_state(scene, rng, jitter))
+        env.reset(jittered_state(scene, rng, INIT_JITTER))
         perturb = Perturbation(sigma_w=0.06 * noise, sigma_g=0.05 * noise,
                                speed_mult=1.0 + 0.6 * noise * (rng.uniform() - 0.3))
         ep = execute(env, Instruction(task, perturb), rng,
@@ -227,10 +224,6 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
         ep.source = source
         ep.seed = i
         store.append(ep)
-
-
-# Pose jitter of the start states that policy evaluation draws.
-INIT_JITTER = 0.03
 
 
 def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,

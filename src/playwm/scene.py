@@ -14,7 +14,6 @@ Object sizes by kind:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -145,16 +144,6 @@ def scene_from_dict(data: dict) -> SceneConfig:
         objs.append(ObjectState(od["id"], kind, x, y, theta, tuple(od["size"]),
                                 od.get("z_level", 0), od.get("fold_angle", 0.0)))
     return SceneConfig(objects=tuple(objs), physics=phys, seed=data.get("seed", 0))
-
-
-def load_scene(path: str) -> SceneConfig:
-    with open(path) as fh:
-        return scene_from_dict(json.load(fh))
-
-
-def save_scene(cfg: SceneConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scene_to_dict(cfg), fh, indent=2, sort_keys=True)
 
 
 def jittered_state(cfg: SceneConfig, rng, jitter: float = 0.02) -> EnvState:

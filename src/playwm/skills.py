@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .dynamics import Action
 from .rng import Rng
 from .scene import EnvState, Physics
-from .tasks import FOLD_DONE, UNFOLD_DONE, TaskSpec, check_success
+from .tasks import TaskSpec, check_success
 
 APPROACH_SPEED = 0.075
 CARRY_SPEED = 0.038

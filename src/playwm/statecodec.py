@@ -90,8 +90,8 @@ def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
     return s
 
 
-def encode_action(a: Action, a_max: float = A_MAX) -> np.ndarray:
-    return np.array([a.dx / a_max, a.dy / a_max, a.dz, a.dg])
+def encode_action(a: Action) -> np.ndarray:
+    return np.array([a.dx / A_MAX, a.dy / A_MAX, a.dz, a.dg])
 
 
 def encode_action_rows(actions: np.ndarray) -> np.ndarray:
@@ -101,11 +101,11 @@ def encode_action_rows(actions: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_action(vec: np.ndarray, a_max: float = A_MAX) -> Action:
+def decode_action(vec: np.ndarray) -> Action:
     vec = np.asarray(vec, dtype=np.float64)
     return Action(
-        dx=float(np.clip(vec[0], -1, 1)) * a_max,
-        dy=float(np.clip(vec[1], -1, 1)) * a_max,
+        dx=float(np.clip(vec[0], -1, 1)) * A_MAX,
+        dy=float(np.clip(vec[1], -1, 1)) * A_MAX,
         dz=float(np.clip(vec[2], -1, 1)),
         dg=float(np.clip(vec[3], -1, 1)),
     )

@@ -1,6 +1,6 @@
 """Action-conditioned diffusion world model over state chunks.
 
-The denoiser predicts the noise on a chunk of C future encoded states,
+The denoiser estimates a clean chunk of C future encoded states,
 conditioned on H history states plus every action in the window (the H-1
 transitions inside the history and the C actions driving the chunk).
 Frames come from rendering decoded predicted states, which keeps image
@@ -107,8 +107,7 @@ def create_worldmodel(scene: SceneConfig, cfg: WmConfig, rng: Rng | None) -> Wor
     target_dim = cfg.chunk * width
     cond_dim = cfg.history * width + (cfg.history - 1 + cfg.chunk) * 4
     denoiser = DenoiserNet.create(target_dim, cond_dim, rng, hidden=cfg.hidden,
-                                  depth=cfg.depth, activation=cfg.activation,
-                                  x0_head=True)
+                                  depth=cfg.depth, activation=cfg.activation)
     return WorldModel(cfg=cfg, scene=scene, denoiser=denoiser,
                       schedule=NoiseSchedule.linear_scaled(cfg.denoise_steps))
 
@@ -191,8 +190,7 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
             rows = sample_batch(index, schedule, step, wm.cfg.batch, rng)
         cond = dataset.conds[rows]
         x0 = wm.to_targets(dataset.targets[rows], last_history_state(wm, cond))
-        value = diffusion_loss(wm.denoiser, wm.schedule, x0, cond, rng, grads,
-                               weighting="x0")
+        value = diffusion_loss(wm.denoiser, wm.schedule, x0, cond, rng, grads)
         if not np.isfinite(value):
             raise TrainingError(f"non-finite loss at step {wm.step_count + step}")
         clip_grad_norm(grads, wm.cfg.grad_clip)

@@ -44,12 +44,10 @@ def test_step_counters_see_every_step(trained, monkeypatch):
 
     rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))
     wins = round(rate * cfg.n_wm)
-    C = wm.cfg.chunk
-    walked = -(-cfg.max_steps // C) * C  # whole model chunks
     assert 0 < wins < cfg.n_wm
     # a rollout stops counting at its first success
     assert sum(imagined) == wins
-    assert (cfg.n_wm - wins) * walked + wins <= len(imagined) <= cfg.n_wm * walked
+    assert (cfg.n_wm - wins) * cfg.max_steps + wins <= len(imagined) <= cfg.n_wm * cfg.max_steps
     assert not real
 
     rate, _ = bench.measure_real(policy, scene, cfg, Rng(70))
@@ -60,6 +58,32 @@ def test_step_counters_see_every_step(trained, monkeypatch):
         assert flags == [False] * cfg.max_steps or (n <= cfg.max_steps and
                                                     flags == [False] * (n - 1) + [True])
     assert sum(map(sum, real.values())) == wins
+
+
+def test_imagined_rollouts_stop_at_max_steps(trained, monkeypatch):
+    """A max_steps that is not a multiple of the model chunk cuts the last
+    chunk short: an imagined rollout records no more steps than a real one."""
+    scene, policy, wm = trained
+    cfg = EvalStudyConfig(task=TASK, n_wm=10, max_steps=7)
+    assert cfg.max_steps % wm.cfg.chunk
+    infer, calls = bench.infer_transition_event, []
+
+    def counted_infer(prev, action, nxt):
+        # every state is kept alive, so ids stay unique and chain each rollout
+        calls.append((prev, nxt, check_success(nxt, TASK, scene.physics)))
+        return infer(prev, action, nxt)
+
+    monkeypatch.setattr(bench, "infer_transition_event", counted_infer)
+    rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))
+    rollouts = {}  # id of a rollout's latest state -> (steps recorded, success)
+    for prev, nxt, success in calls:
+        n, _ = rollouts.pop(id(prev), (0, False))
+        rollouts[id(nxt)] = (n + 1, success)
+    assert len(rollouts) == cfg.n_wm
+    assert sum(success for _, success in rollouts.values()) == round(rate * cfg.n_wm)
+    assert any(n == cfg.max_steps for n, _ in rollouts.values())
+    for n, success in rollouts.values():
+        assert n == cfg.max_steps or (n < cfg.max_steps and success)
 
 
 def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
