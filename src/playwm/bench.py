@@ -268,4 +268,3 @@ def run_policy_eval(entries: list[SuiteEntry], wm: WorldModel | SceneConfig,
         flagged = f"correlation omitted: {exc}"
     return PolicyEvalReport(rows=rows, pearson=r,
                             mean_tv=float(np.mean([x.tv for x in rows])), flagged=flagged)
-

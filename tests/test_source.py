@@ -55,9 +55,9 @@ def test_traced_layers_resolve():
     assert not missing, f"traced layers missing from playwm: {missing}"
 
 
-# Stage functions of the play-against-demo study that the driver has yet to
-# wire in; they are defined ahead of their caller on purpose.
-AWAITING_DRIVER = (
+# Stage functions of the play-against-demo study, defined ahead of the
+# `playwm run` command that is to call them.
+AWAITING_CLI = (
     "bench.run_policy_eval",
     "policies.build_suite",
     "policies.default_suite_spec",
@@ -103,6 +103,6 @@ def test_every_package_name_is_referenced():
                     used.update(alias.name for alias in node.names)
     unused = {qual for path in sorted(SRC.glob("*.py")) for qual, name in _definitions(path)
               if name not in used and not name.startswith("__")}
-    waiting = set(AWAITING_DRIVER)
-    assert unused <= waiting, f"names in src/playwm that nothing refers to: {sorted(unused - waiting)}"
-    assert waiting <= unused, f"AWAITING_DRIVER names now referenced or gone: {sorted(waiting - unused)}"
+    waiting = set(AWAITING_CLI)
+    assert unused <= waiting, f"unreferenced names in src/playwm: {sorted(unused - waiting)}"
+    assert waiting <= unused, f"AWAITING_CLI names now read or gone: {sorted(waiting - unused)}"
