@@ -17,6 +17,7 @@ CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
 GOLDEN = {
     "real": "3e17285ba41ae9545d54c6dbd163d0f25279579936fb8e7dfd1a9e6e954b8d34",
     "imagined_world_model": "da229fad4542c10ca428f823936f0e1279bbfce48b8a3286df24a8a23b06b5de",
+    "imagined_predicted_states": "573648a7a549821995f3ba4ed278cf6f07451ebb8a52cb1d921698e27346a7f5",
     "imagined_scene": "7fe8d3214b2695f92f63f17dc522b54b90a49bf5a4f5e575ceae80708bae6a8d",
     "env_success": "8628fccdc5eb4a26d9006bc647ec65405509f492443349d99403f88bd8203e93",
     "steered_False": "fe0b040cb5f683e08c94dfde8dfc1e8346c93dadb466e07d4308991942b608f4",
@@ -49,6 +50,22 @@ def test_measure_imagined(trained, backend):
     rng = Rng(71)
     pin(f"imagined_{backend}", rng,
         *bench.measure_imagined(policy, wm if backend == "world_model" else scene, CFG, rng))
+
+
+def test_imagined_predicted_states(trained, monkeypatch):
+    """Every predicted state the lockstep imagined evaluation scores, encoded,
+    in the order it scores them: this sees what the model is conditioned on,
+    which the rate and the histogram alone may not."""
+    scene, policy, wm = trained
+    h, infer = hashlib.sha256(), bench.infer_transition_event
+
+    def scored(prev, action, nxt):
+        h.update(statecodec.encode_state(nxt).tobytes())
+        return infer(prev, action, nxt)
+
+    monkeypatch.setattr(bench, "infer_transition_event", scored)
+    bench.measure_imagined(policy, wm, CFG, Rng(71))
+    assert h.hexdigest() == GOLDEN["imagined_predicted_states"]
 
 
 def test_measure_env_success(trained):
