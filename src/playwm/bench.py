@@ -5,6 +5,12 @@ conditions on the H-frame prefix, replays the ground-truth actions, and its
 rendered predictions are scored against the true future frames. Oracle mode
 substitutes the simulator (replaying each clip's recorded noise draws) and
 must reach the ideal scores, bounding harness error.
+
+Policy evaluation: each policy's success rate and mode histogram in the
+simulator against the same inside the world model. Imagined rollouts step
+in lockstep; the policy plans from each rollout's last history state, and
+the model is driven by the actions the simulator would execute, encoded as
+the stored actions it trained on.
 """
 
 from __future__ import annotations
@@ -13,20 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, statecodec
+from . import metrics
 from .curation import Embedder
-from .diffusion import ddim_sample, ddpm_sample
+from .diffusion import ddpm_sample
 from .dynamics import Action
 from .env import Env
 from .metrics import lpips_proxy, mse, psnr, ssim
-from .policies import INIT_JITTER, DiffusionPolicy, SuiteEntry, measure_env_success
+from .policies import (INIT_JITTER, DiffusionPolicy, SuiteEntry, measure_env_success,
+                       plan_actions)
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .store import ClipWindow, EpisodeStore, windows
 from .tasks import (BehaviorMode, MODES, TaskSpec, check_success, classify_clip,
                     infer_transition_event)
-from .worldmodel import RolloutBackend, WorldModel, predicted_frames
+from .worldmodel import RolloutBackend, WorldModel, predicted_frames, window_inputs
 
 class BenchmarkError(RuntimeError):
     pass
@@ -86,12 +93,12 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
 
 def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) -> ReplayClip:
     view = store.read(w.episode_id)
-    s0 = w.start
-    t = s0 + H - 1  # the last history frame
+    t = w.start + H - 1  # the last history frame
+    states, actions = window_inputs(view, [w.start], H, C)
     return ReplayClip(
         store_name=name, window=w,
-        hist_states=statecodec.encode_states(*view.state_arrays(s0, s0 + H)),
-        actions=statecodec.encode_action_rows(view.actions[s0:t + C]),
+        hist_states=states[0, :H],
+        actions=actions[0],
         gt_frames=[render(view.state(i)) for i in range(t + 1, t + 1 + C)],
         init_state=view.state(t),
         raw_actions=[Action(*a) for a in view.actions[t:t + C]],
@@ -206,7 +213,8 @@ def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
                             cfg: EvalStudyConfig, rng: Rng) -> tuple[float, dict[str, int]]:
     """All rollouts advance in lockstep so the denoiser runs on full batches.
 
-    The world model is conditioned on the policy's raw action rows. A rollout
+    The policy plans from each rollout's last history state, and the world
+    model is driven by the actions the simulator would execute. A rollout
     that succeeds keeps its success state and records no further events,
     though the batch still steps it; the last chunk records only the steps
     up to max_steps.
@@ -223,18 +231,15 @@ def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
     all_events: list[list] = [[] for _ in range(B)]
     t = 0
     while t < cfg.max_steps:
-        conds = np.stack([statecodec.encode_state(s) for s in cur_states])
         w0 = rng.normal((B, policy.latent_dim))
-        chunks = ddim_sample(policy.denoiser, policy.schedule, conds, policy.cfg.ddim_steps, w0)
-        acts_enc = chunks[:, :C * 4].reshape(B, C, 4)
-        pred = backend.step_chunk(acts_enc)
+        acts = plan_actions(policy, backend.hist_states[:, -1], w0)[:, :C]
+        pred = backend.step_chunk(acts)
         for b in range(B):
             if succeeded[b]:
                 continue
             prev = cur_states[b]
-            for i, s in enumerate(pred[b][:cfg.max_steps - t]):
-                a = statecodec.decode_action(acts_enc[b, i])
-                all_events[b].append(infer_transition_event(prev, a, s))
+            for a, s in zip(acts[b].tolist(), pred[b][:cfg.max_steps - t]):
+                all_events[b].append(infer_transition_event(prev, Action(*a), s))
                 prev = s
                 if check_success(s, cfg.task, wm.scene.physics):
                     succeeded[b] = True

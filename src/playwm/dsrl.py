@@ -22,9 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nets, statecodec
 from .checkpoint import save_checkpoint, load_checkpoint
-from .diffusion import ddim_sample
 from .optim import Adam
-from .policies import INIT_JITTER, DiffusionPolicy, measure_env_success
+from .policies import INIT_JITTER, DiffusionPolicy, measure_env_success, plan_actions
 from .progress import ProgressModel
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
@@ -296,9 +295,9 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
     env evals. cfg.replan must be the model chunk.
 
     One imagined rollout runs per start state in `inits` (N of them), all in
-    lockstep. Each step draws the N latents at once, denoises the N policy
-    chunks in one DDIM call and advances every rollout by one model chunk,
-    driven by the clipped actions the simulator would execute. The N
+    lockstep. Each step draws the N latents at once, plans the N policy
+    chunks in one `plan_actions` call and advances every rollout by one
+    model chunk, driven by the actions the simulator would execute. The N
     transitions then enter the buffer in row order, each push followed by
     the update-burst rule, and a rollout that succeeds or reaches
     max_episode_steps restarts from its own start state.
@@ -337,12 +336,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
             w = np.clip(rng.normal((N, st.actor.latent_dim)), -M, M)
         else:
             w, _ = st.actor.sample(s_vecs, rng)
-        chunks = ddim_sample(policy.denoiser, policy.schedule, s_vecs, policy.cfg.ddim_steps, w)
-        # the first C actions, clipped as the simulator executes them, re-encoded
-        rows = np.clip(chunks[:, :4 * C].reshape(N * C, 4), -1.0, 1.0)
-        rows[:, :2] *= statecodec.A_MAX
-        ends = [row[-1] for row in
-                backend.step_chunk(statecodec.encode_action_rows(rows).reshape(N, C, 4))]
+        ends = [row[-1] for row in backend.step_chunk(plan_actions(policy, s_vecs, w)[:, :C])]
         end_vecs = backend.hist_states[:, -1].copy()
         end_values = np.array([progress_model.value(v) for v in end_vecs])
         restart = []

@@ -122,6 +122,13 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
 
 # -- inference ----------------------------------------------------------------
 
+def plan_actions(policy: DiffusionPolicy, conds: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """The executed (B, horizon, 4) action rows of B chunks, denoised in one
+    DDIM call from the encoded states conds (B, width) and the latents w0."""
+    chunks = ddim_sample(policy.denoiser, policy.schedule, conds, policy.cfg.ddim_steps, w0)
+    return statecodec.decode_action_rows(chunks.reshape(len(chunks), policy.cfg.horizon, 4))
+
+
 def act(policy: DiffusionPolicy, state: EnvState, w0: np.ndarray | None = None,
         rng: Rng | None = None) -> list[Action]:
     """One denoised 16-action chunk; deterministic when w0 is supplied."""
@@ -129,10 +136,9 @@ def act(policy: DiffusionPolicy, state: EnvState, w0: np.ndarray | None = None,
         if rng is None:
             raise ValueError("need either an explicit latent or an rng")
         w0 = rng.normal(policy.latent_dim)
-    cond = statecodec.encode_state(state)[None, :]
-    out = ddim_sample(policy.denoiser, policy.schedule, cond,
-                      policy.cfg.ddim_steps, np.asarray(w0).reshape(1, -1))[0]
-    return [statecodec.decode_action(out[4 * i:4 * i + 4]) for i in range(policy.cfg.horizon)]
+    rows = plan_actions(policy, statecodec.encode_state(state)[None, :],
+                        np.asarray(w0).reshape(1, -1))[0]
+    return [Action(*row) for row in rows.tolist()]
 
 
 def run_policy_env(policy: DiffusionPolicy, env: Env, task: TaskSpec, rng: Rng,

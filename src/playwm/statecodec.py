@@ -3,9 +3,12 @@
 Encoded components live in roughly [-1, 1]. The object roster (ids, kinds,
 sizes) is scene metadata and never encoded; decode() needs a template state
 to restore it and projects the vector back onto the valid state manifold
-(clamped positions, binary height, rounded stack levels). `encode_states`
-and `encode_action_rows` encode many states or actions given as arrays at
-once, equal bit for bit to the per-object encoders.
+(clamped positions, binary height, rounded stack levels). `encode_states`,
+`encode_action_rows` and `decode_action_rows` work on many states or
+actions given as arrays at once, equal bit for bit to the per-object
+codecs. Decoding an action clips it to what the simulator executes, so a
+decoded action encodes back to the model's input for that executed action,
+not to the vector it came from.
 """
 
 from __future__ import annotations
@@ -95,9 +98,17 @@ def encode_action(a: Action) -> np.ndarray:
 
 
 def encode_action_rows(actions: np.ndarray) -> np.ndarray:
-    """`encode_action` of every (dx, dy, dz, dg) row at once."""
+    """`encode_action` of every (dx, dy, dz, dg) row, along the last axis, at once."""
     out = np.array(actions, dtype=np.float64)
-    out[:, :2] /= A_MAX
+    out[..., :2] /= A_MAX
+    return out
+
+
+def decode_action_rows(vecs: np.ndarray) -> np.ndarray:
+    """`decode_action` of every encoded row, along the last axis, at once:
+    the executed (dx, dy, dz, dg) rows."""
+    out = np.clip(np.asarray(vecs, dtype=np.float64), -1.0, 1.0)
+    out[..., :2] *= A_MAX
     return out
 
 

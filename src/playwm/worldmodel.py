@@ -21,7 +21,7 @@ from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig
-from .store import ClipWindow, EpisodeStore, windows
+from .store import ClipWindow, EpisodeStore, EpisodeView, windows
 
 
 @dataclass(frozen=True)
@@ -137,20 +137,29 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, ids: list[str] | None = No
         by_ep.setdefault(w.episode_id, []).append(i)
     conds = targets = None
     for eid, rows in by_ep.items():
-        view = store.read(eid)
-        enc_states = statecodec.encode_states(*view.state_arrays())
-        enc_actions = statecodec.encode_action_rows(view.actions)
+        states, actions = window_inputs(store.read(eid), [wins[i].start for i in rows], H, C)
         if conds is None:
-            width = enc_states.shape[1]
+            width = states.shape[2]
             conds = np.zeros((len(wins), H * width + (H - 1 + C) * 4))
             targets = np.zeros((len(wins), C * width))
-        starts = np.array([wins[i].start for i in rows])[:, None]
-        conds[rows, :H * width] = enc_states[starts + np.arange(H)].reshape(len(rows), -1)
-        conds[rows, H * width:] = enc_actions[starts + np.arange(H - 1 + C)].reshape(len(rows), -1)
-        targets[rows] = enc_states[starts + np.arange(H, W)].reshape(len(rows), -1)
+        conds[rows, :H * width] = states[:, :H].reshape(len(rows), -1)
+        conds[rows, H * width:] = actions.reshape(len(rows), -1)
+        targets[rows] = states[:, H:].reshape(len(rows), -1)
     if conds is None:  # no windows
         conds, targets = np.zeros((0, (H - 1 + C) * 4)), np.zeros((0, 0))
     return WindowDataset(windows=wins, conds=conds, targets=targets)
+
+
+def window_inputs(view: EpisodeView, starts: list[int], history: int,
+                  chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The windows of one stored episode that begin at `starts`, encoded as
+    the model sees them: their (n, history + chunk, width) states and their
+    (n, history - 1 + chunk, 4) actions."""
+    starts = np.asarray(starts)[:, None]
+    states = statecodec.encode_states(*view.state_arrays())
+    actions = statecodec.encode_action_rows(view.actions)
+    return (states[starts + np.arange(history + chunk)],
+            actions[starts + np.arange(history - 1 + chunk)])
 
 
 # -- training -----------------------------------------------------------------
@@ -260,14 +269,17 @@ class RolloutBackend:
         self.hist_actions[rows] = 0.0
 
     def step_chunk(self, actions: np.ndarray) -> list[list[EnvState]]:
-        """Drive every rollout by its C encoded actions, (B, C, 4); return
-        each rollout's C predicted states. The raw predicted vectors are
-        decoded onto valid states, and those re-encoded enter the history."""
+        """Drive every rollout by its C executed actions, (B, C, 4) in
+        simulator units as `Env.step` takes them; return each rollout's C
+        predicted states. The actions are encoded as `build_dataset` encodes
+        the stored actions the model trained on. The raw predicted vectors
+        are decoded onto valid states, and those re-encoded enter the history."""
         H, C = self.wm.cfg.history, self.wm.cfg.chunk
         if actions.shape != (len(self.hist_states), C, 4):
             raise ValueError(f"step_chunk takes (B, C, 4) = ({len(self.hist_states)}, {C}, 4) "
-                             f"encoded actions, got {actions.shape}")
-        window = np.concatenate([self.hist_actions, actions], axis=1)
+                             f"executed actions, got {actions.shape}")
+        window = np.concatenate([self.hist_actions, statecodec.encode_action_rows(actions)],
+                                axis=1)
         pred = predict_chunk(self.wm, self.hist_states, window, self.rng)
         states = [[statecodec.decode_state(vec, self.template) for vec in row] for row in pred]
         clean = np.array([[statecodec.encode_state(s) for s in row] for row in states])

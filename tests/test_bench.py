@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from conftest import TASK
-from playwm import bench, statecodec
+from playwm import bench, dsrl, nets, policies, progress, statecodec, worldmodel
 from playwm.bench import EvalStudyConfig, measure_imagined
 from playwm.policies import PolicyConfig, create_policy
 from playwm.rng import Rng
@@ -95,3 +96,42 @@ def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
     bench.measure_imagined(policy, wm, cfg, Rng(71))
     C = wm.cfg.chunk
     assert len(calls) == cfg.n_wm * -(-cfg.max_steps // C) * C
+
+
+@pytest.mark.parametrize("loop", ["bench", "dsrl"])
+def test_imagined_loops_drive_the_model_with_the_executed_actions(trained, monkeypatch, loop):
+    """The lockstep evaluation and DSRL condition the world model on the
+    policy's chunks as the simulator executes them, encoded as the stored
+    actions the model trained on."""
+    scene, policy, wm = trained
+    C, N = wm.cfg.chunk, 3
+    ddim, predict = policies.ddim_sample, worldmodel.predict_chunk
+    chunks, inputs = [], []
+
+    def spied_ddim(*args):
+        chunks.append(ddim(*args))
+        return chunks[-1]
+
+    def spied_predict(wm_, hist, actions, rng):
+        inputs.append(actions[:, -C:].copy())
+        return predict(wm_, hist, actions, rng)
+
+    for module in (policies, bench, dsrl):  # wherever a loop may call the sampler
+        monkeypatch.setattr(module, "ddim_sample", spied_ddim, raising=False)
+    monkeypatch.setattr(worldmodel, "predict_chunk", spied_predict)
+    if loop == "bench":
+        bench.measure_imagined(policy, wm, EvalStudyConfig(task=TASK, n_wm=N), Rng(71))
+    else:
+        width = statecodec.state_dim(len(scene.objects))
+        prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), scene)
+        cfg = dsrl.DsrlConfig(hidden=16, depth=1, batch=8, initial_rollout_steps=10,
+                              max_episode_steps=10, train_freq=5, eval_rollouts=1)
+        dsrl.finetune(worldmodel.RolloutBackend(wm, Rng(5)), policy, prog, scene, TASK, cfg,
+                      Rng(6), total_updates=2, inits=[scene.nominal_state()] * N)
+    # the real-simulator evaluations denoise one chunk at a time
+    chunks = [c[:, :4 * C].reshape(N, C, 4) for c in chunks if len(c) == N]
+    assert inputs and len(chunks) == len(inputs)
+    assert any((np.abs(c) > 1.0).any() for c in chunks)  # some actions are clipped
+    for chunk, got in zip(chunks, inputs):
+        want = statecodec.encode_action_rows(statecodec.decode_action_rows(chunk))
+        assert (got == want).all()

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -93,9 +95,10 @@ def test_finetune_is_seed_deterministic():
 
 
 def test_finetune_drives_the_model_with_the_executed_actions():
-    """The model sees the actions `act` would decode, clipped, re-encoded.
-    (The policy chunks are denoised as one batch, as finetune does: a batch
-    of rows and rows one at a time differ in the last bits.)"""
+    """The stepper is given the actions `act` would decode: clipped, in
+    simulator units. (The policy chunks are denoised as one batch, as
+    finetune does: a batch of rows and rows one at a time differ in the last
+    bits.)"""
     policy = _policy(default_scene(), gain=4.0)
     st, backend, inits = _finetune(2, n_inits=2, policy=policy)
     C = backend.wm.cfg.chunk
@@ -106,9 +109,8 @@ def test_finetune_drives_the_model_with_the_executed_actions():
                          st.buffer.w[:2])
     assert (np.abs(chunks[:, :4 * C]) > 1.0).any()  # some actions are clipped
     for b in range(len(inits)):
-        want = [statecodec.encode_action(statecodec.decode_action(chunks[b, 4 * i:4 * i + 4]))
-                for i in range(C)]
-        assert (backend.actions[0][b] == np.stack(want)).all()
+        want = [astuple(statecodec.decode_action(chunks[b, 4 * i:4 * i + 4])) for i in range(C)]
+        assert (backend.actions[0][b] == np.array(want)).all()
 
 
 def test_finetune_replan_must_match_model_chunk():
@@ -123,7 +125,7 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
     init_rng = Rng(3)
     backend.reset([jittered_state(scene, init_rng, 0.03) for _ in range(3)])
     H, C = wm.cfg.history, wm.cfg.chunk
-    actions = Rng(4).normal((3, C, 4)) * 0.1
+    actions = Rng(4).normal((3, C, 4)) * 0.1  # executed: dx, dy in simulator units
     states = backend.step_chunk(actions)
     assert [len(row) for row in states] == [C] * 3
     assert backend.hist_states.shape == (3, H, wm.state_width)
@@ -132,8 +134,8 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
         for i in range(C):
             got = backend.hist_states[b, H - C + i]
             assert (got == statecodec.encode_state(states[b][i])).all()
-    assert (backend.hist_actions[:, -C:] == actions).all()
-    with pytest.raises(ValueError, match="encoded actions"):
+    assert (backend.hist_actions[:, -C:] == statecodec.encode_action_rows(actions)).all()
+    with pytest.raises(ValueError, match="executed actions"):
         backend.step_chunk(actions[:, :C - 1])
 
 

@@ -1,8 +1,11 @@
 """Golden digests of every closed-loop evaluation: real and imagined success
-rates with their mode histograms, and the unsteered and steered DSRL
-evaluation, each from a tiny trained policy and world model at fixed seeds.
-A change to how a loop draws its random numbers, encodes its actions or
-counts its steps must leave every one bit-identical."""
+rates with their mode histograms, the predicted states the imagined
+evaluation scores, and the unsteered and steered DSRL evaluation, each from
+a tiny trained policy and world model at fixed seeds. The rates and
+histograms pin how a loop draws its random numbers and counts its steps;
+only the predicted states see what the world model is conditioned on, so a
+change to how the imagined loop encodes its actions moves that digest
+alone."""
 
 import hashlib
 
@@ -17,7 +20,7 @@ CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
 GOLDEN = {
     "real": "3e17285ba41ae9545d54c6dbd163d0f25279579936fb8e7dfd1a9e6e954b8d34",
     "imagined_world_model": "da229fad4542c10ca428f823936f0e1279bbfce48b8a3286df24a8a23b06b5de",
-    "imagined_predicted_states": "573648a7a549821995f3ba4ed278cf6f07451ebb8a52cb1d921698e27346a7f5",
+    "imagined_predicted_states": "3049d3f449cd771e9d1893ff60cc24c518561d1e557ebfab7688709d297dbd1e",
     "imagined_scene": "7fe8d3214b2695f92f63f17dc522b54b90a49bf5a4f5e575ceae80708bae6a8d",
     "env_success": "8628fccdc5eb4a26d9006bc647ec65405509f492443349d99403f88bd8203e93",
     "steered_False": "fe0b040cb5f683e08c94dfde8dfc1e8346c93dadb466e07d4308991942b608f4",

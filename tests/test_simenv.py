@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -343,6 +344,11 @@ class TestCodec:
         a = Action(dx=0.05, dy=-0.03, dz=1.0, dg=-0.5)
         back = statecodec.decode_action(statecodec.encode_action(a))
         assert back == a
+
+    def test_action_rows_decode_as_decode_action(self):
+        vecs = Rng(5).normal((3, 7, 4)) * 2.0
+        want = [[astuple(statecodec.decode_action(v)) for v in row] for row in vecs]
+        assert statecodec.decode_action_rows(vecs).tobytes() == np.array(want).tobytes()
 
     def test_scene_config_roundtrip(self):
         cfg = default_scene()
