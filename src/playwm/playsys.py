@@ -49,12 +49,6 @@ class ProposerConfig:
             raise ValueError(f"grammar weights sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
-class SafetyLimits:
-    step_clamp: float = 0.08
-    max_episode_steps: int = 30
-
-
 DEMO_VERBS = ("put_in", "take_out", "stack", "unstack", "fold", "unfold")
 
 
@@ -63,10 +57,6 @@ def expert_config() -> ProposerConfig:
                for v in GRAMMAR_VERBS}
     return ProposerConfig(verb_weights=weights, sigma_w_max=0.0, sigma_g_max=0.0,
                           speed_range=(1.0, 1.0), towel_transport=False)
-
-
-def human_play_config() -> ProposerConfig:
-    return ProposerConfig(sigma_w_max=0.12, sigma_g_max=0.10, speed_range=(0.5, 2.0))
 
 
 def bench_config() -> ProposerConfig:
@@ -153,21 +143,20 @@ def propose(state: EnvState, cfg: ProposerConfig, rng: Rng,
     return Instruction(task, perturb)
 
 
-def execute(env: Env, instr: Instruction, rng: Rng,
-            limits: SafetyLimits | None = None) -> Episode:
-    """Run one instruction to success, terminal failure, or the step budget."""
-    limits = limits or SafetyLimits()
+def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
+    """Run one instruction to success, terminal failure, or the scene's step
+    budget. The simulator clamps each action to `a_max`, and the episode
+    records the clamped actions."""
     skill = SkillController(instr, env.state, env.phys, rng)
     states = [env.state.copy()]
     actions: list[Action] = []
     events: list[Event] = []
     noise: list[float] = []
     success = check_success(env.state, instr.task, env.phys)
-    while len(actions) < limits.max_episode_steps and not success:
+    while len(actions) < env.phys.max_steps and not success:
         act = skill.action(env.state)
         if act is None:
             break
-        act = _safety_clamp(act, limits)
         state, event = env.step(act)
         states.append(state.copy())
         actions.append(act.sanitized(env.phys))
@@ -180,11 +169,6 @@ def execute(env: Env, instr: Instruction, rng: Rng,
     )
 
 
-def _safety_clamp(a: Action, limits: SafetyLimits) -> Action:
-    c = limits.step_clamp
-    return Action(dx=_clip(a.dx, -c, c), dy=_clip(a.dy, -c, c), dz=a.dz, dg=a.dg)
-
-
 def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rng,
             store: EpisodeStore, source: str = "play", reset_each: bool = False) -> EpisodeStore:
     """Alternate propose/execute for a fixed number of episodes.
@@ -192,8 +176,6 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
     Play mode leaves the scene wherever the last episode ended; demo mode
     (reset_each) restores a jittered nominal scene before every episode.
     """
-    limits = SafetyLimits(step_clamp=scene.physics.a_max,
-                          max_episode_steps=scene.physics.max_steps)
     env = Env(scene, seed=rng.spawn_seed())
     if not reset_each:
         env.reset(jittered_state(scene, rng))
@@ -203,7 +185,7 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
         ep_seed = rng.spawn_seed()
         ep_rng = Rng(ep_seed)
         instr = propose(env.state, proposer, ep_rng, env.phys)
-        episode = execute(env, instr, ep_rng, limits)
+        episode = execute(env, instr, ep_rng)
         episode.eid = f"{source}-{i:06d}"
         episode.source = source
         episode.seed = ep_seed
@@ -215,6 +197,3 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
                  episode.outcome, hist)
     return store
 
-
-def _clip(v, lo, hi):
-    return lo if v < lo else hi if v > hi else v

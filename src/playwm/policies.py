@@ -21,7 +21,7 @@ from .diffusion import DenoiserNet, NoiseSchedule, ddim_sample, diffusion_loss
 from .dynamics import Action
 from .env import Env
 from .optim import Adam, clip_grad_norm
-from .playsys import SafetyLimits, execute
+from .playsys import execute
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .skills import Instruction, Perturbation
@@ -224,8 +224,7 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
         env.reset(jittered_state(scene, rng, INIT_JITTER))
         perturb = Perturbation(sigma_w=0.06 * noise, sigma_g=0.05 * noise,
                                speed_mult=1.0 + 0.6 * noise * (rng.uniform() - 0.3))
-        ep = execute(env, Instruction(task, perturb), rng,
-                     SafetyLimits(max_episode_steps=scene.physics.max_steps))
+        ep = execute(env, Instruction(task, perturb), rng)
         ep.eid = f"{source}-{len(store):06d}"
         ep.source = source
         ep.seed = i

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ import pytest
 from playwm import bench, statecodec
 from playwm.dynamics import Action, EventKind
 from playwm.env import Env
-from playwm.playsys import (ProposalError, ProposerConfig, SafetyLimits,
-                            applicable_tasks, collect, execute, expert_config,
-                            human_play_config, propose)
+from playwm.playsys import (ProposalError, ProposerConfig, applicable_tasks, collect,
+                            execute, expert_config, propose)
 from playwm.render import render
 from playwm.rng import Rng
 from playwm.scene import EnvState, GripperState, ObjectState, Physics, default_scene, jittered_state
@@ -20,8 +20,9 @@ from playwm.tasks import BehaviorMode, TaskSpec, check_success
 from playwm.worldmodel import WmConfig, build_dataset
 
 
-def fresh_env(seed=0):
-    return Env(default_scene(), seed=seed)
+def fresh_env(seed=0, max_steps=30):
+    """An env of the default scene whose episodes stop after max_steps."""
+    return Env(replace(default_scene(), physics=Physics(max_steps=max_steps)), seed=seed)
 
 
 def expert_instruction(task):
@@ -89,7 +90,7 @@ class TestSkills:
     def test_episode_length_capped(self):
         env = fresh_env()
         instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_w=0.3, sigma_g=0.3))
-        ep = execute(env, instr, Rng(2), SafetyLimits(max_episode_steps=30))
+        ep = execute(env, instr, Rng(2))
         assert ep.n_steps <= 30
 
     def test_expert_fold_then_unfold(self):
@@ -206,7 +207,8 @@ class TestCollect:
 
     def test_oob_recovery(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        collect(default_scene(), human_play_config(), 40, Rng(11), store)
+        human_play = ProposerConfig(sigma_w_max=0.12, sigma_g_max=0.10, speed_range=(0.5, 2.0))
+        collect(default_scene(), human_play, 40, Rng(11), store)
         # reset priority keeps strays from persisting over consecutive episodes
         consecutive = 0
         worst = 0
@@ -396,10 +398,9 @@ class TestStore:
 class TestWindows:
     def _store_with_lengths(self, tmp_path, lengths):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env()
         for i, n in enumerate(lengths):
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_w=0.2, sigma_g=0.1))
-            ep = execute(env, instr, Rng(i), SafetyLimits(max_episode_steps=n))
+            ep = execute(fresh_env(max_steps=n), instr, Rng(i))
             # pad/trim to exactly n steps by construction is not guaranteed; skip short ones
             ep.eid, ep.source = f"e{i}", "play"
             store.append(ep)
@@ -414,9 +415,7 @@ class TestWindows:
 
     def test_short_episode_yields_nothing(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env()
-        ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1),
-                     SafetyLimits(max_episode_steps=3))
+        ep = execute(fresh_env(max_steps=3), expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
         ep.eid, ep.source = "e1", "play"
         store.append(ep)  # 4 frames
         assert windows(store, 5, 1) == []
@@ -511,10 +510,9 @@ class TestWindowEnumerator:
 class TestSplit:
     def test_fraction_and_disjoint(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env()
+        env = fresh_env(max_steps=5)
         for i in range(100):
-            ep = execute(env, expert_instruction(TaskSpec("put_near", 1, 2)), Rng(i),
-                         SafetyLimits(max_episode_steps=5))
+            ep = execute(env, expert_instruction(TaskSpec("put_near", 1, 2)), Rng(i))
             ep.eid, ep.source = f"e{i}", "play"
             store.append(ep)
         train, held = split(store, 0.2, Rng(3))
