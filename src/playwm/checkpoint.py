@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,6 +20,17 @@ VERSION = 1
 
 class CheckpointError(RuntimeError):
     pass
+
+
+@contextmanager
+def header_builds(path: str):
+    """Raise CheckpointError naming path when the body cannot build a model
+    from the header fields it reads (an unknown config or physics key, an
+    unknown object kind, a malformed value)."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: checkpoint header does not build ({exc})") from None
 
 
 def save_checkpoint(path: str, kind: str, header: dict, params: dict[str, np.ndarray]) -> None:

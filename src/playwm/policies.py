@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import nets, statecodec
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .diffusion import DenoiserNet, NoiseSchedule, ddim_sample, diffusion_loss
 from .dynamics import Action
 from .env import Env
@@ -288,8 +288,9 @@ def load_policy(path: str) -> DiffusionPolicy:
     from .scene import scene_from_dict
 
     _, header, params = load_checkpoint(path, "policy", ("config", "scene", "train_steps_done"))
-    policy = create_policy(scene_from_dict(header["scene"]),
-                           PolicyConfig(**header["config"]), None)
+    with header_builds(path):
+        policy = create_policy(scene_from_dict(header["scene"]),
+                               PolicyConfig(**header["config"]), None)
     nets.load_params(policy.denoiser.net, params, path)
     policy.train_steps_done = header["train_steps_done"]
     return policy

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets, statecodec
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .optim import Adam, clip_grad_norm
 from .rng import Rng
 from .scene import EnvState, SceneConfig
@@ -110,6 +110,8 @@ def load_progress(path: str) -> ProgressModel:
     from .scene import scene_from_dict
 
     _, header, params = load_checkpoint(path, "progress", ("widths", "scene"))
+    with header_builds(path):
+        scene = scene_from_dict(header["scene"])
     net = nets.Mlp(widths=header["widths"], activation="silu")
     nets.load_params(net, params, path)
-    return ProgressModel(net=net, scene=scene_from_dict(header["scene"]))
+    return ProgressModel(net=net, scene=scene)

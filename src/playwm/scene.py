@@ -33,7 +33,6 @@ class Physics:
     margin: float = 0.05       # tape margin; outside is out-of-bounds
     gripper_radius: float = 2.0 / 64.0
     max_steps: int = 30
-    control_hz: float = 5.0
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import nets, statecodec
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .curation import AnnealSchedule, CurriculumIndex, sample_batch
 from .diffusion import DenoiserNet, NoiseSchedule, ddpm_sample, diffusion_loss
 from .optim import Adam, clip_grad_norm, warmup_cosine_lr
@@ -306,9 +306,9 @@ def load_worldmodel(path: str) -> WorldModel:
     from .scene import scene_from_dict
 
     _, header, params = load_checkpoint(path, "worldmodel", ("config", "scene", "step_count"))
-    cfg = WmConfig(**header["config"])
-    scene = scene_from_dict(header["scene"])
-    wm = create_worldmodel(scene, cfg, None)
+    with header_builds(path):
+        wm = create_worldmodel(scene_from_dict(header["scene"]), WmConfig(**header["config"]),
+                               None)
     nets.load_params(wm.denoiser.net, params, path)
     wm.step_count = header["step_count"]
     wm.loss_trace = [tuple(x) for x in header.get("loss_trace", [])]

@@ -162,6 +162,32 @@ def test_model_header_missing_fields(tmp_path, kind):
             loaded_hash(path)
 
 
+def _old_physics(header):
+    """A scene saved before Physics lost its unread control_hz field."""
+    header["scene"]["physics"]["control_hz"] = 5.0
+
+
+def _unknown_kind(header):
+    header["scene"]["objects"][0]["kind"] = "sphere"
+
+
+def _unknown_config_key(header):
+    header["config"]["width"] = 3
+
+
+@pytest.mark.parametrize("kind, spoil", [(k, f) for k in ("worldmodel", "policy", "progress")
+                                         for f in (_old_physics, _unknown_kind)]
+                         + [("worldmodel", _unknown_config_key),
+                            ("policy", _unknown_config_key)])
+def test_model_header_that_does_not_build(tmp_path, kind, spoil):
+    path, loaded_hash, _ = _saved_model(tmp_path, kind)
+    saved_kind, header, params = load_checkpoint(path)
+    spoil(header)
+    save_checkpoint(path, saved_kind, header, params)
+    with raises_naming(path, "checkpoint header does not build"):
+        loaded_hash(path)
+
+
 @pytest.mark.parametrize("kind", ["worldmodel", "policy"])
 def test_denoiser_load_draws_no_random_init(tmp_path, monkeypatch, kind):
     """The loaders overwrite every parameter, so they build the net without
