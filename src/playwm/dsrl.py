@@ -158,20 +158,27 @@ class DsrlState:
     critics: Critics
     buffer: ReplayBuffer
     cfg: DsrlConfig
-    log_alpha: float = math.log(0.1)
+    alpha_param: nets.FlatParams  # log alpha, the temperature's log, as one element
     actor_opt: Adam = field(default_factory=Adam)
     q1_opt: Adam = field(default_factory=Adam)
     q2_opt: Adam = field(default_factory=Adam)
     alpha_opt: Adam = field(default_factory=Adam)
     updates_done: int = 0
 
+    @property
+    def log_alpha(self) -> float:
+        return float(self.alpha_param.flat[0])
+
 
 def make_dsrl(state_dim: int, latent_dim: int, cfg: DsrlConfig, rng: Rng) -> DsrlState:
+    alpha_param = nets.FlatParams({"log_alpha": (1,)})
+    alpha_param.flat[0] = math.log(0.1)
     return DsrlState(
         actor=NoiseActor(state_dim, latent_dim, cfg, Rng(rng.spawn_seed())),
         critics=Critics(state_dim, latent_dim, cfg, Rng(rng.spawn_seed())),
         buffer=ReplayBuffer(cfg.buffer_capacity, state_dim, latent_dim),
         cfg=cfg,
+        alpha_param=alpha_param,
         actor_opt=Adam(lr=cfg.actor_lr),
         q1_opt=Adam(lr=cfg.critic_lr),
         q2_opt=Adam(lr=cfg.critic_lr),
@@ -216,10 +223,10 @@ def update(st: DsrlState, rng: Rng) -> dict:
     losses["actor"] = loss
 
     # temperature toward the entropy target
-    alpha_grad = float(np.mean(-(logp + cfg.target_entropy)))
-    la = {"log_alpha": np.array([st.log_alpha])}
-    st.alpha_opt.step(la, {"log_alpha": np.array([alpha_grad])})
-    st.log_alpha = float(np.clip(la["log_alpha"][0], -10.0, 4.0))
+    alpha_grad = st.alpha_param.zeros_like()
+    alpha_grad.flat[0] = np.mean(-(logp + cfg.target_entropy))
+    st.alpha_opt.step(st.alpha_param, alpha_grad)
+    np.clip(st.alpha_param.flat, -10.0, 4.0, out=st.alpha_param.flat)
     losses["alpha"] = math.exp(st.log_alpha)
 
     st.critics.polyak(cfg.tau)

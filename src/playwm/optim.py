@@ -1,12 +1,11 @@
 """Adam with bias correction, plus gradient clipping and the warmup/cosine
 learning-rate schedule.
 
-Adam keeps its moments as flat vectors. Given a net's FlatParams and a
-gradient FlatParams of the same layout it updates the whole parameter
-vector in place, one cache-sized block at a time, with scratch for one
-block allocated once; given plain dicts it walks the arrays in dict order
-over the same flat moments. Either way each element sees the same
-operations in the same order, so results do not depend on the blocking.
+Adam keeps its moments as flat vectors. Given a FlatParams and a gradient
+FlatParams of the same layout it updates the whole parameter vector in
+place, one cache-sized block at a time, with scratch for one block
+allocated once. Each element sees the same operations in the same order,
+so results do not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -32,25 +31,20 @@ class Adam:
     v: np.ndarray | None = None
     _scratch: np.ndarray | None = field(default=None, repr=False)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float | None = None) -> None:
+    def step(self, params: FlatParams, grads: FlatParams, lr: float | None = None) -> None:
         """One in-place Adam update.
 
         The whole gradient is checked first: a non-finite value raises
         FloatingPointError naming its parameter, and leaves the parameters,
         the moments and the step count untouched.
         """
-        if isinstance(params, FlatParams) and isinstance(grads, FlatParams):
-            if params.flat.size != grads.flat.size:
-                raise ValueError("gradient layout does not match the parameters")
-            segments = [(params.flat, grads.flat)]
-        else:
-            segments = [(params[n].reshape(-1), np.asarray(grads[n], dtype=np.float64).reshape(-1))
-                        for n in params]
-        if not all(np.isfinite(g).all() for _, g in segments):
+        p, g = params.flat, grads.flat
+        if p.size != g.size:
+            raise ValueError("gradient layout does not match the parameters")
+        if not np.isfinite(g).all():
             bad = next(n for n in params if not np.isfinite(grads[n]).all())
             raise FloatingPointError(f"NaN gradient for parameter {bad!r}")
-        size = sum(p.size for p, _ in segments)
+        size = p.size
         if self.m is None:
             self.m, self.v = np.zeros(size), np.zeros(size)
             self._scratch = np.empty((2, min(BLOCK, size)))
@@ -61,13 +55,9 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        off = 0
-        for p, g in segments:
-            for lo in range(0, p.size, BLOCK):
-                hi = min(lo + BLOCK, p.size)
-                self._update(p[lo:hi], g[lo:hi], self.m[off + lo:off + hi],
-                             self.v[off + lo:off + hi], eta, bc1, bc2)
-            off += p.size
+        for lo in range(0, size, BLOCK):
+            hi = min(lo + BLOCK, size)
+            self._update(p[lo:hi], g[lo:hi], self.m[lo:hi], self.v[lo:hi], eta, bc1, bc2)
 
     def _update(self, p, g, m, v, eta: float, bc1: float, bc2: float) -> None:
         """m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2;

@@ -197,49 +197,57 @@ class TestMlpForward:
             nets.forward(net, np.zeros((1, 5)))
 
 
+def flat_params(**arrays) -> nets.FlatParams:
+    """A FlatParams holding copies of the given arrays, in argument order."""
+    out = nets.FlatParams({name: np.shape(value) for name, value in arrays.items()})
+    for name, value in arrays.items():
+        out[name][...] = value
+    return out
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         rng = Rng(1)
         net = nets.init_mlp([2, 3], rng)
         before = {k: v.copy() for k, v in net.params.items()}
         opt = optim.Adam(lr=0.1)
-        zero = {k: np.zeros_like(v) for k, v in net.params.items()}
+        zero = net.params.zeros_like()
         for _ in range(5):
             opt.step(net.params, zero)
         for k in net.params:
             assert np.allclose(net.params[k], before[k])
 
     def test_first_step_is_sign_scaled(self):
-        params = {"p": np.array([1.0, -2.0])}
+        params = flat_params(p=[1.0, -2.0])
         g = np.array([0.5, -0.25])
         opt = optim.Adam(lr=0.1)
-        opt.step(params, {"p": g.copy()})
+        opt.step(params, flat_params(p=g))
         expect = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(params["p"], expect, atol=1e-6)
 
     def test_constant_gradient_descends_monotonically(self):
-        params = {"p": np.array([0.0])}
+        params = flat_params(p=[0.0])
         opt = optim.Adam(lr=0.1)
         prev = 0.0
         for _ in range(1000):
-            opt.step(params, {"p": np.array([1.0])})
+            opt.step(params, flat_params(p=[1.0]))
             assert params["p"][0] < prev
             prev = params["p"][0]
 
     def test_nan_gradient_aborts_with_name(self):
-        params = {"theta": np.array([0.0])}
+        params = flat_params(theta=[0.0])
         opt = optim.Adam()
         with pytest.raises(FloatingPointError, match="theta"):
-            opt.step(params, {"theta": np.array([np.nan])})
+            opt.step(params, flat_params(theta=[np.nan]))
 
     def test_nan_gradient_changes_nothing(self):
-        params = {"a": np.array([1.0]), "b": np.array([2.0])}
+        params = flat_params(a=[1.0], b=[2.0])
         opt = optim.Adam(lr=0.1)
         with pytest.raises(FloatingPointError, match="'b'"):
-            opt.step(params, {"a": np.array([1.0]), "b": np.array([np.nan])})
+            opt.step(params, flat_params(a=[1.0], b=[np.nan]))
         assert params["a"][0] == 1.0 and params["b"][0] == 2.0
         assert opt.step_count == 0 and opt.m is None
-        opt.step(params, {"a": np.array([1.0]), "b": np.array([1.0])})
+        opt.step(params, flat_params(a=[1.0], b=[1.0]))
         assert opt.step_count == 1 and params["a"][0] == pytest.approx(0.9)
 
     def test_nan_gradient_in_flat_params_names_parameter(self):
@@ -257,7 +265,7 @@ class TestAdam:
         array with whole-array temporaries, across several block boundaries."""
         rng = Rng(3)
         net = nets.init_mlp([300, 150, 40], rng)  # 51 190 parameters: two blocks, w0 split
-        assert net.n_params() > optim.BLOCK
+        assert net.params.flat.size > optim.BLOCK
         ref = {k: v.copy() for k, v in net.params.items()}
         ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
         ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
