@@ -12,7 +12,6 @@ near-success ranks and spreads toward the long tail.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,6 @@ from .projection import Projection, random_projection
 from .render import FRAME_SIZE, render
 from .rng import Rng
 from .store import ClipWindow, EpisodeStore
-from .tasks import BehaviorMode
 
 EMBED_DIM = 32
 FRAME_PIXELS = FRAME_SIZE * FRAME_SIZE
@@ -43,14 +41,6 @@ class Embedder:
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
         flat = np.asarray(frame, dtype=np.float64).reshape(-1, FRAME_PIXELS)
         return self.projection.apply(flat)
-
-    def embed_window(self, frames: list[np.ndarray]) -> np.ndarray:
-        W = len(frames)
-        if W < SAMPLED_FRAMES:
-            raise ValueError(f"window needs at least {SAMPLED_FRAMES} frames, got {W}")
-        idx = window_sample_indices(W)
-        stack = np.stack([np.asarray(frames[i]).reshape(FRAME_PIXELS) for i in idx])
-        return self.projection.apply(stack).reshape(-1)
 
 
 def window_sample_indices(W: int) -> tuple[int, int, int, int]:
@@ -159,14 +149,6 @@ def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
     return kmeans(embs, k, rng)
 
 
-def distance_to_success(model: ClusterModel, embedding: np.ndarray) -> float:
-    embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.shape[-1] != model.centroids.shape[1]:
-        raise ValueError("embedding dimension does not match centroids")
-    d2 = ((model.centroids - embedding) ** 2).sum(axis=1)
-    return float(np.sqrt(d2.min()))
-
-
 def distances_to_success(model: ClusterModel, embeddings: np.ndarray) -> np.ndarray:
     return np.sqrt(_sq_dists(np.asarray(embeddings, dtype=np.float64),
                              model.centroids).min(axis=1))
@@ -270,34 +252,6 @@ def sample_batch(index: CurriculumIndex, schedule: AnnealSchedule, step: int,
         picks = rng.randint_array(cnt, len(pool))
         out[take] = pool[picks]
     return out
-
-
-def save_index(index: CurriculumIndex, path: str) -> None:
-    data = {
-        "thresholds": [t if np.isfinite(t) else None for t in index.thresholds],
-        "windows": [
-            {"episode": w.episode_id, "start": w.start, "length": w.length,
-             "mode": w.mode.value, "distance": float(index.distances[i]),
-             "rank": int(index.ranks[i])}
-            for i, w in enumerate(index.windows)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-
-
-def load_index(path: str) -> CurriculumIndex:
-    with open(path) as fh:
-        data = json.load(fh)
-    thresholds = np.array([np.inf if t is None else t for t in data["thresholds"]])
-    wins = [ClipWindow(w["episode"], w["start"], w["length"], BehaviorMode(w["mode"]))
-            for w in data["windows"]]
-    distances = np.array([w["distance"] for w in data["windows"]])
-    ranks = np.array([w["rank"] for w in data["windows"]], dtype=np.int64)
-    R = len(thresholds) - 1
-    members = [np.flatnonzero(ranks == r) for r in range(1, R + 1)]
-    return CurriculumIndex(windows=wins, distances=distances, thresholds=thresholds,
-                           ranks=ranks, members=members)
 
 
 # -- coverage report ----------------------------------------------------------

@@ -145,10 +145,3 @@ def tv_distance(p, q) -> float:
         if abs(v.sum() - 1.0) > 1e-9 or np.any(v < -1e-12):
             raise MetricError(f"{name} is not a probability vector")
     return float(0.5 * np.abs(p - q).sum())
-
-
-def normalize_score(s_raw: float, s_min: float = 0.072, s_max: float = 0.10) -> float:
-    """Order-reversing affine map of a raw distance score; higher is better."""
-    if not s_max > s_min:
-        raise MetricError("degenerate normalization bounds")
-    return -(s_raw - s_min) / (s_max - s_min)

@@ -83,9 +83,6 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.widths) - 1
 
-    def n_params(self) -> int:
-        return self.params.flat.size
-
     def param_hash(self) -> str:
         h = hashlib.sha256()
         for name in sorted(self.params):

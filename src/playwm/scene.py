@@ -46,9 +46,6 @@ class ObjectState:
     z_level: int = 0
     fold_angle: float = 0.0
 
-    def pos(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
     def effective_radius(self) -> float:
         if self.kind == "disk":
             return self.size[0]

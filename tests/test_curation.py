@@ -2,35 +2,43 @@ import numpy as np
 import pytest
 
 from playwm import curation as cu
+from playwm.env import Env
+from playwm.playsys import execute
+from playwm.render import render
 from playwm.rng import Rng
+from playwm.scene import default_scene
+from playwm.skills import Instruction, Perturbation
+from playwm.store import ClipWindow, EpisodeStore
+from playwm.tasks import BehaviorMode, TaskSpec
 
 
 class TestEmbedder:
     def test_zero_frames_zero_vector(self):
         emb = cu.Embedder.create(0)
-        frames = [np.zeros((64, 64)) for _ in range(5)]
-        assert np.all(emb.embed_window(frames) == 0.0)
+        assert np.all(emb.embed_frame(np.zeros((5, 64, 64))) == 0.0)
 
-    def test_identical_windows_identical_vectors(self):
+    def test_identical_windows_identical_vectors(self, tmp_path):
+        """Each window's vector is the embedding of its four sampled frames."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        ep = execute(Env(default_scene()), Instruction(TaskSpec("put_in", 1, 0), Perturbation()),
+                     Rng(1))
+        ep.eid, ep.source = "e1", "demo"
+        store.append(ep)
+        w = ClipWindow("e1", 2, 12, BehaviorMode.SUCCESS)
         emb = cu.Embedder.create(1)
-        rng = Rng(2)
-        frames = [rng.uniform_array((64, 64)) for _ in range(5)]
-        assert np.array_equal(emb.embed_window(frames), emb.embed_window(list(frames)))
+        rows = cu.embed_store_windows(store, [w, w], emb)
+        assert np.array_equal(rows[0], rows[1])
+        view = store.read("e1")
+        frames = np.stack([render(view.state(w.start + i)) for i in cu.window_sample_indices(12)])
+        assert np.allclose(rows[0], emb.embed_frame(frames).reshape(-1), rtol=0, atol=1e-12)
 
     def test_single_lit_pixel_reads_projection_row(self):
         emb = cu.Embedder.create(3)
         frame = np.zeros((64, 64))
         frame[5, 7] = 1.0
         flat_index = 5 * 64 + 7
-        vec = emb.embed_window([frame] * 4)
-        row = emb.projection.matrix[flat_index]
-        for k in range(4):
-            assert np.array_equal(vec[32 * k:32 * (k + 1)], row)
-
-    def test_window_too_short(self):
-        emb = cu.Embedder.create(0)
-        with pytest.raises(ValueError):
-            emb.embed_window([np.zeros((64, 64))] * 3)
+        vec = emb.embed_frame(frame)
+        assert np.array_equal(vec[0], emb.projection.matrix[flat_index])
 
     def test_sample_indices(self):
         assert cu.window_sample_indices(5) == (0, 1, 2, 4)
@@ -71,26 +79,26 @@ class TestKmeans:
 class TestDistance:
     def test_at_centroid(self):
         model = cu.ClusterModel(centroids=np.zeros((1, 8)), inertia=0.0, seed=0)
-        assert cu.distance_to_success(model, np.zeros(8)) == 0.0
+        assert cu.distances_to_success(model, np.zeros((1, 8)))[0] == 0.0
 
     def test_euclidean(self):
         model = cu.ClusterModel(centroids=np.zeros((1, 8)), inertia=0.0, seed=0)
-        e = np.zeros(8)
-        e[0], e[1] = 3.0, 4.0
-        assert cu.distance_to_success(model, e) == pytest.approx(5.0)
+        e = np.zeros((1, 8))
+        e[0, 0], e[0, 1] = 3.0, 4.0
+        assert cu.distances_to_success(model, e)[0] == pytest.approx(5.0)
 
     def test_min_over_centroids(self):
         cents = np.zeros((2, 4))
         cents[1, 0] = 10.0
         model = cu.ClusterModel(centroids=cents, inertia=0.0, seed=0)
-        e = np.zeros(4)
-        e[0] = 6.0
-        assert cu.distance_to_success(model, e) == pytest.approx(4.0)
+        e = np.zeros((2, 4))
+        e[0, 0], e[1, 0] = 6.0, 3.0
+        assert cu.distances_to_success(model, e) == pytest.approx([4.0, 3.0])
 
     def test_dimension_mismatch(self):
         model = cu.ClusterModel(centroids=np.zeros((1, 8)), inertia=0.0, seed=0)
         with pytest.raises(ValueError):
-            cu.distance_to_success(model, np.zeros(5))
+            cu.distances_to_success(model, np.zeros((1, 5)))
 
 
 class TestRanks:
@@ -239,20 +247,3 @@ class TestPcaHull:
     def test_mean_pairwise(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert cu.mean_pairwise_distance(pts) == pytest.approx(5.0)
-
-
-class TestIndexIO:
-    def test_save_load_roundtrip(self, tmp_path):
-        from playwm.store import ClipWindow
-        from playwm.tasks import BehaviorMode
-
-        d = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 9.0])
-        wins = [ClipWindow(f"e{i}", 0, 12, BehaviorMode.SUCCESS) for i in range(6)]
-        idx = cu.build_ranks(d, 3, fractions=(0.33, 0.66), wins=wins)
-        path = str(tmp_path / "index.json")
-        cu.save_index(idx, path)
-        back = cu.load_index(path)
-        assert np.array_equal(back.ranks, idx.ranks)
-        assert np.allclose(back.distances, idx.distances)
-        assert back.windows == idx.windows
-        assert back.thresholds[-1] == np.inf

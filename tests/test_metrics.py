@@ -156,19 +156,3 @@ class TestTv:
     def test_not_normalized(self):
         with pytest.raises(M.MetricError):
             M.tv_distance([0.5, 0.6], [0.5, 0.5])
-
-
-class TestNormalize:
-    def test_endpoints(self):
-        assert M.normalize_score(0.072) == 0.0
-        assert M.normalize_score(0.10) == pytest.approx(-1.0)
-
-    def test_midpoint(self):
-        assert M.normalize_score(0.086) == pytest.approx(-0.5)
-
-    def test_order_reversal(self):
-        assert M.normalize_score(0.08) > M.normalize_score(0.09)
-
-    def test_degenerate(self):
-        with pytest.raises(M.MetricError):
-            M.normalize_score(0.5, 1.0, 1.0)

@@ -33,7 +33,7 @@ class TestStep:
         s1, event = step(s0, Action(), 0.9, PHYS)
         assert event.kind == EventKind.NONE
         assert (s1.gripper.x, s1.gripper.y) == (s0.gripper.x, s0.gripper.y)
-        assert s1.objects[0].pos() == s0.objects[0].pos()
+        assert (s1.objects[0].x, s1.objects[0].y) == (s0.objects[0].x, s0.objects[0].y)
         assert s1.step_index == s0.step_index + 1
 
     def test_grasp_miss_far_away(self):
@@ -47,7 +47,7 @@ class TestStep:
         s1, event = step(s0, Action(dg=-1.0), 0.9, PHYS)
         assert event.kind == EventKind.GRASP_SUCCESS
         assert s1.gripper.held == 1
-        assert s1.objects[0].pos() == (s1.gripper.x, s1.gripper.y)
+        assert (s1.objects[0].x, s1.objects[0].y) == (s1.gripper.x, s1.gripper.y)
 
     def test_grasp_fate_from_noise_draw(self):
         s0 = simple_state(gx=0.3, gy=0.3, z=0)
@@ -85,7 +85,7 @@ class TestStep:
         s0 = simple_state(gx=0.24, gy=0.3, z=0, aperture=1.0)
         s1, event = step(s0, Action(dx=0.05), 0.9, PHYS)
         assert event.kind == EventKind.NONE
-        assert s1.objects[0].pos() == (0.3, 0.3)
+        assert (s1.objects[0].x, s1.objects[0].y) == (0.3, 0.3)
 
     def test_open_gripper_still_pushes_bowl(self):
         objs = [ObjectState(0, "bowl", 0.3, 0.3, 0.0, (0.11, 0.085))]

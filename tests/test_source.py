@@ -67,6 +67,13 @@ AWAITING_CLI = (
     "metrics.MetricReport.to_csv",
 )
 
+# Scalar codecs that the program replaced with array twins; tests check the
+# twins against them, element by element.
+REFERENCES = (
+    "statecodec.encode_action",
+    "statecodec.decode_action",
+)
+
 
 def _definitions(path: pathlib.Path):
     """(qualified name, bare name) of each top-level function, class and
@@ -86,23 +93,37 @@ def _definitions(path: pathlib.Path):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
+def _references(root: pathlib.Path, folder: str) -> set[str]:
+    """Every name that the Python files under root/folder read, as a bare
+    name, an attribute or a by-name import."""
+    used = set()
+    for path in sorted((root / folder).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
 def test_every_package_name_is_referenced():
     """Each function, class, constant and method in src/playwm is read
-    somewhere in the package, its tests or the benchmark; a name that nothing
-    refers to is dead code."""
+    somewhere in the package or the benchmark. A name that nothing refers
+    to is dead code, and so is one that only tests read, unless it is a
+    scalar reference that tests check an array twin against."""
     root = SRC.parents[1]
-    used = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in sorted((root / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    used.update(alias.name for alias in node.names)
-    unused = {qual for path in sorted(SRC.glob("*.py")) for qual, name in _definitions(path)
-              if name not in used and not name.startswith("__")}
-    waiting = set(AWAITING_CLI)
-    assert unused <= waiting, f"unreferenced names in src/playwm: {sorted(unused - waiting)}"
-    assert waiting <= unused, f"AWAITING_CLI names now read or gone: {sorted(waiting - unused)}"
+    program = _references(root, "src") | _references(root, "perfbench")
+    tested = _references(root, "tests")
+    unread = {(qual, name) for path in sorted(SRC.glob("*.py"))
+              for qual, name in _definitions(path)
+              if name not in program and not name.startswith("__")}
+    unused = {qual for qual, _ in unread}
+    exempt = set(AWAITING_CLI) | set(REFERENCES)
+    assert unused <= exempt, f"names in src/playwm that only tests or nothing read: " \
+                             f"{sorted(unused - exempt)}"
+    assert exempt <= unused, f"exempt names now read by the program or gone: " \
+                             f"{sorted(exempt - unused)}"
+    untested = sorted(qual for qual, name in unread if qual in REFERENCES and name not in tested)
+    assert not untested, f"REFERENCES names that no test reads: {untested}"
