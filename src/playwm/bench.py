@@ -6,11 +6,9 @@ rendered predictions are scored against the true future frames. Oracle mode
 substitutes the simulator (replaying each clip's recorded noise draws) and
 must reach the ideal scores, bounding harness error.
 
-Policy evaluation: each policy's success rate and mode histogram in the
-simulator against the same inside the world model. Imagined rollouts step
-in lockstep; the policy plans from each rollout's last history state, and
-the model is driven by the actions the simulator would execute, encoded as
-the stored actions it trained on.
+Policy evaluation: success rates and mode histograms in the simulator
+against lockstep imagined rollouts, where the policy plans from each
+rollout's last history state and its executed actions drive the model.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ from .scene import EnvState, SceneConfig, jittered_state
 from .store import ClipWindow, EpisodeStore, windows
 from .tasks import (BehaviorMode, MODES, TaskSpec, check_success, classify_clip,
                     infer_transition_event)
-from .worldmodel import RolloutBackend, WorldModel, predicted_frames, window_inputs
+from .worldmodel import (RolloutBackend, WorldModel, predict_chunk, predicted_frames,
+                         window_inputs)
 
 class BenchmarkError(RuntimeError):
     pass
@@ -134,8 +133,6 @@ def run_replay(benchmark: ReplayBenchmark, model: WorldModel | str, embedder: Em
 
 
 def _model_predictions(benchmark: ReplayBenchmark, wm: WorldModel, rng: Rng):
-    from .worldmodel import predict_chunk
-
     clips = benchmark.clips
     hist = np.stack([c.hist_states for c in clips])
     acts = np.stack([c.actions for c in clips])

@@ -24,9 +24,8 @@ class CheckpointError(RuntimeError):
 
 @contextmanager
 def header_builds(path: str):
-    """Raise CheckpointError naming path when the body cannot build a model
-    from the header fields it reads (an unknown config or physics key, an
-    unknown object kind, a malformed value)."""
+    """CheckpointError naming path for header fields that do not build: an
+    unknown config or physics key, an unknown object kind, a bad value."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:

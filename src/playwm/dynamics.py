@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .scene import EnvState, ObjectState, Physics
+from .scene import EnvState, ObjectState, Physics, _clip
 
 
 class EventKind(IntEnum):
@@ -300,7 +300,3 @@ def _push_out_distance(gx, gy, ox, oy, ux, uy, reach) -> float:
     disc = b * b - (d * d - reach * reach)
     s = -b + math.sqrt(max(disc, 0.0))
     return max(s, 0.0)
-
-
-def _clip(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else hi if v > hi else v

@@ -196,4 +196,3 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
         log.info("episode %s %s outcome=%s events=%s", episode.eid, instr.text(),
                  episode.outcome, hist)
     return store
-

@@ -23,7 +23,7 @@ from .env import Env
 from .optim import Adam, clip_grad_norm
 from .playsys import execute
 from .rng import Rng
-from .scene import EnvState, SceneConfig, jittered_state
+from .scene import EnvState, SceneConfig, jittered_state, scene_from_dict, scene_to_dict
 from .skills import Instruction, Perturbation
 from .store import EpisodeStore
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
@@ -274,8 +274,6 @@ def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
 # -- persistence ----------------------------------------------------------
 
 def save_policy(policy: DiffusionPolicy, path: str) -> None:
-    from .scene import scene_to_dict
-
     header = {
         "config": asdict(policy.cfg),
         "scene": scene_to_dict(policy.scene),
@@ -285,8 +283,6 @@ def save_policy(policy: DiffusionPolicy, path: str) -> None:
 
 
 def load_policy(path: str) -> DiffusionPolicy:
-    from .scene import scene_from_dict
-
     _, header, params = load_checkpoint(path, "policy", ("config", "scene", "train_steps_done"))
     with header_builds(path):
         policy = create_policy(scene_from_dict(header["scene"]),

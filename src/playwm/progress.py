@@ -16,7 +16,7 @@ from . import nets, statecodec
 from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .optim import Adam, clip_grad_norm
 from .rng import Rng
-from .scene import EnvState, SceneConfig
+from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
 from .store import EpisodeStore
 
 
@@ -99,16 +99,12 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
 
 
 def save_progress(model: ProgressModel, path: str) -> None:
-    from .scene import scene_to_dict
-
     save_checkpoint(path, "progress", {"scene": scene_to_dict(model.scene),
                                        "widths": model.net.widths},
                     model.net.params)
 
 
 def load_progress(path: str) -> ProgressModel:
-    from .scene import scene_from_dict
-
     _, header, params = load_checkpoint(path, "progress", ("widths", "scene"))
     with header_builds(path):
         scene = scene_from_dict(header["scene"])

@@ -3,12 +3,10 @@
 Encoded components live in roughly [-1, 1]. The object roster (ids, kinds,
 sizes) is scene metadata and never encoded; decode() needs a template state
 to restore it and projects the vector back onto the valid state manifold
-(clamped positions, binary height, rounded stack levels). `encode_states`,
-`encode_action_rows` and `decode_action_rows` work on many states or
-actions given as arrays at once, equal bit for bit to the per-object
-codecs. Decoding an action clips it to what the simulator executes, so a
-decoded action encodes back to the model's input for that executed action,
-not to the vector it came from.
+(clamped positions, binary height, rounded stack levels); decoding an
+action clips it to what the simulator executes. `encode_states`,
+`encode_action_rows` and `decode_action_rows` code many states or actions
+given as arrays at once, equal bit for bit to the per-object codecs.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from .diffusion import DenoiserNet, NoiseSchedule, ddpm_sample, diffusion_loss
 from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render
 from .rng import Rng
-from .scene import EnvState, SceneConfig
+from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
 from .store import ClipWindow, EpisodeStore, EpisodeView, windows
 
 
@@ -156,10 +156,8 @@ def window_inputs(view: EpisodeView, starts: list[int], history: int,
     the model sees them: their (n, history + chunk, width) states and their
     (n, history - 1 + chunk, 4) actions."""
     starts = np.asarray(starts)[:, None]
-    states = statecodec.encode_states(*view.state_arrays())
-    actions = statecodec.encode_action_rows(view.actions)
-    return (states[starts + np.arange(history + chunk)],
-            actions[starts + np.arange(history - 1 + chunk)])
+    return (statecodec.encode_states(*view.state_arrays())[starts + np.arange(history + chunk)],
+            statecodec.encode_action_rows(view.actions)[starts + np.arange(history - 1 + chunk)])
 
 
 # -- training -----------------------------------------------------------------
@@ -270,9 +268,8 @@ class RolloutBackend:
 
     def step_chunk(self, actions: np.ndarray) -> list[list[EnvState]]:
         """Drive every rollout by its C executed actions, (B, C, 4) in
-        simulator units as `Env.step` takes them; return each rollout's C
-        predicted states. The actions are encoded as `build_dataset` encodes
-        the stored actions the model trained on. The raw predicted vectors
+        simulator units, encoded as `build_dataset` encodes stored actions;
+        return each rollout's C predicted states. The raw predicted vectors
         are decoded onto valid states, and those re-encoded enter the history."""
         H, C = self.wm.cfg.history, self.wm.cfg.chunk
         if actions.shape != (len(self.hist_states), C, 4):
@@ -291,8 +288,6 @@ class RolloutBackend:
 # -- persistence ----------------------------------------------------------
 
 def save_worldmodel(wm: WorldModel, path: str) -> None:
-    from .scene import scene_to_dict
-
     header = {
         "config": asdict(wm.cfg),
         "scene": scene_to_dict(wm.scene),
@@ -303,8 +298,6 @@ def save_worldmodel(wm: WorldModel, path: str) -> None:
 
 
 def load_worldmodel(path: str) -> WorldModel:
-    from .scene import scene_from_dict
-
     _, header, params = load_checkpoint(path, "worldmodel", ("config", "scene", "step_count"))
     with header_builds(path):
         wm = create_worldmodel(scene_from_dict(header["scene"]), WmConfig(**header["config"]),
