@@ -115,15 +115,13 @@ def test_every_package_name_is_referenced():
     scalar reference that tests check an array twin against."""
     root = SRC.parents[1]
     program = _references(root, "src") | _references(root, "perfbench")
-    tested = _references(root, "tests")
-    unread = {(qual, name) for path in sorted(SRC.glob("*.py"))
-              for qual, name in _definitions(path)
+    unused = {qual for path in sorted(SRC.glob("*.py")) for qual, name in _definitions(path)
               if name not in program and not name.startswith("__")}
-    unused = {qual for qual, _ in unread}
     exempt = set(AWAITING_CLI) | set(REFERENCES)
     assert unused <= exempt, f"names in src/playwm that only tests or nothing read: " \
                              f"{sorted(unused - exempt)}"
     assert exempt <= unused, f"exempt names now read by the program or gone: " \
                              f"{sorted(exempt - unused)}"
-    untested = sorted(qual for qual, name in unread if qual in REFERENCES and name not in tested)
+    tested = _references(root, "tests")
+    untested = [qual for qual in REFERENCES if qual.rsplit(".", 1)[1] not in tested]
     assert not untested, f"REFERENCES names that no test reads: {untested}"
