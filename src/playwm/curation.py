@@ -136,12 +136,11 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
-                          rng: Rng, window_len: int = 12,
-                          stride: int | None = None) -> ClusterModel:
+                          rng: Rng, window_len: int = 12) -> ClusterModel:
     """Cluster embeddings of success-episode windows from the demo store."""
     from .store import windows as store_windows
 
-    wins = [w for w in store_windows(demo_store, window_len, stride)
+    wins = [w for w in store_windows(demo_store, window_len)
             if demo_store.meta(w.episode_id)["outcome"]]
     if len(wins) < k:
         raise ValueError(f"only {len(wins)} success windows, need at least {k}")

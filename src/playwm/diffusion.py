@@ -98,7 +98,7 @@ class DenoiserNet:
         return np.concatenate([x_t, cond, temb], axis=-1)
 
     def predict_x0(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
-        """Clean-signal estimate at step t (inference only)."""
+        """Clean-signal estimate at step t."""
         return nets.forward(self.net, self.inputs(x_t, cond, t, T))
 
 
@@ -136,13 +136,11 @@ def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarra
     eps = rng.normal(x0.shape)
     x_t = q_sample(schedule, x0, t, eps)
     inp = denoiser.inputs(x_t, cond, t, schedule.T)
-    if grads is None:
-        diff = nets.forward(denoiser.net, inp) - x0
-        return float((diff * diff).mean())
-    out, cache = ad.forward(denoiser.net, inp)
-    diff = out - x0
+    cache = None if grads is None else []
+    diff = nets.forward(denoiser.net, inp, cache) - x0
     inv_n = 1.0 / diff.size
-    ad.backward(denoiser.net, cache, (2.0 * diff) * inv_n, grads)
+    if grads is not None:
+        ad.backward(denoiser.net, cache, (2.0 * diff) * inv_n, grads)
     return float((diff * diff).sum() * inv_n)
 
 

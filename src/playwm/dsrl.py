@@ -3,7 +3,8 @@
 The RL action is the diffusion policy's initial latent w; the frozen
 sampler plus the learned world model form the environment, and the real
 simulator only evaluates. A tanh-squashed Gaussian actor proposes w per
-re-plan decision, twin critics with layer norm and Polyak targets score
+re-plan decision, sampling from the one density its loss trains
+(NoiseActor.squash); twin critics with layer norm and Polyak targets score
 (state, w), and the temperature auto-tunes toward a fixed entropy target.
 Decisions happen once per world-model chunk; the reward is the progress
 change over the executed chunk, which telescopes the per-step dense reward.
@@ -73,32 +74,35 @@ class NoiseActor:
         self.net = nets.init_mlp([state_dim] + [cfg.hidden] * cfg.depth + [2 * latent_dim],
                                  rng, "relu")
 
-    def _dist_params(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = nets.forward(self.net, states)
-        mu = out[:, :self.latent_dim]
-        log_std = self._squash_log_std(np.tanh(out[:, self.latent_dim:]))
-        return mu, np.exp(log_std)
+    def squash(self, out: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The latents w for head output `out` and standard normal draws xi,
+        their log densities, and the terms (t, u, std, tl) that actor_loss's
+        gradient reads.
 
-    def _squash_log_std(self, tanh_raw: np.ndarray) -> np.ndarray:
-        """Map tanh of the raw head output onto [log_std_min, log_std_max]."""
+        The head's first half is mu; tanh of its second half, tl, maps onto
+        log_std in [log_std_min, log_std_max]. Then t = tanh(mu + std * xi)
+        and w = M t.
+        """
+        L, M = self.latent_dim, self.cfg.action_magnitude
         lo, hi = self.cfg.log_std_min, self.cfg.log_std_max
-        return lo + 0.5 * (hi - lo) * (tanh_raw + 1.0)
+        tl = np.tanh(out[:, L:])
+        log_std = lo + 0.5 * (hi - lo) * (tl + 1.0)
+        std = np.exp(log_std)
+        t = np.tanh(out[:, :L] + std * xi)
+        u = ((t * t) * -1.0 + 1.0) * M + 1e-9  # the squash's Jacobian, M (1 - t^2), kept off zero
+        logp = ((xi * xi) * -0.5 - (log_std + 0.5 * LOG2PI)).sum(axis=1) - np.log(u).sum(axis=1)
+        return t * M, logp, (t, u, std, tl)
 
     def sample(self, states: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-        """Latents and their log densities, inference mode."""
-        states = np.atleast_2d(states)
-        mu, std = self._dist_params(states)
-        xi = rng.normal(mu.shape)
-        raw = mu + std * xi
-        M = self.cfg.action_magnitude
-        w = M * np.tanh(raw)
-        logp = (-0.5 * (xi * xi) - np.log(std) - 0.5 * LOG2PI).sum(axis=1)
-        logp -= np.log(M * (1.0 - np.tanh(raw) ** 2) + 1e-9).sum(axis=1)
+        """Latents and their log densities."""
+        out = nets.forward(self.net, np.atleast_2d(states))
+        w, logp, _ = self.squash(out, rng.normal((out.shape[0], self.latent_dim)))
         return w, logp
 
     def mean_latent(self, state_vec: np.ndarray) -> np.ndarray:
-        mu, _ = self._dist_params(np.atleast_2d(state_vec))
-        return self.cfg.action_magnitude * np.tanh(mu[0])
+        """The latent at xi = 0, M tanh(mu)."""
+        out = nets.forward(self.net, np.atleast_2d(state_vec))
+        return self.squash(out, np.zeros((1, self.latent_dim)))[0][0]
 
     def param_hash(self) -> str:
         return self.net.param_hash()
@@ -204,7 +208,8 @@ def update(st: DsrlState, rng: Rng) -> dict:
     joint = np.concatenate([s, w], axis=1)
     losses = {}
     for name, net, opt in (("q1", st.critics.q1, st.q1_opt), ("q2", st.critics.q2, st.q2_opt)):
-        pred, cache = ad.forward(net, joint)
+        cache = []
+        pred = nets.forward(net, joint, cache)
         loss, dpred = ad.mse(pred, y)
         if not np.isfinite(loss):
             raise FloatingPointError(f"NaN loss in critic {name}")
@@ -243,18 +248,12 @@ def actor_loss(st: DsrlState, s: np.ndarray, xi: np.ndarray, alpha: float,
     the loss gradient in the actor's parameters is written into grads; it
     reaches the actor through both critics' inputs and through logp.
     """
-    B, L, M = s.shape[0], st.actor.latent_dim, st.cfg.action_magnitude
-    out, cache = ad.forward(st.actor.net, s)
-    mu = out[:, :L]
-    tl = np.tanh(out[:, L:])
-    log_std = st.actor._squash_log_std(tl)
-    std = np.exp(log_std)
-    t = np.tanh(mu + std * xi)
-    u = ((t * t) * -1.0 + 1.0) * M + 1e-9  # the squash's Jacobian, M (1 - t^2), kept off zero
-    logp = ((xi * xi) * -0.5 - (log_std + 0.5 * LOG2PI)).sum(axis=1) - np.log(u).sum(axis=1)
-    joint = np.concatenate([s, t * M], axis=1)
-    q1, cache1 = ad.forward(st.critics.q1, joint)
-    q2, cache2 = ad.forward(st.critics.q2, joint)
+    B, M = s.shape[0], st.cfg.action_magnitude
+    cache, cache1, cache2 = [], [], []
+    w, logp, (t, u, std, tl) = st.actor.squash(nets.forward(st.actor.net, s, cache), xi)
+    joint = np.concatenate([s, w], axis=1)
+    q1 = nets.forward(st.critics.q1, joint, cache1)
+    q2 = nets.forward(st.critics.q2, joint, cache2)
     take1 = q1 <= q2
     loss = float((logp * alpha - np.where(take1, q1, q2).sum(axis=1)).sum() * (1.0 / B))
     if grads is None:
@@ -384,10 +383,9 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
     return st, trace, best_params
 
 
-def save_actor(st: DsrlState, path: str, extra: dict | None = None) -> None:
+def save_actor(st: DsrlState, path: str) -> None:
     header = {"config": asdict(st.cfg), "updates_done": st.updates_done,
               "widths": st.actor.net.widths}
-    header.update(extra or {})
     save_checkpoint(path, "noise_actor", header, st.actor.net.params)
 
 

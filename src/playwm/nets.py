@@ -4,8 +4,8 @@ An Mlp owns a single contiguous float64 vector holding every parameter;
 `net.params` is a FlatParams, a dict of named views into it ("w0", "b0",
 ...), so code that walks names (param_hash, checkpoints) reads it like any
 parameter dict while Adam and Polyak averaging update the whole vector at
-once. forward() here is inference only; autodiff.forward is the training
-pass that caches activations for autodiff.backward.
+once. forward() is the one forward pass, for inference and training alike:
+given a cache list it also keeps, per layer, what autodiff.backward reads.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .rng import Rng
 
-ACTIVATIONS = {
-    "tanh": np.tanh,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "silu": lambda x: x / (1.0 + np.exp(-x)),
-    "identity": lambda x: x,
-}
+ACTIVATIONS = ("tanh", "relu", "silu", "identity")
 
 
 class ShapeError(ValueError):
@@ -117,20 +112,44 @@ def init_mlp(widths: list[int], rng: Rng, activation: str = "silu", layer_norm: 
     return net
 
 
-def forward(net: Mlp, x) -> np.ndarray:
-    """Run the net on a (batch, in_dim) or (in_dim,) array; inference only."""
+def forward(net: Mlp, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """Run the net on a (batch, in_dim) array.
+
+    With a `cache` list, appends per layer the (input, layer norm, activation)
+    entry that autodiff.backward reads: the layer norm's output and inverse
+    scale, and what the activation's derivative needs (None where a layer has
+    none). Caching changes no output bit. silu and layer norm are computed
+    the way their derivatives need them.
+    """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[None, :]
-    if h.shape[-1] != net.in_dim:
-        raise ShapeError(f"input width {h.shape[-1]} != layer 0 width {net.in_dim}")
-    act = ACTIVATIONS[net.activation]
-    for i in range(net.n_layers):
-        h = h @ net.params[f"w{i}"] + net.params[f"b{i}"]
-        if i < net.n_layers - 1:
-            if net.layer_norm:
-                mu = h.mean(axis=-1, keepdims=True)
-                hc = h - mu
-                h = hc / np.sqrt((hc * hc).mean(axis=-1, keepdims=True) + 1e-5)
-            h = act(h)
-    return h
+    if h.ndim != 2 or h.shape[1] != net.in_dim:
+        raise ShapeError(f"input shape {h.shape} != (batch, {net.in_dim}) of layer 0")
+    last = net.n_layers - 1
+    for i in range(last):
+        z = h @ net.params[f"w{i}"]
+        z += net.params[f"b{i}"]  # in place, as below: fewer live (batch, width) arrays
+        norm = act = None
+        if net.layer_norm:
+            z -= z.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt((z * z).mean(axis=-1, keepdims=True) + 1e-5)
+            z *= inv
+            norm = (z, inv)
+        if net.activation == "silu":
+            s = np.exp(-z)
+            s += 1.0
+            np.divide(1.0, s, out=s)  # s = 1 / (1 + exp(-z))
+            act, out = (z, s), z * s
+        elif net.activation == "relu":
+            out = np.maximum(z, 0.0)
+            if cache is not None:
+                act = z > 0.0
+        elif net.activation == "tanh":
+            out = act = np.tanh(z)
+        else:  # identity
+            out = z
+        if cache is not None:
+            cache.append((h, norm, act))
+        h = out
+    if cache is not None:
+        cache.append((h, None, None))
+    return h @ net.params[f"w{last}"] + net.params[f"b{last}"]

@@ -89,12 +89,12 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
-def warmup_cosine_lr(base_lr: float, step: int, warmup: int, total: int, floor: float = 0.0) -> float:
-    """Linear warmup to base_lr, then cosine decay to floor over the run."""
+def warmup_cosine_lr(base_lr: float, step: int, warmup: int, total: int) -> float:
+    """Linear warmup to base_lr, then cosine decay to zero over the run."""
     if step < warmup:
         return base_lr * (step + 1) / max(1, warmup)
     if total <= warmup:
         return base_lr
     frac = (step - warmup) / max(1, total - warmup)
     frac = min(1.0, frac)
-    return floor + (base_lr - floor) * 0.5 * (1.0 + math.cos(math.pi * frac))
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))

@@ -147,7 +147,7 @@ def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
     """Run one instruction to success, terminal failure, or the scene's step
     budget. The simulator clamps each action to `a_max`, and the episode
     records the clamped actions."""
-    skill = SkillController(instr, env.state, env.phys, rng)
+    skill = SkillController(instr, env.phys, rng)
     states = [env.state.copy()]
     actions: list[Action] = []
     events: list[Event] = []

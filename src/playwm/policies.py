@@ -71,14 +71,10 @@ def create_policy(scene: SceneConfig, cfg: PolicyConfig, rng: Rng | None) -> Dif
 
 # -- behavior cloning ---------------------------------------------------------
 
-def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig,
-                  ids: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
     """(state, padded action chunk) pairs from every step of every episode."""
     conds, chunks = [], []
-    id_set = set(ids) if ids is not None else None
     for eid in store.ids():
-        if id_set is not None and eid not in id_set:
-            continue
         view = store.read(eid)
         T = view.n_steps
         # chunks running past the last action are padded with zero actions
@@ -93,14 +89,14 @@ def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig,
 
 
 def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
-             ids: list[str] | None = None, log_every: int = 50) -> list[tuple[int, float]]:
+             log_every: int = 50) -> list[tuple[int, float]]:
     """Behaviour-clone the denoiser on (state, action chunk) pairs for `steps` steps.
 
     Each call starts a fresh Adam, and checkpoints hold no optimizer state:
     resuming is not supported, so train_bc(50) then train_bc(50) is not
     train_bc(100). train_steps_done and the loss trace do continue.
     """
-    conds, chunks = chunk_dataset(demos, policy.cfg, ids)
+    conds, chunks = chunk_dataset(demos, policy.cfg)
     opt = Adam(lr=policy.cfg.lr)
     grads = policy.denoiser.net.params.zeros_like()
     n = conds.shape[0]
@@ -217,7 +213,7 @@ INIT_JITTER = 0.03
 
 
 def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise: float,
-                       rng: Rng, store: EpisodeStore, source: str = "demo") -> None:
+                       rng: Rng, store: EpisodeStore) -> None:
     """Fixed-task expert demos; noise scales the perturbation knobs together."""
     for i in range(episodes):
         env = Env(scene, seed=rng.spawn_seed())
@@ -225,8 +221,8 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
         perturb = Perturbation(sigma_w=0.06 * noise, sigma_g=0.05 * noise,
                                speed_mult=1.0 + 0.6 * noise * (rng.uniform() - 0.3))
         ep = execute(env, Instruction(task, perturb), rng)
-        ep.eid = f"{source}-{len(store):06d}"
-        ep.source = source
+        ep.eid = f"demo-{len(store):06d}"
+        ep.source = "demo"
         ep.seed = i
         store.append(ep)
 

@@ -41,7 +41,8 @@ def progress_loss(net: nets.Mlp, x: np.ndarray, y: np.ndarray,
                   grads: nets.FlatParams | None = None) -> float:
     """Mean squared error of sigmoid(net(x)) against the progress targets y;
     with grads, the parameter gradient is written into grads."""
-    out, cache = ad.forward(net, x)
+    cache = None if grads is None else []
+    out = nets.forward(net, x, cache)
     pred = 1.0 / (1.0 + np.exp(-out))
     loss, dpred = ad.mse(pred, y)
     if grads is not None:

@@ -22,6 +22,7 @@ PUSH_SPEED = 0.05
 WAYPOINT_TOL = 0.012
 FOLD_TARGET = 0.96 * math.pi
 UNFOLD_TARGET = 0.04 * math.pi
+MAX_ATTEMPTS = 3  # plans per instruction before the controller gives up
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,10 @@ _SYNONYMS = {
 class SkillController:
     """Phase-machine controller; action() returns None when it gives up or finishes."""
 
-    def __init__(self, instr: Instruction, state: EnvState, phys: Physics, plan_rng: Rng,
-                 max_attempts: int = 3):
+    def __init__(self, instr: Instruction, phys: Physics, plan_rng: Rng):
         self.instr = instr
         self.phys = phys
         self.rng = plan_rng
-        self.max_attempts = max_attempts
         self.attempts = 0
         self.phase = "plan"
         self.grasp_point = (0.0, 0.0)
@@ -155,7 +154,7 @@ class SkillController:
 
     def action(self, state: EnvState) -> Action | None:
         if self.phase == "plan":
-            if self.attempts >= self.max_attempts:
+            if self.attempts >= MAX_ATTEMPTS:
                 return None
             self.attempts += 1
             self._plan(state)

@@ -21,7 +21,7 @@ from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render
 from .rng import Rng
 from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
-from .store import ClipWindow, EpisodeStore, EpisodeView, windows
+from .store import ClipWindow, EpisodeStore, EpisodeView
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,9 @@ class WindowDataset:
         return len(self.windows)
 
 
-def build_dataset(store: EpisodeStore, cfg: WmConfig, ids: list[str] | None = None,
-                  stride: int | None = None,
-                  wins: list[ClipWindow] | None = None) -> WindowDataset:
+def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) -> WindowDataset:
     """Assemble (conditioning, target) arrays for every training window."""
-    W = cfg.window_len
     H, C = cfg.history, cfg.chunk
-    if wins is None:
-        wins = windows(store, W, stride, ids=ids)
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)

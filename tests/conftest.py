@@ -24,7 +24,8 @@ def trained(tmp_path_factory):
     policies.collect_task_demos(scene, TASK, 6, 0.3, Rng(42), demo)
     wm_cfg = worldmodel.WmConfig(hidden=32, depth=2, batch=16, denoise_steps=25, warmup=3)
     wm = worldmodel.create_worldmodel(scene, wm_cfg, Rng(60))
-    worldmodel.train(wm, worldmodel.build_dataset(play, wm_cfg), 100, Rng(61))
+    wins = store.windows(play, wm_cfg.window_len)
+    worldmodel.train(wm, worldmodel.build_dataset(play, wm_cfg, wins), 100, Rng(61))
     policy = policies.create_policy(scene, policies.PolicyConfig(hidden=32, depth=2, batch=16,
                                                                  denoise_steps=25), Rng(62))
     policies.train_bc(policy, demo, 2000, Rng(63))

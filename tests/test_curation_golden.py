@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from playwm import autodiff, bench, curation, nets, policies, progress, store
+from playwm import bench, curation, nets, policies, progress, store
 from playwm.playsys import ProposerConfig, collect, expert_config
 from playwm.rng import Rng
 from playwm.scene import default_scene
@@ -88,21 +88,19 @@ def test_chunk_dataset(stores):
 
 
 def test_progress_training_pairs(stores, monkeypatch):
-    """The encoded states reach the network only through `autodiff.forward`
-    (training) and `nets.forward` (evaluation); a batch far larger than the
-    pair count draws every training pair, and each evaluation sees every
-    held-out pair. The targets shape the parameters."""
+    """The encoded states reach the network only through `nets.forward`, in
+    training and evaluation alike; a batch far larger than the pair count
+    draws every training pair, and each evaluation sees every held-out pair.
+    The targets shape the parameters."""
     scene, _, demo = stores
     seen = []
+    forward = nets.forward
 
-    def spy(forward):
-        def call(net, x, *args, **kwargs):
-            seen.append(np.array(x))
-            return forward(net, x, *args, **kwargs)
-        return call
+    def spy(net, x, *args, **kwargs):
+        seen.append(np.array(x))
+        return forward(net, x, *args, **kwargs)
 
-    monkeypatch.setattr(autodiff, "forward", spy(autodiff.forward))
-    monkeypatch.setattr(nets, "forward", spy(nets.forward))
+    monkeypatch.setattr(nets, "forward", spy)
     model = progress.train_progress(demo, scene, Rng(36), steps=3, batch=4096,
                                     eval_every=1, patience=10)
     assert digest(*seen) == GOLDEN["progress_inputs"]

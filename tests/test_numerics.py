@@ -31,7 +31,8 @@ def assert_grads_close(got, want, what=""):
 
 def mean_square_grads(net, x, input_grad=False):
     """Gradients of mean(net(x)^2) from the hand-written backward pass."""
-    out, cache = ad.forward(net, x)
+    cache = []
+    out = nets.forward(net, x, cache)
     _, dout = ad.mse(out, np.zeros_like(out))
     grads = net.params.zeros_like()
     gx = ad.backward(net, cache, dout, grads, input_grad=input_grad)
@@ -52,7 +53,8 @@ class TestBackward:
     def test_linear_sum_grad_equals_input(self):
         net = nets.Mlp([2, 2], "identity", params={"w0": np.ones((2, 2)), "b0": np.zeros(2)})
         x = np.array([[1.0, 1.0]])
-        out, cache = ad.forward(net, x)
+        cache = []
+        out = nets.forward(net, x, cache)
         grads = net.params.zeros_like()
         ad.backward(net, cache, np.ones_like(out), grads)
         assert np.allclose(grads["w0"], np.ones((2, 2)))
@@ -60,16 +62,20 @@ class TestBackward:
 
     def test_dout_shape_mismatch_rejected(self):
         net = nets.init_mlp([3, 4, 2], Rng(0), "tanh")
-        _, cache = ad.forward(net, np.zeros((5, 3)))
+        cache = []
+        nets.forward(net, np.zeros((5, 3)), cache)
         with pytest.raises(ValueError):
             ad.backward(net, cache, np.zeros((5, 3)), net.params.zeros_like())
 
-    def test_forward_matches_inference(self):
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    @pytest.mark.parametrize("activation", nets.ACTIVATIONS)
+    def test_caching_changes_no_output_bit(self, activation, layer_norm):
         rng = Rng(4)
-        for activation in ("tanh", "silu", "relu", "identity"):
-            net = nets.init_mlp([3, 8, 5, 2], rng, activation, layer_norm=True)
-            x = rng.normal((4, 3))
-            assert np.allclose(ad.forward(net, x)[0], nets.forward(net, x), rtol=0, atol=1e-12)
+        net = nets.init_mlp([3, 8, 5, 2], rng, activation, layer_norm=layer_norm)
+        x = rng.normal((4, 3))
+        cache = []
+        assert np.array_equal(nets.forward(net, x, cache), nets.forward(net, x))
+        assert len(cache) == net.n_layers
 
     @pytest.mark.parametrize("activation", ["tanh", "silu", "relu", "identity"])
     def test_mlp_matches_finite_differences(self, activation):
@@ -111,7 +117,8 @@ class TestBackward:
         rng = Rng(13)
         net = nets.init_mlp([3, 8, 2], rng, "silu", layer_norm=True)
         x = rng.normal((4, 3))
-        out, cache = ad.forward(net, x)
+        cache = []
+        out = nets.forward(net, x, cache)
         _, dout = ad.mse(out, np.zeros_like(out))
         _, want = mean_square_grads(net, x, input_grad=True)
         assert np.array_equal(ad.backward(net, cache, dout, None, input_grad=True), want)
@@ -157,8 +164,8 @@ class TestLossGradients:
 
     def test_dsrl_actor_loss_through_both_critics(self):
         st, s, xi = small_dsrl(15)
-        mu, std = st.actor._dist_params(s)
-        joint = np.concatenate([s, st.cfg.action_magnitude * np.tanh(mu + std * xi)], axis=1)
+        w, _, _ = st.actor.squash(nets.forward(st.actor.net, s), xi)
+        joint = np.concatenate([s, w], axis=1)
         take1 = nets.forward(st.critics.q1, joint) <= nets.forward(st.critics.q2, joint)
         assert 0 < take1.sum() < len(s), "both critics should be the minimum on some rows"
         grads = st.actor.net.params.zeros_like()
@@ -166,6 +173,16 @@ class TestLossGradients:
         for name, arr in st.actor.net.params.items():
             want = finite_diff(arr, lambda: dsrl.actor_loss(st, s, xi, 0.3)[0])
             assert_grads_close(grads[name], want, name)
+
+
+def test_dsrl_sample_log_density_is_the_trained_one():
+    """The actor samples on the same squashed density its loss trains:
+    for the same states and draws, sample() and actor_loss() give the same
+    log densities to the bit."""
+    st, s, _ = small_dsrl(16)
+    xi = Rng(30).normal((len(s), st.actor.latent_dim))
+    _, logp = st.actor.sample(s, Rng(30))
+    assert np.array_equal(logp, dsrl.actor_loss(st, s, xi, 0.2)[1])
 
 
 class TestMlpForward:

@@ -481,11 +481,6 @@ class TestWindowEnumerator:
         assert windows(seeded_play_store, 12, 3, ids=subset) == \
             [w for w in windows(seeded_play_store, 12, 3) if w.episode_id in keep]
 
-    def test_build_dataset_enumerates_store_windows(self, seeded_play_store):
-        train, _ = split(seeded_play_store, 0.25, Rng(5))
-        ds = build_dataset(seeded_play_store, WmConfig(), ids=train)
-        assert ds.windows == windows(seeded_play_store, WmConfig().window_len, ids=train)
-
     def test_build_dataset_reads_each_episode_once(self, seeded_play_store):
         wins = windows(seeded_play_store, WmConfig().window_len)
         store = EpisodeStore(seeded_play_store.root)

@@ -32,6 +32,25 @@ def test_package_imports_only_stdlib_and_numpy():
     assert not found, f"imports outside the stdlib and numpy in src/playwm: {found}"
 
 
+def test_every_parameter_is_read():
+    """Each parameter of a function or lambda in src/playwm is named in its
+    body (self and cls aside): an argument that nothing reads is silently
+    ignored by every caller that passes it."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p})"
+                       for p in params if p not in named and p not in ("self", "cls")]
+    assert not unread, f"parameters in src/playwm that their function never reads: {unread}"
+
+
 def test_traced_layers_resolve():
     """Every (module, attribute) that the benchmark's tracer wraps exists in
     playwm, defined on the module or class itself as the tracer requires, so
