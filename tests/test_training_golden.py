@@ -27,8 +27,8 @@ GOLDEN = {
     "wm_curriculum": "a37e2b0391121952413538bb0de1106027a81deea2e02405d53eaa255baa0b0e",
     "bc": "8824499a70553bc7410d1bdd8948fe2b797457f26f0c1d832478b8dc972a3a75",
     "progress": "7b1a72a56fe29fe276842a524846030453893d242067c748aae2bc65f0f8c834",
-    "dsrl_update": "826aaa09a10f21fcd98b66839c819da3a89c581312d61b92fbfb48ac41dbeb23",
-    "dsrl_finetune": "6854e8a21b8cc4aca988ad1b39cd8ce922949cfdacb8823c4e31442d79c3cada",
+    "dsrl_update": "4e9d1d4f40a1fcc8280d198238dce4e3af996585ad5475c827b75b1be012e25a",
+    "dsrl_finetune": "f3cfb4e4131e9ee0729dcc4dcdf716b4fea893bf368f34a56cd1af8792fb6193",
 }
 
 
