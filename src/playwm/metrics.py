@@ -85,16 +85,26 @@ def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
 _KERNEL = _gaussian_kernel()
 
 
-def _windowed(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode weighted local sums via shifted slices (no padding)."""
+def _windowed(stack: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-mode weighted local sums of each image of a (k, h, w) stack.
+
+    In the flattened images the window shift (i, j) is the offset i*w + j,
+    so each kernel term is one multiply-add over a contiguous slice; the
+    size-1 columns that wrap into the next row are cropped. The terms run in
+    the order of a loop over shifted 2D slices, so the sums equal its bit for
+    bit."""
     size = kernel.shape[0]
-    h, w = img.shape
+    k, h, w = stack.shape
     oh, ow = h - size + 1, w - size + 1
-    out = np.zeros((oh, ow))
+    n = oh * w - (size - 1)
+    flat = stack.reshape(k, h * w)
+    acc = np.zeros((k, oh * w))
+    tmp = np.empty((k, n))
     for i in range(size):
         for j in range(size):
-            out += kernel[i, j] * img[i:i + oh, j:j + ow]
-    return out
+            np.multiply(flat[:, i * w + j:i * w + j + n], kernel[i, j], out=tmp)
+            acc[:, :n] += tmp
+    return acc.reshape(k, oh, w)[:, :, :ow]
 
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
@@ -105,11 +115,10 @@ def ssim(x: np.ndarray, y: np.ndarray) -> float:
         raise MetricError(f"shape mismatch {x.shape} vs {y.shape}")
     if min(x.shape) < SSIM_WINDOW:
         raise MetricError(f"frames must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    mu_x = _windowed(x, _KERNEL)
-    mu_y = _windowed(y, _KERNEL)
-    xx = _windowed(x * x, _KERNEL) - mu_x * mu_x
-    yy = _windowed(y * y, _KERNEL) - mu_y * mu_y
-    xy = _windowed(x * y, _KERNEL) - mu_x * mu_y
+    mu_x, mu_y, sxx, syy, sxy = _windowed(np.stack([x, y, x * x, y * y, x * y]), _KERNEL)
+    xx = sxx - mu_x * mu_x
+    yy = syy - mu_y * mu_y
+    xy = sxy - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * xy + SSIM_C2)
     den = (mu_x ** 2 + mu_y ** 2 + SSIM_C1) * (xx + yy + SSIM_C2)
     return float((num / den).mean())

@@ -158,7 +158,7 @@ def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
         if act is None:
             break
         state, event = env.step(act)
-        states.append(state.copy())
+        states.append(state)
         actions.append(act.sanitized(env.phys))
         events.append(event)
         noise.append(env.noise_log[-1])

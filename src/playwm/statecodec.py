@@ -5,8 +5,9 @@ sizes) is scene metadata and never encoded; decode() needs a template state
 to restore it and projects the vector back onto the valid state manifold
 (clamped positions, binary height, rounded stack levels); decoding an
 action clips it to what the simulator executes. `encode_states`,
-`encode_action_rows` and `decode_action_rows` code many states or actions
-given as arrays at once, equal bit for bit to the per-object codecs.
+`decode_states`, `encode_action_rows` and `decode_action_rows` code many
+states or actions given as arrays at once, equal bit for bit to the
+per-object codecs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from .dynamics import Action
-from .scene import EnvState
+from .scene import EnvState, GripperState, ObjectState
 
 MAX_Z_LEVEL = 2
 A_MAX = 0.08  # action scale: encoded dx, dy = dx / A_MAX, dy / A_MAX
@@ -89,6 +90,38 @@ def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
             obj.x, obj.y = g.x, g.y
             obj.z_level = 0
     return s
+
+
+def decode_states(vecs: np.ndarray, template: EnvState) -> list[EnvState]:
+    """`decode_state` of each row of (T, width) vectors, equal to it bit for
+    bit: the projection runs as array ops, then each state is built from its
+    row. A non-finite z-level raises ValueError."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    objs = template.objects
+    n = len(objs)
+    if vecs.ndim != 2 or vecs.shape[1] != state_dim(n):
+        raise ValueError(f"decode_states takes (T, {state_dim(n)}) vectors, got {vecs.shape}")
+    body = vecs[:, 4 + n:].reshape(len(vecs), n, 5)
+    if not np.isfinite(body[..., 3]).all():
+        raise ValueError("a state vector has a non-finite z-level")
+    grip = np.clip((vecs[:, [0, 1, 3]] + 1.0) / 2.0, 0.0, 1.0)  # x, y, aperture
+    slots = vecs[:, 4:4 + n]
+    slot = np.where(slots.max(axis=1, initial=0.0) > 0.0, slots.argmax(axis=1) if n else 0, -1)
+    xy = np.clip((body[..., :2] + 1.0) / 2.0, 0.0, 1.0)
+    z_level = np.clip(np.rint(body[..., 3] + 1.0), 0, MAX_Z_LEVEL).astype(np.int64)
+    rows = np.flatnonzero(slot >= 0)  # held rigid objects ride at the gripper position
+    rows = rows[[objs[k].kind != "towel2link" for k in slot[rows]]]
+    xy[rows, slot[rows]] = grip[rows, :2]
+    z_level[rows, slot[rows]] = 0
+    fields = np.stack([xy[..., 0], xy[..., 1], _wrap_angle(body[..., 2] * math.pi),
+                       np.clip((body[..., 4] + 1) / 2 * math.pi, 0.0, math.pi)], axis=-1)
+    return [EnvState(GripperState(x, y, int(z), ap, objs[k].oid if k >= 0 else None),
+                     [ObjectState(o.oid, o.kind, ox, oy, th, o.size, lv, fold)
+                      for o, (ox, oy, th, fold), lv in zip(objs, obj_rows, levels)],
+                     template.step_index, template.slip_fated)
+            for (x, y, ap), z, k, obj_rows, levels
+            in zip(grip.tolist(), (vecs[:, 2] > 0.0).tolist(), slot.tolist(),
+                   fields.tolist(), z_level.tolist())]
 
 
 def encode_action(a: Action) -> np.ndarray:

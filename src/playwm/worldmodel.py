@@ -226,8 +226,7 @@ def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
 
 def predicted_frames(wm: WorldModel, chunk: np.ndarray) -> list[np.ndarray]:
     """Frames of one predicted chunk: each raw vector decoded, then rendered."""
-    template = wm.scene.nominal_state()
-    return [render(statecodec.decode_state(vec, template)) for vec in chunk]
+    return [render(s) for s in statecodec.decode_states(chunk, wm.scene.nominal_state())]
 
 
 class RolloutBackend:
@@ -273,11 +272,12 @@ class RolloutBackend:
         window = np.concatenate([self.hist_actions, statecodec.encode_action_rows(actions)],
                                 axis=1)
         pred = predict_chunk(self.wm, self.hist_states, window, self.rng)
-        states = [[statecodec.decode_state(vec, self.template) for vec in row] for row in pred]
-        clean = np.array([[statecodec.encode_state(s) for s in row] for row in states])
+        B, width = len(pred), self.wm.state_width
+        flat = statecodec.decode_states(pred.reshape(B * C, width), self.template)
+        clean = np.stack([statecodec.encode_state(s) for s in flat]).reshape(B, C, width)
         self.hist_states = np.concatenate([self.hist_states, clean], axis=1)[:, -H:]
         self.hist_actions = window[:, C:]
-        return states
+        return [flat[b * C:(b + 1) * C] for b in range(B)]
 
 
 # -- persistence ----------------------------------------------------------

@@ -90,12 +90,12 @@ def test_imagined_rollouts_stop_at_max_steps(trained, monkeypatch):
 def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
     scene, policy, wm = trained
     cfg = EvalStudyConfig(task=TASK, n_wm=10, max_steps=30)
-    decode, calls = statecodec.decode_state, []
-    monkeypatch.setattr(statecodec, "decode_state",
-                        lambda *args: calls.append(1) or decode(*args))
+    decode, rows = statecodec.decode_states, []
+    monkeypatch.setattr(statecodec, "decode_states",
+                        lambda vecs, template: rows.append(len(vecs)) or decode(vecs, template))
     bench.measure_imagined(policy, wm, cfg, Rng(71))
     C = wm.cfg.chunk
-    assert len(calls) == cfg.n_wm * -(-cfg.max_steps // C) * C
+    assert sum(rows) == cfg.n_wm * -(-cfg.max_steps // C) * C
 
 
 @pytest.mark.parametrize("loop", ["bench", "dsrl"])

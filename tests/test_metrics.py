@@ -60,10 +60,44 @@ def ssim_oracle(x, y):
     return float(np.mean(vals))
 
 
+def windowed_shifted_slices(img, kernel):
+    """Weighted local sums as a loop over shifted 2D slices, one image a call."""
+    size = kernel.shape[0]
+    h, w = img.shape
+    oh, ow = h - size + 1, w - size + 1
+    out = np.zeros((oh, ow))
+    for i in range(size):
+        for j in range(size):
+            out += kernel[i, j] * img[i:i + oh, j:j + ow]
+    return out
+
+
+def ssim_five_calls(x, y):
+    """SSIM as five windowed calls of 49 terms each, the formula that the
+    stacked pass must reproduce bit for bit."""
+    k = M._KERNEL
+    mu_x = windowed_shifted_slices(x, k)
+    mu_y = windowed_shifted_slices(y, k)
+    xx = windowed_shifted_slices(x * x, k) - mu_x * mu_x
+    yy = windowed_shifted_slices(y * y, k) - mu_y * mu_y
+    xy = windowed_shifted_slices(x * y, k) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + M.SSIM_C1) * (2.0 * xy + M.SSIM_C2)
+    den = (mu_x ** 2 + mu_y ** 2 + M.SSIM_C1) * (xx + yy + M.SSIM_C2)
+    return float((num / den).mean())
+
+
 class TestSsim:
     def test_self_similarity(self):
         f = rand_frame(Rng(2), 16)
-        assert M.ssim(f, f) == pytest.approx(1.0, abs=1e-12)
+        assert M.ssim(f, f) == 1.0
+
+    def test_stacked_pass_is_five_calls_bit_for_bit(self):
+        rng = Rng(10)
+        for _ in range(40):
+            h, w = 7 + rng.randint(64), 7 + rng.randint(64)
+            a = rng.uniform_array((h, w))
+            b = np.clip(a + 0.2 * rng.normal((h, w)), 0.0, 1.0)
+            assert M.ssim(a, b).hex() == ssim_five_calls(a, b).hex(), (h, w)
 
     def test_symmetry(self):
         a, b = rand_frame(Rng(3), 16), rand_frame(Rng(4), 16)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from playwm import bench, statecodec
+from playwm.curation import Embedder
 from playwm.dynamics import Action, EventKind
 from playwm.env import Env
 from playwm.playsys import (ProposalError, ProposerConfig, applicable_tasks, collect,
@@ -178,6 +179,16 @@ class TestCollect:
         assert len(store) == 10
         for ep in store.episodes():
             assert np.all(np.abs(ep.actions[:, :2]) <= 0.08 + 1e-12)
+
+    def test_episode_states_are_distinct_and_outlive_the_next_episode(self):
+        env, rng = fresh_env(), Rng(4)
+        first = execute(env, propose(env.state, ProposerConfig(), rng, env.phys), rng)
+        snapshot = [repr(s) for s in first.states]
+        second = execute(env, propose(env.state, ProposerConfig(), rng, env.phys), rng)
+        assert len(first.states) > 2 and len(second.states) > 2
+        every = [id(s) for ep in (first, second) for s in ep.states]
+        assert len(set(every)) == len(every)
+        assert [repr(s) for s in first.states] == snapshot
 
     def test_two_runs_identical_manifests(self, tmp_path):
         h = []
@@ -500,6 +511,16 @@ class TestWindowEnumerator:
                                    stride=3, min_fraction=0.0)
         assert bm.clips and read
         assert set(read) <= set(held)
+
+    def test_oracle_replay_scores_the_ideal(self, seeded_play_store):
+        _, held = split(seeded_play_store, 0.25, Rng(5))
+        bm = bench.build_benchmark({"play": seeded_play_store}, {"play": held}, 2, Rng(1),
+                                   stride=3, min_fraction=0.0)
+        report = bench.run_replay(bm, "oracle", Embedder.create(0), scene=default_scene())
+        ideal = {"mse": 0.0, "ssim": 1.0, "lpips_proxy": 0.0}
+        assert bm.clips and len(report.rows) == len(bm.clips)
+        for scores in (*report.rows, report.overall):
+            assert {k: scores[k] for k in ideal} == ideal
 
 
 class TestSplit:

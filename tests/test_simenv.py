@@ -340,6 +340,48 @@ class TestCodec:
         back = statecodec.decode_state(statecodec.encode_state(s), scene.nominal_state())
         assert back.gripper.held == 2
 
+    @staticmethod
+    def decoded_fields(s):
+        """Every field of a decoded state, floats as hex and ints with their type."""
+        def bits(v):
+            return float.hex(v) if isinstance(v, float) else (type(v).__name__, v)
+        g = s.gripper
+        out = [bits(v) for v in (g.x, g.y, g.z, g.aperture, g.held, s.step_index, s.slip_fated)]
+        for o in s.objects:
+            out += [o.oid, o.kind, o.size,
+                    *(bits(v) for v in (o.x, o.y, o.theta, o.z_level, o.fold_angle))]
+        return out
+
+    def test_decode_states_is_decode_state_bit_for_bit(self):
+        scene = default_scene()
+        template = scene.nominal_state()
+        n = len(template.objects)
+        towel = next(i for i, o in enumerate(template.objects) if o.kind == "towel2link")
+        rigid = next(i for i, o in enumerate(template.objects) if o.kind != "towel2link")
+        vecs = Rng(8).normal((60, statecodec.state_dim(n))) * 1.5
+        vecs[10:, 4:4 + n] = -np.abs(vecs[10:, 4:4 + n])  # rows 0-9 keep random held slots
+        vecs[10:20, 4 + rigid] = 0.7          # a held rigid object
+        vecs[20:30, 4 + towel] = 0.7          # a held towel
+        z_cols = 4 + n + 3 + 5 * np.arange(n)
+        vecs[30:40, z_cols] = np.resize([0.5, -0.5, 1.5, -1.5, 2.5, -2.5], (10, n))
+        vecs[40:50] = np.resize([0.0, -0.0, -1.0, 1.0], vecs[40:50].shape)  # signed zeros
+        vecs[50:60, 4:] = -0.0
+        states = statecodec.decode_states(vecs, template)
+        want = [self.decoded_fields(statecodec.decode_state(v, template)) for v in vecs]
+        assert [self.decoded_fields(s) for s in states] == want
+        held = [s.gripper.held for s in states[10:30]]
+        assert held == [template.objects[rigid].oid] * 10 + [template.objects[towel].oid] * 10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_level_fails(self, bad):
+        template = default_scene().nominal_state()
+        vec = np.zeros(statecodec.state_dim(len(template.objects)))
+        vec[4 + len(template.objects) + 3] = bad
+        with pytest.raises((ValueError, OverflowError)):
+            statecodec.decode_state(vec, template)
+        with pytest.raises(ValueError, match="non-finite z-level"):
+            statecodec.decode_states(np.stack([np.zeros_like(vec), vec]), template)
+
     def test_action_roundtrip(self):
         a = Action(dx=0.05, dy=-0.03, dz=1.0, dg=-0.5)
         back = statecodec.decode_action(statecodec.encode_action(a))

@@ -91,6 +91,7 @@ AWAITING_CLI = (
 REFERENCES = (
     "statecodec.encode_action",
     "statecodec.decode_action",
+    "statecodec.decode_state",
 )
 
 
