@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,65 @@ class TestRng:
 
     def test_shuffle_deterministic(self):
         assert Rng(1).shuffle(list(range(10))) == Rng(1).shuffle(list(range(10)))
+
+    def test_first_output_is_splitmix64(self):
+        """Seed 0 gives splitmix64's published first output."""
+        assert Rng(0).next_u64() == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_mixed_call_stream_is_pinned(self, seed):
+        """Every draw kind, interleaved, hashes to the same stream from a seed."""
+        digest = {0: "25c856be60aebe57", 11: "43c43f17048af437"}[seed]
+        assert _mixed_stream_digest(Rng(seed), 3000) == digest
+
+    def test_scalar_draws_equal_block_draws(self):
+        n = 200_000
+        a, b = Rng(5), Rng(5)
+        _assert_same_bits([a.uniform() for _ in range(n)], b.uniform_array(n))
+        assert [a.randint(2**40 + 7) for _ in range(1000)] == \
+            b.randint_array(1000, 2**40 + 7).tolist()
+        odd = n + 1  # both leave a cached sine branch behind
+        _assert_same_bits([a.gauss() for _ in range(odd)], b.normal(odd))
+        _assert_same_bits([a.gauss(), a.gauss()], b.normal(2))
+        assert a.next_u64() == b.next_u64()
+
+    def test_gauss_cache_hands_over_both_ways(self):
+        """A gauss that leaves a cached branch feeds the next normal(n), and a
+        normal(odd n) leaves one for the next gauss, as one block draw does."""
+        a, b = Rng(8), Rng(8)
+        parts = []
+        for i in range(20_000):
+            k = i % 6 + 1
+            parts += [a.gauss()] + a.normal(k).tolist() + a.normal((k, 2)).ravel().tolist()
+        _assert_same_bits(parts, b.normal(len(parts)))
+        assert a.uniform() == b.uniform()
+
+
+def _assert_same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in want.tolist()]
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _mixed_stream_digest(rng, rounds):
+    """sha256 prefix over a fixed mixed sequence of every Rng draw kind."""
+    h = hashlib.sha256()
+    for i in range(rounds):
+        k = i % 7 + 1  # odd and even sizes
+        outs = [rng.uniform(), rng.gauss(), rng.normal(k), rng.randint(k + 2), rng.next_u64(),
+                rng.uniform_array((k, 2)), rng.randint_array(k, 1000),
+                rng.choice([1.0, 0.5, float(k)]), rng.shuffle(list(range(k + 1))),
+                rng.spawn_seed(), rng.normal((2, k)), rng.gauss()]
+        for out in outs:
+            if isinstance(out, float):
+                h.update(float.hex(out).encode())
+            elif isinstance(out, np.ndarray):
+                h.update(out.dtype.str.encode() + out.tobytes())
+            else:
+                h.update(repr(out).encode())
+    return h.hexdigest()[:16]
 
 
 class TestProjection:
