@@ -3,23 +3,27 @@
 The generator is splitmix64: the 64-bit state advances by the additive
 constant 0x9E3779B97F4A7C15 per draw and the post-increment state is mixed
 with two xorshift-multiply rounds (constants 0xBF58476D1CE4E5B9 and
-0x94D049BB133111EB). Because each output depends only on the counter value,
-blocks of draws vectorize over numpy uint64 arrays while producing the same
-stream as one-at-a-time draws.
+0x94D049BB133111EB). Each output depends only on the counter, one Python
+int: scalar draws mix it in int arithmetic, masked to 64 bits after each
+multiply, and blocks of draws vectorize it over numpy uint64 arrays. Both
+advance the counter identically and give the same bits, so scalar and block
+draws interleave freely.
 
 Gaussians come from Box-Muller on two successive uniforms in (0,1]: the
 cosine branch is returned first and the sine branch is cached for the next
 draw. The cache is part of the stream contract; identical seeds give
-identical draw sequences regardless of how calls are batched.
+identical draw sequences regardless of how calls are batched. The scalar
+`gauss` keeps numpy's `log`, `sqrt`, `cos` and `sin`, as `normal` uses:
+`math`'s round differently on some inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GAMMA_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA, _MIX1, _MIX2 = np.uint64(_GAMMA_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
 _TWO64 = float(2.0 ** 64)
 
 
@@ -37,22 +41,25 @@ class Rng:
     """Seeded splitmix64 stream with uniform, integer, and Gaussian draws."""
 
     def __init__(self, seed: int):
-        self._state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._state = seed & _MASK
         self._gauss_cache: float | None = None
 
     def _next_block(self, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
             steps = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
-            counters = self._state + steps
-            self._state = counters[-1] if n > 0 else self._state
+            counters = np.uint64(self._state) + steps
+            self._state = int(counters[-1]) if n > 0 else self._state
             return _mix(counters)
 
     def next_u64(self) -> int:
-        return int(self._next_block(1)[0])
+        z = self._state = (self._state + _GAMMA_INT) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """One uniform draw in (0, 1]."""
-        return float(self._uniform_block(1)[0])
+        return (float(self.next_u64()) + 1.0) / _TWO64
 
     def _uniform_block(self, n: int) -> np.ndarray:
         z = self._next_block(n).astype(np.float64)
@@ -85,7 +92,14 @@ class Rng:
         return int(np.searchsorted(np.cumsum(w), u, side="left").clip(0, len(w) - 1))
 
     def gauss(self) -> float:
-        return float(self.normal(1)[0])
+        cached = self._gauss_cache
+        if cached is not None:
+            self._gauss_cache = None
+            return cached
+        r = np.sqrt(-2.0 * np.log(self.uniform()))
+        theta = 2.0 * np.pi * self.uniform()
+        self._gauss_cache = float(r * np.sin(theta))
+        return float(r * np.cos(theta))
 
     def normal(self, shape) -> np.ndarray:
         shape = _as_shape(shape)

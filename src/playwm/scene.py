@@ -15,7 +15,7 @@ Object sizes by kind:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 KINDS = ("disk", "rect", "bowl", "towel2link")
 
@@ -86,12 +86,11 @@ class EnvState:
         raise KeyError(f"no object with id {oid}")
 
     def copy(self) -> "EnvState":
-        return EnvState(
-            gripper=replace(self.gripper),
-            objects=[replace(o) for o in self.objects],
-            step_index=self.step_index,
-            slip_fated=self.slip_fated,
-        )
+        g = self.gripper
+        return EnvState(GripperState(g.x, g.y, g.z, g.aperture, g.held),
+                        [ObjectState(o.oid, o.kind, o.x, o.y, o.theta, o.size, o.z_level,
+                                     o.fold_angle) for o in self.objects],
+                        self.step_index, self.slip_fated)
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class SceneConfig:
     seed: int = 0
 
     def nominal_state(self) -> EnvState:
-        return EnvState(gripper=GripperState(), objects=[replace(o) for o in self.objects])
+        return EnvState(GripperState(), list(self.objects)).copy()
 
 
 def default_scene(seed: int = 0) -> SceneConfig:

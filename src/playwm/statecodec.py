@@ -92,10 +92,11 @@ def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
     return s
 
 
-def decode_states(vecs: np.ndarray, template: EnvState) -> list[EnvState]:
-    """`decode_state` of each row of (T, width) vectors, equal to it bit for
-    bit: the projection runs as array ops, then each state is built from its
-    row. A non-finite z-level raises ValueError."""
+def project_states(vecs: np.ndarray, template: EnvState) -> tuple[np.ndarray, ...]:
+    """The `encode_states` arrays (gripper, held, objects) of (T, width)
+    vectors projected onto valid states, which `decode_states` builds its
+    states from; z-levels round half to even like `round`. A non-finite
+    z-level raises ValueError."""
     vecs = np.asarray(vecs, dtype=np.float64)
     objs = template.objects
     n = len(objs)
@@ -104,24 +105,35 @@ def decode_states(vecs: np.ndarray, template: EnvState) -> list[EnvState]:
     body = vecs[:, 4 + n:].reshape(len(vecs), n, 5)
     if not np.isfinite(body[..., 3]).all():
         raise ValueError("a state vector has a non-finite z-level")
-    grip = np.clip((vecs[:, [0, 1, 3]] + 1.0) / 2.0, 0.0, 1.0)  # x, y, aperture
+    gripper = np.clip((vecs[:, :4] + 1.0) / 2.0, 0.0, 1.0)
+    gripper[:, 2] = vecs[:, 2] > 0.0
     slots = vecs[:, 4:4 + n]
     slot = np.where(slots.max(axis=1, initial=0.0) > 0.0, slots.argmax(axis=1) if n else 0, -1)
-    xy = np.clip((body[..., :2] + 1.0) / 2.0, 0.0, 1.0)
-    z_level = np.clip(np.rint(body[..., 3] + 1.0), 0, MAX_Z_LEVEL).astype(np.int64)
+    objects = np.empty_like(body)
+    objects[..., :2] = np.clip((body[..., :2] + 1.0) / 2.0, 0.0, 1.0)
+    objects[..., 2] = _wrap_angle(body[..., 2] * math.pi)
+    objects[..., 3] = np.clip(np.rint(body[..., 3] + 1.0), 0, MAX_Z_LEVEL)
+    objects[..., 4] = np.clip((body[..., 4] + 1) / 2 * math.pi, 0.0, math.pi)
     rows = np.flatnonzero(slot >= 0)  # held rigid objects ride at the gripper position
     rows = rows[[objs[k].kind != "towel2link" for k in slot[rows]]]
-    xy[rows, slot[rows]] = grip[rows, :2]
-    z_level[rows, slot[rows]] = 0
-    fields = np.stack([xy[..., 0], xy[..., 1], _wrap_angle(body[..., 2] * math.pi),
-                       np.clip((body[..., 4] + 1) / 2 * math.pi, 0.0, math.pi)], axis=-1)
+    objects[rows, slot[rows], :2] = gripper[rows, :2]
+    objects[rows, slot[rows], 3] = 0.0
+    return gripper, slot[:, None] == np.arange(n), objects
+
+
+def decode_states(vecs: np.ndarray, template: EnvState) -> list[EnvState]:
+    """`decode_state` of each row of (T, width) vectors, equal to it bit for
+    bit: each state is built from its row of the `project_states` arrays."""
+    objs = template.objects
+    gripper, held, objects = project_states(vecs, template)
+    slot = np.where(held.any(axis=1), held @ np.arange(len(objs)), -1)
     return [EnvState(GripperState(x, y, int(z), ap, objs[k].oid if k >= 0 else None),
                      [ObjectState(o.oid, o.kind, ox, oy, th, o.size, lv, fold)
                       for o, (ox, oy, th, fold), lv in zip(objs, obj_rows, levels)],
                      template.step_index, template.slip_fated)
             for (x, y, ap), z, k, obj_rows, levels
-            in zip(grip.tolist(), (vecs[:, 2] > 0.0).tolist(), slot.tolist(),
-                   fields.tolist(), z_level.tolist())]
+            in zip(gripper[:, [0, 1, 3]].tolist(), gripper[:, 2].tolist(), slot.tolist(),
+                   objects[..., [0, 1, 2, 4]].tolist(), objects[..., 3].astype(np.int64).tolist())]
 
 
 def encode_action(a: Action) -> np.ndarray:

@@ -273,9 +273,11 @@ class RolloutBackend:
                                 axis=1)
         pred = predict_chunk(self.wm, self.hist_states, window, self.rng)
         B, width = len(pred), self.wm.state_width
-        flat = statecodec.decode_states(pred.reshape(B * C, width), self.template)
-        clean = np.stack([statecodec.encode_state(s) for s in flat]).reshape(B, C, width)
-        self.hist_states = np.concatenate([self.hist_states, clean], axis=1)[:, -H:]
+        vecs = pred.reshape(B * C, width)
+        flat = statecodec.decode_states(vecs, self.template)
+        clean = statecodec.encode_states(*statecodec.project_states(vecs, self.template))
+        self.hist_states = np.concatenate([self.hist_states, clean.reshape(B, C, width)],
+                                          axis=1)[:, -H:]
         self.hist_actions = window[:, C:]
         return [flat[b * C:(b + 1) * C] for b in range(B)]
 

@@ -135,6 +135,12 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
             got = backend.hist_states[b, H - C + i]
             assert (got == statecodec.encode_state(states[b][i])).all()
     assert (backend.hist_actions[:, -C:] == statecodec.encode_action_rows(actions)).all()
+
+    def assert_history_encodes(chunk):  # stacked encode_state of the states, bit for bit
+        want = np.array([[statecodec.encode_state(s) for s in row] for row in chunk])
+        assert backend.hist_states[:, -C:].tobytes() == want.tobytes()
+    assert_history_encodes(states)
+    assert_history_encodes(backend.step_chunk(actions[::-1] * 5.0))
     with pytest.raises(ValueError, match="executed actions"):
         backend.step_chunk(actions[:, :C - 1])
 

@@ -362,7 +362,7 @@ class TestRng:
         normal(odd n) leaves one for the next gauss, as one block draw does."""
         a, b = Rng(8), Rng(8)
         parts = []
-        for i in range(20_000):
+        for i in range(4000):
             k = i % 6 + 1
             parts += [a.gauss()] + a.normal(k).tolist() + a.normal((k, 2)).ravel().tolist()
         _assert_same_bits(parts, b.normal(len(parts)))

@@ -176,6 +176,47 @@ class TestStep:
         assert run() == run()
 
 
+class TestStateCopy:
+    @staticmethod
+    def awkward_state():
+        """A jittered scene mid-episode: a held disk, a stacked rect, a folded
+        towel, a fated grasp and a negative zero."""
+        s = jittered_state(default_scene(), Rng(6))
+        s.gripper.held, s.gripper.z, s.gripper.aperture = 1, 0, -0.0
+        s.objects[2].z_level, s.objects[4].fold_angle = 1, 2.5
+        s.step_index, s.slip_fated = 7, True
+        return s
+
+    def test_copy_equals_source_field_for_field(self):
+        for src in (self.awkward_state(), default_scene().nominal_state()):
+            dup = src.copy()
+            assert TestCodec.decoded_fields(dup) == TestCodec.decoded_fields(src)
+            assert dup.gripper is not src.gripper
+            for a, b in zip(dup.objects, src.objects):
+                assert a is not b and a.size is b.size
+
+    def test_mutating_the_copy_leaves_the_source(self):
+        src = self.awkward_state()
+        before = TestCodec.decoded_fields(src)
+        dup = src.copy()
+        g = dup.gripper
+        g.x, g.y, g.z, g.aperture, g.held = 0.1, 0.2, 1, 0.3, None
+        for o in dup.objects:
+            o.oid, o.kind, o.size = o.oid + 10, "disk", (0.5,)
+            o.x, o.y, o.theta, o.z_level, o.fold_angle = 0.4, 0.6, 1.0, 2, 0.7
+        dup.objects.append(ObjectState(9, "disk", 0.5, 0.5, 0.0, (0.03,)))
+        dup.step_index, dup.slip_fated = 99, False
+        assert TestCodec.decoded_fields(src) == before
+
+    def test_nominal_state_copies_the_templates(self):
+        cfg = default_scene()
+        s = cfg.nominal_state()
+        assert s.objects == list(cfg.objects)
+        assert s.gripper == GripperState() and (s.step_index, s.slip_fated) == (0, False)
+        s.objects[0].x = 0.99
+        assert cfg.objects[0].x != 0.99 and cfg.nominal_state().objects[0].x != 0.99
+
+
 class TestRender:
     def test_empty_scene_only_gripper(self):
         s = EnvState(gripper=GripperState(x=0.5, y=0.5), objects=[])
@@ -352,9 +393,10 @@ class TestCodec:
                     *(bits(v) for v in (o.x, o.y, o.theta, o.z_level, o.fold_angle))]
         return out
 
-    def test_decode_states_is_decode_state_bit_for_bit(self):
-        scene = default_scene()
-        template = scene.nominal_state()
+    @staticmethod
+    def awkward_vecs(template):
+        """60 state vectors: random held slots, a held rigid object, a held
+        towel, z-levels on rounding ties, and signed zeros."""
         n = len(template.objects)
         towel = next(i for i, o in enumerate(template.objects) if o.kind == "towel2link")
         rigid = next(i for i, o in enumerate(template.objects) if o.kind != "towel2link")
@@ -366,11 +408,24 @@ class TestCodec:
         vecs[30:40, z_cols] = np.resize([0.5, -0.5, 1.5, -1.5, 2.5, -2.5], (10, n))
         vecs[40:50] = np.resize([0.0, -0.0, -1.0, 1.0], vecs[40:50].shape)  # signed zeros
         vecs[50:60, 4:] = -0.0
+        return vecs, rigid, towel
+
+    def test_decode_states_is_decode_state_bit_for_bit(self):
+        template = default_scene().nominal_state()
+        vecs, rigid, towel = self.awkward_vecs(template)
         states = statecodec.decode_states(vecs, template)
         want = [self.decoded_fields(statecodec.decode_state(v, template)) for v in vecs]
         assert [self.decoded_fields(s) for s in states] == want
         held = [s.gripper.held for s in states[10:30]]
         assert held == [template.objects[rigid].oid] * 10 + [template.objects[towel].oid] * 10
+
+    def test_projected_arrays_encode_as_the_decoded_states(self):
+        template = default_scene().nominal_state()
+        vecs, _, _ = self.awkward_vecs(template)
+        want = np.stack([statecodec.encode_state(s)
+                         for s in statecodec.decode_states(vecs, template)])
+        got = statecodec.encode_states(*statecodec.project_states(vecs, template))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_z_level_fails(self, bad):
