@@ -101,7 +101,7 @@ def project_states(vecs: np.ndarray, template: EnvState) -> tuple[np.ndarray, ..
     objs = template.objects
     n = len(objs)
     if vecs.ndim != 2 or vecs.shape[1] != state_dim(n):
-        raise ValueError(f"decode_states takes (T, {state_dim(n)}) vectors, got {vecs.shape}")
+        raise ValueError(f"state vectors must be (T, {state_dim(n)}), got {vecs.shape}")
     body = vecs[:, 4 + n:].reshape(len(vecs), n, 5)
     if not np.isfinite(body[..., 3]).all():
         raise ValueError("a state vector has a non-finite z-level")

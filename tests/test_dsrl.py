@@ -129,18 +129,15 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
     states = backend.step_chunk(actions)
     assert [len(row) for row in states] == [C] * 3
     assert backend.hist_states.shape == (3, H, wm.state_width)
-    # the history ends in the re-encoded predicted states and driving actions
-    for b in range(3):
-        for i in range(C):
-            got = backend.hist_states[b, H - C + i]
-            assert (got == statecodec.encode_state(states[b][i])).all()
-    assert (backend.hist_actions[:, -C:] == statecodec.encode_action_rows(actions)).all()
 
-    def assert_history_encodes(chunk):  # stacked encode_state of the states, bit for bit
+    def assert_history_encodes(chunk):
+        """The history ends in stacked `encode_state` of the returned states, bit for bit."""
         want = np.array([[statecodec.encode_state(s) for s in row] for row in chunk])
         assert backend.hist_states[:, -C:].tobytes() == want.tobytes()
+    # the history ends in the re-encoded predicted states and driving actions
     assert_history_encodes(states)
-    assert_history_encodes(backend.step_chunk(actions[::-1] * 5.0))
+    assert (backend.hist_actions[:, -C:] == statecodec.encode_action_rows(actions)).all()
+    assert_history_encodes(backend.step_chunk(actions[::-1] * 5.0))  # and after a second chunk
     with pytest.raises(ValueError, match="executed actions"):
         backend.step_chunk(actions[:, :C - 1])
 
