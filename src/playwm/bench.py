@@ -6,9 +6,10 @@ rendered predictions are scored against the true future frames. Oracle mode
 substitutes the simulator (replaying each clip's recorded noise draws) and
 must reach the ideal scores, bounding harness error.
 
-Policy evaluation: success rates and mode histograms in the simulator
-against lockstep imagined rollouts, where the policy plans from each
-rollout's last history state and its executed actions drive the model.
+Policy evaluation: success rates and mode histograms of lockstep rollouts
+in the simulator against lockstep imagined rollouts, where the policy plans
+from each rollout's last history state and its executed actions drive the
+model. Both plan all their live rollouts in one batch per decision.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _mode_distribution(hist: dict[str, int]) -> np.ndarray:
 
 def measure_real(policy: DiffusionPolicy, scene: SceneConfig, cfg: EvalStudyConfig,
                  rng: Rng) -> tuple[float, dict[str, int]]:
-    """Success rate and mode histogram of n_real rollouts in the simulator."""
+    """Success rate and mode histogram of n_real lockstep rollouts in the simulator."""
     return measure_env_success(policy, scene, cfg.task, cfg.n_real, rng, cfg.max_steps,
                                cfg.replan)
 

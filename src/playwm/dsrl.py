@@ -10,7 +10,9 @@ Decisions happen once per world-model chunk; the reward is the progress
 change over the executed chunk, which telescopes the per-step dense reward.
 Fine-tuning runs one imagined rollout per start state, all in lockstep, so
 the policy sampler and the world model each run once per decision for the
-whole batch of rollouts.
+whole batch of rollouts. The real-simulator evaluation steps its rollouts in
+lockstep too: the actor maps each decision's batch of encoded states to
+their mean latents in one forward pass.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ class NoiseActor:
         w, logp, _ = self.squash(out, rng.normal((out.shape[0], self.latent_dim)))
         return w, logp
 
-    def mean_latent(self, state_vec: np.ndarray) -> np.ndarray:
-        """The latent at xi = 0, M tanh(mu)."""
-        out = nets.forward(self.net, np.atleast_2d(state_vec))
-        return self.squash(out, np.zeros((1, self.latent_dim)))[0][0]
+    def mean_latent(self, states: np.ndarray) -> np.ndarray:
+        """The (B, L) latents at xi = 0, M tanh(mu), of (B, width) encoded states."""
+        out = nets.forward(self.net, states)
+        return self.squash(out, np.zeros((len(out), self.latent_dim)))[0]
 
     def param_hash(self) -> str:
         return self.net.param_hash()
@@ -285,10 +287,11 @@ class EvalPoint:
 def evaluate_steered(st: DsrlState | None, policy: DiffusionPolicy, scene: SceneConfig,
                      task: TaskSpec, rng: Rng, n_rollouts: int, max_steps: int,
                      replan: int) -> float:
-    """Real-simulator success of the policy, steered by the actor's mean
-    latent when st is given, else denoising from latents drawn from rng."""
-    latent = None if st is None else (
-        lambda state: st.actor.mean_latent(statecodec.encode_state(state)))
+    """Real-simulator success of the policy over n_rollouts lockstep
+    rollouts, steered by the actor's mean latents of each decision's batch of
+    encoded states when st is given, else denoising from latents drawn from
+    rng."""
+    latent = None if st is None else st.actor.mean_latent
     return measure_env_success(policy, scene, task, n_rollouts, rng, max_steps, replan,
                                latent=latent)[0]
 

@@ -6,6 +6,10 @@ encoded state; inference is 5-step deterministic DDIM from an explicit
 initial latent, which makes the policy a pure function of (state, latent)
 and therefore steerable by the RL stack. By default the caller executes 8
 actions before re-planning.
+
+`measure_env_success` is the one closed loop of a policy in the simulator:
+its rollouts step in lockstep, and each decision plans every rollout that
+has not yet succeeded in one `plan_actions` call.
 """
 
 from __future__ import annotations
@@ -137,32 +141,6 @@ def act(policy: DiffusionPolicy, state: EnvState, w0: np.ndarray | None = None,
     return [Action(*row) for row in rows.tolist()]
 
 
-def run_policy_env(policy: DiffusionPolicy, env: Env, task: TaskSpec, rng: Rng,
-                   max_steps: int = 30, replan: int | None = None,
-                   latent: Callable[[EnvState], np.ndarray] | None = None) -> tuple[bool, list]:
-    """The closed loop of a policy in the simulator, from env's current state.
-
-    Each decision denoises a chunk from latent(state), or from a latent drawn
-    from rng without it, and executes its first `replan` actions; the loop
-    stops at the task's success or after max_steps steps. Returns the
-    outcome and the step events; the final state is env.state.
-    """
-    replan = replan if replan is not None else policy.cfg.replan
-    events = []
-    success = check_success(env.state, task, env.phys)
-    t = 0
-    while t < max_steps and not success:
-        w0 = latent(env.state) if latent is not None else None
-        for a in act(policy, env.state, w0=w0, rng=rng)[:replan]:
-            if t >= max_steps or success:
-                break
-            state, event = env.step(a)
-            events.append(event)
-            success = check_success(state, task, env.phys)
-            t += 1
-    return success, events
-
-
 # -- the degraded-policy suite -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -177,8 +155,6 @@ class PolicyVariant:
 class PolicySuiteSpec:
     task: TaskSpec
     variants: tuple
-    n_real: int = 20
-    max_steps: int = 30
 
     def __post_init__(self):
         if len(self.variants) < 2:
@@ -204,8 +180,6 @@ def default_suite_spec(task: TaskSpec | None = None) -> PolicySuiteSpec:
 class SuiteEntry:
     variant: PolicyVariant
     policy: DiffusionPolicy
-    env_success: float
-    mode_hist: dict[str, int]
 
 
 # Pose jitter of the start states that task demos and policy evaluation draw.
@@ -230,24 +204,56 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
 def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,
                         n_rollouts: int, rng: Rng, max_steps: int = 30,
                         replan: int | None = None,
-                        latent: Callable[[EnvState], np.ndarray] | None = None
+                        latent: Callable[[np.ndarray], np.ndarray] | None = None
                         ) -> tuple[float, dict[str, int]]:
     """Success rate and mode histogram of n_rollouts simulator rollouts, each
-    from a jittered nominal scene in an env of its own noise seed."""
-    wins = 0
-    hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
+    from a jittered nominal scene in an env of its own noise seed.
+
+    The closed loop of the policy in the simulator. Every rollout's env seed
+    and start state are drawn first; then the rollouts step in lockstep.
+    Each decision encodes the states of the B rollouts that have not yet
+    succeeded as one (B, width) array, takes their (B, L) latents from
+    latent(encoded), or draws them from rng without it, and plans them in
+    one `plan_actions` call. Each env then executes its first `replan`
+    actions, stopping at its first success, and no rollout runs past
+    max_steps steps.
+    """
+    replan = replan if replan is not None else policy.cfg.replan
+    if replan < 1:
+        raise ValueError(f"replan must be at least 1, got {replan}")
+    if n_rollouts < 1:
+        raise ValueError(f"n_rollouts must be at least 1, got {n_rollouts}")
+    rollouts = []  # (env, its step events)
     for _ in range(n_rollouts):
         env = Env(scene, seed=rng.spawn_seed())
         env.reset(jittered_state(scene, rng, INIT_JITTER))
-        success, events = run_policy_env(policy, env, task, rng, max_steps, replan, latent)
-        wins += success
+        rollouts.append((env, []))
+    live = [r for r in rollouts if not check_success(r[0].state, task, r[0].phys)]
+    t = 0
+    while t < max_steps and live:
+        conds = np.stack([statecodec.encode_state(env.state) for env, _ in live])
+        w0 = latent(conds) if latent is not None else rng.normal((len(live), policy.latent_dim))
+        acts = plan_actions(policy, conds, w0)[:, :min(replan, max_steps - t)]
+        still = []
+        for (env, events), rows in zip(live, acts.tolist()):
+            for row in rows:
+                state, event = env.step(Action(*row))
+                events.append(event)
+                if check_success(state, task, env.phys):
+                    break
+            else:
+                still.append((env, events))
+        live = still
+        t += acts.shape[1]
+    hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
+    for env, events in rollouts:
         hist[classify_clip(events, task, env.state).value] += 1
-    return wins / n_rollouts, hist
+    return (n_rollouts - len(live)) / n_rollouts, hist
 
 
 def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
                 store_root: str | None = None) -> list[SuiteEntry]:
-    """Train every variant and measure its ground-truth env success rate."""
+    """Train every variant; `bench.run_policy_eval` measures their success."""
     import os
     import tempfile
 
@@ -260,10 +266,7 @@ def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
             collect_task_demos(scene, spec.task, variant.demo_count, variant.noise,
                                Rng(rng.spawn_seed()), demo_store)
             train_bc(policy, demo_store, variant.train_steps, Rng(rng.spawn_seed()))
-        rate, hist = measure_env_success(policy, scene, spec.task, spec.n_real,
-                                            Rng(rng.spawn_seed()), spec.max_steps)
-        entries.append(SuiteEntry(variant=variant, policy=policy,
-                                  env_success=rate, mode_hist=hist))
+        entries.append(SuiteEntry(variant=variant, policy=policy))
     return entries
 
 

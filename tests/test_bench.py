@@ -128,10 +128,98 @@ def test_imagined_loops_drive_the_model_with_the_executed_actions(trained, monke
                               max_episode_steps=10, train_freq=5, eval_rollouts=1)
         dsrl.finetune(worldmodel.RolloutBackend(wm, Rng(5)), policy, prog, scene, TASK, cfg,
                       Rng(6), total_updates=2, inits=[scene.nominal_state()] * N)
-    # the real-simulator evaluations denoise one chunk at a time
+    # this drops DSRL's step-0 real evaluation, which plans at most
+    # eval_rollouts = 1 row a call
     chunks = [c[:, :4 * C].reshape(N, C, 4) for c in chunks if len(c) == N]
     assert inputs and len(chunks) == len(inputs)
     assert any((np.abs(c) > 1.0).any() for c in chunks)  # some actions are clipped
     for chunk, got in zip(chunks, inputs):
         want = statecodec.encode_action_rows(statecodec.decode_action_rows(chunk))
         assert (got == want).all()
+
+
+@pytest.mark.parametrize("max_steps, replan", [(30, 5), (7, 5)])
+@pytest.mark.parametrize("steered", [False, True])
+def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan, steered):
+    """Each decision plans every rollout that has not yet succeeded in one
+    `plan_actions` call, from `encode_state` of its env's state, and hands
+    `latent` those encoded states as one batch. A rollout takes no step
+    after its first success, and every other one takes max_steps steps,
+    also when replan does not divide it."""
+    scene, policy, _ = trained
+    envs, plans, latents = [], [], []
+
+    class RecordingEnv(policies.Env):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.flags = []  # per step: did it reach success
+            envs.append(self)
+
+        def step(self, action, u=None):
+            out = super().step(action, u)
+            self.flags.append(check_success(out[0], TASK, self.phys))
+            return out
+
+    plan = policies.plan_actions
+
+    def spied_plan(policy_, conds, w0):
+        live = [env for env in envs if not any(env.flags)]
+        want = np.stack([statecodec.encode_state(env.state) for env in live])
+        plans.append((conds.tobytes() == want.tobytes(), w0.shape))
+        return plan(policy_, conds, w0)
+
+    def latent(conds):
+        latents.append(conds.copy())
+        return np.zeros((len(conds), policy.latent_dim))
+
+    monkeypatch.setattr(policies, "Env", RecordingEnv)
+    monkeypatch.setattr(policies, "plan_actions", spied_plan)
+    n = 10
+    rate, _ = policies.measure_env_success(policy, scene, TASK, n, Rng(73), max_steps, replan,
+                                           latent=latent if steered else None)
+    assert len(envs) == n
+    assert all(same for same, _ in plans)
+    rows = [shape[0] for _, shape in plans]
+    assert rows[0] == n and rows == sorted(rows, reverse=True)
+    assert all(shape == (b, policy.latent_dim) for b, (_, shape) in zip(rows, plans))
+    if steered:
+        assert [len(c) for c in latents] == rows
+        assert all(c.shape[1] == statecodec.state_dim(len(scene.objects)) for c in latents)
+    else:
+        assert not latents
+    wins = [env for env in envs if any(env.flags)]
+    assert len(wins) == round(rate * n)
+    if max_steps == 30:
+        assert 0 < len(wins) < n
+    for env in envs:
+        if env in wins:
+            assert len(env.flags) <= max_steps
+            assert env.flags == [False] * (len(env.flags) - 1) + [True]
+        else:
+            assert env.flags == [False] * max_steps
+
+
+@pytest.mark.parametrize("bad", [{"replan": 0}, {"replan": -1}, {"n_rollouts": 0}])
+def test_real_rollouts_reject_bad_counts(trained, bad):
+    """A replan below 1 would never advance the loop, and no rollouts have no
+    success rate; both fail, naming the value, before the loop draws."""
+    scene, policy, _ = trained
+    rng = Rng(73)
+    args = {"n_rollouts": 3, "replan": 5, **bad}
+    name, value = next(iter(bad.items()))
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        policies.measure_env_success(policy, scene, TASK, rng=rng, **args)
+    assert rng.spawn_seed() == Rng(73).spawn_seed()
+
+
+def test_measure_real_plans_once_per_decision(trained, monkeypatch):
+    """Ten rollouts of 30 steps at replan 5 make at most 30 / 5 = 6
+    `plan_actions` calls, one per decision, however many rollouts live; a
+    loop that planned each rollout on its own would make up to 60."""
+    scene, policy, _ = trained
+    calls, plan = [], policies.plan_actions
+    monkeypatch.setattr(policies, "plan_actions",
+                        lambda *args: calls.append(len(args[1])) or plan(*args))
+    cfg = EvalStudyConfig(task=TASK, n_real=10, max_steps=30, replan=5)
+    bench.measure_real(policy, scene, cfg, Rng(70))
+    assert 0 < len(calls) <= 6 and calls[0] == cfg.n_real
