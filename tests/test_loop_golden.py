@@ -18,12 +18,12 @@ from playwm.rng import Rng
 CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
 
 GOLDEN = {
-    "real": "3e17285ba41ae9545d54c6dbd163d0f25279579936fb8e7dfd1a9e6e954b8d34",
+    "real": "927280d53fc67ec74fe22a4d50d3da06298c6a6ee7c78f68d505abb947cb3b47",
     "imagined_world_model": "da229fad4542c10ca428f823936f0e1279bbfce48b8a3286df24a8a23b06b5de",
     "imagined_predicted_states": "f66abcf82c933d702b6bcad9db6f86008cf66e93f3c2599f668a3bb19ac73d1d",
-    "imagined_scene": "7fe8d3214b2695f92f63f17dc522b54b90a49bf5a4f5e575ceae80708bae6a8d",
-    "env_success": "8628fccdc5eb4a26d9006bc647ec65405509f492443349d99403f88bd8203e93",
-    "steered_False": "fe0b040cb5f683e08c94dfde8dfc1e8346c93dadb466e07d4308991942b608f4",
+    "imagined_scene": "d68657815aed973b825e3f3870647608330af2cf8b0e4edcc65679188117ebcb",
+    "env_success": "bd374a6b4650c7519588105ecc02de7b7c5f2c68640c3283a91e2073db8614e1",
+    "steered_False": "ca924e6162ec04e58c897a87d0ee8b9060a3746476906140cda7a61456e699e7",
     "steered_True": "ac72c0f552d7551e2ed4102327c83dbe490f0b5d3450358d7d8104aca05f8044",
 }
 
