@@ -94,7 +94,7 @@ def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
 
 def project_states(vecs: np.ndarray, template: EnvState) -> tuple[np.ndarray, ...]:
     """The `encode_states` arrays (gripper, held, objects) of (T, width)
-    vectors projected onto valid states, which `decode_states` builds its
+    vectors projected onto valid states, which `build_states` builds the
     states from; z-levels round half to even like `round`. A non-finite
     z-level raises ValueError."""
     vecs = np.asarray(vecs, dtype=np.float64)
@@ -124,8 +124,13 @@ def project_states(vecs: np.ndarray, template: EnvState) -> tuple[np.ndarray, ..
 def decode_states(vecs: np.ndarray, template: EnvState) -> list[EnvState]:
     """`decode_state` of each row of (T, width) vectors, equal to it bit for
     bit: each state is built from its row of the `project_states` arrays."""
+    return build_states(*project_states(vecs, template), template)
+
+
+def build_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray,
+                 template: EnvState) -> list[EnvState]:
+    """The T states of `project_states` arrays, with template's object roster."""
     objs = template.objects
-    gripper, held, objects = project_states(vecs, template)
     slot = np.where(held.any(axis=1), held @ np.arange(len(objs)), -1)
     return [EnvState(GripperState(x, y, int(z), ap, objs[k].oid if k >= 0 else None),
                      [ObjectState(o.oid, o.kind, ox, oy, th, o.size, lv, fold)

@@ -264,7 +264,8 @@ class RolloutBackend:
         """Drive every rollout by its C executed actions, (B, C, 4) in
         simulator units, encoded as `build_dataset` encodes stored actions;
         return each rollout's C predicted states. The raw predicted vectors
-        are decoded onto valid states, and those re-encoded enter the history."""
+        are projected once onto valid states; the returned states are built
+        from those arrays, and their encodings enter the history."""
         H, C = self.wm.cfg.history, self.wm.cfg.chunk
         if actions.shape != (len(self.hist_states), C, 4):
             raise ValueError(f"step_chunk takes (B, C, 4) = ({len(self.hist_states)}, {C}, 4) "
@@ -273,9 +274,9 @@ class RolloutBackend:
                                 axis=1)
         pred = predict_chunk(self.wm, self.hist_states, window, self.rng)
         B, width = len(pred), self.wm.state_width
-        vecs = pred.reshape(B * C, width)
-        flat = statecodec.decode_states(vecs, self.template)
-        clean = statecodec.encode_states(*statecodec.project_states(vecs, self.template))
+        arrays = statecodec.project_states(pred.reshape(B * C, width), self.template)
+        flat = statecodec.build_states(*arrays, self.template)
+        clean = statecodec.encode_states(*arrays)
         self.hist_states = np.concatenate([self.hist_states, clean.reshape(B, C, width)],
                                           axis=1)[:, -H:]
         self.hist_actions = window[:, C:]

@@ -88,11 +88,13 @@ def test_imagined_rollouts_stop_at_max_steps(trained, monkeypatch):
 
 
 def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
+    """Each predicted vector is projected onto a valid state once, for both
+    the returned states and the history's encodings."""
     scene, policy, wm = trained
     cfg = EvalStudyConfig(task=TASK, n_wm=10, max_steps=30)
-    decode, rows = statecodec.decode_states, []
-    monkeypatch.setattr(statecodec, "decode_states",
-                        lambda vecs, template: rows.append(len(vecs)) or decode(vecs, template))
+    project, rows = statecodec.project_states, []
+    monkeypatch.setattr(statecodec, "project_states",
+                        lambda vecs, template: rows.append(len(vecs)) or project(vecs, template))
     bench.measure_imagined(policy, wm, cfg, Rng(71))
     C = wm.cfg.chunk
     assert sum(rows) == cfg.n_wm * -(-cfg.max_steps // C) * C
