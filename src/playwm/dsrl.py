@@ -288,9 +288,8 @@ def evaluate_steered(st: DsrlState | None, policy: DiffusionPolicy, scene: Scene
                      task: TaskSpec, rng: Rng, n_rollouts: int, max_steps: int,
                      replan: int) -> float:
     """Real-simulator success of the policy over n_rollouts lockstep
-    rollouts, steered by the actor's mean latents of each decision's batch of
-    encoded states when st is given, else denoising from latents drawn from
-    rng."""
+    rollouts, steered by the actor's mean latents when st is given, else
+    denoising from latents drawn from rng."""
     latent = None if st is None else st.actor.mean_latent
     return measure_env_success(policy, scene, task, n_rollouts, rng, max_steps, replan,
                                latent=latent)[0]
