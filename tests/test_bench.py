@@ -167,7 +167,8 @@ def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan,
     def spied_plan(policy_, conds, w0):
         live = [env for env in envs if not any(env.flags)]
         want = np.stack([statecodec.encode_state(env.state) for env in live])
-        plans.append((conds.tobytes() == want.tobytes(), w0.shape))
+        assert conds.tobytes() == want.tobytes()
+        plans.append((conds.copy(), w0.shape))
         return plan(policy_, conds, w0)
 
     def latent(conds):
@@ -180,13 +181,11 @@ def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan,
     rate, _ = policies.measure_env_success(policy, scene, TASK, n, Rng(73), max_steps, replan,
                                            latent=latent if steered else None)
     assert len(envs) == n
-    assert all(same for same, _ in plans)
-    rows = [shape[0] for _, shape in plans]
+    rows = [len(conds) for conds, _ in plans]
     assert rows[0] == n and rows == sorted(rows, reverse=True)
-    assert all(shape == (b, policy.latent_dim) for b, (_, shape) in zip(rows, plans))
+    assert [shape for _, shape in plans] == [(b, policy.latent_dim) for b in rows]
     if steered:
-        assert [len(c) for c in latents] == rows
-        assert all(c.shape[1] == statecodec.state_dim(len(scene.objects)) for c in latents)
+        assert [c.tobytes() for c in latents] == [conds.tobytes() for conds, _ in plans]
     else:
         assert not latents
     wins = [env for env in envs if any(env.flags)]
