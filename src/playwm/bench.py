@@ -26,7 +26,7 @@ from .env import Env
 from .metrics import lpips_proxy, mse, psnr, ssim
 from .policies import (INIT_JITTER, DiffusionPolicy, SuiteEntry, measure_env_success,
                        plan_actions)
-from .render import render
+from .render import render_frames, render_states
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .store import ClipWindow, EpisodeStore, windows
@@ -95,11 +95,12 @@ def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) ->
     view = store.read(w.episode_id)
     t = w.start + H - 1  # the last history frame
     states, actions = window_inputs(view, [w.start], H, C)
+    gripper, _, objects = view.state_arrays(t + 1, t + 1 + C)
     return ReplayClip(
         store_name=name, window=w,
         hist_states=states[0, :H],
         actions=actions[0],
-        gt_frames=[render(view.state(i)) for i in range(t + 1, t + 1 + C)],
+        gt_frames=list(render_frames(gripper, objects, view.roster)),
         init_state=view.state(t),
         raw_actions=[Action(*a) for a in view.actions[t:t + C]],
         noise=list(view.noise[t:t + C]),
@@ -137,7 +138,10 @@ def _model_predictions(benchmark: ReplayBenchmark, wm: WorldModel, rng: Rng):
     clips = benchmark.clips
     hist = np.stack([c.hist_states for c in clips])
     acts = np.stack([c.actions for c in clips])
-    return [predicted_frames(wm, row) for row in predict_chunk(wm, hist, acts, rng)]
+    pred = predict_chunk(wm, hist, acts, rng)
+    frames = predicted_frames(wm, pred.reshape(-1, pred.shape[-1]))
+    C = benchmark.chunk
+    return [frames[i * C:(i + 1) * C] for i in range(len(clips))]
 
 
 def _oracle_predictions(benchmark: ReplayBenchmark, scene: SceneConfig):
@@ -145,7 +149,8 @@ def _oracle_predictions(benchmark: ReplayBenchmark, scene: SceneConfig):
     for clip in benchmark.clips:
         env = Env(scene, seed=0)
         env.reset(clip.init_state)
-        out.append([render(env.step(a, u=u)[0]) for a, u in zip(clip.raw_actions, clip.noise)])
+        stepped = [env.step(a, u=u)[0] for a, u in zip(clip.raw_actions, clip.noise)]
+        out.append(list(render_states(stepped)))
     return out
 
 

@@ -2,7 +2,9 @@
 
 Windows are embedded with a frozen sign projection of four evenly spaced
 frames. The store keeps no frames: each episode is read once as an array
-view, and only its sampled state rows are built into states and rendered.
+view, and the sampled state rows of consecutive episodes are rendered from
+arrays and projected in blocks of at most BLOCK_FRAMES frames, one
+rasterizer call and one product a block.
 Success centroids come from k-means over demo-success windows; each
 play window gets a distance-to-success (min Euclidean distance to any
 centroid) and a rank from equal-mass quantile thresholds. Training samples
@@ -17,13 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .projection import Projection, random_projection
-from .render import FRAME_SIZE, render
+from .render import FRAME_SIZE, render_frames
 from .rng import Rng
 from .store import ClipWindow, EpisodeStore
 
 EMBED_DIM = 32
 FRAME_PIXELS = FRAME_SIZE * FRAME_SIZE
 SAMPLED_FRAMES = 4
+BLOCK_FRAMES = 256     # sampled frames rendered and projected per call
+MIN_PRODUCT_ROWS = 16  # zero rows pad a smaller block's projection to this many
 
 
 @dataclass(frozen=True)
@@ -49,26 +53,69 @@ def window_sample_indices(W: int) -> tuple[int, int, int, int]:
 
 def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
                         embedder: Embedder) -> np.ndarray:
-    """Embed every window, reading each episode once and rendering only the
-    sampled frames."""
+    """Embed every window, reading each episode once. Each sampled frame is
+    rendered and projected once, in blocks of at most BLOCK_FRAMES frames."""
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
-    out = np.zeros((len(wins), embedder.dim))
+    sampled: dict[str, list[int]] = {}  # each episode's sampled frames, ascending
+    picks = np.empty((len(wins), SAMPLED_FRAMES), dtype=np.int64)  # rows of `embedded`
+    n_rows = 0
     for eid, rows in by_ep.items():
+        idx = {i: [wins[i].start + j for j in window_sample_indices(wins[i].length)]
+               for i in rows}
+        sampled[eid] = sorted({t for ts in idx.values() for t in ts})
+        row_of = {t: n_rows + k for k, t in enumerate(sampled[eid])}
+        for i, ts in idx.items():
+            picks[i] = [row_of[t] for t in ts]
+        n_rows += len(sampled[eid])
+    embedded = np.empty((n_rows, embedder.projection.out_dim))
+    done = 0
+    for roster, gripper, objects in _sampled_blocks(store, sampled):
+        k = len(gripper)
+        embedded[done:done + k] = _project(embedder, render_frames(gripper, objects, roster))
+        done += k
+    return embedded[picks].reshape(len(wins), embedder.dim)
+
+
+def _project(embedder: Embedder, frames: np.ndarray) -> np.ndarray:
+    """The projections of k frames, from one product of at least
+    MIN_PRODUCT_ROWS rows."""
+    k = len(frames)
+    flat = frames.reshape(k, FRAME_PIXELS)
+    if k < MIN_PRODUCT_ROWS:
+        # A product of 7 rows or fewer takes OpenBLAS's small-matrix kernel,
+        # which rounds differently; from 8 rows on, each row has the bits it
+        # has in any taller product, so zero rows keep them.
+        flat = np.concatenate([flat, np.zeros((MIN_PRODUCT_ROWS - k, FRAME_PIXELS))])
+    return embedder.projection.apply(flat)[:k]
+
+
+def _sampled_blocks(store: EpisodeStore, sampled: dict[str, list[int]]):
+    """(roster, gripper, objects) blocks of the `render_frames` inputs of
+    every sampled frame, in order: at most BLOCK_FRAMES frames each, from
+    consecutive episodes with one object roster."""
+    roster, parts, n = None, [], 0
+    for eid, ts in sampled.items():
         view = store.read(eid)
-        picks = {i: [wins[i].start + j for j in window_sample_indices(wins[i].length)]
-                 for i in rows}
-        # Unsampled frames stay zero. Projecting the whole-episode stack keeps
-        # the BLAS kernel, and so every sampled row's rounding, of the full
-        # product: a few-row product takes a different kernel.
-        flat = np.zeros((view.n_frames, FRAME_PIXELS))
-        for t in {t for idx in picks.values() for t in idx}:
-            flat[t] = render(view.state(t)).reshape(FRAME_PIXELS)
-        proj = embedder.projection.apply(flat)
-        for i, idx in picks.items():
-            out[i] = proj[idx].reshape(-1)
-    return out
+        if parts and view.roster != roster:
+            yield roster, *_stack(parts)
+            parts, n = [], 0
+        roster = view.roster
+        gripper, _, objects = view.state_arrays()
+        while ts:
+            take, ts = ts[:BLOCK_FRAMES - n], ts[BLOCK_FRAMES - n:]
+            parts.append((gripper[take], objects[take]))
+            n += len(take)
+            if n == BLOCK_FRAMES:
+                yield roster, *_stack(parts)
+                parts, n = [], 0
+    if parts:
+        yield roster, *_stack(parts)
+
+
+def _stack(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    return np.concatenate([g for g, _ in parts]), np.concatenate([o for _, o in parts])
 
 
 # -- k-means ------------------------------------------------------------------

@@ -5,9 +5,9 @@ sizes) is scene metadata and never encoded; decode() needs a template state
 to restore it and projects the vector back onto the valid state manifold
 (clamped positions, binary height, rounded stack levels); decoding an
 action clips it to what the simulator executes. `encode_states`,
-`decode_states`, `encode_action_rows` and `decode_action_rows` code many
-states or actions given as arrays at once, equal bit for bit to the
-per-object codecs.
+`project_states` with `build_states`, `encode_action_rows` and
+`decode_action_rows` code many states or actions given as arrays at once,
+equal bit for bit to the per-object codecs.
 """
 
 from __future__ import annotations
@@ -119,12 +119,6 @@ def project_states(vecs: np.ndarray, template: EnvState) -> tuple[np.ndarray, ..
     objects[rows, slot[rows], :2] = gripper[rows, :2]
     objects[rows, slot[rows], 3] = 0.0
     return gripper, slot[:, None] == np.arange(n), objects
-
-
-def decode_states(vecs: np.ndarray, template: EnvState) -> list[EnvState]:
-    """`decode_state` of each row of (T, width) vectors, equal to it bit for
-    bit: each state is built from its row of the `project_states` arrays."""
-    return build_states(*project_states(vecs, template), template)
 
 
 def build_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray,

@@ -15,20 +15,20 @@ Blob layout, version 2 (little-endian throughout):
 n_frames = n_steps + 1 (initial state included). A state row is
 [gx, gy, gz, aperture, held_id, slip_fated] followed by
 [x, y, theta, z_level, fold_angle] per object in roster order. Frames are
-not stored: `render.render` reproduces them bit-exactly from the states, so
-readers render only the frames they consume. Version 1 blobs, which also
-held 64x64 frames, are not readable; reading one raises StoreError naming
-the file and its version.
+not stored: `render.render_frames` reproduces them bit-exactly from the
+state arrays, so readers render only the frames they consume. Version 1
+blobs, which also held 64x64 frames, are not readable; reading one raises
+StoreError naming the file and its version.
 
 Reading: `read` returns an `EpisodeView`, read-only arrays over the blob's
 states, actions, events and noise plus the metadata (instruction and object
 roster). Objects are built only on demand: `view.state(t)` builds one
 `EnvState`, `view.events(a, b)` decodes one slice into `Event`s, and
 `view.state_arrays(a, b)` splits a run of state rows into gripper, held and
-object arrays, which `statecodec.encode_states` encodes at once. Only this
-module knows the row layout. `Episode`,
-the object-list record, is the write side: `collect` builds it and `append`
-takes it.
+object arrays, which `statecodec.encode_states` encodes and, with
+`view.roster`, `render.render_frames` draws at once. Only this module knows
+the row layout. `Episode`, the object-list record, is the write side:
+`collect` builds it and `append` takes it.
 
 Durability: `append` writes the blob to a temp file and renames it into
 place, then writes the episode's manifest line (carrying the blob's sha256)
@@ -109,6 +109,12 @@ class EpisodeView:
     @property
     def n_frames(self) -> int:
         return self.states.shape[0]
+
+    @property
+    def roster(self) -> list[tuple]:
+        """Each object's (oid, kind, size) in row order, as `render.render_frames`
+        takes them."""
+        return [(o["id"], o["kind"], tuple(o["size"])) for o in self.objects]
 
     def state(self, t: int) -> EnvState:
         """The state at frame t, built from its row."""

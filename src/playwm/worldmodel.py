@@ -3,7 +3,7 @@
 The denoiser estimates a clean chunk of C future encoded states,
 conditioned on H history states plus every action in the window (the H-1
 transitions inside the history and the C actions driving the chunk).
-Frames come from rendering decoded predicted states, which keeps image
+Frames come from rendering projected predicted states, which keeps image
 metrics meaningful while training stays in the low-dimensional state space.
 """
 
@@ -18,7 +18,7 @@ from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .curation import AnnealSchedule, CurriculumIndex, sample_batch
 from .diffusion import DenoiserNet, NoiseSchedule, ddpm_sample, diffusion_loss
 from .optim import Adam, clip_grad_norm, warmup_cosine_lr
-from .render import render
+from .render import render_frames
 from .rng import Rng
 from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
 from .store import ClipWindow, EpisodeStore, EpisodeView
@@ -224,9 +224,13 @@ def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
     return x.reshape(B, C, width)
 
 
-def predicted_frames(wm: WorldModel, chunk: np.ndarray) -> list[np.ndarray]:
-    """Frames of one predicted chunk: each raw vector decoded, then rendered."""
-    return [render(s) for s in statecodec.decode_states(chunk, wm.scene.nominal_state())]
+def predicted_frames(wm: WorldModel, vecs: np.ndarray) -> list[np.ndarray]:
+    """The frames of (T, width) predicted state vectors: projected onto valid
+    states as `statecodec.project_states` arrays, then rendered in one call."""
+    template = wm.scene.nominal_state()
+    gripper, _, objects = statecodec.project_states(vecs, template)
+    roster = [(o.oid, o.kind, o.size) for o in template.objects]
+    return list(render_frames(gripper, objects, roster))
 
 
 class RolloutBackend:

@@ -1,15 +1,61 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from playwm import curation as cu
 from playwm.env import Env
-from playwm.playsys import execute
+from playwm.playsys import ProposerConfig, collect, execute
+from playwm.projection import Projection
 from playwm.render import render
 from playwm.rng import Rng
-from playwm.scene import default_scene
+from playwm.scene import EnvState, default_scene
 from playwm.skills import Instruction, Perturbation
-from playwm.store import ClipWindow, EpisodeStore
+from playwm.store import ClipWindow, EpisodeStore, windows
 from playwm.tasks import BehaviorMode, TaskSpec
+
+
+def whole_episode_embed(store, wins, embedder):
+    """The embedding that `embed_store_windows` replaced, kept as its
+    reference: each episode's sampled frames are rendered one state at a time
+    into a zero-filled whole-episode stack, which is projected in one product."""
+    by_ep = {}
+    for i, w in enumerate(wins):
+        by_ep.setdefault(w.episode_id, []).append(i)
+    out = np.zeros((len(wins), embedder.dim))
+    for eid, rows in by_ep.items():
+        view = store.read(eid)
+        picks = {i: [wins[i].start + j for j in cu.window_sample_indices(wins[i].length)]
+                 for i in rows}
+        flat = np.zeros((view.n_frames, cu.FRAME_PIXELS))
+        for t in {t for idx in picks.values() for t in idx}:
+            flat[t] = render(view.state(t)).reshape(cu.FRAME_PIXELS)
+        proj = embedder.projection.apply(flat)
+        for i, idx in picks.items():
+            out[i] = proj[idx].reshape(-1)
+    return out
+
+
+def demo_episode(eid, seed=1):
+    ep = execute(Env(default_scene()), Instruction(TaskSpec("put_in", 1, 0), Perturbation()),
+                 Rng(seed))
+    ep.eid, ep.source = eid, "demo"
+    return ep
+
+
+def without_towel(ep, eid):
+    """The episode with its towel taken out of every state: another roster."""
+    states = [EnvState(s.gripper, [o for o in s.objects if o.kind != "towel2link"],
+                       s.step_index, s.slip_fated) for s in ep.states]
+    return replace(ep, eid=eid, states=states)
+
+
+@pytest.fixture(scope="module")
+def play_store(tmp_path_factory):
+    store = EpisodeStore(str(tmp_path_factory.mktemp("play")))
+    collect(default_scene(), ProposerConfig(), 20, Rng(21), store)
+    return store
 
 
 class TestEmbedder:
@@ -20,10 +66,7 @@ class TestEmbedder:
     def test_identical_windows_identical_vectors(self, tmp_path):
         """Each window's vector is the embedding of its four sampled frames."""
         store = EpisodeStore(str(tmp_path / "s"))
-        ep = execute(Env(default_scene()), Instruction(TaskSpec("put_in", 1, 0), Perturbation()),
-                     Rng(1))
-        ep.eid, ep.source = "e1", "demo"
-        store.append(ep)
+        store.append(demo_episode("e1"))
         w = ClipWindow("e1", 2, 12, BehaviorMode.SUCCESS)
         emb = cu.Embedder.create(1)
         rows = cu.embed_store_windows(store, [w, w], emb)
@@ -31,6 +74,93 @@ class TestEmbedder:
         view = store.read("e1")
         frames = np.stack([render(view.state(w.start + i)) for i in cu.window_sample_indices(12)])
         assert np.allclose(rows[0], emb.embed_frame(frames).reshape(-1), rtol=0, atol=1e-12)
+
+    def test_one_episode_store_keeps_the_whole_episode_bits(self, tmp_path):
+        """A block of 4 rows, padded with zero rows, keeps the bits of the
+        whole-episode product, which a product of 7 rows or fewer would not."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        store.append(demo_episode("e1"))
+        w = ClipWindow("e1", 1, 12, BehaviorMode.SUCCESS)
+        emb = cu.Embedder.create(1)
+        got = cu.embed_store_windows(store, [w], emb)
+        assert store.read("e1").n_frames >= 8
+        assert got.tobytes() == whole_episode_embed(store, [w], emb).tobytes()
+
+    def test_blocks_keep_the_whole_episode_bits(self, play_store, tmp_path):
+        """Windows over more than one block, overlapping, repeated and in any
+        episode order, embed as the whole-episode stacks did, bit for bit."""
+        wins = windows(play_store, 12, stride=1)
+        wins = wins[::-1] + wins[:5]
+        emb = cu.Embedder.create(2)
+        frames = {(w.episode_id, w.start + j) for w in wins
+                  for j in cu.window_sample_indices(w.length)}
+        assert len(frames) > cu.BLOCK_FRAMES
+        got = cu.embed_store_windows(play_store, wins, emb)
+        assert got.tobytes() == whole_episode_embed(play_store, wins, emb).tobytes()
+
+    def test_a_roster_change_closes_a_block(self, tmp_path):
+        store = EpisodeStore(str(tmp_path / "s"))
+        eps = [demo_episode(f"e{k}", seed=k) for k in range(4)]
+        eps[2] = without_towel(eps[2], "e2")
+        for ep in eps:
+            store.append(ep)
+        wins = [ClipWindow(ep.eid, start, 5, BehaviorMode.SUCCESS)
+                for ep in eps for start in (0, 3)]
+        emb = cu.Embedder.create(3)
+        got = cu.embed_store_windows(store, wins, emb)
+        assert got.tobytes() == whole_episode_embed(store, wins, emb).tobytes()
+
+    def test_each_sampled_frame_renders_once_and_each_block_projects_once(
+            self, play_store, monkeypatch):
+        rendered, products = [], []
+        render_frames, apply = cu.render_frames, Projection.apply
+
+        def counting_render(gripper, objects, roster):
+            rendered.append(gripper.copy())
+            return render_frames(gripper, objects, roster)
+
+        def counting_apply(projection, x):
+            products.append(len(x))
+            return apply(projection, x)
+
+        monkeypatch.setattr(cu, "render_frames", counting_render)
+        monkeypatch.setattr(Projection, "apply", counting_apply)
+        wins = windows(play_store, 12, stride=2)
+        cu.embed_store_windows(play_store, wins + wins, cu.Embedder.create(4))
+        sampled = {}
+        for w in wins:
+            sampled.setdefault(w.episode_id, set()).update(
+                w.start + j for j in cu.window_sample_indices(w.length))
+        want = np.concatenate([play_store.read(eid).state_arrays()[0][sorted(ts)]
+                               for eid, ts in sampled.items()])
+        assert np.concatenate(rendered).tobytes() == want.tobytes()
+        n = len(want)
+        assert [len(g) for g in rendered] == \
+            [cu.BLOCK_FRAMES] * (n // cu.BLOCK_FRAMES) + [n % cu.BLOCK_FRAMES]
+        assert products == [max(len(g), cu.MIN_PRODUCT_ROWS) for g in rendered]
+
+    def test_peak_memory_does_not_grow_with_the_store(self, tmp_path):
+        """The peak allocation of a pass over 200 episodes is that over 50,
+        within one block's pixels, and below two blocks' pixels: no stack
+        grows with the store, and one block's frames are freed before the
+        next block is drawn."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        eps = [demo_episode(f"d{k}", seed=k) for k in range(5)]
+        for k in range(200):
+            store.append(replace(eps[k % 5], eid=f"e{k:03d}"))
+        emb = cu.Embedder.create(5)
+        peaks = []
+        for n in (50, 200):
+            wins = windows(store, 12, stride=3, ids=store.ids()[:n])
+            tracemalloc.start()
+            try:
+                cu.embed_store_windows(store, wins, emb)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block_bytes = cu.BLOCK_FRAMES * cu.FRAME_PIXELS * 8
+        assert peaks[1] - peaks[0] < block_bytes, peaks
+        assert peaks[1] < 2 * block_bytes, peaks
 
     def test_single_lit_pixel_reads_projection_row(self):
         emb = cu.Embedder.create(3)

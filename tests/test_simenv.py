@@ -7,7 +7,7 @@ import pytest
 from playwm import statecodec
 from playwm.dynamics import Action, Event, EventKind, step
 from playwm.env import Env
-from playwm.render import FRAME_SIZE, render
+from playwm.render import FRAME_SIZE, object_intensity, render, render_states
 from playwm.rng import Rng
 from playwm.scene import (EnvState, GripperState, ObjectState, Physics,
                           default_scene, jittered_state, scene_from_dict,
@@ -245,34 +245,139 @@ class TestRender:
                 want = 1.0 if in_grip else (intensity if in_disk else 0.0)
                 assert f[row, col] == want, (row, col)
 
-    def test_boxed_shape_tests_match_whole_grid(self):
-        from playwm.render import _PX, _PY, _object_mask, object_intensity
-
-        def whole_grid_render(state):
-            frame = np.zeros((FRAME_SIZE, FRAME_SIZE))
-            for obj in sorted(state.objects, key=lambda o: (o.z_level, o.oid)):
-                frame[_object_mask(obj, _PX, _PY)] = object_intensity(obj.oid)
-            g = state.gripper
-            frame[(_PX - g.x) ** 2 + (_PY - g.y) ** 2 < (2.0 / FRAME_SIZE) ** 2] = \
-                1.0 if g.aperture > 0.5 else 0.9
-            return frame
-
-        rng = Rng(4)
+    @staticmethod
+    def random_states(seed, n=300):
+        """n states of one roster, each object anywhere on or just off the
+        table at any angle, fold and z-level; the roster scales each object
+        by 0.2-5x. Every 50th state has an infinite and a NaN coordinate."""
+        rng = Rng(seed)
         scene = default_scene()
-        for i in range(300):
+        scales = [0.2 + 4.8 * rng.uniform() for _ in scene.objects]
+        states = []
+        for i in range(n):
             s = jittered_state(scene, rng, 0.05)
-            for o in s.objects:  # anywhere on or just off the table, any size, angle and fold
+            for o, scale in zip(s.objects, scales):
                 o.x, o.y = -0.15 + 1.3 * rng.uniform(), -0.15 + 1.3 * rng.uniform()
-                scale = 0.2 + 4.8 * rng.uniform()
                 o.size = tuple(scale * v for v in o.size)
                 o.theta = 14.0 * rng.uniform() - 7.0
                 o.fold_angle = math.pi * rng.uniform()
                 o.z_level = rng.randint(3)
             s.gripper.x, s.gripper.y = -0.1 + 1.2 * rng.uniform(), -0.1 + 1.2 * rng.uniform()
+            s.gripper.aperture = rng.uniform()
             if i % 50 == 0:
                 s.objects[0].x = math.inf
                 s.objects[1].y = math.nan
-            assert render(s).tobytes() == whole_grid_render(s).tobytes(), i
+            states.append(s)
+        return states
+
+    def test_boxed_shape_tests_match_whole_grid(self):
+        """Patch-tested frames equal shape tests over the whole grid, byte for
+        byte, whether drawn in one call, one frame a call, or split where a
+        256-frame block ends; over three rosters."""
+        for seed in (4, 5, 6):
+            states = self.random_states(seed)
+            want = [whole_grid_render(s).tobytes() for s in states]
+            whole = render_states(states)
+            split = np.concatenate([render_states(states[:256]), render_states(states[256:])])
+            assert [f.tobytes() for f in whole] == want, seed
+            assert [f.tobytes() for f in split] == want, seed
+            assert [render(s).tobytes() for s in states] == want, seed
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_off_poses_paint_nothing(self):
+        """Finite poses far off the table paint nothing, without overflow,
+        up to poses whose patch anchor would overflow to infinity."""
+        base = default_scene().nominal_state()
+        states, gone = [], []
+        for far in (1e300, -1e300, 1.7e308, -1.7e308):
+            for k, oid in enumerate([o.oid for o in base.objects] + [None]):
+                s = base.copy()
+                placed = s.objects[k] if oid is not None else s.gripper
+                placed.x, placed.y = far, -far
+                states.append(s)
+                gone.append(object_intensity(oid) if oid is not None else 1.0)
+        for s, f, value in zip(states, render_states(states), gone):
+            assert f.tobytes() == whole_grid_render(s).tobytes()
+            assert value not in f and np.count_nonzero(f) > 0
+
+    def test_z_levels_reorder_a_frame(self):
+        """Objects stacked at one spot paint in (z_level, oid) order, whatever
+        their ids say, and each frame of a call keeps its own order."""
+        states = []
+        for levels in ((0, 0, 0), (2, 1, 0), (1, 2, 0), (1, 0, 1)):
+            s = default_scene().nominal_state()
+            s.gripper.x = s.gripper.y = 0.05
+            for oid, lv in zip((1, 2, 3), levels):  # the disk and both rects
+                o = s.object_by_id(oid)
+                o.x, o.y, o.z_level = 0.5, 0.5, lv
+            states.append(s)
+        frames = render_states(states)
+        assert [f[32, 32] for f in frames] == [object_intensity(oid) for oid in (3, 1, 2, 3)]
+        for s, f in zip(states, frames):
+            assert f.tobytes() == whole_grid_render(s).tobytes()
+
+    def test_gripper_shade_and_held_object(self):
+        """The gripper paints last, over the object it holds, at 0.9 up to an
+        aperture of exactly 0.5 and at 1.0 above it."""
+        states = []
+        for aperture in (0.5, np.nextafter(0.5, 1.0), 0.0):
+            s = default_scene().nominal_state()
+            s.gripper.aperture, s.gripper.held = aperture, 1
+            disk = s.object_by_id(1)
+            disk.x, disk.y = s.gripper.x, s.gripper.y
+            states.append(s)
+        frames = render_states(states)
+        assert [f[32, 32] for f in frames] == [0.9, 1.0, 0.9]
+        for s, f in zip(states, frames):
+            assert f.tobytes() == whole_grid_render(s).tobytes()
+            assert f[33, 33] == object_intensity(1)  # the held disk shows around the gripper
+
+
+# The shape tests over the whole pixel grid, as the rasterizer ran them one
+# state at a time before it tested patches: the reference for its frames.
+_PX, _PY = np.meshgrid((np.arange(FRAME_SIZE) + 0.5) / FRAME_SIZE,
+                       (np.arange(FRAME_SIZE) + 0.5) / FRAME_SIZE)
+
+
+def whole_grid_render(state):
+    frame = np.zeros((FRAME_SIZE, FRAME_SIZE))
+    with np.errstate(over="ignore", invalid="ignore"):  # far-off poses test as outside
+        for obj in sorted(state.objects, key=lambda o: (o.z_level, o.oid)):
+            if math.isfinite(obj.x) and math.isfinite(obj.y):
+                frame[_whole_grid_mask(obj)] = object_intensity(obj.oid)
+        g = state.gripper
+        frame[(_PX - g.x) ** 2 + (_PY - g.y) ** 2 < (2.0 / FRAME_SIZE) ** 2] = \
+            1.0 if g.aperture > 0.5 else 0.9
+    return frame
+
+
+def _whole_grid_mask(obj):
+    if obj.kind == "disk":
+        return (_PX - obj.x) ** 2 + (_PY - obj.y) ** 2 < obj.size[0] ** 2
+    if obj.kind == "rect":
+        return _whole_grid_rect(obj.x, obj.y, obj.theta, obj.size[0], obj.size[1])
+    if obj.kind == "bowl":
+        d2 = (_PX - obj.x) ** 2 + (_PY - obj.y) ** 2
+        return (d2 < obj.size[0] ** 2) & (d2 >= obj.size[1] ** 2)
+    length, half_w = obj.size
+    m = _whole_grid_link(obj.x, obj.y, obj.theta, length, half_w)
+    return m | _whole_grid_link(obj.x, obj.y, obj.theta + math.pi - obj.fold_angle, length,
+                                half_w)
+
+
+def _whole_grid_rect(cx, cy, theta, half_w, half_h):
+    c, s = math.cos(theta), math.sin(theta)
+    dx = _PX - cx
+    dy = _PY - cy
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    return (np.abs(u) < half_w) & (np.abs(v) < half_h)
+
+
+def _whole_grid_link(pivot_x, pivot_y, phi, length, half_w):
+    cx = pivot_x + 0.5 * length * math.cos(phi)
+    cy = pivot_y + 0.5 * length * math.sin(phi)
+    return _whole_grid_rect(cx, cy, phi, 0.5 * length, half_w)
 
 
 class TestTasks:
@@ -410,10 +515,10 @@ class TestCodec:
         vecs[50:60, 4:] = -0.0
         return vecs, rigid, towel
 
-    def test_decode_states_is_decode_state_bit_for_bit(self):
+    def test_built_states_are_decode_state_bit_for_bit(self):
         template = default_scene().nominal_state()
         vecs, rigid, towel = self.awkward_vecs(template)
-        states = statecodec.decode_states(vecs, template)
+        states = statecodec.build_states(*statecodec.project_states(vecs, template), template)
         want = [self.decoded_fields(statecodec.decode_state(v, template)) for v in vecs]
         assert [self.decoded_fields(s) for s in states] == want
         held = [s.gripper.held for s in states[10:30]]
@@ -422,8 +527,8 @@ class TestCodec:
     def test_projected_arrays_encode_as_the_decoded_states(self):
         template = default_scene().nominal_state()
         vecs, _, _ = self.awkward_vecs(template)
-        want = np.stack([statecodec.encode_state(s)
-                         for s in statecodec.decode_states(vecs, template)])
+        want = np.stack([statecodec.encode_state(statecodec.decode_state(v, template))
+                         for v in vecs])
         got = statecodec.encode_states(*statecodec.project_states(vecs, template))
         assert got.tobytes() == want.tobytes()
 
@@ -435,7 +540,7 @@ class TestCodec:
         with pytest.raises((ValueError, OverflowError)):
             statecodec.decode_state(vec, template)
         with pytest.raises(ValueError, match="non-finite z-level"):
-            statecodec.decode_states(np.stack([np.zeros_like(vec), vec]), template)
+            statecodec.project_states(np.stack([np.zeros_like(vec), vec]), template)
 
     def test_action_roundtrip(self):
         a = Action(dx=0.05, dy=-0.03, dz=1.0, dg=-0.5)
