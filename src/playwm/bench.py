@@ -140,7 +140,7 @@ def _model_predictions(benchmark: ReplayBenchmark, wm: WorldModel, rng: Rng):
     acts = np.stack([c.actions for c in clips])
     pred = predict_chunk(wm, hist, acts, rng)
     frames = predicted_frames(wm, pred.reshape(-1, pred.shape[-1]))
-    C = benchmark.chunk
+    C = pred.shape[1]
     return [frames[i * C:(i + 1) * C] for i in range(len(clips))]
 
 

@@ -246,18 +246,20 @@ class TestRender:
                 assert f[row, col] == want, (row, col)
 
     @staticmethod
-    def random_states(seed, n=300):
-        """n states of one roster, each object anywhere on or just off the
-        table at any angle, fold and z-level; the roster scales each object
-        by 0.2-5x. Every 50th state has an infinite and a NaN coordinate."""
+    def random_states(seed, n=300, one_roster=True):
+        """n states, each object anywhere on or just off the table at any
+        angle, fold and z-level and scaled by 0.2-5x: once for all n states
+        if `one_roster`, else anew in every state. Every 50th state has an
+        infinite and a NaN coordinate."""
         rng = Rng(seed)
         scene = default_scene()
-        scales = [0.2 + 4.8 * rng.uniform() for _ in scene.objects]
+        scales = [0.2 + 4.8 * rng.uniform() for _ in scene.objects] if one_roster else None
         states = []
         for i in range(n):
             s = jittered_state(scene, rng, 0.05)
-            for o, scale in zip(s.objects, scales):
+            for k, o in enumerate(s.objects):
                 o.x, o.y = -0.15 + 1.3 * rng.uniform(), -0.15 + 1.3 * rng.uniform()
+                scale = scales[k] if one_roster else 0.2 + 4.8 * rng.uniform()
                 o.size = tuple(scale * v for v in o.size)
                 o.theta = 14.0 * rng.uniform() - 7.0
                 o.fold_angle = math.pi * rng.uniform()
@@ -272,8 +274,16 @@ class TestRender:
 
     def test_boxed_shape_tests_match_whole_grid(self):
         """Patch-tested frames equal shape tests over the whole grid, byte for
-        byte, whether drawn in one call, one frame a call, or split where a
-        256-frame block ends; over three rosters."""
+        byte: one frame a call over 300 states that each size their objects
+        anew; 10 frames a call over 30 rosters; and over three rosters of 300
+        states, drawn in one call, split where a 256-frame block ends, and one
+        frame a call."""
+        for i, s in enumerate(self.random_states(4, one_roster=False)):
+            assert render(s).tobytes() == whole_grid_render(s).tobytes(), i
+        for seed in range(100, 130):
+            states = self.random_states(seed, n=10)
+            want = [whole_grid_render(s).tobytes() for s in states]
+            assert [f.tobytes() for f in render_states(states)] == want, seed
         for seed in (4, 5, 6):
             states = self.random_states(seed)
             want = [whole_grid_render(s).tobytes() for s in states]
