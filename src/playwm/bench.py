@@ -6,10 +6,11 @@ rendered predictions are scored against the true future frames. Oracle mode
 substitutes the simulator (replaying each clip's recorded noise draws) and
 must reach the ideal scores, bounding harness error.
 
-Policy evaluation: success rates and mode histograms of lockstep rollouts
-in the simulator against lockstep imagined rollouts, where the policy plans
-from each rollout's last history state and its executed actions drive the
-model. Both plan all their live rollouts in one batch per decision.
+Policy evaluation: success rates and mode histograms of rollouts in the
+simulator against imagined rollouts, where the policy's executed actions
+drive the model. Both run through `policies.closed_loop`, which plans all
+the rollouts that have not yet succeeded in one batch per decision; the
+world model steps only those rollouts.
 """
 
 from __future__ import annotations
@@ -20,18 +21,15 @@ import numpy as np
 
 from . import metrics
 from .curation import Embedder
-from .diffusion import ddpm_sample
 from .dynamics import Action
 from .env import Env
 from .metrics import lpips_proxy, mse, psnr, ssim
-from .policies import (INIT_JITTER, DiffusionPolicy, SuiteEntry, measure_env_success,
-                       plan_actions)
+from .policies import INIT_JITTER, DiffusionPolicy, SuiteEntry, closed_loop, measure_env_success
 from .render import render_frames, render_states
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .store import ClipWindow, EpisodeStore, windows
-from .tasks import (BehaviorMode, MODES, TaskSpec, check_success, classify_clip,
-                    infer_transition_event)
+from .tasks import BehaviorMode, MODES, TaskSpec, infer_transition_event
 from .worldmodel import (RolloutBackend, WorldModel, predict_chunk, predicted_frames,
                          window_inputs)
 
@@ -182,12 +180,6 @@ class PolicyEvalReport:
     mean_tv: float
     flagged: str | None = None
 
-    def to_csv(self) -> str:
-        lines = ["policy,real_success,predicted_success,tv"]
-        for r in self.rows:
-            lines.append(f"{r.name},{r.real_success:.4f},{r.predicted_success:.4f},{r.tv:.4f}")
-        return "\n".join(lines) + "\n"
-
 
 def _mode_distribution(hist: dict[str, int]) -> np.ndarray:
     vec = np.array([hist.get(m.value, 0) for m in MODES], dtype=np.float64)
@@ -205,54 +197,39 @@ def measure_real(policy: DiffusionPolicy, scene: SceneConfig, cfg: EvalStudyConf
 def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
                      cfg: EvalStudyConfig, rng: Rng) -> tuple[float, dict[str, int]]:
     """Success rate and mode histogram of n_wm closed-loop rollouts inside
-    the world model, or inside the simulator when given its scene."""
-    if isinstance(wm, WorldModel):
-        return _measure_imagined_batch(policy, wm, cfg, rng)
-    return measure_env_success(policy, wm, cfg.task, cfg.n_wm, rng, cfg.max_steps,
-                               cfg.replan)
+    the world model, or inside the simulator when given its scene.
 
-
-def _measure_imagined_batch(policy: DiffusionPolicy, wm: WorldModel,
-                            cfg: EvalStudyConfig, rng: Rng) -> tuple[float, dict[str, int]]:
-    """All rollouts advance in lockstep so the denoiser runs on full batches.
-
-    The policy plans from each rollout's last history state, and the world
-    model is driven by the actions the simulator would execute. A rollout
-    that succeeds keeps its success state and records no further events,
-    though the batch still steps it; the last chunk records only the steps
-    up to max_steps.
+    In the world model, `closed_loop` steps the rollouts from jittered start
+    states: each decision advances only the rollouts that have not yet
+    succeeded by one model chunk, driven by the actions the simulator would
+    execute, and labels their predicted transitions one at a time.
     """
-    B = cfg.n_wm
-    C = wm.cfg.chunk
-    if cfg.replan != C:
+    if not isinstance(wm, WorldModel):
+        return measure_env_success(policy, wm, cfg.task, cfg.n_wm, rng, cfg.max_steps,
+                                   cfg.replan)
+    if cfg.replan != wm.cfg.chunk:
         raise ValueError(f"imagined rollouts re-plan once per model chunk: replan is "
-                         f"{cfg.replan}, the model chunk is {C}")
-    cur_states = [jittered_state(wm.scene, rng, INIT_JITTER) for _ in range(B)]
+                         f"{cfg.replan}, the model chunk is {wm.cfg.chunk}")
+    starts = [jittered_state(wm.scene, rng, INIT_JITTER) for _ in range(cfg.n_wm)]
     backend = RolloutBackend(wm, rng)
-    backend.reset(cur_states)
-    succeeded = np.zeros(B, dtype=bool)
-    all_events: list[list] = [[] for _ in range(B)]
-    t = 0
-    while t < cfg.max_steps:
-        w0 = rng.normal((B, policy.latent_dim))
-        acts = plan_actions(policy, backend.hist_states[:, -1], w0)[:, :C]
-        pred = backend.step_chunk(acts)
-        for b in range(B):
-            if succeeded[b]:
-                continue
-            prev = cur_states[b]
-            for a, s in zip(acts[b].tolist(), pred[b][:cfg.max_steps - t]):
-                all_events[b].append(infer_transition_event(prev, Action(*a), s))
-                prev = s
-                if check_success(s, cfg.task, wm.scene.physics):
-                    succeeded[b] = True
-                    break
-            cur_states[b] = prev
-        t += C
-    hist = {m.value: 0 for m in MODES}
-    for b in range(B):
-        hist[classify_clip(all_events[b], cfg.task, cur_states[b]).value] += 1
-    return float(succeeded.mean()), hist
+    backend.reset(starts)
+    last = list(starts)  # each rollout's latest predicted state
+
+    def advance(rows, actions):
+        paths = [[last[b], *chunk] for b, chunk in zip(rows, backend.step_chunk(actions, rows))]
+        for b, path in zip(rows, paths):
+            last[b] = path[-1]
+        return [_labelled(path, row) for path, row in zip(paths, actions.tolist())]
+
+    return closed_loop(policy, starts, advance, cfg.task, wm.scene.physics, rng,
+                       cfg.max_steps, cfg.replan)
+
+
+def _labelled(path: list[EnvState], actions: list[list[float]]):
+    """Each predicted state of path[1:] with the event inferred for the
+    transition into it."""
+    for prev, row, nxt in zip(path, actions, path[1:]):
+        yield nxt, infer_transition_event(prev, Action(*row), nxt)
 
 
 def run_policy_eval(entries: list[SuiteEntry], wm: WorldModel | SceneConfig,

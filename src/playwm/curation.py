@@ -381,13 +381,6 @@ class CoverageReport:
     mean_pairwise: dict[str, float]
     mode_counts: dict[str, dict[str, int]]
 
-    def to_csv(self) -> str:
-        lines = ["source,episode,start,pc1,pc2,mode"]
-        for r in self.rows:
-            lines.append(f"{r['source']},{r['episode']},{r['start']},"
-                         f"{r['pc1']:.6f},{r['pc2']:.6f},{r['mode']}")
-        return "\n".join(lines) + "\n"
-
 
 def coverage_report(stores: dict[str, EpisodeStore], embedder: Embedder,
                     window_len: int = 12, stride: int | None = None) -> CoverageReport:

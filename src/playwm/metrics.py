@@ -37,14 +37,6 @@ class MetricReport:
         overall = {k: float(np.mean([r[k] for r in rows])) for k in METRIC_NAMES} if rows else {}
         return MetricReport(rows=rows, per_mode=per_mode, overall=overall)
 
-    def to_csv(self) -> str:
-        lines = ["mode," + ",".join(METRIC_NAMES)]
-        for mode in sorted(self.per_mode):
-            vals = self.per_mode[mode]
-            lines.append(mode + "," + ",".join(f"{vals[k]:.6f}" for k in METRIC_NAMES))
-        if self.overall:
-            lines.append("overall," + ",".join(f"{self.overall[k]:.6f}" for k in METRIC_NAMES))
-        return "\n".join(lines) + "\n"
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 7

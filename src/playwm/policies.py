@@ -7,27 +7,30 @@ initial latent, which makes the policy a pure function of (state, latent)
 and therefore steerable by the RL stack. By default the caller executes 8
 actions before re-planning.
 
-`measure_env_success` is the one closed loop of a policy in the simulator:
-its rollouts step in lockstep, and each decision plans every rollout that
-has not yet succeeded in one `plan_actions` call.
+`closed_loop` is the one closed loop of a policy, in the simulator
+(`measure_env_success`) and in a world model (`bench.measure_imagined`):
+its rollouts step in lockstep, each decision plans every rollout that has
+not yet succeeded in one `plan_actions` call, and only the step that
+executes the planned actions differs between the two.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, asdict
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import nets, statecodec
 from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .diffusion import DenoiserNet, NoiseSchedule, ddim_sample, diffusion_loss
-from .dynamics import Action
+from .dynamics import Action, Event
 from .env import Env
 from .optim import Adam, clip_grad_norm
 from .playsys import execute
 from .rng import Rng
-from .scene import EnvState, SceneConfig, jittered_state, scene_from_dict, scene_to_dict
+from .scene import EnvState, Physics, SceneConfig, jittered_state, scene_from_dict, scene_to_dict
 from .skills import Instruction, Perturbation
 from .store import EpisodeStore
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
@@ -201,6 +204,54 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
         store.append(ep)
 
 
+def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
+                advance: Callable[[list[int], np.ndarray], list[Iterator[tuple[EnvState, Event]]]],
+                task: TaskSpec, phys: Physics, rng: Rng, max_steps: int, replan: int,
+                latent: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> tuple[float, dict[str, int]]:
+    """Success rate and mode histogram of one closed-loop rollout per start
+    state, all stepping in lockstep.
+
+    A rollout that starts in success takes no step. Each decision encodes
+    the states of the B rollouts that have not yet succeeded as one
+    (B, width) array, takes their (B, L) latents from latent(encoded), or
+    draws them from rng without it, and plans them in one `plan_actions`
+    call. advance(rows, actions) executes the first `replan` actions of
+    each such rollout, numbered by its start state, and gives each one's
+    (state, event) pairs; each rollout takes them one at a time until its
+    first success, and none runs past max_steps steps.
+    """
+    states = list(states)
+    events: list[list[Event]] = [[] for _ in states]
+    live = [b for b, state in enumerate(states) if not check_success(state, task, phys)]
+    t = 0
+    while t < max_steps and live:
+        conds = np.stack([statecodec.encode_state(states[b]) for b in live])
+        w0 = latent(conds) if latent is not None else rng.normal((len(live), policy.latent_dim))
+        acts = plan_actions(policy, conds, w0)[:, :replan]
+        n = min(acts.shape[1], max_steps - t)
+        still = []
+        for b, pairs in zip(live, advance(live, acts)):
+            for state, event in itertools.islice(pairs, n):
+                states[b] = state
+                events[b].append(event)
+                if check_success(state, task, phys):
+                    break
+            else:
+                still.append(b)
+        live = still
+        t += n
+    hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
+    for evs, state in zip(events, states):
+        hist[classify_clip(evs, task, state).value] += 1
+    return (len(states) - len(live)) / len(states), hist
+
+
+def _env_steps(env: Env, actions: list[list[float]]) -> Iterator[tuple[EnvState, Event]]:
+    for row in actions:
+        yield env.step(Action(*row))
+
+
 def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,
                         n_rollouts: int, rng: Rng, max_steps: int = 30,
                         replan: int | None = None,
@@ -209,46 +260,25 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
     """Success rate and mode histogram of n_rollouts simulator rollouts, each
     from a jittered nominal scene in an env of its own noise seed.
 
-    The closed loop of the policy in the simulator. Every rollout's env seed
-    and start state are drawn first; then the rollouts step in lockstep.
-    Each decision encodes the states of the B rollouts that have not yet
-    succeeded as one (B, width) array, takes their (B, L) latents from
-    latent(encoded), or draws them from rng without it, and plans them in
-    one `plan_actions` call. Each env then executes its first `replan`
-    actions, stopping at its first success, and no rollout runs past
-    max_steps steps.
+    Every rollout's env seed and start state are drawn first; then
+    `closed_loop` steps them, each env only as far as its rollout runs.
     """
     replan = replan if replan is not None else policy.cfg.replan
     if replan < 1:
         raise ValueError(f"replan must be at least 1, got {replan}")
     if n_rollouts < 1:
         raise ValueError(f"n_rollouts must be at least 1, got {n_rollouts}")
-    rollouts = []  # (env, its step events)
+    envs = []
     for _ in range(n_rollouts):
         env = Env(scene, seed=rng.spawn_seed())
         env.reset(jittered_state(scene, rng, INIT_JITTER))
-        rollouts.append((env, []))
-    live = [r for r in rollouts if not check_success(r[0].state, task, r[0].phys)]
-    t = 0
-    while t < max_steps and live:
-        conds = np.stack([statecodec.encode_state(env.state) for env, _ in live])
-        w0 = latent(conds) if latent is not None else rng.normal((len(live), policy.latent_dim))
-        acts = plan_actions(policy, conds, w0)[:, :min(replan, max_steps - t)]
-        still = []
-        for (env, events), rows in zip(live, acts.tolist()):
-            for row in rows:
-                state, event = env.step(Action(*row))
-                events.append(event)
-                if check_success(state, task, env.phys):
-                    break
-            else:
-                still.append((env, events))
-        live = still
-        t += acts.shape[1]
-    hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
-    for env, events in rollouts:
-        hist[classify_clip(events, task, env.state).value] += 1
-    return (n_rollouts - len(live)) / n_rollouts, hist
+        envs.append(env)
+
+    def advance(rows, actions):
+        return [_env_steps(envs[b], row) for b, row in zip(rows, actions.tolist())]
+
+    return closed_loop(policy, [env.state for env in envs], advance, task, scene.physics, rng,
+                       max_steps, replan, latent)
 
 
 def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,

@@ -264,26 +264,30 @@ class RolloutBackend:
         self.hist_states[rows] = held
         self.hist_actions[rows] = 0.0
 
-    def step_chunk(self, actions: np.ndarray) -> list[list[EnvState]]:
-        """Drive every rollout by its C executed actions, (B, C, 4) in
-        simulator units, encoded as `build_dataset` encodes stored actions;
-        return each rollout's C predicted states. The raw predicted vectors
-        are projected once onto valid states; the returned states are built
-        from those arrays, and their encodings enter the history."""
+    def step_chunk(self, actions: np.ndarray,
+                   rows: list[int] | None = None) -> list[list[EnvState]]:
+        """Drive every rollout, or with rows only those, by its C executed
+        actions, (B, C, 4) in simulator units for the B rollouts driven,
+        encoded as `build_dataset` encodes stored actions; return each driven
+        rollout's C predicted states. Every other rollout's history stays as
+        it is. The raw predicted vectors are projected once onto valid
+        states; the returned states are built from those arrays, and their
+        encodings enter the history."""
         H, C = self.wm.cfg.history, self.wm.cfg.chunk
-        if actions.shape != (len(self.hist_states), C, 4):
-            raise ValueError(f"step_chunk takes (B, C, 4) = ({len(self.hist_states)}, {C}, 4) "
+        rows = slice(None) if rows is None else rows
+        hist_states, hist_actions = self.hist_states[rows], self.hist_actions[rows]
+        if actions.shape != (len(hist_states), C, 4):
+            raise ValueError(f"step_chunk takes (B, C, 4) = ({len(hist_states)}, {C}, 4) "
                              f"executed actions, got {actions.shape}")
-        window = np.concatenate([self.hist_actions, statecodec.encode_action_rows(actions)],
-                                axis=1)
-        pred = predict_chunk(self.wm, self.hist_states, window, self.rng)
+        window = np.concatenate([hist_actions, statecodec.encode_action_rows(actions)], axis=1)
+        pred = predict_chunk(self.wm, hist_states, window, self.rng)
         B, width = len(pred), self.wm.state_width
         arrays = statecodec.project_states(pred.reshape(B * C, width), self.template)
         flat = statecodec.build_states(*arrays, self.template)
         clean = statecodec.encode_states(*arrays)
-        self.hist_states = np.concatenate([self.hist_states, clean.reshape(B, C, width)],
-                                          axis=1)[:, -H:]
-        self.hist_actions = window[:, C:]
+        self.hist_states[rows] = np.concatenate([hist_states, clean.reshape(B, C, width)],
+                                                axis=1)[:, -H:]
+        self.hist_actions[rows] = window[:, C:]
         return [flat[b * C:(b + 1) * C] for b in range(B)]
 
 

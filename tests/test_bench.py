@@ -89,15 +89,19 @@ def test_imagined_rollouts_stop_at_max_steps(trained, monkeypatch):
 
 def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
     """Each predicted vector is projected onto a valid state once, for both
-    the returned states and the history's encodings."""
+    the returned states and the history's encodings: C rows for each
+    rollout that a decision plans, and none for a finished one."""
     scene, policy, wm = trained
     cfg = EvalStudyConfig(task=TASK, n_wm=10, max_steps=30)
     project, rows = statecodec.project_states, []
+    plan, planned = policies.plan_actions, []
     monkeypatch.setattr(statecodec, "project_states",
                         lambda vecs, template: rows.append(len(vecs)) or project(vecs, template))
-    bench.measure_imagined(policy, wm, cfg, Rng(71))
-    C = wm.cfg.chunk
-    assert sum(rows) == cfg.n_wm * -(-cfg.max_steps // C) * C
+    monkeypatch.setattr(policies, "plan_actions",
+                        lambda *args: planned.append(len(args[1])) or plan(*args))
+    rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))
+    assert 0 < rate < 1 and planned[-1] < cfg.n_wm
+    assert rows == [wm.cfg.chunk * n for n in planned]
 
 
 @pytest.mark.parametrize("loop", ["bench", "dsrl"])
@@ -106,16 +110,17 @@ def test_imagined_loops_drive_the_model_with_the_executed_actions(trained, monke
     policy's chunks as the simulator executes them, encoded as the stored
     actions the model trained on."""
     scene, policy, wm = trained
-    C, N = wm.cfg.chunk, 3
+    C, N = wm.cfg.chunk, 5  # at N = 3 every imagined rollout succeeds in its first chunk
     ddim, predict = policies.ddim_sample, worldmodel.predict_chunk
-    chunks, inputs = [], []
+    chunks, pairs = [], []
 
     def spied_ddim(*args):
         chunks.append(ddim(*args))
         return chunks[-1]
 
     def spied_predict(wm_, hist, actions, rng):
-        inputs.append(actions[:, -C:].copy())
+        # each prediction is driven by the plan made just before it
+        pairs.append((chunks[-1], actions[:, -C:].copy()))
         return predict(wm_, hist, actions, rng)
 
     for module in (policies, bench, dsrl):  # wherever a loop may call the sampler
@@ -123,6 +128,7 @@ def test_imagined_loops_drive_the_model_with_the_executed_actions(trained, monke
     monkeypatch.setattr(worldmodel, "predict_chunk", spied_predict)
     if loop == "bench":
         bench.measure_imagined(policy, wm, EvalStudyConfig(task=TASK, n_wm=N), Rng(71))
+        assert len(pairs) == len(chunks)
     else:
         width = statecodec.state_dim(len(scene.objects))
         prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), scene)
@@ -130,14 +136,60 @@ def test_imagined_loops_drive_the_model_with_the_executed_actions(trained, monke
                               max_episode_steps=10, train_freq=5, eval_rollouts=1)
         dsrl.finetune(worldmodel.RolloutBackend(wm, Rng(5)), policy, prog, scene, TASK, cfg,
                       Rng(6), total_updates=2, inits=[scene.nominal_state()] * N)
-    # this drops DSRL's step-0 real evaluation, which plans at most
-    # eval_rollouts = 1 row a call
-    chunks = [c[:, :4 * C].reshape(N, C, 4) for c in chunks if len(c) == N]
-    assert inputs and len(chunks) == len(inputs)
-    assert any((np.abs(c) > 1.0).any() for c in chunks)  # some actions are clipped
-    for chunk, got in zip(chunks, inputs):
+    assert pairs
+    planned = [chunk[:, :4 * C].reshape(len(chunk), C, 4) for chunk, _ in pairs]
+    assert any((np.abs(c) > 1.0).any() for c in planned)  # some actions are clipped
+    for chunk, (_, got) in zip(planned, pairs):
         want = statecodec.encode_action_rows(statecodec.decode_action_rows(chunk))
-        assert (got == want).all()
+        assert got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("max_steps", [30, 7])
+def test_imagined_rollouts_step_in_lockstep(trained, monkeypatch, max_steps):
+    """The imagined twin of `test_real_rollouts_step_in_lockstep`: each
+    decision plans every rollout that has not yet succeeded in one
+    `plan_actions` call, and the world model predicts exactly those rows,
+    from the very states they were planned from. A rollout is neither
+    planned nor predicted after its first success."""
+    scene, policy, wm = trained
+    C, n = wm.cfg.chunk, 10
+    plan, predict = policies.plan_actions, worldmodel.predict_chunk
+    step_chunk = worldmodel.RolloutBackend.step_chunk
+    plans, predicted, stepped = [], [], []
+
+    def spied_plan(policy_, conds, w0):
+        plans.append(conds.copy())
+        return plan(policy_, conds, w0)
+
+    def spied_predict(wm_, hist, actions, rng):
+        predicted.append(hist[:, -1].copy())
+        return predict(wm_, hist, actions, rng)
+
+    def spied_step(backend, actions, rows=None):
+        out = step_chunk(backend, actions, rows)
+        stepped.append((list(rows), out))
+        return out
+
+    monkeypatch.setattr(policies, "plan_actions", spied_plan)
+    monkeypatch.setattr(worldmodel, "predict_chunk", spied_predict)
+    monkeypatch.setattr(worldmodel.RolloutBackend, "step_chunk", spied_step)
+    cfg = EvalStudyConfig(task=TASK, n_wm=n, max_steps=max_steps)
+    rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))
+    counts = [len(conds) for conds in plans]
+    assert counts[0] == n and counts == sorted(counts, reverse=True)
+    assert len(plans) == len(predicted) == len(stepped) == -(-max_steps // C)
+    for conds, hist in zip(plans, predicted):
+        assert hist.tobytes() == conds.tobytes()
+    done, t = set(), 0
+    for rows, chunks in stepped:
+        assert rows == [b for b in range(n) if b not in done]
+        for b, chunk in zip(rows, chunks):
+            if any(check_success(s, TASK, scene.physics) for s in chunk[:max_steps - t]):
+                done.add(b)
+        t += C
+    assert len(done) == round(rate * n)
+    if max_steps == 30:
+        assert 0 < len(done) < n
 
 
 @pytest.mark.parametrize("max_steps, replan", [(30, 5), (7, 5)])

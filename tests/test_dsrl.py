@@ -142,6 +142,48 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
         backend.step_chunk(actions[:, :C - 1])
 
 
+def test_rollout_backend_steps_only_the_chosen_rows():
+    """step_chunk(actions, rows) advances the histories of those rows by one
+    chunk and leaves every other row's history byte for byte; with every
+    row listed it steps as rows=None does."""
+    scene = default_scene()
+    wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=16, depth=1), Rng(1))
+    H, C = wm.cfg.history, wm.cfg.chunk
+    init_rng = Rng(3)
+    starts = [jittered_state(scene, init_rng, 0.03) for _ in range(4)]
+    backend = worldmodel.RolloutBackend(wm, Rng(2))
+    backend.reset(starts)
+    backend.step_chunk(Rng(4).normal((4, C, 4)) * 0.1)
+    kept_states, kept_actions = backend.hist_states.copy(), backend.hist_actions.copy()
+    rows, actions = [3, 1], Rng(5).normal((2, C, 4)) * 0.1
+    states = backend.step_chunk(actions, rows)
+    assert [len(chunk) for chunk in states] == [C, C]
+    for b, chunk, acts in zip(rows, states, actions):
+        want = np.array([statecodec.encode_state(s) for s in chunk])
+        assert backend.hist_states[b, -C:].tobytes() == want.tobytes()
+        assert backend.hist_states[b, :H - C].tobytes() == kept_states[b, C:].tobytes()
+        assert (backend.hist_actions[b, -C:] == statecodec.encode_action_rows(acts)).all()
+        assert backend.hist_actions[b, :-C].tobytes() == kept_actions[b, C:].tobytes()
+    for b in (0, 2):
+        assert backend.hist_states[b].tobytes() == kept_states[b].tobytes()
+        assert backend.hist_actions[b].tobytes() == kept_actions[b].tobytes()
+    with pytest.raises(ValueError, match=rf"\(2, {C}, 4\) executed actions, got \(4, {C}, 4\)"):
+        backend.step_chunk(Rng(5).normal((4, C, 4)), rows)
+
+    # every row listed: the same stream, states and histories as rows=None
+    steppers = [worldmodel.RolloutBackend(wm, Rng(6)) for _ in range(2)]
+    actions = Rng(7).normal((4, C, 4)) * 0.1
+    out = []
+    for stepper, chosen in zip(steppers, (None, [0, 1, 2, 3])):
+        stepper.reset(starts)
+        chunks = stepper.step_chunk(actions, chosen)
+        out.append(np.array([[statecodec.encode_state(s) for s in c] for c in chunks]))
+    assert out[0].tobytes() == out[1].tobytes()
+    assert steppers[0].hist_states.tobytes() == steppers[1].hist_states.tobytes()
+    assert steppers[0].hist_actions.tobytes() == steppers[1].hist_actions.tobytes()
+    assert steppers[0].rng.spawn_seed() == steppers[1].rng.spawn_seed()
+
+
 def test_rollout_backend_resets_only_the_chosen_rows():
     scene = default_scene()
     wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=16, depth=1), Rng(1))

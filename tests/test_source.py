@@ -51,6 +51,25 @@ def test_every_parameter_is_read():
     assert not unread, f"parameters in src/playwm that their function never reads: {unread}"
 
 
+def test_every_import_is_read():
+    """Each name that a src/playwm module imports is read in that module.
+    An unread import is dead code, and a by-name import also counts as a
+    reference in `test_every_package_name_is_referenced`, so it can keep a
+    dead definition alive."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert not unread, f"imports in src/playwm that their module never reads: {unread}"
+
+
 def test_traced_layers_resolve():
     """Every (module, attribute) that the benchmark's tracer wraps exists in
     playwm, defined on the module or class itself as the tracer requires, so
@@ -81,9 +100,6 @@ AWAITING_CLI = (
     "policies.build_suite",
     "policies.default_suite_spec",
     "curation.coverage_report",
-    "bench.PolicyEvalReport.to_csv",
-    "curation.CoverageReport.to_csv",
-    "metrics.MetricReport.to_csv",
 )
 
 # Scalar codecs that the program replaced with array twins; tests check the
