@@ -19,8 +19,8 @@ CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
 
 GOLDEN = {
     "real": "927280d53fc67ec74fe22a4d50d3da06298c6a6ee7c78f68d505abb947cb3b47",
-    "imagined_world_model": "da229fad4542c10ca428f823936f0e1279bbfce48b8a3286df24a8a23b06b5de",
-    "imagined_predicted_states": "f66abcf82c933d702b6bcad9db6f86008cf66e93f3c2599f668a3bb19ac73d1d",
+    "imagined_world_model": "dfd63081e6f35f8e876362e7222bc30ce1f333455ebde454fb83322a34d95d38",
+    "imagined_predicted_states": "e830859d7b68caee8164ae1e55321c07f978c9545e4031b8894cc1d52da4351a",
     "imagined_scene": "d68657815aed973b825e3f3870647608330af2cf8b0e4edcc65679188117ebcb",
     "env_success": "bd374a6b4650c7519588105ecc02de7b7c5f2c68640c3283a91e2073db8614e1",
     "steered_False": "ca924e6162ec04e58c897a87d0ee8b9060a3746476906140cda7a61456e699e7",
