@@ -213,7 +213,7 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
     starts = [jittered_state(wm.scene, rng, INIT_JITTER) for _ in range(cfg.n_wm)]
     backend = RolloutBackend(wm, rng)
     backend.reset(starts)
-    last = list(starts)  # each rollout's latest predicted state
+    last = list(starts)  # each rollout's latest state
 
     def advance(rows, actions):
         paths = [[last[b], *chunk] for b, chunk in zip(rows, backend.step_chunk(actions, rows))]

@@ -216,10 +216,11 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
     the states of the B rollouts that have not yet succeeded as one
     (B, width) array, takes their (B, L) latents from latent(encoded), or
     draws them from rng without it, and plans them in one `plan_actions`
-    call. advance(rows, actions) executes the first `replan` actions of
-    each such rollout, numbered by its start state, and gives each one's
-    (state, event) pairs; each rollout takes them one at a time until its
-    first success, and none runs past max_steps steps.
+    call. advance(rows, actions) gets those rollouts' indices into states
+    and their first `replan` planned actions, (B, replan, 4), and returns
+    an iterator of (state, event) pairs for each. The loop takes the pairs
+    one at a time, up to each rollout's first success and to max_steps
+    steps in all, so an advance that steps lazily takes no step past them.
     """
     states = list(states)
     events: list[list[Event]] = [[] for _ in states]

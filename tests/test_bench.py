@@ -167,7 +167,7 @@ def test_imagined_rollouts_step_in_lockstep(trained, monkeypatch, max_steps):
 
     def spied_step(backend, actions, rows=None):
         out = step_chunk(backend, actions, rows)
-        stepped.append((list(rows), out))
+        stepped.append((list(range(len(out))) if rows is None else list(rows), out))
         return out
 
     monkeypatch.setattr(policies, "plan_actions", spied_plan)
