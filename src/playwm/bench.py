@@ -23,7 +23,7 @@ from . import metrics
 from .curation import Embedder
 from .dynamics import Action
 from .env import Env
-from .metrics import lpips_proxy, mse, psnr, ssim
+from .metrics import METRIC_NAMES, lpips_proxy, mse, psnr, ssim
 from .policies import INIT_JITTER, DiffusionPolicy, SuiteEntry, closed_loop, measure_env_success
 from .render import render_frames, render_states
 from .rng import Rng
@@ -32,6 +32,9 @@ from .store import ClipWindow, EpisodeStore, windows
 from .tasks import BehaviorMode, MODES, TaskSpec, infer_transition_event
 from .worldmodel import (RolloutBackend, WorldModel, predict_chunk, predicted_frames,
                          window_inputs)
+
+SCORE_BLOCK = 16  # frames scored per metrics call; a block's SSIM temporaries are about 3 MB
+
 
 class BenchmarkError(RuntimeError):
     pass
@@ -107,49 +110,59 @@ def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) ->
 
 def run_replay(benchmark: ReplayBenchmark, model: WorldModel | str, embedder: Embedder,
                rng: Rng | None = None, scene: SceneConfig | None = None) -> metrics.MetricReport:
-    """Score predicted future frames per clip; model may be "oracle"."""
+    """Score predicted future frames per clip; model may be "oracle".
+
+    The frames of every clip are scored in stacked blocks of at most
+    SCORE_BLOCK frames, one call of each metric a block; each clip's row is
+    the mean of its C per-frame scores, summed in frame order."""
     C = benchmark.chunk
     if isinstance(model, str):
         if model != "oracle":
             raise ValueError(f"unknown predictor {model!r}")
         if scene is None:
             raise ValueError("oracle replay needs the scene config")
-        pred_frames = _oracle_predictions(benchmark, scene)
-    else:
-        pred_frames = _model_predictions(benchmark, model, rng or Rng(0))
+    if not benchmark.clips:
+        return metrics.MetricReport.from_rows([])
+    pred = (_oracle_predictions(benchmark, scene) if isinstance(model, str)
+            else _model_predictions(benchmark, model, rng or Rng(0)))
+    gt = [f for clip in benchmark.clips for f in clip.gt_frames]
+    scores: dict[str, list[float]] = {k: [] for k in METRIC_NAMES}
+    for at in range(0, len(gt), SCORE_BLOCK):
+        p, g = pred[at:at + SCORE_BLOCK], np.stack(gt[at:at + SCORE_BLOCK])
+        m = mse(p, g).tolist()
+        scores["mse"] += m
+        scores["psnr"] += [psnr(v) for v in m]
+        scores["ssim"] += ssim(p, g).tolist()
+        scores["lpips_proxy"] += lpips_proxy(embedder, p, g).tolist()
     rows = []
-    for clip, frames in zip(benchmark.clips, pred_frames):
-        vals = {"mse": 0.0, "psnr": 0.0, "ssim": 0.0, "lpips_proxy": 0.0}
-        for f_pred, f_gt in zip(frames, clip.gt_frames):
-            vals["mse"] += mse(f_pred, f_gt)
-            vals["psnr"] += psnr(f_pred, f_gt)
-            vals["ssim"] += ssim(f_pred, f_gt)
-            vals["lpips_proxy"] += lpips_proxy(embedder, f_pred, f_gt)
-        for k in vals:
-            vals[k] /= C
+    for i, clip in enumerate(benchmark.clips):
+        vals = {}
+        for k, per_frame in scores.items():
+            total = 0.0
+            for v in per_frame[i * C:(i + 1) * C]:
+                total += v
+            vals[k] = total / C
         rows.append({"episode": clip.window.episode_id, "start": clip.window.start,
                      "mode": clip.window.mode.value, **vals})
     return metrics.MetricReport.from_rows(rows)
 
 
-def _model_predictions(benchmark: ReplayBenchmark, wm: WorldModel, rng: Rng):
-    clips = benchmark.clips
-    hist = np.stack([c.hist_states for c in clips])
-    acts = np.stack([c.actions for c in clips])
+def _model_predictions(benchmark: ReplayBenchmark, wm: WorldModel, rng: Rng) -> np.ndarray:
+    """The (N*C, 64, 64) predicted frames of the N clips, clip by clip."""
+    hist = np.stack([c.hist_states for c in benchmark.clips])
+    acts = np.stack([c.actions for c in benchmark.clips])
     pred = predict_chunk(wm, hist, acts, rng)
-    frames = predicted_frames(wm, pred.reshape(-1, pred.shape[-1]))
-    C = pred.shape[1]
-    return [frames[i * C:(i + 1) * C] for i in range(len(clips))]
+    return predicted_frames(wm, pred.reshape(-1, pred.shape[-1]))
 
 
-def _oracle_predictions(benchmark: ReplayBenchmark, scene: SceneConfig):
+def _oracle_predictions(benchmark: ReplayBenchmark, scene: SceneConfig) -> np.ndarray:
     out = []
     for clip in benchmark.clips:
         env = Env(scene, seed=0)
         env.reset(clip.init_state)
-        stepped = [env.step(a, u=u)[0] for a, u in zip(clip.raw_actions, clip.noise)]
-        out.append(list(render_states(stepped)))
-    return out
+        out.append(render_states([env.step(a, u=u)[0]
+                                  for a, u in zip(clip.raw_actions, clip.noise)]))
+    return np.concatenate(out)
 
 
 # -- policy evaluation study ----------------------------------------------
@@ -204,6 +217,8 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
     succeeded by one model chunk, driven by the actions the simulator would
     execute, and labels their predicted transitions one at a time.
     """
+    if cfg.n_wm < 1:
+        raise ValueError(f"n_wm must be at least 1, got {cfg.n_wm}")
     if not isinstance(wm, WorldModel):
         return measure_env_success(policy, wm, cfg.task, cfg.n_wm, rng, cfg.max_steps,
                                    cfg.replan)

@@ -42,9 +42,17 @@ class Embedder:
     def create(seed: int, out_dim: int = EMBED_DIM) -> "Embedder":
         return Embedder(random_projection(seed, FRAME_PIXELS, out_dim))
 
-    def embed_frame(self, frame: np.ndarray) -> np.ndarray:
-        flat = np.asarray(frame, dtype=np.float64).reshape(-1, FRAME_PIXELS)
-        return self.projection.apply(flat)
+    def embed_frames(self, frames: np.ndarray) -> np.ndarray:
+        """The (k, out_dim) projections of k frames (one frame is one row),
+        from one product of at least MIN_PRODUCT_ROWS rows."""
+        flat = np.asarray(frames, dtype=np.float64).reshape(-1, FRAME_PIXELS)
+        k = len(flat)
+        if k < MIN_PRODUCT_ROWS:
+            # A product of 7 rows or fewer takes OpenBLAS's small-matrix kernel,
+            # which rounds differently; from 8 rows on, each row has the bits it
+            # has in any taller product, so zero rows keep them.
+            flat = np.concatenate([flat, np.zeros((MIN_PRODUCT_ROWS - k, FRAME_PIXELS))])
+        return self.projection.apply(flat)[:k]
 
 
 def window_sample_indices(W: int) -> tuple[int, int, int, int]:
@@ -73,22 +81,9 @@ def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
     done = 0
     for roster, gripper, objects in _sampled_blocks(store, sampled):
         k = len(gripper)
-        embedded[done:done + k] = _project(embedder, render_frames(gripper, objects, roster))
+        embedded[done:done + k] = embedder.embed_frames(render_frames(gripper, objects, roster))
         done += k
     return embedded[picks].reshape(len(wins), embedder.dim)
-
-
-def _project(embedder: Embedder, frames: np.ndarray) -> np.ndarray:
-    """The projections of k frames, from one product of at least
-    MIN_PRODUCT_ROWS rows."""
-    k = len(frames)
-    flat = frames.reshape(k, FRAME_PIXELS)
-    if k < MIN_PRODUCT_ROWS:
-        # A product of 7 rows or fewer takes OpenBLAS's small-matrix kernel,
-        # which rounds differently; from 8 rows on, each row has the bits it
-        # has in any taller product, so zero rows keep them.
-        flat = np.concatenate([flat, np.zeros((MIN_PRODUCT_ROWS - k, FRAME_PIXELS))])
-    return embedder.projection.apply(flat)[:k]
 
 
 def _sampled_blocks(store: EpisodeStore, sampled: dict[str, list[int]]):

@@ -224,13 +224,14 @@ def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
     return x.reshape(B, C, width)
 
 
-def predicted_frames(wm: WorldModel, vecs: np.ndarray) -> list[np.ndarray]:
-    """The frames of (T, width) predicted state vectors: projected onto valid
-    states as `statecodec.project_states` arrays, then rendered in one call."""
+def predicted_frames(wm: WorldModel, vecs: np.ndarray) -> np.ndarray:
+    """The (T, 64, 64) frames of (T, width) predicted state vectors: projected
+    onto valid states as `statecodec.project_states` arrays, then rendered in
+    one call."""
     template = wm.scene.nominal_state()
     gripper, _, objects = statecodec.project_states(vecs, template)
     roster = [(o.oid, o.kind, o.size) for o in template.objects]
-    return list(render_frames(gripper, objects, roster))
+    return render_frames(gripper, objects, roster)
 
 
 class RolloutBackend:

@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import TASK
-from playwm import bench, dsrl, nets, policies, progress, statecodec, worldmodel
+from playwm import bench, dsrl, metrics, nets, policies, progress, statecodec, worldmodel
 from playwm.bench import EvalStudyConfig, measure_imagined
+from playwm.curation import Embedder
+from playwm.playsys import ProposerConfig, collect
 from playwm.policies import PolicyConfig, create_policy
 from playwm.rng import Rng
 from playwm.scene import default_scene
+from playwm.store import EpisodeStore
 from playwm.tasks import TaskSpec, check_success
 from playwm.worldmodel import WmConfig, create_worldmodel
+from test_metrics import ssim_five_calls
 
 
 def test_imagined_replan_must_match_model_chunk():
@@ -276,3 +282,116 @@ def test_measure_real_plans_once_per_decision(trained, monkeypatch):
     cfg = EvalStudyConfig(task=TASK, n_real=10, max_steps=30, replan=5)
     bench.measure_real(policy, scene, cfg, Rng(70))
     assert 0 < len(calls) <= 6 and calls[0] == cfg.n_real
+
+
+@pytest.mark.parametrize("n_wm", [0, -2])
+@pytest.mark.parametrize("in_model", [True, False])
+def test_imagined_rollouts_reject_bad_counts(trained, n_wm, in_model):
+    """No imagined rollouts have no success rate: in the world model and in
+    the simulator alike, n_wm below 1 fails by name before anything draws."""
+    scene, policy, wm = trained
+    rng = Rng(71)
+    with pytest.raises(ValueError, match=f"n_wm must be at least 1, got {n_wm}"):
+        measure_imagined(policy, wm if in_model else scene,
+                         EvalStudyConfig(task=TASK, n_wm=n_wm), rng)
+    assert rng.spawn_seed() == Rng(71).spawn_seed()
+
+
+@pytest.fixture(scope="module")
+def replay_store(tmp_path_factory):
+    """Twelve play episodes, all held out: 10 clips over five modes."""
+    store = EpisodeStore(str(tmp_path_factory.mktemp("replay-play")))
+    collect(default_scene(), ProposerConfig(), 12, Rng(43), store)
+    return store
+
+
+def replay_benchmark(store, per_mode):
+    bm = bench.build_benchmark({"play": store}, {"play": store.ids()}, per_mode, Rng(44),
+                               stride=3, min_fraction=0.0)
+    # each mode's clips come out together; interleave them, so that rows
+    # scored against the wrong clip's frames differ
+    bm.clips = bm.clips[::2] + bm.clips[1::2]
+    return bm
+
+
+def rows_one_frame_a_call(bm, frames, embedder):
+    """Replay rows scored one frame pair a call, as before the blocks: MSE
+    as one 2D mean, PSNR from it, SSIM as 49-term sums, the proxy from
+    one-row products."""
+    C, out = bm.chunk, []
+    for i, clip in enumerate(bm.clips):
+        vals = dict.fromkeys(metrics.METRIC_NAMES, 0.0)
+        for f_pred, f_gt in zip(frames[i * C:(i + 1) * C], clip.gt_frames, strict=True):
+            d = f_pred - f_gt
+            m = float((d * d).mean())
+            vals["mse"] += m
+            vals["psnr"] += 100.0 if m <= 0.0 else min(100.0, 10.0 * math.log10(1.0 / m))
+            vals["ssim"] += ssim_five_calls(f_pred, f_gt)
+            ex, ey = (embedder.projection.apply(f.reshape(1, -1)).ravel() for f in (f_pred, f_gt))
+            vals["lpips_proxy"] += float(np.linalg.norm(ex - ey) / math.sqrt(ex.size))
+        out.append({k: v / C for k, v in vals.items()})
+    return out
+
+
+def test_replay_rows_match_one_frame_a_call(trained, replay_store, monkeypatch):
+    """Blocks of SCORE_BLOCK frames cut across clips (10 clips of 5 frames
+    are blocks of 16, 16, 16 and 2), yet each row scores its own clip's
+    frames: MSE and PSNR bit for bit, SSIM and the proxy within 1e-15."""
+    _, _, wm = trained
+    bm = replay_benchmark(replay_store, 2)
+    n = len(bm.clips) * bm.chunk
+    assert n > bench.SCORE_BLOCK and n % bench.SCORE_BLOCK
+    predicted, render = [], bench.predicted_frames
+    monkeypatch.setattr(bench, "predicted_frames",
+                        lambda *args: predicted.append(render(*args)) or predicted[-1])
+    emb = Embedder.create(3)
+    report = bench.run_replay(bm, wm, emb, Rng(45))
+    want = rows_one_frame_a_call(bm, predicted[0], emb)
+    assert len(report.rows) == len(want) == len(bm.clips)
+    assert len({row["ssim"] for row in want}) == len(want)
+    for clip, got, ref in zip(bm.clips, report.rows, want):
+        assert (got["episode"], got["start"]) == (clip.window.episode_id, clip.window.start)
+        assert (got["mse"], got["psnr"]) == (ref["mse"], ref["psnr"])
+        assert abs(got["ssim"] - ref["ssim"]) <= 1e-15
+        assert abs(got["lpips_proxy"] - ref["lpips_proxy"]) <= 1e-15
+
+
+def test_replay_scores_each_block_in_one_call(trained, replay_store, monkeypatch):
+    """One call of each metric per block of at most SCORE_BLOCK frames, for
+    the model and the oracle alike: per-frame scoring cannot come back."""
+    scene, _, wm = trained
+    bm = replay_benchmark(replay_store, 2)
+    blocks = {"ssim": [], "lpips_proxy": []}  # frames scored per call
+
+    def spied(name):
+        fn = getattr(metrics, name)
+
+        def counted(*args):
+            blocks[name].append(len(args[-1]))
+            return fn(*args)
+        return counted
+
+    for name in blocks:
+        spy = spied(name)
+        monkeypatch.setattr(metrics, name, spy)
+        monkeypatch.setattr(bench, name, spy, raising=False)
+    n = len(bm.clips) * bm.chunk
+    for model, kwargs in ((wm, {"rng": Rng(45)}), ("oracle", {"scene": scene})):
+        for sizes in blocks.values():
+            sizes.clear()
+        bench.run_replay(bm, model, Embedder.create(3), **kwargs)
+        for sizes in blocks.values():
+            assert len(sizes) <= -(-n // bench.SCORE_BLOCK)
+            assert sum(sizes) == n and max(sizes) <= bench.SCORE_BLOCK
+
+
+def test_replay_of_no_clips_is_the_empty_report(trained, replay_store):
+    """A benchmark drawn with no clips per mode has no clips; the model and
+    the oracle both score it as the same empty report."""
+    scene, _, wm = trained
+    bm = replay_benchmark(replay_store, 0)
+    assert bm.clips == []
+    emb = Embedder.create(3)
+    by_model = bench.run_replay(bm, wm, emb, Rng(45))
+    by_oracle = bench.run_replay(bm, "oracle", emb, scene=scene)
+    assert by_model == by_oracle == metrics.MetricReport(rows=[], per_mode={}, overall={})

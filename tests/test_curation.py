@@ -61,7 +61,7 @@ def play_store(tmp_path_factory):
 class TestEmbedder:
     def test_zero_frames_zero_vector(self):
         emb = cu.Embedder.create(0)
-        assert np.all(emb.embed_frame(np.zeros((5, 64, 64))) == 0.0)
+        assert np.all(emb.embed_frames(np.zeros((5, 64, 64))) == 0.0)
 
     def test_identical_windows_identical_vectors(self, tmp_path):
         """Each window's vector is the embedding of its four sampled frames."""
@@ -73,7 +73,7 @@ class TestEmbedder:
         assert np.array_equal(rows[0], rows[1])
         view = store.read("e1")
         frames = np.stack([render(view.state(w.start + i)) for i in cu.window_sample_indices(12)])
-        assert np.allclose(rows[0], emb.embed_frame(frames).reshape(-1), rtol=0, atol=1e-12)
+        assert np.allclose(rows[0], emb.embed_frames(frames).reshape(-1), rtol=0, atol=1e-12)
 
     def test_one_episode_store_keeps_the_whole_episode_bits(self, tmp_path):
         """A block of 4 rows, padded with zero rows, keeps the bits of the
@@ -167,7 +167,7 @@ class TestEmbedder:
         frame = np.zeros((64, 64))
         frame[5, 7] = 1.0
         flat_index = 5 * 64 + 7
-        vec = emb.embed_frame(frame)
+        vec = emb.embed_frames(frame)
         assert np.array_equal(vec[0], emb.projection.matrix[flat_index])
 
     def test_sample_indices(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from playwm import metrics as M
+from playwm.bench import SCORE_BLOCK
 from playwm.curation import Embedder
 from playwm.rng import Rng
 
@@ -16,20 +17,20 @@ class TestMsePsnr:
     def test_identical(self):
         f = rand_frame(Rng(1))
         assert M.mse(f, f) == 0.0
-        assert M.psnr(f, f) == 100.0
+        assert M.psnr(M.mse(f, f)) == 100.0
 
     def test_zero_vs_one(self):
         z = np.zeros((16, 16))
         o = np.ones((16, 16))
         assert M.mse(z, o) == 1.0
-        assert M.psnr(z, o) == 0.0
+        assert M.psnr(M.mse(z, o)) == 0.0
 
     def test_half_pixels_differ(self):
         x = np.zeros((8, 8))
         y = np.zeros((8, 8))
         y[:4, :] = 0.1
         assert M.mse(x, y) == pytest.approx(0.005)
-        assert M.psnr(x, y) == pytest.approx(10 * math.log10(200), abs=1e-9)
+        assert M.psnr(M.mse(x, y)) == pytest.approx(10 * math.log10(200), abs=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(M.MetricError):
@@ -72,10 +73,18 @@ def windowed_shifted_slices(img, kernel):
     return out
 
 
+def gaussian_kernel(size=7, sigma=1.5):
+    """The normalised 2D Gaussian window as one outer product."""
+    ax = np.arange(size) - (size - 1) / 2.0
+    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
+    k = np.outer(g, g)
+    return k / k.sum()
+
+
 def ssim_five_calls(x, y):
-    """SSIM as five windowed calls of 49 terms each, the formula that the
-    stacked pass must reproduce bit for bit."""
-    k = M._KERNEL
+    """SSIM as five windowed calls of 49 terms each, one image a call: the
+    reference that the separable band products must agree with to 1e-15."""
+    k = gaussian_kernel()
     mu_x = windowed_shifted_slices(x, k)
     mu_y = windowed_shifted_slices(y, k)
     xx = windowed_shifted_slices(x * x, k) - mu_x * mu_x
@@ -91,13 +100,31 @@ class TestSsim:
         f = rand_frame(Rng(2), 16)
         assert M.ssim(f, f) == 1.0
 
-    def test_stacked_pass_is_five_calls_bit_for_bit(self):
+    def test_band_products_agree_with_five_calls(self):
         rng = Rng(10)
         for _ in range(40):
             h, w = 7 + rng.randint(64), 7 + rng.randint(64)
             a = rng.uniform_array((h, w))
             b = np.clip(a + 0.2 * rng.normal((h, w)), 0.0, 1.0)
-            assert M.ssim(a, b).hex() == ssim_five_calls(a, b).hex(), (h, w)
+            assert abs(M.ssim(a, b) - ssim_five_calls(a, b)) <= 1e-15, (h, w)
+
+    @pytest.mark.parametrize("n", [1, 7, SCORE_BLOCK, 2 * SCORE_BLOCK + 3])
+    def test_stacked_call_is_one_frame_calls_bit_for_bit(self, n):
+        rng = Rng(11 + n)
+        for shape in ((64, 64), (7, 7), (9, 23)):
+            a = rng.uniform_array((n, *shape))
+            b = np.clip(a + 0.2 * rng.normal((n, *shape)), 0.0, 1.0)
+            stacked = M.ssim(a, b)
+            assert stacked.shape == (n,)
+            ones = np.array([M.ssim(a[i], b[i]) for i in range(n)])
+            assert stacked.tobytes() == ones.tobytes(), shape
+
+    @pytest.mark.parametrize("n", [1, 7, SCORE_BLOCK, 180])
+    def test_identical_frames_score_exactly_one(self, n):
+        rng = Rng(12)
+        for shape in ((64, 64), (7, 7), (9, 23)):
+            a = rng.uniform_array((n, *shape))
+            assert (M.ssim(a, a) == 1.0).all(), shape
 
     def test_symmetry(self):
         a, b = rand_frame(Rng(3), 16), rand_frame(Rng(4), 16)
