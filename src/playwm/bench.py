@@ -42,7 +42,6 @@ class BenchmarkError(RuntimeError):
 
 @dataclass
 class ReplayClip:
-    store_name: str
     window: ClipWindow
     hist_states: np.ndarray      # (H, width) encoded
     actions: np.ndarray          # (H-1+C, 4) encoded
@@ -57,12 +56,6 @@ class ReplayBenchmark:
     history: int
     chunk: int
     clips: list[ReplayClip]
-
-    def by_mode(self) -> dict[BehaviorMode, list[int]]:
-        out: dict[BehaviorMode, list[int]] = {m: [] for m in MODES}
-        for i, c in enumerate(self.clips):
-            out[c.window.mode].append(i)
-        return out
 
 
 def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str]],
@@ -88,17 +81,17 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
         rng.shuffle(picks)
         for idx in picks[:min(target_per_mode, len(pool))]:
             name, w = pool[idx]
-            clips.append(_load_clip(stores[name], name, w, history, chunk))
+            clips.append(_load_clip(stores[name], w, history, chunk))
     return ReplayBenchmark(history=history, chunk=chunk, clips=clips)
 
 
-def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) -> ReplayClip:
+def _load_clip(store: EpisodeStore, w: ClipWindow, H: int, C: int) -> ReplayClip:
     view = store.read(w.episode_id)
     t = w.start + H - 1  # the last history frame
     states, actions = window_inputs(view, [w.start], H, C)
     gripper, _, objects = view.state_arrays(t + 1, t + 1 + C)
     return ReplayClip(
-        store_name=name, window=w,
+        window=w,
         hist_states=states[0, :H],
         actions=actions[0],
         gt_frames=list(render_frames(gripper, objects, view.roster)),
@@ -110,7 +103,9 @@ def _load_clip(store: EpisodeStore, name: str, w: ClipWindow, H: int, C: int) ->
 
 def run_replay(benchmark: ReplayBenchmark, model: WorldModel | str, embedder: Embedder,
                rng: Rng | None = None, scene: SceneConfig | None = None) -> metrics.MetricReport:
-    """Score predicted future frames per clip; model may be "oracle".
+    """Score predicted future frames per clip; model may be "oracle". A
+    world model samples its predictions from rng, the oracle replays the
+    simulator of scene, and each raises ValueError without its input.
 
     The frames of every clip are scored in stacked blocks of at most
     SCORE_BLOCK frames, one call of each metric a block; each clip's row is
@@ -121,10 +116,12 @@ def run_replay(benchmark: ReplayBenchmark, model: WorldModel | str, embedder: Em
             raise ValueError(f"unknown predictor {model!r}")
         if scene is None:
             raise ValueError("oracle replay needs the scene config")
+    elif rng is None:
+        raise ValueError("world-model replay needs an rng")
     if not benchmark.clips:
         return metrics.MetricReport.from_rows([])
     pred = (_oracle_predictions(benchmark, scene) if isinstance(model, str)
-            else _model_predictions(benchmark, model, rng or Rng(0)))
+            else _model_predictions(benchmark, model, rng))
     gt = [f for clip in benchmark.clips for f in clip.gt_frames]
     scores: dict[str, list[float]] = {k: [] for k in METRIC_NAMES}
     for at in range(0, len(gt), SCORE_BLOCK):

@@ -5,16 +5,17 @@ frames. The store keeps no frames: each episode is read once as an array
 view, and the sampled state rows of consecutive episodes are rendered from
 arrays and projected in blocks of at most BLOCK_FRAMES frames, one
 rasterizer call and one product a block.
-Success centroids come from k-means over demo-success windows; each
-play window gets a distance-to-success (min Euclidean distance to any
-centroid) and a rank from equal-mass quantile thresholds. Training samples
-ranks from an annealed distribution that starts concentrated on the
-near-success ranks and spreads toward the long tail.
+Success centroids, a (k, dim) array, come from k-means over demo-success
+windows; each play window gets a distance-to-success (min Euclidean
+distance to any centroid) and a rank from equal-mass quantile thresholds.
+The index keeps only each rank's window rows. Training samples ranks from
+an annealed distribution that starts concentrated on the near-success ranks
+and spreads toward the long tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,25 +116,20 @@ def _stack(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.n
 
 # -- k-means ------------------------------------------------------------------
 
-@dataclass
-class ClusterModel:
-    centroids: np.ndarray
-    inertia: float
-    seed: int
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-
 def kmeans(points: np.ndarray, k: int, rng: Rng, max_iters: int = 100,
-           tol: float = 1e-6) -> ClusterModel:
-    """Lloyd's algorithm with k-means++ seeding and farthest-point reseeding."""
+           tol: float = 1e-6) -> np.ndarray:
+    """The (k, dim) centroids of Lloyd's algorithm with k-means++ seeding
+    and farthest-point reseeding of empty clusters. k must be at least 1
+    and at most the number of points."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
-    seed_record = rng.next_u64() & 0x7FFFFFFF
+    # One draw before seeding, never used: every curation and training
+    # golden was made with the stream it leaves.
+    rng.next_u64()
     centroids = _kmeanspp_init(points, k, rng)
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(max_iters):
@@ -151,9 +147,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iters: int = 100,
         centroids = new
         if shift < tol:
             break
-    d2 = _sq_dists(points, centroids)
-    inertia = float(d2.min(axis=1).sum())
-    return ClusterModel(centroids=centroids, inertia=inertia, seed=seed_record)
+    return centroids
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
@@ -178,8 +172,9 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
-                          rng: Rng, window_len: int = 12) -> ClusterModel:
-    """Cluster embeddings of success-episode windows from the demo store."""
+                          rng: Rng, window_len: int = 12) -> np.ndarray:
+    """The (k, dim) k-means centroids of the embeddings of the demo store's
+    success-episode windows."""
     from .store import windows as store_windows
 
     wins = [w for w in store_windows(demo_store, window_len)
@@ -190,9 +185,10 @@ def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
     return kmeans(embs, k, rng)
 
 
-def distances_to_success(model: ClusterModel, embeddings: np.ndarray) -> np.ndarray:
+def distances_to_success(centroids: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+    """Each embedding's Euclidean distance to its nearest centroid."""
     return np.sqrt(_sq_dists(np.asarray(embeddings, dtype=np.float64),
-                             model.centroids).min(axis=1))
+                             centroids).min(axis=1))
 
 
 # -- ranks and annealed sampling ---------------------------------------------
@@ -200,14 +196,7 @@ def distances_to_success(model: ClusterModel, embeddings: np.ndarray) -> np.ndar
 @dataclass
 class CurriculumIndex:
     windows: list[ClipWindow]
-    distances: np.ndarray
-    thresholds: np.ndarray          # delta_0 .. delta_R, delta_0=0, delta_R=inf
-    ranks: np.ndarray               # 1-based rank per window
-    members: list[np.ndarray] = field(default_factory=list)  # window rows per rank
-
-    @property
-    def R(self) -> int:
-        return len(self.thresholds) - 1
+    members: list[np.ndarray]       # window rows of each rank, nearest rank first
 
 
 def build_ranks(distances: np.ndarray, R: int = 5,
@@ -227,12 +216,10 @@ def build_ranks(distances: np.ndarray, R: int = 5,
     if len(fractions) != R - 1:
         raise ValueError("need R-1 quantile fractions")
     sorted_d = np.sort(distances)
-    cuts = [sorted_d[min(int(np.ceil(f * n)), n - 1)] for f in fractions]
-    thresholds = np.array([0.0] + cuts + [np.inf])
-    ranks = np.searchsorted(thresholds[1:-1], distances, side="right") + 1
+    thresholds = np.array([sorted_d[min(int(np.ceil(f * n)), n - 1)] for f in fractions])
+    ranks = np.searchsorted(thresholds, distances, side="right") + 1
     members = [np.flatnonzero(ranks == r) for r in range(1, R + 1)]
-    return CurriculumIndex(windows=wins or [], distances=distances,
-                           thresholds=thresholds, ranks=ranks, members=members)
+    return CurriculumIndex(windows=wins or [], members=members)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,6 @@ class DenoiserNet:
     """
 
     target_dim: int
-    cond_dim: int
     net: nets.Mlp
 
     @staticmethod
@@ -86,7 +85,7 @@ class DenoiserNet:
         widths = [target_dim + cond_dim + TIME_EMBED_DIM] + [hidden] * depth + [target_dim]
         net = (nets.Mlp(widths, activation) if rng is None
                else nets.init_mlp(widths, rng, activation))
-        return DenoiserNet(target_dim, cond_dim, net)
+        return DenoiserNet(target_dim, net)
 
     def inputs(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
         """The MLP input: noised target, conditioning and time embedding per row."""

@@ -62,9 +62,11 @@ class DsrlConfig:
     def __post_init__(self):
         for name in ("actor_lr", "critic_lr", "batch", "gamma", "tau", "train_freq",
                      "utd", "initial_rollout_steps", "max_episode_steps",
-                     "action_magnitude", "replan"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                     "action_magnitude", "replan", "hidden", "buffer_capacity",
+                     "eval_every", "eval_rollouts"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 class NoiseActor:
@@ -327,7 +329,6 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
                                            cfg.eval_rollouts, cfg.max_episode_steps,
                                            cfg.replan), 0.0)]
     best_success = -1.0
-    best_params = {k: v.copy() for k, v in st.actor.net.params.items()}
     control_steps = 0
     recent_returns: list[float] = []
     next_eval = cfg.eval_every

@@ -1,11 +1,10 @@
 """Scalar evaluation metrics: MSE, PSNR, SSIM, embedding-distance proxy,
 Pearson correlation and total-variation distance.
 
-MSE, SSIM and the proxy score one frame pair, or each frame of two stacked
-blocks of frames in one call. SSIM's Gaussian window is separable, so its
-windowed maps are two products with fixed band matrices of the 1-D taps, a
-row pass and a column pass; they agree with the 49-term sums of the 2-D
-window to within 1e-15.
+MSE, SSIM and the proxy score each frame of two (n, h, w) stacks in one
+call. SSIM's Gaussian window is separable, so its windowed maps are two
+products with fixed band matrices of the 1-D taps, a row pass and a column
+pass; they agree with the 49-term sums of the 2-D window to within 1e-15.
 
 The perceptual proxy is the Euclidean distance between frozen-projection
 embeddings scaled by 1/sqrt(d); it replaces a learned perceptual metric and
@@ -55,26 +54,22 @@ class MetricError(ValueError):
     pass
 
 
-def _stacks(x, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    """x and y as (n, h, w) float64 stacks, and whether they came as one
-    (h, w) pair."""
+def _stacks(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as (n, h, w) float64 stacks of one shape."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise MetricError(f"shape mismatch {x.shape} vs {y.shape}")
-    if x.ndim not in (2, 3):
-        raise MetricError(f"need (h, w) frames or (n, h, w) stacks, got shape {x.shape}")
-    one = x.ndim == 2
-    return (x[None], y[None], one) if one else (x, y, one)
+    if x.ndim != 3:
+        raise MetricError(f"need (n, h, w) stacks, got shape {x.shape}")
+    return x, y
 
 
-def mse(x: np.ndarray, y: np.ndarray):
-    """Mean squared error of one (h, w) pair as a float, or of each frame
-    of two (n, h, w) stacks as an (n,) array."""
-    x, y, one = _stacks(x, y)
+def mse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (n,) mean squared errors of each frame of two (n, h, w) stacks."""
+    x, y = _stacks(x, y)
     d = (x - y).reshape(len(x), -1)
-    m = (d * d).mean(axis=1)
-    return float(m[0]) if one else m
+    return (d * d).mean(axis=1)
 
 
 def psnr(m: float) -> float:
@@ -101,10 +96,9 @@ def _band(n: int) -> np.ndarray:
     return band
 
 
-def ssim(x: np.ndarray, y: np.ndarray):
-    """Mean SSIM over valid 7x7 Gaussian windows (sigma 1.5, unit range) of
-    one (h, w) pair as a float, or of each frame of two (n, h, w) stacks as
-    an (n,) array.
+def ssim(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (n,) mean SSIMs over valid 7x7 Gaussian windows (sigma 1.5, unit
+    range) of each frame of two (n, h, w) stacks.
 
     The window is separable, so the five windowed maps (x, y, x*x, y*y and
     x*y) of every frame come from two products with band matrices of the
@@ -112,7 +106,7 @@ def ssim(x: np.ndarray, y: np.ndarray):
     of the 2-D window to within 1e-15 per frame. A frame's bits depend only
     on its shape, not on the other frames of its stack, and identical frames
     score exactly 1.0."""
-    x, y, one = _stacks(x, y)
+    x, y = _stacks(x, y)
     n, h, w = x.shape
     if min(h, w) < SSIM_WINDOW:
         raise MetricError(f"frames must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
@@ -124,19 +118,17 @@ def ssim(x: np.ndarray, y: np.ndarray):
     xy = sxy - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * xy + SSIM_C2)
     den = (mu_x ** 2 + mu_y ** 2 + SSIM_C1) * (xx + yy + SSIM_C2)
-    s = (num / den).reshape(n, -1).mean(axis=1)
-    return float(s[0]) if one else s
+    return (num / den).reshape(n, -1).mean(axis=1)
 
 
-def lpips_proxy(embedder: Embedder, x: np.ndarray, y: np.ndarray):
-    """Frozen-embedding distance scaled by 1/sqrt(d), a perceptual stand-in,
-    of one (h, w) pair as a float, or of each frame of two (n, h, w) stacks
-    as an (n,) array. Both stacks are embedded in products of the same
-    shape, so identical frames score exactly 0."""
-    x, y, one = _stacks(x, y)
+def lpips_proxy(embedder: Embedder, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (n,) frozen-embedding distances scaled by 1/sqrt(d), a perceptual
+    stand-in, of each frame of two (n, h, w) stacks. Both stacks are
+    embedded in products of the same shape, so identical frames score
+    exactly 0."""
+    x, y = _stacks(x, y)
     d = embedder.embed_frames(x) - embedder.embed_frames(y)
-    v = np.linalg.norm(d, axis=1) / math.sqrt(d.shape[1])
-    return float(v[0]) if one else v
+    return np.linalg.norm(d, axis=1) / math.sqrt(d.shape[1])
 
 
 def pearson(xs, ys) -> float:

@@ -39,7 +39,6 @@ class ProposerConfig:
     sigma_w_max: float = 0.05
     sigma_g_max: float = 0.05
     speed_range: tuple = (0.7, 1.6)
-    reset_priority: bool = True
     towel_transport: bool = True  # allow put_near with the towel as subject
     towel_bias: int = 1           # extra weight on towel-subject put_near tasks
 
@@ -111,9 +110,7 @@ def applicable_tasks(state: EnvState, cfg: ProposerConfig, phys: Physics) -> dic
     return out
 
 
-def propose(state: EnvState, cfg: ProposerConfig, rng: Rng,
-            phys: Physics | None = None) -> Instruction:
-    phys = phys or Physics()
+def propose(state: EnvState, cfg: ProposerConfig, rng: Rng, phys: Physics) -> Instruction:
     if not any(o.kind != "bowl" for o in state.objects):
         raise ProposalError("scene has no proposable object")
 
@@ -124,11 +121,10 @@ def propose(state: EnvState, cfg: ProposerConfig, rng: Rng,
         synonym=rng.randint(3),
     )
 
-    if cfg.reset_priority:
-        stray = [oid for oid in out_of_bounds_ids(state, phys)
-                 if state.object_by_id(oid).kind != "towel2link"]
-        if stray:
-            return Instruction(TaskSpec("reset_retrieve", stray[0]), perturb)
+    stray = [oid for oid in out_of_bounds_ids(state, phys)
+             if state.object_by_id(oid).kind != "towel2link"]
+    if stray:
+        return Instruction(TaskSpec("reset_retrieve", stray[0]), perturb)
 
     candidates = applicable_tasks(state, cfg, phys)
     verbs = [v for v in GRAMMAR_VERBS if candidates[v] and cfg.verb_weights.get(v, 0.0) > 0.0]

@@ -4,8 +4,8 @@ the degraded-variant suite used by the evaluation studies.
 A diffusion policy denoises a 16-action chunk conditioned on the current
 encoded state; inference is 5-step deterministic DDIM from an explicit
 initial latent, which makes the policy a pure function of (state, latent)
-and therefore steerable by the RL stack. By default the caller executes 8
-actions before re-planning.
+and therefore steerable by the RL stack. The caller chooses how many of a
+chunk's actions execute before re-planning.
 
 `closed_loop` is the one closed loop of a policy, in the simulator
 (`measure_env_success`) and in a world model (`bench.measure_imagined`):
@@ -41,7 +41,6 @@ class PolicyConfig:
     horizon: int = 16
     denoise_steps: int = 100
     ddim_steps: int = 5
-    replan: int = 8
     hidden: int = 256
     depth: int = 3
     activation: str = "silu"
@@ -244,7 +243,7 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
         t += n
     hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
     for evs, state in zip(events, states):
-        hist[classify_clip(evs, task, state).value] += 1
+        hist[classify_clip(evs, task, state, phys).value] += 1
     return (len(states) - len(live)) / len(states), hist
 
 
@@ -254,17 +253,16 @@ def _env_steps(env: Env, actions: list[list[float]]) -> Iterator[tuple[EnvState,
 
 
 def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,
-                        n_rollouts: int, rng: Rng, max_steps: int = 30,
-                        replan: int | None = None,
+                        n_rollouts: int, rng: Rng, max_steps: int, replan: int,
                         latent: Callable[[np.ndarray], np.ndarray] | None = None
                         ) -> tuple[float, dict[str, int]]:
-    """Success rate and mode histogram of n_rollouts simulator rollouts, each
-    from a jittered nominal scene in an env of its own noise seed.
+    """Success rate and mode histogram of n_rollouts simulator rollouts of
+    at most max_steps steps, each from a jittered nominal scene in an env of
+    its own noise seed, re-planning after every `replan` executed actions.
 
     Every rollout's env seed and start state are drawn first; then
     `closed_loop` steps them, each env only as far as its rollout runs.
     """
-    replan = replan if replan is not None else policy.cfg.replan
     if replan < 1:
         raise ValueError(f"replan must be at least 1, got {replan}")
     if n_rollouts < 1:

@@ -97,13 +97,12 @@ class EnvState:
 class SceneConfig:
     objects: tuple          # tuple of ObjectState templates (nominal poses)
     physics: Physics = field(default_factory=Physics)
-    seed: int = 0
 
     def nominal_state(self) -> EnvState:
         return EnvState(GripperState(), list(self.objects)).copy()
 
 
-def default_scene(seed: int = 0) -> SceneConfig:
+def default_scene() -> SceneConfig:
     objects = (
         ObjectState(0, "bowl", 0.28, 0.30, 0.0, (0.11, 0.085)),
         ObjectState(1, "disk", 0.60, 0.35, 0.0, (0.035,)),
@@ -111,12 +110,11 @@ def default_scene(seed: int = 0) -> SceneConfig:
         ObjectState(3, "rect", 0.68, 0.60, 0.0, (0.030, 0.030)),
         ObjectState(4, "towel2link", 0.72, 0.80, -2.3, (0.085, 0.028)),
     )
-    return SceneConfig(objects=objects, seed=seed)
+    return SceneConfig(objects=objects)
 
 
 def scene_to_dict(cfg: SceneConfig) -> dict:
     return {
-        "seed": cfg.seed,
         "physics": {k: getattr(cfg.physics, k) for k in Physics.__dataclass_fields__},
         "objects": [
             {
@@ -129,6 +127,12 @@ def scene_to_dict(cfg: SceneConfig) -> dict:
 
 
 def scene_from_dict(data: dict) -> SceneConfig:
+    """The scene of a `scene_to_dict` record. A top-level key this does not
+    read raises ValueError naming it, so a record from an older layout fails
+    instead of losing the key silently."""
+    unknown = sorted(set(data) - {"physics", "objects"})
+    if unknown:
+        raise ValueError(f"unknown scene keys {unknown}")
     phys = Physics(**data.get("physics", {}))
     objs = []
     for od in data["objects"]:
@@ -138,7 +142,7 @@ def scene_from_dict(data: dict) -> SceneConfig:
         x, y, theta = od["pose"]
         objs.append(ObjectState(od["id"], kind, x, y, theta, tuple(od["size"]),
                                 od.get("z_level", 0), od.get("fold_angle", 0.0)))
-    return SceneConfig(objects=tuple(objs), physics=phys, seed=data.get("seed", 0))
+    return SceneConfig(objects=tuple(objs), physics=phys)
 
 
 def jittered_state(cfg: SceneConfig, rng, jitter: float = 0.02) -> EnvState:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Action, Event, EventKind
-from .scene import EnvState, GripperState, ObjectState
+from .scene import EnvState, GripperState, ObjectState, Physics
 from .skills import Instruction, Perturbation
 from .tasks import BehaviorMode, TaskSpec, classify_clip
 
@@ -243,10 +243,6 @@ class EpisodeStore:
         with open(self._manifest_path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
 
-    def episodes(self):
-        for eid in self.ids():
-            yield self.read(eid)
-
 
 def windows(store: EpisodeStore, W: int, stride: int | None = None,
             ids: list[str] | None = None) -> list[ClipWindow]:
@@ -256,6 +252,7 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
         raise ValueError("window length must be at least 2")
     stride = W if stride is None else stride
     keep = None if ids is None else set(ids)
+    phys = Physics()  # stored episodes do not record the physics they ran under
     out: list[ClipWindow] = []
     for eid in store.ids():
         if keep is not None and eid not in keep:
@@ -264,7 +261,7 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
         task = view.instruction.task
         for start in range(0, view.n_frames - W + 1, stride):
             end = start + W - 1
-            mode = classify_clip(view.events(start, end), task, view.state(end))
+            mode = classify_clip(view.events(start, end), task, view.state(end), phys)
             out.append(ClipWindow(eid, start, W, mode))
     return out
 

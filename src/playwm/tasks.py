@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .dynamics import Event, EventKind
@@ -47,7 +47,6 @@ class TaskSpec:
     subject: int
     target: int | None = None            # object id, or None
     region: tuple[float, float] | None = None  # point target for push_to / retrieve
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.verb not in VERBS:
@@ -58,8 +57,7 @@ class DanglingObjectError(KeyError):
     pass
 
 
-def check_success(state: EnvState, task: TaskSpec, phys: Physics | None = None) -> bool:
-    phys = phys or Physics()
+def check_success(state: EnvState, task: TaskSpec, phys: Physics) -> bool:
     try:
         subj = state.object_by_id(task.subject)
     except KeyError as exc:
@@ -119,13 +117,16 @@ def is_failure_event(event: Event, task: TaskSpec) -> bool:
     return True
 
 
-def classify_clip(events: list[Event], task: TaskSpec, final: EnvState) -> BehaviorMode:
+def classify_clip(events: list[Event], task: TaskSpec, final: EnvState,
+                  phys: Physics) -> BehaviorMode:
     """Label a clip with exactly one behavior mode.
 
-    Success requires the task predicate at the clip end and no failure
-    events after the last successful grasp; otherwise the highest-precedence
-    failure event in the clip decides. Clips with no failure events at all
-    are nominal motion and also label Success.
+    Success requires the task predicate under phys at the clip end and no
+    failure events after the last successful grasp; otherwise the
+    highest-precedence failure event in the clip decides. Clips with no
+    failure events at all are nominal motion and also label Success. phys
+    must be the physics the clip ran under: a stack's success radius is
+    `phys.r_stack`.
     """
     if not events:
         return BehaviorMode.SUCCESS
@@ -134,7 +135,7 @@ def classify_clip(events: list[Event], task: TaskSpec, final: EnvState) -> Behav
         if e.kind == EventKind.GRASP_SUCCESS:
             last_grasp = i
     failures = [e for e in events if is_failure_event(e, task)]
-    if check_success(final, task):
+    if check_success(final, task, phys):
         tail = [e for e in events[last_grasp + 1:] if is_failure_event(e, task)]
         if not tail:
             return BehaviorMode.SUCCESS

@@ -57,11 +57,6 @@ class WorldModel:
     def state_width(self) -> int:
         return statecodec.state_dim(len(self.scene.objects))
 
-    @property
-    def cond_dim(self) -> int:
-        n_actions = self.cfg.history - 1 + self.cfg.chunk
-        return self.cfg.history * self.state_width + n_actions * 4
-
     def param_hash(self) -> str:
         return self.denoiser.net.param_hash()
 

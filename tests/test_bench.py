@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from playwm.curation import Embedder
 from playwm.playsys import ProposerConfig, collect
 from playwm.policies import PolicyConfig, create_policy
 from playwm.rng import Rng
-from playwm.scene import default_scene
+from playwm.scene import Physics, default_scene
 from playwm.store import EpisodeStore
 from playwm.tasks import TaskSpec, check_success
 from playwm.worldmodel import WmConfig, create_worldmodel
@@ -264,7 +265,7 @@ def test_real_rollouts_reject_bad_counts(trained, bad):
     success rate; both fail, naming the value, before the loop draws."""
     scene, policy, _ = trained
     rng = Rng(73)
-    args = {"n_rollouts": 3, "replan": 5, **bad}
+    args = {"n_rollouts": 3, "max_steps": 30, "replan": 5, **bad}
     name, value = next(iter(bad.items()))
     with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
         policies.measure_env_success(policy, scene, TASK, rng=rng, **args)
@@ -395,3 +396,41 @@ def test_replay_of_no_clips_is_the_empty_report(trained, replay_store):
     by_model = bench.run_replay(bm, wm, emb, Rng(45))
     by_oracle = bench.run_replay(bm, "oracle", emb, scene=scene)
     assert by_model == by_oracle == metrics.MetricReport(rows=[], per_mode={}, overall={})
+
+
+def test_model_replay_needs_an_rng(trained, replay_store):
+    """A world model samples its predictions; without an rng it fails, as
+    the oracle does without a scene, instead of drawing from a hidden seed."""
+    scene, _, wm = trained
+    emb = Embedder.create(3)
+    for bm in (replay_benchmark(replay_store, 0), replay_benchmark(replay_store, 1)):
+        with pytest.raises(ValueError, match="world-model replay needs an rng"):
+            bench.run_replay(bm, wm, emb)
+        with pytest.raises(ValueError, match="oracle replay needs the scene config"):
+            bench.run_replay(bm, "oracle", emb)
+
+
+@pytest.mark.parametrize("in_model", [True, False])
+def test_closed_loop_labels_clips_under_its_own_physics(trained, monkeypatch, in_model):
+    """`closed_loop` stops each rollout with `check_success` under its phys
+    and labels the rollout with `classify_clip` under the same phys, not
+    under the defaults."""
+    scene, policy, wm = trained
+    if in_model:
+        wm = replace(wm, scene=replace(scene, physics=Physics(r_stack=0.06)))
+    else:
+        scene = replace(scene, physics=Physics(r_stack=0.06))
+    seen, classify = [], policies.classify_clip
+
+    def spied(events, task, final, phys):
+        seen.append(phys)
+        return classify(events, task, final, phys)
+
+    monkeypatch.setattr(policies, "classify_clip", spied)
+    cfg = EvalStudyConfig(task=TASK, n_real=3, n_wm=3, max_steps=10)
+    if in_model:
+        bench.measure_imagined(policy, wm, cfg, Rng(71))
+    else:
+        bench.measure_real(policy, scene, cfg, Rng(70))
+    want = (wm.scene if in_model else scene).physics
+    assert len(seen) == 3 and all(phys is want for phys in seen)

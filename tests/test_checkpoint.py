@@ -167,6 +167,16 @@ def _old_physics(header):
     header["scene"]["physics"]["control_hz"] = 5.0
 
 
+def _old_scene_seed(header):
+    """A scene saved before SceneConfig lost its unread seed field."""
+    header["scene"]["seed"] = 0
+
+
+def _old_policy_replan(header):
+    """A policy saved before PolicyConfig lost its unread replan field."""
+    header["config"]["replan"] = 8
+
+
 def _unknown_kind(header):
     header["scene"]["objects"][0]["kind"] = "sphere"
 
@@ -176,9 +186,10 @@ def _unknown_config_key(header):
 
 
 @pytest.mark.parametrize("kind, spoil", [(k, f) for k in ("worldmodel", "policy", "progress")
-                                         for f in (_old_physics, _unknown_kind)]
+                                         for f in (_old_physics, _old_scene_seed, _unknown_kind)]
                          + [("worldmodel", _unknown_config_key),
-                            ("policy", _unknown_config_key)])
+                            ("policy", _unknown_config_key),
+                            ("policy", _old_policy_replan)])
 def test_model_header_that_does_not_build(tmp_path, kind, spoil):
     path, loaded_hash, _ = _saved_model(tmp_path, kind)
     saved_kind, header, params = load_checkpoint(path)

@@ -178,9 +178,9 @@ class TestEmbedder:
 class TestKmeans:
     def test_identical_points_single_cluster(self):
         pts = np.tile([2.0, -1.0], (10, 1))
-        model = cu.kmeans(pts, 1, Rng(0))
-        assert np.allclose(model.centroids[0], [2.0, -1.0])
-        assert model.inertia == pytest.approx(0.0, abs=1e-18)
+        centroids = cu.kmeans(pts, 1, Rng(0))
+        assert centroids.shape == (1, 2)
+        assert np.array_equal(centroids[0], [2.0, -1.0])
 
     def test_two_blobs(self):
         rng = Rng(1)
@@ -188,71 +188,96 @@ class TestKmeans:
         a[:, 0] += 5.0
         b = rng.normal((50, 8)) * 0.1
         b[:, 0] -= 5.0
-        model = cu.kmeans(np.vstack([a, b]), 2, Rng(2))
-        means = sorted(model.centroids[:, 0])
+        centroids = cu.kmeans(np.vstack([a, b]), 2, Rng(2))
+        means = sorted(centroids[:, 0])
         assert means[0] == pytest.approx(-5.0, abs=0.05)
         assert means[1] == pytest.approx(5.0, abs=0.05)
-        assert np.allclose(sorted(model.centroids[:, 0]),
+        assert np.allclose(sorted(centroids[:, 0]),
                            sorted([a[:, 0].mean() * 0 - 5, 5]), atol=0.06)
 
     def test_k_equals_n(self):
         rng = Rng(3)
         pts = rng.normal((6, 3))
-        model = cu.kmeans(pts, 6, Rng(4))
-        assert model.inertia == pytest.approx(0.0, abs=1e-12)
+        centroids = cu.kmeans(pts, 6, Rng(4))
+        assert centroids.shape == (6, 3)
+        # every point is its own centroid
+        assert (cu.distances_to_success(centroids, pts) ** 2).sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_insufficient_points(self):
         with pytest.raises(ValueError):
             cu.kmeans(np.zeros((2, 3)), 5, Rng(0))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_cluster_fails_before_any_draw(self, k):
+        rng = Rng(0)
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            cu.kmeans(Rng(1).normal((10, 4)), k, rng)
+        assert rng.next_u64() == Rng(0).next_u64()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_success_centroids_need_one_cluster(self, tmp_path, k):
+        store = EpisodeStore(str(tmp_path / "demo"))
+        store.append(demo_episode("e1"))
+        assert store.meta("e1")["outcome"]
+        rng = Rng(0)
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            cu.fit_success_centroids(store, cu.Embedder.create(0), k, rng)
+        assert rng.next_u64() == Rng(0).next_u64()
+
 
 class TestDistance:
     def test_at_centroid(self):
-        model = cu.ClusterModel(centroids=np.zeros((1, 8)), inertia=0.0, seed=0)
-        assert cu.distances_to_success(model, np.zeros((1, 8)))[0] == 0.0
+        assert cu.distances_to_success(np.zeros((1, 8)), np.zeros((1, 8)))[0] == 0.0
 
     def test_euclidean(self):
-        model = cu.ClusterModel(centroids=np.zeros((1, 8)), inertia=0.0, seed=0)
         e = np.zeros((1, 8))
         e[0, 0], e[0, 1] = 3.0, 4.0
-        assert cu.distances_to_success(model, e)[0] == pytest.approx(5.0)
+        assert cu.distances_to_success(np.zeros((1, 8)), e)[0] == pytest.approx(5.0)
 
     def test_min_over_centroids(self):
         cents = np.zeros((2, 4))
         cents[1, 0] = 10.0
-        model = cu.ClusterModel(centroids=cents, inertia=0.0, seed=0)
         e = np.zeros((2, 4))
         e[0, 0], e[1, 0] = 6.0, 3.0
-        assert cu.distances_to_success(model, e) == pytest.approx([4.0, 3.0])
+        assert cu.distances_to_success(cents, e) == pytest.approx([4.0, 3.0])
 
     def test_dimension_mismatch(self):
-        model = cu.ClusterModel(centroids=np.zeros((1, 8)), inertia=0.0, seed=0)
         with pytest.raises(ValueError):
-            cu.distances_to_success(model, np.zeros((1, 5)))
+            cu.distances_to_success(np.zeros((1, 8)), np.zeros((1, 5)))
+
+
+def window_ranks(idx, n):
+    """Each of n windows' 1-based rank, read from the rank member lists;
+    0 for a window in no rank."""
+    ranks = np.zeros(n, dtype=np.int64)
+    for r, rows in enumerate(idx.members, start=1):
+        ranks[rows] = r
+    return ranks
 
 
 class TestRanks:
     def test_zero_distance_rank_one(self):
         d = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         idx = cu.build_ranks(d, 5)
-        assert idx.ranks[0] == 1
+        assert window_ranks(idx, len(d))[0] == 1
 
     def test_max_distance_top_rank(self):
         d = np.linspace(0, 9, 10)
         idx = cu.build_ranks(d, 5)
-        assert idx.ranks[d.argmax()] == 5
+        assert window_ranks(idx, len(d))[d.argmax()] == 5
 
     def test_uniform_1_to_100(self):
         d = np.arange(1, 101, dtype=np.float64)
         idx = cu.build_ranks(d, 5)
-        sizes = [int((idx.ranks == r).sum()) for r in range(1, 6)]
+        ranks = window_ranks(idx, len(d))
+        sizes = [int((ranks == r).sum()) for r in range(1, 6)]
         assert sizes == [20, 20, 20, 20, 20]
 
     def test_partition_property(self):
         rng = Rng(5)
         d = rng.uniform_array(137) * 10
         idx = cu.build_ranks(d, 5)
-        assert set(idx.ranks) <= {1, 2, 3, 4, 5}
+        assert set(window_ranks(idx, len(d))) <= {1, 2, 3, 4, 5}
         assert sum(len(m) for m in idx.members) == 137
         # monotone difficulty in rank index
         means = [d[m].mean() for m in idx.members if len(m)]
@@ -262,8 +287,7 @@ class TestRanks:
         d = np.array([0.0, 1.0, 1.0, 2.0])
         idx = cu.build_ranks(d, 2, fractions=(0.5,))
         # threshold = sorted[ceil(0.5*4)] = sorted[2] = 1.0; d == 1.0 is rank 2
-        assert idx.thresholds[1] == 1.0
-        assert list(idx.ranks) == [1, 2, 2, 2]
+        assert list(window_ranks(idx, len(d))) == [1, 2, 2, 2]
 
 
 class TestAnneal:
@@ -315,7 +339,7 @@ class TestSampler:
         sched = cu.AnnealSchedule(p_init=(1.0, 0.0, 0.0, 0.0, 0.0),
                                   p_final=(1.0, 0.0, 0.0, 0.0, 0.0))
         rows = cu.sample_batch(idx, sched, 0, 200, Rng(1))
-        assert np.all(idx.ranks[rows] == 1)
+        assert np.all(window_ranks(idx, 50)[rows] == 1)
 
     def test_determinism(self):
         idx = tiny_index([10, 10, 10, 10, 10])
@@ -330,7 +354,7 @@ class TestSampler:
         step = 1000
         p = cu.rank_distribution(sched, step)
         rows = cu.sample_batch(idx, sched, step, 100_000, Rng(3))
-        ranks = idx.ranks[rows]
+        ranks = window_ranks(idx, 1000)[rows]
         freq = np.array([(ranks == r).mean() for r in range(1, 6)])
         assert np.all(np.abs(freq - p) < 0.01)
         # chi-square goodness of fit, df=4, p>0.01 means stat < 13.2767
@@ -340,13 +364,14 @@ class TestSampler:
 
     def test_empty_rank_mass_redistributed(self):
         idx = tiny_index([10, 10, 10, 10, 10])
+        ranks = window_ranks(idx, 50)
         idx.members[0] = np.array([], dtype=np.int64)  # force an empty rank
         sched = cu.AnnealSchedule()
         p = cu.effective_rank_distribution(idx, sched, 0)
         assert p[0] == 0.0
         assert abs(p.sum() - 1.0) < 1e-12
         rows = cu.sample_batch(idx, sched, 0, 500, Rng(5))
-        assert np.all(idx.ranks[rows] != 1)
+        assert np.all(ranks[rows] != 1)
 
 
 class TestPcaHull:

@@ -56,6 +56,16 @@ def _policy(scene, gain=1.0):
     return policy
 
 
+@pytest.mark.parametrize("name", ["buffer_capacity", "eval_rollouts", "eval_every", "hidden"])
+def test_config_counts_must_be_positive(name):
+    """Each count fails by name when built, not at its first use: an empty
+    buffer at the first push, no eval rollouts in the success rate, an eval
+    after every update, and zero-width layers that output only zeros."""
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
+            dsrl.DsrlConfig(**{name: value})
+
+
 @pytest.mark.parametrize("total_updates, utd", [(8, 2), (30, 10), (7, 3)])
 def test_finetune_stops_at_total_updates(total_updates, utd):
     st, _, _ = _finetune(total_updates, utd=utd)

@@ -75,7 +75,7 @@ def test_measure_env_success(trained):
     scene, policy, _ = trained
     rng = Rng(73)
     pin("env_success", rng, *policies.measure_env_success(policy, scene, TASK, 10, rng,
-                                                          max_steps=30)[:2])
+                                                          max_steps=30, replan=8)[:2])
 
 
 @pytest.mark.parametrize("steered", [False, True])

@@ -9,32 +9,40 @@ from playwm.curation import Embedder
 from playwm.rng import Rng
 
 
-def rand_frame(rng, n=64):
-    return rng.uniform_array((n, n))
+def rand_stack(rng, n=64):
+    """One random n x n frame as a stack of one, (1, n, n)."""
+    return rng.uniform_array((1, n, n))
 
 
 class TestMsePsnr:
     def test_identical(self):
-        f = rand_frame(Rng(1))
-        assert M.mse(f, f) == 0.0
-        assert M.psnr(M.mse(f, f)) == 100.0
+        f = rand_stack(Rng(1))
+        assert M.mse(f, f)[0] == 0.0
+        assert M.psnr(M.mse(f, f)[0]) == 100.0
 
     def test_zero_vs_one(self):
-        z = np.zeros((16, 16))
-        o = np.ones((16, 16))
-        assert M.mse(z, o) == 1.0
-        assert M.psnr(M.mse(z, o)) == 0.0
+        z = np.zeros((1, 16, 16))
+        o = np.ones((1, 16, 16))
+        assert M.mse(z, o)[0] == 1.0
+        assert M.psnr(M.mse(z, o)[0]) == 0.0
 
     def test_half_pixels_differ(self):
-        x = np.zeros((8, 8))
-        y = np.zeros((8, 8))
-        y[:4, :] = 0.1
-        assert M.mse(x, y) == pytest.approx(0.005)
-        assert M.psnr(M.mse(x, y)) == pytest.approx(10 * math.log10(200), abs=1e-9)
+        x = np.zeros((1, 8, 8))
+        y = np.zeros((1, 8, 8))
+        y[0, :4, :] = 0.1
+        assert M.mse(x, y)[0] == pytest.approx(0.005)
+        assert M.psnr(M.mse(x, y)[0]) == pytest.approx(10 * math.log10(200), abs=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(M.MetricError):
-            M.mse(np.zeros((4, 4)), np.zeros((5, 5)))
+            M.mse(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)))
+
+    @pytest.mark.parametrize("metric", ["mse", "ssim", "lpips_proxy"])
+    def test_one_frame_pair_is_not_a_stack(self, metric):
+        x = np.zeros((16, 16))
+        args = (Embedder.create(0), x, x) if metric == "lpips_proxy" else (x, x)
+        with pytest.raises(M.MetricError, match="need \\(n, h, w\\) stacks"):
+            getattr(M, metric)(*args)
 
 
 def ssim_oracle(x, y):
@@ -97,16 +105,16 @@ def ssim_five_calls(x, y):
 
 class TestSsim:
     def test_self_similarity(self):
-        f = rand_frame(Rng(2), 16)
-        assert M.ssim(f, f) == 1.0
+        f = rand_stack(Rng(2), 16)
+        assert M.ssim(f, f)[0] == 1.0
 
     def test_band_products_agree_with_five_calls(self):
         rng = Rng(10)
         for _ in range(40):
             h, w = 7 + rng.randint(64), 7 + rng.randint(64)
-            a = rng.uniform_array((h, w))
-            b = np.clip(a + 0.2 * rng.normal((h, w)), 0.0, 1.0)
-            assert abs(M.ssim(a, b) - ssim_five_calls(a, b)) <= 1e-15, (h, w)
+            a = rng.uniform_array((1, h, w))
+            b = np.clip(a + 0.2 * rng.normal((1, h, w)), 0.0, 1.0)
+            assert abs(M.ssim(a, b)[0] - ssim_five_calls(a[0], b[0])) <= 1e-15, (h, w)
 
     @pytest.mark.parametrize("n", [1, 7, SCORE_BLOCK, 2 * SCORE_BLOCK + 3])
     def test_stacked_call_is_one_frame_calls_bit_for_bit(self, n):
@@ -116,7 +124,7 @@ class TestSsim:
             b = np.clip(a + 0.2 * rng.normal((n, *shape)), 0.0, 1.0)
             stacked = M.ssim(a, b)
             assert stacked.shape == (n,)
-            ones = np.array([M.ssim(a[i], b[i]) for i in range(n)])
+            ones = np.array([M.ssim(a[i:i + 1], b[i:i + 1])[0] for i in range(n)])
             assert stacked.tobytes() == ones.tobytes(), shape
 
     @pytest.mark.parametrize("n", [1, 7, SCORE_BLOCK, 180])
@@ -127,46 +135,47 @@ class TestSsim:
             assert (M.ssim(a, a) == 1.0).all(), shape
 
     def test_symmetry(self):
-        a, b = rand_frame(Rng(3), 16), rand_frame(Rng(4), 16)
-        assert M.ssim(a, b) == pytest.approx(M.ssim(b, a), abs=1e-15)
+        a, b = rand_stack(Rng(3), 16), rand_stack(Rng(4), 16)
+        assert M.ssim(a, b)[0] == pytest.approx(M.ssim(b, a)[0], abs=1e-15)
 
     def test_constant_zero_vs_one(self):
-        z = np.zeros((16, 16))
-        o = np.ones((16, 16))
+        z = np.zeros((1, 16, 16))
+        o = np.ones((1, 16, 16))
         expect = M.SSIM_C1 / (1 + M.SSIM_C1)
-        assert M.ssim(z, o) == pytest.approx(expect, rel=1e-9)
+        assert M.ssim(z, o)[0] == pytest.approx(expect, rel=1e-9)
 
     def test_against_direct_oracle(self):
         rng = Rng(5)
         for _ in range(20):
-            a, b = rand_frame(rng, 12), rand_frame(rng, 12)
-            assert M.ssim(a, b) == pytest.approx(ssim_oracle(a, b), abs=1e-9)
+            a, b = rand_stack(rng, 12), rand_stack(rng, 12)
+            assert M.ssim(a, b)[0] == pytest.approx(ssim_oracle(a[0], b[0]), abs=1e-9)
 
     def test_too_small(self):
         with pytest.raises(M.MetricError):
-            M.ssim(np.zeros((5, 5)), np.zeros((5, 5)))
+            M.ssim(np.zeros((1, 5, 5)), np.zeros((1, 5, 5)))
 
 
 class TestLpipsProxy:
     def test_identity_and_symmetry(self):
         emb = Embedder.create(0)
-        a, b = rand_frame(Rng(6)), rand_frame(Rng(7))
-        assert M.lpips_proxy(emb, a, a) == 0.0
-        assert M.lpips_proxy(emb, a, b) == pytest.approx(M.lpips_proxy(emb, b, a))
+        a, b = rand_stack(Rng(6)), rand_stack(Rng(7))
+        assert M.lpips_proxy(emb, a, a)[0] == 0.0
+        assert M.lpips_proxy(emb, a, b)[0] == pytest.approx(M.lpips_proxy(emb, b, a)[0])
 
     def test_triangle_inequality(self):
         emb = Embedder.create(0)
         rng = Rng(8)
-        a, b, c = (rand_frame(rng) for _ in range(3))
-        assert M.lpips_proxy(emb, a, c) <= M.lpips_proxy(emb, a, b) + M.lpips_proxy(emb, b, c) + 1e-12
+        a, b, c = (rand_stack(rng) for _ in range(3))
+        assert M.lpips_proxy(emb, a, c)[0] <= (M.lpips_proxy(emb, a, b)[0]
+                                               + M.lpips_proxy(emb, b, c)[0] + 1e-12)
 
     def test_single_pixel_delta(self):
         emb = Embedder.create(0)
-        a = np.zeros((64, 64))
+        a = np.zeros((1, 64, 64))
         b = a.copy()
         delta = 0.37
-        b[10, 20] = delta
-        d = M.lpips_proxy(emb, a, b)
+        b[0, 10, 20] = delta
+        d = M.lpips_proxy(emb, a, b)[0]
         assert d == pytest.approx(delta / math.sqrt(emb.projection.out_dim), rel=1e-12)
 
 

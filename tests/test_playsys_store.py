@@ -119,14 +119,14 @@ class TestProposer:
     def test_oob_priority(self):
         s = default_scene().nominal_state()
         s.object_by_id(1).x = 0.01
-        instr = propose(s, ProposerConfig(), Rng(0))
+        instr = propose(s, ProposerConfig(), Rng(0), Physics())
         assert instr.task.verb == "reset_retrieve"
         assert instr.task.subject == 1
 
     def test_determinism(self):
         s = default_scene().nominal_state()
-        a = propose(s, ProposerConfig(), Rng(9))
-        b = propose(s, ProposerConfig(), Rng(9))
+        a = propose(s, ProposerConfig(), Rng(9), Physics())
+        b = propose(s, ProposerConfig(), Rng(9), Physics())
         assert a == b
 
     def test_degenerate_grammar(self):
@@ -135,14 +135,14 @@ class TestProposer:
         cfg = ProposerConfig(verb_weights=weights)
         s = default_scene().nominal_state()
         for seed in range(10):
-            instr = propose(s, cfg, Rng(seed))
+            instr = propose(s, cfg, Rng(seed), Physics())
             assert instr.task.verb == "put_in"
             assert s.object_by_id(instr.task.subject).kind in ("disk", "rect")
 
     def test_empty_scene_raises(self):
         s = EnvState(gripper=GripperState(), objects=[])
         with pytest.raises(ProposalError):
-            propose(s, ProposerConfig(), Rng(0))
+            propose(s, ProposerConfig(), Rng(0), Physics())
 
     def test_verb_frequency_uniform(self):
         # scene where every verb is applicable
@@ -177,7 +177,8 @@ class TestCollect:
         store = EpisodeStore(str(tmp_path / "s"))
         collect(default_scene(), ProposerConfig(), 10, Rng(5), store)
         assert len(store) == 10
-        for ep in store.episodes():
+        for eid in store.ids():
+            ep = store.read(eid)
             assert np.all(np.abs(ep.actions[:, :2]) <= 0.08 + 1e-12)
 
     def test_episode_states_are_distinct_and_outlive_the_next_episode(self):
@@ -208,7 +209,8 @@ class TestCollect:
 
         def initial_var(store):
             pos = []
-            for ep in store.episodes():
+            for eid in store.ids():
+                ep = store.read(eid)
                 for o in ep.state(0).objects:
                     if o.kind in ("disk", "rect"):
                         pos.append([o.x, o.y])
@@ -223,7 +225,8 @@ class TestCollect:
         # reset priority keeps strays from persisting over consecutive episodes
         consecutive = 0
         worst = 0
-        for ep in store.episodes():
+        for eid in store.ids():
+            ep = store.read(eid)
             oob_start = any(not (0.05 <= o.x <= 0.95 and 0.05 <= o.y <= 0.95)
                             for o in ep.state(0).objects if o.kind != "towel2link")
             consecutive = consecutive + 1 if oob_start else 0

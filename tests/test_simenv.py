@@ -397,15 +397,15 @@ class TestTasks:
             ObjectState(1, "disk", 0.32, 0.3, 0.0, (0.035,)),
         ]
         s = simple_state(objects=objs)
-        assert check_success(s, TaskSpec("put_in", 1, 0))
+        assert check_success(s, TaskSpec("put_in", 1, 0), PHYS)
         s.gripper.held = 1
-        assert not check_success(s, TaskSpec("put_in", 1, 0))
+        assert not check_success(s, TaskSpec("put_in", 1, 0), PHYS)
 
     def test_fold_unfold_at_zero(self):
         towel = ObjectState(4, "towel2link", 0.5, 0.5, 0.0, (0.085, 0.028))
         s = simple_state(objects=[towel])
-        assert check_success(s, TaskSpec("unfold", 4))
-        assert not check_success(s, TaskSpec("fold", 4))
+        assert check_success(s, TaskSpec("unfold", 4), PHYS)
+        assert not check_success(s, TaskSpec("fold", 4), PHYS)
 
     def test_stack_predicate(self):
         objs = [
@@ -413,12 +413,12 @@ class TestTasks:
             ObjectState(2, "rect", 0.50, 0.50, 0.0, (0.03, 0.03)),
         ]
         s = simple_state(objects=objs)
-        assert check_success(s, TaskSpec("stack", 1, 2))
+        assert check_success(s, TaskSpec("stack", 1, 2), PHYS)
 
     def test_dangling_object(self):
         s = simple_state()
         with pytest.raises(DanglingObjectError):
-            check_success(s, TaskSpec("put_in", 9, 0))
+            check_success(s, TaskSpec("put_in", 9, 0), PHYS)
 
 
 class TestClassify:
@@ -441,30 +441,50 @@ class TestClassify:
 
     def test_miss_only(self):
         events = [Event(EventKind.GRASP_MISS)]
-        assert classify_clip(events, self.task(), self.final_fail_state()) == BehaviorMode.MISSED_GRASP
+        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
+                == BehaviorMode.MISSED_GRASP)
 
     def test_success_clip(self):
         events = [Event(EventKind.GRASP_SUCCESS, (1,)), Event.none()]
-        assert classify_clip(events, self.task(), self.final_success_state()) == BehaviorMode.SUCCESS
+        assert (classify_clip(events, self.task(), self.final_success_state(), PHYS)
+                == BehaviorMode.SUCCESS)
 
     def test_pre_grasp_miss_forgiven(self):
         events = [Event(EventKind.GRASP_MISS), Event(EventKind.GRASP_SUCCESS, (1,))]
-        assert classify_clip(events, self.task(), self.final_success_state()) == BehaviorMode.SUCCESS
+        assert (classify_clip(events, self.task(), self.final_success_state(), PHYS)
+                == BehaviorMode.SUCCESS)
 
     def test_slide_then_slip_has_slip_precedence(self):
         events = [Event(EventKind.CONTACT_SLIDE, (1,)), Event(EventKind.SLIP_DROP, (1,))]
-        assert classify_clip(events, self.task(), self.final_fail_state()) == BehaviorMode.SLIP
+        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
+                == BehaviorMode.SLIP)
 
     def test_order_invariance(self):
         events = [Event(EventKind.SLIP_DROP, (1,)), Event(EventKind.CONTACT_SLIDE, (1,))]
-        assert classify_clip(events, self.task(), self.final_fail_state()) == BehaviorMode.SLIP
+        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
+                == BehaviorMode.SLIP)
 
     def test_fold_change_is_deformation_outside_fold_tasks(self):
         events = [Event(EventKind.FOLD_CHANGE, (4,))]
-        assert classify_clip(events, self.task(), self.final_fail_state()) == BehaviorMode.DEFORMATION
+        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
+                == BehaviorMode.DEFORMATION)
         towel = ObjectState(4, "towel2link", 0.5, 0.5, 0.0, (0.085, 0.028), fold_angle=3.0)
         s = simple_state(objects=[towel])
-        assert classify_clip(events, TaskSpec("fold", 4), s) == BehaviorMode.SUCCESS
+        assert classify_clip(events, TaskSpec("fold", 4), s, PHYS) == BehaviorMode.SUCCESS
+
+    def test_stack_success_is_judged_under_the_clip_physics(self):
+        """A stack released 0.05 from its base succeeds where r_stack is 0.06,
+        so the miss before the grasp is forgiven; under the default 0.04 the
+        stack fails and the miss labels the clip."""
+        objs = [
+            ObjectState(1, "disk", 0.55, 0.50, 0.0, (0.035,), z_level=1),
+            ObjectState(2, "rect", 0.50, 0.50, 0.0, (0.03, 0.03)),
+        ]
+        s = simple_state(objects=objs)
+        task = TaskSpec("stack", 1, 2)
+        events = [Event(EventKind.GRASP_MISS), Event(EventKind.GRASP_SUCCESS, (1,)), Event.none()]
+        assert classify_clip(events, task, s, Physics(r_stack=0.06)) == BehaviorMode.SUCCESS
+        assert classify_clip(events, task, s, PHYS) == BehaviorMode.MISSED_GRASP
 
 
 class TestCodec:
@@ -566,3 +586,8 @@ class TestCodec:
         cfg = default_scene()
         back = scene_from_dict(scene_to_dict(cfg))
         assert back == cfg
+
+    def test_scene_record_with_an_unread_key_fails_by_name(self):
+        """A scene record from before SceneConfig lost its unread seed."""
+        with pytest.raises(ValueError, match="unknown scene keys \\['seed'\\]"):
+            scene_from_dict({**scene_to_dict(default_scene()), "seed": 0})

@@ -94,12 +94,27 @@ def test_traced_layers_resolve():
 
 
 # Stage functions of the play-against-demo study, defined ahead of the
-# `playwm run` command that is to call them.
+# `playwm run` command that is to call them, and the report fields that its
+# run record is to read.
 AWAITING_CLI = (
     "bench.run_policy_eval",
     "policies.build_suite",
     "policies.default_suite_spec",
     "curation.coverage_report",
+    "bench.PolicyEvalRow.real_modes",
+    "bench.PolicyEvalRow.predicted_modes",
+    "bench.PolicyEvalReport.rows",
+    "bench.PolicyEvalReport.mean_tv",
+    "bench.PolicyEvalReport.flagged",
+    "curation.CoverageReport.rows",
+    "curation.CoverageReport.hull_area",
+    "curation.CoverageReport.mean_pairwise",
+    "curation.CoverageReport.mode_counts",
+    "dsrl.EvalPoint.updates",
+    "dsrl.EvalPoint.env_success",
+    "dsrl.EvalPoint.imagined_return",
+    "metrics.MetricReport.rows",
+    "metrics.MetricReport.per_mode",
 )
 
 # Scalar codecs that the program replaced with array twins; tests check the
@@ -112,52 +127,62 @@ REFERENCES = (
 
 
 def _definitions(path: pathlib.Path):
-    """(qualified name, bare name) of each top-level function, class and
-    constant of a module, and of each method of its classes."""
+    """(qualified name, bare name, whether it is a class member) of each
+    top-level function, class and constant of a module, and of each method,
+    property and annotated field of its classes."""
     module = path.stem
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield f"{module}.{target.id}", target.id
+                    yield f"{module}.{target.id}", target.id, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id, True
 
 
-def _references(root: pathlib.Path, folder: str) -> set[str]:
-    """Every name that the Python files under root/folder read, as a bare
-    name, an attribute or a by-name import."""
-    used = set()
+def _references(root: pathlib.Path, folder: str) -> tuple[set[str], set[str]]:
+    """The names that the Python files under root/folder read: (bare names
+    and by-name imports, attribute loads `x.name`)."""
+    names, attrs = set(), set()
     for path in sorted((root / folder).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
-    return used
+                names.update(alias.name for alias in node.names)
+    return names, attrs
 
 
 def test_every_package_name_is_referenced():
-    """Each function, class, constant and method in src/playwm is read
-    somewhere in the package or the benchmark. A name that nothing refers
-    to is dead code, and so is one that only tests read, unless it is a
-    scalar reference that tests check an array twin against."""
+    """Each function, class and constant in src/playwm is read somewhere in
+    the package or the benchmark, and so is each method, property and
+    annotated field of its classes. A class member counts as read only
+    through an attribute load `x.name`: a local variable or parameter of
+    the same name does not keep a dead member alive. A name that nothing
+    refers to is dead code, and so is one that only tests read, unless it
+    is a scalar reference that tests check an array twin against."""
     root = SRC.parents[1]
-    program = _references(root, "src") | _references(root, "perfbench")
-    unused = {qual for path in sorted(SRC.glob("*.py")) for qual, name in _definitions(path)
-              if name not in program and not name.startswith("__")}
+    src_names, src_attrs = _references(root, "src")
+    bench_names, bench_attrs = _references(root, "perfbench")
+    attrs = src_attrs | bench_attrs
+    names = src_names | bench_names | attrs
+    unused = {qual for path in sorted(SRC.glob("*.py"))
+              for qual, name, member in _definitions(path)
+              if name not in (attrs if member else names) and not name.startswith("__")}
     exempt = set(AWAITING_CLI) | set(REFERENCES)
     assert unused <= exempt, f"names in src/playwm that only tests or nothing read: " \
                              f"{sorted(unused - exempt)}"
     assert exempt <= unused, f"exempt names now read by the program or gone: " \
                              f"{sorted(exempt - unused)}"
-    tested = _references(root, "tests")
+    tested = set.union(*_references(root, "tests"))
     untested = [qual for qual in REFERENCES if qual.rsplit(".", 1)[1] not in tested]
     assert not untested, f"REFERENCES names that no test reads: {untested}"
