@@ -43,6 +43,9 @@ def manifest_bytes(root):
 
 # seed 7, 8 play episodes, blob version 2
 GOLDEN_MANIFEST_HASH = "924a033fb495dc793a23602363f534dcb36e37c1895a8a07c7cb53dc3914f688"
+# the same store's blob sha256 fields in manifest order, joined: pins the
+# blob bytes whatever layout holds them
+GOLDEN_BLOB_HASH = "06e97575b0f771b9f9a66f54fca8f7020b42089ea2f04eeff6272890a195e6f7"
 
 
 class ReopeningStore:
@@ -315,6 +318,13 @@ class TestStore:
         store = EpisodeStore(str(tmp_path / "s"))
         collect(default_scene(), ProposerConfig(), 8, Rng(7), store)
         assert store.manifest_hash() == GOLDEN_MANIFEST_HASH
+
+    def test_golden_blob_hashes(self, tmp_path):
+        store = EpisodeStore(str(tmp_path / "s"))
+        collect(default_scene(), ProposerConfig(), 8, Rng(7), store)
+        joined = "".join(store.meta(eid)["sha256"] for eid in store.ids())
+        assert hashlib.sha256(joined.encode()).hexdigest() == GOLDEN_BLOB_HASH
+        assert all(store.verify(eid) for eid in store.ids())
 
     def test_golden_manifest_hash_reopening_between_appends(self, tmp_path):
         root = str(tmp_path / "s")
