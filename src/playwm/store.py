@@ -1,5 +1,11 @@
-"""Episode persistence: one states-only blob per episode plus an append-only
-JSONL manifest.
+"""Episode persistence: one append-only segment of states-only blobs plus an
+append-only JSONL manifest.
+
+Layout: a store's root holds exactly two files. `episodes.bin`, the segment,
+is every episode's blob back to back in manifest order. `manifest.jsonl`
+has one line per episode: its id, the blob's length (`bytes`) and sha256,
+and the fields readers filter on. An episode's offset in the segment is the
+sum of the `bytes` of the lines before it, so no offset is stored.
 
 Blob layout, version 2 (little-endian throughout):
 
@@ -18,7 +24,10 @@ n_frames = n_steps + 1 (initial state included). A state row is
 not stored: `render.render_frames` reproduces them bit-exactly from the
 state arrays, so readers render only the frames they consume. Version 1
 blobs, which also held 64x64 frames, are not readable; reading one raises
-StoreError naming the file and its version.
+StoreError naming the segment, the episode and its version. Neither is a
+store of the earlier layout, one blob file per episode under `episodes/`:
+its manifest lines carry `file` instead of `bytes`, and opening it raises
+StoreError naming the manifest and the line.
 
 Reading: `read` returns an `EpisodeView`, read-only arrays over the blob's
 states, actions, events and noise plus the metadata (instruction and object
@@ -30,14 +39,25 @@ object arrays, which `statecodec.encode_states` encodes and, with
 the row layout. `Episode`, the object-list record, is the write side:
 `collect` builds it and `append` takes it.
 
-Durability: `append` writes the blob to a temp file and renames it into
-place, then writes the episode's manifest line (carrying the blob's sha256)
-in append mode, flushes and fsyncs it; earlier lines are never rewritten.
-A crash can leave a torn final line, which opening the store drops,
-truncating the file back to the last complete line. A bad line anywhere
-else raises StoreError naming the manifest and the line number. Every
-`read` re-hashes the blob against its manifest record and checks its magic,
-version and size.
+Durability: `append` creates no file once the store holds an episode. It
+writes the blob with one `pwrite` at the segment's committed end, then
+writes the episode's manifest line in append mode, flushes and fsyncs it;
+that fsync is the commit point, and earlier bytes of either file are never
+rewritten. An append that raises before its line is written leaves no
+record: its blob bytes lie past the committed end, and the next append
+overwrites them. One that raises while writing its line truncates the
+manifest back to its committed length, so a retry of the same episode
+succeeds. A store has one writer.
+
+Recovery: opening a store indexes the manifest. A crash can leave a torn
+final line, which is dropped, truncating the file back to the last complete
+line; a bad line anywhere else raises StoreError naming the manifest and the
+line number. The segment is then checked against the sum of `bytes`: a
+longer one (the blob of an append that never committed) is truncated back
+to it, and a shorter one raises StoreError naming the segment and both byte
+counts. The segment is not fsynced, so blob bytes a crash lost show there
+or, on `read`, as a sha256 mismatch. Every `read` takes its record with one
+`pread` and checks its length, sha256, magic, version and size.
 """
 
 from __future__ import annotations
@@ -57,6 +77,7 @@ from .tasks import BehaviorMode, TaskSpec, classify_clip
 MAGIC = b"PWEP"
 VERSION = 2
 HEADER_BYTES = 12  # magic, version, meta_len
+SEGMENT = "episodes.bin"
 
 
 @dataclass
@@ -152,18 +173,22 @@ class StoreError(RuntimeError):
 class EpisodeStore:
     def __init__(self, root: str):
         self.root = root
-        os.makedirs(os.path.join(root, "episodes"), exist_ok=True)
+        os.makedirs(root, exist_ok=True)
         self._manifest_path = os.path.join(root, "manifest.jsonl")
+        self._segment_path = os.path.join(root, SEGMENT)
         self._index: dict[str, dict] = {}
+        self._offset: dict[str, int] = {}  # each episode's blob offset in the segment
+        self._manifest_bytes = 0  # committed lengths of the two files
+        self._segment_bytes = 0
         if os.path.exists(self._manifest_path):
             self._load_manifest()
+        self._check_segment()
 
     def _load_manifest(self) -> None:
         """Index every manifest line; drop a torn final line from the file."""
         with open(self._manifest_path, "rb") as fh:
             data = fh.read()
         *lines, tail = data.split(b"\n")  # a non-empty tail lacks its newline
-        good_end = 0
         for lineno, line in enumerate(lines, start=1):
             try:
                 rec = json.loads(line)
@@ -173,14 +198,30 @@ class EpisodeStore:
                     break
                 raise StoreError(f"{self._manifest_path}: line {lineno} is not a manifest "
                                  f"record") from None
+            nbytes = rec.get("bytes")
+            if type(nbytes) is not int or nbytes < 0:
+                raise StoreError(f"{self._manifest_path}: line {lineno} gives no blob length "
+                                 f"('bytes'); stores of one file per episode are not readable")
             if eid in self._index:
                 raise StoreError(f"{self._manifest_path}: line {lineno} repeats id {eid!r}")
             self._index[eid] = rec
-            good_end += len(line) + 1
-        if good_end < len(data):
-            with open(self._manifest_path, "r+b") as fh:
-                fh.truncate(good_end)
-                os.fsync(fh.fileno())
+            self._offset[eid] = self._segment_bytes
+            self._segment_bytes += nbytes
+            self._manifest_bytes += len(line) + 1
+        if self._manifest_bytes < len(data):
+            _truncate(self._manifest_path, self._manifest_bytes)
+
+    def _check_segment(self) -> None:
+        """Trim blob bytes past the committed end; a short segment raises."""
+        try:
+            size = os.path.getsize(self._segment_path)
+        except FileNotFoundError:
+            size = 0
+        if size < self._segment_bytes:
+            raise StoreError(f"{self._segment_path}: segment holds {size} bytes, its manifest "
+                             f"records {self._segment_bytes}")
+        if size > self._segment_bytes:
+            _truncate(self._segment_path, self._segment_bytes)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -199,15 +240,9 @@ class EpisodeStore:
         if episode.eid in self._index:
             raise StoreError(f"duplicate episode id {episode.eid!r}")
         blob = _pack(episode)
-        rel = os.path.join("episodes", f"{episode.eid}.bin")
-        path = os.path.join(self.root, rel)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
         rec = {
             "id": episode.eid,
-            "file": rel,
+            "bytes": len(blob),
             "sha256": hashlib.sha256(blob).hexdigest(),
             "source": episode.source,
             "verb": episode.instruction.task.verb,
@@ -215,33 +250,64 @@ class EpisodeStore:
             "n_steps": episode.n_steps,
             "seed": episode.seed,
         }
-        with open(self._manifest_path, "ab") as fh:
-            fh.write((json.dumps(rec, sort_keys=True) + "\n").encode())
-            fh.flush()
-            os.fsync(fh.fileno())
+        line = (json.dumps(rec, sort_keys=True) + "\n").encode()
+        fd = os.open(self._segment_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = os.pwrite(fd, blob, self._segment_bytes)
+        finally:
+            os.close(fd)
+        if written != len(blob):
+            raise StoreError(f"{self._segment_path}: wrote {written} of episode "
+                             f"{episode.eid!r}'s {len(blob)} bytes")
+        try:
+            with open(self._manifest_path, "ab") as fh:
+                fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
+        except BaseException:
+            if os.path.exists(self._manifest_path):
+                os.truncate(self._manifest_path, self._manifest_bytes)
+            raise
         self._index[episode.eid] = rec
+        self._offset[episode.eid] = self._segment_bytes
+        self._segment_bytes += len(blob)
+        self._manifest_bytes += len(line)
         return episode.eid
 
-    def _blob(self, eid: str) -> tuple[str, bytes, bool]:
-        """(path, bytes, whether the bytes match the manifest's sha256)."""
+    def _blob(self, eid: str) -> tuple[bytes, str | None]:
+        """The episode's bytes and, if they do not match its manifest record,
+        what is wrong with them."""
         rec = self.meta(eid)
-        path = os.path.join(self.root, rec["file"])
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        return path, blob, hashlib.sha256(blob).hexdigest() == rec["sha256"]
+        fd = os.open(self._segment_path, os.O_RDONLY)
+        try:
+            blob = os.pread(fd, rec["bytes"], self._offset[eid])
+        finally:
+            os.close(fd)
+        if len(blob) != rec["bytes"]:
+            return blob, f"holds {len(blob)} of the {rec['bytes']} bytes its manifest records"
+        if hashlib.sha256(blob).hexdigest() != rec["sha256"]:
+            return blob, "sha256 does not match the manifest record"
+        return blob, None
 
     def read(self, eid: str) -> EpisodeView:
-        path, blob, intact = self._blob(eid)
-        if not intact:
-            raise StoreError(f"{path}: sha256 does not match the manifest record")
-        return _unpack(blob, path)
+        blob, fault = self._blob(eid)
+        where = f"{self._segment_path}: episode {eid!r}"
+        if fault is not None:
+            raise StoreError(f"{where} {fault}")
+        return _unpack(blob, where)
 
     def verify(self, eid: str) -> bool:
-        return self._blob(eid)[2]
+        return self._blob(eid)[1] is None
 
     def manifest_hash(self) -> str:
         with open(self._manifest_path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _truncate(path: str, size: int) -> None:
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+        os.fsync(fh.fileno())
 
 
 def windows(store: EpisodeStore, W: int, stride: int | None = None,
@@ -334,12 +400,13 @@ def _pack(ep: Episode) -> bytes:
     return b"".join(chunks)
 
 
-def _unpack(blob: bytes, path: str) -> EpisodeView:
+def _unpack(blob: bytes, where: str) -> EpisodeView:
+    """The view of one blob; `where` names it in errors."""
     if len(blob) < HEADER_BYTES or blob[:4] != MAGIC:
-        raise StoreError(f"{path}: bad magic; not an episode blob")
+        raise StoreError(f"{where}: bad magic; not an episode blob")
     version, meta_len = (int(v) for v in np.frombuffer(blob[4:HEADER_BYTES], dtype="<u4"))
     if version != VERSION:
-        raise StoreError(f"{path}: blob version {version} is not readable "
+        raise StoreError(f"{where}: blob version {version} is not readable "
                          f"(this store reads version {VERSION})")
     off = HEADER_BYTES + meta_len
     meta = json.loads(blob[HEADER_BYTES:off].decode())
@@ -349,7 +416,7 @@ def _unpack(blob: bytes, path: str) -> EpisodeView:
     row_w = 6 + 5 * n_obj
     size = off + 8 * (n_frames * row_w + n_steps * 4 + n_steps) + 4 * n_steps * 3
     if len(blob) != size:
-        raise StoreError(f"{path}: blob holds {len(blob)} bytes, its header implies {size}")
+        raise StoreError(f"{where}: blob holds {len(blob)} bytes, its header implies {size}")
 
     states = np.frombuffer(blob, dtype="<f8", count=n_frames * row_w, offset=off).reshape(n_frames, row_w)
     off += states.nbytes

@@ -369,30 +369,37 @@ class TestStore:
         with pytest.raises(StoreError, match=r"manifest\.jsonl: line 1 "):
             EpisodeStore(root)
 
-    def _blob_path(self, store, eid):
-        return os.path.join(store.root, store.meta(eid)["file"])
+    def _record(self, store, eid):
+        """(segment path, offset, length) of the episode's blob."""
+        offset = 0
+        for other in store.ids():
+            if other == eid:
+                return os.path.join(store.root, "episodes.bin"), offset, store.meta(eid)["bytes"]
+            offset += store.meta(other)["bytes"]
 
     def test_truncated_blob_raises(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
+        store.append(expert_episode("e0", seed=0))
         store.append(expert_episode("e1"))
-        path = self._blob_path(store, "e1")
+        path, _, _ = self._record(store, "e1")
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 5)
-        assert not store.verify("e1")
-        with pytest.raises(StoreError, match="e1.bin"):
+        assert store.verify("e0") and not store.verify("e1")
+        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1' holds"):
             store.read("e1")
 
     def test_flipped_byte_raises(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         store.append(expert_episode("e1"))
-        path = self._blob_path(store, "e1")
+        store.append(expert_episode("e2", seed=2))
+        path, offset, length = self._record(store, "e1")
         with open(path, "r+b") as fh:
-            fh.seek(-3, os.SEEK_END)
+            fh.seek(offset + length - 3)
             byte = fh.read(1)
-            fh.seek(-3, os.SEEK_END)
+            fh.seek(offset + length - 3)
             fh.write(bytes([byte[0] ^ 0xFF]))
-        assert not store.verify("e1")
-        with pytest.raises(StoreError, match="e1.bin.*sha256"):
+        assert not store.verify("e1") and store.verify("e2")
+        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1' sha256"):
             store.read("e1")
 
     def test_unknown_id_raises(self, tmp_path):
@@ -406,17 +413,87 @@ class TestStore:
         store = EpisodeStore(root)
         store.append(expert_episode("e1"))
         rec = store.meta("e1")
-        path = self._blob_path(store, "e1")
-        with open(path, "rb") as fh:
-            blob = bytearray(fh.read())
-        blob[4:8] = (1).to_bytes(4, "little")
-        with open(path, "wb") as fh:
+        path, offset, length = self._record(store, "e1")
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            blob = bytearray(fh.read(length))
+            blob[4:8] = (1).to_bytes(4, "little")
+            fh.seek(offset)
             fh.write(blob)
         line = json.dumps({**rec, "sha256": hashlib.sha256(blob).hexdigest()}, sort_keys=True)
         with open(os.path.join(root, "manifest.jsonl"), "w") as fh:
             fh.write(line + "\n")
-        with pytest.raises(StoreError, match="e1.bin: blob version 1"):
+        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1': blob version 1"):
             EpisodeStore(root).read("e1")
+
+    def test_torn_segment_tail_dropped(self, tmp_path):
+        """Blob bytes of an append that never wrote its manifest line."""
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        for i in range(2):
+            store.append(expert_episode(f"e{i}", seed=i))
+        path = os.path.join(root, "episodes.bin")
+        committed = os.path.getsize(path)
+        with open(path, "ab") as fh:
+            fh.write(b"PWEP" + bytes(100))
+        again = EpisodeStore(root)
+        assert os.path.getsize(path) == committed
+        again.append(expert_episode("e2", seed=2))
+        reopened = EpisodeStore(root)
+        assert reopened.ids() == ["e0", "e1", "e2"]
+        assert [reopened.read(eid).eid for eid in reopened.ids()] == ["e0", "e1", "e2"]
+
+    def test_short_segment_raises(self, tmp_path):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e0"))
+        path = os.path.join(root, "episodes.bin")
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(size - 1)
+        with pytest.raises(StoreError, match=rf"episodes\.bin: segment holds {size - 1} bytes, "
+                                             rf"its manifest records {size}"):
+            EpisodeStore(root)
+
+    def test_failed_manifest_fsync_leaves_no_record(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e0", seed=0))
+        committed = manifest_bytes(root)
+
+        def failing_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="Input/output error"):
+            store.append(expert_episode("e1", seed=1))
+        monkeypatch.undo()
+        assert store.ids() == ["e0"] and manifest_bytes(root) == committed
+        store.append(expert_episode("e1", seed=1))
+        store.append(expert_episode("e2", seed=2))
+        reopened = EpisodeStore(root)
+        assert reopened.ids() == ["e0", "e1", "e2"]
+        for i, eid in enumerate(reopened.ids()):
+            assert reopened.verify(eid)
+            assert reopened.read(eid).noise.tolist() == expert_episode(eid, seed=i).noise
+
+    def test_old_layout_manifest_line_raises(self, tmp_path):
+        """A line of the earlier layout, one blob file per episode."""
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e0"))
+        old = {k: v for k, v in store.meta("e0").items() if k != "bytes"}
+        with open(os.path.join(root, "manifest.jsonl"), "ab") as fh:
+            line = json.dumps({**old, "id": "e1", "file": "episodes/e1.bin"}, sort_keys=True)
+            fh.write(line.encode() + b"\n")
+        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 2 gives no blob length"):
+            EpisodeStore(root)
+
+    def test_layout_is_one_segment_and_the_manifest(self, seeded_play_store):
+        """Appends create no file: 30 collected episodes leave two files."""
+        assert len(seeded_play_store) == 30
+        assert sorted(os.listdir(seeded_play_store.root)) == ["episodes.bin", "manifest.jsonl"]
+        assert all(seeded_play_store.verify(eid) for eid in seeded_play_store.ids())
 
 
 class TestWindows:
