@@ -41,8 +41,8 @@ def manifest_bytes(root):
         return fh.read()
 
 
-# seed 7, 8 play episodes, blob version 2
-GOLDEN_MANIFEST_HASH = "924a033fb495dc793a23602363f534dcb36e37c1895a8a07c7cb53dc3914f688"
+# seed 7, 8 play episodes, blob version 2, blob lengths in the manifest
+GOLDEN_MANIFEST_HASH = "8cf5051b8da16f2d918f740c47ebf094b06cea618a2b50f2eabb04cf7f71a6f7"
 # the same store's blob sha256 fields in manifest order, joined: pins the
 # blob bytes whatever layout holds them
 GOLDEN_BLOB_HASH = "06e97575b0f771b9f9a66f54fca8f7020b42089ea2f04eeff6272890a195e6f7"
