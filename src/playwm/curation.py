@@ -215,6 +215,8 @@ def build_ranks(distances: np.ndarray, R: int = 5,
         raise ValueError(f"need at least {R} distances, got {n}")
     if len(fractions) != R - 1:
         raise ValueError("need R-1 quantile fractions")
+    if wins is not None and len(wins) != n:
+        raise ValueError(f"{len(wins)} windows for {n} distances")
     sorted_d = np.sort(distances)
     thresholds = np.array([sorted_d[min(int(np.ceil(f * n)), n - 1)] for f in fractions])
     ranks = np.searchsorted(thresholds, distances, side="right") + 1

@@ -175,6 +175,8 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
     """
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
+    if curriculum is not None:
+        _check_index_rows(curriculum[0], dataset)
     opt = Adam(lr=wm.cfg.lr)
     grads = wm.denoiser.net.params.zeros_like()
     trace: list[tuple[int, float]] = []
@@ -198,6 +200,17 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
     wm.step_count += steps
     wm.loss_trace.extend(trace)
     return trace
+
+
+def _check_index_rows(index: CurriculumIndex, dataset: WindowDataset) -> None:
+    """ValueError unless the index ranks exactly the dataset's windows, row
+    for row: its members are dataset rows."""
+    if len(index.windows) != len(dataset.windows):
+        raise ValueError(f"curriculum index holds {len(index.windows)} windows, "
+                         f"the dataset {len(dataset.windows)}")
+    for row, (ranked, held) in enumerate(zip(index.windows, dataset.windows)):
+        if ranked != held:
+            raise ValueError(f"curriculum index row {row} is {ranked}, the dataset's is {held}")
 
 
 # -- inference ----------------------------------------------------------------

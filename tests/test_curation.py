@@ -290,6 +290,12 @@ class TestRanks:
         assert list(window_ranks(idx, len(d))) == [1, 2, 2, 2]
 
 
+    def test_one_window_per_distance(self):
+        wins = [ClipWindow("e0", start, 5, BehaviorMode.SUCCESS) for start in range(6)]
+        with pytest.raises(ValueError, match="6 windows for 7 distances"):
+            cu.build_ranks(np.arange(7.0), 5, wins=wins)
+
+
 class TestAnneal:
     def test_initial_and_final_exact(self):
         s = cu.AnnealSchedule()

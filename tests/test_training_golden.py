@@ -72,6 +72,21 @@ def test_worldmodel_train(stores, dataset, sampling):
     assert digest(wm.param_hash(), trace) == GOLDEN[f"wm_{sampling}"]
 
 
+def test_worldmodel_train_rejects_an_index_over_other_windows(stores, dataset):
+    """An index over more windows than the dataset holds, and one over the
+    same windows in another order, fail before the first step."""
+    ds, _ = dataset
+    n = len(ds.windows)
+    wm = worldmodel.create_worldmodel(stores[0], WM_CFG, Rng(45))
+    more = curation.build_ranks(np.arange(27.0), wins=(ds.windows * 27)[:27])
+    with pytest.raises(ValueError, match=f"curriculum index holds 27 windows, the dataset {n}"):
+        worldmodel.train(wm, ds, 1, Rng(46), curriculum=(more, curation.AnnealSchedule()))
+    reversed_ = curation.build_ranks(np.arange(float(n)), wins=ds.windows[::-1])
+    with pytest.raises(ValueError, match="curriculum index row 0 is "):
+        worldmodel.train(wm, ds, 1, Rng(46), curriculum=(reversed_, curation.AnnealSchedule()))
+    assert wm.step_count == 0
+
+
 def test_train_bc(stores):
     policy = policies.create_policy(stores[0], BC_CFG, Rng(47))
     trace = policies.train_bc(policy, stores[2], 12, Rng(48), log_every=3)
