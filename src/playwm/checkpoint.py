@@ -25,7 +25,8 @@ class CheckpointError(RuntimeError):
 @contextmanager
 def header_builds(path: str):
     """CheckpointError naming path for header fields that do not build: an
-    unknown config or physics key, an unknown object kind, a bad value."""
+    unknown config key, an unknown or missing scene key, an unknown object
+    kind, a bad value."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:

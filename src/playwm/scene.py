@@ -113,6 +113,9 @@ def default_scene() -> SceneConfig:
     return SceneConfig(objects=objects)
 
 
+OBJECT_KEYS = {"id", "kind", "pose", "size", "z_level", "fold_angle"}  # of a scene_to_dict object
+
+
 def scene_to_dict(cfg: SceneConfig) -> dict:
     return {
         "physics": {k: getattr(cfg.physics, k) for k in Physics.__dataclass_fields__},
@@ -127,22 +130,29 @@ def scene_to_dict(cfg: SceneConfig) -> dict:
 
 
 def scene_from_dict(data: dict) -> SceneConfig:
-    """The scene of a `scene_to_dict` record. A top-level key this does not
-    read raises ValueError naming it, so a record from an older layout fails
-    instead of losing the key silently."""
-    unknown = sorted(set(data) - {"physics", "objects"})
-    if unknown:
-        raise ValueError(f"unknown scene keys {unknown}")
-    phys = Physics(**data.get("physics", {}))
+    """The scene of a `scene_to_dict` record. Any key this does not read, or
+    that the record lacks, at the top level, in the physics or in an object,
+    raises ValueError naming it (and the object's id), so a record from
+    another layout fails instead of losing or defaulting the key silently."""
+    _check_keys(data, {"physics", "objects"}, "scene")
+    _check_keys(data["physics"], set(Physics.__dataclass_fields__), "scene physics")
+    phys = Physics(**data["physics"])
     objs = []
     for od in data["objects"]:
+        _check_keys(od, OBJECT_KEYS, f"scene object {od.get('id')!r}")
         kind = od["kind"]
         if kind not in KINDS:
             raise ValueError(f"unknown object kind {kind!r}")
         x, y, theta = od["pose"]
         objs.append(ObjectState(od["id"], kind, x, y, theta, tuple(od["size"]),
-                                od.get("z_level", 0), od.get("fold_angle", 0.0)))
+                                od["z_level"], od["fold_angle"]))
     return SceneConfig(objects=tuple(objs), physics=phys)
+
+
+def _check_keys(record: dict, keys: set, what: str) -> None:
+    for problem, names in (("unknown", set(record) - keys), ("missing", keys - set(record))):
+        if names:
+            raise ValueError(f"{problem} {what} keys {sorted(names)}")
 
 
 def jittered_state(cfg: SceneConfig, rng, jitter: float = 0.02) -> EnvState:

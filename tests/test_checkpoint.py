@@ -181,12 +181,21 @@ def _unknown_kind(header):
     header["scene"]["objects"][0]["kind"] = "sphere"
 
 
+def _bowl_colour(header):
+    header["scene"]["objects"][0]["colour"] = "red"
+
+
+def _disk_without_z_level(header):
+    del header["scene"]["objects"][1]["z_level"]
+
+
 def _unknown_config_key(header):
     header["config"]["width"] = 3
 
 
 @pytest.mark.parametrize("kind, spoil", [(k, f) for k in ("worldmodel", "policy", "progress")
-                                         for f in (_old_physics, _old_scene_seed, _unknown_kind)]
+                                         for f in (_old_physics, _old_scene_seed, _unknown_kind,
+                                                   _bowl_colour, _disk_without_z_level)]
                          + [("worldmodel", _unknown_config_key),
                             ("policy", _unknown_config_key),
                             ("policy", _old_policy_replan)])

@@ -591,3 +591,19 @@ class TestCodec:
         """A scene record from before SceneConfig lost its unread seed."""
         with pytest.raises(ValueError, match="unknown scene keys \\['seed'\\]"):
             scene_from_dict({**scene_to_dict(default_scene()), "seed": 0})
+
+    def test_scene_object_keys_are_exact(self):
+        """An object key scene_to_dict does not write, or one it writes but
+        the record lacks, fails by name and object id."""
+        record = scene_to_dict(default_scene())
+        record["objects"][0]["colour"] = "red"  # the bowl
+        with pytest.raises(ValueError, match=r"unknown scene object 0 keys \['colour'\]"):
+            scene_from_dict(record)
+        record = scene_to_dict(default_scene())
+        del record["objects"][1]["z_level"]  # the disk
+        with pytest.raises(ValueError, match=r"missing scene object 1 keys \['z_level'\]"):
+            scene_from_dict(record)
+        record = scene_to_dict(default_scene())
+        del record["physics"]["max_steps"]
+        with pytest.raises(ValueError, match=r"missing scene physics keys \['max_steps'\]"):
+            scene_from_dict(record)
