@@ -77,7 +77,6 @@ from .tasks import BehaviorMode, TaskSpec, classify_clip
 MAGIC = b"PWEP"
 VERSION = 2
 HEADER_BYTES = 12  # magic, version, meta_len
-SEGMENT = "episodes.bin"
 
 
 @dataclass
@@ -175,7 +174,7 @@ class EpisodeStore:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._manifest_path = os.path.join(root, "manifest.jsonl")
-        self._segment_path = os.path.join(root, SEGMENT)
+        self._segment_path = os.path.join(root, "episodes.bin")
         self._index: dict[str, dict] = {}
         self._offset: dict[str, int] = {}  # each episode's blob offset in the segment
         self._manifest_bytes = 0  # committed lengths of the two files
