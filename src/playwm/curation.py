@@ -22,7 +22,7 @@ import numpy as np
 from .projection import Projection, random_projection
 from .render import FRAME_SIZE, render_frames
 from .rng import Rng
-from .store import ClipWindow, EpisodeStore
+from .store import ClipWindow, EpisodeStore, windows as store_windows
 
 EMBED_DIM = 32
 FRAME_PIXELS = FRAME_SIZE * FRAME_SIZE
@@ -175,8 +175,6 @@ def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
                           rng: Rng, window_len: int = 12) -> np.ndarray:
     """The (k, dim) k-means centroids of the embeddings of the demo store's
     success-episode windows."""
-    from .store import windows as store_windows
-
     wins = [w for w in store_windows(demo_store, window_len)
             if demo_store.meta(w.episode_id)["outcome"]]
     if len(wins) < k:
@@ -369,8 +367,6 @@ class CoverageReport:
 def coverage_report(stores: dict[str, EpisodeStore], embedder: Embedder,
                     window_len: int = 12, stride: int | None = None) -> CoverageReport:
     """Project every store's windows into a shared 2D PCA and compare spread."""
-    from .store import windows as store_windows
-
     all_embs = []
     tagged = []
     for source, store in stores.items():

@@ -206,8 +206,7 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
                 obj.z_level = 0
 
     # (8) out-of-bounds flags
-    lo, hi = phys.margin, 1.0 - phys.margin
-    oob = tuple(o.oid for o in s.objects if not (lo <= o.x <= hi and lo <= o.y <= hi))
+    oob = tuple(out_of_bounds_ids(s, phys))
     if oob:
         events.append(Event(EventKind.OUT_OF_BOUNDS, oob))
 

@@ -1,8 +1,9 @@
 """Stateful environment wrapper around the pure dynamics.
 
-Owns the per-step uniform noise stream; each step's draw is recorded so a
-stored episode can be replayed bit-exactly (the draw decides grasp slip
-fates and nothing else).
+Owns the per-step uniform noise stream. `step` takes its draw from the
+stream unless the caller passes one; `playsys.execute` draws it itself and
+records it, so a stored episode can be replayed bit-exactly (the draw
+decides grasp slip fates and nothing else).
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ class Env:
         self.phys = scene.physics
         self.rng = Rng(seed)
         self.state = scene.nominal_state()
-        self.noise_log: list[float] = []
 
     def reset(self, state: EnvState | None = None) -> EnvState:
         self.state = state.copy() if state is not None else self.scene.nominal_state()
-        self.noise_log = []
         return self.state
 
     def step(self, action: Action, u: float | None = None) -> tuple[EnvState, Event]:
         if u is None:
             u = self.rng.uniform()
-        self.noise_log.append(u)
         self.state, event = dynamics.step(self.state, action, u, self.phys)
         return self.state, event

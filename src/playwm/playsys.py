@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .dynamics import Action, Event, out_of_bounds_ids
+from .dynamics import Action, Event, EventKind, out_of_bounds_ids
 from .env import Env
 from .rng import Rng
 from .scene import EnvState, Physics, SceneConfig, jittered_state
 from .skills import Instruction, Perturbation, SkillController
-from .store import Episode, EpisodeStore
+from .store import Episode, EpisodeStore, record
 from .tasks import NEAR_RADIUS, FOLD_DONE, UNFOLD_DONE, TaskSpec, check_success
 
 log = logging.getLogger("playwm.collect")
@@ -142,7 +143,8 @@ def propose(state: EnvState, cfg: ProposerConfig, rng: Rng, phys: Physics) -> In
 def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
     """Run one instruction to success, terminal failure, or the scene's step
     budget. The simulator clamps each action to `a_max`, and the episode
-    records the clamped actions."""
+    records the clamped actions. Its id and source are empty and its seed
+    0; callers set them with `dataclasses.replace`."""
     skill = SkillController(instr, env.phys, rng)
     states = [env.state.copy()]
     actions: list[Action] = []
@@ -153,16 +155,14 @@ def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
         act = skill.action(env.state)
         if act is None:
             break
-        state, event = env.step(act)
+        u = env.rng.uniform()
+        state, event = env.step(act, u)
         states.append(state)
         actions.append(act.sanitized(env.phys))
         events.append(event)
-        noise.append(env.noise_log[-1])
+        noise.append(u)
         success = check_success(state, instr.task, env.phys)
-    return Episode(
-        eid="", source="", instruction=instr, outcome=bool(success), seed=0,
-        states=states, actions=actions, events=events, noise=noise,
-    )
+    return record("", "", instr, bool(success), 0, states, actions, events, noise)
 
 
 def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rng,
@@ -181,14 +181,11 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
         ep_seed = rng.spawn_seed()
         ep_rng = Rng(ep_seed)
         instr = propose(env.state, proposer, ep_rng, env.phys)
-        episode = execute(env, instr, ep_rng)
-        episode.eid = f"{source}-{i:06d}"
-        episode.source = source
-        episode.seed = ep_seed
+        episode = replace(execute(env, instr, ep_rng), eid=f"{source}-{i:06d}",
+                          source=source, seed=ep_seed)
         store.append(episode)
-        hist: dict[str, int] = {}
-        for e in episode.events:
-            hist[e.kind.name] = hist.get(e.kind.name, 0) + 1
+        hist = {EventKind(k).name: c
+                for k, c in Counter(episode.event_rows[:, 0].tolist()).items()}
         log.info("episode %s %s outcome=%s events=%s", episode.eid, instr.text(),
                  episode.outcome, hist)
     return store

@@ -17,7 +17,9 @@ executes the planned actions differs between the two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, asdict
+import os
+import tempfile
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -56,7 +58,6 @@ class DiffusionPolicy:
     denoiser: DenoiserNet
     schedule: NoiseSchedule
     train_steps_done: int = 0
-    loss_trace: list = field(default_factory=list)
 
     @property
     def latent_dim(self) -> int:
@@ -96,11 +97,13 @@ def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig) -> tuple[np.ndarray, n
 
 def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
              log_every: int = 50) -> list[tuple[int, float]]:
-    """Behaviour-clone the denoiser on (state, action chunk) pairs for `steps` steps.
+    """Behaviour-clone the denoiser on (state, action chunk) pairs for `steps`
+    steps; returns the (step, loss) trace, its steps counted on from
+    train_steps_done.
 
     Each call starts a fresh Adam, and checkpoints hold no optimizer state:
     resuming is not supported, so train_bc(50) then train_bc(50) is not
-    train_bc(100). train_steps_done and the loss trace do continue.
+    train_bc(100). train_steps_done does continue.
     """
     conds, chunks = chunk_dataset(demos, policy.cfg)
     opt = Adam(lr=policy.cfg.lr)
@@ -118,7 +121,6 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
         if step % log_every == 0 or step == steps - 1:
             trace.append((policy.train_steps_done + step, value))
     policy.train_steps_done += steps
-    policy.loss_trace.extend(trace)
     return trace
 
 
@@ -197,10 +199,7 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
         perturb = Perturbation(sigma_w=0.06 * noise, sigma_g=0.05 * noise,
                                speed_mult=1.0 + 0.6 * noise * (rng.uniform() - 0.3))
         ep = execute(env, Instruction(task, perturb), rng)
-        ep.eid = f"demo-{len(store):06d}"
-        ep.source = "demo"
-        ep.seed = i
-        store.append(ep)
+        store.append(replace(ep, eid=f"demo-{len(store):06d}", source="demo", seed=i))
 
 
 def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
@@ -283,9 +282,6 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
 def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
                 store_root: str | None = None) -> list[SuiteEntry]:
     """Train every variant; `bench.run_policy_eval` measures their success."""
-    import os
-    import tempfile
-
     root = store_root or tempfile.mkdtemp(prefix="suite-demos-")
     entries: list[SuiteEntry] = []
     for variant in spec.variants:

@@ -7,7 +7,7 @@ radius disk at 1.0 (0.9 when the aperture is at most half closed). Objects
 paint in ascending (z_level, oid) order and the gripper last.
 
 `render_frames` draws T frames in one call from state arrays, the non-held
-outputs of `EpisodeView.state_arrays` and `statecodec.project_states`; each
+outputs of `Episode.state_arrays` and `statecodec.project_states`; each
 object is tested on one fixed-size pixel patch per frame that holds every
 pixel its shape can cover. It pays a fixed cost per object and z-level, so
 callers render many frames per call; `render` and `render_states` draw

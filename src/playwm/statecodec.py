@@ -27,6 +27,15 @@ def state_dim(n_objects: int) -> int:
     return 4 + n_objects + 5 * n_objects
 
 
+def pose_delta_mask(n_objects: int) -> np.ndarray:
+    """True for the encoded dims that a world model predicts as offsets:
+    gripper x, y and each object's x, y, theta."""
+    mask = np.zeros(state_dim(n_objects), dtype=bool)
+    mask[:2] = True
+    mask[4 + n_objects:].reshape(n_objects, 5)[:, :3] = True
+    return mask
+
+
 def encode_state(state: EnvState) -> np.ndarray:
     g = state.gripper
     parts = [g.x * 2 - 1, g.y * 2 - 1, float(g.z) * 2 - 1, g.aperture * 2 - 1]

@@ -29,15 +29,16 @@ store of the earlier layout, one blob file per episode under `episodes/`:
 its manifest lines carry `file` instead of `bytes`, and opening it raises
 StoreError naming the manifest and the line.
 
-Reading: `read` returns an `EpisodeView`, read-only arrays over the blob's
-states, actions, events and noise plus the metadata (instruction and object
-roster). Objects are built only on demand: `view.state(t)` builds one
-`EnvState`, `view.events(a, b)` decodes one slice into `Event`s, and
-`view.state_arrays(a, b)` splits a run of state rows into gripper, held and
-object arrays, which `statecodec.encode_states` encodes and, with
-`view.roster`, `render.render_frames` draws at once. Only this module knows
-the row layout. `Episode`, the object-list record, is the write side:
-`collect` builds it and `append` takes it.
+Records: `Episode` is the one episode record, read-only arrays of the
+blob's states, actions, events and noise plus the metadata (instruction and
+object roster). `record` builds it from a run's `EnvState`, `Action` and
+`Event` lists, `append` writes its arrays and `read` returns it over the
+blob's bytes. Objects are built only on demand: `episode.state(t)` builds
+one `EnvState`, `episode.events(a, b)` decodes one slice into `Event`s, and
+`episode.state_arrays(a, b)` splits a run of state rows into gripper, held
+and object arrays, which `statecodec.encode_states` encodes and, with
+`episode.roster`, `render.render_frames` draws at once. Only this module
+knows the row layout.
 
 Durability: `append` creates no file once the store holds an episode. It
 writes the blob with one `pwrite` at the segment's committed end, then
@@ -79,38 +80,10 @@ VERSION = 2
 HEADER_BYTES = 12  # magic, version, meta_len
 
 
-@dataclass
-class Episode:
-    eid: str
-    source: str            # play | demo | human_play_sim | policy_rollout
-    instruction: Instruction
-    outcome: bool
-    seed: int
-    states: list[EnvState]
-    actions: list[Action]
-    events: list[Event]
-    noise: list[float]
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.actions)
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.states)
-
-    def validate(self) -> None:
-        if not self.states:
-            raise ValueError("episode has no states")
-        if len(self.states) != len(self.actions) + 1:
-            raise ValueError("states must be one longer than actions")
-        if len(self.events) != len(self.actions) or len(self.noise) != len(self.actions):
-            raise ValueError("events/noise must align with actions")
-
-
 @dataclass(frozen=True)
-class EpisodeView:
-    """A stored episode as read-only arrays over its blob (layout above)."""
+class Episode:
+    """One episode as read-only arrays in the blob's row layout (above):
+    what `record` builds, `append` writes and `read` returns."""
     eid: str
     source: str
     instruction: Instruction
@@ -235,7 +208,6 @@ class EpisodeStore:
         return rec
 
     def append(self, episode: Episode) -> str:
-        episode.validate()
         if episode.eid in self._index:
             raise StoreError(f"duplicate episode id {episode.eid!r}")
         blob = _pack(episode)
@@ -288,7 +260,7 @@ class EpisodeStore:
             return blob, "sha256 does not match the manifest record"
         return blob, None
 
-    def read(self, eid: str) -> EpisodeView:
+    def read(self, eid: str) -> Episode:
         blob, fault = self._blob(eid)
         where = f"{self._segment_path}: episode {eid!r}"
         if fault is not None:
@@ -343,7 +315,7 @@ def split(store: EpisodeStore, held_out_fraction: float, rng) -> tuple[list[str]
     return train, held
 
 
-# -- binary packing ---------------------------------------------------------
+# -- rows and blobs ---------------------------------------------------------
 
 def _state_row(s: EnvState) -> list[float]:
     g = s.gripper
@@ -367,6 +339,36 @@ def _state_from_row(row: np.ndarray, objects: list[dict], step_index: int) -> En
                     slip_fated=bool(row[5] > 0.5))
 
 
+def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed: int,
+           states: list[EnvState], actions: list[Action], events: list[Event],
+           noise: list[float]) -> Episode:
+    """The episode of one run: its states, the initial one included, and
+    each step's action, event and noise draw, as rows of the blob layout."""
+    if not states:
+        raise ValueError("episode has no states")
+    if len(states) != len(actions) + 1:
+        raise ValueError("states must be one longer than actions")
+    if len(events) != len(actions) or len(noise) != len(actions):
+        raise ValueError("events/noise must align with actions")
+    n_steps = len(actions)
+    event_rows = np.full((n_steps, 3), -1, dtype="<i4")
+    for i, e in enumerate(events):
+        event_rows[i, 0] = int(e.kind)
+        for j, oid in enumerate(e.oids[:2]):
+            event_rows[i, 1 + j] = oid
+    episode = Episode(
+        eid=eid, source=source, instruction=instruction, outcome=outcome, seed=seed,
+        objects=[{"id": o.oid, "kind": o.kind, "size": list(o.size)} for o in states[0].objects],
+        states=np.array([_state_row(s) for s in states], dtype="<f8"),
+        actions=np.array([[a.dx, a.dy, a.dz, a.dg] for a in actions], dtype="<f8").reshape(n_steps, 4),
+        event_rows=event_rows,
+        noise=np.array(noise, dtype="<f8"),
+    )
+    for rows in (episode.states, episode.actions, episode.event_rows, episode.noise):
+        rows.flags.writeable = False
+    return episode
+
+
 def _pack(ep: Episode) -> bytes:
     task = ep.instruction.task
     perturb = ep.instruction.perturb
@@ -376,31 +378,20 @@ def _pack(ep: Episode) -> bytes:
         "outcome": ep.outcome,
         "seed": ep.seed,
         "n_steps": ep.n_steps,
-        "objects": [{"id": o.oid, "kind": o.kind, "size": list(o.size)}
-                    for o in ep.states[0].objects],
+        "objects": ep.objects,
         "task": {"verb": task.verb, "subject": task.subject, "target": task.target,
                  "region": list(task.region) if task.region else None},
         "perturb": {"sigma_w": perturb.sigma_w, "sigma_g": perturb.sigma_g,
                     "speed_mult": perturb.speed_mult, "synonym": perturb.synonym},
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    chunks = [MAGIC,
-              np.array([VERSION, len(meta_bytes)], dtype="<u4").tobytes(),
-              meta_bytes]
-    states = np.array([_state_row(s) for s in ep.states], dtype="<f8")
-    actions = np.array([[a.dx, a.dy, a.dz, a.dg] for a in ep.actions], dtype="<f8").reshape(ep.n_steps, 4)
-    events = np.full((ep.n_steps, 3), -1, dtype="<i4")
-    for i, e in enumerate(ep.events):
-        events[i, 0] = int(e.kind)
-        for j, oid in enumerate(e.oids[:2]):
-            events[i, 1 + j] = oid
-    noise = np.asarray(ep.noise, dtype="<f8")
-    chunks += [states.tobytes(), actions.tobytes(), events.tobytes(), noise.tobytes()]
-    return b"".join(chunks)
+    return b"".join([MAGIC, np.array([VERSION, len(meta_bytes)], dtype="<u4").tobytes(),
+                     meta_bytes, ep.states.tobytes(), ep.actions.tobytes(),
+                     ep.event_rows.tobytes(), ep.noise.tobytes()])
 
 
-def _unpack(blob: bytes, where: str) -> EpisodeView:
-    """The view of one blob; `where` names it in errors."""
+def _unpack(blob: bytes, where: str) -> Episode:
+    """The episode of one blob; `where` names it in errors."""
     if len(blob) < HEADER_BYTES or blob[:4] != MAGIC:
         raise StoreError(f"{where}: bad magic; not an episode blob")
     version, meta_len = (int(v) for v in np.frombuffer(blob[4:HEADER_BYTES], dtype="<u4"))
@@ -430,6 +421,6 @@ def _unpack(blob: bytes, where: str) -> EpisodeView:
                  tuple(task["region"]) if task["region"] else None),
         Perturbation(**meta["perturb"]),
     )
-    return EpisodeView(eid=meta["id"], source=meta["source"], instruction=instr,
-                       outcome=meta["outcome"], seed=meta["seed"], objects=meta["objects"],
-                       states=states, actions=actions, event_rows=event_rows, noise=noise)
+    return Episode(eid=meta["id"], source=meta["source"], instruction=instr,
+                   outcome=meta["outcome"], seed=meta["seed"], objects=meta["objects"],
+                   states=states, actions=actions, event_rows=event_rows, noise=noise)

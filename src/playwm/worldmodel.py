@@ -21,7 +21,7 @@ from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render_frames
 from .rng import Rng
 from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
-from .store import ClipWindow, EpisodeStore, EpisodeView
+from .store import ClipWindow, Episode, EpisodeStore
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class WorldModel:
         return self.denoiser.net.param_hash()
 
     def delta_mask(self) -> np.ndarray:
-        return pose_delta_mask(len(self.scene.objects))
+        return statecodec.pose_delta_mask(len(self.scene.objects))
 
     def to_targets(self, future: np.ndarray, last: np.ndarray) -> np.ndarray:
         """Diffusion-space targets: pose dims as scaled offsets from the last
@@ -83,17 +83,6 @@ class WorldModel:
         mask = self.delta_mask()
         x[:, :, mask] = x[:, :, mask] / self.cfg.delta_scale + last[:, None, mask]
         return x.reshape(-1, C * width)
-
-
-def pose_delta_mask(n_objects: int) -> np.ndarray:
-    """True for dims encoded as deltas: gripper x/y and object x/y/theta."""
-    width = statecodec.state_dim(n_objects)
-    mask = np.zeros(width, dtype=bool)
-    mask[0] = mask[1] = True
-    for i in range(n_objects):
-        base = 4 + n_objects + 5 * i
-        mask[base:base + 3] = True
-    return mask
 
 
 def create_worldmodel(scene: SceneConfig, cfg: WmConfig, rng: Rng | None) -> WorldModel:
@@ -140,14 +129,14 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) ->
     return WindowDataset(windows=wins, conds=conds, targets=targets)
 
 
-def window_inputs(view: EpisodeView, starts: list[int], history: int,
+def window_inputs(episode: Episode, starts: list[int], history: int,
                   chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The windows of one stored episode that begin at `starts`, encoded as
-    the model sees them: their (n, history + chunk, width) states and their
+    """The windows of one episode that begin at `starts`, encoded as the
+    model sees them: their (n, history + chunk, width) states and their
     (n, history - 1 + chunk, 4) actions."""
     starts = np.asarray(starts)[:, None]
-    return (statecodec.encode_states(*view.state_arrays())[starts + np.arange(history + chunk)],
-            statecodec.encode_action_rows(view.actions)[starts + np.arange(history - 1 + chunk)])
+    return (statecodec.encode_states(*episode.state_arrays())[starts + np.arange(history + chunk)],
+            statecodec.encode_action_rows(episode.actions)[starts + np.arange(history - 1 + chunk)])
 
 
 # -- training -----------------------------------------------------------------

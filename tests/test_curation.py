@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from playwm import curation as cu
+from playwm.dynamics import Action
 from playwm.env import Env
 from playwm.playsys import ProposerConfig, collect, execute
 from playwm.projection import Projection
@@ -12,7 +13,7 @@ from playwm.render import render
 from playwm.rng import Rng
 from playwm.scene import EnvState, default_scene
 from playwm.skills import Instruction, Perturbation
-from playwm.store import ClipWindow, EpisodeStore, windows
+from playwm.store import ClipWindow, EpisodeStore, record, windows
 from playwm.tasks import BehaviorMode, TaskSpec
 
 
@@ -40,15 +41,15 @@ def whole_episode_embed(store, wins, embedder):
 def demo_episode(eid, seed=1):
     ep = execute(Env(default_scene()), Instruction(TaskSpec("put_in", 1, 0), Perturbation()),
                  Rng(seed))
-    ep.eid, ep.source = eid, "demo"
-    return ep
+    return replace(ep, eid=eid, source="demo")
 
 
 def without_towel(ep, eid):
     """The episode with its towel taken out of every state: another roster."""
     states = [EnvState(s.gripper, [o for o in s.objects if o.kind != "towel2link"],
-                       s.step_index, s.slip_fated) for s in ep.states]
-    return replace(ep, eid=eid, states=states)
+                       s.step_index, s.slip_fated) for s in map(ep.state, range(ep.n_frames))]
+    return record(eid, ep.source, ep.instruction, ep.outcome, ep.seed, states,
+                  [Action(*a) for a in ep.actions], ep.events(), ep.noise.tolist())
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from playwm.render import render
 from playwm.rng import Rng
 from playwm.scene import EnvState, GripperState, ObjectState, Physics, default_scene, jittered_state
 from playwm.skills import Instruction, Perturbation
-from playwm.store import EpisodeStore, StoreError, split, windows
+from playwm.store import Episode, EpisodeStore, StoreError, record, split, windows
 from playwm.tasks import BehaviorMode, TaskSpec, check_success
 from playwm.worldmodel import WmConfig, build_dataset
 
@@ -32,8 +32,7 @@ def expert_instruction(task):
 
 def expert_episode(eid, seed=1):
     ep = execute(fresh_env(), expert_instruction(TaskSpec("put_in", 1, 0)), Rng(seed))
-    ep.eid, ep.source = eid, "demo"
-    return ep
+    return replace(ep, eid=eid, source="demo")
 
 
 def manifest_bytes(root):
@@ -62,7 +61,7 @@ class TestSkills:
     def test_expert_put_in_succeeds(self):
         env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
-        assert ep.outcome, [e.kind.name for e in ep.events]
+        assert ep.outcome, [e.kind.name for e in ep.events()]
         assert ep.n_steps <= 30
 
     def test_expert_success_rate_over_seeded_scenes(self):
@@ -87,7 +86,7 @@ class TestSkills:
             env.reset(jittered_state(scene, rng, 0.03))
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_g=0.08))
             ep = execute(env, instr, rng)
-            if any(e.kind == EventKind.GRASP_MISS for e in ep.events):
+            if any(e.kind == EventKind.GRASP_MISS for e in ep.events()):
                 misses += 1
         assert misses > 50
 
@@ -108,7 +107,7 @@ class TestSkills:
         env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("push_to", 1, region=(0.45, 0.5))), Rng(5))
         assert ep.outcome
-        assert any(e.kind == EventKind.CONTACT_SLIDE for e in ep.events)
+        assert any(e.kind == EventKind.CONTACT_SLIDE for e in ep.events())
 
     def test_expert_stack_then_unstack(self):
         env = fresh_env()
@@ -184,15 +183,16 @@ class TestCollect:
             ep = store.read(eid)
             assert np.all(np.abs(ep.actions[:, :2]) <= 0.08 + 1e-12)
 
-    def test_episode_states_are_distinct_and_outlive_the_next_episode(self):
+    def test_episode_arrays_outlive_the_next_episode(self):
         env, rng = fresh_env(), Rng(4)
         first = execute(env, propose(env.state, ProposerConfig(), rng, env.phys), rng)
-        snapshot = [repr(s) for s in first.states]
+        arrays = (first.states, first.actions, first.event_rows, first.noise)
+        snapshot = [a.tobytes() for a in arrays]
         second = execute(env, propose(env.state, ProposerConfig(), rng, env.phys), rng)
-        assert len(first.states) > 2 and len(second.states) > 2
-        every = [id(s) for ep in (first, second) for s in ep.states]
-        assert len(set(every)) == len(every)
-        assert [repr(s) for s in first.states] == snapshot
+        assert first.n_frames > 2 and second.n_frames > 2
+        assert second.states[0].tobytes() == first.states[-1].tobytes()
+        assert [a.tobytes() for a in arrays] == snapshot
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_two_runs_identical_manifests(self, tmp_path):
         h = []
@@ -240,45 +240,54 @@ class TestCollect:
 class TestStore:
     def test_roundtrip_identity(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env()
-        frames = [render(env.state)]
-        env_step = env.step
-
-        def rendering_step(*args, **kwargs):
-            state, event = env_step(*args, **kwargs)
-            frames.append(render(state))
-            return state, event
-
-        env.step = rendering_step
-        ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
-        ep.eid, ep.source, ep.seed = "e1", "demo", 42
+        ep = replace(expert_episode("e1"), seed=42)
         store.append(ep)
         back = store.read("e1")
-        assert back.eid == ep.eid and back.outcome == ep.outcome
-        assert back.instruction == ep.instruction
-        assert back.n_frames == len(ep.states) and back.n_steps == len(ep.actions)
-        for t, live in enumerate(ep.states):
-            s = back.state(t)
-            assert s.gripper == live.gripper and s.objects == live.objects
-            assert s.step_index == t and s.slip_fated == live.slip_fated
-        assert [Action(*row) for row in back.actions] == ep.actions
-        assert back.events() == ep.events
-        assert back.noise.tolist() == ep.noise
-        # frames are not stored: rendering the read-back states reproduces
-        # the collection-time frames byte for byte
-        assert len(frames) == back.n_frames
-        for t, frame in enumerate(frames):
-            assert render(back.state(t)).tobytes() == frame.tobytes()
+        for f in fields(Episode):
+            want, got = getattr(ep, f.name), getattr(back, f.name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+                assert got.tobytes() == want.tobytes(), f.name
+                assert not got.flags.writeable and not want.flags.writeable, f.name
+            else:
+                assert got == want, f.name
+
+    def test_episode_holds_the_run(self):
+        env = fresh_env()
+        live = [(env.state.copy(), None, None, None)]
+        env_step = env.step
+
+        def recording_step(action, u):
+            state, event = env_step(action, u)
+            live.append((state.copy(), action.sanitized(env.phys), event, u))
+            return state, event
+
+        env.step = recording_step
+        ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
+        assert ep.n_frames == len(live) and ep.n_steps == len(live) - 1
+        for t, (state, action, event, u) in enumerate(live):
+            s = ep.state(t)
+            assert s.gripper == state.gripper and s.objects == state.objects
+            assert s.step_index == t and s.slip_fated == state.slip_fated
+            # frames are not stored: rendering the recorded states
+            # reproduces the collection-time frames byte for byte
+            assert render(s).tobytes() == render(state).tobytes()
+            if t:
+                assert Action(*ep.actions[t - 1]) == action
+                assert ep.events(t - 1, t) == [event]
+                assert ep.noise[t - 1] == u
 
     def test_encode_states_equals_stacked_encode_state(self, tmp_path):
         ep = expert_episode("e1")
-        assert any(s.gripper.held is not None for s in ep.states)
+        states = [ep.state(t) for t in range(ep.n_frames)]
+        assert any(s.gripper.held is not None for s in states)
         near_pi = [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
                    np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0), 3 * np.pi]
-        for t, s in enumerate(ep.states):
+        for t, s in enumerate(states):
             s.objects[t % len(s.objects)].theta = near_pi[t % len(near_pi)]
         store = EpisodeStore(str(tmp_path / "s"))
-        store.append(ep)
+        store.append(record(ep.eid, ep.source, ep.instruction, ep.outcome, ep.seed, states,
+                            [Action(*a) for a in ep.actions], ep.events(), ep.noise.tolist()))
         view = store.read("e1")
         states = np.stack([statecodec.encode_state(view.state(t)) for t in range(view.n_frames)])
         actions = np.stack([statecodec.encode_action(Action(*a)) for a in view.actions])
@@ -288,16 +297,16 @@ class TestStore:
     def test_hash_verifies(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         env = fresh_env()
-        ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
-        ep.eid, ep.source = "e1", "demo"
+        ep = replace(execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1)),
+                     eid="e1", source="demo")
         store.append(ep)
         assert store.verify("e1")
 
     def test_duplicate_id_rejected(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         env = fresh_env()
-        ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
-        ep.eid, ep.source = "e1", "demo"
+        ep = replace(execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1)),
+                     eid="e1", source="demo")
         store.append(ep)
         with pytest.raises(Exception, match="duplicate"):
             store.append(ep)
@@ -306,8 +315,8 @@ class TestStore:
         path = str(tmp_path / "s")
         store = EpisodeStore(path)
         env = fresh_env()
-        ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
-        ep.eid, ep.source = "e1", "demo"
+        ep = replace(execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1)),
+                     eid="e1", source="demo")
         store.append(ep)
         again = EpisodeStore(path)
         assert again.ids() == ["e1"]
@@ -475,7 +484,7 @@ class TestStore:
         assert reopened.ids() == ["e0", "e1", "e2"]
         for i, eid in enumerate(reopened.ids()):
             assert reopened.verify(eid)
-            assert reopened.read(eid).noise.tolist() == expert_episode(eid, seed=i).noise
+            assert reopened.read(eid).noise.tolist() == expert_episode(eid, seed=i).noise.tolist()
 
     def test_old_layout_manifest_line_raises(self, tmp_path):
         """A line of the earlier layout, one blob file per episode."""
@@ -503,8 +512,7 @@ class TestWindows:
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_w=0.2, sigma_g=0.1))
             ep = execute(fresh_env(max_steps=n), instr, Rng(i))
             # pad/trim to exactly n steps by construction is not guaranteed; skip short ones
-            ep.eid, ep.source = f"e{i}", "play"
-            store.append(ep)
+            store.append(replace(ep, eid=f"e{i}", source="play"))
         return store
 
     def test_window_counts(self, tmp_path):
@@ -517,8 +525,7 @@ class TestWindows:
     def test_short_episode_yields_nothing(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         ep = execute(fresh_env(max_steps=3), expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
-        ep.eid, ep.source = "e1", "play"
-        store.append(ep)  # 4 frames
+        store.append(replace(ep, eid="e1", source="play"))  # 4 frames
         assert windows(store, 5, 1) == []
 
     def test_stride_one_covers_every_position(self, tmp_path):
@@ -536,8 +543,7 @@ class TestWindows:
             env = Env(scene, seed=rng.spawn_seed())
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_g=0.09))
             ep = execute(env, instr, rng)
-            ep.eid, ep.source = f"e{i}", "play"
-            store.append(ep)
+            store.append(replace(ep, eid=f"e{i}", source="play"))
         ws = windows(store, 5, 1)
         miss_eps = set()
         for eid in store.ids():
@@ -619,8 +625,7 @@ class TestSplit:
         env = fresh_env(max_steps=5)
         for i in range(100):
             ep = execute(env, expert_instruction(TaskSpec("put_near", 1, 2)), Rng(i))
-            ep.eid, ep.source = f"e{i}", "play"
-            store.append(ep)
+            store.append(replace(ep, eid=f"e{i}", source="play"))
         train, held = split(store, 0.2, Rng(3))
         assert len(train) == 80 and len(held) == 20
         assert not set(train) & set(held)

@@ -70,6 +70,19 @@ def test_every_import_is_read():
     assert not unread, f"imports in src/playwm that their module never reads: {unread}"
 
 
+def test_imports_are_at_module_top():
+    """Each import in src/playwm is a statement of its module's body: a
+    function-local import hides a module's dependencies from its reader
+    until the function runs."""
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = set(map(id, tree.body))
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert not nested, f"imports below module level in src/playwm: {nested}"
+
+
 def test_traced_layers_resolve():
     """Every (module, attribute) that the benchmark's tracer wraps exists in
     playwm, defined on the module or class itself as the tracer requires, so
