@@ -238,8 +238,8 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
 
 
 def _labelled(path: list[EnvState], actions: list[list[float]]):
-    """Each predicted state of path[1:] with the event inferred for the
-    transition into it."""
+    """Each predicted state of path[1:] with the event kind inferred for
+    the transition into it."""
     for prev, row, nxt in zip(path, actions, path[1:]):
         yield nxt, infer_transition_event(prev, Action(*row), nxt)
 

@@ -1,10 +1,13 @@
 """Curriculum machinery over play data.
 
 Windows are embedded with a frozen sign projection of four evenly spaced
-frames. The store keeps no frames: each episode is read once as an array
-view, and the sampled state rows of consecutive episodes are rendered from
-arrays and projected in blocks of at most BLOCK_FRAMES frames, one
-rasterizer call and one product a block.
+frames, the stand-in for a pretrained image encoder: the embedder's
+(4096, 32) matrix has i.i.d. entries +-1/sqrt(32), drawn from its seed with
+the package RNG, so it is reproducible and (in expectation) preserves
+pairwise distances of the projected frames. The store keeps no frames: each
+episode is read once as an array view, and the sampled state rows of
+consecutive episodes are rendered from arrays and projected in blocks of at
+most BLOCK_FRAMES frames, one rasterizer call and one product a block.
 Success centroids, a (k, dim) array, come from k-means over demo-success
 windows; each play window gets a distance-to-success (min Euclidean
 distance to any centroid) and a rank from equal-mass quantile thresholds.
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import Projection, random_projection
 from .render import FRAME_SIZE, render_frames
 from .rng import Rng
 from .store import ClipWindow, EpisodeStore, windows as store_windows
@@ -33,18 +35,21 @@ MIN_PRODUCT_ROWS = 16  # zero rows pad a smaller block's projection to this many
 
 @dataclass(frozen=True)
 class Embedder:
-    projection: Projection
+    matrix: np.ndarray  # (FRAME_PIXELS, EMBED_DIM) entries +-1/sqrt(EMBED_DIM), read-only
 
     @property
     def dim(self) -> int:
-        return self.projection.out_dim * SAMPLED_FRAMES
+        return EMBED_DIM * SAMPLED_FRAMES
 
     @staticmethod
-    def create(seed: int, out_dim: int = EMBED_DIM) -> "Embedder":
-        return Embedder(random_projection(seed, FRAME_PIXELS, out_dim))
+    def create(seed: int) -> "Embedder":
+        u = Rng(seed).uniform_array((FRAME_PIXELS, EMBED_DIM))
+        matrix = np.where(u <= 0.5, 1.0, -1.0) / np.sqrt(EMBED_DIM)
+        matrix.setflags(write=False)
+        return Embedder(matrix)
 
     def embed_frames(self, frames: np.ndarray) -> np.ndarray:
-        """The (k, out_dim) projections of k frames (one frame is one row),
+        """The (k, EMBED_DIM) projections of k frames (one frame is one row),
         from one product of at least MIN_PRODUCT_ROWS rows."""
         flat = np.asarray(frames, dtype=np.float64).reshape(-1, FRAME_PIXELS)
         k = len(flat)
@@ -53,7 +58,7 @@ class Embedder:
             # which rounds differently; from 8 rows on, each row has the bits it
             # has in any taller product, so zero rows keep them.
             flat = np.concatenate([flat, np.zeros((MIN_PRODUCT_ROWS - k, FRAME_PIXELS))])
-        return self.projection.apply(flat)[:k]
+        return (flat @ self.matrix)[:k]
 
 
 def window_sample_indices(W: int) -> tuple[int, int, int, int]:
@@ -78,7 +83,7 @@ def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
         for i, ts in idx.items():
             picks[i] = [row_of[t] for t in ts]
         n_rows += len(sampled[eid])
-    embedded = np.empty((n_rows, embedder.projection.out_dim))
+    embedded = np.empty((n_rows, EMBED_DIM))
     done = 0
     for roster, gripper, objects in _sampled_blocks(store, sampled):
         k = len(gripper)

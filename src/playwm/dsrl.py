@@ -318,6 +318,8 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
     if cfg.replan != backend.wm.cfg.chunk:
         raise ValueError(f"DSRL decides once per model chunk: replan is {cfg.replan}, "
                          f"the model chunk is {backend.wm.cfg.chunk}")
+    if inits is not None and not inits:
+        raise ValueError("inits must hold at least one start state, got none")
     state_dim = statecodec.state_dim(len(scene.objects))
     st = make_dsrl(state_dim, policy.latent_dim, cfg, rng)
     if inits is None:

@@ -6,9 +6,10 @@ call. SSIM's Gaussian window is separable, so its windowed maps are two
 products with fixed band matrices of the 1-D taps, a row pass and a column
 pass; they agree with the 49-term sums of the 2-D window to within 1e-15.
 
-The perceptual proxy is the Euclidean distance between frozen-projection
-embeddings scaled by 1/sqrt(d); it replaces a learned perceptual metric and
-is declared as such wherever reported.
+The perceptual proxy is the Euclidean distance between the frames'
+projections by `curation.Embedder`'s frozen sign matrix, scaled by
+1/sqrt(d); it replaces a learned perceptual metric and is declared as such
+wherever reported.
 """
 
 from __future__ import annotations

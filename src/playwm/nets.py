@@ -71,10 +71,6 @@ class Mlp:
         return self.widths[0]
 
     @property
-    def out_dim(self) -> int:
-        return self.widths[-1]
-
-    @property
     def n_layers(self) -> int:
         return len(self.widths) - 1
 

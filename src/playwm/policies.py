@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import tempfile
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import nets, statecodec
 from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .diffusion import DenoiserNet, NoiseSchedule, ddim_sample, diffusion_loss
-from .dynamics import Action, Event
+from .dynamics import Action, EventKind
 from .env import Env
 from .optim import Adam, clip_grad_norm
 from .playsys import execute
@@ -203,7 +202,7 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
 
 
 def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
-                advance: Callable[[list[int], np.ndarray], list[Iterator[tuple[EnvState, Event]]]],
+                advance: Callable[[list[int], np.ndarray], list[Iterator[tuple[EnvState, EventKind]]]],
                 task: TaskSpec, phys: Physics, rng: Rng, max_steps: int, replan: int,
                 latent: Callable[[np.ndarray], np.ndarray] | None = None
                 ) -> tuple[float, dict[str, int]]:
@@ -216,12 +215,15 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
     draws them from rng without it, and plans them in one `plan_actions`
     call. advance(rows, actions) gets those rollouts' indices into states
     and their first `replan` planned actions, (B, replan, 4), and returns
-    an iterator of (state, event) pairs for each. The loop takes the pairs
-    one at a time, up to each rollout's first success and to max_steps
-    steps in all, so an advance that steps lazily takes no step past them.
+    an iterator of (state, event kind) pairs for each. The loop takes the
+    pairs one at a time, up to each rollout's first success and to
+    max_steps steps in all, so an advance that steps lazily takes no step
+    past them. `classify_clip` labels each rollout from its steps' kinds
+    and the loop's own success flag: a rollout succeeded exactly when a
+    success stopped it, or it started in success.
     """
     states = list(states)
-    events: list[list[Event]] = [[] for _ in states]
+    kinds: list[list[EventKind]] = [[] for _ in states]
     live = [b for b, state in enumerate(states) if not check_success(state, task, phys)]
     t = 0
     while t < max_steps and live:
@@ -231,24 +233,26 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
         n = min(acts.shape[1], max_steps - t)
         still = []
         for b, pairs in zip(live, advance(live, acts)):
-            for state, event in itertools.islice(pairs, n):
+            for state, kind in itertools.islice(pairs, n):
                 states[b] = state
-                events[b].append(event)
+                kinds[b].append(kind)
                 if check_success(state, task, phys):
                     break
             else:
                 still.append(b)
         live = still
         t += n
+    failed = set(live)
     hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
-    for evs, state in zip(events, states):
-        hist[classify_clip(evs, task, state, phys).value] += 1
-    return (len(states) - len(live)) / len(states), hist
+    for b, clip in enumerate(kinds):
+        hist[classify_clip(clip, task, b not in failed).value] += 1
+    return (len(states) - len(failed)) / len(states), hist
 
 
-def _env_steps(env: Env, actions: list[list[float]]) -> Iterator[tuple[EnvState, Event]]:
+def _env_steps(env: Env, actions: list[list[float]]) -> Iterator[tuple[EnvState, EventKind]]:
     for row in actions:
-        yield env.step(Action(*row))
+        state, event = env.step(Action(*row))
+        yield state, event.kind
 
 
 def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,
@@ -280,14 +284,15 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
 
 
 def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,
-                store_root: str | None = None) -> list[SuiteEntry]:
-    """Train every variant; `bench.run_policy_eval` measures their success."""
-    root = store_root or tempfile.mkdtemp(prefix="suite-demos-")
+                store_root: str) -> list[SuiteEntry]:
+    """Train every variant, in spec order; `bench.run_policy_eval` measures
+    their success. A variant with demos keeps them in a store of its name
+    under store_root."""
     entries: list[SuiteEntry] = []
     for variant in spec.variants:
         policy = create_policy(scene, PolicyConfig(), Rng(rng.spawn_seed()))
         if variant.demo_count > 0:
-            demo_store = EpisodeStore(os.path.join(root, variant.name))
+            demo_store = EpisodeStore(os.path.join(store_root, variant.name))
             collect_task_demos(scene, spec.task, variant.demo_count, variant.noise,
                                Rng(rng.spawn_seed()), demo_store)
             train_bc(policy, demo_store, variant.train_steps, Rng(rng.spawn_seed()))

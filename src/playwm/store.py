@@ -34,11 +34,11 @@ blob's states, actions, events and noise plus the metadata (instruction and
 object roster). `record` builds it from a run's `EnvState`, `Action` and
 `Event` lists, `append` writes its arrays and `read` returns it over the
 blob's bytes. Objects are built only on demand: `episode.state(t)` builds
-one `EnvState`, `episode.events(a, b)` decodes one slice into `Event`s, and
-`episode.state_arrays(a, b)` splits a run of state rows into gripper, held
-and object arrays, which `statecodec.encode_states` encodes and, with
-`episode.roster`, `render.render_frames` draws at once. Only this module
-knows the row layout.
+one `EnvState`, and `episode.state_arrays(a, b)` splits a run of state rows
+into gripper, held and object arrays, which `statecodec.encode_states`
+encodes and, with `episode.roster`, `render.render_frames` draws at once.
+`windows` labels each clip from the kind column of its event rows and the
+task predicate at its last frame. Only this module knows the row layout.
 
 Durability: `append` creates no file once the store holds an episode. It
 writes the blob with one `pwrite` at the segment's committed end, then
@@ -70,10 +70,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Action, Event, EventKind
+from .dynamics import Action, Event
 from .scene import EnvState, GripperState, ObjectState, Physics
 from .skills import Instruction, Perturbation
-from .tasks import BehaviorMode, TaskSpec, classify_clip
+from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 
 MAGIC = b"PWEP"
 VERSION = 2
@@ -123,11 +123,6 @@ class Episode:
         roster = np.array([o["id"] for o in self.objects], dtype=np.float64)
         held = rows[:, 4:5] == roster
         return rows[:, :4], held, rows[:, 6:].reshape(len(rows), len(self.objects), 5)
-
-    def events(self, start: int = 0, stop: int | None = None) -> list[Event]:
-        """The events of steps start..stop-1 (all steps by default), decoded."""
-        return [Event(EventKind(kind), tuple(o for o in oids if o >= 0))
-                for kind, *oids in self.event_rows[start:stop].tolist()]
 
 
 @dataclass(frozen=True)
@@ -284,10 +279,15 @@ def _truncate(path: str, size: int) -> None:
 def windows(store: EpisodeStore, W: int, stride: int | None = None,
             ids: list[str] | None = None) -> list[ClipWindow]:
     """All maximal windows of W frames at the given stride, mode-labeled, in
-    store order; only episodes listed in `ids` are read when it is given."""
+    store order; only episodes listed in `ids` are read when it is given.
+
+    A window's label is `classify_clip` of the kinds of its W-1 steps and
+    the task predicate at its last frame."""
     if W < 2:
         raise ValueError("window length must be at least 2")
     stride = W if stride is None else stride
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     keep = None if ids is None else set(ids)
     phys = Physics()  # stored episodes do not record the physics they ran under
     out: list[ClipWindow] = []
@@ -296,10 +296,11 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
             continue
         view = store.read(eid)
         task = view.instruction.task
+        kinds = view.event_rows[:, 0].tolist()
         for start in range(0, view.n_frames - W + 1, stride):
             end = start + W - 1
-            mode = classify_clip(view.events(start, end), task, view.state(end), phys)
-            out.append(ClipWindow(eid, start, W, mode))
+            success = check_success(view.state(end), task, phys)
+            out.append(ClipWindow(eid, start, W, classify_clip(kinds[start:end], task, success)))
     return out
 
 

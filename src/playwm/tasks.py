@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import Event, EventKind
+from .dynamics import EventKind
 from .scene import EnvState, Physics
 
 VERBS = ("put_in", "take_out", "put_near", "stack", "unstack",
@@ -108,45 +108,34 @@ def _dist(a, b) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def is_failure_event(event: Event, task: TaskSpec) -> bool:
-    kind = event.kind
-    if kind not in FAILURE_LABEL:
-        return False
-    if kind == EventKind.FOLD_CHANGE and task.verb in ("fold", "unfold"):
-        return False
-    return True
+def _failures(kinds: list[EventKind], task: TaskSpec) -> list[EventKind]:
+    """The kinds that count as failures in task: FOLD_CHANGE only outside fold tasks."""
+    exempt = EventKind.FOLD_CHANGE if task.verb in ("fold", "unfold") else None
+    return [k for k in kinds if k in FAILURE_LABEL and k != exempt]
 
 
-def classify_clip(events: list[Event], task: TaskSpec, final: EnvState,
-                  phys: Physics) -> BehaviorMode:
-    """Label a clip with exactly one behavior mode.
+def classify_clip(kinds: list[EventKind], task: TaskSpec, success: bool) -> BehaviorMode:
+    """Label a clip with exactly one behavior mode from the event kind of
+    each of its steps (an `EventKind` or its int value) and whether the
+    clip ends in success.
 
-    Success requires the task predicate under phys at the clip end and no
-    failure events after the last successful grasp; otherwise the
-    highest-precedence failure event in the clip decides. Clips with no
-    failure events at all are nominal motion and also label Success. phys
-    must be the physics the clip ran under: a stack's success radius is
-    `phys.r_stack`.
+    A clip that ends in success with no failure event after its last
+    successful grasp labels Success; otherwise the highest-precedence
+    failure event in the clip decides. Clips with no failure events at all
+    are nominal motion and also label Success, whatever their outcome.
     """
-    if not events:
-        return BehaviorMode.SUCCESS
-    last_grasp = -1
-    for i, e in enumerate(events):
-        if e.kind == EventKind.GRASP_SUCCESS:
-            last_grasp = i
-    failures = [e for e in events if is_failure_event(e, task)]
-    if check_success(final, task, phys):
-        tail = [e for e in events[last_grasp + 1:] if is_failure_event(e, task)]
-        if not tail:
-            return BehaviorMode.SUCCESS
+    failures = _failures(kinds, task)
     if not failures:
         return BehaviorMode.SUCCESS
-    top = max(failures, key=lambda e: e.kind)
-    return FAILURE_LABEL[top.kind]
+    if success:
+        grasps = [i for i, k in enumerate(kinds) if k == EventKind.GRASP_SUCCESS]
+        if grasps and not _failures(kinds[grasps[-1] + 1:], task):
+            return BehaviorMode.SUCCESS
+    return FAILURE_LABEL[max(failures)]
 
 
-def infer_transition_event(prev: EnvState, action, nxt: EnvState) -> Event:
-    """Rule-based event annotation from a (state, action, state) transition.
+def infer_transition_event(prev: EnvState, action, nxt: EnvState) -> EventKind:
+    """Rule-based event kind of a (state, action, state) transition.
 
     Used on imagined rollouts, where the dynamics never ran and only the
     predicted states exist. Mirrors the simulator's event definitions
@@ -155,29 +144,28 @@ def infer_transition_event(prev: EnvState, action, nxt: EnvState) -> Event:
     held_before = prev.gripper.held
     held_after = nxt.gripper.held
     if held_before is None and held_after is not None:
-        return Event(EventKind.GRASP_SUCCESS, (held_after,))
+        return EventKind.GRASP_SUCCESS
     if action.dg < -0.3 and nxt.gripper.z == 0 and held_before is None and held_after is None:
-        return Event(EventKind.GRASP_MISS, ())
+        return EventKind.GRASP_MISS
     if held_before is not None and held_after is None and action.dg <= 0.3:
-        return Event(EventKind.SLIP_DROP, (held_before,))
-    moved = []
+        return EventKind.SLIP_DROP
+    moved = 0
     for obj in nxt.objects:
         if obj.oid == held_before or obj.oid == held_after:
             continue
         pobj = prev.object_by_id(obj.oid)
         if math.hypot(obj.x - pobj.x, obj.y - pobj.y) > 0.015:
-            moved.append(obj.oid)
-        if obj.kind == "towel2link" and abs(obj.fold_angle - pobj.fold_angle) > 0.05 \
-                and held_before != obj.oid and held_after != obj.oid:
-            return Event(EventKind.FOLD_CHANGE, (obj.oid,))
-    if len(moved) >= 2:
-        return Event(EventKind.OBJECT_COLLISION, tuple(moved[:2]))
-    if len(moved) == 1:
-        return Event(EventKind.CONTACT_SLIDE, (moved[0],))
+            moved += 1
+        if obj.kind == "towel2link" and abs(obj.fold_angle - pobj.fold_angle) > 0.05:
+            return EventKind.FOLD_CHANGE
+    if moved >= 2:
+        return EventKind.OBJECT_COLLISION
+    if moved == 1:
+        return EventKind.CONTACT_SLIDE
     if held_before is not None:
         pobj = prev.object_by_id(held_before)
         if pobj.kind == "towel2link":
             nobj = nxt.object_by_id(held_before)
             if abs(nobj.fold_angle - pobj.fold_angle) > 0.05:
-                return Event(EventKind.FOLD_CHANGE, (held_before,))
-    return Event.none()
+                return EventKind.FOLD_CHANGE
+    return EventKind.NONE

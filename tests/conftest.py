@@ -5,12 +5,19 @@ mode."""
 import pytest
 
 from playwm import policies, store, worldmodel
+from playwm.dynamics import Event, EventKind
 from playwm.playsys import ProposerConfig, collect
 from playwm.rng import Rng
 from playwm.scene import default_scene
 from playwm.tasks import TaskSpec
 
 TASK = TaskSpec("put_in", 1, 0)
+
+
+def events_of(episode):
+    """The events of an episode's steps, decoded from its event rows."""
+    return [Event(EventKind(kind), tuple(o for o in oids if o >= 0))
+            for kind, *oids in episode.event_rows.tolist()]
 
 
 @pytest.fixture(scope="session")

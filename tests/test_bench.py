@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -328,7 +329,7 @@ def rows_one_frame_a_call(bm, frames, embedder):
             vals["mse"] += m
             vals["psnr"] += 100.0 if m <= 0.0 else min(100.0, 10.0 * math.log10(1.0 / m))
             vals["ssim"] += ssim_five_calls(f_pred, f_gt)
-            ex, ey = (embedder.projection.apply(f.reshape(1, -1)).ravel() for f in (f_pred, f_gt))
+            ex, ey = ((f.reshape(1, -1) @ embedder.matrix).ravel() for f in (f_pred, f_gt))
             vals["lpips_proxy"] += float(np.linalg.norm(ex - ey) / math.sqrt(ex.size))
         out.append({k: v / C for k, v in vals.items()})
     return out
@@ -410,27 +411,62 @@ def test_model_replay_needs_an_rng(trained, replay_store):
             bench.run_replay(bm, "oracle", emb)
 
 
+def test_build_suite_keeps_each_trained_variant_demos_under_the_root(tmp_path):
+    """Only a variant with demos writes a store, one named after it under the
+    root; the entries come back in spec order, each trained as its variant
+    asks."""
+    scene = default_scene()
+    spec = policies.PolicySuiteSpec(TASK, (policies.PolicyVariant("untrained", 0, 0.0, 0),
+                                           policies.PolicyVariant("d1", 1, 0.2, 3)))
+    root = tmp_path / "suite"
+    entries = policies.build_suite(spec, scene, Rng(9), str(root))
+    assert [e.variant for e in entries] == list(spec.variants)
+    assert [e.policy.train_steps_done for e in entries] == [0, 3]
+    assert sorted(os.listdir(root)) == ["d1"]
+    assert len(EpisodeStore(str(root / "d1"))) == 1
+
+
 @pytest.mark.parametrize("in_model", [True, False])
-def test_closed_loop_labels_clips_under_its_own_physics(trained, monkeypatch, in_model):
-    """`closed_loop` stops each rollout with `check_success` under its phys
-    and labels the rollout with `classify_clip` under the same phys, not
-    under the defaults."""
+def test_closed_loop_labels_clips_with_its_own_success_flags(trained, monkeypatch, in_model):
+    """`closed_loop` hands `classify_clip` each rollout's own success flag:
+    rate × n of them are true, and each is `check_success` of its rollout's
+    last state under the loop's physics, not under the defaults."""
     scene, policy, wm = trained
     if in_model:
         wm = replace(wm, scene=replace(scene, physics=Physics(r_stack=0.06)))
     else:
         scene = replace(scene, physics=Physics(r_stack=0.06))
-    seen, classify = [], policies.classify_clip
-
-    def spied(events, task, final, phys):
-        seen.append(phys)
-        return classify(events, task, final, phys)
-
-    monkeypatch.setattr(policies, "classify_clip", spied)
-    cfg = EvalStudyConfig(task=TASK, n_real=3, n_wm=3, max_steps=10)
-    if in_model:
-        bench.measure_imagined(policy, wm, cfg, Rng(71))
-    else:
-        bench.measure_real(policy, scene, cfg, Rng(70))
     want = (wm.scene if in_model else scene).physics
-    assert len(seen) == 3 and all(phys is want for phys in seen)
+    loop, classify = policies.closed_loop, policies.classify_clip
+    last: dict[int, object] = {}  # each rollout's latest state
+    flags: list[bool] = []
+
+    def tracked(b, pairs):
+        for state, kind in pairs:
+            last[b] = state
+            yield state, kind
+
+    def spied_loop(policy, states, advance, task, phys, *rest):
+        assert phys is want
+        last.update(enumerate(states))
+
+        def spied_advance(rows, actions):
+            return [tracked(b, pairs) for b, pairs in zip(rows, advance(rows, actions))]
+        return loop(policy, states, spied_advance, task, phys, *rest)
+
+    def spied_classify(kinds, task, success):
+        flags.append(success)
+        return classify(kinds, task, success)
+
+    monkeypatch.setattr(bench, "closed_loop", spied_loop)
+    monkeypatch.setattr(policies, "closed_loop", spied_loop)
+    monkeypatch.setattr(policies, "classify_clip", spied_classify)
+    cfg = EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
+    if in_model:
+        rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))
+    else:
+        rate, _ = bench.measure_real(policy, scene, cfg, Rng(70))
+    n = len(flags)
+    assert n == 10 and 0 < sum(flags) < n
+    assert sum(flags) == round(rate * n)
+    assert flags == [check_success(last[b], TASK, want) for b in range(n)]

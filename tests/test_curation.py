@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import events_of
 from playwm import curation as cu
 from playwm.dynamics import Action
 from playwm.env import Env
 from playwm.playsys import ProposerConfig, collect, execute
-from playwm.projection import Projection
 from playwm.render import render
 from playwm.rng import Rng
 from playwm.scene import EnvState, default_scene
@@ -32,7 +32,7 @@ def whole_episode_embed(store, wins, embedder):
         flat = np.zeros((view.n_frames, cu.FRAME_PIXELS))
         for t in {t for idx in picks.values() for t in idx}:
             flat[t] = render(view.state(t)).reshape(cu.FRAME_PIXELS)
-        proj = embedder.projection.apply(flat)
+        proj = flat @ embedder.matrix
         for i, idx in picks.items():
             out[i] = proj[idx].reshape(-1)
     return out
@@ -49,7 +49,7 @@ def without_towel(ep, eid):
     states = [EnvState(s.gripper, [o for o in s.objects if o.kind != "towel2link"],
                        s.step_index, s.slip_fated) for s in map(ep.state, range(ep.n_frames))]
     return record(eid, ep.source, ep.instruction, ep.outcome, ep.seed, states,
-                  [Action(*a) for a in ep.actions], ep.events(), ep.noise.tolist())
+                  [Action(*a) for a in ep.actions], events_of(ep), ep.noise.tolist())
 
 
 @pytest.fixture(scope="module")
@@ -114,20 +114,23 @@ class TestEmbedder:
     def test_each_sampled_frame_renders_once_and_each_block_projects_once(
             self, play_store, monkeypatch):
         rendered, products = [], []
-        render_frames, apply = cu.render_frames, Projection.apply
+        render_frames = cu.render_frames
 
         def counting_render(gripper, objects, roster):
             rendered.append(gripper.copy())
             return render_frames(gripper, objects, roster)
 
-        def counting_apply(projection, x):
-            products.append(len(x))
-            return apply(projection, x)
+        class CountingMatrix(np.ndarray):
+            """The sign matrix, counting the rows of each product it ends."""
+
+            def __rmatmul__(self, x):
+                products.append(len(x))
+                return x @ self.view(np.ndarray)
 
         monkeypatch.setattr(cu, "render_frames", counting_render)
-        monkeypatch.setattr(Projection, "apply", counting_apply)
         wins = windows(play_store, 12, stride=2)
-        cu.embed_store_windows(play_store, wins + wins, cu.Embedder.create(4))
+        emb = cu.Embedder(cu.Embedder.create(4).matrix.view(CountingMatrix))
+        cu.embed_store_windows(play_store, wins + wins, emb)
         sampled = {}
         for w in wins:
             sampled.setdefault(w.episode_id, set()).update(
@@ -169,7 +172,7 @@ class TestEmbedder:
         frame[5, 7] = 1.0
         flat_index = 5 * 64 + 7
         vec = emb.embed_frames(frame)
-        assert np.array_equal(vec[0], emb.projection.matrix[flat_index])
+        assert np.array_equal(vec[0], emb.matrix[flat_index])
 
     def test_sample_indices(self):
         assert cu.window_sample_indices(5) == (0, 1, 2, 4)

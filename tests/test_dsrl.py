@@ -128,6 +128,18 @@ def test_finetune_replan_must_match_model_chunk():
         _finetune(2, replan=4)
 
 
+def test_finetune_rejects_no_start_states(monkeypatch):
+    """An empty `inits` fails by name before the actor is drawn or the first
+    real evaluation runs, not in the first reset of the model's rollouts."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("finetune went past its argument checks")
+
+    monkeypatch.setattr(dsrl, "make_dsrl", not_reached)
+    monkeypatch.setattr(dsrl, "evaluate_steered", not_reached)
+    with pytest.raises(ValueError, match="inits must hold at least one start state"):
+        _finetune(2, n_inits=0)
+
+
 def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
     scene = default_scene()
     wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=16, depth=1), Rng(1))

@@ -5,7 +5,7 @@ import pytest
 
 from playwm import metrics as M
 from playwm.bench import SCORE_BLOCK
-from playwm.curation import Embedder
+from playwm.curation import EMBED_DIM, Embedder
 from playwm.rng import Rng
 
 
@@ -176,7 +176,7 @@ class TestLpipsProxy:
         delta = 0.37
         b[0, 10, 20] = delta
         d = M.lpips_proxy(emb, a, b)[0]
-        assert d == pytest.approx(delta / math.sqrt(emb.projection.out_dim), rel=1e-12)
+        assert d == pytest.approx(delta / math.sqrt(EMBED_DIM), rel=1e-12)
 
 
 class TestPearson:

@@ -5,7 +5,7 @@ import pytest
 
 from playwm import autodiff as ad
 from playwm import dsrl, nets, optim, progress
-from playwm.projection import random_projection
+from playwm.curation import EMBED_DIM, FRAME_PIXELS, Embedder
 from playwm.rng import Rng
 
 
@@ -397,21 +397,22 @@ def _mixed_stream_digest(rng, rounds):
 
 
 class TestProjection:
+    """The embedder's frozen sign matrix."""
+
     def test_same_seed_identical(self):
-        p1 = random_projection(5, 16, 4)
-        p2 = random_projection(5, 16, 4)
-        assert np.array_equal(p1.matrix, p2.matrix)
+        assert np.array_equal(Embedder.create(5).matrix, Embedder.create(5).matrix)
+        assert not np.array_equal(Embedder.create(5).matrix, Embedder.create(6).matrix)
 
     def test_single_entry_sign(self):
-        p = random_projection(0, 1, 1)
-        assert p.matrix[0, 0] in (1.0, -1.0)
+        m = Embedder.create(0).matrix
+        assert m.shape == (FRAME_PIXELS, EMBED_DIM)
+        assert set(np.unique(m * np.sqrt(EMBED_DIM))) == {-1.0, 1.0}
 
     def test_column_norms(self):
-        p = random_projection(1, 4096, 32)
-        col_sq = (p.matrix ** 2).sum(axis=0)
-        assert np.allclose(col_sq, 4096 / 32)
+        col_sq = (Embedder.create(1).matrix ** 2).sum(axis=0)
+        assert np.allclose(col_sq, FRAME_PIXELS / EMBED_DIM)
 
     def test_immutable(self):
-        p = random_projection(2, 4, 2)
+        m = Embedder.create(2).matrix
         with pytest.raises(ValueError):
-            p.matrix[0, 0] = 3.0
+            m[0, 0] = 3.0

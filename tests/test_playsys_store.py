@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from conftest import events_of
 from playwm import bench, statecodec
 from playwm.curation import Embedder
 from playwm.dynamics import Action, EventKind
@@ -61,7 +62,7 @@ class TestSkills:
     def test_expert_put_in_succeeds(self):
         env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
-        assert ep.outcome, [e.kind.name for e in ep.events()]
+        assert ep.outcome, [e.kind.name for e in events_of(ep)]
         assert ep.n_steps <= 30
 
     def test_expert_success_rate_over_seeded_scenes(self):
@@ -86,7 +87,7 @@ class TestSkills:
             env.reset(jittered_state(scene, rng, 0.03))
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_g=0.08))
             ep = execute(env, instr, rng)
-            if any(e.kind == EventKind.GRASP_MISS for e in ep.events()):
+            if any(e.kind == EventKind.GRASP_MISS for e in events_of(ep)):
                 misses += 1
         assert misses > 50
 
@@ -107,7 +108,7 @@ class TestSkills:
         env = fresh_env()
         ep = execute(env, expert_instruction(TaskSpec("push_to", 1, region=(0.45, 0.5))), Rng(5))
         assert ep.outcome
-        assert any(e.kind == EventKind.CONTACT_SLIDE for e in ep.events())
+        assert any(e.kind == EventKind.CONTACT_SLIDE for e in events_of(ep))
 
     def test_expert_stack_then_unstack(self):
         env = fresh_env()
@@ -274,7 +275,7 @@ class TestStore:
             assert render(s).tobytes() == render(state).tobytes()
             if t:
                 assert Action(*ep.actions[t - 1]) == action
-                assert ep.events(t - 1, t) == [event]
+                assert events_of(ep)[t - 1] == event
                 assert ep.noise[t - 1] == u
 
     def test_encode_states_equals_stacked_encode_state(self, tmp_path):
@@ -287,7 +288,7 @@ class TestStore:
             s.objects[t % len(s.objects)].theta = near_pi[t % len(near_pi)]
         store = EpisodeStore(str(tmp_path / "s"))
         store.append(record(ep.eid, ep.source, ep.instruction, ep.outcome, ep.seed, states,
-                            [Action(*a) for a in ep.actions], ep.events(), ep.noise.tolist()))
+                            [Action(*a) for a in ep.actions], events_of(ep), ep.noise.tolist()))
         view = store.read("e1")
         states = np.stack([statecodec.encode_state(view.state(t)) for t in range(view.n_frames)])
         actions = np.stack([statecodec.encode_action(Action(*a)) for a in view.actions])
@@ -535,6 +536,12 @@ class TestWindows:
         starts = {w.start for w in ws}
         assert starts == set(range(ep.n_frames - 5 + 1))
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_is_rejected(self, tmp_path, stride):
+        store = self._store_with_lengths(tmp_path, [10])
+        with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}"):
+            windows(store, 5, stride)
+
     def test_miss_windows_labeled(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         scene = default_scene()
@@ -548,7 +555,7 @@ class TestWindows:
         miss_eps = set()
         for eid in store.ids():
             ep = store.read(eid)
-            for j, e in enumerate(ep.events()):
+            for j, e in enumerate(events_of(ep)):
                 if e.kind == EventKind.GRASP_MISS:
                     miss_eps.add((eid, j))
         labeled = {w.episode_id for w in ws if w.mode == BehaviorMode.MISSED_GRASP}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from playwm import statecodec
-from playwm.dynamics import Action, Event, EventKind, step
+from playwm.dynamics import Action, EventKind, step
 from playwm.env import Env
 from playwm.render import FRAME_SIZE, object_intensity, render, render_states
 from playwm.rng import Rng
@@ -422,69 +422,58 @@ class TestTasks:
 
 
 class TestClassify:
+    """`classify_clip` labels a clip from its steps' event kinds and the
+    caller's flag for whether the clip ends in success."""
+
     def task(self):
         return TaskSpec("put_in", 1, 0)
 
-    def final_success_state(self):
-        objs = [
-            ObjectState(0, "bowl", 0.3, 0.3, 0.0, (0.11, 0.085)),
-            ObjectState(1, "disk", 0.3, 0.3, 0.0, (0.035,)),
-        ]
-        return simple_state(objects=objs)
-
-    def final_fail_state(self):
-        objs = [
-            ObjectState(0, "bowl", 0.3, 0.3, 0.0, (0.11, 0.085)),
-            ObjectState(1, "disk", 0.7, 0.7, 0.0, (0.035,)),
-        ]
-        return simple_state(objects=objs)
-
     def test_miss_only(self):
-        events = [Event(EventKind.GRASP_MISS)]
-        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
-                == BehaviorMode.MISSED_GRASP)
+        kinds = [EventKind.GRASP_MISS]
+        assert classify_clip(kinds, self.task(), False) == BehaviorMode.MISSED_GRASP
 
     def test_success_clip(self):
-        events = [Event(EventKind.GRASP_SUCCESS, (1,)), Event.none()]
-        assert (classify_clip(events, self.task(), self.final_success_state(), PHYS)
-                == BehaviorMode.SUCCESS)
+        kinds = [EventKind.GRASP_SUCCESS, EventKind.NONE]
+        assert classify_clip(kinds, self.task(), True) == BehaviorMode.SUCCESS
 
     def test_pre_grasp_miss_forgiven(self):
-        events = [Event(EventKind.GRASP_MISS), Event(EventKind.GRASP_SUCCESS, (1,))]
-        assert (classify_clip(events, self.task(), self.final_success_state(), PHYS)
-                == BehaviorMode.SUCCESS)
+        kinds = [EventKind.GRASP_MISS, EventKind.GRASP_SUCCESS]
+        assert classify_clip(kinds, self.task(), True) == BehaviorMode.SUCCESS
 
     def test_slide_then_slip_has_slip_precedence(self):
-        events = [Event(EventKind.CONTACT_SLIDE, (1,)), Event(EventKind.SLIP_DROP, (1,))]
-        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
-                == BehaviorMode.SLIP)
+        kinds = [EventKind.CONTACT_SLIDE, EventKind.SLIP_DROP]
+        assert classify_clip(kinds, self.task(), False) == BehaviorMode.SLIP
 
     def test_order_invariance(self):
-        events = [Event(EventKind.SLIP_DROP, (1,)), Event(EventKind.CONTACT_SLIDE, (1,))]
-        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
-                == BehaviorMode.SLIP)
+        kinds = [EventKind.SLIP_DROP, EventKind.CONTACT_SLIDE]
+        assert classify_clip(kinds, self.task(), False) == BehaviorMode.SLIP
 
     def test_fold_change_is_deformation_outside_fold_tasks(self):
-        events = [Event(EventKind.FOLD_CHANGE, (4,))]
-        assert (classify_clip(events, self.task(), self.final_fail_state(), PHYS)
-                == BehaviorMode.DEFORMATION)
-        towel = ObjectState(4, "towel2link", 0.5, 0.5, 0.0, (0.085, 0.028), fold_angle=3.0)
-        s = simple_state(objects=[towel])
-        assert classify_clip(events, TaskSpec("fold", 4), s, PHYS) == BehaviorMode.SUCCESS
+        kinds = [EventKind.FOLD_CHANGE]
+        assert classify_clip(kinds, self.task(), False) == BehaviorMode.DEFORMATION
+        assert classify_clip(kinds, TaskSpec("fold", 4), True) == BehaviorMode.SUCCESS
 
     def test_stack_success_is_judged_under_the_clip_physics(self):
         """A stack released 0.05 from its base succeeds where r_stack is 0.06,
         so the miss before the grasp is forgiven; under the default 0.04 the
-        stack fails and the miss labels the clip."""
+        stack fails and the miss labels the clip. The caller judges success
+        under the clip's physics and passes the flag."""
         objs = [
             ObjectState(1, "disk", 0.55, 0.50, 0.0, (0.035,), z_level=1),
             ObjectState(2, "rect", 0.50, 0.50, 0.0, (0.03, 0.03)),
         ]
         s = simple_state(objects=objs)
         task = TaskSpec("stack", 1, 2)
-        events = [Event(EventKind.GRASP_MISS), Event(EventKind.GRASP_SUCCESS, (1,)), Event.none()]
-        assert classify_clip(events, task, s, Physics(r_stack=0.06)) == BehaviorMode.SUCCESS
-        assert classify_clip(events, task, s, PHYS) == BehaviorMode.MISSED_GRASP
+        kinds = [EventKind.GRASP_MISS, EventKind.GRASP_SUCCESS, EventKind.NONE]
+        wide = check_success(s, task, Physics(r_stack=0.06))
+        assert classify_clip(kinds, task, wide) == BehaviorMode.SUCCESS
+        assert classify_clip(kinds, task, check_success(s, task, PHYS)) == BehaviorMode.MISSED_GRASP
+
+    def test_kinds_may_be_stored_ints(self):
+        """Stored event rows hold each kind as its int value."""
+        kinds = [int(EventKind.GRASP_MISS), int(EventKind.GRASP_SUCCESS), int(EventKind.NONE)]
+        assert classify_clip(kinds, self.task(), True) == BehaviorMode.SUCCESS
+        assert classify_clip(kinds, self.task(), False) == BehaviorMode.MISSED_GRASP
 
 
 class TestCodec:
