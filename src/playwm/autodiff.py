@@ -13,8 +13,10 @@ dsrl.actor_loss. mse() is the shared squared-error piece.
 
 The arithmetic is the reverse-mode chain rule written out in a fixed
 operation order, so seeded training reproduces to the bit. Training and
-inference share the one forward pass, so a trained net runs at inference on
-the same bits it was trained on.
+inference share the one forward pass. Training and DDIM sampling run it on
+the same concatenated input, bit for bit; the ancestral DDPM sampler sums
+layer 0 in parts (conditioning and time embedding computed once per call),
+which matches the single product within rounding.
 """
 
 from __future__ import annotations

@@ -108,7 +108,8 @@ def init_mlp(widths: list[int], rng: Rng, activation: str = "silu", layer_norm: 
     return net
 
 
-def forward(net: Mlp, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+def forward(net: Mlp, x: np.ndarray, cache: list | None = None, *,
+            layer0: np.ndarray | None = None) -> np.ndarray:
     """Run the net on a (batch, in_dim) array.
 
     With a `cache` list, appends per layer the (input, layer norm, activation)
@@ -116,14 +117,23 @@ def forward(net: Mlp, x: np.ndarray, cache: list | None = None) -> np.ndarray:
     scale, and what the activation's derivative needs (None where a layer has
     none). Caching changes no output bit. silu and layer norm are computed
     the way their derivatives need them.
+
+    For inference, x may hold only the input's leading columns when `layer0`
+    is given: layer 0's pre-activation is then x @ w0[:x's width] + layer0,
+    so layer0 carries the remaining columns' product and the bias (see
+    diffusion.DenoiserNet.conditioned). The sum is the single product's
+    within rounding, not bit for bit.
     """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != net.in_dim:
+    if h.ndim != 2 or (h.shape[1] != net.in_dim if layer0 is None else h.shape[1] > net.in_dim):
         raise ShapeError(f"input shape {h.shape} != (batch, {net.in_dim}) of layer 0")
-    last = net.n_layers - 1
-    for i in range(last):
-        z = h @ net.params[f"w{i}"]
-        z += net.params[f"b{i}"]  # in place, as below: fewer live (batch, width) arrays
+    if layer0 is None:
+        z = h @ net.params["w0"]
+        z += net.params["b0"]  # in place, as below: fewer live (batch, width) arrays
+    else:
+        z = h @ net.params["w0"][:h.shape[1]]
+        z += layer0
+    for i in range(1, net.n_layers):
         norm = act = None
         if net.layer_norm:
             z -= z.mean(axis=-1, keepdims=True)
@@ -146,6 +156,8 @@ def forward(net: Mlp, x: np.ndarray, cache: list | None = None) -> np.ndarray:
         if cache is not None:
             cache.append((h, norm, act))
         h = out
+        z = h @ net.params[f"w{i}"]
+        z += net.params[f"b{i}"]
     if cache is not None:
         cache.append((h, None, None))
-    return h @ net.params[f"w{last}"] + net.params[f"b{last}"]
+    return z

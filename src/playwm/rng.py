@@ -19,21 +19,25 @@ identical draw sequences regardless of how calls are batched. The scalar
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _GAMMA, _MIX1, _MIX2 = np.uint64(_GAMMA_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
-_TWO64 = float(2.0 ** 64)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_INV_TWO64 = 2.0 ** -64  # scaling by it is exact, like dividing by 2 ** 64
 
 
-def _mix(counters: np.ndarray) -> np.ndarray:
-    z = counters
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    z = z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray) -> np.ndarray:
+    """Mixes a uint64 counter array in place and returns it."""
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, _S30, out=t)
+    z *= _MIX1
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _MIX2
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
@@ -45,11 +49,12 @@ class Rng:
         self._gauss_cache: float | None = None
 
     def _next_block(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            steps = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
-            counters = np.uint64(self._state) + steps
-            self._state = int(counters[-1]) if n > 0 else self._state
-            return _mix(counters)
+        counters = np.arange(1, n + 1, dtype=np.uint64)
+        counters *= _GAMMA
+        counters += np.uint64(self._state)
+        if n > 0:
+            self._state = int(counters[-1])
+        return _mix(counters)
 
     def next_u64(self) -> int:
         z = self._state = (self._state + _GAMMA_INT) & _MASK
@@ -59,15 +64,17 @@ class Rng:
 
     def uniform(self) -> float:
         """One uniform draw in (0, 1]."""
-        return (float(self.next_u64()) + 1.0) / _TWO64
+        return (float(self.next_u64()) + 1.0) * _INV_TWO64
 
     def _uniform_block(self, n: int) -> np.ndarray:
         z = self._next_block(n).astype(np.float64)
-        return (z + 1.0) / _TWO64
+        z += 1.0
+        z *= _INV_TWO64
+        return z
 
     def uniform_array(self, shape) -> np.ndarray:
         shape = _as_shape(shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         out = self._uniform_block(n).reshape(shape)
         return out
 
@@ -103,7 +110,7 @@ class Rng:
 
     def normal(self, shape) -> np.ndarray:
         shape = _as_shape(shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         out = np.empty(n, dtype=np.float64)
         k = 0
         if self._gauss_cache is not None and n > 0:
@@ -114,16 +121,18 @@ class Rng:
         if m > 0:
             pairs = (m + 1) // 2
             u = self._uniform_block(2 * pairs).reshape(pairs, 2)
-            r = np.sqrt(-2.0 * np.log(u[:, 0]))
-            theta = 2.0 * np.pi * u[:, 1]
-            cos_branch = r * np.cos(theta)
-            sin_branch = r * np.sin(theta)
-            interleaved = np.empty(2 * pairs, dtype=np.float64)
-            interleaved[0::2] = cos_branch
-            interleaved[1::2] = sin_branch
-            out[k:] = interleaved[:m]
+            r = np.log(u[:, 0])
+            r *= -2.0
+            np.sqrt(r, out=r)
+            theta = u[:, 1] * (2.0 * np.pi)
+            # cosine branches to the even slots, sine branches to the odd;
+            # an odd count needs one slot more than out has left
+            pairs_out = out[k:] if m % 2 == 0 else np.empty(2 * pairs, dtype=np.float64)
+            np.multiply(r, np.cos(theta), out=pairs_out[0::2])
+            np.multiply(r, np.sin(theta), out=pairs_out[1::2])
             if m % 2 == 1:
-                self._gauss_cache = float(interleaved[m])
+                out[k:] = pairs_out[:m]
+                self._gauss_cache = float(pairs_out[m])
         return out.reshape(shape)
 
     def shuffle(self, items: list) -> list:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from playwm import diffusion as df
+from playwm import nets
 from playwm.optim import Adam, clip_grad_norm
 from playwm.rng import Rng
 from test_numerics import assert_grads_close, finite_diff
@@ -155,6 +156,85 @@ class TestDdpm:
             opt.step(net.net.params, grads)
         samples = df.ddpm_sample(net, s, np.zeros((256, 1)), Rng(5), clip_x0=1.2)
         assert abs(samples.mean() - target) < 0.05
+
+
+def ddpm_reference(denoiser, schedule, cond, rng, clip_x0):
+    """The ancestral loop with the whole concatenated input through nets.forward
+    at every step, as ddpm_sample ran before it cached the conditioning."""
+    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
+    x = rng.normal((cond.shape[0], denoiser.target_dim))
+    for t in range(schedule.T, 0, -1):
+        beta = schedule.betas[t - 1]
+        alpha = schedule.alphas[t - 1]
+        abar = schedule.alpha_bars[t]
+        abar_prev = schedule.alpha_bars[t - 1]
+        out = nets.forward(denoiser.net, denoiser.inputs(x, cond, t, schedule.T))
+        x0_hat = np.clip(out, -clip_x0, clip_x0)
+        x = (np.sqrt(abar_prev) * beta * x0_hat
+             + np.sqrt(alpha) * (1.0 - abar_prev) * x) / (1.0 - abar)
+        if t > 1:
+            x = x + np.sqrt(beta) * rng.normal(x.shape)
+    return x
+
+
+def same_stream(a: Rng, b: Rng) -> bool:
+    """Whether two generators give the same next draws (normal first, so a
+    cached Box-Muller branch is compared too)."""
+    return np.array_equal(a.normal(3), b.normal(3)) and a.next_u64() == b.next_u64()
+
+
+class TestConditioned:
+    T = 50
+
+    @pytest.mark.parametrize("activation", ["silu", "relu"])
+    @pytest.mark.parametrize("batch", [1, 7, 16, 64])
+    def test_matches_the_concatenated_forward(self, activation, batch):
+        den = df.DenoiserNet.create(6, 11, Rng(1), hidden=32, depth=3, activation=activation)
+        rng = Rng(2)
+        x, cond = rng.normal((batch, 6)), rng.normal((batch, 11))
+        predict = den.conditioned(cond, self.T)
+        for t in (1, self.T // 2, self.T):
+            want = nets.forward(den.net, den.inputs(x, cond, t, self.T))
+            np.testing.assert_allclose(predict(x, t), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 7, 50])
+    def test_ddpm_matches_the_concatenated_loop(self, batch):
+        s = df.NoiseSchedule.linear_scaled(self.T)
+        den = df.DenoiserNet.create(6, 11, Rng(3), hidden=32, depth=3)
+        cond = Rng(4).normal((batch, 11))
+        a, b = Rng(5), Rng(5)
+        got = df.ddpm_sample(den, s, cond, a, clip_x0=2.0)
+        want = ddpm_reference(den, s, cond, b, 2.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert same_stream(a, b)
+
+    def test_ddpm_conditions_once_per_call(self, monkeypatch):
+        s = df.NoiseSchedule.linear(20)
+        den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=2)
+        calls = []
+
+        def counted(t, T):
+            calls.append(T)
+            return embed(t, T)
+
+        def no_inputs(*args, **kwargs):
+            raise AssertionError("ddpm_sample built the concatenated input")
+
+        embed = df.time_embedding
+        monkeypatch.setattr(df, "time_embedding", counted)
+        monkeypatch.setattr(df.DenoiserNet, "inputs", no_inputs)
+        df.ddpm_sample(den, s, np.zeros((4, 3)), Rng(7), clip_x0=1.0)
+        assert calls == [20]
+
+    @pytest.mark.parametrize("cond_dim", [2, 4])
+    def test_bad_conditioning_width_raises_before_any_draw(self, cond_dim):
+        s = df.NoiseSchedule.linear(20)
+        den = df.DenoiserNet.create(2, 3, Rng(8), hidden=8, depth=1)
+        rng = Rng(9)
+        with pytest.raises(nets.ShapeError, match=f"conditioning shape \\(5, {cond_dim}\\) "
+                                                  "!= \\(batch, 3\\)"):
+            df.ddpm_sample(den, s, np.zeros((5, cond_dim)), rng, clip_x0=1.0)
+        assert same_stream(rng, Rng(9))
 
 
 class TestDdim:
