@@ -125,7 +125,7 @@ def forward(net: Mlp, x: np.ndarray, cache: list | None = None, *,
     within rounding, not bit for bit.
     """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or (h.shape[1] != net.in_dim if layer0 is None else h.shape[1] > net.in_dim):
+    if h.ndim != 2 or h.shape[1] > net.in_dim or (layer0 is None and h.shape[1] != net.in_dim):
         raise ShapeError(f"input shape {h.shape} != (batch, {net.in_dim}) of layer 0")
     if layer0 is None:
         z = h @ net.params["w0"]

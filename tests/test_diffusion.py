@@ -211,6 +211,7 @@ class TestConditioned:
     def test_ddpm_conditions_once_per_call(self, monkeypatch):
         s = df.NoiseSchedule.linear(20)
         den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=2)
+        embed = df.time_embedding
         calls = []
 
         def counted(t, T):
@@ -220,7 +221,6 @@ class TestConditioned:
         def no_inputs(*args, **kwargs):
             raise AssertionError("ddpm_sample built the concatenated input")
 
-        embed = df.time_embedding
         monkeypatch.setattr(df, "time_embedding", counted)
         monkeypatch.setattr(df.DenoiserNet, "inputs", no_inputs)
         df.ddpm_sample(den, s, np.zeros((4, 3)), Rng(7), clip_x0=1.0)
