@@ -13,10 +13,10 @@ dsrl.actor_loss. mse() is the shared squared-error piece.
 
 The arithmetic is the reverse-mode chain rule written out in a fixed
 operation order, so seeded training reproduces to the bit. Training and
-inference share the one forward pass. Training and DDIM sampling run it on
-the same concatenated input, bit for bit; the ancestral DDPM sampler sums
-layer 0 in parts (conditioning and time embedding computed once per call),
-which matches the single product within rounding.
+inference share the one forward pass. Training runs it on the whole
+concatenated input, which backward needs; both diffusion samplers sum layer
+0 in parts (conditioning and time embedding computed once per call), which
+matches the single product within rounding.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ def backward(net: Mlp, cache: list[tuple], dout: np.ndarray, grads: FlatParams |
             if net.activation == "silu":
                 z, s = act
                 g = g * (s * (1.0 + z * (1.0 - s)))
-            elif net.activation == "relu":
+            else:  # relu
                 g = g * act
-            elif net.activation == "tanh":
-                g = g * (1.0 - act * act)
             if norm is not None:
                 y, inv = norm
                 gy = g * inv

@@ -9,14 +9,13 @@ clean level); betas/alphas are indexed 1..T via betas[t-1]. Timesteps fed
 to the denoiser are embedded as 16 sinusoidal features of t/T.
 
 The denoiser's input is (noised target | conditioning | time embedding).
-Training and DDIM run that whole concatenation through nets.forward. DDPM
-conditions once per call instead (DenoiserNet.conditioned): layer 0's
-conditioning product plus bias, a (batch, hidden) array, and a (T+1,
-hidden) table of time-embedding products are computed before the first
-reverse step, so each step multiplies only the noised target through layer
-0 and adds the two cached terms. That sum differs from the single product
-within rounding (about 1e-15).
-"""
+Training concatenates it: backward needs the whole input. Both samplers
+condition once per call (DenoiserNet.conditioned): layer 0's conditioning
+product plus bias, a (batch, hidden) array, and a (T+1, hidden) table of
+time-embedding products are computed before the first reverse step, so
+each step multiplies only the noised target through layer 0 and adds the
+two cached terms. That sum differs from the single product within rounding
+(about 1e-15)."""
 
 from __future__ import annotations
 
@@ -88,31 +87,18 @@ class DenoiserNet:
     net: nets.Mlp
 
     @staticmethod
-    def create(target_dim: int, cond_dim: int, rng: Rng | None, hidden: int = 256,
-               depth: int = 3, activation: str = "silu") -> "DenoiserNet":
-        """A randomly initialised net, or with rng None an all-zero one for a
-        loader to fill."""
+    def create(target_dim: int, cond_dim: int, rng: Rng | None, hidden: int,
+               depth: int) -> "DenoiserNet":
+        """A randomly initialised silu net, or with rng None an all-zero one
+        for a loader to fill."""
         widths = [target_dim + cond_dim + TIME_EMBED_DIM] + [hidden] * depth + [target_dim]
-        net = (nets.Mlp(widths, activation) if rng is None
-               else nets.init_mlp(widths, rng, activation))
+        net = nets.Mlp(widths, "silu") if rng is None else nets.init_mlp(widths, rng, "silu")
         return DenoiserNet(target_dim, net)
-
-    def inputs(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
-        """The MLP input: noised target, conditioning and time embedding per row."""
-        x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-        cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-        temb = np.atleast_2d(time_embedding(t, T))
-        if temb.shape[0] == 1 and x_t.shape[0] > 1:
-            temb = np.broadcast_to(temb, (x_t.shape[0], temb.shape[1]))
-        return np.concatenate([x_t, cond, temb], axis=-1)
-
-    def predict_x0(self, x_t: np.ndarray, cond: np.ndarray, t, T: int) -> np.ndarray:
-        """Clean-signal estimate at step t."""
-        return nets.forward(self.net, self.inputs(x_t, cond, t, T))
 
     def conditioned(self, cond: np.ndarray, T: int) -> Callable[[np.ndarray, int], np.ndarray]:
         """The clean-signal estimator (x_t, t) -> x0 estimate for a fixed
-        (batch, cond_dim) conditioning, within rounding of predict_x0.
+        (batch, cond_dim) conditioning, within rounding of the net's forward
+        pass over the concatenated input.
 
         Layer 0's conditioning product plus bias, and the time-embedding
         products of every t in 0..T, are computed here once; each call
@@ -168,7 +154,8 @@ def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarra
     t = rng.randint_array(batch, schedule.T) + 1
     eps = rng.normal(x0.shape)
     x_t = q_sample(schedule, x0, t, eps)
-    inp = denoiser.inputs(x_t, cond, t, schedule.T)
+    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
+    inp = np.concatenate([x_t, cond, time_embedding(t, schedule.T)], axis=-1)
     cache = None if grads is None else []
     diff = nets.forward(denoiser.net, inp, cache) - x0
     inv_n = 1.0 / diff.size
@@ -209,7 +196,8 @@ def ddim_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
 
     The output is a pure function of (net parameters, cond, w0, steps); w0 is
     the explicit initial latent, which is what makes the diffusion policy
-    steerable through its noise input.
+    steerable through its noise input. w0 and cond must have one row per
+    sample each.
     """
     if not (1 <= steps <= schedule.T):
         raise ValueError(f"steps must be in 1..{schedule.T}")
@@ -217,12 +205,15 @@ def ddim_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
     x = np.atleast_2d(np.asarray(w0, dtype=np.float64)).copy()
     if x.shape[-1] != denoiser.target_dim:
         raise ValueError(f"w0 width {x.shape[-1]} != target width {denoiser.target_dim}")
+    if x.shape[0] != cond.shape[0]:
+        raise ValueError(f"w0 shape {x.shape} and cond shape {cond.shape} differ in rows")
+    predict = denoiser.conditioned(cond, schedule.T)
     taus = np.unique(np.round(np.linspace(1, schedule.T, steps)).astype(int))[::-1]
     for i, t in enumerate(taus):
         t_prev = taus[i + 1] if i + 1 < len(taus) else 0
         abar_t = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t_prev]
-        out = denoiser.predict_x0(x, cond, int(t), schedule.T)
+        out = predict(x, t)
         eps_hat = (x - np.sqrt(abar_t) * out) / np.sqrt(1.0 - abar_t)
         x0_pred = (x - np.sqrt(1.0 - abar_t) * eps_hat) / np.sqrt(abar_t)
         x = np.sqrt(abar_prev) * x0_pred + np.sqrt(1.0 - abar_prev) * eps_hat

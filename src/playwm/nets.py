@@ -4,8 +4,11 @@ An Mlp owns a single contiguous float64 vector holding every parameter;
 `net.params` is a FlatParams, a dict of named views into it ("w0", "b0",
 ...), so code that walks names (param_hash, checkpoints) reads it like any
 parameter dict while Adam and Polyak averaging update the whole vector at
-once. forward() is the one forward pass, for inference and training alike:
-given a cache list it also keeps, per layer, what autodiff.backward reads.
+once. Hidden layers are relu or silu. forward() is the one forward pass,
+for inference and training alike: training runs it on the whole input and,
+given a cache list, keeps per layer what autodiff.backward reads; the
+diffusion samplers hand it layer 0's conditioning term, computed once per
+call, and only the noised columns of the input.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .rng import Rng
 
-ACTIVATIONS = ("tanh", "relu", "silu", "identity")
+ACTIVATIONS = ("relu", "silu")
 
 
 class ShapeError(ValueError):
@@ -47,7 +50,7 @@ class Mlp:
     the output layer is linear. A `params` dict given to the constructor is
     copied into the net's vector through load_params."""
 
-    def __init__(self, widths: list[int], activation: str = "silu", layer_norm: bool = False,
+    def __init__(self, widths: list[int], activation: str, layer_norm: bool = False,
                  params: dict[str, np.ndarray] | None = None):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -100,7 +103,7 @@ def load_params(net: Mlp, params: dict[str, np.ndarray], source: str) -> None:
         view[...] = params[name]
 
 
-def init_mlp(widths: list[int], rng: Rng, activation: str = "silu", layer_norm: bool = False) -> Mlp:
+def init_mlp(widths: list[int], rng: Rng, activation: str, layer_norm: bool = False) -> Mlp:
     net = Mlp(widths, activation, layer_norm)
     for i, fan_in in enumerate(widths[:-1]):
         w = net.params[f"w{i}"]
@@ -145,14 +148,10 @@ def forward(net: Mlp, x: np.ndarray, cache: list | None = None, *,
             s += 1.0
             np.divide(1.0, s, out=s)  # s = 1 / (1 + exp(-z))
             act, out = (z, s), z * s
-        elif net.activation == "relu":
+        else:  # relu
             out = np.maximum(z, 0.0)
             if cache is not None:
                 act = z > 0.0
-        elif net.activation == "tanh":
-            out = act = np.tanh(z)
-        else:  # identity
-            out = z
         if cache is not None:
             cache.append((h, norm, act))
         h = out

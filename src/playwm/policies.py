@@ -44,7 +44,6 @@ class PolicyConfig:
     ddim_steps: int = 5
     hidden: int = 256
     depth: int = 3
-    activation: str = "silu"
     lr: float = 1e-3
     batch: int = 64
     grad_clip: float = 1.0
@@ -69,8 +68,7 @@ class DiffusionPolicy:
 def create_policy(scene: SceneConfig, cfg: PolicyConfig, rng: Rng | None) -> DiffusionPolicy:
     """A fresh policy; with rng None its parameters are zero, for load_policy."""
     cond_dim = statecodec.state_dim(len(scene.objects))
-    denoiser = DenoiserNet.create(cfg.horizon * 4, cond_dim, rng, hidden=cfg.hidden,
-                                  depth=cfg.depth, activation=cfg.activation)
+    denoiser = DenoiserNet.create(cfg.horizon * 4, cond_dim, rng, cfg.hidden, cfg.depth)
     return DiffusionPolicy(cfg=cfg, scene=scene, denoiser=denoiser,
                            schedule=NoiseSchedule.linear_scaled(cfg.denoise_steps))
 

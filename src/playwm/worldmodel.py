@@ -31,7 +31,6 @@ class WmConfig:
     denoise_steps: int = 50
     hidden: int = 256
     depth: int = 3
-    activation: str = "silu"
     lr: float = 1e-3            # desk preset; full-scale preset is 5e-6
     warmup: int = 100
     grad_clip: float = 1.0
@@ -90,8 +89,7 @@ def create_worldmodel(scene: SceneConfig, cfg: WmConfig, rng: Rng | None) -> Wor
     width = statecodec.state_dim(len(scene.objects))
     target_dim = cfg.chunk * width
     cond_dim = cfg.history * width + (cfg.history - 1 + cfg.chunk) * 4
-    denoiser = DenoiserNet.create(target_dim, cond_dim, rng, hidden=cfg.hidden,
-                                  depth=cfg.depth, activation=cfg.activation)
+    denoiser = DenoiserNet.create(target_dim, cond_dim, rng, cfg.hidden, cfg.depth)
     return WorldModel(cfg=cfg, scene=scene, denoiser=denoiser,
                       schedule=NoiseSchedule.linear_scaled(cfg.denoise_steps))
 

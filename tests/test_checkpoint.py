@@ -105,7 +105,7 @@ def _saved_model(tmp_path, kind):
         policies.save_policy(policy, path)
         return path, lambda p: policies.load_policy(p).param_hash(), policy.param_hash()
     if kind == "progress":
-        model = progress.ProgressModel(nets.init_mlp([6, 4, 1], Rng(3)), scene)
+        model = progress.ProgressModel(nets.init_mlp([6, 4, 1], Rng(3), "silu"), scene)
         progress.save_progress(model, path)
         return path, lambda p: progress.load_progress(p).net.param_hash(), model.net.param_hash()
     st = dsrl.make_dsrl(6, 3, dsrl.DsrlConfig(hidden=8, depth=1), Rng(4))

@@ -158,6 +158,13 @@ class TestDdpm:
         assert abs(samples.mean() - target) < 0.05
 
 
+def concatenated_forward(denoiser, x, cond, t, T):
+    """The denoiser's output on its whole input (noised target | conditioning
+    | time embedding), the way training runs it."""
+    temb = np.broadcast_to(df.time_embedding(t, T), (x.shape[0], df.TIME_EMBED_DIM))
+    return nets.forward(denoiser.net, np.concatenate([x, cond, temb], axis=-1))
+
+
 def ddpm_reference(denoiser, schedule, cond, rng, clip_x0):
     """The ancestral loop with the whole concatenated input through nets.forward
     at every step, as ddpm_sample ran before it cached the conditioning."""
@@ -168,12 +175,28 @@ def ddpm_reference(denoiser, schedule, cond, rng, clip_x0):
         alpha = schedule.alphas[t - 1]
         abar = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t - 1]
-        out = nets.forward(denoiser.net, denoiser.inputs(x, cond, t, schedule.T))
+        out = concatenated_forward(denoiser, x, cond, t, schedule.T)
         x0_hat = np.clip(out, -clip_x0, clip_x0)
         x = (np.sqrt(abar_prev) * beta * x0_hat
              + np.sqrt(alpha) * (1.0 - abar_prev) * x) / (1.0 - abar)
         if t > 1:
             x = x + np.sqrt(beta) * rng.normal(x.shape)
+    return x
+
+
+def ddim_reference(denoiser, schedule, cond, steps, w0):
+    """The DDIM loop with the whole concatenated input through nets.forward
+    at every step, as ddim_sample ran before it cached the conditioning."""
+    x = np.array(w0, dtype=np.float64)
+    taus = np.unique(np.round(np.linspace(1, schedule.T, steps)).astype(int))[::-1]
+    for i, t in enumerate(taus):
+        t_prev = taus[i + 1] if i + 1 < len(taus) else 0
+        abar_t = schedule.alpha_bars[t]
+        abar_prev = schedule.alpha_bars[t_prev]
+        out = concatenated_forward(denoiser, x, cond, int(t), schedule.T)
+        eps_hat = (x - np.sqrt(abar_t) * out) / np.sqrt(1.0 - abar_t)
+        x0_pred = (x - np.sqrt(1.0 - abar_t) * eps_hat) / np.sqrt(abar_t)
+        x = np.sqrt(abar_prev) * x0_pred + np.sqrt(1.0 - abar_prev) * eps_hat
     return x
 
 
@@ -183,18 +206,38 @@ def same_stream(a: Rng, b: Rng) -> bool:
     return np.array_equal(a.normal(3), b.normal(3)) and a.next_u64() == b.next_u64()
 
 
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """Records each time_embedding call's T, and the input width of each
+    forward pass and whether layer 0's conditioning term came with it."""
+    calls = {"embed": [], "forward": []}
+    embed, forward = df.time_embedding, nets.forward
+
+    def counted_embed(t, T):
+        calls["embed"].append(T)
+        return embed(t, T)
+
+    def counted_forward(net, x, cache=None, **kwargs):
+        calls["forward"].append((np.shape(x)[1], kwargs.get("layer0") is not None))
+        return forward(net, x, cache, **kwargs)
+
+    monkeypatch.setattr(df, "time_embedding", counted_embed)
+    monkeypatch.setattr(nets, "forward", counted_forward)
+    return calls
+
+
 class TestConditioned:
     T = 50
 
     @pytest.mark.parametrize("activation", ["silu", "relu"])
     @pytest.mark.parametrize("batch", [1, 7, 16, 64])
     def test_matches_the_concatenated_forward(self, activation, batch):
-        den = df.DenoiserNet.create(6, 11, Rng(1), hidden=32, depth=3, activation=activation)
+        den = df.DenoiserNet(6, nets.init_mlp([33, 32, 32, 32, 6], Rng(1), activation))
         rng = Rng(2)
         x, cond = rng.normal((batch, 6)), rng.normal((batch, 11))
         predict = den.conditioned(cond, self.T)
         for t in (1, self.T // 2, self.T):
-            want = nets.forward(den.net, den.inputs(x, cond, t, self.T))
+            want = concatenated_forward(den, x, cond, t, self.T)
             np.testing.assert_allclose(predict(x, t), want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, 7, 50])
@@ -208,23 +251,27 @@ class TestConditioned:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         assert same_stream(a, b)
 
-    def test_ddpm_conditions_once_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("batch", [1, 7, 50])
+    def test_ddim_matches_the_concatenated_loop(self, batch):
+        s = df.NoiseSchedule.linear_scaled(100)
+        den = df.DenoiserNet.create(6, 11, Rng(3), hidden=32, depth=3)
+        rng = Rng(4)
+        cond, w0 = rng.normal((batch, 11)), rng.normal((batch, 6))
+        got = df.ddim_sample(den, s, cond, 5, w0)
+        want = ddim_reference(den, s, cond, 5, w0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_ddpm_conditions_once_per_call(self, sampler_calls):
         s = df.NoiseSchedule.linear(20)
         den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=2)
-        embed = df.time_embedding
-        calls = []
-
-        def counted(t, T):
-            calls.append(T)
-            return embed(t, T)
-
-        def no_inputs(*args, **kwargs):
-            raise AssertionError("ddpm_sample built the concatenated input")
-
-        monkeypatch.setattr(df, "time_embedding", counted)
-        monkeypatch.setattr(df.DenoiserNet, "inputs", no_inputs)
         df.ddpm_sample(den, s, np.zeros((4, 3)), Rng(7), clip_x0=1.0)
-        assert calls == [20]
+        assert sampler_calls == {"embed": [20], "forward": [(2, True)] * 20}
+
+    def test_ddim_conditions_once_per_call(self, sampler_calls):
+        s = df.NoiseSchedule.linear(30)
+        den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=2)
+        df.ddim_sample(den, s, np.zeros((4, 3)), 5, Rng(7).normal((4, 2)))
+        assert sampler_calls == {"embed": [30], "forward": [(2, True)] * 5}
 
     @pytest.mark.parametrize("cond_dim", [2, 4])
     def test_bad_conditioning_width_raises_before_any_draw(self, cond_dim):
@@ -235,6 +282,16 @@ class TestConditioned:
                                                   "!= \\(batch, 3\\)"):
             df.ddpm_sample(den, s, np.zeros((5, cond_dim)), rng, clip_x0=1.0)
         assert same_stream(rng, Rng(9))
+
+    @pytest.mark.parametrize("w0_rows, cond_rows", [(3, 1), (1, 3)])
+    def test_ddim_rows_of_w0_and_cond_must_agree(self, sampler_calls, w0_rows, cond_rows):
+        # a one-row conditioning term would otherwise broadcast over every row
+        s = df.NoiseSchedule.linear(30)
+        den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=1)
+        with pytest.raises(ValueError, match=f"w0 shape \\({w0_rows}, 2\\) and cond shape "
+                                             f"\\({cond_rows}, 3\\) differ in rows"):
+            df.ddim_sample(den, s, np.zeros((cond_rows, 3)), 5, np.zeros((w0_rows, 2)))
+        assert sampler_calls == {"embed": [], "forward": []}
 
 
 class TestDdim:

@@ -53,7 +53,7 @@ class TestBackward:
         assert grad[0] == pytest.approx(6.0)
 
     def test_linear_sum_grad_equals_input(self):
-        net = nets.Mlp([2, 2], "identity", params={"w0": np.ones((2, 2)), "b0": np.zeros(2)})
+        net = nets.Mlp([2, 2], "relu", params={"w0": np.ones((2, 2)), "b0": np.zeros(2)})
         x = np.array([[1.0, 1.0]])
         cache = []
         out = nets.forward(net, x, cache)
@@ -63,7 +63,7 @@ class TestBackward:
         assert np.allclose(grads["b0"], np.ones(2))
 
     def test_dout_shape_mismatch_rejected(self):
-        net = nets.init_mlp([3, 4, 2], Rng(0), "tanh")
+        net = nets.init_mlp([3, 4, 2], Rng(0), "relu")
         cache = []
         nets.forward(net, np.zeros((5, 3)), cache)
         with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ class TestBackward:
         assert np.array_equal(nets.forward(net, x, cache), nets.forward(net, x))
         assert len(cache) == net.n_layers
 
-    @pytest.mark.parametrize("activation", ["tanh", "silu", "relu", "identity"])
+    @pytest.mark.parametrize("activation", nets.ACTIVATIONS)
     def test_mlp_matches_finite_differences(self, activation):
         rng = Rng(11)
         net = nets.init_mlp([3, 8, 5, 2], rng, activation)
@@ -93,7 +93,7 @@ class TestBackward:
                                f"{activation}/{name}")
 
     def test_layer_norm_gradient(self):
-        for activation in ("tanh", "relu"):
+        for activation in nets.ACTIVATIONS:
             rng = Rng(5)
             net = nets.init_mlp([4, 6, 6, 3], rng, activation, layer_norm=True)
             x = rng.normal((3, 4))
@@ -103,7 +103,7 @@ class TestBackward:
                                    f"{activation}/{name}")
             assert_grads_close(gx, finite_diff(x, lambda: mean_square(net, x)), activation)
 
-    @pytest.mark.parametrize("activation", ["tanh", "silu", "relu", "identity"])
+    @pytest.mark.parametrize("activation", nets.ACTIVATIONS)
     def test_input_gradient(self, activation):
         rng = Rng(12)
         net = nets.init_mlp([3, 8, 5, 2], rng, activation)
@@ -188,22 +188,27 @@ def test_dsrl_sample_log_density_is_the_trained_one():
 
 
 class TestMlpForward:
+    def test_hidden_layers_are_relu_or_silu(self):
+        assert nets.ACTIVATIONS == ("relu", "silu")
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            nets.Mlp([2, 3, 1], "tanh")
+
     def test_zero_weights_give_zero_output(self):
         rng = Rng(0)
-        net = nets.init_mlp([3, 4, 2], rng, "tanh")
+        net = nets.init_mlp([3, 4, 2], rng, "relu")
         for p in net.params.values():
             p[:] = 0.0
         out = nets.forward(net, np.array([[1.0, -2.0, 3.0]]))
         assert np.all(out == 0.0)
 
     def test_identity_single_layer(self):
-        net = nets.Mlp(widths=[2, 2], activation="identity",
+        net = nets.Mlp(widths=[2, 2], activation="relu",
                        params={"w0": np.eye(2), "b0": np.zeros(2)})
         out = nets.forward(net, np.array([[1.0, 2.0]]))
         assert np.allclose(out, [[1.0, 2.0]])
 
     def test_hand_evaluated_tanh_layer(self):
-        net = nets.Mlp(widths=[1, 1], activation="identity",
+        net = nets.Mlp(widths=[1, 1], activation="relu",
                        params={"w0": np.array([[2.0]]), "b0": np.array([1.0])})
         # single layer: output layer is linear, so apply tanh on top manually
         out = np.tanh(nets.forward(net, np.array([[0.0]])))
@@ -211,7 +216,7 @@ class TestMlpForward:
 
     def test_shape_mismatch_reports_layer(self):
         rng = Rng(0)
-        net = nets.init_mlp([3, 4], rng)
+        net = nets.init_mlp([3, 4], rng, "silu")
         with pytest.raises(nets.ShapeError, match="layer 0"):
             nets.forward(net, np.zeros((1, 5)))
 
@@ -227,7 +232,7 @@ def flat_params(**arrays) -> nets.FlatParams:
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         rng = Rng(1)
-        net = nets.init_mlp([2, 3], rng)
+        net = nets.init_mlp([2, 3], rng, "silu")
         before = {k: v.copy() for k, v in net.params.items()}
         opt = optim.Adam(lr=0.1)
         zero = net.params.zeros_like()
@@ -270,7 +275,7 @@ class TestAdam:
         assert opt.step_count == 1 and params["a"][0] == pytest.approx(0.9)
 
     def test_nan_gradient_in_flat_params_names_parameter(self):
-        net = nets.init_mlp([3, 4, 2], Rng(2))
+        net = nets.init_mlp([3, 4, 2], Rng(2), "silu")
         before = net.params.flat.copy()
         grads = net.params.zeros_like()
         grads["w1"][1, 0] = np.inf
@@ -283,7 +288,7 @@ class TestAdam:
         """The flat, blocked update is bit-identical to Adam applied array by
         array with whole-array temporaries, across several block boundaries."""
         rng = Rng(3)
-        net = nets.init_mlp([300, 150, 40], rng)  # 51 190 parameters: two blocks, w0 split
+        net = nets.init_mlp([300, 150, 40], rng, "silu")  # 51 190 parameters: two blocks, w0 split
         assert net.params.flat.size > optim.BLOCK
         ref = {k: v.copy() for k, v in net.params.items()}
         ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
