@@ -20,7 +20,7 @@ CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
 GOLDEN = {
     "real": "927280d53fc67ec74fe22a4d50d3da06298c6a6ee7c78f68d505abb947cb3b47",
     "imagined_world_model": "dfd63081e6f35f8e876362e7222bc30ce1f333455ebde454fb83322a34d95d38",
-    "imagined_predicted_states": "52a78a97e91840301f405c6f4256106cb473473d88a584b47bf762a88a8a7ff4",
+    "imagined_predicted_states": "3bf25516406a37ced80bbd3e87fcb627c0807e76b01d02c2d18b027fcd2331e0",
     "imagined_scene": "d68657815aed973b825e3f3870647608330af2cf8b0e4edcc65679188117ebcb",
     "env_success": "bd374a6b4650c7519588105ecc02de7b7c5f2c68640c3283a91e2073db8614e1",
     "steered_False": "ca924e6162ec04e58c897a87d0ee8b9060a3746476906140cda7a61456e699e7",
