@@ -28,7 +28,7 @@ GOLDEN = {
     "bc": "8824499a70553bc7410d1bdd8948fe2b797457f26f0c1d832478b8dc972a3a75",
     "progress": "7b1a72a56fe29fe276842a524846030453893d242067c748aae2bc65f0f8c834",
     "dsrl_update": "4e9d1d4f40a1fcc8280d198238dce4e3af996585ad5475c827b75b1be012e25a",
-    "dsrl_finetune": "8262a28b7d5f3780ee2064a6d7a12796aba525e355d351b83d030b05f8e61784",
+    "dsrl_finetune": "a96564477a08875d0f07ee99875b0763b6dd7b6da1e0ca5ba68b7b73614574a2",
 }
 
 
