@@ -210,7 +210,6 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
     if oob:
         events.append(Event(EventKind.OUT_OF_BOUNDS, oob))
 
-    s.step_index += 1
     primary = max(events, key=lambda e: e.kind) if events else Event.none()
     return s, primary
 

@@ -76,7 +76,6 @@ class GripperState:
 class EnvState:
     gripper: GripperState
     objects: list[ObjectState]
-    step_index: int = 0
     slip_fated: bool = False  # hidden fate of the current grasp
 
     def object_by_id(self, oid: int) -> ObjectState:
@@ -90,7 +89,7 @@ class EnvState:
         return EnvState(GripperState(g.x, g.y, g.z, g.aperture, g.held),
                         [ObjectState(o.oid, o.kind, o.x, o.y, o.theta, o.size, o.z_level,
                                      o.fold_angle) for o in self.objects],
-                        self.step_index, self.slip_fated)
+                        self.slip_fated)
 
 
 @dataclass(frozen=True)

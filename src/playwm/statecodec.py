@@ -138,7 +138,7 @@ def build_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray,
     return [EnvState(GripperState(x, y, int(z), ap, objs[k].oid if k >= 0 else None),
                      [ObjectState(o.oid, o.kind, ox, oy, th, o.size, lv, fold)
                       for o, (ox, oy, th, fold), lv in zip(objs, obj_rows, levels)],
-                     template.step_index, template.slip_fated)
+                     template.slip_fated)
             for (x, y, ap), z, k, obj_rows, levels
             in zip(gripper[:, [0, 1, 3]].tolist(), gripper[:, 2].tolist(), slot.tolist(),
                    objects[..., [0, 1, 2, 4]].tolist(), objects[..., 3].astype(np.int64).tolist())]

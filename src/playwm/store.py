@@ -111,7 +111,7 @@ class Episode:
 
     def state(self, t: int) -> EnvState:
         """The state at frame t, built from its row."""
-        return _state_from_row(self.states[t], self.objects, t)
+        return _state_from_row(self.states[t], self.objects)
 
     def state_arrays(self, start: int = 0, stop: int | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +328,7 @@ def _state_row(s: EnvState) -> list[float]:
     return row
 
 
-def _state_from_row(row: np.ndarray, objects: list[dict], step_index: int) -> EnvState:
+def _state_from_row(row: np.ndarray, objects: list[dict]) -> EnvState:
     g = GripperState(x=row[0], y=row[1], z=int(row[2]), aperture=row[3],
                      held=int(row[4]) if row[4] >= 0 else None)
     objs = []
@@ -336,8 +336,7 @@ def _state_from_row(row: np.ndarray, objects: list[dict], step_index: int) -> En
         x, y, theta, z, fold = row[6 + 5 * i:11 + 5 * i]
         objs.append(ObjectState(om["id"], om["kind"], x, y, theta,
                                 tuple(om["size"]), int(z), fold))
-    return EnvState(gripper=g, objects=objs, step_index=step_index,
-                    slip_fated=bool(row[5] > 0.5))
+    return EnvState(gripper=g, objects=objs, slip_fated=bool(row[5] > 0.5))
 
 
 def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed: int,

@@ -47,7 +47,7 @@ def demo_episode(eid, seed=1):
 def without_towel(ep, eid):
     """The episode with its towel taken out of every state: another roster."""
     states = [EnvState(s.gripper, [o for o in s.objects if o.kind != "towel2link"],
-                       s.step_index, s.slip_fated) for s in map(ep.state, range(ep.n_frames))]
+                       s.slip_fated) for s in map(ep.state, range(ep.n_frames))]
     return record(eid, ep.source, ep.instruction, ep.outcome, ep.seed, states,
                   [Action(*a) for a in ep.actions], events_of(ep), ep.noise.tolist())
 

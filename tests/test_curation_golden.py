@@ -114,6 +114,6 @@ def test_replay_clips(stores, curated):
     for c in bm.clips:
         s = c.init_state
         parts += [c.window.episode_id, c.window.start, c.hist_states, c.actions,
-                  *c.gt_frames, s.gripper, s.objects, s.step_index, s.slip_fated,
+                  *c.gt_frames, s.gripper, s.objects, s.slip_fated,
                   c.raw_actions, c.noise]
     assert digest(*parts) == GOLDEN["replay_clips"]

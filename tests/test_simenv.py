@@ -34,7 +34,6 @@ class TestStep:
         assert event.kind == EventKind.NONE
         assert (s1.gripper.x, s1.gripper.y) == (s0.gripper.x, s0.gripper.y)
         assert (s1.objects[0].x, s1.objects[0].y) == (s0.objects[0].x, s0.objects[0].y)
-        assert s1.step_index == s0.step_index + 1
 
     def test_grasp_miss_far_away(self):
         s0 = simple_state(gx=0.6, gy=0.3, z=0)
@@ -184,7 +183,7 @@ class TestStateCopy:
         s = jittered_state(default_scene(), Rng(6))
         s.gripper.held, s.gripper.z, s.gripper.aperture = 1, 0, -0.0
         s.objects[2].z_level, s.objects[4].fold_angle = 1, 2.5
-        s.step_index, s.slip_fated = 7, True
+        s.slip_fated = True
         return s
 
     def test_copy_equals_source_field_for_field(self):
@@ -205,14 +204,14 @@ class TestStateCopy:
             o.oid, o.kind, o.size = o.oid + 10, "disk", (0.5,)
             o.x, o.y, o.theta, o.z_level, o.fold_angle = 0.4, 0.6, 1.0, 2, 0.7
         dup.objects.append(ObjectState(9, "disk", 0.5, 0.5, 0.0, (0.03,)))
-        dup.step_index, dup.slip_fated = 99, False
+        dup.slip_fated = False
         assert TestCodec.decoded_fields(src) == before
 
     def test_nominal_state_copies_the_templates(self):
         cfg = default_scene()
         s = cfg.nominal_state()
         assert s.objects == list(cfg.objects)
-        assert s.gripper == GripperState() and (s.step_index, s.slip_fated) == (0, False)
+        assert s.gripper == GripperState() and s.slip_fated is False
         s.objects[0].x = 0.99
         assert cfg.objects[0].x != 0.99 and cfg.nominal_state().objects[0].x != 0.99
 
@@ -511,7 +510,7 @@ class TestCodec:
         def bits(v):
             return float.hex(v) if isinstance(v, float) else (type(v).__name__, v)
         g = s.gripper
-        out = [bits(v) for v in (g.x, g.y, g.z, g.aperture, g.held, s.step_index, s.slip_fated)]
+        out = [bits(v) for v in (g.x, g.y, g.z, g.aperture, g.held, s.slip_fated)]
         for o in s.objects:
             out += [o.oid, o.kind, o.size,
                     *(bits(v) for v in (o.x, o.y, o.theta, o.z_level, o.fold_angle))]

@@ -160,15 +160,44 @@ def _definitions(path: pathlib.Path):
                     yield f"{module}.{node.name}.{item.target.id}", item.target.id, True
 
 
-def _references(root: pathlib.Path, folder: str) -> tuple[set[str], set[str]]:
+def _fields(root: pathlib.Path) -> dict[str, set[str]]:
+    """The annotated field names of each class in src/playwm, by class name."""
+    return {node.name: {item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            for path in sorted((root / "src" / "playwm").glob("*.py"))
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, ast.ClassDef)}
+
+
+def _copies(tree: ast.AST, fields: dict[str, set[str]]) -> set[int]:
+    """The ids of attribute loads `x.name` passed straight into a call of a
+    class that declares a field `name`, such as `EnvState(..., s.name)`:
+    such a load copies the field into the new object, it does not read it."""
+    copies = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        cls = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        args = node.args + [kw.value for kw in node.keywords]
+        copies.update(id(arg) for arg in args if isinstance(arg, ast.Attribute)
+                      and arg.attr in fields.get(cls, ()))
+    return copies
+
+
+def _references(root: pathlib.Path, folder: str,
+                fields: dict[str, set[str]]) -> tuple[set[str], set[str]]:
     """The names that the Python files under root/folder read: (bare names
-    and by-name imports, attribute loads `x.name`)."""
+    and by-name imports, attribute loads `x.name` other than field copies)."""
     names, attrs = set(), set()
     for path in sorted((root / folder).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        copies = _copies(tree, fields)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                    and id(node) not in copies:
                 attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
@@ -180,12 +209,15 @@ def test_every_package_name_is_referenced():
     the package or the benchmark, and so is each method, property and
     annotated field of its classes. A class member counts as read only
     through an attribute load `x.name`: a local variable or parameter of
-    the same name does not keep a dead member alive. A name that nothing
+    the same name does not keep a dead member alive, and neither does a
+    load passed straight into a constructor that declares a field of that
+    name, which only copies the value along. A name that nothing
     refers to is dead code, and so is one that only tests read, unless it
     is a scalar reference that tests check an array twin against."""
     root = SRC.parents[1]
-    src_names, src_attrs = _references(root, "src")
-    bench_names, bench_attrs = _references(root, "perfbench")
+    fields = _fields(root)
+    src_names, src_attrs = _references(root, "src", fields)
+    bench_names, bench_attrs = _references(root, "perfbench", fields)
     attrs = src_attrs | bench_attrs
     names = src_names | bench_names | attrs
     unused = {qual for path in sorted(SRC.glob("*.py"))
@@ -196,6 +228,6 @@ def test_every_package_name_is_referenced():
                              f"{sorted(unused - exempt)}"
     assert exempt <= unused, f"exempt names now read by the program or gone: " \
                              f"{sorted(exempt - unused)}"
-    tested = set.union(*_references(root, "tests"))
+    tested = set.union(*_references(root, "tests", fields))
     untested = [qual for qual in REFERENCES if qual.rsplit(".", 1)[1] not in tested]
     assert not untested, f"REFERENCES names that no test reads: {untested}"
