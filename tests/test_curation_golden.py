@@ -26,7 +26,7 @@ GOLDEN = {
     "chunk_dataset": "01771a815e19df96691a6d2a2447e233abbd40c50f5c804187f4444fc316a211",
     "progress_inputs": "bf25dbee732f3ecbc6f9cb1aac9698cc540637d655c3631c7c5d5e3a9367aa5a",
     "progress_params": "717f41b9d43789e440f8f04c502641d8b40765dd26bfe854172ceefb08c542c5",
-    "replay_clips": "bc99647d402f76ed0b7437b151f6933e516221d2451defa7d20055a2def05a04",
+    "replay_clips": "f05c58c62fa2fd7300e28a2b1afb547e6435f0be1f6286fc4f76c89c6e3a6fde",
 }
 
 
