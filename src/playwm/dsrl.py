@@ -286,17 +286,6 @@ class EvalPoint:
     imagined_return: float
 
 
-def evaluate_steered(st: DsrlState | None, policy: DiffusionPolicy, scene: SceneConfig,
-                     task: TaskSpec, rng: Rng, n_rollouts: int, max_steps: int,
-                     replan: int) -> float:
-    """Real-simulator success of the policy over n_rollouts lockstep
-    rollouts, steered by the actor's mean latents when st is given, else
-    denoising from latents drawn from rng."""
-    latent = None if st is None else st.actor.mean_latent
-    return measure_env_success(policy, scene, task, n_rollouts, rng, max_steps, replan,
-                               latent=latent)[0]
-
-
 def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: ProgressModel,
              scene: SceneConfig, task: TaskSpec, cfg: DsrlConfig, rng: Rng,
              total_updates: int = 4000, inits: list[EnvState] | None = None,
@@ -327,9 +316,9 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
         inits = [jittered_state(scene, init_rng, INIT_JITTER) for _ in range(16)]
     N, C, M = len(inits), cfg.replan, cfg.action_magnitude
 
-    trace = [EvalPoint(0, evaluate_steered(None, policy, scene, task, Rng(eval_seed),
-                                           cfg.eval_rollouts, cfg.max_episode_steps,
-                                           cfg.replan), 0.0)]
+    trace = [EvalPoint(0, measure_env_success(policy, scene, task, cfg.eval_rollouts,
+                                              Rng(eval_seed), cfg.max_episode_steps,
+                                              cfg.replan, latent=None)[0], 0.0)]
     best_success = -1.0
     control_steps = 0
     recent_returns: list[float] = []
@@ -368,9 +357,9 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
                         break
                     update(st, rng)
                     if st.updates_done >= next_eval:
-                        success = evaluate_steered(st, policy, scene, task, Rng(eval_seed),
-                                                   cfg.eval_rollouts, cfg.max_episode_steps,
-                                                   cfg.replan)
+                        success = measure_env_success(
+                            policy, scene, task, cfg.eval_rollouts, Rng(eval_seed),
+                            cfg.max_episode_steps, cfg.replan, latent=st.actor.mean_latent)[0]
                         wm_ret = float(np.mean(recent_returns[-20:])) if recent_returns else 0.0
                         trace.append(EvalPoint(st.updates_done, success, wm_ret))
                         if success > best_success:

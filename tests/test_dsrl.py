@@ -135,7 +135,7 @@ def test_finetune_rejects_no_start_states(monkeypatch):
         raise AssertionError("finetune went past its argument checks")
 
     monkeypatch.setattr(dsrl, "make_dsrl", not_reached)
-    monkeypatch.setattr(dsrl, "evaluate_steered", not_reached)
+    monkeypatch.setattr(dsrl, "measure_env_success", not_reached)
     with pytest.raises(ValueError, match="inits must hold at least one start state"):
         _finetune(2, n_inits=0)
 

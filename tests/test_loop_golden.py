@@ -86,6 +86,7 @@ def test_evaluate_steered(trained, steered):
         st = dsrl.make_dsrl(statecodec.state_dim(len(scene.objects)), policy.latent_dim,
                             dsrl.DsrlConfig(hidden=32, depth=2), Rng(80))
     rng = Rng(74)
-    rate = dsrl.evaluate_steered(st, policy, scene, TASK, rng, 10, 30, 5)
+    rate, _ = policies.measure_env_success(policy, scene, TASK, 10, rng, 30, 5,
+                                           latent=st.actor.mean_latent if steered else None)
     assert 0.0 < rate < 1.0
     assert digest(rng, rate) == GOLDEN[f"steered_{steered}"]
