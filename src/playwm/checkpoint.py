@@ -51,11 +51,11 @@ def save_checkpoint(path: str, kind: str, header: dict, params: dict[str, np.nda
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str, kind: str | None = None,
-                    fields: tuple[str, ...] = ()) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """(kind, header, params); a file that does not hold exactly what its
-    header lists raises CheckpointError naming the path, and so does one
-    not of `kind` (when given) or whose header lacks one of `fields`."""
+def load_checkpoint(path: str, kind: str,
+                    fields: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, params) of a `kind` checkpoint; a file that does not hold
+    exactly what its header lists raises CheckpointError naming the path,
+    and so does one not of `kind` or whose header lacks one of `fields`."""
     if not os.path.exists(path):
         raise CheckpointError(f"missing checkpoint: {path}")
     with open(path, "rb") as fh:
@@ -73,7 +73,7 @@ def load_checkpoint(path: str, kind: str | None = None,
         specs = [(spec["name"], tuple(int(d) for d in spec["shape"])) for spec in head["params"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from None
-    if kind is not None and found != kind:
+    if found != kind:
         raise CheckpointError(f"{path}: checkpoint kind {found!r} is not {kind!r}")
     missing = [name for name in fields if name not in header]
     if missing:
@@ -87,4 +87,4 @@ def load_checkpoint(path: str, kind: str | None = None,
         arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=off).reshape(shape)
         params[name] = arr.copy()
         off += arr.nbytes
-    return found, header, params
+    return header, params

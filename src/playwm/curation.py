@@ -202,10 +202,10 @@ class CurriculumIndex:
     members: list[np.ndarray]       # window rows of each rank, nearest rank first
 
 
-def build_ranks(distances: np.ndarray, R: int = 5,
-                fractions: tuple = (0.2, 0.4, 0.6, 0.8),
-                wins: list[ClipWindow] | None = None) -> CurriculumIndex:
-    """Partition windows into R ranks at empirical distance quantiles.
+def build_ranks(distances: np.ndarray, wins: list[ClipWindow], R: int = 5,
+                fractions: tuple = (0.2, 0.4, 0.6, 0.8)) -> CurriculumIndex:
+    """Partition the windows `wins`, one per distance, into R ranks at
+    empirical distance quantiles.
 
     Thresholds are the sorted values at index ceil(f*N) (0-based); a distance
     exactly equal to a threshold falls in the higher rank (half-open bins).
@@ -218,13 +218,13 @@ def build_ranks(distances: np.ndarray, R: int = 5,
         raise ValueError(f"need at least {R} distances, got {n}")
     if len(fractions) != R - 1:
         raise ValueError("need R-1 quantile fractions")
-    if wins is not None and len(wins) != n:
+    if len(wins) != n:
         raise ValueError(f"{len(wins)} windows for {n} distances")
     sorted_d = np.sort(distances)
     thresholds = np.array([sorted_d[min(int(np.ceil(f * n)), n - 1)] for f in fractions])
     ranks = np.searchsorted(thresholds, distances, side="right") + 1
     members = [np.flatnonzero(ranks == r) for r in range(1, R + 1)]
-    return CurriculumIndex(windows=wins or [], members=members)
+    return CurriculumIndex(windows=wins, members=members)
 
 
 @dataclass(frozen=True)

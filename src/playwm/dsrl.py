@@ -386,7 +386,7 @@ def save_actor(st: DsrlState, path: str) -> None:
 def load_actor_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(header, parameters) of a saved actor; the parameters must fit the
     saved widths, else CheckpointError names the path."""
-    _, header, params = load_checkpoint(path, "noise_actor", ("widths",))
+    header, params = load_checkpoint(path, "noise_actor", ("widths",))
     net = nets.Mlp(header["widths"], "relu")
     nets.load_params(net, params, path)
     return header, net.params

@@ -310,7 +310,7 @@ def save_policy(policy: DiffusionPolicy, path: str) -> None:
 
 
 def load_policy(path: str) -> DiffusionPolicy:
-    _, header, params = load_checkpoint(path, "policy", ("config", "scene", "train_steps_done"))
+    header, params = load_checkpoint(path, "policy", ("config", "scene", "train_steps_done"))
     with header_builds(path):
         policy = create_policy(scene_from_dict(header["scene"]),
                                PolicyConfig(**header["config"]), None)

@@ -106,7 +106,7 @@ def save_progress(model: ProgressModel, path: str) -> None:
 
 
 def load_progress(path: str) -> ProgressModel:
-    _, header, params = load_checkpoint(path, "progress", ("widths", "scene"))
+    header, params = load_checkpoint(path, "progress", ("widths", "scene"))
     with header_builds(path):
         scene = scene_from_dict(header["scene"])
     net = nets.Mlp(widths=header["widths"], activation="silu")

@@ -300,7 +300,7 @@ def save_worldmodel(wm: WorldModel, path: str) -> None:
 
 
 def load_worldmodel(path: str) -> WorldModel:
-    _, header, params = load_checkpoint(path, "worldmodel", ("config", "scene", "step_count"))
+    header, params = load_checkpoint(path, "worldmodel", ("config", "scene", "step_count"))
     with header_builds(path):
         wm = create_worldmodel(scene_from_dict(header["scene"]), WmConfig(**header["config"]),
                                None)

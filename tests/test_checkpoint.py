@@ -27,8 +27,8 @@ def rewrite(path, blob):
 
 
 def test_round_trip(ckpt):
-    kind, header, params = load_checkpoint(ckpt[0])
-    assert (kind, header) == ("mlp", {"widths": [3, 2]})
+    header, params = load_checkpoint(ckpt[0], "mlp", ("widths",))
+    assert header == {"widths": [3, 2]}
     assert params.keys() == PARAMS.keys()
     for name, value in PARAMS.items():
         assert params[name].tobytes() == value.tobytes() and params[name].shape == value.shape
@@ -38,14 +38,14 @@ def test_truncated_parameter_data(ckpt):
     path, blob = ckpt
     rewrite(path, blob[:-8])
     with raises_naming(path, r".*header implies"):
-        load_checkpoint(path)
+        load_checkpoint(path, "mlp", ("widths",))
 
 
 def test_trailing_bytes(ckpt):
     path, blob = ckpt
     rewrite(path, blob + b"\0" * 8)
     with raises_naming(path, r".*header implies"):
-        load_checkpoint(path)
+        load_checkpoint(path, "mlp", ("widths",))
 
 
 def test_unparsable_header(ckpt):
@@ -53,7 +53,7 @@ def test_unparsable_header(ckpt):
     head_len = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
     rewrite(path, blob[:12] + b"{" * head_len + blob[12 + head_len:])
     with raises_naming(path, r"unreadable checkpoint header"):
-        load_checkpoint(path)
+        load_checkpoint(path, "mlp", ("widths",))
 
 
 def test_header_missing_fields(ckpt):
@@ -61,14 +61,14 @@ def test_header_missing_fields(ckpt):
     head = json.dumps({"kind": "mlp"}).encode()
     rewrite(path, blob[:4] + np.array([1, len(head)], dtype="<u4").tobytes() + head)
     with raises_naming(path, r"unreadable checkpoint header"):
-        load_checkpoint(path)
+        load_checkpoint(path, "mlp", ("widths",))
 
 
 def test_wrong_version(ckpt):
     path, blob = ckpt
     rewrite(path, blob[:4] + (2).to_bytes(4, "little") + blob[8:])
     with raises_naming(path, r"unsupported checkpoint version 2"):
-        load_checkpoint(path)
+        load_checkpoint(path, "mlp", ("widths",))
 
 
 @pytest.mark.parametrize("blob", [b"", b"PWCK\x01\x00", b"XXXX" + b"\0" * 16])
@@ -76,12 +76,12 @@ def test_not_a_checkpoint(tmp_path, blob):
     path = str(tmp_path / "m.ckpt")
     rewrite(path, blob)
     with pytest.raises(CheckpointError, match="not a checkpoint file"):
-        load_checkpoint(path)
+        load_checkpoint(path, "mlp", ("widths",))
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="missing checkpoint"):
-        load_checkpoint(str(tmp_path / "none.ckpt"))
+        load_checkpoint(str(tmp_path / "none.ckpt"), "mlp", ("widths",))
 
 
 
@@ -130,9 +130,9 @@ def test_model_round_trip(tmp_path, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_model_with_wrong_parameter_shape(tmp_path, kind):
     path, loaded_hash, _ = _saved_model(tmp_path, kind)
-    saved_kind, header, params = load_checkpoint(path)
+    header, params = load_checkpoint(path, kind, REQUIRED[kind])
     params["w0"] = params["w0"][:-1]
-    save_checkpoint(path, saved_kind, header, params)
+    save_checkpoint(path, kind, header, params)
     with raises_naming(path, r"parameters do not fit widths .*w0"):
         loaded_hash(path)
 
@@ -140,7 +140,7 @@ def test_model_with_wrong_parameter_shape(tmp_path, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_model_of_another_kind(tmp_path, kind):
     path, loaded_hash, _ = _saved_model(tmp_path, kind)
-    _, header, params = load_checkpoint(path)
+    header, params = load_checkpoint(path, kind, REQUIRED[kind])
     save_checkpoint(path, "mlp", header, params)
     with raises_naming(path, f"checkpoint kind 'mlp' is not '{kind}'"):
         loaded_hash(path)
@@ -155,9 +155,9 @@ REQUIRED = {"worldmodel": ("config", "scene", "step_count"),
 @pytest.mark.parametrize("kind", KINDS)
 def test_model_header_missing_fields(tmp_path, kind):
     path, loaded_hash, _ = _saved_model(tmp_path, kind)
-    saved_kind, header, params = load_checkpoint(path)
+    header, params = load_checkpoint(path, kind, REQUIRED[kind])
     for name in REQUIRED[kind]:
-        save_checkpoint(path, saved_kind, {k: v for k, v in header.items() if k != name}, params)
+        save_checkpoint(path, kind, {k: v for k, v in header.items() if k != name}, params)
         with raises_naming(path, f"checkpoint header lacks {name}"):
             loaded_hash(path)
 
@@ -201,9 +201,9 @@ def _unknown_config_key(header):
                             ("policy", _old_policy_replan)])
 def test_model_header_that_does_not_build(tmp_path, kind, spoil):
     path, loaded_hash, _ = _saved_model(tmp_path, kind)
-    saved_kind, header, params = load_checkpoint(path)
+    header, params = load_checkpoint(path, kind, REQUIRED[kind])
     spoil(header)
-    save_checkpoint(path, saved_kind, header, params)
+    save_checkpoint(path, kind, header, params)
     with raises_naming(path, "checkpoint header does not build"):
         loaded_hash(path)
 

@@ -250,6 +250,11 @@ class TestDistance:
             cu.distances_to_success(np.zeros((1, 8)), np.zeros((1, 5)))
 
 
+def clip_windows(n):
+    """n windows of one episode, one for each of n distances."""
+    return [ClipWindow("e0", start, 5, BehaviorMode.SUCCESS) for start in range(n)]
+
+
 def window_ranks(idx, n):
     """Each of n windows' 1-based rank, read from the rank member lists;
     0 for a window in no rank."""
@@ -262,17 +267,17 @@ def window_ranks(idx, n):
 class TestRanks:
     def test_zero_distance_rank_one(self):
         d = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        idx = cu.build_ranks(d, 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
         assert window_ranks(idx, len(d))[0] == 1
 
     def test_max_distance_top_rank(self):
         d = np.linspace(0, 9, 10)
-        idx = cu.build_ranks(d, 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
         assert window_ranks(idx, len(d))[d.argmax()] == 5
 
     def test_uniform_1_to_100(self):
         d = np.arange(1, 101, dtype=np.float64)
-        idx = cu.build_ranks(d, 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
         ranks = window_ranks(idx, len(d))
         sizes = [int((ranks == r).sum()) for r in range(1, 6)]
         assert sizes == [20, 20, 20, 20, 20]
@@ -280,7 +285,7 @@ class TestRanks:
     def test_partition_property(self):
         rng = Rng(5)
         d = rng.uniform_array(137) * 10
-        idx = cu.build_ranks(d, 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
         assert set(window_ranks(idx, len(d))) <= {1, 2, 3, 4, 5}
         assert sum(len(m) for m in idx.members) == 137
         # monotone difficulty in rank index
@@ -289,15 +294,14 @@ class TestRanks:
 
     def test_boundary_goes_to_higher_rank(self):
         d = np.array([0.0, 1.0, 1.0, 2.0])
-        idx = cu.build_ranks(d, 2, fractions=(0.5,))
+        idx = cu.build_ranks(d, clip_windows(len(d)), 2, fractions=(0.5,))
         # threshold = sorted[ceil(0.5*4)] = sorted[2] = 1.0; d == 1.0 is rank 2
         assert list(window_ranks(idx, len(d))) == [1, 2, 2, 2]
 
 
     def test_one_window_per_distance(self):
-        wins = [ClipWindow("e0", start, 5, BehaviorMode.SUCCESS) for start in range(6)]
         with pytest.raises(ValueError, match="6 windows for 7 distances"):
-            cu.build_ranks(np.arange(7.0), 5, wins=wins)
+            cu.build_ranks(np.arange(7.0), clip_windows(6), 5)
 
 
 class TestAnneal:
@@ -340,7 +344,7 @@ def tiny_index(sizes):
         d.extend([r + 0.5] * n)
     d = np.array(d)
     fr = tuple(np.cumsum(sizes)[:-1] / sum(sizes))
-    return cu.build_ranks(d, len(sizes), fractions=fr)
+    return cu.build_ranks(d, clip_windows(len(d)), len(sizes), fractions=fr)
 
 
 class TestSampler:
