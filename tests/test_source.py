@@ -106,6 +106,46 @@ def test_traced_layers_resolve():
     assert not missing, f"traced layers missing from playwm: {missing}"
 
 
+# Values a caller can set: defaulted fields of frozen dataclasses (configs)
+# and defaulted parameters of public functions and methods. A change that
+# needs another option raises this pin and says why in CHANGES.md; one that
+# removes options lowers it.
+SETTABLE_VALUES = 132
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(kw.arg == "frozen" and getattr(kw.value, "value", False) is True
+                       for kw in d.keywords)
+               for d in node.decorator_list)
+
+
+def _settable_values() -> list[str]:
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
+                found += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                          if isinstance(item, ast.AnnAssign) and item.value is not None]
+            elif isinstance(node, ast.FunctionDef) and (node.name == "__init__"
+                                                        or not node.name.startswith("_")):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                found += [f"{path.stem}.{node.name}({a.arg})" for a in defaulted]
+    return found
+
+
+def test_settable_values_are_pinned():
+    """The number of values a caller can set in src/playwm only moves with
+    its pin: every option is a branch that some test must cover."""
+    found = _settable_values()
+    assert len(found) == SETTABLE_VALUES, \
+        f"{len(found)} settable values in src/playwm, pinned at {SETTABLE_VALUES}: {found}"
+
+
 # Stage functions of the play-against-demo study, defined ahead of the
 # `playwm run` command that is to call them, and the report fields that its
 # run record is to read.
