@@ -15,7 +15,8 @@ product plus bias, a (batch, hidden) array, and a (T+1, hidden) table of
 time-embedding products are computed before the first reverse step, so
 each step multiplies only the noised target through layer 0 and adds the
 two cached terms. That sum differs from the single product within rounding
-(about 1e-15)."""
+(about 1e-15).
+"""
 
 from __future__ import annotations
 
