@@ -31,6 +31,10 @@ FRAME_PIXELS = FRAME_SIZE * FRAME_SIZE
 SAMPLED_FRAMES = 4
 BLOCK_FRAMES = 256     # sampled frames rendered and projected per call
 MIN_PRODUCT_ROWS = 16  # zero rows pad a smaller block's projection to this many
+KMEANS_ITERS = 100     # Lloyd iterations at most
+KMEANS_TOL = 1e-6      # Lloyd stops once no centroid moves this far
+PCA_ITERS = 100        # power iterations per principal direction
+PAIRWISE_CAP = 2000    # mean_pairwise_distance reads at most this many points
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,7 @@ def _stack(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.n
 
 # -- k-means ------------------------------------------------------------------
 
-def kmeans(points: np.ndarray, k: int, rng: Rng, max_iters: int = 100,
-           tol: float = 1e-6) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     """The (k, dim) centroids of Lloyd's algorithm with k-means++ seeding
     and farthest-point reseeding of empty clusters. k must be at least 1
     and at most the number of points."""
@@ -137,7 +140,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iters: int = 100,
     rng.next_u64()
     centroids = _kmeanspp_init(points, k, rng)
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         d2 = _sq_dists(points, centroids)
         assign = d2.argmin(axis=1)
         new = centroids.copy()
@@ -150,7 +153,7 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iters: int = 100,
                 new[j] = members.mean(axis=0)
         shift = float(np.sqrt(((new - centroids) ** 2).sum(axis=1)).max())
         centroids = new
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return centroids
 
@@ -202,13 +205,13 @@ class CurriculumIndex:
     members: list[np.ndarray]       # window rows of each rank, nearest rank first
 
 
-def build_ranks(distances: np.ndarray, wins: list[ClipWindow], R: int = 5,
-                fractions: tuple = (0.2, 0.4, 0.6, 0.8)) -> CurriculumIndex:
-    """Partition the windows `wins`, one per distance, into R ranks at
-    empirical distance quantiles.
+def build_ranks(distances: np.ndarray, wins: list[ClipWindow], R: int = 5) -> CurriculumIndex:
+    """Partition the windows `wins`, one per distance, into R equal-mass
+    ranks at empirical distance quantiles.
 
-    Thresholds are the sorted values at index ceil(f*N) (0-based); a distance
-    exactly equal to a threshold falls in the higher rank (half-open bins).
+    Thresholds are the sorted values at index ceil(f*N) (0-based) for the
+    fractions f = k/R, k = 1..R-1; a distance exactly equal to a threshold
+    falls in the higher rank (half-open bins).
     """
     distances = np.asarray(distances, dtype=np.float64)
     n = distances.size
@@ -216,12 +219,10 @@ def build_ranks(distances: np.ndarray, wins: list[ClipWindow], R: int = 5,
         raise ValueError("need at least 2 ranks")
     if n < R:
         raise ValueError(f"need at least {R} distances, got {n}")
-    if len(fractions) != R - 1:
-        raise ValueError("need R-1 quantile fractions")
     if len(wins) != n:
         raise ValueError(f"{len(wins)} windows for {n} distances")
     sorted_d = np.sort(distances)
-    thresholds = np.array([sorted_d[min(int(np.ceil(f * n)), n - 1)] for f in fractions])
+    thresholds = np.array([sorted_d[min(int(np.ceil(k / R * n)), n - 1)] for k in range(1, R)])
     ranks = np.searchsorted(thresholds, distances, side="right") + 1
     members = [np.flatnonzero(ranks == r) for r in range(1, R + 1)]
     return CurriculumIndex(windows=wins, members=members)
@@ -235,7 +236,14 @@ class AnnealSchedule:
     total_steps: int = 2500
 
     def __post_init__(self):
-        for p in (self.p_init, self.p_final):
+        for name in ("update_period", "total_steps"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("p_init", "p_final"):
+            p = getattr(self, name)
+            if any(x < 0.0 for x in p):
+                raise ValueError(f"{name} holds a negative probability: {p}")
             if abs(sum(p) - 1.0) > 1e-9:
                 raise ValueError("rank distributions must sum to 1")
         if len(self.p_init) != len(self.p_final):
@@ -289,7 +297,7 @@ def sample_batch(index: CurriculumIndex, schedule: AnnealSchedule, step: int,
 
 # -- coverage report ----------------------------------------------------------
 
-def pca_2d(points: np.ndarray, iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top-2 principal directions by power iteration, re-orthogonalized."""
     x = np.asarray(points, dtype=np.float64)
     centered = x - x.mean(axis=0)
@@ -309,7 +317,7 @@ def pca_2d(points: np.ndarray, iters: int = 100) -> tuple[np.ndarray, np.ndarray
                        key=lambda k: np.linalg.norm(ortho(np.eye(dims)[k], comps)))
             v = ortho(np.eye(dims)[best], comps)
         v = v / np.linalg.norm(v)
-        for _ in range(iters):
+        for _ in range(PCA_ITERS):
             nv = ortho(cov @ v, comps)
             norm = np.linalg.norm(nv)
             if norm < 1e-15:
@@ -349,10 +357,8 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def mean_pairwise_distance(points: np.ndarray, cap: int = 2000) -> float:
-    x = np.asarray(points, dtype=np.float64)
-    if x.shape[0] > cap:
-        x = x[:cap]
+def mean_pairwise_distance(points: np.ndarray) -> float:
+    x = np.asarray(points, dtype=np.float64)[:PAIRWISE_CAP]
     n = x.shape[0]
     if n < 2:
         return 0.0

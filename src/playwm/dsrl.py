@@ -18,13 +18,13 @@ their mean latents in one forward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nets, statecodec
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .policies import INIT_JITTER, DiffusionPolicy, measure_env_success, plan_actions
 from .progress import ProgressModel
@@ -34,19 +34,25 @@ from .worldmodel import RolloutBackend
 from .tasks import TaskSpec, check_success
 
 LOG2PI = math.log(2.0 * math.pi)
+ACTOR_LR = 3e-4          # desk preset; the paper-scale preset is 1e-5
+CRITIC_LR = 3e-4
+ALPHA_LR = 3e-4          # the temperature's rate
+GAMMA = 0.99
+TAU = 0.001              # Polyak rate of the target critics
+TARGET_ENTROPY = 0.0
+LOG_STD_MIN = -5.0       # the actor's log std spans [LOG_STD_MIN, LOG_STD_MAX]
+LOG_STD_MAX = 2.0
+EVAL_SEED = 424242       # every real-env evaluation of a run draws the same rollouts
 
 
 @dataclass(frozen=True)
 class DsrlConfig:
-    actor_lr: float = 3e-4       # desk preset; the paper-scale preset is 1e-5
-    critic_lr: float = 3e-4
-    alpha_lr: float = 3e-4
+    """The fine-tuning settings that callers set; the optimizer rates, the
+    discount, the Polyak rate, the entropy target and the log std bounds are
+    this module's constants."""
     batch: int = 64
-    gamma: float = 0.99
-    tau: float = 0.001
     train_freq: int = 15         # one update burst per this many control steps
     utd: int = 10                # updates per burst
-    target_entropy: float = 0.0
     initial_rollout_steps: int = 800
     max_episode_steps: int = 30
     action_magnitude: float = 0.5
@@ -54,16 +60,13 @@ class DsrlConfig:
     hidden: int = 256
     depth: int = 3
     buffer_capacity: int = 100_000
-    log_std_min: float = -5.0
-    log_std_max: float = 2.0
     eval_every: int = 1000
     eval_rollouts: int = 20
 
     def __post_init__(self):
-        for name in ("actor_lr", "critic_lr", "batch", "gamma", "tau", "train_freq",
-                     "utd", "initial_rollout_steps", "max_episode_steps",
-                     "action_magnitude", "replan", "hidden", "buffer_capacity",
-                     "eval_every", "eval_rollouts"):
+        for name in ("batch", "train_freq", "utd", "initial_rollout_steps",
+                     "max_episode_steps", "action_magnitude", "replan", "hidden", "depth",
+                     "buffer_capacity", "eval_every", "eval_rollouts"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -84,13 +87,12 @@ class NoiseActor:
         gradient reads.
 
         The head's first half is mu; tanh of its second half, tl, maps onto
-        log_std in [log_std_min, log_std_max]. Then t = tanh(mu + std * xi)
+        log_std in [LOG_STD_MIN, LOG_STD_MAX]. Then t = tanh(mu + std * xi)
         and w = M t.
         """
         L, M = self.latent_dim, self.cfg.action_magnitude
-        lo, hi = self.cfg.log_std_min, self.cfg.log_std_max
         tl = np.tanh(out[:, L:])
-        log_std = lo + 0.5 * (hi - lo) * (tl + 1.0)
+        log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (tl + 1.0)
         std = np.exp(log_std)
         t = np.tanh(out[:, :L] + std * xi)
         u = ((t * t) * -1.0 + 1.0) * M + 1e-9  # the squash's Jacobian, M (1 - t^2), kept off zero
@@ -167,10 +169,10 @@ class DsrlState:
     buffer: ReplayBuffer
     cfg: DsrlConfig
     alpha_param: nets.FlatParams  # log alpha, the temperature's log, as one element
-    actor_opt: Adam = field(default_factory=Adam)
-    q1_opt: Adam = field(default_factory=Adam)
-    q2_opt: Adam = field(default_factory=Adam)
-    alpha_opt: Adam = field(default_factory=Adam)
+    actor_opt: Adam
+    q1_opt: Adam
+    q2_opt: Adam
+    alpha_opt: Adam
     updates_done: int = 0
 
     @property
@@ -187,10 +189,10 @@ def make_dsrl(state_dim: int, latent_dim: int, cfg: DsrlConfig, rng: Rng) -> Dsr
         buffer=ReplayBuffer(cfg.buffer_capacity, state_dim, latent_dim),
         cfg=cfg,
         alpha_param=alpha_param,
-        actor_opt=Adam(lr=cfg.actor_lr),
-        q1_opt=Adam(lr=cfg.critic_lr),
-        q2_opt=Adam(lr=cfg.critic_lr),
-        alpha_opt=Adam(lr=cfg.alpha_lr),
+        actor_opt=Adam(lr=ACTOR_LR),
+        q1_opt=Adam(lr=CRITIC_LR),
+        q2_opt=Adam(lr=CRITIC_LR),
+        alpha_opt=Adam(lr=ALPHA_LR),
     )
 
 
@@ -205,7 +207,7 @@ def update(st: DsrlState, rng: Rng) -> dict:
     # critic targets (no gradients)
     w2, logp2 = st.actor.sample(s2, rng)
     target_q = st.critics.target_min(s2, w2) - alpha * logp2
-    y = (r + cfg.gamma * (1.0 - done) * target_q)[:, None]
+    y = (r + GAMMA * (1.0 - done) * target_q)[:, None]
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("NaN in critic target")
 
@@ -233,12 +235,12 @@ def update(st: DsrlState, rng: Rng) -> dict:
 
     # temperature toward the entropy target
     alpha_grad = st.alpha_param.zeros_like()
-    alpha_grad.flat[0] = np.mean(-(logp + cfg.target_entropy))
+    alpha_grad.flat[0] = np.mean(-(logp + TARGET_ENTROPY))
     st.alpha_opt.step(st.alpha_param, alpha_grad)
     np.clip(st.alpha_param.flat, -10.0, 4.0, out=st.alpha_param.flat)
     losses["alpha"] = math.exp(st.log_alpha)
 
-    st.critics.polyak(cfg.tau)
+    st.critics.polyak(TAU)
     st.updates_done += 1
     return losses
 
@@ -271,8 +273,7 @@ def actor_loss(st: DsrlState, s: np.ndarray, xi: np.ndarray, alpha: float,
     g_t = g_joint[:, s.shape[1]:] * M + (2.0 * t) * ((g_u * M) * -1.0)
     g_raw = g_t * (1.0 - t * t)
     g_log_std = (g_raw * xi) * std - g_logp[:, None]
-    lo, hi = st.cfg.log_std_min, st.cfg.log_std_max
-    g_tl = (g_log_std * (0.5 * (hi - lo))) * (1.0 - tl * tl)
+    g_tl = (g_log_std * (0.5 * (LOG_STD_MAX - LOG_STD_MIN))) * (1.0 - tl * tl)
     # + 0.0 turns -0.0 into 0.0, as summing the two zero-padded halves always has
     dout = np.concatenate([g_raw, g_tl], axis=1) + 0.0
     ad.backward(st.actor.net, cache, dout, grads)
@@ -288,8 +289,8 @@ class EvalPoint:
 
 def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: ProgressModel,
              scene: SceneConfig, task: TaskSpec, cfg: DsrlConfig, rng: Rng,
-             total_updates: int = 4000, inits: list[EnvState] | None = None,
-             eval_seed: int = 424242) -> tuple[DsrlState, list[EvalPoint], dict[str, np.ndarray]]:
+             total_updates: int = 4000, inits: list[EnvState] | None = None
+             ) -> tuple[DsrlState, list[EvalPoint], dict[str, np.ndarray]]:
     """Rollout/update loop inside the world model of `backend`, with periodic
     env evals. cfg.replan must be the model chunk.
 
@@ -317,7 +318,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
     N, C, M = len(inits), cfg.replan, cfg.action_magnitude
 
     trace = [EvalPoint(0, measure_env_success(policy, scene, task, cfg.eval_rollouts,
-                                              Rng(eval_seed), cfg.max_episode_steps,
+                                              Rng(EVAL_SEED), cfg.max_episode_steps,
                                               cfg.replan, latent=None)[0], 0.0)]
     best_success = -1.0
     control_steps = 0
@@ -358,7 +359,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
                     update(st, rng)
                     if st.updates_done >= next_eval:
                         success = measure_env_success(
-                            policy, scene, task, cfg.eval_rollouts, Rng(eval_seed),
+                            policy, scene, task, cfg.eval_rollouts, Rng(EVAL_SEED),
                             cfg.max_episode_steps, cfg.replan, latent=st.actor.mean_latent)[0]
                         wm_ret = float(np.mean(recent_returns[-20:])) if recent_returns else 0.0
                         trace.append(EvalPoint(st.updates_done, success, wm_ret))
@@ -384,9 +385,12 @@ def save_actor(st: DsrlState, path: str) -> None:
 
 
 def load_actor_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """(header, parameters) of a saved actor; the parameters must fit the
-    saved widths, else CheckpointError names the path."""
-    header, params = load_checkpoint(path, "noise_actor", ("widths",))
+    """(header, parameters) of a saved actor. Its config must build a
+    DsrlConfig and the parameters must fit the saved widths, else
+    CheckpointError names the path."""
+    header, params = load_checkpoint(path, "noise_actor", ("config", "widths"))
+    with header_builds(path):
+        DsrlConfig(**header["config"])
     net = nets.Mlp(header["widths"], "relu")
     nets.load_params(net, params, path)
     return header, net.params

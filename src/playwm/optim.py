@@ -18,14 +18,14 @@ import numpy as np
 from .nets import FlatParams
 
 BLOCK = 32768  # elements per update block: a block of p, g, m, v and the scratch fit in L2
+BETA1 = 0.9    # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8     # added to the root of the second moment
 
 
 @dataclass
 class Adam:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -53,8 +53,8 @@ class Adam:
         eta = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for lo in range(0, size, BLOCK):
             hi = min(lo + BLOCK, size)
             self._update(p[lo:hi], g[lo:hi], self.m[lo:hi], self.v[lo:hi], eta, bc1, bc2)
@@ -63,18 +63,18 @@ class Adam:
         """m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2;
         p -= eta (m/bc1) / (sqrt(v/bc2) + eps), through the scratch rows."""
         a, b = self._scratch[0, :p.size], self._scratch[1, :p.size]
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=a)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=a)
         m += a
-        v *= self.beta2
+        v *= BETA2
         np.multiply(g, g, out=a)
-        a *= 1.0 - self.beta2
+        a *= 1.0 - BETA2
         v += a
         np.divide(m, bc1, out=a)
         a *= eta
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += EPS
         a /= b
         p -= a
 

@@ -37,16 +37,26 @@ from .store import EpisodeStore
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 
 
+HORIZON = 16     # actions per planned chunk
+LR = 1e-3        # behaviour-cloning Adam rate
+GRAD_CLIP = 1.0  # behaviour-cloning gradient-norm bound
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
-    horizon: int = 16
+    """The policy settings that callers set; the chunk horizon and the
+    behaviour-cloning rate and clip are this module's constants."""
     denoise_steps: int = 100
     ddim_steps: int = 5
     hidden: int = 256
     depth: int = 3
-    lr: float = 1e-3
     batch: int = 64
-    grad_clip: float = 1.0
+
+    def __post_init__(self):
+        for name in ("denoise_steps", "ddim_steps", "hidden", "depth", "batch"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -59,7 +69,7 @@ class DiffusionPolicy:
 
     @property
     def latent_dim(self) -> int:
-        return self.cfg.horizon * 4
+        return HORIZON * 4
 
     def param_hash(self) -> str:
         return self.denoiser.net.param_hash()
@@ -68,14 +78,14 @@ class DiffusionPolicy:
 def create_policy(scene: SceneConfig, cfg: PolicyConfig, rng: Rng | None) -> DiffusionPolicy:
     """A fresh policy; with rng None its parameters are zero, for load_policy."""
     cond_dim = statecodec.state_dim(len(scene.objects))
-    denoiser = DenoiserNet.create(cfg.horizon * 4, cond_dim, rng, cfg.hidden, cfg.depth)
+    denoiser = DenoiserNet.create(HORIZON * 4, cond_dim, rng, cfg.hidden, cfg.depth)
     return DiffusionPolicy(cfg=cfg, scene=scene, denoiser=denoiser,
                            schedule=NoiseSchedule.linear_scaled(cfg.denoise_steps))
 
 
 # -- behavior cloning ---------------------------------------------------------
 
-def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
+def chunk_dataset(store: EpisodeStore) -> tuple[np.ndarray, np.ndarray]:
     """(state, padded action chunk) pairs from every step of every episode."""
     conds, chunks = [], []
     for eid in store.ids():
@@ -83,10 +93,10 @@ def chunk_dataset(store: EpisodeStore, cfg: PolicyConfig) -> tuple[np.ndarray, n
         T = view.n_steps
         # chunks running past the last action are padded with zero actions
         padded = np.vstack([statecodec.encode_action_rows(view.actions),
-                            np.zeros((cfg.horizon - 1, 4))])
-        steps = np.arange(T)[:, None] + np.arange(cfg.horizon)
+                            np.zeros((HORIZON - 1, 4))])
+        steps = np.arange(T)[:, None] + np.arange(HORIZON)
         conds.append(statecodec.encode_states(*view.state_arrays(0, T)))
-        chunks.append(padded[steps].reshape(T, 4 * cfg.horizon))
+        chunks.append(padded[steps].reshape(T, 4 * HORIZON))
     if not sum(len(c) for c in conds):
         raise ValueError("no training pairs in store")
     return np.concatenate(conds), np.concatenate(chunks)
@@ -102,8 +112,8 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
     resuming is not supported, so train_bc(50) then train_bc(50) is not
     train_bc(100). train_steps_done does continue.
     """
-    conds, chunks = chunk_dataset(demos, policy.cfg)
-    opt = Adam(lr=policy.cfg.lr)
+    conds, chunks = chunk_dataset(demos)
+    opt = Adam(lr=LR)
     grads = policy.denoiser.net.params.zeros_like()
     n = conds.shape[0]
     trace = []
@@ -113,7 +123,7 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
                                conds[rows], rng, grads)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite BC loss at step {step}")
-        clip_grad_norm(grads, policy.cfg.grad_clip)
+        clip_grad_norm(grads, GRAD_CLIP)
         opt.step(policy.denoiser.net.params, grads)
         if step % log_every == 0 or step == steps - 1:
             trace.append((policy.train_steps_done + step, value))
@@ -124,19 +134,15 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
 # -- inference ----------------------------------------------------------------
 
 def plan_actions(policy: DiffusionPolicy, conds: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """The executed (B, horizon, 4) action rows of B chunks, denoised in one
+    """The executed (B, HORIZON, 4) action rows of B chunks, denoised in one
     DDIM call from the encoded states conds (B, width) and the latents w0."""
     chunks = ddim_sample(policy.denoiser, policy.schedule, conds, policy.cfg.ddim_steps, w0)
-    return statecodec.decode_action_rows(chunks.reshape(len(chunks), policy.cfg.horizon, 4))
+    return statecodec.decode_action_rows(chunks.reshape(len(chunks), HORIZON, 4))
 
 
-def act(policy: DiffusionPolicy, state: EnvState, w0: np.ndarray | None = None,
-        rng: Rng | None = None) -> list[Action]:
-    """One denoised 16-action chunk; deterministic when w0 is supplied."""
-    if w0 is None:
-        if rng is None:
-            raise ValueError("need either an explicit latent or an rng")
-        w0 = rng.normal(policy.latent_dim)
+def act(policy: DiffusionPolicy, state: EnvState, w0: np.ndarray) -> list[Action]:
+    """The HORIZON actions of the chunk that `plan_actions` denoises for one
+    state from the latent w0."""
     rows = plan_actions(policy, statecodec.encode_state(state)[None, :],
                         np.asarray(w0).reshape(1, -1))[0]
     return [Action(*row) for row in rows.tolist()]
@@ -162,8 +168,7 @@ class PolicySuiteSpec:
             raise ValueError("a correlation study needs at least 2 policies")
 
 
-def default_suite_spec(task: TaskSpec | None = None) -> PolicySuiteSpec:
-    task = task or TaskSpec("put_in", 1, 0)
+def default_suite_spec() -> PolicySuiteSpec:
     variants = (
         PolicyVariant("untrained", 0, 0.0, 0),
         PolicyVariant("d1-hi", 1, 0.8, 900),
@@ -174,7 +179,7 @@ def default_suite_spec(task: TaskSpec | None = None) -> PolicySuiteSpec:
         PolicyVariant("d12-low", 12, 0.05, 1500),
         PolicyVariant("d20-clean", 20, 0.0, 1800),
     )
-    return PolicySuiteSpec(task=task, variants=variants)
+    return PolicySuiteSpec(task=TaskSpec("put_in", 1, 0), variants=variants)
 
 
 @dataclass

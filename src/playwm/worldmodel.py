@@ -24,19 +24,32 @@ from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
 from .store import ClipWindow, Episode, EpisodeStore
 
 
+LR = 1e-3            # desk preset; full-scale preset is 5e-6
+GRAD_CLIP = 1.0
+CLIP_X0 = 1.2        # clean-signal clamp during sampling
+DELTA_SCALE = 1.25   # pose offsets scaled into the unit range
+
+
 @dataclass(frozen=True)
 class WmConfig:
+    """The world-model settings that callers set; the learning rate, the
+    gradient clip, the sampling clamp and the pose-offset scale are this
+    module's constants."""
     history: int = 7
     chunk: int = 5
     denoise_steps: int = 50
     hidden: int = 256
     depth: int = 3
-    lr: float = 1e-3            # desk preset; full-scale preset is 5e-6
     warmup: int = 100
-    grad_clip: float = 1.0
     batch: int = 64
-    clip_x0: float = 1.2        # clean-signal clamp during sampling
-    delta_scale: float = 1.25   # pose offsets scaled into the unit range
+
+    def __post_init__(self):
+        for name in ("history", "chunk", "denoise_steps", "hidden", "depth", "batch"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be nonnegative, got {self.warmup}")
 
     @property
     def window_len(self) -> int:
@@ -72,7 +85,7 @@ class WorldModel:
         last = last.reshape(-1, width)
         mask = self.delta_mask()
         out = fut.copy()
-        out[:, :, mask] = (fut[:, :, mask] - last[:, None, mask]) * self.cfg.delta_scale
+        out[:, :, mask] = (fut[:, :, mask] - last[:, None, mask]) * DELTA_SCALE
         return out.reshape(fut.shape[0], C * width)
 
     def from_targets(self, sampled: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -80,7 +93,7 @@ class WorldModel:
         x = sampled.reshape(-1, C, width).copy()
         last = last.reshape(-1, width)
         mask = self.delta_mask()
-        x[:, :, mask] = x[:, :, mask] / self.cfg.delta_scale + last[:, None, mask]
+        x[:, :, mask] = x[:, :, mask] / DELTA_SCALE + last[:, None, mask]
         return x.reshape(-1, C * width)
 
 
@@ -163,8 +176,8 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
     if curriculum is not None:
-        _check_index_rows(curriculum[0], dataset)
-    opt = Adam(lr=wm.cfg.lr)
+        _check_curriculum(*curriculum, dataset)
+    opt = Adam(lr=LR)
     grads = wm.denoiser.net.params.zeros_like()
     trace: list[tuple[int, float]] = []
     n = len(dataset)
@@ -179,8 +192,8 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
         value = diffusion_loss(wm.denoiser, wm.schedule, x0, cond, rng, grads)
         if not np.isfinite(value):
             raise TrainingError(f"non-finite loss at step {wm.step_count + step}")
-        clip_grad_norm(grads, wm.cfg.grad_clip)
-        lr = warmup_cosine_lr(wm.cfg.lr, step, wm.cfg.warmup, steps)
+        clip_grad_norm(grads, GRAD_CLIP)
+        lr = warmup_cosine_lr(LR, step, wm.cfg.warmup, steps)
         opt.step(wm.denoiser.net.params, grads, lr=lr)
         if step % log_every == 0 or step == steps - 1:
             trace.append((wm.step_count + step, value))
@@ -189,9 +202,14 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
     return trace
 
 
-def _check_index_rows(index: CurriculumIndex, dataset: WindowDataset) -> None:
-    """ValueError unless the index ranks exactly the dataset's windows, row
-    for row: its members are dataset rows."""
+def _check_curriculum(index: CurriculumIndex, schedule: AnnealSchedule,
+                      dataset: WindowDataset) -> None:
+    """ValueError unless the index has one rank per entry of the schedule's
+    distributions and ranks exactly the dataset's windows, row for row: its
+    members are dataset rows."""
+    if len(index.members) != len(schedule.p_init):
+        raise ValueError(f"curriculum index has {len(index.members)} ranks, the schedule's "
+                         f"distributions {len(schedule.p_init)}")
     if len(index.windows) != len(dataset.windows):
         raise ValueError(f"curriculum index holds {len(index.windows)} windows, "
                          f"the dataset {len(dataset.windows)}")
@@ -214,7 +232,7 @@ def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
     ac = np.asarray(actions, dtype=np.float64)
     B = hs.shape[0]
     cond = np.concatenate([hs.reshape(B, -1), ac.reshape(B, -1)], axis=1)
-    x = ddpm_sample(wm.denoiser, wm.schedule, cond, rng, clip_x0=wm.cfg.clip_x0)
+    x = ddpm_sample(wm.denoiser, wm.schedule, cond, rng, clip_x0=CLIP_X0)
     x = wm.from_targets(x, hs[:, -1, :])
     return x.reshape(B, C, width)
 

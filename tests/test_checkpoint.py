@@ -149,7 +149,7 @@ def test_model_of_another_kind(tmp_path, kind):
 REQUIRED = {"worldmodel": ("config", "scene", "step_count"),
             "policy": ("config", "scene", "train_steps_done"),
             "progress": ("widths", "scene"),
-            "noise_actor": ("widths",)}
+            "noise_actor": ("config", "widths")}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -177,6 +177,21 @@ def _old_policy_replan(header):
     header["config"]["replan"] = 8
 
 
+def _old_wm_clip_x0(header):
+    """A world model saved before WmConfig's clip_x0 became a constant."""
+    header["config"]["clip_x0"] = 1.2
+
+
+def _old_policy_horizon(header):
+    """A policy saved before PolicyConfig's horizon became a constant."""
+    header["config"]["horizon"] = 16
+
+
+def _old_actor_gamma(header):
+    """An actor saved before DsrlConfig's gamma became a constant."""
+    header["config"]["gamma"] = 0.99
+
+
 def _unknown_kind(header):
     header["scene"]["objects"][0]["kind"] = "sphere"
 
@@ -198,7 +213,11 @@ def _unknown_config_key(header):
                                                    _bowl_colour, _disk_without_z_level)]
                          + [("worldmodel", _unknown_config_key),
                             ("policy", _unknown_config_key),
-                            ("policy", _old_policy_replan)])
+                            ("noise_actor", _unknown_config_key),
+                            ("policy", _old_policy_replan),
+                            ("worldmodel", _old_wm_clip_x0),
+                            ("policy", _old_policy_horizon),
+                            ("noise_actor", _old_actor_gamma)])
 def test_model_header_that_does_not_build(tmp_path, kind, spoil):
     path, loaded_hash, _ = _saved_model(tmp_path, kind)
     header, params = load_checkpoint(path, kind, REQUIRED[kind])

@@ -294,7 +294,7 @@ class TestRanks:
 
     def test_boundary_goes_to_higher_rank(self):
         d = np.array([0.0, 1.0, 1.0, 2.0])
-        idx = cu.build_ranks(d, clip_windows(len(d)), 2, fractions=(0.5,))
+        idx = cu.build_ranks(d, clip_windows(len(d)), 2)
         # threshold = sorted[ceil(0.5*4)] = sorted[2] = 1.0; d == 1.0 is rank 2
         assert list(window_ranks(idx, len(d))) == [1, 2, 2, 2]
 
@@ -337,14 +337,27 @@ class TestAnneal:
         with pytest.raises(ValueError):
             cu.AnnealSchedule(p_init=(0.5, 0.5, 0.1), p_final=(0.4, 0.3, 0.3))
 
+    @pytest.mark.parametrize("name", ["update_period", "total_steps"])
+    def test_periods_must_be_at_least_one(self, name):
+        """Each fails by name when built, not by dividing by zero in
+        rank_distribution."""
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+                cu.AnnealSchedule(**{name: value})
+
+    @pytest.mark.parametrize("name", ["p_init", "p_final"])
+    def test_probabilities_must_be_nonnegative(self, name):
+        """A distribution that sums to 1 through a negative entry is rejected,
+        not sampled from."""
+        with pytest.raises(ValueError, match=f"{name} holds a negative probability"):
+            cu.AnnealSchedule(**{name: (1.5, -0.5, 0.0, 0.0, 0.0)})
+
 
 def tiny_index(sizes):
-    d = []
-    for r, n in enumerate(sizes):
-        d.extend([r + 0.5] * n)
-    d = np.array(d)
-    fr = tuple(np.cumsum(sizes)[:-1] / sum(sizes))
-    return cu.build_ranks(d, clip_windows(len(d)), len(sizes), fractions=fr)
+    """An index whose rank r holds the next sizes[r] window rows."""
+    ends = np.cumsum(sizes)
+    return cu.CurriculumIndex(windows=clip_windows(int(ends[-1])),
+                              members=[np.arange(end - n, end) for n, end in zip(sizes, ends)])
 
 
 class TestSampler:

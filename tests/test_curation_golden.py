@@ -83,7 +83,7 @@ def test_world_model_dataset(stores, curated):
 
 
 def test_chunk_dataset(stores):
-    conds, chunks = policies.chunk_dataset(stores[2], policies.PolicyConfig())
+    conds, chunks = policies.chunk_dataset(stores[2])
     assert digest(conds, chunks) == GOLDEN["chunk_dataset"]
 
 

@@ -56,11 +56,13 @@ def _policy(scene, gain=1.0):
     return policy
 
 
-@pytest.mark.parametrize("name", ["buffer_capacity", "eval_rollouts", "eval_every", "hidden"])
+@pytest.mark.parametrize("name", ["buffer_capacity", "eval_rollouts", "eval_every", "hidden",
+                                  "depth"])
 def test_config_counts_must_be_positive(name):
     """Each count fails by name when built, not at its first use: an empty
     buffer at the first push, no eval rollouts in the success rate, an eval
-    after every update, and zero-width layers that output only zeros."""
+    after every update, zero-width layers that output only zeros, and a
+    linear net."""
     for value in (0, -1):
         with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
             dsrl.DsrlConfig(**{name: value})
@@ -121,6 +123,19 @@ def test_finetune_drives_the_model_with_the_executed_actions():
     for b in range(len(inits)):
         want = [astuple(statecodec.decode_action(chunks[b, 4 * i:4 * i + 4])) for i in range(C)]
         assert (backend.actions[0][b] == np.array(want)).all()
+
+
+def test_act_decodes_the_chunk_plan_actions_plans():
+    """`act` on one state is `plan_actions` on its encoding with the same
+    latent: the chunk's HORIZON actions, row for row."""
+    scene = default_scene()
+    policy = _policy(scene, gain=4.0)
+    state = jittered_state(scene, Rng(8), policies.INIT_JITTER)
+    w0 = Rng(9).normal(policy.latent_dim)
+    rows = policies.plan_actions(policy, statecodec.encode_state(state)[None, :], w0[None, :])[0]
+    actions = policies.act(policy, state, w0)
+    assert len(actions) == policies.HORIZON
+    assert [astuple(a) for a in actions] == [tuple(row) for row in rows.tolist()]
 
 
 def test_finetune_replan_must_match_model_chunk():

@@ -295,7 +295,7 @@ class TestAdam:
         ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
         opt = optim.Adam(lr=1e-2)
         grads = net.params.zeros_like()
-        b1, b2 = opt.beta1, opt.beta2
+        b1, b2 = optim.BETA1, optim.BETA2
         for t in range(1, 5):
             grads.flat[:] = rng.normal(grads.flat.size)
             lr = 1e-2 / t
@@ -305,7 +305,7 @@ class TestAdam:
                 g = grads[k]
                 ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
                 ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * (g * g)
-                p -= lr * (ref_m[k] / bc1) / (np.sqrt(ref_v[k] / bc2) + opt.eps)
+                p -= lr * (ref_m[k] / bc1) / (np.sqrt(ref_v[k] / bc2) + optim.EPS)
         for k in ref:
             assert np.array_equal(net.params[k], ref[k]), k
 

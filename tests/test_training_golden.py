@@ -87,6 +87,41 @@ def test_worldmodel_train_rejects_an_index_over_other_windows(stores, dataset):
     assert wm.step_count == 0
 
 
+def test_worldmodel_train_rejects_an_index_of_other_rank_count(stores, dataset):
+    """An index of 3 ranks under the default 5-rank schedule fails before the
+    first step, not inside numpy when the first batch is drawn."""
+    ds, _ = dataset
+    wm = worldmodel.create_worldmodel(stores[0], WM_CFG, Rng(45))
+    three = curation.build_ranks(np.arange(float(len(ds))), wins=ds.windows, R=3)
+    with pytest.raises(ValueError, match="curriculum index has 3 ranks, the schedule's "
+                                         "distributions 5"):
+        worldmodel.train(wm, ds, 1, Rng(46), curriculum=(three, curation.AnnealSchedule()))
+    assert wm.step_count == 0
+
+
+@pytest.mark.parametrize("config, name", [(worldmodel.WmConfig, n) for n in
+                                          ("history", "chunk", "denoise_steps", "hidden",
+                                           "depth", "batch")]
+                         + [(policies.PolicyConfig, n) for n in
+                            ("denoise_steps", "ddim_steps", "hidden", "depth", "batch")])
+def test_model_config_counts_must_be_positive(config, name):
+    """Each count fails by name when built, not at its first use: a zero
+    batch divides by zero in training, a negative depth builds a linear
+    denoiser, a zero width builds a net of zero-width layers, a zero chunk
+    fails in a reshape and zero DDIM steps fail only at the first plan."""
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
+            config(**{name: value})
+
+
+def test_wm_config_warmup_must_be_nonnegative():
+    """A negative warmup would silently shift the learning-rate schedule; a
+    zero warmup starts the cosine decay at once."""
+    assert worldmodel.WmConfig(warmup=0).warmup == 0
+    with pytest.raises(ValueError, match="warmup must be nonnegative, got -1"):
+        worldmodel.WmConfig(warmup=-1)
+
+
 def test_train_bc(stores):
     policy = policies.create_policy(stores[0], BC_CFG, Rng(47))
     trace = policies.train_bc(policy, stores[2], 12, Rng(48), log_every=3)
