@@ -183,8 +183,8 @@ def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
                           rng: Rng, window_len: int = 12) -> np.ndarray:
     """The (k, dim) k-means centroids of the embeddings of the demo store's
     success-episode windows."""
-    wins = [w for w in store_windows(demo_store, window_len)
-            if demo_store.meta(w.episode_id)["outcome"]]
+    wins = store_windows(demo_store, window_len,
+                         ids=[eid for eid in demo_store.ids() if demo_store.meta(eid)["outcome"]])
     if len(wins) < k:
         raise ValueError(f"only {len(wins)} success windows, need at least {k}")
     embs = embed_store_windows(demo_store, wins, embedder)

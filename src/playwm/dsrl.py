@@ -80,6 +80,7 @@ class NoiseActor:
         self.latent_dim = latent_dim
         self.net = nets.init_mlp([state_dim] + [cfg.hidden] * cfg.depth + [2 * latent_dim],
                                  rng, "relu")
+        self.grads = self.net.params.zeros_like()  # every update overwrites it whole
 
     def squash(self, out: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """The latents w for head output `out` and standard normal draws xi,
@@ -115,7 +116,8 @@ class NoiseActor:
 
 
 class Critics:
-    """Twin Q networks with layer norm plus Polyak-averaged target copies."""
+    """Twin Q networks with layer norm plus Polyak-averaged target copies,
+    with a gradient buffer per critic and one scratch vector for polyak."""
 
     def __init__(self, state_dim: int, latent_dim: int, cfg: DsrlConfig, rng: Rng):
         widths = [state_dim + latent_dim] + [cfg.hidden] * cfg.depth + [1]
@@ -123,6 +125,8 @@ class Critics:
         self.q2 = nets.init_mlp(widths, rng, "relu", layer_norm=True)
         self.t1 = nets.Mlp(widths, "relu", layer_norm=True, params=self.q1.params)
         self.t2 = nets.Mlp(widths, "relu", layer_norm=True, params=self.q2.params)
+        self.g1, self.g2 = self.q1.params.zeros_like(), self.q2.params.zeros_like()
+        self._mix = np.empty_like(self.q1.params.flat)
 
     def target_min(self, states: np.ndarray, latents: np.ndarray) -> np.ndarray:
         joint = np.concatenate([states, latents], axis=1)
@@ -131,7 +135,8 @@ class Critics:
     def polyak(self, tau: float) -> None:
         for online, target in ((self.q1, self.t1), (self.q2, self.t2)):
             target.params.flat *= 1.0 - tau
-            target.params.flat += tau * online.params.flat
+            np.multiply(tau, online.params.flat, out=self._mix)
+            target.params.flat += self._mix
 
 
 class ReplayBuffer:
@@ -169,6 +174,7 @@ class DsrlState:
     buffer: ReplayBuffer
     cfg: DsrlConfig
     alpha_param: nets.FlatParams  # log alpha, the temperature's log, as one element
+    alpha_grad: nets.FlatParams   # its gradient buffer
     actor_opt: Adam
     q1_opt: Adam
     q2_opt: Adam
@@ -189,6 +195,7 @@ def make_dsrl(state_dim: int, latent_dim: int, cfg: DsrlConfig, rng: Rng) -> Dsr
         buffer=ReplayBuffer(cfg.buffer_capacity, state_dim, latent_dim),
         cfg=cfg,
         alpha_param=alpha_param,
+        alpha_grad=alpha_param.zeros_like(),
         actor_opt=Adam(lr=ACTOR_LR),
         q1_opt=Adam(lr=CRITIC_LR),
         q2_opt=Adam(lr=CRITIC_LR),
@@ -213,30 +220,29 @@ def update(st: DsrlState, rng: Rng) -> dict:
 
     joint = np.concatenate([s, w], axis=1)
     losses = {}
-    for name, net, opt in (("q1", st.critics.q1, st.q1_opt), ("q2", st.critics.q2, st.q2_opt)):
+    critics = st.critics
+    for name, net, grads, opt in (("q1", critics.q1, critics.g1, st.q1_opt),
+                                  ("q2", critics.q2, critics.g2, st.q2_opt)):
         cache = []
         pred = nets.forward(net, joint, cache)
         loss, dpred = ad.mse(pred, y)
         if not np.isfinite(loss):
             raise FloatingPointError(f"NaN loss in critic {name}")
-        grads = net.params.zeros_like()
         ad.backward(net, cache, dpred, grads)
         opt.step(net.params, grads)
         losses[name] = loss
 
     # actor update via the reparameterized squashed sample
     xi = rng.normal((cfg.batch, st.actor.latent_dim))
-    grads = st.actor.net.params.zeros_like()
-    loss, logp = actor_loss(st, s, xi, alpha, grads)
+    loss, logp = actor_loss(st, s, xi, alpha, st.actor.grads)
     if not np.isfinite(loss):
         raise FloatingPointError("NaN loss in actor")
-    st.actor_opt.step(st.actor.net.params, grads)
+    st.actor_opt.step(st.actor.net.params, st.actor.grads)
     losses["actor"] = loss
 
     # temperature toward the entropy target
-    alpha_grad = st.alpha_param.zeros_like()
-    alpha_grad.flat[0] = np.mean(-(logp + TARGET_ENTROPY))
-    st.alpha_opt.step(st.alpha_param, alpha_grad)
+    st.alpha_grad.flat[0] = np.mean(-(logp + TARGET_ENTROPY))
+    st.alpha_opt.step(st.alpha_param, st.alpha_grad)
     np.clip(st.alpha_param.flat, -10.0, 4.0, out=st.alpha_param.flat)
     losses["alpha"] = math.exp(st.log_alpha)
 
