@@ -6,6 +6,17 @@ FlatParams of the same layout it updates the whole parameter vector in
 place, one cache-sized block at a time, with scratch for one block
 allocated once. Each element sees the same operations in the same order,
 so results do not depend on the blocking.
+
+The moments are kept scaled, m~ = m / (1 - b1) and v~ = v / (1 - b2), so a
+step is m~ = b1 m~ + g, v~ = b2 v~ + g^2 and p -= a' m~ / (sqrt(v~) + e'),
+with r = sqrt((1 - b2^t) / (1 - b2)), a' = lr (1 - b1) r / (1 - b1^t) and
+e' = eps r. In real arithmetic that is exactly Adam's
+p -= lr m^ / (sqrt(v^) + eps), with the bias corrections folded into the
+step size and epsilon as in Kingma & Ba, 2015, "Adam: A Method for
+Stochastic Optimization", section 2; it differs only in rounding, and runs
+10 elementwise passes with one divide where the textbook order runs 14 with
+three. Its one cost: v~ grows to g^2 / (1 - b2), so it overflows once |g|
+reaches about 4e152, not the 1.3e154 at which g^2 does.
 """
 
 from __future__ import annotations
@@ -41,9 +52,10 @@ class Adam:
         p, g = params.flat, grads.flat
         if p.size != g.size:
             raise ValueError("gradient layout does not match the parameters")
-        if not np.isfinite(g).all():
-            bad = next(n for n in params if not np.isfinite(grads[n]).all())
-            raise FloatingPointError(f"NaN gradient for parameter {bad!r}")
+        if not math.isfinite(np.dot(g, g)):  # a finite g whose square overflows passes the scan
+            bad = next((n for n in params if not np.isfinite(grads[n]).all()), None)
+            if bad is not None:
+                raise FloatingPointError(f"non-finite gradient for parameter {bad!r}")
         size = p.size
         if self.m is None:
             self.m, self.v = np.zeros(size), np.zeros(size)
@@ -53,39 +65,34 @@ class Adam:
         eta = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - BETA1 ** t
-        bc2 = 1.0 - BETA2 ** t
+        r = math.sqrt((1.0 - BETA2 ** t) / (1.0 - BETA2))
+        alpha = eta * (1.0 - BETA1) * r / (1.0 - BETA1 ** t)
         for lo in range(0, size, BLOCK):
             hi = min(lo + BLOCK, size)
-            self._update(p[lo:hi], g[lo:hi], self.m[lo:hi], self.v[lo:hi], eta, bc1, bc2)
+            self._update(p[lo:hi], g[lo:hi], self.m[lo:hi], self.v[lo:hi], alpha, EPS * r)
 
-    def _update(self, p, g, m, v, eta: float, bc1: float, bc2: float) -> None:
-        """m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2;
-        p -= eta (m/bc1) / (sqrt(v/bc2) + eps), through the scratch rows."""
+    def _update(self, p, g, m, v, alpha: float, eps: float) -> None:
+        """m = b1 m + g; v = b2 v + g^2; p -= alpha m / (sqrt(v) + eps),
+        through the scratch rows."""
         a, b = self._scratch[0, :p.size], self._scratch[1, :p.size]
         m *= BETA1
-        np.multiply(g, 1.0 - BETA1, out=a)
-        m += a
+        m += g
         v *= BETA2
         np.multiply(g, g, out=a)
-        a *= 1.0 - BETA2
         v += a
-        np.divide(m, bc1, out=a)
-        a *= eta
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += EPS
-        a /= b
+        np.sqrt(v, out=b)
+        b += eps
+        np.divide(m, b, out=a)
+        a *= alpha
         p -= a
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_grad_norm(grads: FlatParams, max_norm: float) -> float:
+    """Scale the gradient vector in place so its L2 norm is at most max_norm;
+    returns the norm before scaling."""
+    total = math.sqrt(np.dot(grads.flat, grads.flat))
     if total > max_norm and total > 0.0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grads.flat *= max_norm / total
     return total
 
 

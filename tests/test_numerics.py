@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -280,13 +281,26 @@ class TestAdam:
         grads = net.params.zeros_like()
         grads["w1"][1, 0] = np.inf
         opt = optim.Adam()
-        with pytest.raises(FloatingPointError, match="'w1'"):
+        with pytest.raises(FloatingPointError, match="non-finite gradient for parameter 'w1'"):
             opt.step(net.params, grads)
         assert np.array_equal(net.params.flat, before) and opt.step_count == 0
 
+    def test_finite_gradient_whose_square_overflows_updates(self):
+        """g . g overflows at |g| = 1e200, but every entry is finite: the step
+        runs, reporting the overflow, and the other parameter moves as it
+        would alone."""
+        params = flat_params(a=[1.0], b=[2.0])
+        opt = optim.Adam(lr=0.1)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            opt.step(params, flat_params(a=[1e200], b=[0.5]))
+        assert opt.step_count == 1
+        assert np.isfinite(params.flat).all()
+        assert params["b"][0] == pytest.approx(1.9)
+
     def test_blocked_flat_update_matches_per_array_reference(self):
-        """The flat, blocked update is bit-identical to Adam applied array by
-        array with whole-array temporaries, across several block boundaries."""
+        """The flat, blocked update is bit-identical to the scaled-moment Adam
+        (see optim's docstring) applied array by array with whole-array
+        temporaries, across several block boundaries."""
         rng = Rng(3)
         net = nets.init_mlp([300, 150, 40], rng, "silu")  # 51 190 parameters: two blocks, w0 split
         assert net.params.flat.size > optim.BLOCK
@@ -300,20 +314,60 @@ class TestAdam:
             grads.flat[:] = rng.normal(grads.flat.size)
             lr = 1e-2 / t
             opt.step(net.params, grads, lr=lr)
-            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            r = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+            alpha = lr * (1.0 - b1) * r / (1.0 - b1 ** t)
             for k, p in ref.items():
                 g = grads[k]
-                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
-                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * (g * g)
-                p -= lr * (ref_m[k] / bc1) / (np.sqrt(ref_v[k] / bc2) + optim.EPS)
+                ref_m[k] = b1 * ref_m[k] + g
+                ref_v[k] = b2 * ref_v[k] + g * g
+                p -= alpha * (ref_m[k] / (np.sqrt(ref_v[k]) + optim.EPS * r))
         for k in ref:
             assert np.array_equal(net.params[k], ref[k]), k
 
+    def test_matches_textbook_adam(self):
+        """Over 300 steps with a varying lr and gradients from 1e-4 to 10,
+        each parameter's displacement is Algorithm 1 of Kingma & Ba (2015)
+        within 1e-12 relative."""
+        rng = Rng(12)
+        n = 40
+        params = flat_params(p=rng.normal(n))
+        start = params.flat.copy()
+        ref, m, v = start.copy(), np.zeros(n), np.zeros(n)
+        scale = 10.0 ** (rng.uniform_array(n) * 5.0 - 4.0)
+        grads = params.zeros_like()
+        opt = optim.Adam()
+        b1, b2 = optim.BETA1, optim.BETA2
+        for t in range(1, 301):
+            g = rng.normal(n) * scale
+            grads.flat[:] = g
+            lr = 1e-2 * (1.5 + math.sin(t)) / 2.5
+            opt.step(params, grads, lr=lr)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            ref -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + optim.EPS)
+        assert np.all(np.abs(params.flat - ref) <= 1e-12 * np.abs(ref - start))
+
     def test_grad_clip(self):
-        grads = {"a": np.array([3.0, 4.0])}
+        grads = flat_params(a=[3.0, 4.0])
         norm = optim.clip_grad_norm(grads, 1.0)
         assert norm == pytest.approx(5.0)
         assert np.allclose(np.linalg.norm(grads["a"]), 1.0)
+
+    def test_grad_clip_scales_the_vector_in_place(self):
+        rng = Rng(4)
+        grads = flat_params(w=rng.normal((30, 20)), b=rng.normal(20))
+        flat, before = grads.flat, grads.flat.copy()
+        norm = optim.clip_grad_norm(grads, 2.0)
+        assert norm == pytest.approx(np.linalg.norm(before), rel=1e-14)
+        assert grads.flat is flat and np.array_equal(flat, before * (2.0 / norm))
+        assert np.linalg.norm(flat) == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("max_norm", [5.0, 6.0])
+    def test_grad_clip_leaves_gradients_at_or_below_max_norm(self, max_norm):
+        grads = flat_params(a=[3.0], b=[4.0])
+        before = grads.flat.copy()
+        assert optim.clip_grad_norm(grads, max_norm) == 5.0
+        assert np.array_equal(grads.flat, before)
 
 
 class TestRng:
