@@ -25,7 +25,7 @@ GOLDEN = {
     "dataset": "fccfaf1ec651d8bc39909573d2dd625da512bbeb8ec477ef753de251b31c7875",
     "chunk_dataset": "01771a815e19df96691a6d2a2447e233abbd40c50f5c804187f4444fc316a211",
     "progress_inputs": "bf25dbee732f3ecbc6f9cb1aac9698cc540637d655c3631c7c5d5e3a9367aa5a",
-    "progress_params": "717f41b9d43789e440f8f04c502641d8b40765dd26bfe854172ceefb08c542c5",
+    "progress_params": "a8786d35860faa481229b2f827026cf4654b19da23fa301d720007fdde38f906",
     "replay_clips": "f05c58c62fa2fd7300e28a2b1afb547e6435f0be1f6286fc4f76c89c6e3a6fde",
 }
 

@@ -23,12 +23,12 @@ DSRL_CFG = dsrl.DsrlConfig(hidden=32, depth=2, batch=16, buffer_capacity=64,
                            utd=2, eval_every=4, eval_rollouts=1)
 
 GOLDEN = {
-    "wm_uniform": "12bdeaac2e83fbeee77f1ffb0d053a30c1951583c4392f5375c13e2e57f40680",
-    "wm_curriculum": "a37e2b0391121952413538bb0de1106027a81deea2e02405d53eaa255baa0b0e",
-    "bc": "8824499a70553bc7410d1bdd8948fe2b797457f26f0c1d832478b8dc972a3a75",
-    "progress": "7b1a72a56fe29fe276842a524846030453893d242067c748aae2bc65f0f8c834",
-    "dsrl_update": "4e9d1d4f40a1fcc8280d198238dce4e3af996585ad5475c827b75b1be012e25a",
-    "dsrl_finetune": "a96564477a08875d0f07ee99875b0763b6dd7b6da1e0ca5ba68b7b73614574a2",
+    "wm_uniform": "ef4f8da61dd9eea871a9ed0d48516530b49f6f3392ca8b6f09f57051bcbe72ba",
+    "wm_curriculum": "7abfaa3bf9312bd20645e38822086a4138483f997e2df31d820596442c3d4a5b",
+    "bc": "7e8e5ee680e5f08ea1ec4160d1e1501c4a17c32a59c3229e6066beac66a57a21",
+    "progress": "f6f6ac7a2b95ba4e2ca10455aec7d34a329f7851d2b8533c5693409946d19d18",
+    "dsrl_update": "e00bde36639e7d5a6ce15f18183019b80419a778fa06bbc4d39e3acc2f604ae8",
+    "dsrl_finetune": "badf0ecb0933924edb84076ea76b7cbb6c04fa090f48159b77342e48b9a2bc16",
 }
 
 
