@@ -184,8 +184,9 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
         episode = replace(execute(env, instr, ep_rng), eid=f"{source}-{i:06d}",
                           source=source, seed=ep_seed)
         store.append(episode)
-        hist = {EventKind(k).name: c
-                for k, c in Counter(episode.event_rows[:, 0].tolist()).items()}
-        log.info("episode %s %s outcome=%s events=%s", episode.eid, instr.text(),
-                 episode.outcome, hist)
+        if log.isEnabledFor(logging.INFO):
+            hist = {EventKind(k).name: c
+                    for k, c in Counter(episode.event_rows[:, 0].tolist()).items()}
+            log.info("episode %s %s outcome=%s events=%s", episode.eid, instr.text(),
+                     episode.outcome, hist)
     return store

@@ -57,8 +57,18 @@ line number. The segment is then checked against the sum of `bytes`: a
 longer one (the blob of an append that never committed) is truncated back
 to it, and a shorter one raises StoreError naming the segment and both byte
 counts. The segment is not fsynced, so blob bytes a crash lost show there
-or, on `read`, as a sha256 mismatch. Every `read` takes its record with one
-`pread` and checks its length, sha256, magic, version and size.
+or, on `read`, as a sha256 mismatch.
+
+Reads: every `read` takes its record with one `pread` and checks its
+length, sha256, magic, version and size, whether or not the store has read
+that episode before. The JSON metadata block is parsed only on the first
+read of an id through a store object; the parsed fields (id, source,
+instruction, outcome, seed, n_steps, roster) are kept per store and reused
+by later reads of that id, which then cost the checks and four array views.
+That is sound because the store is append-only and a blob that passes its
+sha256 check holds the bytes it held at the first parse. The kept fields
+hold no blob bytes and no `Episode`, and episodes of one roster share one
+`objects` list, which readers must not modify.
 """
 
 from __future__ import annotations
@@ -66,7 +76,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +90,9 @@ from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 
 MAGIC = b"PWEP"
 VERSION = 2
-HEADER_BYTES = 12  # magic, version, meta_len
+HEADER = struct.Struct("<4sII")  # magic, version, meta_len
+_F8 = np.dtype("<f8")
+_I4 = np.dtype("<i4")
 
 
 @dataclass(frozen=True)
@@ -137,6 +152,17 @@ class StoreError(RuntimeError):
     pass
 
 
+class _Meta(NamedTuple):
+    """A blob's parsed metadata block, as `read` keeps it per episode."""
+    eid: str
+    source: str
+    instruction: Instruction
+    outcome: bool
+    seed: int
+    objects: list[dict]
+    n_steps: int
+
+
 class EpisodeStore:
     def __init__(self, root: str):
         self.root = root
@@ -145,6 +171,9 @@ class EpisodeStore:
         self._segment_path = os.path.join(root, "episodes.bin")
         self._index: dict[str, dict] = {}
         self._offset: dict[str, int] = {}  # each episode's blob offset in the segment
+        self._parsed: dict[str, _Meta] = {}  # metadata of each episode read so far
+        self._rosters: dict[tuple, list[dict]] = {}  # one shared objects list per roster
+        self._tasks: dict[TaskSpec, TaskSpec] = {}  # one shared TaskSpec per task
         self._manifest_bytes = 0  # committed lengths of the two files
         self._segment_bytes = 0
         if os.path.exists(self._manifest_path):
@@ -260,7 +289,34 @@ class EpisodeStore:
         where = f"{self._segment_path}: episode {eid!r}"
         if fault is not None:
             raise StoreError(f"{where} {fault}")
-        return _unpack(blob, where)
+        if len(blob) < HEADER.size or blob[:4] != MAGIC:
+            raise StoreError(f"{where}: bad magic; not an episode blob")
+        _, version, meta_len = HEADER.unpack_from(blob)
+        if version != VERSION:
+            raise StoreError(f"{where}: blob version {version} is not readable "
+                             f"(this store reads version {VERSION})")
+        off = HEADER.size + meta_len
+        meta = self._parsed.get(eid)
+        if meta is None:
+            meta = self._parse(blob[HEADER.size:off])
+        states, actions, event_rows, noise = _rows(blob, off, meta.n_steps,
+                                                   len(meta.objects), where)
+        self._parsed[eid] = meta
+        return Episode(meta.eid, meta.source, meta.instruction, meta.outcome, meta.seed,
+                       meta.objects, states, actions, event_rows, noise)
+
+    def _parse(self, block: bytes) -> _Meta:
+        """The fields of one JSON metadata block; its source, task and
+        roster are shared with earlier episodes that have the same."""
+        meta = json.loads(block)
+        objects = meta["objects"]
+        roster = tuple((o["id"], o["kind"], tuple(o["size"])) for o in objects)
+        t = meta["task"]
+        task = TaskSpec(t["verb"], t["subject"], t["target"],
+                        tuple(t["region"]) if t["region"] else None)
+        instr = Instruction(self._tasks.setdefault(task, task), Perturbation(**meta["perturb"]))
+        return _Meta(meta["id"], sys.intern(meta["source"]), instr, meta["outcome"], meta["seed"],
+                     self._rosters.setdefault(roster, objects), meta["n_steps"])
 
     def verify(self, eid: str) -> bool:
         return self._blob(eid)[1] is None
@@ -385,42 +441,24 @@ def _pack(ep: Episode) -> bytes:
                     "speed_mult": perturb.speed_mult, "synonym": perturb.synonym},
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    return b"".join([MAGIC, np.array([VERSION, len(meta_bytes)], dtype="<u4").tobytes(),
-                     meta_bytes, ep.states.tobytes(), ep.actions.tobytes(),
-                     ep.event_rows.tobytes(), ep.noise.tobytes()])
+    return b"".join([HEADER.pack(MAGIC, VERSION, len(meta_bytes)), meta_bytes,
+                     ep.states.tobytes(), ep.actions.tobytes(), ep.event_rows.tobytes(),
+                     ep.noise.tobytes()])
 
 
-def _unpack(blob: bytes, where: str) -> Episode:
-    """The episode of one blob; `where` names it in errors."""
-    if len(blob) < HEADER_BYTES or blob[:4] != MAGIC:
-        raise StoreError(f"{where}: bad magic; not an episode blob")
-    version, meta_len = (int(v) for v in np.frombuffer(blob[4:HEADER_BYTES], dtype="<u4"))
-    if version != VERSION:
-        raise StoreError(f"{where}: blob version {version} is not readable "
-                         f"(this store reads version {VERSION})")
-    off = HEADER_BYTES + meta_len
-    meta = json.loads(blob[HEADER_BYTES:off].decode())
-    n_steps = meta["n_steps"]
+def _rows(blob: bytes, off: int, n_steps: int, n_obj: int, where: str
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only views of a blob's states, actions, event and noise rows,
+    which start at `off`; a blob of any other size raises StoreError."""
     n_frames = n_steps + 1
-    n_obj = len(meta["objects"])
     row_w = 6 + 5 * n_obj
     size = off + 8 * (n_frames * row_w + n_steps * 4 + n_steps) + 4 * n_steps * 3
     if len(blob) != size:
         raise StoreError(f"{where}: blob holds {len(blob)} bytes, its header implies {size}")
-
-    states = np.frombuffer(blob, dtype="<f8", count=n_frames * row_w, offset=off).reshape(n_frames, row_w)
+    states = np.ndarray((n_frames, row_w), _F8, blob, off)
     off += states.nbytes
-    actions = np.frombuffer(blob, dtype="<f8", count=n_steps * 4, offset=off).reshape(n_steps, 4)
+    actions = np.ndarray((n_steps, 4), _F8, blob, off)
     off += actions.nbytes
-    event_rows = np.frombuffer(blob, dtype="<i4", count=n_steps * 3, offset=off).reshape(n_steps, 3)
+    event_rows = np.ndarray((n_steps, 3), _I4, blob, off)
     off += event_rows.nbytes
-    noise = np.frombuffer(blob, dtype="<f8", count=n_steps, offset=off)
-    task = meta["task"]
-    instr = Instruction(
-        TaskSpec(task["verb"], task["subject"], task["target"],
-                 tuple(task["region"]) if task["region"] else None),
-        Perturbation(**meta["perturb"]),
-    )
-    return Episode(eid=meta["id"], source=meta["source"], instruction=instr,
-                   outcome=meta["outcome"], seed=meta["seed"], objects=meta["objects"],
-                   states=states, actions=actions, event_rows=event_rows, noise=noise)
+    return states, actions, event_rows, np.ndarray((n_steps,), _F8, blob, off)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 from dataclasses import fields, replace
 
@@ -46,6 +47,15 @@ GOLDEN_MANIFEST_HASH = "8cf5051b8da16f2d918f740c47ebf094b06cea618a2b50f2eabb04cf
 # the same store's blob sha256 fields in manifest order, joined: pins the
 # blob bytes whatever layout holds them
 GOLDEN_BLOB_HASH = "06e97575b0f771b9f9a66f54fca8f7020b42089ea2f04eeff6272890a195e6f7"
+
+
+def blob_record(store, eid):
+    """(segment path, offset, length) of the episode's blob."""
+    offset = 0
+    for other in store.ids():
+        if other == eid:
+            return os.path.join(store.root, "episodes.bin"), offset, store.meta(eid)["bytes"]
+        offset += store.meta(other)["bytes"]
 
 
 class ReopeningStore:
@@ -183,6 +193,23 @@ class TestCollect:
         for eid in store.ids():
             ep = store.read(eid)
             assert np.all(np.abs(ep.actions[:, :2]) <= 0.08 + 1e-12)
+
+    def test_info_log_line_per_episode(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="playwm.collect"):
+            collect(default_scene(), ProposerConfig(), 3, Rng(5), EpisodeStore(str(tmp_path / "s")))
+        assert [r.getMessage() for r in caplog.records] == [
+            "episode play-000000 fold over obj4 outcome=True events={'NONE': 14, "
+            "'GRASP_MISS': 2, 'GRASP_SUCCESS': 1, 'FOLD_CHANGE': 5}",
+            "episode play-000001 stack on obj1 -> 3 outcome=True events={'NONE': 16, "
+            "'GRASP_SUCCESS': 1}",
+            "episode play-000002 put on top of obj3 -> 2 outcome=True events={'NONE': 9, "
+            "'GRASP_SUCCESS': 1}",
+        ]
+
+    def test_no_log_record_below_info(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="playwm.collect"):
+            collect(default_scene(), ProposerConfig(), 2, Rng(5), EpisodeStore(str(tmp_path / "s")))
+        assert caplog.records == []
 
     def test_episode_arrays_outlive_the_next_episode(self):
         env, rng = fresh_env(), Rng(4)
@@ -379,19 +406,11 @@ class TestStore:
         with pytest.raises(StoreError, match=r"manifest\.jsonl: line 1 "):
             EpisodeStore(root)
 
-    def _record(self, store, eid):
-        """(segment path, offset, length) of the episode's blob."""
-        offset = 0
-        for other in store.ids():
-            if other == eid:
-                return os.path.join(store.root, "episodes.bin"), offset, store.meta(eid)["bytes"]
-            offset += store.meta(other)["bytes"]
-
     def test_truncated_blob_raises(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         store.append(expert_episode("e0", seed=0))
         store.append(expert_episode("e1"))
-        path, _, _ = self._record(store, "e1")
+        path, _, _ = blob_record(store, "e1")
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 5)
         assert store.verify("e0") and not store.verify("e1")
@@ -402,7 +421,7 @@ class TestStore:
         store = EpisodeStore(str(tmp_path / "s"))
         store.append(expert_episode("e1"))
         store.append(expert_episode("e2", seed=2))
-        path, offset, length = self._record(store, "e1")
+        path, offset, length = blob_record(store, "e1")
         with open(path, "r+b") as fh:
             fh.seek(offset + length - 3)
             byte = fh.read(1)
@@ -423,7 +442,7 @@ class TestStore:
         store = EpisodeStore(root)
         store.append(expert_episode("e1"))
         rec = store.meta("e1")
-        path, offset, length = self._record(store, "e1")
+        path, offset, length = blob_record(store, "e1")
         with open(path, "r+b") as fh:
             fh.seek(offset)
             blob = bytearray(fh.read(length))
@@ -504,6 +523,116 @@ class TestStore:
         assert len(seeded_play_store) == 30
         assert sorted(os.listdir(seeded_play_store.root)) == ["episodes.bin", "manifest.jsonl"]
         assert all(seeded_play_store.verify(eid) for eid in seeded_play_store.ids())
+
+
+def count_json_loads(monkeypatch):
+    """A list that gains an entry at each json.loads call."""
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
+class TestRereads:
+    """A store parses an episode's metadata block once; every read still runs
+    every check."""
+
+    def _store(self, tmp_path):
+        store = EpisodeStore(str(tmp_path / "s"))
+        store.append(expert_episode("e1"))
+        store.append(expert_episode("e2", seed=2))
+        return store
+
+    def test_second_read_parses_nothing(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path)
+        loads = count_json_loads(monkeypatch)
+        first = store.read("e1")
+        assert len(loads) == 1
+        second = store.read("e1")
+        assert len(loads) == 1
+        for f in fields(Episode):
+            a, b = getattr(first, f.name), getattr(second, f.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+                assert not b.flags.writeable, f.name
+            else:
+                assert a == b, f.name
+
+    def test_fresh_store_parses_again(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path)
+        store.read("e1")
+        again = EpisodeStore(store.root)
+        loads = count_json_loads(monkeypatch)
+        assert again.read("e1").eid == "e1" and len(loads) == 1
+
+    def test_episodes_of_one_roster_share_one_objects_list(self, tmp_path):
+        store = self._store(tmp_path)
+        a, b = store.read("e1"), store.read("e2")
+        assert a.objects is b.objects
+        assert EpisodeStore(store.root).read("e1").objects is not a.objects
+
+    def test_every_read_takes_one_pread(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path)
+        calls = []
+        pread = os.pread
+
+        def counted(fd, n, offset):
+            calls.append((n, offset))
+            return pread(fd, n, offset)
+
+        monkeypatch.setattr(os, "pread", counted)
+        for _ in range(3):
+            store.read("e2")
+        assert calls == [(store.meta("e2")["bytes"], store.meta("e1")["bytes"])] * 3
+
+    def _rewrite(self, store, eid, edit):
+        """Replace the episode's blob in the segment by edit(blob), which
+        may be shorter; return the new blob."""
+        path, offset, length = blob_record(store, eid)
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            blob = edit(fh.read(length))
+            fh.seek(offset)
+            fh.write(blob)
+            if len(blob) < length:
+                fh.truncate(offset + len(blob))
+        return blob
+
+    def test_flipped_byte_after_a_read_raises(self, tmp_path):
+        store = self._store(tmp_path)
+        store.read("e1")
+        self._rewrite(store, "e1", lambda b: b[:-3] + bytes([b[-3] ^ 0xFF]) + b[-2:])
+        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1' sha256"):
+            store.read("e1")
+        assert store.read("e2").eid == "e2"
+
+    def test_short_segment_after_a_read_raises(self, tmp_path):
+        store = self._store(tmp_path)
+        store.read("e2")
+        self._rewrite(store, "e2", lambda b: b[:-5])
+        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e2' holds"):
+            store.read("e2")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b"PWEQ" + b[4:], r"bad magic"),
+        (lambda b: b[:4] + (3).to_bytes(4, "little") + b[8:], r"blob version 3 is not readable"),
+        (lambda b: b[:8] + (int.from_bytes(b[8:12], "little") + 8).to_bytes(4, "little") + b[12:],
+         r"blob holds \d+ bytes, its header implies \d+"),
+    ], ids=["magic", "version", "size"])
+    def test_header_checks_run_on_a_reread(self, tmp_path, edit, message):
+        """Blob bytes changed after a first read, with the store's record of
+        their sha256 changed to match: the header checks still run."""
+        store = self._store(tmp_path)
+        store.read("e1")
+        blob = self._rewrite(store, "e1", edit)
+        store.meta("e1")["sha256"] = hashlib.sha256(blob).hexdigest()
+        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1': " + message):
+            store.read("e1")
 
 
 class TestWindows:
