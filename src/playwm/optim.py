@@ -89,10 +89,23 @@ class Adam:
 
 def clip_grad_norm(grads: FlatParams, max_norm: float) -> float:
     """Scale the gradient vector in place so its L2 norm is at most max_norm;
-    returns the norm before scaling."""
-    total = math.sqrt(np.dot(grads.flat, grads.flat))
+    returns the norm before scaling.
+
+    A finite gradient whose squared norm overflows is measured as
+    m * |g / m| with m = max |g|, and scaled like any other; a non-finite
+    one is left for `Adam.step` to reject.
+    """
+    g = grads.flat
+    total = math.sqrt(np.dot(g, g))
+    if math.isinf(total) and np.isfinite(g).all():
+        big = float(np.abs(g).max())
+        unit = g / big
+        norm = math.sqrt(np.dot(unit, unit))
+        if big * norm > max_norm:
+            g *= (max_norm / big) / norm
+        return big * norm
     if total > max_norm and total > 0.0:
-        grads.flat *= max_norm / total
+        g *= max_norm / total
     return total
 
 

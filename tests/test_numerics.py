@@ -369,6 +369,23 @@ class TestAdam:
         assert optim.clip_grad_norm(grads, max_norm) == 5.0
         assert np.array_equal(grads.flat, before)
 
+    def test_grad_clip_scales_a_gradient_whose_square_overflows(self):
+        """g . g overflows at |g| = 1e200, but every entry is finite: the
+        gradient is scaled to max_norm, not zeroed."""
+        grads = flat_params(a=[1e200], b=[1.0])
+        with np.errstate(over="ignore"):
+            norm = optim.clip_grad_norm(grads, 1.0)
+        assert norm == pytest.approx(1e200, rel=1e-15)
+        assert np.linalg.norm(grads.flat) == pytest.approx(1.0, rel=1e-15)
+        assert grads.flat.tolist() == pytest.approx([1.0, 1e-200], rel=1e-15)
+
+    def test_grad_clip_leaves_a_nan_gradient_for_adam(self):
+        grads = flat_params(a=[np.nan], b=[1.0])
+        assert math.isnan(optim.clip_grad_norm(grads, 1.0))
+        assert math.isnan(grads["a"][0]) and grads["b"][0] == 1.0
+        with pytest.raises(FloatingPointError, match="non-finite gradient for parameter 'a'"):
+            optim.Adam().step(flat_params(a=[0.0], b=[0.0]), grads)
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
