@@ -11,11 +11,13 @@ to the denoiser are embedded as 16 sinusoidal features of t/T.
 The denoiser's input is (noised target | conditioning | time embedding).
 Training concatenates it: backward needs the whole input. Both samplers
 condition once per call (DenoiserNet.conditioned): layer 0's conditioning
-product plus bias, a (batch, hidden) array, and a (T+1, hidden) table of
-time-embedding products are computed before the first reverse step, so
-each step multiplies only the noised target through layer 0 and adds the
-two cached terms. That sum differs from the single product within rounding
-(about 1e-15).
+product plus bias, a (batch, hidden) array, and a table of the
+time-embedding products of the timesteps the sampler visits are computed
+before the first reverse step, so each step multiplies only the noised
+target through layer 0 and adds the two cached terms. That sum differs from
+the single product within rounding (about 1e-15). The table is one product
+of at least two rows: a one-row product takes BLAS's matrix-vector path,
+which rounds differently.
 """
 
 from __future__ import annotations
@@ -96,13 +98,14 @@ class DenoiserNet:
         net = nets.Mlp(widths, "silu") if rng is None else nets.init_mlp(widths, rng, "silu")
         return DenoiserNet(target_dim, net)
 
-    def conditioned(self, cond: np.ndarray, T: int) -> Callable[[np.ndarray, int], np.ndarray]:
+    def conditioned(self, cond: np.ndarray, T: int, ts: np.ndarray
+                    ) -> Callable[[np.ndarray, int], np.ndarray]:
         """The clean-signal estimator (x_t, t) -> x0 estimate for a fixed
-        (batch, cond_dim) conditioning, within rounding of the net's forward
-        pass over the concatenated input.
+        (batch, cond_dim) conditioning and t among the timesteps ts, within
+        rounding of the net's forward pass over the concatenated input.
 
         Layer 0's conditioning product plus bias, and the time-embedding
-        products of every t in 0..T, are computed here once; each call
+        products of each t in ts, are computed here once; each call
         multiplies only x_t through layer 0. A conditioning of the wrong
         width raises ShapeError.
         """
@@ -115,10 +118,13 @@ class DenoiserNet:
         w0 = self.net.params["w0"]
         cond_term = cond @ w0[k:k + cond_dim]
         cond_term += self.net.params["b0"]
-        time_terms = time_embedding(np.arange(T + 1), T) @ w0[k + cond_dim:]
+        ts = np.asarray(ts)
+        rows = time_embedding(ts if ts.size > 1 else np.repeat(ts, 2), T)
+        time_terms = rows @ w0[k + cond_dim:]
+        row = {int(t): i for i, t in enumerate(ts)}
 
         def predict(x_t: np.ndarray, t: int) -> np.ndarray:
-            return nets.forward(self.net, x_t, layer0=cond_term + time_terms[t])
+            return nets.forward(self.net, x_t, layer0=cond_term + time_terms[row[t]])
         return predict
 
 
@@ -174,7 +180,7 @@ def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
     running away outside the data range.
     """
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-    predict = denoiser.conditioned(cond, schedule.T)
+    predict = denoiser.conditioned(cond, schedule.T, np.arange(1, schedule.T + 1))
     x = rng.normal((cond.shape[0], denoiser.target_dim))
     for t in range(schedule.T, 0, -1):
         beta = schedule.betas[t - 1]
@@ -208,8 +214,8 @@ def ddim_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
         raise ValueError(f"w0 width {x.shape[-1]} != target width {denoiser.target_dim}")
     if x.shape[0] != cond.shape[0]:
         raise ValueError(f"w0 shape {x.shape} and cond shape {cond.shape} differ in rows")
-    predict = denoiser.conditioned(cond, schedule.T)
     taus = np.unique(np.round(np.linspace(1, schedule.T, steps)).astype(int))[::-1]
+    predict = denoiser.conditioned(cond, schedule.T, taus)
     for i, t in enumerate(taus):
         t_prev = taus[i + 1] if i + 1 < len(taus) else 0
         abar_t = schedule.alpha_bars[t]

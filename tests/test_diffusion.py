@@ -235,8 +235,9 @@ class TestConditioned:
         den = df.DenoiserNet(6, nets.init_mlp([33, 32, 32, 32, 6], Rng(1), activation))
         rng = Rng(2)
         x, cond = rng.normal((batch, 6)), rng.normal((batch, 11))
-        predict = den.conditioned(cond, self.T)
-        for t in (1, self.T // 2, self.T):
+        ts = (1, self.T // 2, self.T)
+        predict = den.conditioned(cond, self.T, np.array(ts))
+        for t in ts:
             want = concatenated_forward(den, x, cond, t, self.T)
             np.testing.assert_allclose(predict(x, t), want, rtol=0.0, atol=1e-12)
 
@@ -250,6 +251,31 @@ class TestConditioned:
         want = ddpm_reference(den, s, cond, b, 2.0)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         assert same_stream(a, b)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 100])
+    @pytest.mark.parametrize("hidden, batch", [(32, 7), (256, 1), (256, 64)])
+    def test_ddim_is_bit_equal_to_the_full_table(self, monkeypatch, steps, hidden, batch):
+        """The table of the visited timesteps' rows, two rows at least,
+        rounds like the table of every t in 0..T."""
+        s = df.NoiseSchedule.linear_scaled(100)
+        den = df.DenoiserNet.create(64, 40, Rng(3), hidden=hidden, depth=3)
+        rng = Rng(4)
+        cond, w0 = rng.normal((batch, 40)), rng.normal((batch, 64))
+        got = df.ddim_sample(den, s, cond, steps, w0)
+        conditioned = df.DenoiserNet.conditioned
+        monkeypatch.setattr(df.DenoiserNet, "conditioned",
+                            lambda self, c, T, ts: conditioned(self, c, T, np.arange(T + 1)))
+        assert got.tobytes() == df.ddim_sample(den, s, cond, steps, w0).tobytes()
+
+    def test_ddpm_is_bit_equal_to_the_full_table(self, monkeypatch):
+        s = df.NoiseSchedule.linear_scaled(self.T)
+        den = df.DenoiserNet.create(6, 11, Rng(3), hidden=32, depth=3)
+        cond = Rng(4).normal((7, 11))
+        got = df.ddpm_sample(den, s, cond, Rng(5), clip_x0=2.0)
+        conditioned = df.DenoiserNet.conditioned
+        monkeypatch.setattr(df.DenoiserNet, "conditioned",
+                            lambda self, c, T, ts: conditioned(self, c, T, np.arange(T + 1)))
+        assert got.tobytes() == df.ddpm_sample(den, s, cond, Rng(5), clip_x0=2.0).tobytes()
 
     @pytest.mark.parametrize("batch", [1, 7, 50])
     def test_ddim_matches_the_concatenated_loop(self, batch):
