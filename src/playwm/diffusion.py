@@ -118,13 +118,12 @@ class DenoiserNet:
         w0 = self.net.params["w0"]
         cond_term = cond @ w0[k:k + cond_dim]
         cond_term += self.net.params["b0"]
-        ts = np.asarray(ts)
-        rows = time_embedding(ts if ts.size > 1 else np.repeat(ts, 2), T)
-        time_terms = rows @ w0[k + cond_dim:]
-        row = {int(t): i for i, t in enumerate(ts)}
+        temb = time_embedding(ts if ts.size > 1 else np.repeat(ts, 2), T)
+        time_terms = temb @ w0[k + cond_dim:]
+        row_of = {int(t): i for i, t in enumerate(ts)}
 
         def predict(x_t: np.ndarray, t: int) -> np.ndarray:
-            return nets.forward(self.net, x_t, layer0=cond_term + time_terms[row[t]])
+            return nets.forward(self.net, x_t, layer0=cond_term + time_terms[row_of[t]])
         return predict
 
 

@@ -100,10 +100,7 @@ def clip_grad_norm(grads: FlatParams, max_norm: float) -> float:
     if math.isinf(total) and np.isfinite(g).all():
         big = float(np.abs(g).max())
         unit = g / big
-        norm = math.sqrt(np.dot(unit, unit))
-        if big * norm > max_norm:
-            g *= (max_norm / big) / norm
-        return big * norm
+        total = big * math.sqrt(np.dot(unit, unit))
     if total > max_norm and total > 0.0:
         g *= max_norm / total
     return total
