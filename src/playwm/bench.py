@@ -233,8 +233,7 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
             last[b] = path[-1]
         return [_labelled(path, row) for path, row in zip(paths, actions.tolist())]
 
-    return closed_loop(policy, starts, advance, cfg.task, wm.scene.physics, rng,
-                       cfg.max_steps, cfg.replan)
+    return closed_loop(policy, starts, advance, cfg.task, rng, cfg.max_steps, cfg.replan)
 
 
 def _labelled(path: list[EnvState], actions: list[list[float]]):

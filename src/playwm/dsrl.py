@@ -348,7 +348,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
         end_values = np.array([progress_model.value(v) for v in end_vecs])
         restart = []
         for b in range(N):
-            terminal = check_success(ends[b], task, scene.physics)
+            terminal = check_success(ends[b], task)
             reward = end_values[b] - values[b]
             st.buffer.push(s_vecs[b], w[b], reward, end_vecs[b], terminal)
             returns[b] += reward

@@ -1,20 +1,21 @@
 """Quasi-static contact dynamics and the per-step interaction events.
 
-step() is a pure function of (state, action, noise u, physics); the single
-uniform draw u decides the slip fate of a grasp made this step and is
-ignored otherwise. Rules apply in a fixed order each control step:
+step() is a pure function of (state, action, noise u); the physics are the
+module constants below, since the simulator stands in for one fixed world.
+The single uniform draw u decides the slip fate of a grasp made this step
+and is ignored otherwise. Rules apply in a fixed order each control step:
 
   1. move the gripper by clamped deltas (held rigid object follows;
      a held towel end integrates tangential motion into its fold angle)
-  2. closing while down attempts a grasp within r_grasp
-  3. a held rigid object slips if planar speed exceeds v_slip, or exceeds
-     v_fate on a grasp whose fate draw came up slippery
+  2. closing while down attempts a grasp within R_GRASP
+  3. a held rigid object slips if planar speed exceeds V_SLIP, or exceeds
+     V_FATE on a grasp whose fate draw came up slippery
   4. moving while down and open pushes intersected objects ahead of the
      gripper until surfaces touch
   5. object-object overlaps are resolved by translating the untouched one
      along the contact normal
   6. opening while holding releases: near the top of a stack base the
-     object stacks (offset <= r_topple) or topples off
+     object stacks (offset <= R_TOPPLE) or topples off
   7. fold integration happened in rule 1 for a held towel end
   8. objects outside the tape margin raise the out-of-bounds flag
 
@@ -27,7 +28,18 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .scene import EnvState, ObjectState, Physics, _clip
+from .scene import EnvState, ObjectState, _clip
+
+A_MAX = 0.08          # per-step |dx|,|dy| clamp
+R_GRASP = 0.05        # grasp capture radius
+V_SLIP = 0.05         # deterministic slip above this held planar speed
+V_FATE = 0.04         # a fated grasp slips above this speed
+P_SLIP = 0.05         # per-grasp slip probability
+R_STACK = 0.04        # release within this of a base stacks or topples
+R_TOPPLE = 0.025      # stacking offset beyond this topples
+GRIP_DG = 0.3         # |dg| deadband before a close/open takes effect
+MARGIN = 0.05         # tape margin; outside is out-of-bounds
+GRIPPER_RADIUS = 2.0 / 64.0  # pushing reach of the gripper body; drawn at this radius
 
 
 class EventKind(IntEnum):
@@ -61,10 +73,10 @@ class Action:
     dz: float = 0.0   # rounded to {-1, 0, +1}
     dg: float = 0.0   # aperture delta in [-1, 1]
 
-    def sanitized(self, phys: Physics) -> "Action":
+    def sanitized(self) -> "Action":
         return Action(
-            dx=_clip(self.dx, -phys.a_max, phys.a_max),
-            dy=_clip(self.dy, -phys.a_max, phys.a_max),
+            dx=_clip(self.dx, -A_MAX, A_MAX),
+            dy=_clip(self.dy, -A_MAX, A_MAX),
             dz=float(round(_clip(self.dz, -1.0, 1.0))),
             dg=_clip(self.dg, -1.0, 1.0),
         )
@@ -75,9 +87,9 @@ PUSHABLE_KINDS = ("disk", "rect", "bowl")
 COLLIDER_KINDS = ("disk", "rect")
 
 
-def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvState, Event]:
+def step(state: EnvState, action: Action, u: float) -> tuple[EnvState, Event]:
     """Advance one control step. u is this step's uniform noise draw in (0,1]."""
-    a = action.sanitized(phys)
+    a = action.sanitized()
     s = state.copy()
     g = s.gripper
     events: list[Event] = []
@@ -104,8 +116,8 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
             moved_ids.add(obj.oid)
 
     # (2) grasp attempt: decisive close while down with empty gripper
-    if a.dg < -phys.grip_dg and g.z == 0 and held_at_start is None:
-        target = _nearest_graspable(s, g.x, g.y, phys)
+    if a.dg < -GRIP_DG and g.z == 0 and held_at_start is None:
+        target = _nearest_graspable(s, g.x, g.y)
         if target is not None:
             obj = target
             if obj.kind == "towel2link":
@@ -116,7 +128,7 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
                 obj.x, obj.y = g.x, g.y
                 obj.z_level = 0
                 g.held = obj.oid
-                s.slip_fated = u < phys.p_slip
+                s.slip_fated = u < P_SLIP
                 moved_ids.add(obj.oid)
             events.append(Event(EventKind.GRASP_SUCCESS, (obj.oid,)))
         else:
@@ -127,7 +139,7 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
     if held_at_start is not None and g.held == held_at_start:
         obj = s.object_by_id(held_at_start)
         if obj.kind != "towel2link" and speed > 0.0:
-            slips = speed > phys.v_slip or (s.slip_fated and speed > phys.v_fate)
+            slips = speed > V_SLIP or (s.slip_fated and speed > V_FATE)
             if slips:
                 g.held = None
                 s.slip_fated = False
@@ -144,7 +156,7 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
                 continue
             if g.aperture > 0.5 and obj.kind in GRASPABLE_KINDS:
                 continue
-            reach = phys.gripper_radius + obj.effective_radius()
+            reach = GRIPPER_RADIUS + obj.effective_radius()
             if _segment_point_distance(old_x, old_y, g.x, g.y, obj.x, obj.y) < reach:
                 push = _push_out_distance(g.x, g.y, obj.x, obj.y, ux, uy, reach)
                 if push > 1e-12:
@@ -183,15 +195,15 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
             events.append(Event(EventKind.OBJECT_COLLISION, (a_obj.oid, b_obj.oid)))
 
     # (6) release: a decisive open
-    if a.dg > phys.grip_dg and g.held is not None:
+    if a.dg > GRIP_DG and g.held is not None:
         obj = s.object_by_id(g.held)
         g.held = None
         s.slip_fated = False
         if obj.kind != "towel2link":
-            base = _stack_base_below(s, obj, phys)
+            base = _stack_base_below(s, obj)
             if base is not None:
                 off = math.hypot(obj.x - base.x, obj.y - base.y)
-                if off <= phys.r_topple:
+                if off <= R_TOPPLE:
                     obj.z_level = base.z_level + 1
                 else:
                     dx, dy = obj.x - base.x, obj.y - base.y
@@ -206,7 +218,7 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
                 obj.z_level = 0
 
     # (8) out-of-bounds flags
-    oob = tuple(out_of_bounds_ids(s, phys))
+    oob = tuple(out_of_bounds_ids(s))
     if oob:
         events.append(Event(EventKind.OUT_OF_BOUNDS, oob))
 
@@ -214,8 +226,8 @@ def step(state: EnvState, action: Action, u: float, phys: Physics) -> tuple[EnvS
     return s, primary
 
 
-def out_of_bounds_ids(state: EnvState, phys: Physics) -> list[int]:
-    lo, hi = phys.margin, 1.0 - phys.margin
+def out_of_bounds_ids(state: EnvState) -> list[int]:
+    lo, hi = MARGIN, 1.0 - MARGIN
     return [o.oid for o in state.objects
             if not (lo <= o.x <= hi and lo <= o.y <= hi)]
 
@@ -232,8 +244,8 @@ def _integrate_fold(obj: ObjectState, move: tuple[float, float]) -> float:
     return applied
 
 
-def _nearest_graspable(state: EnvState, gx: float, gy: float, phys: Physics):
-    best, best_d = None, phys.r_grasp
+def _nearest_graspable(state: EnvState, gx: float, gy: float):
+    best, best_d = None, R_GRASP
     for obj in state.objects:
         if obj.kind in GRASPABLE_KINDS:
             d = math.hypot(obj.x - gx, obj.y - gy)
@@ -268,10 +280,10 @@ def _detach_from_stack(state: EnvState, obj: ObjectState) -> None:
             upper.z_level -= 1
 
 
-def _stack_base_below(state: EnvState, obj: ObjectState, phys: Physics):
+def _stack_base_below(state: EnvState, obj: ObjectState):
     candidates = [o for o in state.objects
                   if o.oid != obj.oid and o.kind in COLLIDER_KINDS
-                  and math.hypot(o.x - obj.x, o.y - obj.y) <= phys.r_stack]
+                  and math.hypot(o.x - obj.x, o.y - obj.y) <= R_STACK]
     if not candidates:
         return None
     top = max(candidates, key=lambda o: o.z_level)

@@ -1,9 +1,10 @@
 """Stateful environment wrapper around the pure dynamics.
 
-Owns the per-step uniform noise stream. `step` takes its draw from the
-stream unless the caller passes one; `playsys.execute` draws it itself and
-records it, so a stored episode can be replayed bit-exactly (the draw
-decides grasp slip fates and nothing else).
+Owns the per-step uniform noise stream; the physics are `dynamics`' module
+constants. `step` takes its draw from the stream unless the caller passes
+one; `playsys.execute` draws it itself and records it, so a stored episode
+can be replayed bit-exactly (the draw decides grasp slip fates and nothing
+else).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .scene import EnvState, SceneConfig
 class Env:
     def __init__(self, scene: SceneConfig, seed: int = 0):
         self.scene = scene
-        self.phys = scene.physics
         self.rng = Rng(seed)
         self.state = scene.nominal_state()
 
@@ -28,5 +28,5 @@ class Env:
     def step(self, action: Action, u: float | None = None) -> tuple[EnvState, Event]:
         if u is None:
             u = self.rng.uniform()
-        self.state, event = dynamics.step(self.state, action, u, self.phys)
+        self.state, event = dynamics.step(self.state, action, u)
         return self.state, event

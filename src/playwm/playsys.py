@@ -16,15 +16,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .dynamics import Action, Event, EventKind, out_of_bounds_ids
+from .dynamics import R_STACK, Action, Event, EventKind, out_of_bounds_ids
 from .env import Env
 from .rng import Rng
-from .scene import EnvState, Physics, SceneConfig, jittered_state
+from .scene import EnvState, SceneConfig, jittered_state
 from .skills import Instruction, Perturbation, SkillController
 from .store import Episode, EpisodeStore, record
 from .tasks import NEAR_RADIUS, FOLD_DONE, UNFOLD_DONE, TaskSpec, check_success
 
 log = logging.getLogger("playwm.collect")
+
+MAX_STEPS = 30  # an episode's step budget
 
 GRAMMAR_VERBS = ("put_in", "take_out", "put_near", "stack", "unstack",
                  "fold", "unfold", "push_to")
@@ -67,7 +69,7 @@ def bench_config() -> ProposerConfig:
                           speed_range=(0.6, 1.9), towel_bias=4)
 
 
-def applicable_tasks(state: EnvState, cfg: ProposerConfig, phys: Physics) -> dict[str, list[TaskSpec]]:
+def applicable_tasks(state: EnvState, cfg: ProposerConfig) -> dict[str, list[TaskSpec]]:
     """Enumerate per-verb candidate tasks whose predicates are currently false."""
     bowls = [o for o in state.objects if o.kind == "bowl"]
     rigids = [o for o in state.objects if o.kind in ("disk", "rect")]
@@ -95,7 +97,7 @@ def applicable_tasks(state: EnvState, cfg: ProposerConfig, phys: Physics) -> dic
         for base in rigids:
             if base.oid == subj.oid:
                 continue
-            if subj.z_level == base.z_level + 1 and math.hypot(subj.x - base.x, subj.y - base.y) <= phys.r_stack:
+            if subj.z_level == base.z_level + 1 and math.hypot(subj.x - base.x, subj.y - base.y) <= R_STACK:
                 out["unstack"].append(TaskSpec("unstack", subj.oid, base.oid))
             elif subj.z_level == 0:
                 out["stack"].append(TaskSpec("stack", subj.oid, base.oid))
@@ -111,7 +113,7 @@ def applicable_tasks(state: EnvState, cfg: ProposerConfig, phys: Physics) -> dic
     return out
 
 
-def propose(state: EnvState, cfg: ProposerConfig, rng: Rng, phys: Physics) -> Instruction:
+def propose(state: EnvState, cfg: ProposerConfig, rng: Rng) -> Instruction:
     if not any(o.kind != "bowl" for o in state.objects):
         raise ProposalError("scene has no proposable object")
 
@@ -122,12 +124,12 @@ def propose(state: EnvState, cfg: ProposerConfig, rng: Rng, phys: Physics) -> In
         synonym=rng.randint(3),
     )
 
-    stray = [oid for oid in out_of_bounds_ids(state, phys)
+    stray = [oid for oid in out_of_bounds_ids(state)
              if state.object_by_id(oid).kind != "towel2link"]
     if stray:
         return Instruction(TaskSpec("reset_retrieve", stray[0]), perturb)
 
-    candidates = applicable_tasks(state, cfg, phys)
+    candidates = applicable_tasks(state, cfg)
     verbs = [v for v in GRAMMAR_VERBS if candidates[v] and cfg.verb_weights.get(v, 0.0) > 0.0]
     if not verbs:
         raise ProposalError("no applicable instruction for this scene")
@@ -141,27 +143,27 @@ def propose(state: EnvState, cfg: ProposerConfig, rng: Rng, phys: Physics) -> In
 
 
 def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
-    """Run one instruction to success, terminal failure, or the scene's step
-    budget. The simulator clamps each action to `a_max`, and the episode
-    records the clamped actions. Its id and source are empty and its seed
-    0; callers set them with `dataclasses.replace`."""
-    skill = SkillController(instr, env.phys, rng)
+    """Run one instruction to success, terminal failure, or MAX_STEPS steps.
+    The simulator clamps each action to `A_MAX`, and the episode records
+    the clamped actions. Its id and source are empty and its seed 0;
+    callers set them with `dataclasses.replace`."""
+    skill = SkillController(instr, rng)
     states = [env.state.copy()]
     actions: list[Action] = []
     events: list[Event] = []
     noise: list[float] = []
-    success = check_success(env.state, instr.task, env.phys)
-    while len(actions) < env.phys.max_steps and not success:
+    success = check_success(env.state, instr.task)
+    while len(actions) < MAX_STEPS and not success:
         act = skill.action(env.state)
         if act is None:
             break
         u = env.rng.uniform()
         state, event = env.step(act, u)
         states.append(state)
-        actions.append(act.sanitized(env.phys))
+        actions.append(act.sanitized())
         events.append(event)
         noise.append(u)
-        success = check_success(state, instr.task, env.phys)
+        success = check_success(state, instr.task)
     return record("", "", instr, bool(success), 0, states, actions, events, noise)
 
 
@@ -180,7 +182,7 @@ def collect(scene: SceneConfig, proposer: ProposerConfig, episodes: int, rng: Rn
             env.reset(jittered_state(scene, rng))
         ep_seed = rng.spawn_seed()
         ep_rng = Rng(ep_seed)
-        instr = propose(env.state, proposer, ep_rng, env.phys)
+        instr = propose(env.state, proposer, ep_rng)
         episode = replace(execute(env, instr, ep_rng), eid=f"{source}-{i:06d}",
                           source=source, seed=ep_seed)
         store.append(episode)

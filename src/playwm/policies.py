@@ -31,7 +31,7 @@ from .env import Env
 from .optim import Adam, clip_grad_norm
 from .playsys import execute
 from .rng import Rng
-from .scene import EnvState, Physics, SceneConfig, jittered_state, scene_from_dict, scene_to_dict
+from .scene import EnvState, SceneConfig, jittered_state, scene_from_dict, scene_to_dict
 from .skills import Instruction, Perturbation
 from .store import EpisodeStore
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
@@ -40,6 +40,7 @@ from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 HORIZON = 16     # actions per planned chunk
 LR = 1e-3        # behaviour-cloning Adam rate
 GRAD_CLIP = 1.0  # behaviour-cloning gradient-norm bound
+LOG_EVERY = 50   # steps between loss-trace entries
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,7 @@ def chunk_dataset(store: EpisodeStore) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(conds), np.concatenate(chunks)
 
 
-def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
-             log_every: int = 50) -> list[tuple[int, float]]:
+def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng) -> list[tuple[int, float]]:
     """Behaviour-clone the denoiser on (state, action chunk) pairs for `steps`
     steps; returns the (step, loss) trace, its steps counted on from
     train_steps_done.
@@ -125,7 +125,7 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng,
             raise FloatingPointError(f"non-finite BC loss at step {step}")
         clip_grad_norm(grads, GRAD_CLIP)
         opt.step(policy.denoiser.net.params, grads)
-        if step % log_every == 0 or step == steps - 1:
+        if step % LOG_EVERY == 0 or step == steps - 1:
             trace.append((policy.train_steps_done + step, value))
     policy.train_steps_done += steps
     return trace
@@ -206,7 +206,7 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
 
 def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
                 advance: Callable[[list[int], np.ndarray], list[Iterator[tuple[EnvState, EventKind]]]],
-                task: TaskSpec, phys: Physics, rng: Rng, max_steps: int, replan: int,
+                task: TaskSpec, rng: Rng, max_steps: int, replan: int,
                 latent: Callable[[np.ndarray], np.ndarray] | None = None
                 ) -> tuple[float, dict[str, int]]:
     """Success rate and mode histogram of one closed-loop rollout per start
@@ -227,7 +227,7 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
     """
     states = list(states)
     kinds: list[list[EventKind]] = [[] for _ in states]
-    live = [b for b, state in enumerate(states) if not check_success(state, task, phys)]
+    live = [b for b, state in enumerate(states) if not check_success(state, task)]
     t = 0
     while t < max_steps and live:
         conds = np.stack([statecodec.encode_state(states[b]) for b in live])
@@ -239,7 +239,7 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
             for state, kind in itertools.islice(pairs, n):
                 states[b] = state
                 kinds[b].append(kind)
-                if check_success(state, task, phys):
+                if check_success(state, task):
                     break
             else:
                 still.append(b)
@@ -282,8 +282,8 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
     def advance(rows, actions):
         return [_env_steps(envs[b], row) for b, row in zip(rows, actions.tolist())]
 
-    return closed_loop(policy, [env.state for env in envs], advance, task, scene.physics, rng,
-                       max_steps, replan, latent)
+    return closed_loop(policy, [env.state for env in envs], advance, task, rng, max_steps,
+                       replan, latent)
 
 
 def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,

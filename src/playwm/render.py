@@ -20,10 +20,10 @@ import math
 
 import numpy as np
 
+from .dynamics import GRIPPER_RADIUS
 from .scene import EnvState
 
 FRAME_SIZE = 64
-GRIPPER_RADIUS = 2.0 / FRAME_SIZE
 
 _CENTERS = (np.arange(FRAME_SIZE) + 0.5) / FRAME_SIZE  # pixel centers along rows and columns
 

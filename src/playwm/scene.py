@@ -4,6 +4,7 @@ The workspace is the unit square. A point gripper moves in x/y with a
 binary height (0 down, 1 up) and an aperture in [0, 1]. Objects are rigid
 disks and rectangles, an annular bowl, and a two-link towel hinged at its
 pivot whose fold angle in [0, pi] is the one articulated degree of freedom.
+A scene is its objects alone: the physics are `dynamics`' module constants.
 
 Object sizes by kind:
     disk        (radius,)
@@ -15,24 +16,9 @@ Object sizes by kind:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KINDS = ("disk", "rect", "bowl", "towel2link")
-
-
-@dataclass(frozen=True)
-class Physics:
-    a_max: float = 0.08        # per-step |dx|,|dy| clamp
-    r_grasp: float = 0.05      # grasp capture radius
-    v_slip: float = 0.05       # deterministic slip above this held planar speed
-    v_fate: float = 0.04       # a fated grasp slips above this speed
-    p_slip: float = 0.05       # per-grasp slip probability
-    r_stack: float = 0.04      # release within this of a base stacks or topples
-    r_topple: float = 0.025    # stacking offset beyond this topples
-    grip_dg: float = 0.3       # |dg| deadband before a close/open takes effect
-    margin: float = 0.05       # tape margin; outside is out-of-bounds
-    gripper_radius: float = 2.0 / 64.0
-    max_steps: int = 30
 
 
 @dataclass
@@ -95,7 +81,6 @@ class EnvState:
 @dataclass(frozen=True)
 class SceneConfig:
     objects: tuple          # tuple of ObjectState templates (nominal poses)
-    physics: Physics = field(default_factory=Physics)
 
     def nominal_state(self) -> EnvState:
         return EnvState(GripperState(), list(self.objects)).copy()
@@ -117,7 +102,6 @@ OBJECT_KEYS = {"id", "kind", "pose", "size", "z_level", "fold_angle"}  # of a sc
 
 def scene_to_dict(cfg: SceneConfig) -> dict:
     return {
-        "physics": {k: getattr(cfg.physics, k) for k in Physics.__dataclass_fields__},
         "objects": [
             {
                 "id": o.oid, "kind": o.kind, "pose": [o.x, o.y, o.theta],
@@ -130,12 +114,10 @@ def scene_to_dict(cfg: SceneConfig) -> dict:
 
 def scene_from_dict(data: dict) -> SceneConfig:
     """The scene of a `scene_to_dict` record. Any key this does not read, or
-    that the record lacks, at the top level, in the physics or in an object,
-    raises ValueError naming it (and the object's id), so a record from
-    another layout fails instead of losing or defaulting the key silently."""
-    _check_keys(data, {"physics", "objects"}, "scene")
-    _check_keys(data["physics"], set(Physics.__dataclass_fields__), "scene physics")
-    phys = Physics(**data["physics"])
+    that the record lacks, at the top level or in an object, raises
+    ValueError naming it (and the object's id), so a record from another
+    layout fails instead of losing or defaulting the key silently."""
+    _check_keys(data, {"objects"}, "scene")
     objs = []
     for od in data["objects"]:
         _check_keys(od, OBJECT_KEYS, f"scene object {od.get('id')!r}")
@@ -145,7 +127,7 @@ def scene_from_dict(data: dict) -> SceneConfig:
         x, y, theta = od["pose"]
         objs.append(ObjectState(od["id"], kind, x, y, theta, tuple(od["size"]),
                                 od["z_level"], od["fold_angle"]))
-    return SceneConfig(objects=tuple(objs), physics=phys)
+    return SceneConfig(objects=tuple(objs))
 
 
 def _check_keys(record: dict, keys: set, what: str) -> None:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import Action
+from .dynamics import GRIPPER_RADIUS, Action
 from .rng import Rng
-from .scene import EnvState, Physics
+from .scene import EnvState
 from .tasks import TaskSpec, check_success
 
 APPROACH_SPEED = 0.075
@@ -62,9 +62,8 @@ _SYNONYMS = {
 class SkillController:
     """Phase-machine controller; action() returns None when it gives up or finishes."""
 
-    def __init__(self, instr: Instruction, phys: Physics, plan_rng: Rng):
+    def __init__(self, instr: Instruction, plan_rng: Rng):
         self.instr = instr
-        self.phys = phys
         self.rng = plan_rng
         self.attempts = 0
         self.phase = "plan"
@@ -102,7 +101,7 @@ class SkillController:
             dx, dy = tx - subj.x, ty - subj.y
             d = math.hypot(dx, dy)
             ux, uy = (dx / d, dy / d) if d > 1e-9 else (1.0, 0.0)
-            reach = self.phys.gripper_radius + subj.effective_radius()
+            reach = GRIPPER_RADIUS + subj.effective_radius()
             nw = self._noise(p.sigma_w)
             self.grasp_point = (_clip01(subj.x - ux * (reach + 0.02) + nw[0]),
                                 _clip01(subj.y - uy * (reach + 0.02) + nw[1]))
@@ -230,7 +229,7 @@ class SkillController:
             return Action(dz=-1.0)
 
         if self.phase == "push":
-            if check_success(state, task, self.phys):
+            if check_success(state, task):
                 self.phase = "finish"
                 return Action(dz=1.0)
             step = _step_toward(g.x, g.y, *self.push_goal, PUSH_SPEED * self.instr.perturb.speed_mult)
@@ -240,7 +239,7 @@ class SkillController:
             return Action(dz=1.0)
 
         if self.phase == "finish":
-            if check_success(state, task, self.phys):
+            if check_success(state, task):
                 return None
             if g.z == 0:
                 return Action(dz=1.0)

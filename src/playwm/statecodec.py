@@ -16,11 +16,10 @@ import math
 
 import numpy as np
 
-from .dynamics import Action
+from .dynamics import A_MAX, Action  # action scale: encoded dx, dy = dx / A_MAX, dy / A_MAX
 from .scene import EnvState, GripperState, ObjectState
 
 MAX_Z_LEVEL = 2
-A_MAX = 0.08  # action scale: encoded dx, dy = dx / A_MAX, dy / A_MAX
 
 
 def state_dim(n_objects: int) -> int:

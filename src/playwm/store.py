@@ -84,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import Action, Event
-from .scene import EnvState, GripperState, ObjectState, Physics
+from .scene import EnvState, GripperState, ObjectState
 from .skills import Instruction, Perturbation
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 
@@ -345,7 +345,6 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     keep = None if ids is None else set(ids)
-    phys = Physics()  # stored episodes do not record the physics they ran under
     out: list[ClipWindow] = []
     for eid in store.ids():
         if keep is not None and eid not in keep:
@@ -355,7 +354,7 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
         kinds = view.event_rows[:, 0].tolist()
         for start in range(0, view.n_frames - W + 1, stride):
             end = start + W - 1
-            success = check_success(view.state(end), task, phys)
+            success = check_success(view.state(end), task)
             out.append(ClipWindow(eid, start, W, classify_clip(kinds[start:end], task, success)))
     return out
 

@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import EventKind
-from .scene import EnvState, Physics
+from .dynamics import R_STACK, EventKind
+from .scene import EnvState
 
 VERBS = ("put_in", "take_out", "put_near", "stack", "unstack",
          "fold", "unfold", "push_to", "reset_retrieve")
@@ -57,7 +57,7 @@ class DanglingObjectError(KeyError):
     pass
 
 
-def check_success(state: EnvState, task: TaskSpec, phys: Physics) -> bool:
+def check_success(state: EnvState, task: TaskSpec) -> bool:
     try:
         subj = state.object_by_id(task.subject)
     except KeyError as exc:
@@ -77,7 +77,7 @@ def check_success(state: EnvState, task: TaskSpec, phys: Physics) -> bool:
     if verb == "stack":
         base = _require(state, task.target)
         return (not held and subj.z_level == base.z_level + 1
-                and _dist(subj, base) <= phys.r_stack)
+                and _dist(subj, base) <= R_STACK)
     if verb == "unstack":
         base = _require(state, task.target)
         return (not held and subj.z_level == 0

@@ -26,6 +26,7 @@ from .store import ClipWindow, Episode, EpisodeStore
 
 LR = 1e-3            # desk preset; full-scale preset is 5e-6
 GRAD_CLIP = 1.0
+LOG_EVERY = 50       # steps between loss-trace entries
 CLIP_X0 = 1.2        # clean-signal clamp during sampling
 DELTA_SCALE = 1.25   # pose offsets scaled into the unit range
 
@@ -163,8 +164,7 @@ def last_history_state(wm: WorldModel, conds: np.ndarray) -> np.ndarray:
 
 
 def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
-          curriculum: tuple[CurriculumIndex, AnnealSchedule] | None = None,
-          log_every: int = 50) -> list[tuple[int, float]]:
+          curriculum: tuple[CurriculumIndex, AnnealSchedule] | None = None) -> list[tuple[int, float]]:
     """Fit the denoiser for `steps` steps; sampling is uniform or
     curriculum-driven per batch.
 
@@ -195,7 +195,7 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
         clip_grad_norm(grads, GRAD_CLIP)
         lr = warmup_cosine_lr(LR, step, wm.cfg.warmup, steps)
         opt.step(wm.denoiser.net.params, grads, lr=lr)
-        if step % log_every == 0 or step == steps - 1:
+        if step % LOG_EVERY == 0 or step == steps - 1:
             trace.append((wm.step_count + step, value))
     wm.step_count += steps
     wm.loss_trace.extend(trace)

@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from playwm.curation import Embedder
 from playwm.playsys import ProposerConfig, collect
 from playwm.policies import PolicyConfig, create_policy
 from playwm.rng import Rng
-from playwm.scene import Physics, default_scene
+from playwm.scene import default_scene
 from playwm.store import EpisodeStore
 from playwm.tasks import TaskSpec, check_success
 from playwm.worldmodel import WmConfig, create_worldmodel
@@ -40,12 +39,12 @@ def test_step_counters_see_every_step(trained, monkeypatch):
     real: dict[object, list[bool]] = {}  # the same per env
 
     def counted_infer(prev, action, nxt):
-        imagined.append(check_success(nxt, TASK, scene.physics))
+        imagined.append(check_success(nxt, TASK))
         return infer(prev, action, nxt)
 
     def counted_step(env, action, u=None):
         out = step(env, action, u)
-        real.setdefault(env, []).append(check_success(out[0], TASK, env.phys))
+        real.setdefault(env, []).append(check_success(out[0], TASK))
         return out
 
     monkeypatch.setattr(bench, "infer_transition_event", counted_infer)
@@ -79,7 +78,7 @@ def test_imagined_rollouts_stop_at_max_steps(trained, monkeypatch):
 
     def counted_infer(prev, action, nxt):
         # every state is kept alive, so ids stay unique and chain each rollout
-        calls.append((prev, nxt, check_success(nxt, TASK, scene.physics)))
+        calls.append((prev, nxt, check_success(nxt, TASK)))
         return infer(prev, action, nxt)
 
     monkeypatch.setattr(bench, "infer_transition_event", counted_infer)
@@ -192,7 +191,7 @@ def test_imagined_rollouts_step_in_lockstep(trained, monkeypatch, max_steps):
     for rows, chunks in stepped:
         assert rows == [b for b in range(n) if b not in done]
         for b, chunk in zip(rows, chunks):
-            if any(check_success(s, TASK, scene.physics) for s in chunk[:max_steps - t]):
+            if any(check_success(s, TASK) for s in chunk[:max_steps - t]):
                 done.add(b)
         t += C
     assert len(done) == round(rate * n)
@@ -219,7 +218,7 @@ def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan,
 
         def step(self, action, u=None):
             out = super().step(action, u)
-            self.flags.append(check_success(out[0], TASK, self.phys))
+            self.flags.append(check_success(out[0], TASK))
             return out
 
     plan = policies.plan_actions
@@ -430,13 +429,8 @@ def test_build_suite_keeps_each_trained_variant_demos_under_the_root(tmp_path):
 def test_closed_loop_labels_clips_with_its_own_success_flags(trained, monkeypatch, in_model):
     """`closed_loop` hands `classify_clip` each rollout's own success flag:
     rate × n of them are true, and each is `check_success` of its rollout's
-    last state under the loop's physics, not under the defaults."""
+    last state."""
     scene, policy, wm = trained
-    if in_model:
-        wm = replace(wm, scene=replace(scene, physics=Physics(r_stack=0.06)))
-    else:
-        scene = replace(scene, physics=Physics(r_stack=0.06))
-    want = (wm.scene if in_model else scene).physics
     loop, classify = policies.closed_loop, policies.classify_clip
     last: dict[int, object] = {}  # each rollout's latest state
     flags: list[bool] = []
@@ -446,13 +440,12 @@ def test_closed_loop_labels_clips_with_its_own_success_flags(trained, monkeypatc
             last[b] = state
             yield state, kind
 
-    def spied_loop(policy, states, advance, task, phys, *rest):
-        assert phys is want
+    def spied_loop(policy, states, advance, task, *rest):
         last.update(enumerate(states))
 
         def spied_advance(rows, actions):
             return [tracked(b, pairs) for b, pairs in zip(rows, advance(rows, actions))]
-        return loop(policy, states, spied_advance, task, phys, *rest)
+        return loop(policy, states, spied_advance, task, *rest)
 
     def spied_classify(kinds, task, success):
         flags.append(success)
@@ -469,4 +462,4 @@ def test_closed_loop_labels_clips_with_its_own_success_flags(trained, monkeypatc
     n = len(flags)
     assert n == 10 and 0 < sum(flags) < n
     assert sum(flags) == round(rate * n)
-    assert flags == [check_success(last[b], TASK, want) for b in range(n)]
+    assert flags == [check_success(last[b], TASK) for b in range(n)]

@@ -163,8 +163,9 @@ def test_model_header_missing_fields(tmp_path, kind):
 
 
 def _old_physics(header):
-    """A scene saved before Physics lost its unread control_hz field."""
-    header["scene"]["physics"]["control_hz"] = 5.0
+    """A scene saved while it still held the physics, now the simulator's
+    module constants."""
+    header["scene"]["physics"] = {"a_max": 0.08, "r_stack": 0.04, "max_steps": 30}
 
 
 def _old_scene_seed(header):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import events_of
-from playwm import bench, statecodec
+from playwm import bench, playsys, statecodec
 from playwm.curation import Embedder
 from playwm.dynamics import Action, EventKind
 from playwm.env import Env
@@ -16,16 +16,21 @@ from playwm.playsys import (ProposalError, ProposerConfig, applicable_tasks, col
                             execute, expert_config, propose)
 from playwm.render import render
 from playwm.rng import Rng
-from playwm.scene import EnvState, GripperState, ObjectState, Physics, default_scene, jittered_state
+from playwm.scene import EnvState, GripperState, ObjectState, default_scene, jittered_state
 from playwm.skills import Instruction, Perturbation
 from playwm.store import Episode, EpisodeStore, StoreError, record, split, windows
 from playwm.tasks import BehaviorMode, TaskSpec, check_success
 from playwm.worldmodel import WmConfig, build_dataset
 
 
-def fresh_env(seed=0, max_steps=30):
-    """An env of the default scene whose episodes stop after max_steps."""
-    return Env(replace(default_scene(), physics=Physics(max_steps=max_steps)), seed=seed)
+def fresh_env(seed=0):
+    return Env(default_scene(), seed=seed)
+
+
+def budgeted_env(monkeypatch, max_steps):
+    """A fresh env whose episodes stop after max_steps steps."""
+    monkeypatch.setattr(playsys, "MAX_STEPS", max_steps)
+    return fresh_env()
 
 
 def expert_instruction(task):
@@ -132,14 +137,14 @@ class TestProposer:
     def test_oob_priority(self):
         s = default_scene().nominal_state()
         s.object_by_id(1).x = 0.01
-        instr = propose(s, ProposerConfig(), Rng(0), Physics())
+        instr = propose(s, ProposerConfig(), Rng(0))
         assert instr.task.verb == "reset_retrieve"
         assert instr.task.subject == 1
 
     def test_determinism(self):
         s = default_scene().nominal_state()
-        a = propose(s, ProposerConfig(), Rng(9), Physics())
-        b = propose(s, ProposerConfig(), Rng(9), Physics())
+        a = propose(s, ProposerConfig(), Rng(9))
+        b = propose(s, ProposerConfig(), Rng(9))
         assert a == b
 
     def test_degenerate_grammar(self):
@@ -148,14 +153,14 @@ class TestProposer:
         cfg = ProposerConfig(verb_weights=weights)
         s = default_scene().nominal_state()
         for seed in range(10):
-            instr = propose(s, cfg, Rng(seed), Physics())
+            instr = propose(s, cfg, Rng(seed))
             assert instr.task.verb == "put_in"
             assert s.object_by_id(instr.task.subject).kind in ("disk", "rect")
 
     def test_empty_scene_raises(self):
         s = EnvState(gripper=GripperState(), objects=[])
         with pytest.raises(ProposalError):
-            propose(s, ProposerConfig(), Rng(0), Physics())
+            propose(s, ProposerConfig(), Rng(0))
 
     def test_verb_frequency_uniform(self):
         # scene where every verb is applicable
@@ -169,13 +174,13 @@ class TestProposer:
         ]
         s = EnvState(gripper=GripperState(), objects=objs)
         cfg = ProposerConfig()
-        avail = applicable_tasks(s, cfg, Physics())
+        avail = applicable_tasks(s, cfg)
         assert all(avail[v] for v in avail), {k: len(v) for k, v in avail.items()}
         rng = Rng(123)
         counts = {}
         n = 10_000
         for _ in range(n):
-            instr = propose(s, cfg, rng, Physics())
+            instr = propose(s, cfg, rng)
             counts[instr.task.verb] = counts.get(instr.task.verb, 0) + 1
         for verb, c in counts.items():
             assert abs(c / n - 1 / 8) < 0.02, (verb, c / n)
@@ -213,10 +218,10 @@ class TestCollect:
 
     def test_episode_arrays_outlive_the_next_episode(self):
         env, rng = fresh_env(), Rng(4)
-        first = execute(env, propose(env.state, ProposerConfig(), rng, env.phys), rng)
+        first = execute(env, propose(env.state, ProposerConfig(), rng), rng)
         arrays = (first.states, first.actions, first.event_rows, first.noise)
         snapshot = [a.tobytes() for a in arrays]
-        second = execute(env, propose(env.state, ProposerConfig(), rng, env.phys), rng)
+        second = execute(env, propose(env.state, ProposerConfig(), rng), rng)
         assert first.n_frames > 2 and second.n_frames > 2
         assert second.states[0].tobytes() == first.states[-1].tobytes()
         assert [a.tobytes() for a in arrays] == snapshot
@@ -287,7 +292,7 @@ class TestStore:
 
         def recording_step(action, u):
             state, event = env_step(action, u)
-            live.append((state.copy(), action.sanitized(env.phys), event, u))
+            live.append((state.copy(), action.sanitized(), event, u))
             return state, event
 
         env.step = recording_step
@@ -636,38 +641,38 @@ class TestRereads:
 
 
 class TestWindows:
-    def _store_with_lengths(self, tmp_path, lengths):
+    def _store_with_lengths(self, tmp_path, monkeypatch, lengths):
         store = EpisodeStore(str(tmp_path / "s"))
         for i, n in enumerate(lengths):
             instr = Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_w=0.2, sigma_g=0.1))
-            ep = execute(fresh_env(max_steps=n), instr, Rng(i))
+            ep = execute(budgeted_env(monkeypatch, n), instr, Rng(i))
             # pad/trim to exactly n steps by construction is not guaranteed; skip short ones
             store.append(replace(ep, eid=f"e{i}", source="play"))
         return store
 
-    def test_window_counts(self, tmp_path):
-        store = self._store_with_lengths(tmp_path, [30])
+    def test_window_counts(self, tmp_path, monkeypatch):
+        store = self._store_with_lengths(tmp_path, monkeypatch, [30])
         ep = store.read(store.ids()[0])
         n = ep.n_frames
         ws = windows(store, 5, 5)
         assert len(ws) == (n - 5) // 5 + 1 if n >= 5 else 0
 
-    def test_short_episode_yields_nothing(self, tmp_path):
+    def test_short_episode_yields_nothing(self, tmp_path, monkeypatch):
         store = EpisodeStore(str(tmp_path / "s"))
-        ep = execute(fresh_env(max_steps=3), expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
+        ep = execute(budgeted_env(monkeypatch, 3), expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
         store.append(replace(ep, eid="e1", source="play"))  # 4 frames
         assert windows(store, 5, 1) == []
 
-    def test_stride_one_covers_every_position(self, tmp_path):
-        store = self._store_with_lengths(tmp_path, [20])
+    def test_stride_one_covers_every_position(self, tmp_path, monkeypatch):
+        store = self._store_with_lengths(tmp_path, monkeypatch, [20])
         ep = store.read(store.ids()[0])
         ws = windows(store, 5, 1)
         starts = {w.start for w in ws}
         assert starts == set(range(ep.n_frames - 5 + 1))
 
     @pytest.mark.parametrize("stride", [0, -1])
-    def test_stride_below_one_is_rejected(self, tmp_path, stride):
-        store = self._store_with_lengths(tmp_path, [10])
+    def test_stride_below_one_is_rejected(self, tmp_path, monkeypatch, stride):
+        store = self._store_with_lengths(tmp_path, monkeypatch, [10])
         with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}"):
             windows(store, 5, stride)
 
@@ -756,9 +761,9 @@ class TestWindowEnumerator:
 
 
 class TestSplit:
-    def test_fraction_and_disjoint(self, tmp_path):
+    def test_fraction_and_disjoint(self, tmp_path, monkeypatch):
         store = EpisodeStore(str(tmp_path / "s"))
-        env = fresh_env(max_steps=5)
+        env = budgeted_env(monkeypatch, 5)
         for i in range(100):
             ep = execute(env, expert_instruction(TaskSpec("put_near", 1, 2)), Rng(i))
             store.append(replace(ep, eid=f"e{i}", source="play"))

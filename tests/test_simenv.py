@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from playwm import statecodec
-from playwm.dynamics import Action, EventKind, step
+from playwm.dynamics import GRIPPER_RADIUS, R_STACK, Action, EventKind, step
 from playwm.env import Env
 from playwm.render import FRAME_SIZE, object_intensity, render, render_states
 from playwm.rng import Rng
-from playwm.scene import (EnvState, GripperState, ObjectState, Physics,
-                          default_scene, jittered_state, scene_from_dict,
-                          scene_to_dict)
+from playwm.scene import (EnvState, GripperState, ObjectState, default_scene,
+                          jittered_state, scene_from_dict, scene_to_dict)
 from playwm.tasks import (BehaviorMode, TaskSpec, check_success, classify_clip,
                           DanglingObjectError)
-
-PHYS = Physics()
 
 
 def simple_state(gx=0.5, gy=0.5, z=1, aperture=1.0, held=None, objects=None):
@@ -30,34 +27,34 @@ def simple_state(gx=0.5, gy=0.5, z=1, aperture=1.0, held=None, objects=None):
 class TestStep:
     def test_zero_action_no_contact_is_identity(self):
         s0 = simple_state()
-        s1, event = step(s0, Action(), 0.9, PHYS)
+        s1, event = step(s0, Action(), 0.9)
         assert event.kind == EventKind.NONE
         assert (s1.gripper.x, s1.gripper.y) == (s0.gripper.x, s0.gripper.y)
         assert (s1.objects[0].x, s1.objects[0].y) == (s0.objects[0].x, s0.objects[0].y)
 
     def test_grasp_miss_far_away(self):
         s0 = simple_state(gx=0.6, gy=0.3, z=0)
-        s1, event = step(s0, Action(dg=-1.0), 0.9, PHYS)
+        s1, event = step(s0, Action(dg=-1.0), 0.9)
         assert event.kind == EventKind.GRASP_MISS
         assert s1.gripper.held is None
 
     def test_grasp_success_within_radius(self):
         s0 = simple_state(gx=0.31, gy=0.3, z=0)
-        s1, event = step(s0, Action(dg=-1.0), 0.9, PHYS)
+        s1, event = step(s0, Action(dg=-1.0), 0.9)
         assert event.kind == EventKind.GRASP_SUCCESS
         assert s1.gripper.held == 1
         assert (s1.objects[0].x, s1.objects[0].y) == (s1.gripper.x, s1.gripper.y)
 
     def test_grasp_fate_from_noise_draw(self):
         s0 = simple_state(gx=0.3, gy=0.3, z=0)
-        fated, _ = step(s0, Action(dg=-1.0), 0.01, PHYS)
-        clean, _ = step(s0, Action(dg=-1.0), 0.99, PHYS)
+        fated, _ = step(s0, Action(dg=-1.0), 0.01)
+        clean, _ = step(s0, Action(dg=-1.0), 0.99)
         assert fated.slip_fated and not clean.slip_fated
 
     def test_fast_carry_slips_deterministically(self):
         s0 = simple_state(gx=0.3, gy=0.3, z=0, aperture=0.0, held=1)
         s0.objects[0].x, s0.objects[0].y = 0.3, 0.3
-        s1, event = step(s0, Action(dx=0.08), 0.9, PHYS)
+        s1, event = step(s0, Action(dx=0.08), 0.9)
         assert event.kind == EventKind.SLIP_DROP
         assert s1.gripper.held is None
         # dropped at the gripper position
@@ -66,30 +63,30 @@ class TestStep:
     def test_slow_carry_keeps_hold_even_when_fated(self):
         s0 = simple_state(gx=0.3, gy=0.3, z=1, aperture=0.0, held=1)
         s0.slip_fated = True
-        s1, event = step(s0, Action(dx=0.038), 0.9, PHYS)
+        s1, event = step(s0, Action(dx=0.038), 0.9)
         assert s1.gripper.held == 1
-        s2, event = step(s1, Action(dx=0.05), 0.9, PHYS)  # above v_fate
+        s2, event = step(s1, Action(dx=0.05), 0.9)  # above V_FATE
         assert event.kind == EventKind.SLIP_DROP
 
     def test_push_moves_object_ahead(self):
         s0 = simple_state(gx=0.24, gy=0.3, z=0, aperture=0.0)
-        s1, event = step(s0, Action(dx=0.05), 0.9, PHYS)
+        s1, event = step(s0, Action(dx=0.05), 0.9)
         assert event.kind == EventKind.CONTACT_SLIDE
-        reach = PHYS.gripper_radius + 0.035
+        reach = GRIPPER_RADIUS + 0.035
         d = math.hypot(s1.objects[0].x - s1.gripper.x, s1.objects[0].y - s1.gripper.y)
         assert d == pytest.approx(reach, abs=1e-9)
         assert s1.objects[0].x > 0.3
 
     def test_open_gripper_straddles_graspables(self):
         s0 = simple_state(gx=0.24, gy=0.3, z=0, aperture=1.0)
-        s1, event = step(s0, Action(dx=0.05), 0.9, PHYS)
+        s1, event = step(s0, Action(dx=0.05), 0.9)
         assert event.kind == EventKind.NONE
         assert (s1.objects[0].x, s1.objects[0].y) == (0.3, 0.3)
 
     def test_open_gripper_still_pushes_bowl(self):
         objs = [ObjectState(0, "bowl", 0.3, 0.3, 0.0, (0.11, 0.085))]
         s0 = simple_state(gx=0.16, gy=0.3, z=0, aperture=1.0, objects=objs)
-        s1, event = step(s0, Action(dx=0.05), 0.9, PHYS)
+        s1, event = step(s0, Action(dx=0.05), 0.9)
         assert event.kind == EventKind.CONTACT_SLIDE
         assert s1.objects[0].x > 0.3
 
@@ -99,7 +96,7 @@ class TestStep:
             ObjectState(2, "disk", 0.36, 0.30, 0.0, (0.035,)),
         ]
         s0 = simple_state(gx=0.24, gy=0.30, z=0, aperture=0.0, objects=objs)
-        s1, event = step(s0, Action(dx=0.06), 0.9, PHYS)
+        s1, event = step(s0, Action(dx=0.06), 0.9)
         assert event.kind == EventKind.OBJECT_COLLISION
         d = math.hypot(s1.objects[1].x - s1.objects[0].x, s1.objects[1].y - s1.objects[0].y)
         assert d >= 0.07 - 1e-9
@@ -111,7 +108,7 @@ class TestStep:
         ]
         s0 = simple_state(gx=0.70, gy=0.70, z=1, aperture=0.0, held=1, objects=objs)
         s0.objects[0].x, s0.objects[0].y = 0.70, 0.70
-        s1, event = step(s0, Action(dg=1.0), 0.9, PHYS)
+        s1, event = step(s0, Action(dg=1.0), 0.9)
         assert s1.objects[0].z_level == 1
         assert s1.gripper.held is None
 
@@ -121,20 +118,20 @@ class TestStep:
             ObjectState(2, "rect", 0.70, 0.70, 0.0, (0.03, 0.03)),
         ]
         s0 = simple_state(gx=0.73, gy=0.70, z=1, aperture=0.0, held=1, objects=objs)
-        s1, event = step(s0, Action(dg=1.0), 0.9, PHYS)
+        s1, event = step(s0, Action(dg=1.0), 0.9)
         assert event.kind == EventKind.STACK_TOPPLE
         assert s1.objects[0].z_level == 0
         d = math.hypot(s1.objects[0].x - 0.70, s1.objects[0].y - 0.70)
-        assert d > PHYS.r_stack
+        assert d > R_STACK
 
     def test_towel_fold_integrates_tangential_motion(self):
         towel = ObjectState(4, "towel2link", 0.5, 0.5, 0.0, (0.085, 0.028))
         ex, ey = towel.towel_free_end()
         s0 = simple_state(gx=ex, gy=ey, z=0, objects=[towel])
-        s1, event = step(s0, Action(dg=-1.0), 0.9, PHYS)
+        s1, event = step(s0, Action(dg=-1.0), 0.9)
         assert s1.gripper.held == 4
         # free end at pivot + L*(-1, 0); increasing fold moves it toward +y here
-        s2, event = step(s1, Action(dy=0.05), 0.9, PHYS)
+        s2, event = step(s1, Action(dy=0.05), 0.9)
         assert event.kind == EventKind.FOLD_CHANGE
         assert s2.objects[0].fold_angle > 0.0
         # pivot does not move
@@ -143,7 +140,7 @@ class TestStep:
     def test_out_of_bounds_flag(self):
         objs = [ObjectState(1, "disk", 0.02, 0.5, 0.0, (0.035,))]
         s0 = simple_state(objects=objs)
-        _, event = step(s0, Action(), 0.9, PHYS)
+        _, event = step(s0, Action(), 0.9)
         assert event.kind == EventKind.OUT_OF_BOUNDS
         assert event.oids == (1,)
 
@@ -396,15 +393,15 @@ class TestTasks:
             ObjectState(1, "disk", 0.32, 0.3, 0.0, (0.035,)),
         ]
         s = simple_state(objects=objs)
-        assert check_success(s, TaskSpec("put_in", 1, 0), PHYS)
+        assert check_success(s, TaskSpec("put_in", 1, 0))
         s.gripper.held = 1
-        assert not check_success(s, TaskSpec("put_in", 1, 0), PHYS)
+        assert not check_success(s, TaskSpec("put_in", 1, 0))
 
     def test_fold_unfold_at_zero(self):
         towel = ObjectState(4, "towel2link", 0.5, 0.5, 0.0, (0.085, 0.028))
         s = simple_state(objects=[towel])
-        assert check_success(s, TaskSpec("unfold", 4), PHYS)
-        assert not check_success(s, TaskSpec("fold", 4), PHYS)
+        assert check_success(s, TaskSpec("unfold", 4))
+        assert not check_success(s, TaskSpec("fold", 4))
 
     def test_stack_predicate(self):
         objs = [
@@ -412,12 +409,12 @@ class TestTasks:
             ObjectState(2, "rect", 0.50, 0.50, 0.0, (0.03, 0.03)),
         ]
         s = simple_state(objects=objs)
-        assert check_success(s, TaskSpec("stack", 1, 2), PHYS)
+        assert check_success(s, TaskSpec("stack", 1, 2))
 
     def test_dangling_object(self):
         s = simple_state()
         with pytest.raises(DanglingObjectError):
-            check_success(s, TaskSpec("put_in", 9, 0), PHYS)
+            check_success(s, TaskSpec("put_in", 9, 0))
 
 
 class TestClassify:
@@ -453,20 +450,19 @@ class TestClassify:
         assert classify_clip(kinds, TaskSpec("fold", 4), True) == BehaviorMode.SUCCESS
 
     def test_stack_success_is_judged_under_the_clip_physics(self):
-        """A stack released 0.05 from its base succeeds where r_stack is 0.06,
-        so the miss before the grasp is forgiven; under the default 0.04 the
-        stack fails and the miss labels the clip. The caller judges success
-        under the clip's physics and passes the flag."""
-        objs = [
-            ObjectState(1, "disk", 0.55, 0.50, 0.0, (0.035,), z_level=1),
-            ObjectState(2, "rect", 0.50, 0.50, 0.0, (0.03, 0.03)),
-        ]
-        s = simple_state(objects=objs)
+        """A stack released 0.03 from its base succeeds, so the miss before
+        the grasp is forgiven; one released 0.05 away, beyond R_STACK, fails
+        and the miss labels the clip. The caller judges success under the
+        simulator's physics and passes the flag."""
         task = TaskSpec("stack", 1, 2)
         kinds = [EventKind.GRASP_MISS, EventKind.GRASP_SUCCESS, EventKind.NONE]
-        wide = check_success(s, task, Physics(r_stack=0.06))
-        assert classify_clip(kinds, task, wide) == BehaviorMode.SUCCESS
-        assert classify_clip(kinds, task, check_success(s, task, PHYS)) == BehaviorMode.MISSED_GRASP
+        for x, mode in ((0.53, BehaviorMode.SUCCESS), (0.55, BehaviorMode.MISSED_GRASP)):
+            objs = [
+                ObjectState(1, "disk", x, 0.50, 0.0, (0.035,), z_level=1),
+                ObjectState(2, "rect", 0.50, 0.50, 0.0, (0.03, 0.03)),
+            ]
+            s = simple_state(objects=objs)
+            assert classify_clip(kinds, task, check_success(s, task)) == mode
 
     def test_kinds_may_be_stored_ints(self):
         """Stored event rows hold each kind as its int value."""
@@ -570,15 +566,30 @@ class TestCodec:
         want = [[astuple(statecodec.decode_action(v)) for v in row] for row in vecs]
         assert statecodec.decode_action_rows(vecs).tobytes() == np.array(want).tobytes()
 
+    def test_decoded_actions_are_what_the_simulator_executes(self):
+        """The codec's clip is the simulator's clamp: a decoded row, even of
+        values far outside [-1, 1], passes through `sanitized` unchanged, and
+        a saturated row decodes to the clamp's bounds."""
+        vecs = Rng(6).normal((200, 4)) * 5.0
+        for row in statecodec.decode_action_rows(vecs).tolist():
+            done = Action(*row).sanitized()
+            assert (done.dx, done.dy, done.dg) == (row[0], row[1], row[3])
+        edge = Action(dx=1.0, dy=-1.0, dg=9.0).sanitized()
+        assert statecodec.decode_action_rows(np.array([9.0, -9.0, 0.0, 9.0])).tolist() == \
+            [edge.dx, edge.dy, 0.0, edge.dg]
+
     def test_scene_config_roundtrip(self):
         cfg = default_scene()
         back = scene_from_dict(scene_to_dict(cfg))
         assert back == cfg
 
     def test_scene_record_with_an_unread_key_fails_by_name(self):
-        """A scene record from before SceneConfig lost its unread seed."""
+        """A scene record from before SceneConfig lost its unread seed, or
+        its physics, which are now the simulator's constants."""
         with pytest.raises(ValueError, match="unknown scene keys \\['seed'\\]"):
             scene_from_dict({**scene_to_dict(default_scene()), "seed": 0})
+        with pytest.raises(ValueError, match="unknown scene keys \\['physics'\\]"):
+            scene_from_dict({**scene_to_dict(default_scene()), "physics": {"r_stack": 0.04}})
 
     def test_scene_object_keys_are_exact(self):
         """An object key scene_to_dict does not write, or one it writes but
@@ -590,8 +601,4 @@ class TestCodec:
         record = scene_to_dict(default_scene())
         del record["objects"][1]["z_level"]  # the disk
         with pytest.raises(ValueError, match=r"missing scene object 1 keys \['z_level'\]"):
-            scene_from_dict(record)
-        record = scene_to_dict(default_scene())
-        del record["physics"]["max_steps"]
-        with pytest.raises(ValueError, match=r"missing scene physics keys \['max_steps'\]"):
             scene_from_dict(record)

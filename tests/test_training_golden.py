@@ -63,11 +63,12 @@ def dataset(stores):
 
 
 @pytest.mark.parametrize("sampling", ["uniform", "curriculum"])
-def test_worldmodel_train(stores, dataset, sampling):
+def test_worldmodel_train(stores, dataset, sampling, monkeypatch):
+    monkeypatch.setattr(worldmodel, "LOG_EVERY", 3)
     ds, index = dataset
     wm = worldmodel.create_worldmodel(stores[0], WM_CFG, Rng(45))
     curriculum = (index, curation.AnnealSchedule(update_period=4, total_steps=12))
-    trace = worldmodel.train(wm, ds, 12, Rng(46), log_every=3,
+    trace = worldmodel.train(wm, ds, 12, Rng(46),
                              curriculum=curriculum if sampling == "curriculum" else None)
     assert digest(wm.param_hash(), trace) == GOLDEN[f"wm_{sampling}"]
 
@@ -122,9 +123,10 @@ def test_wm_config_warmup_must_be_nonnegative():
         worldmodel.WmConfig(warmup=-1)
 
 
-def test_train_bc(stores):
+def test_train_bc(stores, monkeypatch):
+    monkeypatch.setattr(policies, "LOG_EVERY", 3)
     policy = policies.create_policy(stores[0], BC_CFG, Rng(47))
-    trace = policies.train_bc(policy, stores[2], 12, Rng(48), log_every=3)
+    trace = policies.train_bc(policy, stores[2], 12, Rng(48))
     assert digest(policy.param_hash(), trace) == GOLDEN["bc"]
 
 
