@@ -1,12 +1,15 @@
 """Denoising diffusion machinery: schedule, noising, loss, and samplers.
 
 Every denoiser here estimates the clean signal x0 (not the noise), trains
-on uniform clean-signal regression, and samples by clamped ancestral DDPM
-or by deterministic DDIM, which derives the noise from the x0 estimate.
+on uniform clean-signal regression over all T steps, and samples over an
+evenly strided subsequence of them: by clamped strided ancestral DDPM
+(Nichol & Dhariwal, 2021) or by deterministic DDIM (Song et al., 2021),
+which derives the noise from the x0 estimate.
 
 Index convention: alpha_bars has length T+1 with alpha_bars[0] = 1 (the
-clean level); betas/alphas are indexed 1..T via betas[t-1]. Timesteps fed
-to the denoiser are embedded as 16 sinusoidal features of t/T.
+clean level); the schedule stores nothing else, and a step from t down to
+s < t has beta_{t,s} = 1 - alpha_bars[t] / alpha_bars[s]. Timesteps fed to
+the denoiser are embedded as 16 sinusoidal features of t/T.
 
 The denoiser's input is (noised target | conditioning | time embedding).
 Training concatenates it: backward needs the whole input. Both samplers
@@ -41,8 +44,6 @@ class SamplingError(RuntimeError):
 @dataclass(frozen=True)
 class NoiseSchedule:
     T: int
-    betas: np.ndarray       # (T,), betas[t-1] is beta_t
-    alphas: np.ndarray      # (T,)
     alpha_bars: np.ndarray  # (T+1,), alpha_bars[0] == 1.0
 
     @staticmethod
@@ -51,9 +52,7 @@ class NoiseSchedule:
         if not np.all((betas > 0.0) & (betas < 1.0)):
             raise ValueError(f"a {T}-step linear schedule has betas outside (0, 1): "
                              f"[{betas.min()}, {betas.max()}]")
-        alphas = 1.0 - betas
-        alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
-        return NoiseSchedule(T=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+        return NoiseSchedule(T=T, alpha_bars=np.concatenate([[1.0], np.cumprod(1.0 - betas)]))
 
     @staticmethod
     def linear_scaled(T: int) -> "NoiseSchedule":
@@ -170,26 +169,43 @@ def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarra
     return float((diff * diff).sum() * inv_n)
 
 
-def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray,
-                rng: Rng, *, clip_x0: float) -> np.ndarray:
-    """Ancestral reverse sampler; sigma_t^2 = beta_t, no noise at the last step.
+def strided_timesteps(T: int, steps: int) -> np.ndarray:
+    """The timesteps a sampler of `steps` steps visits, from T down: `steps`
+    evenly strided integers of 1..T, T first. ValueError unless
+    1 <= steps <= T."""
+    if not (1 <= steps <= T):
+        raise ValueError(f"steps must be in 1..{T}, got {steps}")
+    return np.unique(np.round(np.linspace(1, T, steps)).astype(int))[::-1]
 
-    Each step takes the posterior mean given the clean-signal estimate,
-    clamped to [-clip_x0, clip_x0]; the clamp keeps small models from
-    running away outside the data range.
+
+def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray,
+                rng: Rng, *, steps: int, clip_x0: float) -> np.ndarray:
+    """Strided ancestral reverse sampler over `steps` of the schedule's T
+    timesteps (those of `strided_timesteps`).
+
+    Each step from t to the next visited s (0 after the last) takes the
+    posterior mean of x_s given x_t and the clean-signal estimate, clamped
+    to [-clip_x0, clip_x0], with beta_{t,s} = 1 - abar_t / abar_s, and adds
+    noise of variance beta_{t,s} while s > 0: one N(0, I) block per step
+    after the initial one. The clamp keeps small models from running away
+    outside the data range. At steps = T every s is t - 1 and this is the
+    full T-step ancestral DDPM (sigma_t^2 = beta_t), up to rounding. Bad
+    steps raise before any draw.
     """
+    taus = strided_timesteps(schedule.T, steps)
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-    predict = denoiser.conditioned(cond, schedule.T, np.arange(1, schedule.T + 1))
+    predict = denoiser.conditioned(cond, schedule.T, taus)
     x = rng.normal((cond.shape[0], denoiser.target_dim))
-    for t in range(schedule.T, 0, -1):
-        beta = schedule.betas[t - 1]
-        alpha = schedule.alphas[t - 1]
+    for i, t in enumerate(taus):
+        s = taus[i + 1] if i + 1 < len(taus) else 0
         abar = schedule.alpha_bars[t]
-        abar_prev = schedule.alpha_bars[t - 1]
+        abar_prev = schedule.alpha_bars[s]
+        alpha = abar / abar_prev
+        beta = 1.0 - alpha
         x0_hat = np.clip(predict(x, t), -clip_x0, clip_x0)
         x = (np.sqrt(abar_prev) * beta * x0_hat
              + np.sqrt(alpha) * (1.0 - abar_prev) * x) / (1.0 - abar)
-        if t > 1:
+        if s > 0:
             x = x + np.sqrt(beta) * rng.normal(x.shape)
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite sample at reverse step t={t}")
@@ -198,30 +214,28 @@ def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
 
 def ddim_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray,
                 steps: int, w0: np.ndarray) -> np.ndarray:
-    """Deterministic (eta=0) DDIM over an evenly strided timestep subsequence.
+    """Deterministic (eta=0) DDIM over the timesteps of `strided_timesteps`.
 
     The output is a pure function of (net parameters, cond, w0, steps); w0 is
     the explicit initial latent, which is what makes the diffusion policy
     steerable through its noise input. w0 and cond must have one row per
-    sample each.
+    sample each. The net's output is the step's x0 estimate, and the noise
+    estimate is derived from it.
     """
-    if not (1 <= steps <= schedule.T):
-        raise ValueError(f"steps must be in 1..{schedule.T}")
+    taus = strided_timesteps(schedule.T, steps)
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     x = np.atleast_2d(np.asarray(w0, dtype=np.float64)).copy()
     if x.shape[-1] != denoiser.target_dim:
         raise ValueError(f"w0 width {x.shape[-1]} != target width {denoiser.target_dim}")
     if x.shape[0] != cond.shape[0]:
         raise ValueError(f"w0 shape {x.shape} and cond shape {cond.shape} differ in rows")
-    taus = np.unique(np.round(np.linspace(1, schedule.T, steps)).astype(int))[::-1]
     predict = denoiser.conditioned(cond, schedule.T, taus)
     for i, t in enumerate(taus):
         t_prev = taus[i + 1] if i + 1 < len(taus) else 0
         abar_t = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t_prev]
-        out = predict(x, t)
-        eps_hat = (x - np.sqrt(abar_t) * out) / np.sqrt(1.0 - abar_t)
-        x0_pred = (x - np.sqrt(1.0 - abar_t) * eps_hat) / np.sqrt(abar_t)
+        x0_pred = predict(x, t)
+        eps_hat = (x - np.sqrt(abar_t) * x0_pred) / np.sqrt(1.0 - abar_t)
         x = np.sqrt(abar_prev) * x0_pred + np.sqrt(1.0 - abar_prev) * eps_hat
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite sample at DDIM step t={t}")

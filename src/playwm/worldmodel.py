@@ -28,14 +28,16 @@ LR = 1e-3            # desk preset; full-scale preset is 5e-6
 GRAD_CLIP = 1.0
 LOG_EVERY = 50       # steps between loss-trace entries
 CLIP_X0 = 1.2        # clean-signal clamp during sampling
+SAMPLE_STEPS = 10    # strided reverse steps per sampled chunk, of the denoise_steps trained
 DELTA_SCALE = 1.25   # pose offsets scaled into the unit range
 
 
 @dataclass(frozen=True)
 class WmConfig:
     """The world-model settings that callers set; the learning rate, the
-    gradient clip, the sampling clamp and the pose-offset scale are this
-    module's constants."""
+    gradient clip, the sampling clamp, the sampling step count and the
+    pose-offset scale are this module's constants. Training uses all
+    denoise_steps steps; sampling visits SAMPLE_STEPS of them."""
     history: int = 7
     chunk: int = 5
     denoise_steps: int = 50
@@ -224,7 +226,8 @@ def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
                   rng: Rng) -> np.ndarray:
     """Sample C future encoded states given encoded history and window actions.
 
-    hist_states: (B, H, width); actions: (B, H-1+C, 4). Returns (B, C, width).
+    hist_states: (B, H, width); actions: (B, H-1+C, 4). Returns (B, C, width),
+    sampled by strided ancestral DDPM over SAMPLE_STEPS of the schedule's steps.
     """
     C = wm.cfg.chunk
     width = wm.state_width
@@ -232,7 +235,7 @@ def predict_chunk(wm: WorldModel, hist_states: np.ndarray, actions: np.ndarray,
     ac = np.asarray(actions, dtype=np.float64)
     B = hs.shape[0]
     cond = np.concatenate([hs.reshape(B, -1), ac.reshape(B, -1)], axis=1)
-    x = ddpm_sample(wm.denoiser, wm.schedule, cond, rng, clip_x0=CLIP_X0)
+    x = ddpm_sample(wm.denoiser, wm.schedule, cond, rng, steps=SAMPLE_STEPS, clip_x0=CLIP_X0)
     x = wm.from_targets(x, hs[:, -1, :])
     return x.reshape(B, C, width)
 

@@ -111,6 +111,28 @@ def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
     assert rows == [wm.cfg.chunk * n for n in planned]
 
 
+@pytest.mark.parametrize("steps", [None, 4])
+def test_predict_chunk_runs_one_forward_per_sample_step(trained, monkeypatch, steps):
+    """A world-model chunk takes SAMPLE_STEPS reverse steps, fewer than the
+    denoise_steps the model trained on, each one denoiser forward over the
+    whole batch; the step count is read from the module constant."""
+    _, _, wm = trained
+    if steps is not None:
+        monkeypatch.setattr(worldmodel, "SAMPLE_STEPS", steps)
+    forward, shapes = nets.forward, []
+
+    def counted_forward(net, x, cache=None, **kwargs):
+        shapes.append(x.shape)
+        return forward(net, x, cache, **kwargs)
+
+    monkeypatch.setattr(nets, "forward", counted_forward)
+    H, C, B = wm.cfg.history, wm.cfg.chunk, 3
+    worldmodel.predict_chunk(wm, np.zeros((B, H, wm.state_width)), np.zeros((B, H - 1 + C, 4)),
+                             Rng(5))
+    assert worldmodel.SAMPLE_STEPS < wm.cfg.denoise_steps
+    assert shapes == [(B, wm.denoiser.target_dim)] * worldmodel.SAMPLE_STEPS
+
+
 @pytest.mark.parametrize("loop", ["bench", "dsrl"])
 def test_imagined_loops_drive_the_model_with_the_executed_actions(trained, monkeypatch, loop):
     """The lockstep evaluation and DSRL condition the world model on the

@@ -15,13 +15,26 @@ def zero_denoiser(target_dim=2, cond_dim=3):
     return net
 
 
+def derived_betas(schedule):
+    """beta_1..beta_T, derived from the schedule's alpha_bars."""
+    return 1.0 - schedule.alpha_bars[1:] / schedule.alpha_bars[:-1]
+
+
+def scaled_betas(T):
+    """beta_1..beta_T of NoiseSchedule.linear_scaled(T), from its definition."""
+    scale = 1000.0 / T
+    return np.linspace(1e-4 * scale, 0.02 * scale, T)
+
+
 class TestSchedule:
     def test_linear_schedule_invariants(self):
         s = df.NoiseSchedule.linear(50)
+        betas = derived_betas(s)
         assert s.alpha_bars[0] == 1.0
-        assert np.all(np.diff(s.betas) > 0)
-        assert np.all((s.betas > 0) & (s.betas < 1))
+        assert np.all(np.diff(betas) > 0)
+        assert np.all((betas > 0) & (betas < 1))
         assert np.all(np.diff(s.alpha_bars) < 0)
+        np.testing.assert_allclose(betas, np.linspace(1e-4, 0.02, 50), rtol=1e-12)
 
     def test_scaled_schedule_rejects_betas_of_one_or_more(self):
         # at T = 20 the last scaled beta is 0.02 * 1000 / 20 = 1.0
@@ -31,8 +44,10 @@ class TestSchedule:
     @pytest.mark.parametrize("T", [21, 25, 50, 100])
     def test_scaled_schedule_builds(self, T):
         s = df.NoiseSchedule.linear_scaled(T)
-        assert np.all((s.betas > 0) & (s.betas < 1))
+        betas = derived_betas(s)
+        assert np.all((betas > 0) & (betas < 1))
         assert 0.0 < s.alpha_bars[T] < 1e-3
+        np.testing.assert_allclose(betas, scaled_betas(T), rtol=1e-12)
 
 
 class TestQSample:
@@ -44,14 +59,12 @@ class TestQSample:
 
     def test_alpha_bar_quarter(self):
         # craft a schedule point with abar = 0.25
-        s = df.NoiseSchedule(T=1, betas=np.array([0.75]), alphas=np.array([0.25]),
-                             alpha_bars=np.array([1.0, 0.25]))
+        s = df.NoiseSchedule(T=1, alpha_bars=np.array([1.0, 0.25]))
         out = df.q_sample(s, np.array([1.0]), 1, np.array([0.0]))
         assert out[0] == pytest.approx(0.5)
 
     def test_full_noise_limit(self):
-        s = df.NoiseSchedule(T=1, betas=np.array([1 - 1e-12]), alphas=np.array([1e-12]),
-                             alpha_bars=np.array([1.0, 1e-12]))
+        s = df.NoiseSchedule(T=1, alpha_bars=np.array([1.0, 1e-12]))
         eps = np.array([2.0])
         out = df.q_sample(s, np.array([5.0]), 1, eps)
         assert out[0] == pytest.approx(2.0, abs=1e-5)
@@ -123,22 +136,47 @@ class TestDdpm:
         # so a zero clean-signal estimate gives exactly 0
         s = df.NoiseSchedule.linear(20)
         net = zero_denoiser(target_dim=2, cond_dim=1)
-        out = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(4), clip_x0=1.0)
-        assert out.shape == (3, 2)
-        assert np.all(out == 0.0)
+        for steps in (1, 5, 20):
+            out = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(4), steps=steps, clip_x0=1.0)
+            assert out.shape == (3, 2)
+            assert np.all(out == 0.0)
 
     def test_clip_x0_is_keyword_only(self):
+        # so are the steps, which have no default
         s = df.NoiseSchedule.linear(20)
         net = zero_denoiser(target_dim=2, cond_dim=1)
         with pytest.raises(TypeError):
-            df.ddpm_sample(net, s, np.zeros((1, 1)), Rng(4), 1.0)
+            df.ddpm_sample(net, s, np.zeros((1, 1)), Rng(4), 20, 1.0)
+        with pytest.raises(TypeError):
+            df.ddpm_sample(net, s, np.zeros((1, 1)), Rng(4), clip_x0=1.0)
 
     def test_seeded_reproducibility(self):
         s = df.NoiseSchedule.linear(20)
         net = df.DenoiserNet.create(2, 1, Rng(7), hidden=8, depth=1)
-        a = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(99), clip_x0=1.0)
-        b = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(99), clip_x0=1.0)
+        a = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(99), steps=5, clip_x0=1.0)
+        b = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(99), steps=5, clip_x0=1.0)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("steps", [1, 2, 10, 20])
+    def test_draws_one_noise_block_per_step(self, steps):
+        # the initial block, then one per step but the last
+        s = df.NoiseSchedule.linear(20)
+        net = df.DenoiserNet.create(2, 1, Rng(7), hidden=8, depth=1)
+        a, b = Rng(99), Rng(99)
+        df.ddpm_sample(net, s, np.zeros((3, 1)), a, steps=steps, clip_x0=1.0)
+        for _ in range(steps):
+            b.normal((3, 2))
+        assert same_stream(a, b)
+
+    @pytest.mark.parametrize("steps", [0, -1, 21])
+    def test_bad_steps_raise_before_any_draw(self, sampler_calls, steps):
+        s = df.NoiseSchedule.linear(20)
+        net = df.DenoiserNet.create(2, 1, Rng(7), hidden=8, depth=1)
+        rng = Rng(9)
+        with pytest.raises(ValueError, match=f"steps must be in 1..20, got {steps}"):
+            df.ddpm_sample(net, s, np.zeros((3, 1)), rng, steps=steps, clip_x0=1.0)
+        assert same_stream(rng, Rng(9))
+        assert sampler_calls == {"embed": [], "forward": []}
 
     def test_point_mass_recovery(self):
         # train on a 1-dim point mass and check samples concentrate there
@@ -154,7 +192,7 @@ class TestDdpm:
             df.diffusion_loss(net, s, x0, cond, rng, grads)
             clip_grad_norm(grads, 1.0)
             opt.step(net.net.params, grads)
-        samples = df.ddpm_sample(net, s, np.zeros((256, 1)), Rng(5), clip_x0=1.2)
+        samples = df.ddpm_sample(net, s, np.zeros((256, 1)), Rng(5), steps=10, clip_x0=1.2)
         assert abs(samples.mean() - target) < 0.05
 
 
@@ -165,14 +203,20 @@ def concatenated_forward(denoiser, x, cond, t, T):
     return nets.forward(denoiser.net, np.concatenate([x, cond, temb], axis=-1))
 
 
-def ddpm_reference(denoiser, schedule, cond, rng, clip_x0):
-    """The ancestral loop with the whole concatenated input through nets.forward
-    at every step, as ddpm_sample ran before it cached the conditioning."""
+def strided(T, steps):
+    """The timesteps that a sampler of `steps` steps visits, from T down."""
+    return np.unique(np.round(np.linspace(1, T, steps)).astype(int))[::-1]
+
+
+def ddpm_reference(denoiser, schedule, betas, cond, rng, clip_x0):
+    """The T-step ancestral loop with the whole concatenated input through
+    nets.forward at every step and beta_t read from `betas`, as ddpm_sample
+    ran before it cached the conditioning and strided its steps."""
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     x = rng.normal((cond.shape[0], denoiser.target_dim))
     for t in range(schedule.T, 0, -1):
-        beta = schedule.betas[t - 1]
-        alpha = schedule.alphas[t - 1]
+        beta = betas[t - 1]
+        alpha = 1.0 - beta
         abar = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t - 1]
         out = concatenated_forward(denoiser, x, cond, t, schedule.T)
@@ -184,18 +228,37 @@ def ddpm_reference(denoiser, schedule, cond, rng, clip_x0):
     return x
 
 
+def ddpm_strided_reference(denoiser, schedule, cond, rng, steps, clip_x0):
+    """The strided ancestral loop with the whole concatenated input through
+    nets.forward at every step: the clamped posterior mean from t to the
+    next visited s with beta_{t,s} = 1 - abar_t / abar_s, and noise of that
+    variance while s > 0."""
+    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
+    x = rng.normal((cond.shape[0], denoiser.target_dim))
+    taus = list(strided(schedule.T, steps)) + [0]
+    for t, s in zip(taus, taus[1:]):
+        abar, abar_s = schedule.alpha_bars[t], schedule.alpha_bars[s]
+        beta = 1.0 - abar / abar_s
+        out = concatenated_forward(denoiser, x, cond, int(t), schedule.T)
+        x0_hat = np.clip(out, -clip_x0, clip_x0)
+        x = (np.sqrt(abar_s) * beta * x0_hat
+             + np.sqrt(1.0 - beta) * (1.0 - abar_s) * x) / (1.0 - abar)
+        if s > 0:
+            x = x + np.sqrt(beta) * rng.normal(x.shape)
+    return x
+
+
 def ddim_reference(denoiser, schedule, cond, steps, w0):
     """The DDIM loop with the whole concatenated input through nets.forward
     at every step, as ddim_sample ran before it cached the conditioning."""
     x = np.array(w0, dtype=np.float64)
-    taus = np.unique(np.round(np.linspace(1, schedule.T, steps)).astype(int))[::-1]
+    taus = strided(schedule.T, steps)
     for i, t in enumerate(taus):
         t_prev = taus[i + 1] if i + 1 < len(taus) else 0
         abar_t = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t_prev]
-        out = concatenated_forward(denoiser, x, cond, int(t), schedule.T)
-        eps_hat = (x - np.sqrt(abar_t) * out) / np.sqrt(1.0 - abar_t)
-        x0_pred = (x - np.sqrt(1.0 - abar_t) * eps_hat) / np.sqrt(abar_t)
+        x0_pred = concatenated_forward(denoiser, x, cond, int(t), schedule.T)
+        eps_hat = (x - np.sqrt(abar_t) * x0_pred) / np.sqrt(1.0 - abar_t)
         x = np.sqrt(abar_prev) * x0_pred + np.sqrt(1.0 - abar_prev) * eps_hat
     return x
 
@@ -243,12 +306,25 @@ class TestConditioned:
 
     @pytest.mark.parametrize("batch", [1, 7, 50])
     def test_ddpm_matches_the_concatenated_loop(self, batch):
+        """At steps = T, the T-step ancestral DDPM on the same draws."""
         s = df.NoiseSchedule.linear_scaled(self.T)
         den = df.DenoiserNet.create(6, 11, Rng(3), hidden=32, depth=3)
         cond = Rng(4).normal((batch, 11))
         a, b = Rng(5), Rng(5)
-        got = df.ddpm_sample(den, s, cond, a, clip_x0=2.0)
-        want = ddpm_reference(den, s, cond, b, 2.0)
+        got = df.ddpm_sample(den, s, cond, a, steps=self.T, clip_x0=2.0)
+        want = ddpm_reference(den, s, scaled_betas(self.T), cond, b, 2.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert same_stream(a, b)
+
+    @pytest.mark.parametrize("steps", [1, 2, 10, T])
+    @pytest.mark.parametrize("batch", [1, 7, 50])
+    def test_ddpm_matches_the_strided_concatenated_loop(self, steps, batch):
+        s = df.NoiseSchedule.linear_scaled(self.T)
+        den = df.DenoiserNet.create(6, 11, Rng(3), hidden=32, depth=3)
+        cond = Rng(4).normal((batch, 11))
+        a, b = Rng(5), Rng(5)
+        got = df.ddpm_sample(den, s, cond, a, steps=steps, clip_x0=2.0)
+        want = ddpm_strided_reference(den, s, cond, b, steps, 2.0)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         assert same_stream(a, b)
 
@@ -267,15 +343,18 @@ class TestConditioned:
                             lambda self, c, T, ts: conditioned(self, c, T, np.arange(T + 1)))
         assert got.tobytes() == df.ddim_sample(den, s, cond, steps, w0).tobytes()
 
-    def test_ddpm_is_bit_equal_to_the_full_table(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [1, 2, 10, T])
+    @pytest.mark.parametrize("hidden, batch", [(32, 7), (256, 1), (256, 64)])
+    def test_ddpm_is_bit_equal_to_the_full_table(self, monkeypatch, steps, hidden, batch):
         s = df.NoiseSchedule.linear_scaled(self.T)
-        den = df.DenoiserNet.create(6, 11, Rng(3), hidden=32, depth=3)
-        cond = Rng(4).normal((7, 11))
-        got = df.ddpm_sample(den, s, cond, Rng(5), clip_x0=2.0)
+        den = df.DenoiserNet.create(64, 40, Rng(3), hidden=hidden, depth=3)
+        cond = Rng(4).normal((batch, 40))
+        got = df.ddpm_sample(den, s, cond, Rng(5), steps=steps, clip_x0=2.0)
         conditioned = df.DenoiserNet.conditioned
         monkeypatch.setattr(df.DenoiserNet, "conditioned",
                             lambda self, c, T, ts: conditioned(self, c, T, np.arange(T + 1)))
-        assert got.tobytes() == df.ddpm_sample(den, s, cond, Rng(5), clip_x0=2.0).tobytes()
+        again = df.ddpm_sample(den, s, cond, Rng(5), steps=steps, clip_x0=2.0)
+        assert got.tobytes() == again.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 7, 50])
     def test_ddim_matches_the_concatenated_loop(self, batch):
@@ -290,8 +369,8 @@ class TestConditioned:
     def test_ddpm_conditions_once_per_call(self, sampler_calls):
         s = df.NoiseSchedule.linear(20)
         den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=2)
-        df.ddpm_sample(den, s, np.zeros((4, 3)), Rng(7), clip_x0=1.0)
-        assert sampler_calls == {"embed": [20], "forward": [(2, True)] * 20}
+        df.ddpm_sample(den, s, np.zeros((4, 3)), Rng(7), steps=5, clip_x0=1.0)
+        assert sampler_calls == {"embed": [20], "forward": [(2, True)] * 5}
 
     def test_ddim_conditions_once_per_call(self, sampler_calls):
         s = df.NoiseSchedule.linear(30)
@@ -306,7 +385,7 @@ class TestConditioned:
         rng = Rng(9)
         with pytest.raises(nets.ShapeError, match=f"conditioning shape \\(5, {cond_dim}\\) "
                                                   "!= \\(batch, 3\\)"):
-            df.ddpm_sample(den, s, np.zeros((5, cond_dim)), rng, clip_x0=1.0)
+            df.ddpm_sample(den, s, np.zeros((5, cond_dim)), rng, steps=5, clip_x0=1.0)
         assert same_stream(rng, Rng(9))
 
     @pytest.mark.parametrize("w0_rows, cond_rows", [(3, 1), (1, 3)])
@@ -330,21 +409,21 @@ class TestDdim:
         assert np.array_equal(a, b)
 
     def test_zero_stub_closed_form(self):
-        # a zero clean-signal estimate leaves only the rounding of the noise
-        # derived from it
+        # a zero clean-signal estimate is carried to exactly 0: the last step
+        # weighs the noise derived from it by sqrt(1 - alpha_bars[0]) = 0
         s = df.NoiseSchedule.linear(30)
         net = zero_denoiser(2, 1)
         w0 = Rng(8).normal((4, 2))
         for steps in (1, 5):
             out = df.ddim_sample(net, s, np.zeros((4, 1)), steps, w0)
             assert out.shape == (4, 2)
-            assert np.allclose(out, 0.0, rtol=0.0, atol=1e-15)
+            assert np.all(out == 0.0)
 
     def test_full_steps_allowed(self):
         s = df.NoiseSchedule.linear(10)
         net = zero_denoiser(1, 1)
         out = df.ddim_sample(net, s, np.zeros((1, 1)), 10, np.array([[2.0]]))
-        assert np.allclose(out, 0.0, rtol=0.0, atol=1e-15)
+        assert np.all(out == 0.0)
 
     def test_continuity_in_w0(self):
         s = df.NoiseSchedule.linear(30)
@@ -379,7 +458,8 @@ def test_gaussian_mixture_recovery_small():
         df.diffusion_loss(net, s, x0, np.zeros((n, 1)), rng, grads)
         clip_grad_norm(grads, 1.0)
         opt.step(net.net.params, grads)
-    samples = df.ddpm_sample(net, s, np.zeros((512, 1)), Rng(30), clip_x0=3.0).ravel()
+    samples = df.ddpm_sample(net, s, np.zeros((512, 1)), Rng(30), steps=10,
+                             clip_x0=3.0).ravel()
     lo = samples[samples < 0].mean()
     hi = samples[samples >= 0].mean()
     assert abs(lo - means[0]) < 0.3

@@ -19,8 +19,8 @@ CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
 
 GOLDEN = {
     "real": "927280d53fc67ec74fe22a4d50d3da06298c6a6ee7c78f68d505abb947cb3b47",
-    "imagined_world_model": "dfd63081e6f35f8e876362e7222bc30ce1f333455ebde454fb83322a34d95d38",
-    "imagined_predicted_states": "1efbafe97531b5155d050e1b2602aee91e912a9519457f9bb2e3f411408fdb47",
+    "imagined_world_model": "bf5abd36f82d956e120e9351c44be374959cd4d505711b514bf16201ddcffba4",
+    "imagined_predicted_states": "f6d507da8bb1c7ac982f8fc09386976764a866dd51e6bbeb4c74bc1019f07ddd",
     "imagined_scene": "d68657815aed973b825e3f3870647608330af2cf8b0e4edcc65679188117ebcb",
     "env_success": "bd374a6b4650c7519588105ecc02de7b7c5f2c68640c3283a91e2073db8614e1",
     "steered_False": "ca924e6162ec04e58c897a87d0ee8b9060a3746476906140cda7a61456e699e7",

@@ -28,7 +28,7 @@ GOLDEN = {
     "bc": "7e8e5ee680e5f08ea1ec4160d1e1501c4a17c32a59c3229e6066beac66a57a21",
     "progress": "f6f6ac7a2b95ba4e2ca10455aec7d34a329f7851d2b8533c5693409946d19d18",
     "dsrl_update": "e00bde36639e7d5a6ce15f18183019b80419a778fa06bbc4d39e3acc2f604ae8",
-    "dsrl_finetune": "badf0ecb0933924edb84076ea76b7cbb6c04fa090f48159b77342e48b9a2bc16",
+    "dsrl_finetune": "471238440095789b2929e7148a6b6d642f4efafc51cfb4b90472d62316c37aeb",
 }
 
 
