@@ -196,8 +196,7 @@ def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     predict = denoiser.conditioned(cond, schedule.T, taus)
     x = rng.normal((cond.shape[0], denoiser.target_dim))
-    for i, t in enumerate(taus):
-        s = taus[i + 1] if i + 1 < len(taus) else 0
+    for t, s in zip(taus, [*taus[1:], 0]):
         abar = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[s]
         alpha = abar / abar_prev
@@ -230,8 +229,7 @@ def ddim_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
     if x.shape[0] != cond.shape[0]:
         raise ValueError(f"w0 shape {x.shape} and cond shape {cond.shape} differ in rows")
     predict = denoiser.conditioned(cond, schedule.T, taus)
-    for i, t in enumerate(taus):
-        t_prev = taus[i + 1] if i + 1 < len(taus) else 0
+    for t, t_prev in zip(taus, [*taus[1:], 0]):
         abar_t = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t_prev]
         x0_pred = predict(x, t)
