@@ -34,6 +34,7 @@ from .worldmodel import (RolloutBackend, WorldModel, predict_chunk, predicted_fr
                          window_inputs)
 
 SCORE_BLOCK = 16  # frames scored per metrics call; a block's SSIM temporaries are about 3 MB
+MIN_CLIP_FRACTION = 0.8  # each mode needs this share of target_per_mode held-out clips
 
 
 class BenchmarkError(RuntimeError):
@@ -53,22 +54,22 @@ class ReplayClip:
 
 @dataclass
 class ReplayBenchmark:
-    history: int
     chunk: int
     clips: list[ReplayClip]
 
 
 def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str]],
                     target_per_mode: int, rng: Rng, history: int = 7,
-                    chunk: int = 5, stride: int = 3,
-                    min_fraction: float = 0.8) -> ReplayBenchmark:
-    """Draw a mode-balanced clip set from held-out episodes only."""
+                    chunk: int = 5, stride: int = 3) -> ReplayBenchmark:
+    """Draw a mode-balanced clip set from held-out episodes only.
+    BenchmarkError, naming each short mode, unless every mode has at least
+    MIN_CLIP_FRACTION of target_per_mode candidate clips."""
     W = history + chunk
     candidates: dict[BehaviorMode, list[tuple[str, ClipWindow]]] = {m: [] for m in MODES}
     for name, store in stores.items():
         for w in windows(store, W, stride, ids=heldout.get(name, [])):
             candidates[w.mode].append((name, w))
-    floor = int(np.ceil(target_per_mode * min_fraction))
+    floor = int(np.ceil(target_per_mode * MIN_CLIP_FRACTION))
     shortfall = {m.value: len(candidates[m]) for m in MODES
                  if len(candidates[m]) < floor}
     if shortfall:
@@ -82,7 +83,7 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
         for idx in picks[:min(target_per_mode, len(pool))]:
             name, w = pool[idx]
             clips.append(_load_clip(stores[name], w, history, chunk))
-    return ReplayBenchmark(history=history, chunk=chunk, clips=clips)
+    return ReplayBenchmark(chunk=chunk, clips=clips)
 
 
 def _load_clip(store: EpisodeStore, w: ClipWindow, H: int, C: int) -> ReplayClip:

@@ -33,7 +33,7 @@ BLOCK_FRAMES = 256     # sampled frames rendered and projected per call
 MIN_PRODUCT_ROWS = 16  # zero rows pad a smaller block's projection to this many
 KMEANS_ITERS = 100     # Lloyd iterations at most
 KMEANS_TOL = 1e-6      # Lloyd stops once no centroid moves this far
-PCA_ITERS = 100        # power iterations per principal direction
+RANKS = 5              # curriculum ranks, nearest to success first
 PAIRWISE_CAP = 2000    # mean_pairwise_distance reads at most this many points
 
 
@@ -205,26 +205,25 @@ class CurriculumIndex:
     members: list[np.ndarray]       # window rows of each rank, nearest rank first
 
 
-def build_ranks(distances: np.ndarray, wins: list[ClipWindow], R: int = 5) -> CurriculumIndex:
-    """Partition the windows `wins`, one per distance, into R equal-mass
+def build_ranks(distances: np.ndarray, wins: list[ClipWindow]) -> CurriculumIndex:
+    """Partition the windows `wins`, one per distance, into RANKS equal-mass
     ranks at empirical distance quantiles.
 
     Thresholds are the sorted values at index ceil(f*N) (0-based) for the
-    fractions f = k/R, k = 1..R-1; a distance exactly equal to a threshold
-    falls in the higher rank (half-open bins).
+    fractions f = k/RANKS, k = 1..RANKS-1; a distance exactly equal to a
+    threshold falls in the higher rank (half-open bins).
     """
     distances = np.asarray(distances, dtype=np.float64)
     n = distances.size
-    if R < 2:
-        raise ValueError("need at least 2 ranks")
-    if n < R:
-        raise ValueError(f"need at least {R} distances, got {n}")
+    if n < RANKS:
+        raise ValueError(f"need at least {RANKS} distances, got {n}")
     if len(wins) != n:
         raise ValueError(f"{len(wins)} windows for {n} distances")
     sorted_d = np.sort(distances)
-    thresholds = np.array([sorted_d[min(int(np.ceil(k / R * n)), n - 1)] for k in range(1, R)])
+    thresholds = np.array([sorted_d[min(int(np.ceil(k / RANKS * n)), n - 1)]
+                           for k in range(1, RANKS)])
     ranks = np.searchsorted(thresholds, distances, side="right") + 1
-    members = [np.flatnonzero(ranks == r) for r in range(1, R + 1)]
+    members = [np.flatnonzero(ranks == r) for r in range(1, RANKS + 1)]
     return CurriculumIndex(windows=wins, members=members)
 
 
@@ -242,12 +241,13 @@ class AnnealSchedule:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         for name in ("p_init", "p_final"):
             p = getattr(self, name)
+            if len(p) != RANKS:
+                raise ValueError(f"{name} must hold one probability per rank ({RANKS}), "
+                                 f"got {len(p)}")
             if any(x < 0.0 for x in p):
                 raise ValueError(f"{name} holds a negative probability: {p}")
             if abs(sum(p) - 1.0) > 1e-9:
                 raise ValueError("rank distributions must sum to 1")
-        if len(self.p_init) != len(self.p_final):
-            raise ValueError("distributions must have equal length")
 
 
 def rank_distribution(schedule: AnnealSchedule, step: int) -> np.ndarray:
@@ -298,33 +298,13 @@ def sample_batch(index: CurriculumIndex, schedule: AnnealSchedule, step: int,
 # -- coverage report ----------------------------------------------------------
 
 def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top-2 principal directions by power iteration, re-orthogonalized."""
+    """The points' coordinates along their top-2 principal directions, and
+    those directions as the columns of a (dim, 2) array; each direction's
+    sign is arbitrary."""
     x = np.asarray(points, dtype=np.float64)
     centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / max(1, x.shape[0] - 1)
-    dims = cov.shape[0]
-
-    def ortho(v, comps):
-        for prev in comps:
-            v = v - (v @ prev) * prev
-        return v
-
-    comps: list[np.ndarray] = []
-    for _ in range(2):
-        v = ortho(np.ones(dims) / np.sqrt(dims), comps)
-        if np.linalg.norm(v) < 1e-9:  # fixed start happened to align; pick a basis vector
-            best = max(range(dims),
-                       key=lambda k: np.linalg.norm(ortho(np.eye(dims)[k], comps)))
-            v = ortho(np.eye(dims)[best], comps)
-        v = v / np.linalg.norm(v)
-        for _ in range(PCA_ITERS):
-            nv = ortho(cov @ v, comps)
-            norm = np.linalg.norm(nv)
-            if norm < 1e-15:
-                break  # no variance left in this subspace; keep the current axis
-            v = nv / norm
-        comps.append(v)
-    V = np.stack(comps, axis=1)
+    _, vecs = np.linalg.eigh(centered.T @ centered)  # eigenvalues ascending
+    V = vecs[:, [-1, -2]]
     return centered @ V, V
 
 

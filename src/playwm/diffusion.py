@@ -47,7 +47,7 @@ class NoiseSchedule:
     alpha_bars: np.ndarray  # (T+1,), alpha_bars[0] == 1.0
 
     @staticmethod
-    def linear(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> "NoiseSchedule":
+    def linear(T: int, beta_start: float, beta_end: float) -> "NoiseSchedule":
         betas = np.linspace(beta_start, beta_end, T)
         if not np.all((betas > 0.0) & (betas < 1.0)):
             raise ValueError(f"a {T}-step linear schedule has betas outside (0, 1): "
@@ -171,11 +171,13 @@ def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarra
 
 def strided_timesteps(T: int, steps: int) -> np.ndarray:
     """The timesteps a sampler of `steps` steps visits, from T down: `steps`
-    evenly strided integers of 1..T, T first. ValueError unless
-    1 <= steps <= T."""
+    evenly strided integers of 1..T, T first and, from 2 steps on, 1 last.
+    ValueError unless 1 <= steps <= T."""
     if not (1 <= steps <= T):
         raise ValueError(f"steps must be in 1..{T}, got {steps}")
-    return np.unique(np.round(np.linspace(1, T, steps)).astype(int))[::-1]
+    if steps == 1:
+        return np.array([T])
+    return np.round(np.linspace(1, T, steps)).astype(int)[::-1]
 
 
 def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray,

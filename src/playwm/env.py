@@ -16,13 +16,15 @@ from .scene import EnvState, SceneConfig
 
 
 class Env:
-    def __init__(self, scene: SceneConfig, seed: int = 0):
-        self.scene = scene
+    """The simulator at scene's nominal state, its noise stream seeded from
+    seed; `reset` moves it to a copy of a caller's start state."""
+
+    def __init__(self, scene: SceneConfig, seed: int):
         self.rng = Rng(seed)
         self.state = scene.nominal_state()
 
-    def reset(self, state: EnvState | None = None) -> EnvState:
-        self.state = state.copy() if state is not None else self.scene.nominal_state()
+    def reset(self, state: EnvState) -> EnvState:
+        self.state = state.copy()
         return self.state
 
     def step(self, action: Action, u: float | None = None) -> tuple[EnvState, Event]:

@@ -19,6 +19,12 @@ from .rng import Rng
 from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
 from .store import EpisodeStore
 
+HIDDEN = 64       # width of the regressor's two hidden layers
+BATCH = 64        # training pairs per step
+EVAL_EVERY = 50   # steps between held-out evaluations
+LR = 3e-3         # Adam rate
+GRAD_CLIP = 1.0   # gradient-norm bound
+
 
 @dataclass
 class ProgressModel:
@@ -51,8 +57,13 @@ def progress_loss(net: nets.Mlp, x: np.ndarray, y: np.ndarray,
 
 
 def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
-                   steps: int = 1500, hidden: int = 64, batch: int = 64,
-                   eval_every: int = 50, patience: int = 8) -> ProgressModel:
+                   steps: int = 1500, patience: int = 8) -> ProgressModel:
+    """Fit the progress regressor on the successful demos of `demos`, a
+    fifth of them (one at least) held out: `steps` Adam steps of BATCH
+    training pairs, evaluated on the held-out pairs every EVAL_EVERY steps
+    and at the last. Training stops after `patience` evaluations without
+    improvement, and the model keeps the best parameters seen.
+    NoSuccessDemos below 3 successful demos."""
     success_ids = [eid for eid in demos.ids() if demos.meta(eid)["outcome"]]
     if len(success_ids) < 3:
         raise NoSuccessDemos(f"need at least 3 successful demos, got {len(success_ids)}")
@@ -72,19 +83,19 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
     x_tr, y_tr = pairs(train_ids)
     x_ho, y_ho = pairs(held_ids)
     width = statecodec.state_dim(len(scene.objects))
-    net = nets.init_mlp([width, hidden, hidden, 1], rng, "silu")
-    opt = Adam(lr=3e-3)
+    net = nets.init_mlp([width, HIDDEN, HIDDEN, 1], rng, "silu")
+    opt = Adam(lr=LR)
     grads = net.params.zeros_like()
     best = {k: v.copy() for k, v in net.params.items()}
     best_err = np.inf
     stale = 0
     n = x_tr.shape[0]
     for step in range(steps):
-        rows = rng.randint_array(batch, n)
+        rows = rng.randint_array(BATCH, n)
         progress_loss(net, x_tr[rows], y_tr[rows], grads)
-        clip_grad_norm(grads, 1.0)
+        clip_grad_norm(grads, GRAD_CLIP)
         opt.step(net.params, grads)
-        if step % eval_every == 0 or step == steps - 1:
+        if step % EVAL_EVERY == 0 or step == steps - 1:
             p = 1.0 / (1.0 + np.exp(-nets.forward(net, x_ho)))
             err = float(((p - y_ho) ** 2).mean())
             if err < best_err - 1e-6:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import R_STACK, EventKind
+from .dynamics import GRIP_DG, R_STACK, EventKind
 from .scene import EnvState
 
 VERBS = ("put_in", "take_out", "put_near", "stack", "unstack",
@@ -145,9 +145,9 @@ def infer_transition_event(prev: EnvState, action, nxt: EnvState) -> EventKind:
     held_after = nxt.gripper.held
     if held_before is None and held_after is not None:
         return EventKind.GRASP_SUCCESS
-    if action.dg < -0.3 and nxt.gripper.z == 0 and held_before is None and held_after is None:
+    if action.dg < -GRIP_DG and nxt.gripper.z == 0 and held_before is None and held_after is None:
         return EventKind.GRASP_MISS
-    if held_before is not None and held_after is None and action.dg <= 0.3:
+    if held_before is not None and held_after is None and action.dg <= GRIP_DG:
         return EventKind.SLIP_DROP
     moved = 0
     for obj in nxt.objects:

@@ -178,7 +178,7 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
     if curriculum is not None:
-        _check_curriculum(*curriculum, dataset)
+        _check_curriculum(curriculum[0], dataset)
     opt = Adam(lr=LR)
     grads = wm.denoiser.net.params.zeros_like()
     trace: list[tuple[int, float]] = []
@@ -204,14 +204,10 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
     return trace
 
 
-def _check_curriculum(index: CurriculumIndex, schedule: AnnealSchedule,
-                      dataset: WindowDataset) -> None:
-    """ValueError unless the index has one rank per entry of the schedule's
-    distributions and ranks exactly the dataset's windows, row for row: its
-    members are dataset rows."""
-    if len(index.members) != len(schedule.p_init):
-        raise ValueError(f"curriculum index has {len(index.members)} ranks, the schedule's "
-                         f"distributions {len(schedule.p_init)}")
+def _check_curriculum(index: CurriculumIndex, dataset: WindowDataset) -> None:
+    """ValueError unless the index ranks exactly the dataset's windows, row
+    for row: its members are dataset rows. Its rank count needs no check:
+    `build_ranks` and `AnnealSchedule` both hold `curation.RANKS` ranks."""
     if len(index.windows) != len(dataset.windows):
         raise ValueError(f"curriculum index holds {len(index.windows)} windows, "
                          f"the dataset {len(dataset.windows)}")

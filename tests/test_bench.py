@@ -329,12 +329,26 @@ def replay_store(tmp_path_factory):
 
 
 def replay_benchmark(store, per_mode):
-    bm = bench.build_benchmark({"play": store}, {"play": store.ids()}, per_mode, Rng(44),
-                               stride=3, min_fraction=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "MIN_CLIP_FRACTION", 0.0)  # a mode may have fewer clips
+        bm = bench.build_benchmark({"play": store}, {"play": store.ids()}, per_mode, Rng(44),
+                                   stride=3)
     # each mode's clips come out together; interleave them, so that rows
     # scored against the wrong clip's frames differ
     bm.clips = bm.clips[::2] + bm.clips[1::2]
     return bm
+
+
+def test_build_benchmark_names_each_short_mode(replay_store):
+    """At the default floor, MIN_CLIP_FRACTION of the clips asked for each
+    mode, the draw fails and names every mode with fewer candidates, with
+    its count. At 12 a mode the floor is 10: Deformation, with exactly 10
+    candidates, and Missed Grasp, with 12, are not short."""
+    with pytest.raises(bench.BenchmarkError) as err:
+        bench.build_benchmark({"play": replay_store}, {"play": replay_store.ids()}, 12,
+                              Rng(44), stride=3)
+    assert str(err.value) == ("insufficient held-out clips per mode (need >= 10): "
+                              "{'Success': 9, 'Slide': 2, 'Slip': 0, 'Collision': 2}")
 
 
 def rows_one_frame_a_call(bm, frames, embedder):

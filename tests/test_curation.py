@@ -39,7 +39,7 @@ def whole_episode_embed(store, wins, embedder):
 
 
 def demo_episode(eid, seed=1):
-    ep = execute(Env(default_scene()), Instruction(TaskSpec("put_in", 1, 0), Perturbation()),
+    ep = execute(Env(default_scene(), seed=0), Instruction(TaskSpec("put_in", 1, 0), Perturbation()),
                  Rng(seed))
     return replace(ep, eid=eid, source="demo")
 
@@ -289,17 +289,17 @@ def window_ranks(idx, n):
 class TestRanks:
     def test_zero_distance_rank_one(self):
         d = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)))
         assert window_ranks(idx, len(d))[0] == 1
 
     def test_max_distance_top_rank(self):
         d = np.linspace(0, 9, 10)
-        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)))
         assert window_ranks(idx, len(d))[d.argmax()] == 5
 
     def test_uniform_1_to_100(self):
         d = np.arange(1, 101, dtype=np.float64)
-        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)))
         ranks = window_ranks(idx, len(d))
         sizes = [int((ranks == r).sum()) for r in range(1, 6)]
         assert sizes == [20, 20, 20, 20, 20]
@@ -307,7 +307,7 @@ class TestRanks:
     def test_partition_property(self):
         rng = Rng(5)
         d = rng.uniform_array(137) * 10
-        idx = cu.build_ranks(d, clip_windows(len(d)), 5)
+        idx = cu.build_ranks(d, clip_windows(len(d)))
         assert set(window_ranks(idx, len(d))) <= {1, 2, 3, 4, 5}
         assert sum(len(m) for m in idx.members) == 137
         # monotone difficulty in rank index
@@ -315,15 +315,16 @@ class TestRanks:
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
     def test_boundary_goes_to_higher_rank(self):
-        d = np.array([0.0, 1.0, 1.0, 2.0])
-        idx = cu.build_ranks(d, clip_windows(len(d)), 2)
-        # threshold = sorted[ceil(0.5*4)] = sorted[2] = 1.0; d == 1.0 is rank 2
-        assert list(window_ranks(idx, len(d))) == [1, 2, 2, 2]
+        d = np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        idx = cu.build_ranks(d, clip_windows(len(d)))
+        # thresholds = sorted[ceil(k/5*10)] = sorted[2, 4, 6, 8] = 2, 3, 5, 7;
+        # each d equal to one is in the rank above it
+        assert list(window_ranks(idx, len(d))) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
 
 
     def test_one_window_per_distance(self):
         with pytest.raises(ValueError, match="6 windows for 7 distances"):
-            cu.build_ranks(np.arange(7.0), clip_windows(6), 5)
+            cu.build_ranks(np.arange(7.0), clip_windows(6))
 
 
 class TestAnneal:
@@ -356,8 +357,18 @@ class TestAnneal:
             assert np.all(p >= min(min(s.p_init), min(s.p_final)) - 1e-12)
 
     def test_invalid_distributions(self):
-        with pytest.raises(ValueError):
-            cu.AnnealSchedule(p_init=(0.5, 0.5, 0.1), p_final=(0.4, 0.3, 0.3))
+        with pytest.raises(ValueError, match="rank distributions must sum to 1"):
+            cu.AnnealSchedule(p_init=(0.5, 0.5, 0.1, 0.0, 0.0))
+
+    @pytest.mark.parametrize("name", ["p_init", "p_final"])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_distributions_hold_one_probability_per_rank(self, name, n):
+        """A distribution over another number of ranks than build_ranks
+        makes fails by name when built, not inside numpy at the first
+        curriculum batch."""
+        with pytest.raises(ValueError, match=rf"{name} must hold one probability per rank "
+                                             rf"\({cu.RANKS}\), got {n}"):
+            cu.AnnealSchedule(**{name: (1.0 / n,) * n})
 
     @pytest.mark.parametrize("name", ["update_period", "total_steps"])
     def test_periods_must_be_at_least_one(self, name):

@@ -101,15 +101,17 @@ def test_progress_training_pairs(stores, monkeypatch):
         return forward(net, x, *args, **kwargs)
 
     monkeypatch.setattr(nets, "forward", spy)
-    model = progress.train_progress(demo, scene, Rng(36), steps=3, batch=4096,
-                                    eval_every=1, patience=10)
+    monkeypatch.setattr(progress, "BATCH", 4096)
+    monkeypatch.setattr(progress, "EVAL_EVERY", 1)
+    model = progress.train_progress(demo, scene, Rng(36), steps=3, patience=10)
     assert digest(*seen) == GOLDEN["progress_inputs"]
     assert model.net.param_hash() == GOLDEN["progress_params"]
 
 
-def test_replay_clips(stores, curated):
+def test_replay_clips(stores, curated, monkeypatch):
+    monkeypatch.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
     bm = bench.build_benchmark({"play": stores[1]}, {"play": curated["held"]}, 3, Rng(37),
-                               stride=3, min_fraction=0.0)
+                               stride=3)
     parts = []
     for c in bm.clips:
         s = c.init_state

@@ -28,7 +28,7 @@ def scaled_betas(T):
 
 class TestSchedule:
     def test_linear_schedule_invariants(self):
-        s = df.NoiseSchedule.linear(50)
+        s = df.NoiseSchedule.linear(50, 1e-4, 0.02)
         betas = derived_betas(s)
         assert s.alpha_bars[0] == 1.0
         assert np.all(np.diff(betas) > 0)
@@ -52,7 +52,7 @@ class TestSchedule:
 
 class TestQSample:
     def test_t_zero_is_identity(self):
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         x0 = np.array([[0.3, -0.7]])
         eps = np.ones_like(x0)
         assert np.array_equal(df.q_sample(s, x0, 0, eps), x0)
@@ -70,12 +70,12 @@ class TestQSample:
         assert out[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_out_of_range_t(self):
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         with pytest.raises(ValueError):
             df.q_sample(s, np.zeros(2), 11, np.zeros(2))
 
     def test_marginal_statistics(self):
-        s = df.NoiseSchedule.linear(50)
+        s = df.NoiseSchedule.linear(50, 1e-4, 0.02)
         rng = Rng(4)
         x0 = np.full((20_000, 1), 0.8)
         eps = rng.normal(x0.shape)
@@ -91,7 +91,7 @@ class TestQSample:
 class TestLoss:
     def test_perfect_net_zero_loss(self):
         # a net whose clean-signal output is exactly x0 hits loss 0
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         net = zero_denoiser(target_dim=2, cond_dim=3)
         rng = Rng(1)
         x0 = np.zeros((4, 2))  # zero net output == the true clean signal here
@@ -100,14 +100,14 @@ class TestLoss:
 
     def test_zero_net_loss_is_mean_square_of_x0(self):
         # whatever t and eps are drawn, a zero estimate misses x0 by x0
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         net = zero_denoiser(target_dim=4, cond_dim=2)
         x0 = Rng(2).normal((64, 4))
         loss = df.diffusion_loss(net, s, x0, np.zeros((64, 2)), Rng(3))
         assert loss == pytest.approx(float((x0 * x0).mean()), rel=1e-14)
 
     def test_loss_nonnegative_and_differentiable(self):
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         net = df.DenoiserNet.create(3, 2, Rng(5), hidden=8, depth=1)
         grads = net.net.params.zeros_like()
         loss = df.diffusion_loss(net, s, np.ones((8, 3)), np.zeros((8, 2)), Rng(3), grads)
@@ -115,7 +115,7 @@ class TestLoss:
         assert np.any(grads.flat != 0)
 
     def test_gradient_matches_finite_differences(self):
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         net = df.DenoiserNet.create(3, 2, Rng(6), hidden=8, depth=2)
         rng = Rng(7)
         x0, cond = rng.normal((5, 3)), rng.normal((5, 2))
@@ -134,7 +134,7 @@ class TestDdpm:
     def test_zero_stub_closed_form(self):
         # the last step weighs x by 1 - alpha_bars[0] = 0 and adds no noise,
         # so a zero clean-signal estimate gives exactly 0
-        s = df.NoiseSchedule.linear(20)
+        s = df.NoiseSchedule.linear(20, 1e-4, 0.02)
         net = zero_denoiser(target_dim=2, cond_dim=1)
         for steps in (1, 5, 20):
             out = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(4), steps=steps, clip_x0=1.0)
@@ -143,7 +143,7 @@ class TestDdpm:
 
     def test_clip_x0_is_keyword_only(self):
         # so are the steps, which have no default
-        s = df.NoiseSchedule.linear(20)
+        s = df.NoiseSchedule.linear(20, 1e-4, 0.02)
         net = zero_denoiser(target_dim=2, cond_dim=1)
         with pytest.raises(TypeError):
             df.ddpm_sample(net, s, np.zeros((1, 1)), Rng(4), 20, 1.0)
@@ -151,7 +151,7 @@ class TestDdpm:
             df.ddpm_sample(net, s, np.zeros((1, 1)), Rng(4), clip_x0=1.0)
 
     def test_seeded_reproducibility(self):
-        s = df.NoiseSchedule.linear(20)
+        s = df.NoiseSchedule.linear(20, 1e-4, 0.02)
         net = df.DenoiserNet.create(2, 1, Rng(7), hidden=8, depth=1)
         a = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(99), steps=5, clip_x0=1.0)
         b = df.ddpm_sample(net, s, np.zeros((3, 1)), Rng(99), steps=5, clip_x0=1.0)
@@ -160,7 +160,7 @@ class TestDdpm:
     @pytest.mark.parametrize("steps", [1, 2, 10, 20])
     def test_draws_one_noise_block_per_step(self, steps):
         # the initial block, then one per step but the last
-        s = df.NoiseSchedule.linear(20)
+        s = df.NoiseSchedule.linear(20, 1e-4, 0.02)
         net = df.DenoiserNet.create(2, 1, Rng(7), hidden=8, depth=1)
         a, b = Rng(99), Rng(99)
         df.ddpm_sample(net, s, np.zeros((3, 1)), a, steps=steps, clip_x0=1.0)
@@ -170,7 +170,7 @@ class TestDdpm:
 
     @pytest.mark.parametrize("steps", [0, -1, 21])
     def test_bad_steps_raise_before_any_draw(self, sampler_calls, steps):
-        s = df.NoiseSchedule.linear(20)
+        s = df.NoiseSchedule.linear(20, 1e-4, 0.02)
         net = df.DenoiserNet.create(2, 1, Rng(7), hidden=8, depth=1)
         rng = Rng(9)
         with pytest.raises(ValueError, match=f"steps must be in 1..20, got {steps}"):
@@ -181,7 +181,7 @@ class TestDdpm:
     def test_point_mass_recovery(self):
         # train on a 1-dim point mass and check samples concentrate there
         target = 0.7
-        s = df.NoiseSchedule.linear(50)
+        s = df.NoiseSchedule.linear(50, 1e-4, 0.02)
         rng = Rng(13)
         net = df.DenoiserNet.create(1, 1, rng, hidden=32, depth=2)
         opt = Adam(lr=3e-3)
@@ -204,8 +204,34 @@ def concatenated_forward(denoiser, x, cond, t, T):
 
 
 def strided(T, steps):
-    """The timesteps that a sampler of `steps` steps visits, from T down."""
+    """The timesteps that a sampler of `steps` steps visits, from T down:
+    T alone at one step, else `steps` rounded points of linspace(1, T)."""
+    if steps == 1:
+        return np.array([T])
     return np.unique(np.round(np.linspace(1, T, steps)).astype(int))[::-1]
+
+
+def test_one_step_visits_only_T():
+    """A one-step sampler asks the net for x0 at the most-noised level, T,
+    where its N(0, I) start lies, not at t = 1."""
+    for T in (1, 2, 50, 1000):
+        assert df.strided_timesteps(T, 1).tolist() == [T]
+
+
+def test_strided_timesteps_from_two_steps_on_are_the_unique_rounded_grid():
+    """For every 2 <= steps <= T <= 1000, the visited timesteps are those of
+    np.unique over the rounded linspace(1, T, steps), reversed: the rounded
+    grid strictly increases, so np.unique never drops or moves a value.
+    Column j of linspace(1, Ts, steps) is linspace(1, Ts[j], steps) to the
+    bit. Rounding linspace(T, 1, steps) instead would move 22 012 of these
+    pairs, such as (26, 23), by the ties that round to even."""
+    for steps in range(2, 1001):
+        Ts = np.arange(steps, 1001)
+        grid = np.round(np.linspace(1, Ts, steps))
+        assert (grid[1:] > grid[:-1]).all(), f"a repeated timestep at {steps} steps"
+        for T in (steps, 1000):
+            assert np.array_equal(df.strided_timesteps(T, steps), strided(T, steps)), (T, steps)
+    assert np.array_equal(df.strided_timesteps(26, 23), strided(26, 23))
 
 
 def ddpm_reference(denoiser, schedule, betas, cond, rng, clip_x0):
@@ -367,20 +393,20 @@ class TestConditioned:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_ddpm_conditions_once_per_call(self, sampler_calls):
-        s = df.NoiseSchedule.linear(20)
+        s = df.NoiseSchedule.linear(20, 1e-4, 0.02)
         den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=2)
         df.ddpm_sample(den, s, np.zeros((4, 3)), Rng(7), steps=5, clip_x0=1.0)
         assert sampler_calls == {"embed": [20], "forward": [(2, True)] * 5}
 
     def test_ddim_conditions_once_per_call(self, sampler_calls):
-        s = df.NoiseSchedule.linear(30)
+        s = df.NoiseSchedule.linear(30, 1e-4, 0.02)
         den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=2)
         df.ddim_sample(den, s, np.zeros((4, 3)), 5, Rng(7).normal((4, 2)))
         assert sampler_calls == {"embed": [30], "forward": [(2, True)] * 5}
 
     @pytest.mark.parametrize("cond_dim", [2, 4])
     def test_bad_conditioning_width_raises_before_any_draw(self, cond_dim):
-        s = df.NoiseSchedule.linear(20)
+        s = df.NoiseSchedule.linear(20, 1e-4, 0.02)
         den = df.DenoiserNet.create(2, 3, Rng(8), hidden=8, depth=1)
         rng = Rng(9)
         with pytest.raises(nets.ShapeError, match=f"conditioning shape \\(5, {cond_dim}\\) "
@@ -391,7 +417,7 @@ class TestConditioned:
     @pytest.mark.parametrize("w0_rows, cond_rows", [(3, 1), (1, 3)])
     def test_ddim_rows_of_w0_and_cond_must_agree(self, sampler_calls, w0_rows, cond_rows):
         # a one-row conditioning term would otherwise broadcast over every row
-        s = df.NoiseSchedule.linear(30)
+        s = df.NoiseSchedule.linear(30, 1e-4, 0.02)
         den = df.DenoiserNet.create(2, 3, Rng(6), hidden=8, depth=1)
         with pytest.raises(ValueError, match=f"w0 shape \\({w0_rows}, 2\\) and cond shape "
                                              f"\\({cond_rows}, 3\\) differ in rows"):
@@ -401,7 +427,7 @@ class TestConditioned:
 
 class TestDdim:
     def test_deterministic_given_w0(self):
-        s = df.NoiseSchedule.linear(30)
+        s = df.NoiseSchedule.linear(30, 1e-4, 0.02)
         net = df.DenoiserNet.create(2, 1, Rng(3), hidden=8, depth=1)
         w0 = Rng(8).normal((2, 2))
         a = df.ddim_sample(net, s, np.zeros((2, 1)), 5, w0)
@@ -411,7 +437,7 @@ class TestDdim:
     def test_zero_stub_closed_form(self):
         # a zero clean-signal estimate is carried to exactly 0: the last step
         # weighs the noise derived from it by sqrt(1 - alpha_bars[0]) = 0
-        s = df.NoiseSchedule.linear(30)
+        s = df.NoiseSchedule.linear(30, 1e-4, 0.02)
         net = zero_denoiser(2, 1)
         w0 = Rng(8).normal((4, 2))
         for steps in (1, 5):
@@ -420,13 +446,13 @@ class TestDdim:
             assert np.all(out == 0.0)
 
     def test_full_steps_allowed(self):
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         net = zero_denoiser(1, 1)
         out = df.ddim_sample(net, s, np.zeros((1, 1)), 10, np.array([[2.0]]))
         assert np.all(out == 0.0)
 
     def test_continuity_in_w0(self):
-        s = df.NoiseSchedule.linear(30)
+        s = df.NoiseSchedule.linear(30, 1e-4, 0.02)
         rng = Rng(21)
         net = df.DenoiserNet.create(2, 1, rng, hidden=16, depth=2)
         w0 = rng.normal((1, 2))
@@ -437,7 +463,7 @@ class TestDdim:
             assert np.linalg.norm(moved - base) < 50.0 * np.linalg.norm(delta)
 
     def test_bad_steps_rejected(self):
-        s = df.NoiseSchedule.linear(10)
+        s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         net = zero_denoiser(1, 1)
         with pytest.raises(ValueError):
             df.ddim_sample(net, s, np.zeros((1, 1)), 0, np.zeros((1, 1)))
@@ -446,7 +472,7 @@ class TestDdim:
 def test_gaussian_mixture_recovery_small():
     """Mini version of the mixture-recovery check (full one lives in acceptance)."""
     means = (-2.0, 2.0)
-    s = df.NoiseSchedule.linear(200)
+    s = df.NoiseSchedule.linear(200, 1e-4, 0.02)
     rng = Rng(17)
     net = df.DenoiserNet.create(1, 1, rng, hidden=64, depth=2)
     opt = Adam(lr=2e-3)

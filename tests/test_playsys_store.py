@@ -738,21 +738,23 @@ class TestWindowEnumerator:
         build_dataset(store, WmConfig(), wins=wins)
         assert sorted(read) == sorted({w.episode_id for w in wins})
 
-    def test_build_benchmark_reads_only_held_out(self, seeded_play_store):
+    def test_build_benchmark_reads_only_held_out(self, seeded_play_store, monkeypatch):
+        monkeypatch.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
         _, held = split(seeded_play_store, 0.25, Rng(5))
         store = EpisodeStore(seeded_play_store.root)
         read = []
         store_read = store.read
         store.read = lambda eid: read.append(eid) or store_read(eid)
         bm = bench.build_benchmark({"play": store}, {"play": held}, 2, Rng(1),
-                                   stride=3, min_fraction=0.0)
+                                   stride=3)
         assert bm.clips and read
         assert set(read) <= set(held)
 
-    def test_oracle_replay_scores_the_ideal(self, seeded_play_store):
+    def test_oracle_replay_scores_the_ideal(self, seeded_play_store, monkeypatch):
+        monkeypatch.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
         _, held = split(seeded_play_store, 0.25, Rng(5))
         bm = bench.build_benchmark({"play": seeded_play_store}, {"play": held}, 2, Rng(1),
-                                   stride=3, min_fraction=0.0)
+                                   stride=3)
         report = bench.run_replay(bm, "oracle", Embedder.create(0), scene=default_scene())
         ideal = {"mse": 0.0, "ssim": 1.0, "lpips_proxy": 0.0}
         assert bm.clips and len(report.rows) == len(bm.clips)

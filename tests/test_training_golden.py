@@ -88,18 +88,6 @@ def test_worldmodel_train_rejects_an_index_over_other_windows(stores, dataset):
     assert wm.step_count == 0
 
 
-def test_worldmodel_train_rejects_an_index_of_other_rank_count(stores, dataset):
-    """An index of 3 ranks under the default 5-rank schedule fails before the
-    first step, not inside numpy when the first batch is drawn."""
-    ds, _ = dataset
-    wm = worldmodel.create_worldmodel(stores[0], WM_CFG, Rng(45))
-    three = curation.build_ranks(np.arange(float(len(ds))), wins=ds.windows, R=3)
-    with pytest.raises(ValueError, match="curriculum index has 3 ranks, the schedule's "
-                                         "distributions 5"):
-        worldmodel.train(wm, ds, 1, Rng(46), curriculum=(three, curation.AnnealSchedule()))
-    assert wm.step_count == 0
-
-
 @pytest.mark.parametrize("config, name", [(worldmodel.WmConfig, n) for n in
                                           ("history", "chunk", "denoise_steps", "hidden",
                                            "depth", "batch")]
@@ -130,10 +118,11 @@ def test_train_bc(stores, monkeypatch):
     assert digest(policy.param_hash(), trace) == GOLDEN["bc"]
 
 
-def test_train_progress(stores):
+def test_train_progress(stores, monkeypatch):
+    for name, value in (("HIDDEN", 16), ("BATCH", 16), ("EVAL_EVERY", 5)):
+        monkeypatch.setattr(progress, name, value)
     scene, _, demo = stores
-    model = progress.train_progress(demo, scene, Rng(49), steps=40, hidden=16, batch=16,
-                                    eval_every=5, patience=3)
+    model = progress.train_progress(demo, scene, Rng(49), steps=40, patience=3)
     assert digest(model.net.param_hash()) == GOLDEN["progress"]
 
 
