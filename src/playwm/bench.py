@@ -90,13 +90,13 @@ def _load_clip(store: EpisodeStore, w: ClipWindow, H: int, C: int) -> ReplayClip
     view = store.read(w.episode_id)
     t = w.start + H - 1  # the last history frame
     states, actions = window_inputs(view, [w.start], H, C)
-    gripper, _, objects = view.state_arrays(t + 1, t + 1 + C)
+    gripper, _, objects = view.state_arrays(slice(t + 1, t + 1 + C))
     return ReplayClip(
         window=w,
         hist_states=states[0, :H],
         actions=actions[0],
         gt_frames=list(render_frames(gripper, objects, view.roster)),
-        init_state=view.state(t),
+        init_state=view.states_at([t])[0],
         raw_actions=[Action(*a) for a in view.actions[t:t + C]],
         noise=list(view.noise[t:t + C]),
     )

@@ -96,7 +96,7 @@ def chunk_dataset(store: EpisodeStore) -> tuple[np.ndarray, np.ndarray]:
         padded = np.vstack([statecodec.encode_action_rows(view.actions),
                             np.zeros((HORIZON - 1, 4))])
         steps = np.arange(T)[:, None] + np.arange(HORIZON)
-        conds.append(statecodec.encode_states(*view.state_arrays(0, T)))
+        conds.append(statecodec.encode_states(*view.state_arrays(slice(T))))
         chunks.append(padded[steps].reshape(T, 4 * HORIZON))
     if not sum(len(c) for c in conds):
         raise ValueError("no training pairs in store")

@@ -6,12 +6,13 @@ is 0.0; object intensity is (3 + id mod 6)/10; the gripper is a 2-pixel
 radius disk at 1.0 (0.9 when the aperture is at most half closed). Objects
 paint in ascending (z_level, oid) order and the gripper last.
 
-`render_frames` draws T frames in one call from state arrays, the non-held
-outputs of `Episode.state_arrays` and `statecodec.project_states`; each
-object is tested on one fixed-size pixel patch per frame that holds every
-pixel its shape can cover. It pays a fixed cost per object and z-level, so
-callers render many frames per call; `render` and `render_states` draw
-`EnvState`s through it.
+`render_frames` draws T frames in one call from state arrays, the gripper
+and object arrays of `statecodec.state_arrays`, `Episode.state_arrays` and
+`statecodec.project_states`; each object is tested on one fixed-size pixel
+patch per frame that holds every pixel its shape can cover. It pays a fixed
+cost per object and z-level, so callers render many frames per call;
+`render` and `render_states` draw `EnvState`s through it, flattened by
+`statecodec.state_arrays`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 import numpy as np
 
 from .dynamics import GRIPPER_RADIUS
-from .scene import EnvState
+from .scene import EnvState, roster
+from .statecodec import state_arrays
 
 FRAME_SIZE = 64
 
@@ -38,16 +40,11 @@ def render(state: EnvState) -> np.ndarray:
 
 def render_states(states: list[EnvState]) -> np.ndarray:
     """The (T, 64, 64) frames of T states that share one object roster."""
-    roster = [(o.oid, o.kind, o.size) for o in states[0].objects]
-    gripper = [[s.gripper.x, s.gripper.y, s.gripper.z, s.gripper.aperture] for s in states]
-    objects = [[[o.x, o.y, o.theta, o.z_level, o.fold_angle] for o in s.objects]
-               for s in states]
-    return render_frames(np.array(gripper, dtype=np.float64),
-                         np.array(objects, dtype=np.float64).reshape(len(states), -1, 5),
-                         roster)
+    gripper, _, objects = state_arrays(states)
+    return render_frames(gripper, objects, roster(states[0].objects))
 
 
-def render_frames(gripper: np.ndarray, objects: np.ndarray, roster: list[tuple]) -> np.ndarray:
+def render_frames(gripper: np.ndarray, objects: np.ndarray, roster: tuple) -> np.ndarray:
     """The (T, 64, 64) frames of T states given as arrays: `gripper` (T, 4)
     is x, y, z, aperture; `objects` (T, n, 5) is x, y, theta, z_level,
     fold_angle per object; `roster` is the n objects' (oid, kind, size) in

@@ -86,6 +86,11 @@ class SceneConfig:
         return EnvState(GripperState(), list(self.objects)).copy()
 
 
+def roster(objects) -> tuple:
+    """The object roster of `objects`: each one's (oid, kind, size), in order."""
+    return tuple((o.oid, o.kind, o.size) for o in objects)
+
+
 def default_scene() -> SceneConfig:
     objects = (
         ObjectState(0, "bowl", 0.28, 0.30, 0.0, (0.11, 0.085)),

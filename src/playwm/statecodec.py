@@ -1,11 +1,13 @@
 """Fixed affine codec between EnvState/Action and the learned models' vectors.
 
-Encoded components live in roughly [-1, 1]. The object roster (ids, kinds,
-sizes) is scene metadata and never encoded; decode() needs a template state
-to restore it and projects the vector back onto the valid state manifold
-(clamped positions, binary height, rounded stack levels); decoding an
-action clips it to what the simulator executes. `encode_states`,
-`project_states` with `build_states`, `encode_action_rows` and
+Encoded components live in roughly [-1, 1]. The object roster, each
+object's (oid, kind, size) as `scene.roster` gives it, is scene metadata
+and never encoded; decode_state() needs a template state to restore it and
+projects the vector back onto the valid state manifold (clamped positions,
+binary height, rounded stack levels); decoding an action clips it to what
+the simulator executes. `state_arrays` is the one flattener of states into
+arrays and `build_states` the one builder of states from arrays, slip fates
+and a roster. `encode_states`, `project_states`, `encode_action_rows` and
 `decode_action_rows` code many states or actions given as arrays at once,
 equal bit for bit to the per-object codecs.
 """
@@ -49,6 +51,18 @@ def encode_state(state: EnvState) -> np.ndarray:
             obj.fold_angle / math.pi * 2 - 1,
         ])
     return np.array(parts)
+
+
+def state_arrays(states: list[EnvState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of T states that share one object roster: gripper (T, 4)
+    x, y, z, aperture; held (T, n) bool, whether the gripper holds each
+    object; objects (T, n, 5) x, y, theta, z_level, fold_angle per object."""
+    oids = [o.oid for o in states[0].objects]
+    gripper = [[s.gripper.x, s.gripper.y, s.gripper.z, s.gripper.aperture] for s in states]
+    held = [[s.gripper.held == oid for oid in oids] for s in states]
+    objects = [[[o.x, o.y, o.theta, o.z_level, o.fold_angle] for o in s.objects] for s in states]
+    return (np.array(gripper, dtype=np.float64), np.array(held, dtype=bool),
+            np.array(objects, dtype=np.float64).reshape(len(states), len(oids), 5))
 
 
 def encode_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray) -> np.ndarray:
@@ -100,14 +114,12 @@ def decode_state(vec: np.ndarray, template: EnvState) -> EnvState:
     return s
 
 
-def project_states(vecs: np.ndarray, template: EnvState) -> tuple[np.ndarray, ...]:
-    """The `encode_states` arrays (gripper, held, objects) of (T, width)
-    vectors projected onto valid states, which `build_states` builds the
-    states from; z-levels round half to even like `round`. A non-finite
-    z-level raises ValueError."""
+def project_states(vecs: np.ndarray, roster: tuple) -> tuple[np.ndarray, ...]:
+    """The `state_arrays` (gripper, held, objects) of (T, width) vectors
+    of the roster's objects, projected onto valid states; z-levels round
+    half to even like `round`. A non-finite z-level raises ValueError."""
     vecs = np.asarray(vecs, dtype=np.float64)
-    objs = template.objects
-    n = len(objs)
+    n = len(roster)
     if vecs.ndim != 2 or vecs.shape[1] != state_dim(n):
         raise ValueError(f"state vectors must be (T, {state_dim(n)}), got {vecs.shape}")
     body = vecs[:, 4 + n:].reshape(len(vecs), n, 5)
@@ -123,24 +135,26 @@ def project_states(vecs: np.ndarray, template: EnvState) -> tuple[np.ndarray, ..
     objects[..., 3] = np.clip(np.rint(body[..., 3] + 1.0), 0, MAX_Z_LEVEL)
     objects[..., 4] = np.clip((body[..., 4] + 1) / 2 * math.pi, 0.0, math.pi)
     rows = np.flatnonzero(slot >= 0)  # held rigid objects ride at the gripper position
-    rows = rows[[objs[k].kind != "towel2link" for k in slot[rows]]]
+    rows = rows[[roster[k][1] != "towel2link" for k in slot[rows]]]
     objects[rows, slot[rows], :2] = gripper[rows, :2]
     objects[rows, slot[rows], 3] = 0.0
     return gripper, slot[:, None] == np.arange(n), objects
 
 
 def build_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray,
-                 template: EnvState) -> list[EnvState]:
-    """The T states of `project_states` arrays, with template's object roster."""
-    objs = template.objects
-    slot = np.where(held.any(axis=1), held @ np.arange(len(objs)), -1)
-    return [EnvState(GripperState(x, y, int(z), ap, objs[k].oid if k >= 0 else None),
-                     [ObjectState(o.oid, o.kind, ox, oy, th, o.size, lv, fold)
-                      for o, (ox, oy, th, fold), lv in zip(objs, obj_rows, levels)],
-                     template.slip_fated)
-            for (x, y, ap), z, k, obj_rows, levels
+                 slip: np.ndarray, roster: tuple) -> list[EnvState]:
+    """The T states of `state_arrays` arrays of the roster's objects, state t
+    slip-fated where the (T,) bool array `slip` is."""
+    slot = np.where(held.any(axis=1), held @ np.arange(len(roster)), -1)
+    return [EnvState(GripperState(x, y, int(z), ap, roster[k][0] if k >= 0 else None),
+                     [ObjectState(oid, kind, ox, oy, th, size, lv, fold)
+                      for (oid, kind, size), (ox, oy, th, fold), lv
+                      in zip(roster, obj_rows, levels)],
+                     fated)
+            for (x, y, ap), z, k, obj_rows, levels, fated
             in zip(gripper[:, [0, 1, 3]].tolist(), gripper[:, 2].tolist(), slot.tolist(),
-                   objects[..., [0, 1, 2, 4]].tolist(), objects[..., 3].astype(np.int64).tolist())]
+                   objects[..., [0, 1, 2, 4]].tolist(),
+                   objects[..., 3].astype(np.int64).tolist(), slip.tolist())]
 
 
 def encode_action(a: Action) -> np.ndarray:

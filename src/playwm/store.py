@@ -30,15 +30,17 @@ its manifest lines carry `file` instead of `bytes`, and opening it raises
 StoreError naming the manifest and the line.
 
 Records: `Episode` is the one episode record, read-only arrays of the
-blob's states, actions, events and noise plus the metadata (instruction and
-object roster). `record` builds it from a run's `EnvState`, `Action` and
-`Event` lists, `append` writes its arrays and `read` returns it over the
-blob's bytes. Objects are built only on demand: `episode.state(t)` builds
-one `EnvState`, and `episode.state_arrays(a, b)` splits a run of state rows
-into gripper, held and object arrays, which `statecodec.encode_states`
-encodes and, with `episode.roster`, `render.render_frames` draws at once.
-`windows` labels each clip from the kind column of its event rows and the
-task predicate at its last frame. Only this module knows the row layout.
+blob's states, actions, events and noise plus the metadata: instruction and
+object roster, each object's (oid, kind, size) as `scene.roster` gives it.
+`record` builds it from a run's `EnvState`, `Action` and `Event` lists,
+adding the held-id and slip columns to the `statecodec.state_arrays` of the
+states; `append` writes its arrays and `read` returns it over the blob's
+bytes. `episode.state_arrays(frames)` splits state rows into the arrays
+that `statecodec.encode_states` encodes and `render.render_frames` draws,
+and `episode.states_at(frames)` builds their `EnvState`s with
+`statecodec.build_states`. `windows` builds an episode's window-end states
+in one call and labels each clip from the kind column of its event rows and
+the task predicate at its last frame. Only this module knows the row layout.
 
 Durability: `append` creates no file once the store holds an episode. It
 writes the blob with one `pwrite` at the segment's committed end, then
@@ -68,7 +70,7 @@ by later reads of that id, which then cost the checks and four array views.
 That is sound because the store is append-only and a blob that passes its
 sha256 check holds the bytes it held at the first parse. The kept fields
 hold no blob bytes and no `Episode`, and episodes of one roster share one
-`objects` list, which readers must not modify.
+roster tuple.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import statecodec
 from .dynamics import Action, Event
-from .scene import EnvState, GripperState, ObjectState
+from .scene import EnvState, roster
 from .skills import Instruction, Perturbation
 from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
 
@@ -104,7 +107,7 @@ class Episode:
     instruction: Instruction
     outcome: bool
     seed: int
-    objects: list[dict]     # roster metadata in row order: id, kind, size
+    roster: tuple           # each object's (oid, kind, size), in row order
     states: np.ndarray      # (n_frames, 6 + 5 * n_objects) raw state rows
     actions: np.ndarray     # (n_steps, 4)
     event_rows: np.ndarray  # (n_steps, 3) kind, oid0, oid1 (-1 if absent)
@@ -118,26 +121,18 @@ class Episode:
     def n_frames(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def roster(self) -> list[tuple]:
-        """Each object's (oid, kind, size) in row order, as `render.render_frames`
-        takes them."""
-        return [(o["id"], o["kind"], tuple(o["size"])) for o in self.objects]
+    def state_arrays(self, frames=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The `statecodec.state_arrays` of the frames that `frames`, a slice
+        or an array of frame indices, selects (all frames by default)."""
+        rows = self.states[frames]
+        oids = np.array([oid for oid, _, _ in self.roster], dtype=np.float64)
+        return rows[:, :4], rows[:, 4:5] == oids, rows[:, 6:].reshape(len(rows), len(oids), 5)
 
-    def state(self, t: int) -> EnvState:
-        """The state at frame t, built from its row."""
-        return _state_from_row(self.states[t], self.objects)
-
-    def state_arrays(self, start: int = 0, stop: int | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Frames start..stop-1 (all frames by default) as arrays: gripper
-        (T, 4) x, y, z, aperture; held (T, n) bool, whether the gripper
-        holds each roster object; objects (T, n, 5) x, y, theta, z_level,
-        fold_angle. The `statecodec.encode_states` inputs."""
-        rows = self.states[start:stop]
-        roster = np.array([o["id"] for o in self.objects], dtype=np.float64)
-        held = rows[:, 4:5] == roster
-        return rows[:, :4], held, rows[:, 6:].reshape(len(rows), len(self.objects), 5)
+    def states_at(self, frames) -> list[EnvState]:
+        """The states at the frames that `frames`, a slice or an array of
+        frame indices, selects, built from their rows."""
+        return statecodec.build_states(*self.state_arrays(frames), self.states[frames, 5] > 0.5,
+                                       self.roster)
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ class _Meta(NamedTuple):
     instruction: Instruction
     outcome: bool
     seed: int
-    objects: list[dict]
+    roster: tuple
     n_steps: int
 
 
@@ -172,7 +167,7 @@ class EpisodeStore:
         self._index: dict[str, dict] = {}
         self._offset: dict[str, int] = {}  # each episode's blob offset in the segment
         self._parsed: dict[str, _Meta] = {}  # metadata of each episode read so far
-        self._rosters: dict[tuple, list[dict]] = {}  # one shared objects list per roster
+        self._rosters: dict[tuple, tuple] = {}  # one shared tuple per roster
         self._tasks: dict[TaskSpec, TaskSpec] = {}  # one shared TaskSpec per task
         self._manifest_bytes = 0  # committed lengths of the two files
         self._segment_bytes = 0
@@ -300,23 +295,22 @@ class EpisodeStore:
         if meta is None:
             meta = self._parse(blob[HEADER.size:off])
         states, actions, event_rows, noise = _rows(blob, off, meta.n_steps,
-                                                   len(meta.objects), where)
+                                                   len(meta.roster), where)
         self._parsed[eid] = meta
         return Episode(meta.eid, meta.source, meta.instruction, meta.outcome, meta.seed,
-                       meta.objects, states, actions, event_rows, noise)
+                       meta.roster, states, actions, event_rows, noise)
 
     def _parse(self, block: bytes) -> _Meta:
         """The fields of one JSON metadata block; its source, task and
         roster are shared with earlier episodes that have the same."""
         meta = json.loads(block)
-        objects = meta["objects"]
-        roster = tuple((o["id"], o["kind"], tuple(o["size"])) for o in objects)
+        objs = tuple((o["id"], o["kind"], tuple(o["size"])) for o in meta["objects"])
         t = meta["task"]
         task = TaskSpec(t["verb"], t["subject"], t["target"],
                         tuple(t["region"]) if t["region"] else None)
         instr = Instruction(self._tasks.setdefault(task, task), Perturbation(**meta["perturb"]))
         return _Meta(meta["id"], sys.intern(meta["source"]), instr, meta["outcome"], meta["seed"],
-                     self._rosters.setdefault(roster, objects), meta["n_steps"])
+                     self._rosters.setdefault(objs, objs), meta["n_steps"])
 
     def verify(self, eid: str) -> bool:
         return self._blob(eid)[1] is None
@@ -352,10 +346,11 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
         view = store.read(eid)
         task = view.instruction.task
         kinds = view.event_rows[:, 0].tolist()
-        for start in range(0, view.n_frames - W + 1, stride):
-            end = start + W - 1
-            success = check_success(view.state(end), task)
-            out.append(ClipWindow(eid, start, W, classify_clip(kinds[start:end], task, success)))
+        ends = view.states_at(slice(W - 1, None, stride))
+        for start, last in zip(range(0, view.n_frames - W + 1, stride), ends):
+            success = check_success(last, task)
+            out.append(ClipWindow(eid, start, W,
+                                  classify_clip(kinds[start:start + W - 1], task, success)))
     return out
 
 
@@ -373,27 +368,6 @@ def split(store: EpisodeStore, held_out_fraction: float, rng) -> tuple[list[str]
 
 # -- rows and blobs ---------------------------------------------------------
 
-def _state_row(s: EnvState) -> list[float]:
-    g = s.gripper
-    row = [g.x, g.y, float(g.z), g.aperture,
-           float(g.held) if g.held is not None else -1.0,
-           1.0 if s.slip_fated else 0.0]
-    for o in s.objects:
-        row.extend([o.x, o.y, o.theta, float(o.z_level), o.fold_angle])
-    return row
-
-
-def _state_from_row(row: np.ndarray, objects: list[dict]) -> EnvState:
-    g = GripperState(x=row[0], y=row[1], z=int(row[2]), aperture=row[3],
-                     held=int(row[4]) if row[4] >= 0 else None)
-    objs = []
-    for i, om in enumerate(objects):
-        x, y, theta, z, fold = row[6 + 5 * i:11 + 5 * i]
-        objs.append(ObjectState(om["id"], om["kind"], x, y, theta,
-                                tuple(om["size"]), int(z), fold))
-    return EnvState(gripper=g, objects=objs, slip_fated=bool(row[5] > 0.5))
-
-
 def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed: int,
            states: list[EnvState], actions: list[Action], events: list[Event],
            noise: list[float]) -> Episode:
@@ -406,6 +380,9 @@ def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed:
     if len(events) != len(actions) or len(noise) != len(actions):
         raise ValueError("events/noise must align with actions")
     n_steps = len(actions)
+    gripper, _, objects = statecodec.state_arrays(states)
+    held_slip = [[-1.0 if s.gripper.held is None else s.gripper.held, s.slip_fated]
+                 for s in states]
     event_rows = np.full((n_steps, 3), -1, dtype="<i4")
     for i, e in enumerate(events):
         event_rows[i, 0] = int(e.kind)
@@ -413,8 +390,9 @@ def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed:
             event_rows[i, 1 + j] = oid
     episode = Episode(
         eid=eid, source=source, instruction=instruction, outcome=outcome, seed=seed,
-        objects=[{"id": o.oid, "kind": o.kind, "size": list(o.size)} for o in states[0].objects],
-        states=np.array([_state_row(s) for s in states], dtype="<f8"),
+        roster=roster(states[0].objects),
+        states=np.concatenate([gripper, np.array(held_slip, dtype=_F8),
+                               objects.reshape(len(states), -1)], axis=1, dtype=_F8),
         actions=np.array([[a.dx, a.dy, a.dz, a.dg] for a in actions], dtype="<f8").reshape(n_steps, 4),
         event_rows=event_rows,
         noise=np.array(noise, dtype="<f8"),
@@ -433,7 +411,8 @@ def _pack(ep: Episode) -> bytes:
         "outcome": ep.outcome,
         "seed": ep.seed,
         "n_steps": ep.n_steps,
-        "objects": ep.objects,
+        "objects": [{"id": oid, "kind": kind, "size": list(size)}
+                    for oid, kind, size in ep.roster],
         "task": {"verb": task.verb, "subject": task.subject, "target": task.target,
                  "region": list(task.region) if task.region else None},
         "perturb": {"sigma_w": perturb.sigma_w, "sigma_g": perturb.sigma_g,

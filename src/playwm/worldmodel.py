@@ -20,7 +20,7 @@ from .diffusion import DenoiserNet, NoiseSchedule, ddpm_sample, diffusion_loss
 from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render_frames
 from .rng import Rng
-from .scene import EnvState, SceneConfig, scene_from_dict, scene_to_dict
+from .scene import EnvState, SceneConfig, roster, scene_from_dict, scene_to_dict
 from .store import ClipWindow, Episode, EpisodeStore
 
 
@@ -240,10 +240,9 @@ def predicted_frames(wm: WorldModel, vecs: np.ndarray) -> np.ndarray:
     """The (T, 64, 64) frames of (T, width) predicted state vectors: projected
     onto valid states as `statecodec.project_states` arrays, then rendered in
     one call."""
-    template = wm.scene.nominal_state()
-    gripper, _, objects = statecodec.project_states(vecs, template)
-    roster = [(o.oid, o.kind, o.size) for o in template.objects]
-    return render_frames(gripper, objects, roster)
+    scene_roster = roster(wm.scene.objects)
+    gripper, _, objects = statecodec.project_states(vecs, scene_roster)
+    return render_frames(gripper, objects, scene_roster)
 
 
 class RolloutBackend:
@@ -256,7 +255,6 @@ class RolloutBackend:
     def __init__(self, wm: WorldModel, rng: Rng):
         self.wm = wm
         self.rng = rng
-        self.template = wm.scene.nominal_state()
         self.hist_states = np.zeros((0, wm.cfg.history, wm.state_width))
         self.hist_actions = np.zeros((0, wm.cfg.history - 1, 4))
 
@@ -284,8 +282,8 @@ class RolloutBackend:
         encoded as `build_dataset` encodes stored actions; return each driven
         rollout's C predicted states. Every other rollout's history stays as
         it is. The raw predicted vectors are projected once onto valid
-        states; the returned states are built from those arrays, and their
-        encodings enter the history."""
+        states; the returned states, none of them slip-fated, are built
+        from those arrays, and their encodings enter the history."""
         H, C = self.wm.cfg.history, self.wm.cfg.chunk
         rows = slice(None) if rows is None else rows
         hist_states, hist_actions = self.hist_states[rows], self.hist_actions[rows]
@@ -295,8 +293,9 @@ class RolloutBackend:
         window = np.concatenate([hist_actions, statecodec.encode_action_rows(actions)], axis=1)
         pred = predict_chunk(self.wm, hist_states, window, self.rng)
         B, width = len(pred), self.wm.state_width
-        arrays = statecodec.project_states(pred.reshape(B * C, width), self.template)
-        flat = statecodec.build_states(*arrays, self.template)
+        scene_roster = roster(self.wm.scene.objects)
+        arrays = statecodec.project_states(pred.reshape(B * C, width), scene_roster)
+        flat = statecodec.build_states(*arrays, np.zeros(B * C, dtype=bool), scene_roster)
         clean = statecodec.encode_states(*arrays)
         self.hist_states[rows] = np.concatenate([hist_states, clean.reshape(B, C, width)],
                                                 axis=1)[:, -H:]

@@ -103,7 +103,7 @@ def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
     project, rows = statecodec.project_states, []
     plan, planned = policies.plan_actions, []
     monkeypatch.setattr(statecodec, "project_states",
-                        lambda vecs, template: rows.append(len(vecs)) or project(vecs, template))
+                        lambda vecs, roster: rows.append(len(vecs)) or project(vecs, roster))
     monkeypatch.setattr(policies, "plan_actions",
                         lambda *args: planned.append(len(args[1])) or plan(*args))
     rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))

@@ -31,7 +31,7 @@ def whole_episode_embed(store, wins, embedder):
                  for i in rows}
         flat = np.zeros((view.n_frames, cu.FRAME_PIXELS))
         for t in {t for idx in picks.values() for t in idx}:
-            flat[t] = render(view.state(t)).reshape(cu.FRAME_PIXELS)
+            flat[t] = render(view.states_at([t])[0]).reshape(cu.FRAME_PIXELS)
         proj = flat @ embedder.matrix
         for i, idx in picks.items():
             out[i] = proj[idx].reshape(-1)
@@ -47,7 +47,7 @@ def demo_episode(eid, seed=1):
 def without_towel(ep, eid):
     """The episode with its towel taken out of every state: another roster."""
     states = [EnvState(s.gripper, [o for o in s.objects if o.kind != "towel2link"],
-                       s.slip_fated) for s in map(ep.state, range(ep.n_frames))]
+                       s.slip_fated) for s in ep.states_at(slice(None))]
     return record(eid, ep.source, ep.instruction, ep.outcome, ep.seed, states,
                   [Action(*a) for a in ep.actions], events_of(ep), ep.noise.tolist())
 
@@ -73,7 +73,8 @@ class TestEmbedder:
         rows = cu.embed_store_windows(store, [w, w], emb)
         assert np.array_equal(rows[0], rows[1])
         view = store.read("e1")
-        frames = np.stack([render(view.state(w.start + i)) for i in cu.window_sample_indices(12)])
+        frames = np.stack([render(s) for s in
+                           view.states_at(w.start + np.array(cu.window_sample_indices(12)))])
         assert np.allclose(rows[0], emb.embed_frames(frames).reshape(-1), rtol=0, atol=1e-12)
 
     def test_one_episode_store_keeps_the_whole_episode_bits(self, tmp_path):

@@ -247,7 +247,7 @@ class TestCollect:
             pos = []
             for eid in store.ids():
                 ep = store.read(eid)
-                for o in ep.state(0).objects:
+                for o in ep.states_at([0])[0].objects:
                     if o.kind in ("disk", "rect"):
                         pos.append([o.x, o.y])
             return np.var(np.array(pos), axis=0).sum()
@@ -264,7 +264,7 @@ class TestCollect:
         for eid in store.ids():
             ep = store.read(eid)
             oob_start = any(not (0.05 <= o.x <= 0.95 and 0.05 <= o.y <= 0.95)
-                            for o in ep.state(0).objects if o.kind != "towel2link")
+                            for o in ep.states_at([0])[0].objects if o.kind != "towel2link")
             consecutive = consecutive + 1 if oob_start else 0
             worst = max(worst, consecutive)
         assert worst <= 3
@@ -298,8 +298,7 @@ class TestStore:
         env.step = recording_step
         ep = execute(env, expert_instruction(TaskSpec("put_in", 1, 0)), Rng(1))
         assert ep.n_frames == len(live) and ep.n_steps == len(live) - 1
-        for t, (state, action, event, u) in enumerate(live):
-            s = ep.state(t)
+        for t, (s, (state, action, event, u)) in enumerate(zip(ep.states_at(slice(None)), live)):
             assert s.gripper == state.gripper and s.objects == state.objects
             assert s.slip_fated == state.slip_fated
             # frames are not stored: rendering the recorded states
@@ -312,7 +311,7 @@ class TestStore:
 
     def test_encode_states_equals_stacked_encode_state(self, tmp_path):
         ep = expert_episode("e1")
-        states = [ep.state(t) for t in range(ep.n_frames)]
+        states = ep.states_at(slice(None))
         assert any(s.gripper.held is not None for s in states)
         near_pi = [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
                    np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0), 3 * np.pi]
@@ -322,7 +321,7 @@ class TestStore:
         store.append(record(ep.eid, ep.source, ep.instruction, ep.outcome, ep.seed, states,
                             [Action(*a) for a in ep.actions], events_of(ep), ep.noise.tolist()))
         view = store.read("e1")
-        states = np.stack([statecodec.encode_state(view.state(t)) for t in range(view.n_frames)])
+        states = np.stack([statecodec.encode_state(s) for s in view.states_at(slice(None))])
         actions = np.stack([statecodec.encode_action(Action(*a)) for a in view.actions])
         assert statecodec.encode_states(*view.state_arrays()).tobytes() == states.tobytes()
         assert statecodec.encode_action_rows(view.actions).tobytes() == actions.tobytes()
@@ -575,11 +574,11 @@ class TestRereads:
         loads = count_json_loads(monkeypatch)
         assert again.read("e1").eid == "e1" and len(loads) == 1
 
-    def test_episodes_of_one_roster_share_one_objects_list(self, tmp_path):
+    def test_episodes_of_one_roster_share_one_roster(self, tmp_path):
         store = self._store(tmp_path)
         a, b = store.read("e1"), store.read("e2")
-        assert a.objects is b.objects
-        assert EpisodeStore(store.root).read("e1").objects is not a.objects
+        assert a.roster is b.roster
+        assert EpisodeStore(store.root).read("e1").roster is not a.roster
 
     def test_every_read_takes_one_pread(self, tmp_path, monkeypatch):
         store = self._store(tmp_path)

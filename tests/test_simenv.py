@@ -10,7 +10,7 @@ from playwm.env import Env
 from playwm.render import FRAME_SIZE, object_intensity, render, render_states
 from playwm.rng import Rng
 from playwm.scene import (EnvState, GripperState, ObjectState, default_scene,
-                          jittered_state, scene_from_dict, scene_to_dict)
+                          jittered_state, roster, scene_from_dict, scene_to_dict)
 from playwm.tasks import (BehaviorMode, TaskSpec, check_success, classify_clip,
                           DanglingObjectError)
 
@@ -532,7 +532,9 @@ class TestCodec:
     def test_built_states_are_decode_state_bit_for_bit(self):
         template = default_scene().nominal_state()
         vecs, rigid, towel = self.awkward_vecs(template)
-        states = statecodec.build_states(*statecodec.project_states(vecs, template), template)
+        objs = roster(template.objects)
+        states = statecodec.build_states(*statecodec.project_states(vecs, objs),
+                                         np.zeros(len(vecs), dtype=bool), objs)
         want = [self.decoded_fields(statecodec.decode_state(v, template)) for v in vecs]
         assert [self.decoded_fields(s) for s in states] == want
         held = [s.gripper.held for s in states[10:30]]
@@ -543,7 +545,8 @@ class TestCodec:
         vecs, _, _ = self.awkward_vecs(template)
         want = np.stack([statecodec.encode_state(statecodec.decode_state(v, template))
                          for v in vecs])
-        got = statecodec.encode_states(*statecodec.project_states(vecs, template))
+        arrays = statecodec.project_states(vecs, roster(template.objects))
+        got = statecodec.encode_states(*arrays)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -554,7 +557,8 @@ class TestCodec:
         with pytest.raises((ValueError, OverflowError)):
             statecodec.decode_state(vec, template)
         with pytest.raises(ValueError, match="non-finite z-level"):
-            statecodec.project_states(np.stack([np.zeros_like(vec), vec]), template)
+            statecodec.project_states(np.stack([np.zeros_like(vec), vec]),
+                                      roster(template.objects))
 
     def test_action_roundtrip(self):
         a = Action(dx=0.05, dy=-0.03, dz=1.0, dg=-0.5)
