@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from playwm import bench, curation, nets, policies, progress, store
+from playwm import bench, curation, nets, policies, progress, statecodec, store
 from playwm.playsys import ProposerConfig, collect, expert_config
 from playwm.rng import Rng
 from playwm.scene import default_scene
@@ -26,7 +26,7 @@ GOLDEN = {
     "chunk_dataset": "01771a815e19df96691a6d2a2447e233abbd40c50f5c804187f4444fc316a211",
     "progress_inputs": "bf25dbee732f3ecbc6f9cb1aac9698cc540637d655c3631c7c5d5e3a9367aa5a",
     "progress_params": "a8786d35860faa481229b2f827026cf4654b19da23fa301d720007fdde38f906",
-    "replay_clips": "f05c58c62fa2fd7300e28a2b1afb547e6435f0be1f6286fc4f76c89c6e3a6fde",
+    "replay_clips": "2662effaf3de27fedadc2b4779a5309fdb268cf3fa436e5009f77af291294d14",
 }
 
 
@@ -108,14 +108,27 @@ def test_progress_training_pairs(stores, monkeypatch):
     assert model.net.param_hash() == GOLDEN["progress_params"]
 
 
-def test_replay_clips(stores, curated, monkeypatch):
-    monkeypatch.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
-    bm = bench.build_benchmark({"play": stores[1]}, {"play": curated["held"]}, 3, Rng(37),
-                               stride=3)
+@pytest.fixture(scope="module")
+def replay(stores, curated):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
+        return bench.build_benchmark({"play": stores[1]}, {"play": curated["held"]}, 3,
+                                     Rng(37), stride=3)
+
+
+def test_replay_clips(replay):
     parts = []
-    for c in bm.clips:
+    for c in replay.clips:
         s = c.init_state
         parts += [c.window.episode_id, c.window.start, c.hist_states, c.actions,
                   *c.gt_frames, s.gripper, s.objects, s.slip_fated,
                   c.raw_actions, c.noise]
     assert digest(*parts) == GOLDEN["replay_clips"]
+
+
+def test_replay_init_states_encode_as_their_last_history_state(replay):
+    """The digest above hashes each initial state's repr, which also shows
+    its scalars' types; this pins their values."""
+    assert len(replay.clips) == 8
+    for c in replay.clips:
+        assert statecodec.encode_state(c.init_state).tobytes() == c.hist_states[-1].tobytes()
