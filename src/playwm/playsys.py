@@ -42,7 +42,6 @@ class ProposerConfig:
     sigma_w_max: float = 0.05
     sigma_g_max: float = 0.05
     speed_range: tuple = (0.7, 1.6)
-    towel_transport: bool = True  # allow put_near with the towel as subject
     towel_bias: int = 1           # extra weight on towel-subject put_near tasks
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ def expert_config() -> ProposerConfig:
     weights = {v: (1.0 / len(DEMO_VERBS) if v in DEMO_VERBS else 0.0)
                for v in GRAMMAR_VERBS}
     return ProposerConfig(verb_weights=weights, sigma_w_max=0.0, sigma_g_max=0.0,
-                          speed_range=(1.0, 1.0), towel_transport=False)
+                          speed_range=(1.0, 1.0))
 
 
 def bench_config() -> ProposerConfig:
@@ -84,8 +83,7 @@ def applicable_tasks(state: EnvState, cfg: ProposerConfig) -> dict[str, list[Tas
             else:
                 out["put_in"].append(TaskSpec("put_in", obj.oid, bowl.oid))
 
-    movable = rigids + (towels if cfg.towel_transport else [])
-    for subj in movable:
+    for subj in rigids + towels:
         copies = max(1, cfg.towel_bias) if subj.kind == "towel2link" else 1
         for other in state.objects:
             if other.oid == subj.oid:
