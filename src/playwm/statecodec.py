@@ -1,15 +1,13 @@
 """Fixed affine codec between EnvState/Action and the learned models' vectors.
 
-Encoded components live in roughly [-1, 1]. The object roster, each
-object's (oid, kind, size) as `scene.roster` gives it, is scene metadata
-and never encoded; decode_state() needs a template state to restore it and
-projects the vector back onto the valid state manifold (clamped positions,
-binary height, rounded stack levels); decoding an action clips it to what
-the simulator executes. `state_arrays` is the one flattener of states into
-arrays and `build_states` the one builder of states from arrays, slip fates
-and a roster. `encode_states`, `project_states`, `encode_action_rows` and
-`decode_action_rows` code many states or actions given as arrays at once,
-equal bit for bit to the per-object codecs.
+Encoded components live in roughly [-1, 1]. The object roster (`scene.roster`)
+is scene metadata and never encoded; decode_state() needs a template state
+to restore it and projects the vector back onto the valid state manifold
+(clamped positions, binary height, rounded stack levels); decoding an action
+clips it to what the simulator executes. `state_arrays` flattens states into
+arrays and `build_states` builds them back; `encode_states`, `project_states`,
+`encode_action_rows` and `decode_action_rows` code many states or actions
+given as arrays at once, equal bit for bit to the per-object codecs.
 """
 
 from __future__ import annotations
@@ -149,8 +147,7 @@ def build_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray,
     return [EnvState(GripperState(x, y, int(z), ap, roster[k][0] if k >= 0 else None),
                      [ObjectState(oid, kind, ox, oy, th, size, lv, fold)
                       for (oid, kind, size), (ox, oy, th, fold), lv
-                      in zip(roster, obj_rows, levels)],
-                     fated)
+                      in zip(roster, obj_rows, levels)], fated)
             for (x, y, ap), z, k, obj_rows, levels, fated
             in zip(gripper[:, [0, 1, 3]].tolist(), gripper[:, 2].tolist(), slot.tolist(),
                    objects[..., [0, 1, 2, 4]].tolist(),

@@ -30,17 +30,15 @@ its manifest lines carry `file` instead of `bytes`, and opening it raises
 StoreError naming the manifest and the line.
 
 Records: `Episode` is the one episode record, read-only arrays of the
-blob's states, actions, events and noise plus the metadata: instruction and
-object roster, each object's (oid, kind, size) as `scene.roster` gives it.
-`record` builds it from a run's `EnvState`, `Action` and `Event` lists,
-adding the held-id and slip columns to the `statecodec.state_arrays` of the
-states; `append` writes its arrays and `read` returns it over the blob's
-bytes. `episode.state_arrays(frames)` splits state rows into the arrays
-that `statecodec.encode_states` encodes and `render.render_frames` draws,
-and `episode.states_at(frames)` builds their `EnvState`s with
-`statecodec.build_states`. `windows` builds an episode's window-end states
-in one call and labels each clip from the kind column of its event rows and
-the task predicate at its last frame. Only this module knows the row layout.
+blob's states, actions, events and noise plus the metadata (instruction and
+`scene.roster`). `record` builds it from a run's `EnvState`, `Action` and
+`Event` lists, adding held-id and slip columns to `statecodec.state_arrays`;
+`append` writes its arrays and `read` returns it over the blob's bytes.
+`episode.state_arrays(frames)` gives the arrays that `encode_states` and
+`render_frames` take, and `episode.states_at(frames)` builds `EnvState`s
+from them with `statecodec.build_states`, which `windows` calls once per
+episode for the states that label its clips, with each clip's event kinds.
+Only this module knows the row layout.
 
 Durability: `append` creates no file once the store holds an episode. It
 writes the blob with one `pwrite` at the segment's committed end, then
@@ -348,9 +346,8 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
         kinds = view.event_rows[:, 0].tolist()
         ends = view.states_at(slice(W - 1, None, stride))
         for start, last in zip(range(0, view.n_frames - W + 1, stride), ends):
-            success = check_success(last, task)
-            out.append(ClipWindow(eid, start, W,
-                                  classify_clip(kinds[start:start + W - 1], task, success)))
+            mode = classify_clip(kinds[start:start + W - 1], task, check_success(last, task))
+            out.append(ClipWindow(eid, start, W, mode))
     return out
 
 
@@ -381,8 +378,7 @@ def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed:
         raise ValueError("events/noise must align with actions")
     n_steps = len(actions)
     gripper, _, objects = statecodec.state_arrays(states)
-    held_slip = [[-1.0 if s.gripper.held is None else s.gripper.held, s.slip_fated]
-                 for s in states]
+    held_slip = [[-1 if s.gripper.held is None else s.gripper.held, s.slip_fated] for s in states]
     event_rows = np.full((n_steps, 3), -1, dtype="<i4")
     for i, e in enumerate(events):
         event_rows[i, 0] = int(e.kind)
