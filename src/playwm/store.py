@@ -53,7 +53,10 @@ succeeds. A store has one writer.
 Recovery: opening a store indexes the manifest. A crash can leave a torn
 final line, which is dropped, truncating the file back to the last complete
 line; a bad line anywhere else raises StoreError naming the manifest and the
-line number. The segment is then checked against the sum of `bytes`: a
+line number. So does a line, the final one too, whose `id` is not a
+string, `bytes` not a nonnegative integer, `sha256` not 64 lowercase hex
+digits or `outcome` not a bool: reads, `verify` and curation take these
+fields from it. The segment is then checked against the sum of `bytes`: a
 longer one (the blob of an append that never committed) is truncated back
 to it, and a shorter one raises StoreError naming the segment and both byte
 counts. The segment is not fsynced, so blob bytes a crash lost show there
@@ -76,6 +79,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -94,6 +98,7 @@ VERSION = 2
 HEADER = struct.Struct("<4sII")  # magic, version, meta_len
 _F8 = np.dtype("<f8")
 _I4 = np.dtype("<i4")
+_SHA256 = re.compile("[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +196,11 @@ class EpisodeStore:
             if type(nbytes) is not int or nbytes < 0:
                 raise StoreError(f"{self._manifest_path}: line {lineno} gives no blob length "
                                  f"('bytes'); stores of one file per episode are not readable")
+            sha = rec.get("sha256")
+            if type(eid) is not str or type(sha) is not str or not _SHA256.fullmatch(sha) \
+                    or type(rec.get("outcome")) is not bool:
+                raise StoreError(f"{self._manifest_path}: line {lineno} needs a string id, a "
+                                 f"sha256 of 64 lowercase hex digits and a bool outcome")
             if eid in self._index:
                 raise StoreError(f"{self._manifest_path}: line {lineno} repeats id {eid!r}")
             self._index[eid] = rec

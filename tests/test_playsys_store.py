@@ -522,6 +522,27 @@ class TestStore:
         with pytest.raises(StoreError, match=r"manifest\.jsonl: line 2 gives no blob length"):
             EpisodeStore(root)
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", 7), ("sha256", None), ("sha256", "ab" * 31), ("sha256", "AB" * 32),
+        ("outcome", 1), ("outcome", None),
+    ])
+    def test_mistyped_manifest_field_raises(self, tmp_path, field, value):
+        """A complete line, the final one too, whose id, sha256 or outcome
+        (None: without that field) reads and curation could not use fails
+        when the store opens, naming the line."""
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        for i in range(2):
+            store.append(expert_episode(f"e{i}", seed=i))
+        rec = {k: v for k, v in store.meta("e1").items() if k != field}
+        if value is not None:
+            rec[field] = value
+        first = manifest_bytes(root).splitlines(keepends=True)[0]
+        with open(os.path.join(root, "manifest.jsonl"), "wb") as fh:
+            fh.write(first + json.dumps(rec, sort_keys=True).encode() + b"\n")
+        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 2 needs a string id"):
+            EpisodeStore(root)
+
     def test_layout_is_one_segment_and_the_manifest(self, seeded_play_store):
         """Appends create no file: 30 collected episodes leave two files."""
         assert len(seeded_play_store) == 30
