@@ -6,12 +6,12 @@ is 0.0; object intensity is (3 + id mod 6)/10; the gripper is a 2-pixel
 radius disk at 1.0 (0.9 when the aperture is at most half closed). Objects
 paint in ascending (z_level, oid) order and the gripper last.
 
-`render_frames` draws T frames in one call from the gripper and object
-arrays of `statecodec.state_arrays`, which `render` and `render_states`
-flatten `EnvState`s with, `Episode.state_arrays` or `project_states`; each
-object is tested on one fixed-size pixel patch per frame that holds every
-pixel its shape can cover. It pays a fixed cost per object and z-level, so
-callers render many frames per call.
+`render_frames` draws T frames in one call from gripper and object arrays,
+as `statecodec.state_arrays`, `Episode.state_arrays` and `project_states`
+give them; `render` and `render_states` draw `EnvState`s through
+`state_arrays`. Each object is tested on one fixed-size pixel patch per
+frame that holds every pixel its shape can cover. It pays a fixed cost per
+object and z-level, so callers render many frames per call.
 """
 
 from __future__ import annotations

@@ -143,15 +143,13 @@ def build_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray,
                  slip: np.ndarray, roster: tuple) -> list[EnvState]:
     """The T states of `state_arrays` arrays of the roster's objects, state t
     slip-fated where the (T,) bool array `slip` is."""
-    slot = np.where(held.any(axis=1), held @ np.arange(len(roster)), -1)
-    return [EnvState(GripperState(x, y, int(z), ap, roster[k][0] if k >= 0 else None),
-                     [ObjectState(oid, kind, ox, oy, th, size, lv, fold)
-                      for (oid, kind, size), (ox, oy, th, fold), lv
-                      in zip(roster, obj_rows, levels)], fated)
-            for (x, y, ap), z, k, obj_rows, levels, fated
-            in zip(gripper[:, [0, 1, 3]].tolist(), gripper[:, 2].tolist(), slot.tolist(),
-                   objects[..., [0, 1, 2, 4]].tolist(),
-                   objects[..., 3].astype(np.int64).tolist(), slip.tolist())]
+    return [EnvState(GripperState(x, y, int(z), ap,
+                                  roster[h.index(True)][0] if True in h else None),
+                     [ObjectState(oid, kind, ox, oy, th, size, int(lv), fold)
+                      for (oid, kind, size), (ox, oy, th, lv, fold) in zip(roster, obj_rows)],
+                     fated)
+            for (x, y, z, ap), h, obj_rows, fated
+            in zip(gripper.tolist(), held.tolist(), objects.tolist(), slip.tolist())]
 
 
 def encode_action(a: Action) -> np.ndarray:

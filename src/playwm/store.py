@@ -35,9 +35,9 @@ blob's states, actions, events and noise plus the metadata (instruction and
 `Event` lists, adding held-id and slip columns to `statecodec.state_arrays`;
 `append` writes its arrays and `read` returns it over the blob's bytes.
 `episode.state_arrays(frames)` gives the arrays that `encode_states` and
-`render_frames` take, and `episode.states_at(frames)` builds `EnvState`s
-from them with `statecodec.build_states`, which `windows` calls once per
-episode for the states that label its clips, with each clip's event kinds.
+`render_frames` take; `episode.states_at(frames)` builds `EnvState`s from
+them. `windows` labels each clip from its event kinds and the task
+predicate at its last frame, built in one `states_at` call per episode.
 Only this module knows the row layout.
 
 Durability: `append` creates no file once the store holds an episode. It
