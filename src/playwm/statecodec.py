@@ -55,12 +55,15 @@ def state_arrays(states: list[EnvState]) -> tuple[np.ndarray, np.ndarray, np.nda
     """The arrays of T states that share one object roster: gripper (T, 4)
     x, y, z, aperture; held (T, n) bool, whether the gripper holds each
     object; objects (T, n, 5) x, y, theta, z_level, fold_angle per object."""
-    oids = [o.oid for o in states[0].objects]
-    gripper = [[s.gripper.x, s.gripper.y, s.gripper.z, s.gripper.aperture] for s in states]
-    held = [[s.gripper.held == oid for oid in oids] for s in states]
-    objects = [[[o.x, o.y, o.theta, o.z_level, o.fold_angle] for o in s.objects] for s in states]
-    return (np.array(gripper, dtype=np.float64), np.array(held, dtype=bool),
-            np.array(objects, dtype=np.float64).reshape(len(states), len(oids), 5))
+    oids = np.array([o.oid for o in states[0].objects], dtype=np.float64)
+    flat = []  # per state: gripper x, y, z, aperture, held id (-1 for none), each object's pose
+    for s in states:
+        g = s.gripper
+        flat += (g.x, g.y, g.z, g.aperture, -1 if g.held is None else g.held)
+        for o in s.objects:
+            flat += (o.x, o.y, o.theta, o.z_level, o.fold_angle)
+    rows = np.fromiter(flat, np.float64, len(flat)).reshape(len(states), 5 + 5 * len(oids))
+    return rows[:, :4], rows[:, 4:5] == oids, rows[:, 5:].reshape(len(states), len(oids), 5)
 
 
 def encode_states(gripper: np.ndarray, held: np.ndarray, objects: np.ndarray) -> np.ndarray:

@@ -132,8 +132,7 @@ class Episode:
         return rows[:, :4], rows[:, 4:5] == oids, rows[:, 6:].reshape(len(rows), len(oids), 5)
 
     def states_at(self, frames) -> list[EnvState]:
-        """The states at the frames that `frames`, a slice or an array of
-        frame indices, selects, built from their rows."""
+        """The states built from the rows that `frames`, a slice or index array, selects."""
         return statecodec.build_states(*self.state_arrays(frames), self.states[frames, 5] > 0.5,
                                        self.roster)
 
