@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import metrics, statecodec
 from .curation import Embedder
 from .dynamics import Action
 from .env import Env
@@ -30,8 +30,7 @@ from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .store import ClipWindow, EpisodeStore, windows
 from .tasks import BehaviorMode, MODES, TaskSpec, infer_transition_event
-from .worldmodel import (RolloutBackend, WorldModel, predict_chunk, predicted_frames,
-                         window_inputs)
+from .worldmodel import RolloutBackend, WorldModel, predict_chunk, predicted_frames
 
 SCORE_BLOCK = 16  # frames scored per metrics call; a block's SSIM temporaries are about 3 MB
 MIN_CLIP_FRACTION = 0.8  # each mode needs this share of target_per_mode held-out clips
@@ -87,15 +86,16 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
 
 
 def _load_clip(store: EpisodeStore, w: ClipWindow, H: int, C: int) -> ReplayClip:
+    """The clip of window w. Only its H history states and H-1+C actions
+    are encoded, as `worldmodel.build_dataset` encodes them."""
     view = store.read(w.episode_id)
     t = w.start + H - 1  # the last history frame
-    states, actions = window_inputs(view, [w.start], H, C)
-    gripper, _, objects = view.state_arrays(slice(t + 1, t + 1 + C))
+    gripper, held, objects = view.state_arrays(slice(w.start, t + 1 + C))
     return ReplayClip(
         window=w,
-        hist_states=states[0, :H],
-        actions=actions[0],
-        gt_frames=list(render_frames(gripper, objects, view.roster)),
+        hist_states=statecodec.encode_states(gripper[:H], held[:H], objects[:H]),
+        actions=statecodec.encode_action_rows(view.actions[w.start:t + C]),
+        gt_frames=list(render_frames(gripper[H:], objects[H:], view.roster)),
         init_state=view.states_at([t])[0],
         raw_actions=[Action(*a) for a in view.actions[t:t + C]],
         noise=list(view.noise[t:t + C]),
@@ -105,8 +105,10 @@ def _load_clip(store: EpisodeStore, w: ClipWindow, H: int, C: int) -> ReplayClip
 def run_replay(benchmark: ReplayBenchmark, model: WorldModel | str, embedder: Embedder,
                rng: Rng | None = None, scene: SceneConfig | None = None) -> metrics.MetricReport:
     """Score predicted future frames per clip; model may be "oracle". A
-    world model samples its predictions from rng, the oracle replays the
-    simulator of scene, and each raises ValueError without its input.
+    world model samples its predictions from rng. The oracle resets the
+    simulator to each clip's own `init_state` and replays its recorded
+    actions and noise draws, so its frames do not depend on scene, which
+    only permits oracle mode. Each raises ValueError without its input.
 
     The frames of every clip are scored in stacked blocks of at most
     SCORE_BLOCK frames, one call of each metric a block; each clip's row is

@@ -5,12 +5,14 @@ frames, the stand-in for a pretrained image encoder: the embedder's
 (4096, 32) matrix has i.i.d. entries +-1/sqrt(32), drawn from its seed with
 the package RNG, so it is reproducible and (in expectation) preserves
 pairwise distances of the projected frames. The store keeps no frames: each
-episode is read once as an array view, and the sampled state rows of
-consecutive episodes are rendered from arrays and projected in blocks of at
-most BLOCK_FRAMES frames, one rasterizer call and one product a block.
-Success centroids, a (k, dim) array, come from k-means over demo-success
-windows; each play window gets a distance-to-success (min Euclidean
-distance to any centroid) and a rank from equal-mass quantile thresholds.
+episode is read once as an array view, only its sampled state rows are
+taken from it, and those of consecutive episodes are rendered and projected
+in blocks of at most BLOCK_FRAMES frames, one rasterizer call and one
+product a block. Success centroids, a (k, dim) array, come from k-means
+over demo-success windows, each success demo read once for both its
+windows and their embeddings; each play window gets a distance-to-success
+(min Euclidean distance to any centroid) and a rank from equal-mass
+quantile thresholds.
 The index keeps only each rank's window rows. Training samples ranks from
 an annealed distribution that starts concentrated on the near-success ranks
 and spreads toward the long tail.
@@ -19,12 +21,13 @@ and spreads toward the long tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .render import FRAME_SIZE, render_frames
 from .rng import Rng
-from .store import ClipWindow, EpisodeStore, windows as store_windows
+from .store import ClipWindow, Episode, EpisodeStore, episode_windows, windows as store_windows
 
 EMBED_DIM = 32
 FRAME_PIXELS = FRAME_SIZE * FRAME_SIZE
@@ -73,6 +76,12 @@ def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
                         embedder: Embedder) -> np.ndarray:
     """Embed every window, reading each episode once. Each sampled frame is
     rendered and projected once, in blocks of at most BLOCK_FRAMES frames."""
+    return _embed_windows(store.read, wins, embedder)
+
+
+def _embed_windows(read: Callable[[str], Episode], wins: list[ClipWindow],
+                   embedder: Embedder) -> np.ndarray:
+    """`embed_store_windows`, taking each episode from read(eid) once."""
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
@@ -89,28 +98,28 @@ def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
         n_rows += len(sampled[eid])
     embedded = np.empty((n_rows, EMBED_DIM))
     done = 0
-    for roster, gripper, objects in _sampled_blocks(store, sampled):
+    for roster, gripper, objects in _sampled_blocks(read, sampled):
         k = len(gripper)
         embedded[done:done + k] = embedder.embed_frames(render_frames(gripper, objects, roster))
         done += k
     return embedded[picks].reshape(len(wins), embedder.dim)
 
 
-def _sampled_blocks(store: EpisodeStore, sampled: dict[str, list[int]]):
+def _sampled_blocks(read: Callable[[str], Episode], sampled: dict[str, list[int]]):
     """(roster, gripper, objects) blocks of the `render_frames` inputs of
     every sampled frame, in order: at most BLOCK_FRAMES frames each, from
     consecutive episodes with one object roster."""
     roster, parts, n = None, [], 0
     for eid, ts in sampled.items():
-        view = store.read(eid)
+        view = read(eid)
         if parts and view.roster != roster:
             yield roster, *_stack(parts)
             parts, n = [], 0
         roster = view.roster
-        gripper, _, objects = view.state_arrays()
         while ts:
             take, ts = ts[:BLOCK_FRAMES - n], ts[BLOCK_FRAMES - n:]
-            parts.append((gripper[take], objects[take]))
+            gripper, _, objects = view.state_arrays(take)
+            parts.append((gripper, objects))
             n += len(take)
             if n == BLOCK_FRAMES:
                 yield roster, *_stack(parts)
@@ -183,12 +192,12 @@ def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
                           rng: Rng, window_len: int = 12) -> np.ndarray:
     """The (k, dim) k-means centroids of the embeddings of the demo store's
     success-episode windows."""
-    wins = store_windows(demo_store, window_len,
-                         ids=[eid for eid in demo_store.ids() if demo_store.meta(eid)["outcome"]])
+    views = {eid: demo_store.read(eid) for eid in demo_store.ids()
+             if demo_store.meta(eid)["outcome"]}
+    wins = [w for view in views.values() for w in episode_windows(view, window_len, window_len)]
     if len(wins) < k:
         raise ValueError(f"only {len(wins)} success windows, need at least {k}")
-    embs = embed_store_windows(demo_store, wins, embedder)
-    return kmeans(embs, k, rng)
+    return kmeans(_embed_windows(views.__getitem__, wins, embedder), k, rng)
 
 
 def distances_to_success(centroids: np.ndarray, embeddings: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ blob's states, actions, events and noise plus the metadata (instruction and
 `episode.state_arrays(frames)` gives the arrays that `encode_states` and
 `render_frames` take; `episode.states_at(frames)` builds `EnvState`s from
 them. `windows` labels each clip from its event kinds and the task
-predicate at its last frame, built in one `states_at` call per episode.
+predicate at its last frame, built in one `states_at` call per episode;
+`episode_windows` does the same for one episode already read.
 Only this module knows the row layout.
 
 Durability: `append` creates no file once the store holds an episode. It
@@ -340,24 +341,29 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
 
     A window's label is `classify_clip` of the kinds of its W-1 steps and
     the task predicate at its last frame."""
+    stride = W if stride is None else stride
+    _check_window(W, stride)
+    keep = None if ids is None else set(ids)
+    return [w for eid in store.ids() if keep is None or eid in keep
+            for w in episode_windows(store.read(eid), W, stride)]
+
+
+def episode_windows(view: Episode, W: int, stride: int) -> list[ClipWindow]:
+    """The windows that `windows` enumerates and labels in one read episode."""
+    _check_window(W, stride)
+    task = view.instruction.task
+    kinds = view.event_rows[:, 0].tolist()
+    ends = view.states_at(slice(W - 1, None, stride))
+    return [ClipWindow(view.eid, start, W,
+                       classify_clip(kinds[start:start + W - 1], task, check_success(last, task)))
+            for start, last in zip(range(0, view.n_frames - W + 1, stride), ends)]
+
+
+def _check_window(W: int, stride: int) -> None:
     if W < 2:
         raise ValueError("window length must be at least 2")
-    stride = W if stride is None else stride
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    keep = None if ids is None else set(ids)
-    out: list[ClipWindow] = []
-    for eid in store.ids():
-        if keep is not None and eid not in keep:
-            continue
-        view = store.read(eid)
-        task = view.instruction.task
-        kinds = view.event_rows[:, 0].tolist()
-        ends = view.states_at(slice(W - 1, None, stride))
-        for start, last in zip(range(0, view.n_frames - W + 1, stride), ends):
-            mode = classify_clip(kinds[start:start + W - 1], task, check_success(last, task))
-            out.append(ClipWindow(eid, start, W, mode))
-    return out
 
 
 def split(store: EpisodeStore, held_out_fraction: float, rng) -> tuple[list[str], list[str]]:

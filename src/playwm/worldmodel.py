@@ -3,8 +3,10 @@
 The denoiser estimates a clean chunk of C future encoded states,
 conditioned on H history states plus every action in the window (the H-1
 transitions inside the history and the C actions driving the chunk).
-Frames come from rendering projected predicted states, which keeps image
-metrics meaningful while training stays in the low-dimensional state space.
+Training windows are encoded in blocks of consecutive episodes, one codec
+call a block, and gathered from the block's arrays. Frames come from
+rendering projected predicted states, which keeps image metrics meaningful
+while training stays in the low-dimensional state space.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render_frames
 from .rng import Rng
 from .scene import EnvState, SceneConfig, roster, scene_from_dict, scene_to_dict
-from .store import ClipWindow, Episode, EpisodeStore
+from .store import ClipWindow, EpisodeStore
 
 
 LR = 1e-3            # desk preset; full-scale preset is 5e-6
@@ -30,6 +32,7 @@ LOG_EVERY = 50       # steps between loss-trace entries
 CLIP_X0 = 1.2        # clean-signal clamp during sampling
 SAMPLE_STEPS = 10    # strided reverse steps per sampled chunk, of the denoise_steps trained
 DELTA_SCALE = 1.25   # pose offsets scaled into the unit range
+BLOCK_FRAMES = 1024  # frames of consecutive episodes encoded per codec call in build_dataset
 
 
 @dataclass(frozen=True)
@@ -123,34 +126,57 @@ class WindowDataset:
 
 
 def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) -> WindowDataset:
-    """Assemble (conditioning, target) arrays for every training window."""
+    """Assemble (conditioning, target) arrays for every training window.
+
+    Each episode is read once, in order of first appearance in `wins`.
+    Consecutive episodes are encoded together in blocks of at most
+    BLOCK_FRAMES frames (an episode longer than that is a block of its
+    own): one `encode_states` and one `encode_action_rows` call a block,
+    then one gather of every window of the block. Both codecs work row by
+    row, so the arrays equal those of encoding each window on its own."""
     H, C = cfg.history, cfg.chunk
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
     conds = targets = None
-    for eid, rows in by_ep.items():
-        states, actions = window_inputs(store.read(eid), [wins[i].start for i in rows], H, C)
+    for views, rows in _episode_blocks(store, by_ep):
+        states = statecodec.encode_states(*(np.concatenate(part) for part in
+                                            zip(*(v.state_arrays() for v in views))))
+        actions = statecodec.encode_action_rows(np.concatenate([v.actions for v in views]))
+        at = [i for ep_rows in rows for i in ep_rows]
+        starts = np.array([wins[i].start for i in at])
+        per_ep = [len(ep_rows) for ep_rows in rows]
+        # each window's first frame and first step in the block's arrays
+        frame0 = np.repeat(np.cumsum([0] + [v.n_frames for v in views[:-1]]), per_ep) + starts
+        step0 = np.repeat(np.cumsum([0] + [v.n_steps for v in views[:-1]]), per_ep) + starts
+        window_states = states[frame0[:, None] + np.arange(H + C)]
         if conds is None:
-            width = states.shape[2]
+            width = states.shape[1]
             conds = np.zeros((len(wins), H * width + (H - 1 + C) * 4))
             targets = np.zeros((len(wins), C * width))
-        conds[rows, :H * width] = states[:, :H].reshape(len(rows), -1)
-        conds[rows, H * width:] = actions.reshape(len(rows), -1)
-        targets[rows] = states[:, H:].reshape(len(rows), -1)
+        conds[at, :H * width] = window_states[:, :H].reshape(len(at), -1)
+        conds[at, H * width:] = actions[step0[:, None] + np.arange(H - 1 + C)].reshape(len(at), -1)
+        targets[at] = window_states[:, H:].reshape(len(at), -1)
     if conds is None:  # no windows
         conds, targets = np.zeros((0, (H - 1 + C) * 4)), np.zeros((0, 0))
     return WindowDataset(windows=wins, conds=conds, targets=targets)
 
 
-def window_inputs(episode: Episode, starts: list[int], history: int,
-                  chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The windows of one episode that begin at `starts`, encoded as the
-    model sees them: their (n, history + chunk, width) states and their
-    (n, history - 1 + chunk, 4) actions."""
-    starts = np.asarray(starts)[:, None]
-    return (statecodec.encode_states(*episode.state_arrays())[starts + np.arange(history + chunk)],
-            statecodec.encode_action_rows(episode.actions)[starts + np.arange(history - 1 + chunk)])
+def _episode_blocks(store: EpisodeStore, by_ep: dict[str, list[int]]):
+    """(views, rows) blocks of consecutive episodes of `by_ep` read from the
+    store, each with the window rows of each of its episodes: at most
+    BLOCK_FRAMES frames a block, or one episode that alone holds more."""
+    views, rows, n = [], [], 0
+    for eid, ep_rows in by_ep.items():
+        view = store.read(eid)
+        if views and n + view.n_frames > BLOCK_FRAMES:
+            yield views, rows
+            views, rows, n = [], [], 0
+        views.append(view)
+        rows.append(ep_rows)
+        n += view.n_frames
+    if views:
+        yield views, rows
 
 
 # -- training -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from playwm.curation import Embedder
 from playwm.playsys import ProposerConfig, collect
 from playwm.policies import PolicyConfig, create_policy
 from playwm.rng import Rng
-from playwm.scene import default_scene
+from playwm.scene import SceneConfig, default_scene
 from playwm.store import EpisodeStore
 from playwm.tasks import TaskSpec, check_success
 from playwm.worldmodel import WmConfig, create_worldmodel
@@ -337,6 +338,29 @@ def replay_benchmark(store, per_mode):
     # scored against the wrong clip's frames differ
     bm.clips = bm.clips[::2] + bm.clips[1::2]
     return bm
+
+
+def test_build_benchmark_encodes_only_each_clip_history(replay_store, monkeypatch):
+    """A clip encodes the H history states of its window, not its episode."""
+    encode, rows = statecodec.encode_states, []
+    monkeypatch.setattr(statecodec, "encode_states",
+                        lambda *arrays: rows.append(len(arrays[0])) or encode(*arrays))
+    bm = replay_benchmark(replay_store, 2)
+    H = WmConfig().history
+    assert bm.clips and rows == [H] * len(bm.clips)
+    assert all(len(clip.hist_states) == H for clip in bm.clips)
+
+
+def test_oracle_replay_ignores_the_scene(replay_store):
+    """The oracle starts every clip from its own stored state, so a scene
+    with other objects at other poses scores the same report."""
+    bm = replay_benchmark(replay_store, 2)
+    other = SceneConfig(tuple(replace(o, x=1.0 - o.x, y=1.0 - o.y)
+                              for o in default_scene().objects[:3]))
+    emb = Embedder.create(3)
+    assert bm.clips
+    assert bench.run_replay(bm, "oracle", emb, scene=default_scene()) == \
+        bench.run_replay(bm, "oracle", emb, scene=other)
 
 
 def test_build_benchmark_names_each_short_mode(replay_store):

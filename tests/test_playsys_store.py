@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import events_of
-from playwm import bench, playsys, statecodec
+from playwm import bench, playsys, statecodec, worldmodel
 from playwm.curation import Embedder
 from playwm.dynamics import Action, EventKind
 from playwm.env import Env
@@ -750,13 +750,59 @@ class TestWindowEnumerator:
             [w for w in windows(seeded_play_store, 12, 3) if w.episode_id in keep]
 
     def test_build_dataset_reads_each_episode_once(self, seeded_play_store):
-        wins = windows(seeded_play_store, WmConfig().window_len)
+        """In the order in which the windows first name it."""
+        wins = windows(seeded_play_store, WmConfig().window_len)[::-1]
         store = EpisodeStore(seeded_play_store.root)
         read = []
         store_read = store.read
         store.read = lambda eid: read.append(eid) or store_read(eid)
         build_dataset(store, WmConfig(), wins=wins)
-        assert sorted(read) == sorted({w.episode_id for w in wins})
+        assert read == list(dict.fromkeys(w.episode_id for w in wins))
+
+    @pytest.mark.parametrize("block", [20, 64])
+    def test_build_dataset_blocks_keep_each_window_bits(self, seeded_play_store, monkeypatch,
+                                                        block):
+        """Small blocks cut the windows of the store into many: at 20 frames
+        most episodes are a block of their own, at 64 a block holds several.
+        The arrays keep the bytes of the default block size and of encoding
+        each window alone with `encode_state` and `encode_action`, and each
+        block is one `encode_states` call over whole episodes."""
+        cfg = WmConfig()
+        H, C = cfg.history, cfg.chunk
+        wins = windows(seeded_play_store, cfg.window_len, 3)
+        wins = wins[::2] + wins[1::2]  # an episode's windows are not all adjacent rows
+        default = build_dataset(seeded_play_store, cfg, wins)
+        encode, calls = statecodec.encode_states, []
+        monkeypatch.setattr(statecodec, "encode_states",
+                            lambda *arrays: calls.append(len(arrays[0])) or encode(*arrays))
+        monkeypatch.setattr(worldmodel, "BLOCK_FRAMES", block)
+        small = build_dataset(seeded_play_store, cfg, wins)
+
+        conds, targets = [], []
+        for w in wins:
+            view = seeded_play_store.read(w.episode_id)
+            states = [statecodec.encode_state(s)
+                      for s in view.states_at(slice(w.start, w.start + H + C))]
+            actions = [statecodec.encode_action(Action(*a))
+                       for a in view.actions[w.start:w.start + H - 1 + C]]
+            conds.append(np.concatenate(states[:H] + actions))
+            targets.append(np.concatenate(states[H:]))
+        for ds in (default, small):
+            assert ds.conds.tobytes() == np.array(conds).tobytes()
+            assert ds.targets.tobytes() == np.array(targets).tobytes()
+
+        frames = [seeded_play_store.read(eid).n_frames
+                  for eid in dict.fromkeys(w.episode_id for w in wins)]
+        blocks, n = [], 0  # whole episodes, as many as fit
+        for f in frames:
+            if n and n + f > block:
+                blocks.append(n)
+                n = 0
+            n += f
+        assert calls == blocks + [n]
+        assert len(calls) > 1
+        # at 20 an episode longer than a block is one alone; at 64 blocks hold several
+        assert max(calls) > block if block == 20 else len(calls) < len(frames)
 
     def test_build_benchmark_reads_only_held_out(self, seeded_play_store, monkeypatch):
         monkeypatch.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
