@@ -1,0 +1,134 @@
+"""Goldens of the simulator and the play loop: the manifests of seeded
+collections under each proposer config, and a digest of `dynamics.step`
+over seeded random (state, action, u) triples that reach every rule. Any
+change to the step, the skills, the proposer or the episode records that
+is meant to keep its outputs bit for bit keeps these digests."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from playwm import dynamics
+from playwm.dynamics import A_MAX, Action, EventKind
+from playwm.playsys import ProposerConfig, bench_config, collect, expert_config
+from playwm.rng import Rng
+from playwm.scene import default_scene, jittered_state
+from playwm.store import EpisodeStore
+
+# name -> (proposer, episodes, reset_each, seed, manifest sha256)
+COLLECTIONS = {
+    "play": (ProposerConfig, 200, False, 31,
+             "3d7b39503778ccb60fdac372314922883e5cbcbbb0c11e6cf8b9207349ed13a6"),
+    "demo": (expert_config, 30, True, 32,
+             "5200b1b3d7ec4d5af6eeedf1535768ea67c56fa91a38c1e66ab9c2ccee80907d"),
+    "bench": (bench_config, 60, False, 33,
+              "b5b9bc248d0a11e54f6460664337a85af29dd598cedc95c195f1218a56f6549d"),
+}
+
+STEP_TRIPLES = 5000
+GOLDEN_STEP = "bf61cf972817d74cf73ccfcafdfd52769d9f0c6cc59e60f1db068dd8c0c737a7"
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTIONS))
+def test_collect_manifest_pinned(tmp_path, name):
+    proposer, episodes, reset_each, seed, golden = COLLECTIONS[name]
+    store = EpisodeStore(str(tmp_path))
+    collect(default_scene(), proposer(), episodes, Rng(seed), store, source=name,
+            reset_each=reset_each)
+    assert len(store) == episodes
+    assert store.manifest_hash() == golden
+
+
+def random_state(rng: Rng):
+    """A jittered scene with its gripper near an object, and at random a
+    held object, a stack, a folded towel, a fated grasp or an object past
+    the tape margin."""
+    s = jittered_state(default_scene(), rng, jitter=0.1)
+    objs = s.objects
+    rigids = [o for o in objs if o.kind in ("disk", "rect")]
+    for o in objs:
+        if rng.uniform() < 0.08:  # near or past an edge
+            o.x = rng.uniform() * 0.12 if rng.uniform() < 0.5 else 1.0 - rng.uniform() * 0.12
+        if o.kind == "towel2link":
+            o.fold_angle = rng.uniform() * np.pi
+    if rng.uniform() < 0.35:  # a stack of two, or three
+        k = rng.randint(len(rigids))
+        base, top = rigids[k], rigids[(k + 1 + rng.randint(len(rigids) - 1)) % len(rigids)]
+        top.x, top.y = base.x + rng.gauss() * 0.02, base.y + rng.gauss() * 0.02
+        top.z_level = base.z_level + 1
+        if rng.uniform() < 0.3:
+            third = next(o for o in rigids if o is not base and o is not top)
+            third.x, third.y, third.z_level = top.x, top.y, top.z_level + 1
+    g = s.gripper
+    near = objs[rng.randint(len(objs))]
+    gx, gy = near.towel_free_end() if near.kind == "towel2link" else (near.x, near.y)
+    g.x = min(max(gx + rng.gauss() * 0.03, 0.0), 1.0)
+    g.y = min(max(gy + rng.gauss() * 0.03, 0.0), 1.0)
+    g.z = rng.randint(2)
+    g.aperture = rng.uniform()
+    if rng.uniform() < 0.4 and near.kind != "bowl":
+        g.held = near.oid
+        if near.kind != "towel2link":
+            if rng.uniform() < 0.5:  # over another rigid, to stack on or topple off
+                base = next(o for o in rigids if o is not near)
+                g.x, g.y = base.x + rng.gauss() * 0.025, base.y + rng.gauss() * 0.025
+            near.x, near.y, near.z_level = g.x, g.y, 0
+        s.slip_fated = rng.uniform() < 0.4
+    return s
+
+
+def random_action(rng: Rng) -> Action:
+    """An action with |dx|, |dy| past A_MAX at times, dz among 0.4, -0.0, 1.0
+    and others, dg past [-1, 1] at times, and numpy-float or int fields."""
+    dx, dy = rng.gauss() * 0.06, rng.gauss() * 0.06
+    dz = (0.4, -0.0, 1.0, -1.0, 0.0, -0.6, rng.gauss())[rng.randint(7)]
+    dg = rng.gauss() * 0.9
+    form = rng.randint(5)
+    if form == 1:
+        dx, dg = np.float64(dx), np.float64(dg)
+    elif form == 2:
+        dz = np.float64(dz)
+    elif form == 3:
+        dz, dg = int(round(dz)), int(round(dg))
+    elif form == 4:
+        dy = int(dy > 0)
+    return Action(dx, dy, dz, dg)
+
+
+def state_repr(s) -> str:
+    """Every field of a state, with its type, as repr writes it."""
+    g = s.gripper
+    return repr(((g.x, g.y, g.z, g.aperture, g.held), s.slip_fated,
+                 [(o.oid, o.kind, o.x, o.y, o.theta, o.size, o.z_level, o.fold_angle)
+                  for o in s.objects]))
+
+
+def test_step_digest_pinned():
+    """Half the inputs continue from the last output, so grasps, carries,
+    slips and releases follow each other; the rest are fresh states."""
+    rng = Rng(2024)
+    h = hashlib.sha256()
+    kinds, held_towel, stacked, out = set(), False, False, False
+    wide = numpy_field = False
+    state = random_state(rng)
+    for _ in range(STEP_TRIPLES):
+        if rng.uniform() < 0.5:
+            state = random_state(rng)
+        action = random_action(rng)
+        u = rng.uniform() if rng.uniform() < 0.8 else rng.uniform() * 0.1
+        before = state_repr(state)
+        nxt, event = dynamics.step(state, action, u)
+        assert state_repr(state) == before  # step is pure
+        h.update(f"{state_repr(nxt)}|{int(event.kind)}|{event.oids!r}\n".encode())
+        kinds.add(event.kind)
+        towel = next(o.oid for o in nxt.objects if o.kind == "towel2link")
+        held_towel |= nxt.gripper.held == towel
+        stacked |= any(o.z_level > 0 for o in nxt.objects)
+        out |= bool(dynamics.out_of_bounds_ids(nxt))
+        wide |= abs(action.dx) > A_MAX
+        numpy_field |= isinstance(action.dx, np.floating)
+        state = nxt
+    assert kinds == set(EventKind)
+    assert held_towel and stacked and out and wide and numpy_field
+    assert h.hexdigest() == GOLDEN_STEP
