@@ -19,7 +19,14 @@ and is ignored otherwise. Rules apply in a fixed order each control step:
   7. fold integration happened in rule 1 for a held towel end
   8. objects outside the tape margin raise the out-of-bounds flag
 
-At most one primary event is reported per step, picked by precedence.
+At most one primary event is reported per step, picked by precedence: the
+first event of the highest kind. A step with none returns the one shared
+`Event.none()`.
+
+`Action.sanitized` is idempotent: an action that is already executable
+(each field a Python float within its bounds, dz one of -1.0, +0.0 and
+1.0) is returned itself, so a caller that sanitizes before `step` makes
+step's own call a few comparisons, and both see the same object.
 """
 
 from __future__ import annotations
@@ -56,17 +63,26 @@ class EventKind(IntEnum):
     # IntEnum value doubles as the precedence rank (higher wins)
 
 
-@dataclass(frozen=True)
+# `step`'s names for the kinds: loading a member from the Enum class costs
+# about ten times as much as loading a module global
+(_NONE, _OUT_OF_BOUNDS, _FOLD_CHANGE, _CONTACT_SLIDE, _STACK_TOPPLE, _OBJECT_COLLISION,
+ _GRASP_SUCCESS, _GRASP_MISS, _SLIP_DROP) = EventKind
+
+
+@dataclass(frozen=True, slots=True)
 class Event:
     kind: EventKind
     oids: tuple = ()
 
     @staticmethod
     def none() -> "Event":
-        return Event(EventKind.NONE)
+        return _NO_EVENT
 
 
-@dataclass(frozen=True)
+_NO_EVENT = Event(EventKind.NONE)
+
+
+@dataclass(frozen=True, slots=True)
 class Action:
     dx: float = 0.0
     dy: float = 0.0
@@ -74,11 +90,23 @@ class Action:
     dg: float = 0.0   # aperture delta in [-1, 1]
 
     def sanitized(self) -> "Action":
+        """The action that `step` executes: dx and dy clamped to A_MAX, dz
+        clamped to [-1, 1] and rounded to -1.0, +0.0 or 1.0, dg clamped to
+        [-1, 1]; a NaN dz raises ValueError. Idempotent, and an action that
+        is already executable (Python floats in bounds, dz one of -1.0,
+        +0.0 and 1.0) is returned itself; any other, with a -0.0 dz, a NaN
+        or a numpy or int field, is built anew."""
+        dx, dy, dz, dg = self.dx, self.dy, self.dz, self.dg
+        if type(dx) is float and type(dy) is float and type(dz) is float \
+                and type(dg) is float and -A_MAX <= dx <= A_MAX and -A_MAX <= dy <= A_MAX \
+                and -1.0 <= dg <= 1.0 and (dz == 1.0 or dz == -1.0 or
+                                           (dz == 0.0 and math.copysign(1.0, dz) == 1.0)):
+            return self
         return Action(
-            dx=_clip(self.dx, -A_MAX, A_MAX),
-            dy=_clip(self.dy, -A_MAX, A_MAX),
-            dz=float(round(_clip(self.dz, -1.0, 1.0))),
-            dg=_clip(self.dg, -1.0, 1.0),
+            dx=_clip(dx, -A_MAX, A_MAX),
+            dy=_clip(dy, -A_MAX, A_MAX),
+            dz=float(round(_clip(dz, -1.0, 1.0))),
+            dg=_clip(dg, -1.0, 1.0),
         )
 
 
@@ -92,7 +120,8 @@ def step(state: EnvState, action: Action, u: float) -> tuple[EnvState, Event]:
     a = action.sanitized()
     s = state.copy()
     g = s.gripper
-    events: list[Event] = []
+    # the primary event so far: the first one of the highest kind
+    kind, oids = _NONE, ()
     held_at_start = g.held
 
     # (1) gripper motion and held-object follow
@@ -101,25 +130,24 @@ def step(state: EnvState, action: Action, u: float) -> tuple[EnvState, Event]:
     g.y = _clip(g.y + a.dy, 0.0, 1.0)
     g.z = int(_clip(g.z + a.dz, 0.0, 1.0))
     g.aperture = _clip(g.aperture + a.dg, 0.0, 1.0)
-    move = (g.x - old_x, g.y - old_y)
-    speed = math.hypot(*move)
+    move_x, move_y = g.x - old_x, g.y - old_y
+    speed = math.hypot(move_x, move_y)
     moved_ids: set[int] = set()
 
-    if held_at_start is not None:
-        obj = s.object_by_id(held_at_start)
-        if obj.kind == "towel2link":
-            delta = _integrate_fold(obj, move)
+    held_obj = None if held_at_start is None else s.object_by_id(held_at_start)
+    if held_obj is not None:
+        if held_obj.kind == "towel2link":
+            delta = _integrate_fold(held_obj, move_x, move_y)
             if abs(delta) > 1e-9:
-                events.append(Event(EventKind.FOLD_CHANGE, (obj.oid,)))
+                kind, oids = _FOLD_CHANGE, (held_obj.oid,)
         else:
-            _translate_with_stack(s, obj, g.x - obj.x, g.y - obj.y)
-            moved_ids.add(obj.oid)
+            _translate_with_stack(s, held_obj, g.x - held_obj.x, g.y - held_obj.y)
+            moved_ids.add(held_obj.oid)
 
     # (2) grasp attempt: decisive close while down with empty gripper
     if a.dg < -GRIP_DG and g.z == 0 and held_at_start is None:
-        target = _nearest_graspable(s, g.x, g.y)
-        if target is not None:
-            obj = target
+        obj = _nearest_graspable(s, g.x, g.y)
+        if obj is not None:
             if obj.kind == "towel2link":
                 g.held = obj.oid
                 s.slip_fated = False
@@ -130,27 +158,26 @@ def step(state: EnvState, action: Action, u: float) -> tuple[EnvState, Event]:
                 g.held = obj.oid
                 s.slip_fated = u < P_SLIP
                 moved_ids.add(obj.oid)
-            events.append(Event(EventKind.GRASP_SUCCESS, (obj.oid,)))
+            kind, oids = _GRASP_SUCCESS, (obj.oid,)
         else:
-            events.append(Event(EventKind.GRASP_MISS, ()))
+            kind, oids = _GRASP_MISS, ()
 
     # (3) slip of a held rigid object
     dropped: int | None = None
-    if held_at_start is not None and g.held == held_at_start:
-        obj = s.object_by_id(held_at_start)
-        if obj.kind != "towel2link" and speed > 0.0:
+    if held_obj is not None and g.held == held_at_start:
+        if held_obj.kind != "towel2link" and speed > 0.0:
             slips = speed > V_SLIP or (s.slip_fated and speed > V_FATE)
             if slips:
                 g.held = None
                 s.slip_fated = False
-                dropped = obj.oid
-                events.append(Event(EventKind.SLIP_DROP, (obj.oid,)))
+                dropped = held_obj.oid
+                kind, oids = _SLIP_DROP, (dropped,)
 
     # (4) pushing: down, free gripper, path intersects an object. Open
     # fingers straddle graspable objects instead of shoving them, so an
     # open gripper only pushes the bowl; a closed one pushes everything.
     if g.z == 0 and g.held is None and speed > 1e-12:
-        ux, uy = move[0] / speed, move[1] / speed
+        ux, uy = move_x / speed, move_y / speed
         for obj in s.objects:
             if obj.kind not in PUSHABLE_KINDS or obj.z_level != 0 or obj.oid == dropped:
                 continue
@@ -164,16 +191,18 @@ def step(state: EnvState, action: Action, u: float) -> tuple[EnvState, Event]:
                     obj.x = _clip(obj.x, 0.0, 1.0)
                     obj.y = _clip(obj.y, 0.0, 1.0)
                     moved_ids.add(obj.oid)
-                    events.append(Event(EventKind.CONTACT_SLIDE, (obj.oid,)))
+                    if kind < _CONTACT_SLIDE:
+                        kind, oids = _CONTACT_SLIDE, (obj.oid,)
 
-    # (5) overlap resolution between rigid colliders on the same level
-    carried = {g.held} if g.held is not None and g.z == 1 else set()
-    colliders = [o for o in s.objects if o.kind in COLLIDER_KINDS and o.oid not in carried]
-    for i, a_obj in enumerate(colliders):
-        for b_obj in colliders[i + 1:]:
+    # (5) overlap resolution between rigid colliders on the same level; an
+    # object carried aloft takes no part
+    carried = g.held if g.z == 1 else None
+    colliders = [(o, o.effective_radius()) for o in s.objects
+                 if o.kind in COLLIDER_KINDS and o.oid != carried]
+    for i, (a_obj, ra) in enumerate(colliders):
+        for b_obj, rb in colliders[i + 1:]:
             if a_obj.z_level != b_obj.z_level:
                 continue
-            ra, rb = a_obj.effective_radius(), b_obj.effective_radius()
             dx, dy = b_obj.x - a_obj.x, b_obj.y - a_obj.y
             dist = math.hypot(dx, dy)
             if dist >= ra + rb - 1e-12:
@@ -192,7 +221,8 @@ def step(state: EnvState, action: Action, u: float) -> tuple[EnvState, Event]:
             mover.x = _clip(mover.x, 0.0, 1.0)
             mover.y = _clip(mover.y, 0.0, 1.0)
             moved_ids.add(mover.oid)
-            events.append(Event(EventKind.OBJECT_COLLISION, (a_obj.oid, b_obj.oid)))
+            if kind < _OBJECT_COLLISION:
+                kind, oids = _OBJECT_COLLISION, (a_obj.oid, b_obj.oid)
 
     # (6) release: a decisive open
     if a.dg > GRIP_DG and g.held is not None:
@@ -213,17 +243,17 @@ def step(state: EnvState, action: Action, u: float) -> tuple[EnvState, Event]:
                     obj.x = _clip(base.x + dx / off * reach, 0.0, 1.0)
                     obj.y = _clip(base.y + dy / off * reach, 0.0, 1.0)
                     obj.z_level = 0
-                    events.append(Event(EventKind.STACK_TOPPLE, (obj.oid, base.oid)))
+                    if kind < _STACK_TOPPLE:
+                        kind, oids = _STACK_TOPPLE, (obj.oid, base.oid)
             else:
                 obj.z_level = 0
 
-    # (8) out-of-bounds flags
-    oob = tuple(out_of_bounds_ids(s))
-    if oob:
-        events.append(Event(EventKind.OUT_OF_BOUNDS, oob))
-
-    primary = max(events, key=lambda e: e.kind) if events else Event.none()
-    return s, primary
+    # (8) out-of-bounds flags, which every other event outranks
+    if kind == _NONE:
+        oids = tuple(out_of_bounds_ids(s))
+        if oids:
+            kind = _OUT_OF_BOUNDS
+    return s, Event.none() if kind == _NONE else Event(kind, oids)
 
 
 def out_of_bounds_ids(state: EnvState) -> list[int]:
@@ -232,12 +262,12 @@ def out_of_bounds_ids(state: EnvState) -> list[int]:
             if not (lo <= o.x <= hi and lo <= o.y <= hi)]
 
 
-def _integrate_fold(obj: ObjectState, move: tuple[float, float]) -> float:
+def _integrate_fold(obj: ObjectState, move_x: float, move_y: float) -> float:
     """Project gripper motion onto the free-end tangent; returns applied delta."""
     length = obj.size[0]
     phi = obj.theta + math.pi - obj.fold_angle
     tx, ty = math.sin(phi), -math.cos(phi)  # direction of increasing fold angle
-    delta = (move[0] * tx + move[1] * ty) / length
+    delta = (move_x * tx + move_y * ty) / length
     new = _clip(obj.fold_angle + delta, 0.0, math.pi)
     applied = new - obj.fold_angle
     obj.fold_angle = new

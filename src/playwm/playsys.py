@@ -68,46 +68,45 @@ def bench_config() -> ProposerConfig:
                           speed_range=(0.6, 1.9), towel_bias=4)
 
 
-def applicable_tasks(state: EnvState, cfg: ProposerConfig) -> dict[str, list[TaskSpec]]:
-    """Enumerate per-verb candidate tasks whose predicates are currently false."""
+def applicable_tasks(state: EnvState, cfg: ProposerConfig) -> dict[str, list[tuple]]:
+    """Enumerate per-verb candidate tasks whose predicates are currently
+    false, each as its (subject, target) pair; `propose` builds the
+    `TaskSpec` of the one it draws."""
     bowls = [o for o in state.objects if o.kind == "bowl"]
     rigids = [o for o in state.objects if o.kind in ("disk", "rect")]
     towels = [o for o in state.objects if o.kind == "towel2link"]
-    out: dict[str, list[TaskSpec]] = {v: [] for v in GRAMMAR_VERBS}
+    out: dict[str, list[tuple]] = {v: [] for v in GRAMMAR_VERBS}
 
     for bowl in bowls:
         for obj in rigids:
             inside = math.hypot(obj.x - bowl.x, obj.y - bowl.y) < bowl.size[0]
-            if inside:
-                out["take_out"].append(TaskSpec("take_out", obj.oid, bowl.oid))
-            else:
-                out["put_in"].append(TaskSpec("put_in", obj.oid, bowl.oid))
+            out["take_out" if inside else "put_in"].append((obj.oid, bowl.oid))
 
+    near = out["put_near"]
     for subj in rigids + towels:
         copies = max(1, cfg.towel_bias) if subj.kind == "towel2link" else 1
         for other in state.objects:
             if other.oid == subj.oid:
                 continue
             if math.hypot(subj.x - other.x, subj.y - other.y) >= NEAR_RADIUS:
-                out["put_near"].extend([TaskSpec("put_near", subj.oid, other.oid)] * copies)
+                near.extend([(subj.oid, other.oid)] * copies)
 
     for subj in rigids:
         for base in rigids:
             if base.oid == subj.oid:
                 continue
             if subj.z_level == base.z_level + 1 and math.hypot(subj.x - base.x, subj.y - base.y) <= R_STACK:
-                out["unstack"].append(TaskSpec("unstack", subj.oid, base.oid))
+                out["unstack"].append((subj.oid, base.oid))
             elif subj.z_level == 0:
-                out["stack"].append(TaskSpec("stack", subj.oid, base.oid))
+                out["stack"].append((subj.oid, base.oid))
 
     for towel in towels:
         if towel.fold_angle < FOLD_DONE:
-            out["fold"].append(TaskSpec("fold", towel.oid))
+            out["fold"].append((towel.oid, None))
         if towel.fold_angle > UNFOLD_DONE:
-            out["unfold"].append(TaskSpec("unfold", towel.oid))
+            out["unfold"].append((towel.oid, None))
 
-    for subj in rigids:
-        out["push_to"].append(TaskSpec("push_to", subj.oid, region=None))
+    out["push_to"] = [(subj.oid, None) for subj in rigids]
     return out
 
 
@@ -133,18 +132,18 @@ def propose(state: EnvState, cfg: ProposerConfig, rng: Rng) -> Instruction:
         raise ProposalError("no applicable instruction for this scene")
     weights = [cfg.verb_weights[v] for v in verbs]
     verb = verbs[rng.choice(weights)]
-    task = candidates[verb][rng.randint(len(candidates[verb]))]
-    if verb == "push_to":
-        region = (0.2 + rng.uniform() * 0.6, 0.2 + rng.uniform() * 0.6)
-        task = replace(task, region=region)
-    return Instruction(task, perturb)
+    subject, target = candidates[verb][rng.randint(len(candidates[verb]))]
+    region = (0.2 + rng.uniform() * 0.6, 0.2 + rng.uniform() * 0.6) if verb == "push_to" else None
+    return Instruction(TaskSpec(verb, subject, target, region), perturb)
 
 
 def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
     """Run one instruction to success, terminal failure, or MAX_STEPS steps.
-    The simulator clamps each action to `A_MAX`, and the episode records
-    the clamped actions. Its id and source are empty and its seed 0;
-    callers set them with `dataclasses.replace`."""
+    Each skill action is sanitized once (clamped to `A_MAX` and the rest):
+    the simulator executes that action and the episode records it, and the
+    simulator's own `sanitized` call returns it as it is. The episode's id
+    and source are empty and its seed 0; callers set them with
+    `dataclasses.replace`."""
     skill = SkillController(instr, rng)
     states = [env.state.copy()]
     actions: list[Action] = []
@@ -155,10 +154,11 @@ def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
         act = skill.action(env.state)
         if act is None:
             break
+        act = act.sanitized()
         u = env.rng.uniform()
         state, event = env.step(act, u)
         states.append(state)
-        actions.append(act.sanitized())
+        actions.append(act)
         events.append(event)
         noise.append(u)
         success = check_success(state, instr.task)

@@ -96,7 +96,7 @@ class Rng:
         if total <= 0.0:
             raise ValueError("choice needs positive total weight")
         u = self.uniform() * total
-        return int(np.searchsorted(np.cumsum(w), u, side="left").clip(0, len(w) - 1))
+        return min(int(np.searchsorted(np.cumsum(w), u, side="left")), len(w) - 1)
 
     def gauss(self) -> float:
         cached = self._gauss_cache

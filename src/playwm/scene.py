@@ -5,6 +5,9 @@ binary height (0 down, 1 up) and an aperture in [0, 1]. Objects are rigid
 disks and rectangles, an annular bowl, and a two-link towel hinged at its
 pivot whose fold angle in [0, pi] is the one articulated degree of freedom.
 A scene is its objects alone: the physics are `dynamics`' module constants.
+The state records (`ObjectState`, `GripperState`, `EnvState`) are slotted
+dataclasses: the simulator copies and reads them every step, and assigning
+a misspelled attribute raises AttributeError instead of adding a field.
 
 Object sizes by kind:
     disk        (radius,)
@@ -19,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 KINDS = ("disk", "rect", "bowl", "towel2link")
+_new = object.__new__
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectState:
     oid: int
     kind: str
@@ -49,7 +53,7 @@ class ObjectState:
         return (self.x + length * math.cos(phi), self.y + length * math.sin(phi))
 
 
-@dataclass
+@dataclass(slots=True)
 class GripperState:
     x: float = 0.5
     y: float = 0.5
@@ -58,7 +62,7 @@ class GripperState:
     held: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EnvState:
     gripper: GripperState
     objects: list[ObjectState]
@@ -71,10 +75,23 @@ class EnvState:
         raise KeyError(f"no object with id {oid}")
 
     def copy(self) -> "EnvState":
+        """A copy that shares no record with this state (objects share their
+        size tuples). The simulator copies the state every step, so the
+        objects are filled slot by slot, without an `__init__` call each."""
+        objects = []
+        for o in self.objects:
+            c = _new(ObjectState)
+            c.oid = o.oid
+            c.kind = o.kind
+            c.x = o.x
+            c.y = o.y
+            c.theta = o.theta
+            c.size = o.size
+            c.z_level = o.z_level
+            c.fold_angle = o.fold_angle
+            objects.append(c)
         g = self.gripper
-        return EnvState(GripperState(g.x, g.y, g.z, g.aperture, g.held),
-                        [ObjectState(o.oid, o.kind, o.x, o.y, o.theta, o.size, o.z_level,
-                                     o.fold_angle) for o in self.objects],
+        return EnvState(GripperState(g.x, g.y, g.z, g.aperture, g.held), objects,
                         self.slip_fated)
 
 

@@ -24,6 +24,13 @@ FOLD_TARGET = 0.96 * math.pi
 UNFOLD_TARGET = 0.04 * math.pi
 MAX_ATTEMPTS = 3  # plans per instruction before the controller gives up
 
+# the controller's fixed commands; actions are immutable, so each is built once
+RAISE = Action(dz=1.0)
+LOWER = Action(dz=-1.0)
+OPEN = Action(dg=1.0)
+CLOSE = Action(dg=-1.0)
+RAISE_OPEN = Action(dz=1.0, dg=1.0)
+
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -158,50 +165,51 @@ class SkillController:
             self.attempts += 1
             self._plan(state)
 
+        phase = self.phase
         task = self.instr.task
         g = state.gripper
-        speed_up = APPROACH_SPEED * self.instr.perturb.speed_mult
-        speed_carry = CARRY_SPEED * self.instr.perturb.speed_mult
 
-        if self.phase == "goto_grasp":
+        if phase == "goto_grasp":
             if g.z == 0:
-                return Action(dz=1.0)
+                return RAISE
             if g.aperture <= 0.5:
-                return Action(dg=1.0)
-            step = _step_toward(g.x, g.y, *self.grasp_point, speed_up)
+                return OPEN
+            step = _step_toward(g.x, g.y, self.grasp_point,
+                                APPROACH_SPEED * self.instr.perturb.speed_mult)
             if step is not None:
                 return step
             self.phase = "descend"
-            return Action(dz=-1.0)
+            return LOWER
 
-        if self.phase == "descend":
+        if phase == "descend":
             self.phase = "close"
-            return Action(dg=-1.0)
+            return CLOSE
 
-        if self.phase == "close":
+        if phase == "close":
             # the close command was just executed; check what it caught
             if g.held == task.subject:
                 self.phase = "arc" if task.verb in ("fold", "unfold") else "lift"
             else:
                 self.phase = "plan"  # retry with a fresh plan
-                return Action(dz=1.0, dg=1.0)
+                return RAISE_OPEN
             return self.action(state)
 
-        if self.phase == "lift":
+        if phase == "lift":
             self.phase = "carry"
-            return Action(dz=1.0)
+            return RAISE
 
-        if self.phase == "carry":
+        if phase == "carry":
             if g.held != task.subject:
                 self.phase = "plan"  # slipped; try again
                 return self.action(state)
-            step = _step_toward(g.x, g.y, *self.place_point, speed_carry)
+            step = _step_toward(g.x, g.y, self.place_point,
+                                CARRY_SPEED * self.instr.perturb.speed_mult)
             if step is not None:
                 return step
             self.phase = "finish"
-            return Action(dg=1.0)
+            return OPEN
 
-        if self.phase == "arc":
+        if phase == "arc":
             subj = state.object_by_id(task.subject)
             if g.held != task.subject:
                 self.phase = "plan"
@@ -210,48 +218,49 @@ class SkillController:
             done = subj.fold_angle >= target if task.verb == "fold" else subj.fold_angle <= target
             if done:
                 self.phase = "finish"
-                return Action(dg=1.0)
+                return OPEN
             sign = 1.0 if task.verb == "fold" else -1.0
             phi = subj.theta + math.pi - subj.fold_angle
             tx, ty = sign * math.sin(phi), -sign * math.cos(phi)
             nw = self._noise(self.instr.perturb.sigma_w * 0.3)
             return Action(dx=tx * PUSH_SPEED + nw[0], dy=ty * PUSH_SPEED + nw[1])
 
-        if self.phase == "goto_push_start":
+        if phase == "goto_push_start":
             if g.z == 0:
-                return Action(dz=1.0)
-            step = _step_toward(g.x, g.y, *self.grasp_point, speed_up)
+                return RAISE
+            step = _step_toward(g.x, g.y, self.grasp_point,
+                                APPROACH_SPEED * self.instr.perturb.speed_mult)
             if step is not None:
                 return step
             if g.aperture > 0.5:
-                return Action(dg=-1.0)  # close the fingers to push with the body
+                return CLOSE  # close the fingers to push with the body
             self.phase = "push"
-            return Action(dz=-1.0)
+            return LOWER
 
-        if self.phase == "push":
+        if phase == "push":
             if check_success(state, task):
                 self.phase = "finish"
-                return Action(dz=1.0)
-            step = _step_toward(g.x, g.y, *self.push_goal, PUSH_SPEED * self.instr.perturb.speed_mult)
+                return RAISE
+            step = _step_toward(g.x, g.y, self.push_goal, PUSH_SPEED * self.instr.perturb.speed_mult)
             if step is not None:
                 return step
             self.phase = "finish"
-            return Action(dz=1.0)
+            return RAISE
 
-        if self.phase == "finish":
+        if phase == "finish":
             if check_success(state, task):
                 return None
             if g.z == 0:
-                return Action(dz=1.0)
+                return RAISE
             self.phase = "plan"
             return self.action(state)
 
         return None
 
 
-def _step_toward(x, y, tx, ty, speed) -> Action | None:
+def _step_toward(x, y, waypoint, speed) -> Action | None:
     """Planar step toward a waypoint, or None when within tolerance."""
-    dx, dy = tx - x, ty - y
+    dx, dy = waypoint[0] - x, waypoint[1] - y
     d = math.hypot(dx, dy)
     if d <= WAYPOINT_TOL:
         return None

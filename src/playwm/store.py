@@ -43,8 +43,8 @@ Only this module knows the row layout.
 
 Durability: `append` creates no file once the store holds an episode. It
 writes the blob with one `pwrite` at the segment's committed end, then
-writes the episode's manifest line in append mode, flushes and fsyncs it;
-that fsync is the commit point, and earlier bytes of either file are never
+writes the episode's manifest line with one unbuffered `write` in append
+mode and fsyncs it; that fsync is the commit point, and earlier bytes of either file are never
 rewritten. An append that raises before its line is written leaves no
 record: its blob bytes lie past the committed end, and the next append
 overwrites them. One that raises while writing its line truncates the
@@ -100,6 +100,7 @@ HEADER = struct.Struct("<4sII")  # magic, version, meta_len
 _F8 = np.dtype("<f8")
 _I4 = np.dtype("<i4")
 _SHA256 = re.compile("[0-9a-f]{64}")
+_JSON = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds per call
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ class EpisodeStore:
             "n_steps": episode.n_steps,
             "seed": episode.seed,
         }
-        line = (json.dumps(rec, sort_keys=True) + "\n").encode()
+        line = (_JSON.encode(rec) + "\n").encode()
         fd = os.open(self._segment_path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             written = os.pwrite(fd, blob, self._segment_bytes)
@@ -258,10 +259,15 @@ class EpisodeStore:
             raise StoreError(f"{self._segment_path}: wrote {written} of episode "
                              f"{episode.eid!r}'s {len(blob)} bytes")
         try:
-            with open(self._manifest_path, "ab") as fh:
-                fh.write(line)
-                fh.flush()
-                os.fsync(fh.fileno())
+            fd = os.open(self._manifest_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                written = os.write(fd, line)
+                if written != len(line):
+                    raise StoreError(f"{self._manifest_path}: wrote {written} of episode "
+                                     f"{episode.eid!r}'s {len(line)}-byte line")
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         except BaseException:
             if os.path.exists(self._manifest_path):
                 os.truncate(self._manifest_path, self._manifest_bytes)
@@ -391,22 +397,22 @@ def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed:
         raise ValueError("states must be one longer than actions")
     if len(events) != len(actions) or len(noise) != len(actions):
         raise ValueError("events/noise must align with actions")
-    n_steps = len(actions)
+    n_steps, n_frames = len(actions), len(states)
     gripper, _, objects = statecodec.state_arrays(states)
-    held_slip = [[-1 if s.gripper.held is None else s.gripper.held, s.slip_fated] for s in states]
-    event_rows = np.full((n_steps, 3), -1, dtype="<i4")
-    for i, e in enumerate(events):
-        event_rows[i, 0] = int(e.kind)
-        for j, oid in enumerate(e.oids[:2]):
-            event_rows[i, 1 + j] = oid
+    held_slip, action_rows, event_rows = [], [], []  # each flat, row after row
+    for s in states:
+        held_slip += (-1 if s.gripper.held is None else s.gripper.held, s.slip_fated)
+    for a, e in zip(actions, events):
+        action_rows += (a.dx, a.dy, a.dz, a.dg)
+        event_rows += (e.kind, *e.oids, -1, -1)[:3]  # the first two ids, -1 for none
     episode = Episode(
         eid=eid, source=source, instruction=instruction, outcome=outcome, seed=seed,
         roster=roster(states[0].objects),
-        states=np.concatenate([gripper, np.array(held_slip, dtype=_F8),
-                               objects.reshape(len(states), -1)], axis=1, dtype=_F8),
-        actions=np.array([[a.dx, a.dy, a.dz, a.dg] for a in actions], dtype="<f8").reshape(n_steps, 4),
-        event_rows=event_rows,
-        noise=np.array(noise, dtype="<f8"),
+        states=np.concatenate([gripper, np.fromiter(held_slip, _F8, 2 * n_frames).reshape(-1, 2),
+                               objects.reshape(n_frames, -1)], axis=1, dtype=_F8),
+        actions=np.fromiter(action_rows, _F8, 4 * n_steps).reshape(n_steps, 4),
+        event_rows=np.fromiter(event_rows, _I4, 3 * n_steps).reshape(n_steps, 3),
+        noise=np.array(noise, dtype=_F8),
     )
     for rows in (episode.states, episode.actions, episode.event_rows, episode.noise):
         rows.flags.writeable = False
@@ -429,7 +435,7 @@ def _pack(ep: Episode) -> bytes:
         "perturb": {"sigma_w": perturb.sigma_w, "sigma_g": perturb.sigma_g,
                     "speed_mult": perturb.speed_mult, "synonym": perturb.synonym},
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    meta_bytes = _JSON.encode(meta).encode()
     return b"".join([HEADER.pack(MAGIC, VERSION, len(meta_bytes)), meta_bytes,
                      ep.states.tobytes(), ep.actions.tobytes(), ep.event_rows.tobytes(),
                      ep.noise.tobytes()])

@@ -133,7 +133,11 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) ->
     BLOCK_FRAMES frames (an episode longer than that is a block of its
     own): one `encode_states` and one `encode_action_rows` call a block,
     then one gather of every window of the block. Both codecs work row by
-    row, so the arrays equal those of encoding each window on its own."""
+    row, so the arrays equal those of encoding each window on its own.
+    No windows raise TrainingError naming the store: the arrays' widths
+    come from the episodes read."""
+    if not wins:
+        raise TrainingError(f"{store.root}: no training windows to build a dataset from")
     H, C = cfg.history, cfg.chunk
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):
@@ -157,8 +161,6 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) ->
         conds[at, :H * width] = window_states[:, :H].reshape(len(at), -1)
         conds[at, H * width:] = actions[step0[:, None] + np.arange(H - 1 + C)].reshape(len(at), -1)
         targets[at] = window_states[:, H:].reshape(len(at), -1)
-    if conds is None:  # no windows
-        conds, targets = np.zeros((0, (H - 1 + C) * 4)), np.zeros((0, 0))
     return WindowDataset(windows=wins, conds=conds, targets=targets)
 
 

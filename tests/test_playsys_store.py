@@ -1,7 +1,11 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import logging
 import os
+import pathlib
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -226,6 +230,28 @@ class TestCollect:
         assert second.states[0].tobytes() == first.states[-1].tobytes()
         assert [a.tobytes() for a in arrays] == snapshot
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_traced_layers_count_every_call(self, tmp_path):
+        """The benchmark's tracer wraps each layer through its module or
+        class attribute and the by-name imports of it, so a hot path that
+        bound one some other way at import time would drop out of the
+        per-layer trace. On a seeded collect it counts every step, every
+        proposal and every append."""
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module in {module for module, _, _ in tracing.LAYERS}:
+            importlib.import_module(f"playwm.{module}")
+        store = EpisodeStore(str(tmp_path / "s"))
+        with tracing.Tracer() as tracer:
+            collect(default_scene(), ProposerConfig(), 12, Rng(5), store)
+        calls = {name: stats[0] for name, stats in tracer.stats.items()}
+        steps = sum(store.read(eid).n_steps for eid in store.ids())
+        assert calls["dynamics.step"] == steps > 0
+        assert calls["playsys.propose"] == calls["store.EpisodeStore.append"] == len(store) == 12
+        assert calls["scene.EnvState.copy"] > steps
+        assert calls["skills.SkillController.action"] >= steps
 
     def test_two_runs_identical_manifests(self, tmp_path):
         h = []
@@ -758,6 +784,10 @@ class TestWindowEnumerator:
         store.read = lambda eid: read.append(eid) or store_read(eid)
         build_dataset(store, WmConfig(), wins=wins)
         assert read == list(dict.fromkeys(w.episode_id for w in wins))
+
+    def test_build_dataset_of_no_windows_names_the_store(self, seeded_play_store):
+        with pytest.raises(worldmodel.TrainingError, match=re.escape(seeded_play_store.root)):
+            build_dataset(seeded_play_store, WmConfig(), [])
 
     @pytest.mark.parametrize("block", [20, 64])
     def test_build_dataset_blocks_keep_each_window_bits(self, seeded_play_store, monkeypatch,

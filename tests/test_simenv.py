@@ -172,6 +172,37 @@ class TestStep:
         assert run() == run()
 
 
+class TestSanitize:
+    EXECUTABLE = [Action(), Action(dx=0.08, dy=-0.08, dz=1.0, dg=-1.0),
+                  Action(dx=0.01, dz=-1.0, dg=0.3)]
+    # out of bounds, -0.0, numpy and int fields, a dz to round and a NaN dx
+    OTHERS = [Action(dx=0.5, dy=-0.2, dz=0.4, dg=3.0), Action(dz=-0.0),
+              Action(dx=np.float64(0.01)), Action(dz=1), Action(dg=np.float64(2.0)),
+              Action(dy=0), Action(dz=-0.6), Action(dx=float("nan"))]
+
+    @pytest.mark.parametrize("action", EXECUTABLE)
+    def test_executable_action_is_returned_itself(self, action):
+        assert action.sanitized() is action
+
+    @pytest.mark.parametrize("action", EXECUTABLE + OTHERS)
+    def test_sanitizing_is_idempotent(self, action):
+        """Field for field, types included (repr also matches NaN to NaN)."""
+        once = action.sanitized()
+        assert repr(astuple(once.sanitized())) == repr(astuple(once))
+        assert type(once.dz) is float and once.dz in (-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("action", OTHERS)
+    def test_other_actions_are_built_anew(self, action):
+        assert action.sanitized() is not action
+
+    def test_negative_zero_dz_becomes_positive_zero(self):
+        assert math.copysign(1.0, Action(dz=-0.0).sanitized().dz) == 1.0
+
+    def test_nan_dz_raises(self):
+        with pytest.raises(ValueError):
+            Action(dz=float("nan")).sanitized()
+
+
 class TestStateCopy:
     @staticmethod
     def awkward_state():
@@ -203,6 +234,15 @@ class TestStateCopy:
         dup.objects.append(ObjectState(9, "disk", 0.5, 0.5, 0.0, (0.03,)))
         dup.slip_fated = False
         assert TestCodec.decoded_fields(src) == before
+
+    @pytest.mark.parametrize("record, name", [
+        (GripperState(), "apperture"),
+        (ObjectState(1, "disk", 0.3, 0.3, 0.0, (0.035,)), "z_lvl"),
+        (EnvState(GripperState(), []), "slip_fate"),
+    ])
+    def test_misspelled_attribute_raises(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
 
     def test_nominal_state_copies_the_templates(self):
         cfg = default_scene()
