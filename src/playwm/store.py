@@ -44,12 +44,12 @@ Only this module knows the row layout.
 Durability: `append` creates no file once the store holds an episode. It
 writes the blob with one `pwrite` at the segment's committed end, then
 writes the episode's manifest line with one unbuffered `write` in append
-mode and fsyncs it; that fsync is the commit point, and earlier bytes of either file are never
-rewritten. An append that raises before its line is written leaves no
-record: its blob bytes lie past the committed end, and the next append
-overwrites them. One that raises while writing its line truncates the
-manifest back to its committed length, so a retry of the same episode
-succeeds. A store has one writer.
+mode and fsyncs it; that fsync is the commit point, and earlier bytes of
+either file are never rewritten. An append that raises before its line is
+written leaves no record: its blob bytes lie past the committed end, and
+the next append overwrites them. One that raises while writing its line,
+or writes only part of it, truncates the manifest back to its committed
+length, so a retry of the same episode succeeds. A store has one writer.
 
 Recovery: opening a store indexes the manifest. A crash can leave a torn
 final line, which is dropped, truncating the file back to the last complete

@@ -536,6 +536,20 @@ class TestStore:
             assert reopened.verify(eid)
             assert reopened.read(eid).noise.tolist() == expert_episode(eid, seed=i).noise.tolist()
 
+    def test_short_manifest_write_leaves_no_record(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e0", seed=0))
+        committed = manifest_bytes(root)
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:-1]))
+        with pytest.raises(StoreError, match="manifest.jsonl: wrote"):
+            store.append(expert_episode("e1", seed=1))
+        monkeypatch.undo()
+        assert store.ids() == ["e0"] and manifest_bytes(root) == committed
+        store.append(expert_episode("e1", seed=1))
+        assert EpisodeStore(root).ids() == ["e0", "e1"]
+
     def test_old_layout_manifest_line_raises(self, tmp_path):
         """A line of the earlier layout, one blob file per episode."""
         root = str(tmp_path / "s")
