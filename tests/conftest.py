@@ -2,6 +2,8 @@
 at fixed seeds, whose closed-loop rollouts end in more than one behaviour
 mode."""
 
+import hashlib
+
 import pytest
 
 from playwm import policies, store, worldmodel
@@ -18,6 +20,20 @@ def events_of(episode):
     """The events of an episode's steps, decoded from its event rows."""
     return [Event(EventKind(kind), tuple(o for o in oids if o >= 0))
             for kind, *oids in episode.event_rows.tolist()]
+
+
+def content_digest(st):
+    """sha256 over each read episode of a store, in store order: the repr of
+    its metadata, then the bytes of its four arrays. It pins what reads
+    return whatever layout the files hold."""
+    h = hashlib.sha256()
+    for eid in st.ids():
+        ep = st.read(eid)
+        h.update(repr((ep.eid, ep.source, ep.instruction, ep.outcome, ep.seed,
+                       ep.roster)).encode())
+        for rows in (ep.states, ep.actions, ep.event_rows, ep.noise):
+            h.update(rows.tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import events_of
+from conftest import content_digest, events_of
 from playwm import bench, playsys, statecodec, worldmodel
 from playwm.curation import Embedder
 from playwm.dynamics import Action, EventKind
@@ -56,6 +56,8 @@ GOLDEN_MANIFEST_HASH = "8cf5051b8da16f2d918f740c47ebf094b06cea618a2b50f2eabb04cf
 # the same store's blob sha256 fields in manifest order, joined: pins the
 # blob bytes whatever layout holds them
 GOLDEN_BLOB_HASH = "06e97575b0f771b9f9a66f54fca8f7020b42089ea2f04eeff6272890a195e6f7"
+# the same store's content_digest: what reads return, whatever the layout
+GOLDEN_CONTENT_HASH = "c27f74467836167fd8ccad29ad63f867cbf221aea68ef1e65192b8678921b49b"
 
 
 def blob_record(store, eid):
@@ -392,6 +394,13 @@ class TestStore:
         joined = "".join(store.meta(eid)["sha256"] for eid in store.ids())
         assert hashlib.sha256(joined.encode()).hexdigest() == GOLDEN_BLOB_HASH
         assert all(store.verify(eid) for eid in store.ids())
+
+    def test_golden_content(self, tmp_path):
+        """Read through the store that wrote it and through a fresh one."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        collect(default_scene(), ProposerConfig(), 8, Rng(7), store)
+        assert content_digest(store) == GOLDEN_CONTENT_HASH
+        assert content_digest(EpisodeStore(store.root)) == GOLDEN_CONTENT_HASH
 
     def test_golden_manifest_hash_reopening_between_appends(self, tmp_path):
         root = str(tmp_path / "s")

@@ -2,12 +2,15 @@
 collections under each proposer config, and a digest of `dynamics.step`
 over seeded random (state, action, u) triples that reach every rule. Any
 change to the step, the skills, the proposer or the episode records that
-is meant to keep its outputs bit for bit keeps these digests."""
+is meant to keep its outputs bit for bit keeps these digests. The content
+digests of the same collections pin what reads return, so a change of the
+store's file layout moves only the manifest hashes."""
 
 import hashlib
 
 import numpy as np
 import pytest
+from conftest import content_digest
 
 from playwm import dynamics
 from playwm.dynamics import A_MAX, Action, EventKind
@@ -30,14 +33,34 @@ STEP_TRIPLES = 5000
 GOLDEN_STEP = "bf61cf972817d74cf73ccfcafdfd52769d9f0c6cc59e60f1db068dd8c0c737a7"
 
 
-@pytest.mark.parametrize("name", sorted(COLLECTIONS))
-def test_collect_manifest_pinned(tmp_path, name):
-    proposer, episodes, reset_each, seed, golden = COLLECTIONS[name]
-    store = EpisodeStore(str(tmp_path))
+# name -> content_digest of the collection's store
+CONTENT = {
+    "play": "650d9f59bbfa1fe6a708fa27a17e2895efe1dd3991ef8912dea152612dde8e79",
+    "demo": "05c221aff2e3b45bc1539b1dcabb9a7a67e9fe4a2fa388b955ceaea9efe49780",
+    "bench": "85a774d77868d58933675c1861d0ba9db966a836dba15677faa0fa8c860ea25d",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(COLLECTIONS))
+def collection(request, tmp_path_factory):
+    """(name, store) of one seeded collection."""
+    name = request.param
+    proposer, episodes, reset_each, seed, _ = COLLECTIONS[name]
+    store = EpisodeStore(str(tmp_path_factory.mktemp(name)))
     collect(default_scene(), proposer(), episodes, Rng(seed), store, source=name,
             reset_each=reset_each)
     assert len(store) == episodes
-    assert store.manifest_hash() == golden
+    return name, store
+
+
+def test_collect_manifest_pinned(collection):
+    name, store = collection
+    assert store.manifest_hash() == COLLECTIONS[name][-1]
+
+
+def test_collect_content_pinned(collection):
+    name, store = collection
+    assert content_digest(store) == CONTENT[name]
 
 
 def random_state(rng: Rng):
