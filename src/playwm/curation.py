@@ -193,7 +193,7 @@ def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
     """The (k, dim) k-means centroids of the embeddings of the demo store's
     success-episode windows."""
     views = {eid: demo_store.read(eid) for eid in demo_store.ids()
-             if demo_store.meta(eid)["outcome"]}
+             if demo_store.meta(eid).outcome}
     wins = [w for view in views.values() for w in episode_windows(view, window_len, window_len)]
     if len(wins) < k:
         raise ValueError(f"only {len(wins)} success windows, need at least {k}")

@@ -64,7 +64,7 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
     and at the last. Training stops after `patience` evaluations without
     improvement, and the model keeps the best parameters seen.
     NoSuccessDemos below 3 successful demos."""
-    success_ids = [eid for eid in demos.ids() if demos.meta(eid)["outcome"]]
+    success_ids = [eid for eid in demos.ids() if demos.meta(eid).outcome]
     if len(success_ids) < 3:
         raise NoSuccessDemos(f"need at least 3 successful demos, got {len(success_ids)}")
     rng.shuffle(success_ids)

@@ -1,78 +1,61 @@
-"""Episode persistence: one append-only segment of states-only blobs plus an
-append-only JSONL manifest.
+"""Episode persistence, layout 3: one append-only segment of bare array
+blobs plus an append-only JSONL manifest, the one record of each episode's
+metadata. A store's root holds exactly these two files.
 
-Layout: a store's root holds exactly two files. `episodes.bin`, the segment,
-is every episode's blob back to back in manifest order. `manifest.jsonl`
-has one line per episode: its id, the blob's length (`bytes`) and sha256,
-and the fields readers filter on. An episode's offset in the segment is the
-sum of the `bytes` of the lines before it, so no offset is stored.
+`manifest.jsonl` has one line per episode: `layout` (3), its id, its blob's
+length (`bytes`) and sha256, its source, outcome, seed and n_steps, its
+roster (`objects`, each object's [id, kind, size] in row order), its task
+and its perturbation. `episodes.bin`, the segment, is the blobs back to
+back in manifest order, so an episode's offset is the sum of the `bytes`
+of the lines before it. A blob is the episode's four arrays, little-endian:
 
-Blob layout, version 2 (little-endian throughout):
+    states  (n_steps + 1, 6 + 5*n_objects) f8   raw state rows, initial state first
+    actions (n_steps, 4) f8                     sanitized (dx, dy, dz, dg)
+    events  (n_steps, 3) i4                     kind, oid0, oid1 (-1 if absent)
+    noise   (n_steps,) f8                       per-step uniform draws
 
-    magic   4 bytes  b"PWEP"
-    version u32      2
-    meta_len u32     length of the UTF-8 JSON metadata block
-    meta    bytes    id, source, instruction, outcome, seed, counts
-    states  (n_frames, 6 + 5*n_objects) f8   raw state rows
-    actions (n_steps, 4) f8                  sanitized (dx, dy, dz, dg)
-    events  (n_steps, 3) i4                  kind, oid0, oid1 (-1 if absent)
-    noise   (n_steps,) f8                    per-step uniform draws
-
-n_frames = n_steps + 1 (initial state included). A state row is
-[gx, gy, gz, aperture, held_id, slip_fated] followed by
+A state row is [gx, gy, gz, aperture, held_id, slip_fated] followed by
 [x, y, theta, z_level, fold_angle] per object in roster order. Frames are
 not stored: `render.render_frames` reproduces them bit-exactly from the
-state arrays, so readers render only the frames they consume. Version 1
-blobs, which also held 64x64 frames, are not readable; reading one raises
-StoreError naming the segment, the episode and its version. Neither is a
-store of the earlier layout, one blob file per episode under `episodes/`:
-its manifest lines carry `file` instead of `bytes`, and opening it raises
-StoreError naming the manifest and the line.
+state arrays. Only this module knows the row layout.
 
 Records: `Episode` is the one episode record, read-only arrays of the
-blob's states, actions, events and noise plus the metadata (instruction and
-`scene.roster`). `record` builds it from a run's `EnvState`, `Action` and
-`Event` lists, adding held-id and slip columns to `statecodec.state_arrays`;
-`append` writes its arrays and `read` returns it over the blob's bytes.
-`episode.state_arrays(frames)` gives the arrays that `encode_states` and
-`render_frames` take; `episode.states_at(frames)` builds `EnvState`s from
-them. `windows` labels each clip from its event kinds and the task
-predicate at its last frame, built in one `states_at` call per episode;
-`episode_windows` does the same for one episode already read.
-Only this module knows the row layout.
+blob's rows plus the metadata. `record` builds it from a run's `EnvState`,
+`Action` and `Event` lists; `append` writes it and `read` returns it over
+the blob's bytes. `episode.state_arrays(frames)` gives the arrays that
+`encode_states` and `render_frames` take; `episode.states_at(frames)`
+builds `EnvState`s from them. `windows` labels each clip from its event
+kinds and the task predicate at its last frame; `episode_windows` does the
+same for one episode already read.
 
-Durability: `append` creates no file once the store holds an episode. It
-writes the blob with one `pwrite` at the segment's committed end, then
-writes the episode's manifest line with one unbuffered `write` in append
-mode and fsyncs it; that fsync is the commit point, and earlier bytes of
-either file are never rewritten. An append that raises before its line is
-written leaves no record: its blob bytes lie past the committed end, and
-the next append overwrites them. One that raises while writing its line,
-or writes only part of it, truncates the manifest back to its committed
-length, so a retry of the same episode succeeds. A store has one writer.
+Index: each manifest line is indexed once, when the store opens or the
+episode is appended, into an `Entry`: the blob's offset, length and sha256
+and the ready-built instruction, roster, outcome, source, seed and n_steps.
+Indexing checks the line's layout and field types, and that `bytes` is the
+length its n_steps and object count imply; a line that fails raises
+StoreError naming the manifest and the line. Stores of earlier layouts
+carry no `layout`, so opening one raises for line 1. Before it writes a
+byte, `append` also checks that the episode's arrays are C-contiguous rows
+of the layout's dtypes and of the shapes its n_steps and roster imply.
 
-Recovery: opening a store indexes the manifest. A crash can leave a torn
-final line, which is dropped, truncating the file back to the last complete
-line; a bad line anywhere else raises StoreError naming the manifest and the
-line number. So does a line, the final one too, whose `id` is not a
-string, `bytes` not a nonnegative integer, `sha256` not 64 lowercase hex
-digits or `outcome` not a bool: reads, `verify` and curation take these
-fields from it. The segment is then checked against the sum of `bytes`: a
-longer one (the blob of an append that never committed) is truncated back
-to it, and a shorter one raises StoreError naming the segment and both byte
-counts. The segment is not fsynced, so blob bytes a crash lost show there
-or, on `read`, as a sha256 mismatch.
+Durability: `append` writes the blob with one `pwrite` at the segment's
+committed end, then the manifest line with one unbuffered `write` in
+append mode, and fsyncs it: that fsync is the commit point, and earlier
+bytes of either file are never rewritten. An append that raises before its
+line is written leaves no record (the next append overwrites its blob
+bytes); one that raises while writing its line truncates the manifest back
+to its committed length. A store has one writer.
 
-Reads: every `read` takes its record with one `pread` and checks its
-length, sha256, magic, version and size, whether or not the store has read
-that episode before. The JSON metadata block is parsed only on the first
-read of an id through a store object; the parsed fields (id, source,
-instruction, outcome, seed, n_steps, roster) are kept per store and reused
-by later reads of that id, which then cost the checks and four array views.
-That is sound because the store is append-only and a blob that passes its
-sha256 check holds the bytes it held at the first parse. The kept fields
-hold no blob bytes and no `Episode`, and episodes of one roster share one
-roster tuple.
+Recovery: on open, a torn final manifest line is dropped and truncated
+away; any other line that is not a JSON record with an id raises
+StoreError. A segment longer than the sum of `bytes` (an append that never
+committed) is truncated back to it; a shorter one raises StoreError naming
+the segment and both byte counts. The segment is not fsynced, so blob
+bytes a crash lost show there or, on `read`, as a sha256 mismatch.
+
+Reads: every `read` takes the blob with one `pread`, checks its length and
+sha256 against the entry, and returns four array views over it with the
+entry's metadata. It parses nothing.
 """
 
 from __future__ import annotations
@@ -81,9 +64,7 @@ import hashlib
 import json
 import os
 import re
-import struct
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -92,11 +73,9 @@ from . import statecodec
 from .dynamics import Action, Event
 from .scene import EnvState, roster
 from .skills import Instruction, Perturbation
-from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
+from .tasks import VERBS, BehaviorMode, TaskSpec, check_success, classify_clip
 
-MAGIC = b"PWEP"
-VERSION = 2
-HEADER = struct.Struct("<4sII")  # magic, version, meta_len
+LAYOUT = 3
 _F8 = np.dtype("<f8")
 _I4 = np.dtype("<i4")
 _SHA256 = re.compile("[0-9a-f]{64}")
@@ -151,15 +130,17 @@ class StoreError(RuntimeError):
     pass
 
 
-class _Meta(NamedTuple):
-    """A blob's parsed metadata block, as `read` keeps it per episode."""
-    eid: str
+class Entry(NamedTuple):
+    """One episode as the store indexes its manifest line."""
+    offset: int  # of its blob in the segment
+    nbytes: int
+    sha256: str
     source: str
     instruction: Instruction
     outcome: bool
     seed: int
-    roster: tuple
     n_steps: int
+    roster: tuple
 
 
 class EpisodeStore:
@@ -168,11 +149,7 @@ class EpisodeStore:
         os.makedirs(root, exist_ok=True)
         self._manifest_path = os.path.join(root, "manifest.jsonl")
         self._segment_path = os.path.join(root, "episodes.bin")
-        self._index: dict[str, dict] = {}
-        self._offset: dict[str, int] = {}  # each episode's blob offset in the segment
-        self._parsed: dict[str, _Meta] = {}  # metadata of each episode read so far
-        self._rosters: dict[tuple, tuple] = {}  # one shared tuple per roster
-        self._tasks: dict[TaskSpec, TaskSpec] = {}  # one shared TaskSpec per task
+        self._index: dict[str, Entry] = {}
         self._manifest_bytes = 0  # committed lengths of the two files
         self._segment_bytes = 0
         if os.path.exists(self._manifest_path):
@@ -193,20 +170,11 @@ class EpisodeStore:
                     break
                 raise StoreError(f"{self._manifest_path}: line {lineno} is not a manifest "
                                  f"record") from None
-            nbytes = rec.get("bytes")
-            if type(nbytes) is not int or nbytes < 0:
-                raise StoreError(f"{self._manifest_path}: line {lineno} gives no blob length "
-                                 f"('bytes'); stores of one file per episode are not readable")
-            sha = rec.get("sha256")
-            if type(eid) is not str or type(sha) is not str or not _SHA256.fullmatch(sha) \
-                    or type(rec.get("outcome")) is not bool:
-                raise StoreError(f"{self._manifest_path}: line {lineno} needs a string id, a "
-                                 f"sha256 of 64 lowercase hex digits and a bool outcome")
+            entry = _entry(rec, self._segment_bytes, f"{self._manifest_path}: line {lineno}")
             if eid in self._index:
                 raise StoreError(f"{self._manifest_path}: line {lineno} repeats id {eid!r}")
-            self._index[eid] = rec
-            self._offset[eid] = self._segment_bytes
-            self._segment_bytes += nbytes
+            self._index[eid] = entry
+            self._segment_bytes += entry.nbytes
             self._manifest_bytes += len(line) + 1
         if self._manifest_bytes < len(data):
             _truncate(self._manifest_path, self._manifest_bytes)
@@ -229,26 +197,32 @@ class EpisodeStore:
     def ids(self) -> list[str]:
         return list(self._index.keys())
 
-    def meta(self, eid: str) -> dict:
-        rec = self._index.get(eid)
-        if rec is None:
+    def meta(self, eid: str) -> Entry:
+        entry = self._index.get(eid)
+        if entry is None:
             raise StoreError(f"unknown episode id {eid!r} in {self.root}")
-        return rec
+        return entry
 
     def append(self, episode: Episode) -> str:
         if episode.eid in self._index:
             raise StoreError(f"duplicate episode id {episode.eid!r}")
-        blob = _pack(episode)
+        _check_rows(episode)
+        blob = b"".join((episode.states, episode.actions, episode.event_rows, episode.noise))
         rec = {
+            "layout": LAYOUT,
             "id": episode.eid,
             "bytes": len(blob),
             "sha256": hashlib.sha256(blob).hexdigest(),
             "source": episode.source,
-            "verb": episode.instruction.task.verb,
             "outcome": episode.outcome,
-            "n_steps": episode.n_steps,
             "seed": episode.seed,
+            "n_steps": episode.n_steps,
+            "objects": episode.roster,
+            "task": vars(episode.instruction.task),
+            "perturb": vars(episode.instruction.perturb),
         }
+        entry = _entry(rec, self._segment_bytes,
+                       f"{self._manifest_path}: line {len(self._index) + 1}")
         line = (_JSON.encode(rec) + "\n").encode()
         fd = os.open(self._segment_path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
@@ -272,62 +246,40 @@ class EpisodeStore:
             if os.path.exists(self._manifest_path):
                 os.truncate(self._manifest_path, self._manifest_bytes)
             raise
-        self._index[episode.eid] = rec
-        self._offset[episode.eid] = self._segment_bytes
+        self._index[episode.eid] = entry
         self._segment_bytes += len(blob)
         self._manifest_bytes += len(line)
         return episode.eid
 
-    def _blob(self, eid: str) -> tuple[bytes, str | None]:
-        """The episode's bytes and, if they do not match its manifest record,
-        what is wrong with them."""
-        rec = self.meta(eid)
+    def _blob(self, eid: str) -> tuple[Entry, bytes, str | None]:
+        """The episode's entry, its bytes and, if they do not match the
+        entry, what is wrong with them."""
+        entry = self.meta(eid)
         fd = os.open(self._segment_path, os.O_RDONLY)
         try:
-            blob = os.pread(fd, rec["bytes"], self._offset[eid])
+            blob = os.pread(fd, entry.nbytes, entry.offset)
         finally:
             os.close(fd)
-        if len(blob) != rec["bytes"]:
-            return blob, f"holds {len(blob)} of the {rec['bytes']} bytes its manifest records"
-        if hashlib.sha256(blob).hexdigest() != rec["sha256"]:
-            return blob, "sha256 does not match the manifest record"
-        return blob, None
+        if len(blob) != entry.nbytes:
+            return entry, blob, f"holds {len(blob)} of the {entry.nbytes} bytes its manifest records"
+        if hashlib.sha256(blob).hexdigest() != entry.sha256:
+            return entry, blob, "sha256 does not match the manifest record"
+        return entry, blob, None
 
     def read(self, eid: str) -> Episode:
-        blob, fault = self._blob(eid)
-        where = f"{self._segment_path}: episode {eid!r}"
+        entry, blob, fault = self._blob(eid)
         if fault is not None:
-            raise StoreError(f"{where} {fault}")
-        if len(blob) < HEADER.size or blob[:4] != MAGIC:
-            raise StoreError(f"{where}: bad magic; not an episode blob")
-        _, version, meta_len = HEADER.unpack_from(blob)
-        if version != VERSION:
-            raise StoreError(f"{where}: blob version {version} is not readable "
-                             f"(this store reads version {VERSION})")
-        off = HEADER.size + meta_len
-        meta = self._parsed.get(eid)
-        if meta is None:
-            meta = self._parse(blob[HEADER.size:off])
-        states, actions, event_rows, noise = _rows(blob, off, meta.n_steps,
-                                                   len(meta.roster), where)
-        self._parsed[eid] = meta
-        return Episode(meta.eid, meta.source, meta.instruction, meta.outcome, meta.seed,
-                       meta.roster, states, actions, event_rows, noise)
-
-    def _parse(self, block: bytes) -> _Meta:
-        """The fields of one JSON metadata block; its source, task and
-        roster are shared with earlier episodes that have the same."""
-        meta = json.loads(block)
-        objs = tuple((o["id"], o["kind"], tuple(o["size"])) for o in meta["objects"])
-        t = meta["task"]
-        task = TaskSpec(t["verb"], t["subject"], t["target"],
-                        tuple(t["region"]) if t["region"] else None)
-        instr = Instruction(self._tasks.setdefault(task, task), Perturbation(**meta["perturb"]))
-        return _Meta(meta["id"], sys.intern(meta["source"]), instr, meta["outcome"], meta["seed"],
-                     self._rosters.setdefault(objs, objs), meta["n_steps"])
+            raise StoreError(f"{self._segment_path}: episode {eid!r} {fault}")
+        n = entry.n_steps
+        states = np.ndarray((n + 1, 6 + 5 * len(entry.roster)), _F8, blob)
+        actions = np.ndarray((n, 4), _F8, blob, states.nbytes)
+        event_rows = np.ndarray((n, 3), _I4, blob, states.nbytes + actions.nbytes)
+        noise = np.ndarray((n,), _F8, blob, len(blob) - 8 * n)
+        return Episode(eid, entry.source, entry.instruction, entry.outcome, entry.seed,
+                       entry.roster, states, actions, event_rows, noise)
 
     def verify(self, eid: str) -> bool:
-        return self._blob(eid)[1] is None
+        return self._blob(eid)[2] is None
 
     def manifest_hash(self) -> str:
         with open(self._manifest_path, "rb") as fh:
@@ -349,7 +301,7 @@ def windows(store: EpisodeStore, W: int, stride: int | None = None,
     the task predicate at its last frame."""
     stride = W if stride is None else stride
     _check_window(W, stride)
-    keep = None if ids is None else set(ids)
+    keep = None if ids is None else {eid: store.meta(eid) for eid in ids}  # an unknown id raises
     return [w for eid in store.ids() if keep is None or eid in keep
             for w in episode_windows(store.read(eid), W, stride)]
 
@@ -419,41 +371,67 @@ def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed:
     return episode
 
 
-def _pack(ep: Episode) -> bytes:
-    task = ep.instruction.task
-    perturb = ep.instruction.perturb
-    meta = {
-        "id": ep.eid,
-        "source": ep.source,
-        "outcome": ep.outcome,
-        "seed": ep.seed,
-        "n_steps": ep.n_steps,
-        "objects": [{"id": oid, "kind": kind, "size": list(size)}
-                    for oid, kind, size in ep.roster],
-        "task": {"verb": task.verb, "subject": task.subject, "target": task.target,
-                 "region": list(task.region) if task.region else None},
-        "perturb": {"sigma_w": perturb.sigma_w, "sigma_g": perturb.sigma_g,
-                    "speed_mult": perturb.speed_mult, "synonym": perturb.synonym},
-    }
-    meta_bytes = _JSON.encode(meta).encode()
-    return b"".join([HEADER.pack(MAGIC, VERSION, len(meta_bytes)), meta_bytes,
-                     ep.states.tobytes(), ep.actions.tobytes(), ep.event_rows.tobytes(),
-                     ep.noise.tobytes()])
+def _check_rows(ep: Episode) -> None:
+    """Raise StoreError unless the episode's arrays are C-contiguous rows of
+    the blob layout's dtypes and of the shapes its steps and roster imply."""
+    n, width = ep.n_steps, 6 + 5 * len(ep.roster)
+    for name, dtype, shape in (("states", _F8, (n + 1, width)), ("actions", _F8, (n, 4)),
+                               ("event_rows", _I4, (n, 3)), ("noise", _F8, (n,))):
+        rows = getattr(ep, name)
+        if rows.dtype != dtype or rows.shape != shape or not rows.flags.c_contiguous:
+            raise StoreError(f"episode {ep.eid!r}: its {name} are {rows.dtype.str} "
+                             f"{rows.shape}, contiguous={rows.flags.c_contiguous}; a blob "
+                             f"holds C-contiguous {dtype.str} {shape}")
 
 
-def _rows(blob: bytes, off: int, n_steps: int, n_obj: int, where: str
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only views of a blob's states, actions, event and noise rows,
-    which start at `off`; a blob of any other size raises StoreError."""
-    n_frames = n_steps + 1
-    row_w = 6 + 5 * n_obj
-    size = off + 8 * (n_frames * row_w + n_steps * 4 + n_steps) + 4 * n_steps * 3
-    if len(blob) != size:
-        raise StoreError(f"{where}: blob holds {len(blob)} bytes, its header implies {size}")
-    states = np.ndarray((n_frames, row_w), _F8, blob, off)
-    off += states.nbytes
-    actions = np.ndarray((n_steps, 4), _F8, blob, off)
-    off += actions.nbytes
-    event_rows = np.ndarray((n_steps, 3), _I4, blob, off)
-    off += event_rows.nbytes
-    return states, actions, event_rows, np.ndarray((n_steps,), _F8, blob, off)
+def _numbers(v, n: int | None = None) -> bool:
+    """Whether v is a list or tuple of ints and floats, n of them if n is given."""
+    return type(v) in (list, tuple) and (n is None or len(v) == n) \
+        and all(type(x) in (int, float) for x in v)
+
+
+_TASK = {f.name for f in fields(TaskSpec)}
+_PERTURB = {f.name for f in fields(Perturbation)}
+# what each field of a manifest line holds, and a check of that, on the line
+# as parsed and as `append` builds it (tuples where JSON has lists)
+_FIELDS = {
+    "id": ("a string", lambda v: type(v) is str),
+    "bytes": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
+    "sha256": ("64 lowercase hex digits", lambda v: type(v) is str and bool(_SHA256.fullmatch(v))),
+    "source": ("a string", lambda v: type(v) is str),
+    "outcome": ("a bool", lambda v: type(v) is bool),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "n_steps": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
+    "objects": ("a list of [id, kind, size]", lambda v: type(v) in (list, tuple) and all(
+        type(o) in (list, tuple) and len(o) == 3 and type(o[0]) is int and type(o[1]) is str
+        and _numbers(o[2]) for o in v)),
+    "task": ("a task's fields", lambda v: type(v) is dict and v.keys() == _TASK
+             and v["verb"] in VERBS and type(v["subject"]) is int
+             and (v["target"] is None or type(v["target"]) is int)
+             and (v["region"] is None or _numbers(v["region"], 2))),
+    "perturb": ("a perturbation's fields", lambda v: type(v) is dict and v.keys() == _PERTURB
+                and _numbers([v["sigma_w"], v["sigma_g"], v["speed_mult"]])
+                and type(v["synonym"]) is int),
+}
+
+
+def _entry(rec: dict, offset: int, where: str) -> Entry:
+    """The entry of a manifest line whose blob starts at `offset`; a line
+    that readers could not use raises StoreError naming it (`where`)."""
+    layout = rec.get("layout")
+    if type(layout) is not int or layout != LAYOUT:
+        raise StoreError(f"{where} has layout {layout!r}; this store reads layout {LAYOUT} "
+                         f"only, and stores of earlier layouts are not readable")
+    for key, (what, ok) in _FIELDS.items():
+        if not ok(rec.get(key)):
+            raise StoreError(f"{where} needs {what} in {key!r}, not {rec.get(key)!r}")
+    n_steps, objects, t = rec["n_steps"], rec["objects"], rec["task"]
+    nbytes = 8 * ((n_steps + 1) * (6 + 5 * len(objects)) + 5 * n_steps) + 12 * n_steps
+    if rec["bytes"] != nbytes:
+        raise StoreError(f"{where} gives {rec['bytes']} bytes; a blob of {n_steps} steps of "
+                         f"{len(objects)} objects holds {nbytes}")
+    task = TaskSpec(t["verb"], t["subject"], t["target"],
+                    None if t["region"] is None else tuple(t["region"]))
+    return Entry(offset, nbytes, rec["sha256"], rec["source"],
+                 Instruction(task, Perturbation(**rec["perturb"])), rec["outcome"], rec["seed"],
+                 n_steps, tuple((oid, kind, tuple(size)) for oid, kind, size in objects))

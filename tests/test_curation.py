@@ -223,7 +223,7 @@ class TestKmeans:
     def test_success_centroids_need_one_cluster(self, tmp_path, k):
         store = EpisodeStore(str(tmp_path / "demo"))
         store.append(demo_episode("e1"))
-        assert store.meta("e1")["outcome"]
+        assert store.meta("e1").outcome
         rng = Rng(0)
         with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
             cu.fit_success_centroids(store, cu.Embedder.create(0), k, rng)

@@ -62,11 +62,18 @@ GOLDEN_CONTENT_HASH = "c27f74467836167fd8ccad29ad63f867cbf221aea68ef1e65192b8678
 
 def blob_record(store, eid):
     """(segment path, offset, length) of the episode's blob."""
-    offset = 0
-    for other in store.ids():
-        if other == eid:
-            return os.path.join(store.root, "episodes.bin"), offset, store.meta(eid)["bytes"]
-        offset += store.meta(other)["bytes"]
+    entry = store.meta(eid)
+    return os.path.join(store.root, "episodes.bin"), entry.offset, entry.nbytes
+
+
+def manifest_records(root):
+    """The parsed lines of a store's manifest."""
+    return [json.loads(line) for line in manifest_bytes(root).splitlines()]
+
+
+def write_manifest(root, records):
+    with open(os.path.join(root, "manifest.jsonl"), "wb") as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True).encode() + b"\n" for rec in records)
 
 
 class ReopeningStore:
@@ -391,7 +398,7 @@ class TestStore:
     def test_golden_blob_hashes(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         collect(default_scene(), ProposerConfig(), 8, Rng(7), store)
-        joined = "".join(store.meta(eid)["sha256"] for eid in store.ids())
+        joined = "".join(store.meta(eid).sha256 for eid in store.ids())
         assert hashlib.sha256(joined.encode()).hexdigest() == GOLDEN_BLOB_HASH
         assert all(store.verify(eid) for eid in store.ids())
 
@@ -476,24 +483,6 @@ class TestStore:
             with pytest.raises(StoreError, match="unknown episode id"):
                 call("nope")
 
-    def test_version_1_blob_rejected(self, tmp_path):
-        root = str(tmp_path / "s")
-        store = EpisodeStore(root)
-        store.append(expert_episode("e1"))
-        rec = store.meta("e1")
-        path, offset, length = blob_record(store, "e1")
-        with open(path, "r+b") as fh:
-            fh.seek(offset)
-            blob = bytearray(fh.read(length))
-            blob[4:8] = (1).to_bytes(4, "little")
-            fh.seek(offset)
-            fh.write(blob)
-        line = json.dumps({**rec, "sha256": hashlib.sha256(blob).hexdigest()}, sort_keys=True)
-        with open(os.path.join(root, "manifest.jsonl"), "w") as fh:
-            fh.write(line + "\n")
-        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1': blob version 1"):
-            EpisodeStore(root).read("e1")
-
     def test_torn_segment_tail_dropped(self, tmp_path):
         """Blob bytes of an append that never wrote its manifest line."""
         root = str(tmp_path / "s")
@@ -559,37 +548,86 @@ class TestStore:
         store.append(expert_episode("e1", seed=1))
         assert EpisodeStore(root).ids() == ["e0", "e1"]
 
-    def test_old_layout_manifest_line_raises(self, tmp_path):
-        """A line of the earlier layout, one blob file per episode."""
+    def _two_episode_records(self, tmp_path):
         root = str(tmp_path / "s")
         store = EpisodeStore(root)
-        store.append(expert_episode("e0"))
-        old = {k: v for k, v in store.meta("e0").items() if k != "bytes"}
-        with open(os.path.join(root, "manifest.jsonl"), "ab") as fh:
-            line = json.dumps({**old, "id": "e1", "file": "episodes/e1.bin"}, sort_keys=True)
-            fh.write(line.encode() + b"\n")
-        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 2 gives no blob length"):
+        for i in range(2):
+            store.append(expert_episode(f"e{i}", seed=i))
+        return root, manifest_records(root)
+
+    def test_old_layout_manifest_line_raises(self, tmp_path):
+        """A store of the per-file layout, one blob file per episode."""
+        root, (rec, _) = self._two_episode_records(tmp_path)
+        old = {k: v for k, v in rec.items() if k not in ("layout", "bytes")}
+        write_manifest(root, [{**old, "file": "episodes/e0.bin"}])
+        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 1 has layout None; "
+                                             r"this store reads layout 3 only"):
+            EpisodeStore(root)
+
+    def test_v2_store_raises_naming_line_1(self, tmp_path):
+        """A line of layout 2, whose blobs held the metadata."""
+        root, records = self._two_episode_records(tmp_path)
+        keep = ("id", "bytes", "sha256", "source", "outcome", "n_steps", "seed")
+        write_manifest(root, [{**{k: rec[k] for k in keep}, "verb": rec["task"]["verb"]}
+                              for rec in records])
+        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 1 has layout None"):
+            EpisodeStore(root)
+
+    @pytest.mark.parametrize("layout", [2, 4, "3", 3.0])
+    def test_other_layout_raises_naming_its_line(self, tmp_path, layout):
+        root, (first, second) = self._two_episode_records(tmp_path)
+        write_manifest(root, [first, {**second, "layout": layout}])
+        with pytest.raises(StoreError, match=rf"manifest\.jsonl: line 2 has layout "
+                                             rf"{re.escape(repr(layout))};"):
+            EpisodeStore(root)
+
+    @pytest.mark.parametrize("field, step", [("bytes", 8), ("bytes", -12), ("n_steps", 1),
+                                             ("objects", None)])
+    def test_bytes_disagreeing_with_the_arrays_raises(self, tmp_path, field, step):
+        """`bytes` must be the length that n_steps and the object count
+        imply (step None: one object fewer)."""
+        root, (first, second) = self._two_episode_records(tmp_path)
+        value = second[field][:-1] if step is None else second[field] + step
+        write_manifest(root, [first, {**second, field: value}])
+        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 2 gives \d+ bytes; a blob "
+                                             r"of \d+ steps of \d+ objects holds \d+"):
             EpisodeStore(root)
 
     @pytest.mark.parametrize("field, value", [
         ("id", 7), ("sha256", None), ("sha256", "ab" * 31), ("sha256", "AB" * 32),
         ("outcome", 1), ("outcome", None),
+        ("bytes", None), ("bytes", -8), ("bytes", "4096"), ("source", None), ("source", 3),
+        ("seed", None), ("seed", 1.5), ("seed", True), ("n_steps", None), ("n_steps", -1),
+        ("objects", None),
+        pytest.param("objects", [[0, "bowl"]], id="objects-pair"),
+        pytest.param("objects", [[0, "bowl", ["0.11", 0.085]]], id="objects-string-size"),
+        pytest.param("objects", [["0", "bowl", [0.11, 0.085]]], id="objects-string-oid"),
+        ("task", None),
+        pytest.param("task", {"verb": "jump", "subject": 1, "target": 0, "region": None},
+                     id="task-unknown-verb"),
+        pytest.param("task", {"verb": "put_in", "subject": 1.0, "target": 0, "region": None},
+                     id="task-float-subject"),
+        pytest.param("task", {"verb": "push_to", "subject": 1, "target": None, "region": [0.5]},
+                     id="task-short-region"),
+        pytest.param("task", {"verb": "put_in", "subject": 1, "target": 0}, id="task-no-region"),
+        ("perturb", None),
+        pytest.param("perturb", {"sigma_w": 0.0, "sigma_g": 0.0, "speed_mult": "1.0",
+                                 "synonym": 0}, id="perturb-string-speed"),
+        pytest.param("perturb", {"sigma_w": 0.0, "sigma_g": 0.0, "speed_mult": 1.0,
+                                 "synonym": 0.0}, id="perturb-float-synonym"),
+        pytest.param("perturb", {"sigma_w": 0.0, "sigma_g": 0.0, "speed_mult": 1.0},
+                     id="perturb-no-synonym"),
     ])
     def test_mistyped_manifest_field_raises(self, tmp_path, field, value):
-        """A complete line, the final one too, whose id, sha256 or outcome
-        (None: without that field) reads and curation could not use fails
-        when the store opens, naming the line."""
-        root = str(tmp_path / "s")
-        store = EpisodeStore(root)
-        for i in range(2):
-            store.append(expert_episode(f"e{i}", seed=i))
-        rec = {k: v for k, v in store.meta("e1").items() if k != field}
+        """A complete line, the final one too, with a field (None: without
+        it) that reads and curation could not use fails when the store
+        opens, naming the line and the field."""
+        root, (first, second) = self._two_episode_records(tmp_path)
+        rec = {k: v for k, v in second.items() if k != field}
         if value is not None:
             rec[field] = value
-        first = manifest_bytes(root).splitlines(keepends=True)[0]
-        with open(os.path.join(root, "manifest.jsonl"), "wb") as fh:
-            fh.write(first + json.dumps(rec, sort_keys=True).encode() + b"\n")
-        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 2 needs a string id"):
+        write_manifest(root, [first, rec])
+        with pytest.raises(StoreError, match=rf"manifest\.jsonl: line 2 needs .* in '{field}'"):
             EpisodeStore(root)
 
     def test_layout_is_one_segment_and_the_manifest(self, seeded_play_store):
@@ -599,22 +637,21 @@ class TestStore:
         assert all(seeded_play_store.verify(eid) for eid in seeded_play_store.ids())
 
 
-def count_json_loads(monkeypatch):
-    """A list that gains an entry at each json.loads call."""
+def count_calls(monkeypatch, owner, name):
+    """A list that gains an entry at each call of owner.name."""
     calls = []
-    loads = json.loads
+    fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return loads(*args, **kwargs)
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(json, "loads", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 class TestRereads:
-    """A store parses an episode's metadata block once; every read still runs
-    every check."""
+    """A read parses nothing; every read runs every check."""
 
     def _store(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
@@ -623,46 +660,34 @@ class TestRereads:
         return store
 
     def test_second_read_parses_nothing(self, tmp_path, monkeypatch):
+        """Neither the first read nor a later one, through the store that
+        wrote the episode or a fresh one, calls json.loads."""
         store = self._store(tmp_path)
-        loads = count_json_loads(monkeypatch)
+        fresh = EpisodeStore(store.root)
+        loads = count_calls(monkeypatch, json, "loads")
         first = store.read("e1")
-        assert len(loads) == 1
         second = store.read("e1")
-        assert len(loads) == 1
+        again = fresh.read("e1")
+        assert loads == []
         for f in fields(Episode):
-            a, b = getattr(first, f.name), getattr(second, f.name)
+            a, b, c = getattr(first, f.name), getattr(second, f.name), getattr(again, f.name)
             if isinstance(a, np.ndarray):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
-                assert not b.flags.writeable, f.name
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()) \
+                    == (c.dtype, c.shape, c.tobytes()), f.name
+                assert not b.flags.writeable and not c.flags.writeable, f.name
             else:
-                assert a == b, f.name
-
-    def test_fresh_store_parses_again(self, tmp_path, monkeypatch):
-        store = self._store(tmp_path)
-        store.read("e1")
-        again = EpisodeStore(store.root)
-        loads = count_json_loads(monkeypatch)
-        assert again.read("e1").eid == "e1" and len(loads) == 1
-
-    def test_episodes_of_one_roster_share_one_roster(self, tmp_path):
-        store = self._store(tmp_path)
-        a, b = store.read("e1"), store.read("e2")
-        assert a.roster is b.roster
-        assert EpisodeStore(store.root).read("e1").roster is not a.roster
+                assert a == b == c, f.name
 
     def test_every_read_takes_one_pread(self, tmp_path, monkeypatch):
+        """And one sha256 of the bytes it read."""
         store = self._store(tmp_path)
-        calls = []
-        pread = os.pread
-
-        def counted(fd, n, offset):
-            calls.append((n, offset))
-            return pread(fd, n, offset)
-
-        monkeypatch.setattr(os, "pread", counted)
+        preads = count_calls(monkeypatch, os, "pread")
+        hashes = count_calls(monkeypatch, hashlib, "sha256")
         for _ in range(3):
             store.read("e2")
-        assert calls == [(store.meta("e2")["bytes"], store.meta("e1")["bytes"])] * 3
+        e1, e2 = store.meta("e1"), store.meta("e2")
+        assert [args[1:] for args in preads] == [(e2.nbytes, e1.nbytes)] * 3
+        assert len(hashes) == 3 and all(len(args[0]) == e2.nbytes for args in hashes)
 
     def _rewrite(self, store, eid, edit):
         """Replace the episode's blob in the segment by edit(blob), which
@@ -692,21 +717,51 @@ class TestRereads:
         with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e2' holds"):
             store.read("e2")
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda b: b"PWEQ" + b[4:], r"bad magic"),
-        (lambda b: b[:4] + (3).to_bytes(4, "little") + b[8:], r"blob version 3 is not readable"),
-        (lambda b: b[:8] + (int.from_bytes(b[8:12], "little") + 8).to_bytes(4, "little") + b[12:],
-         r"blob holds \d+ bytes, its header implies \d+"),
-    ], ids=["magic", "version", "size"])
-    def test_header_checks_run_on_a_reread(self, tmp_path, edit, message):
-        """Blob bytes changed after a first read, with the store's record of
-        their sha256 changed to match: the header checks still run."""
-        store = self._store(tmp_path)
-        store.read("e1")
-        blob = self._rewrite(store, "e1", edit)
-        store.meta("e1")["sha256"] = hashlib.sha256(blob).hexdigest()
-        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1': " + message):
-            store.read("e1")
+
+class TestAppendChecks:
+    """`append` commits no episode that it could not read back."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda ep: {"states": ep.states.astype(np.float32)},
+        lambda ep: {"noise": ep.noise.astype(">f8")},
+        lambda ep: {"event_rows": ep.event_rows.astype(np.int64)},
+        lambda ep: {"states": np.asfortranarray(ep.states)},
+        lambda ep: {"actions": np.asfortranarray(ep.actions)},
+        lambda ep: {"noise": ep.noise[:-1]},
+        lambda ep: {"states": ep.states[:-1]},
+        lambda ep: {"roster": ep.roster[:-1]},
+    ], ids=["float32-states", "big-endian-noise", "int64-events", "fortran-states",
+            "fortran-actions", "short-noise", "short-states", "roster-without-an-object"])
+    def test_unreadable_episode_rejected(self, tmp_path, edit):
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e0", seed=0))
+        files = {name: (tmp_path / "s" / name).read_bytes() for name in os.listdir(root)}
+        ep = expert_episode("bad", seed=1)
+        with pytest.raises(StoreError, match=r"episode 'bad': its \w+ are"):
+            store.append(replace(ep, **edit(ep)))
+        assert {name: (tmp_path / "s" / name).read_bytes() for name in os.listdir(root)} == files
+        assert len(store) == 1 and len(EpisodeStore(root)) == 1
+        store.append(ep)
+        assert EpisodeStore(root).read("bad").states.tobytes() == ep.states.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        {"seed": 1.5}, {"outcome": 1}, {"eid": 7},
+        {"roster": ((0, "bowl", (np.float64(0.11), 0.085)),)},
+        {"instruction": Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_w=np.float64(0.1)))},
+    ], ids=["float-seed", "int-outcome", "int-id", "numpy-size", "numpy-perturb"])
+    def test_unreadable_metadata_rejected(self, tmp_path, edit):
+        """Metadata that a reopened store would not read back the same."""
+        root = str(tmp_path / "s")
+        store = EpisodeStore(root)
+        store.append(expert_episode("e0", seed=0))
+        committed = manifest_bytes(root)
+        ep = expert_episode("bad", seed=1)
+        if "roster" in edit:  # states as wide as the one-object roster
+            edit = {**edit, "states": np.ascontiguousarray(ep.states[:, :11])}
+        with pytest.raises(StoreError, match=r"manifest\.jsonl: line 2 needs"):
+            store.append(replace(ep, **edit))
+        assert manifest_bytes(root) == committed and store.ids() == ["e0"]
 
 
 class TestWindows:
@@ -790,6 +845,12 @@ class TestWindowEnumerator:
     def test_windows_and_order_pinned(self, seeded_play_store, stride):
         ws = windows(seeded_play_store, 12, stride)
         assert (len(ws), window_digest(ws)) == self.GOLDEN[stride]
+
+    def test_unknown_id_in_ids_raises(self, seeded_play_store):
+        real = seeded_play_store.ids()[0]
+        with pytest.raises(StoreError, match=rf"unknown episode id 'nope' in "
+                                             rf"{re.escape(seeded_play_store.root)}"):
+            windows(seeded_play_store, 12, ids=["nope", real])
 
     def test_ids_filter_keeps_store_order(self, seeded_play_store):
         ids = seeded_play_store.ids()
