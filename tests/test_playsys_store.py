@@ -51,11 +51,11 @@ def manifest_bytes(root):
         return fh.read()
 
 
-# seed 7, 8 play episodes, blob version 2, blob lengths in the manifest
-GOLDEN_MANIFEST_HASH = "8cf5051b8da16f2d918f740c47ebf094b06cea618a2b50f2eabb04cf7f71a6f7"
+# seed 7, 8 play episodes, manifest layout 3: metadata in the manifest only
+GOLDEN_MANIFEST_HASH = "2ebc3ce5df68b5d153e75bbbf74ae007cc360bb0e728e4760092b10b1b0f1c79"
 # the same store's blob sha256 fields in manifest order, joined: pins the
 # blob bytes whatever layout holds them
-GOLDEN_BLOB_HASH = "06e97575b0f771b9f9a66f54fca8f7020b42089ea2f04eeff6272890a195e6f7"
+GOLDEN_BLOB_HASH = "5e9e6eae8d6f7e3dba9a5aa851e53f9765450ec56ff3397b7c0fd6816ac583e2"
 # the same store's content_digest: what reads return, whatever the layout
 GOLDEN_CONTENT_HASH = "c27f74467836167fd8ccad29ad63f867cbf221aea68ef1e65192b8678921b49b"
 

@@ -19,14 +19,14 @@ from playwm.rng import Rng
 from playwm.scene import default_scene, jittered_state
 from playwm.store import EpisodeStore
 
-# name -> (proposer, episodes, reset_each, seed, manifest sha256)
+# name -> (proposer, episodes, reset_each, seed, manifest sha256 of layout 3)
 COLLECTIONS = {
     "play": (ProposerConfig, 200, False, 31,
-             "3d7b39503778ccb60fdac372314922883e5cbcbbb0c11e6cf8b9207349ed13a6"),
+             "abbd380420230c70318adf4a5916d8a8b9e94502e53b606be65a56b98aa5e375"),
     "demo": (expert_config, 30, True, 32,
-             "5200b1b3d7ec4d5af6eeedf1535768ea67c56fa91a38c1e66ab9c2ccee80907d"),
+             "ec0bc000216a597509907b2d3c006b2a96962000e3e599bd5e743a10a828e659"),
     "bench": (bench_config, 60, False, 33,
-              "b5b9bc248d0a11e54f6460664337a85af29dd598cedc95c195f1218a56f6549d"),
+              "6ce31b2d05c89f6ded07641bafc952a1acdee673d377aa8081af86c1c1563175"),
 }
 
 STEP_TRIPLES = 5000
