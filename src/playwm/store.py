@@ -295,13 +295,14 @@ def _truncate(path: str, size: int) -> None:
 def windows(store: EpisodeStore, W: int, stride: int | None = None,
             ids: list[str] | None = None) -> list[ClipWindow]:
     """All maximal windows of W frames at the given stride, mode-labeled, in
-    store order; only episodes listed in `ids` are read when it is given.
+    store order; only episodes listed in `ids` are read when it is given,
+    and an id the store does not hold raises StoreError.
 
     A window's label is `classify_clip` of the kinds of its W-1 steps and
     the task predicate at its last frame."""
     stride = W if stride is None else stride
     _check_window(W, stride)
-    keep = None if ids is None else {eid: store.meta(eid) for eid in ids}  # an unknown id raises
+    keep = None if ids is None else {eid: store.meta(eid) for eid in ids}  # meta raises
     return [w for eid in store.ids() if keep is None or eid in keep
             for w in episode_windows(store.read(eid), W, stride)]
 
@@ -387,7 +388,7 @@ def _check_rows(ep: Episode) -> None:
 def _numbers(v, n: int | None = None) -> bool:
     """Whether v is a list or tuple of ints and floats, n of them if n is given."""
     return type(v) in (list, tuple) and (n is None or len(v) == n) \
-        and all(type(x) in (int, float) for x in v)
+        and {*map(type, v)} <= {int, float}
 
 
 _TASK = {f.name for f in fields(TaskSpec)}

@@ -167,6 +167,19 @@ def test_settable_values_are_pinned():
         f"{len(found)} settable values in src/playwm, pinned at {SETTABLE_VALUES}: {found}"
 
 
+# A ceiling on the lines of src/playwm/*.py, as `wc -l` counts them. A change
+# that needs more raises it and says why in CHANGES.md; one that removes
+# lines lowers it to the new count.
+PACKAGE_LINES = 4855
+
+
+def test_package_lines_are_capped():
+    """The package's size is a tracked number: it grows only with its pin."""
+    lines = sum(path.read_text().count("\n") for path in SRC.glob("*.py"))
+    assert lines <= PACKAGE_LINES, \
+        f"{lines} lines in src/playwm/*.py, over the ceiling of {PACKAGE_LINES}"
+
+
 # Stage functions of the play-against-demo study, defined ahead of the
 # `playwm run` command that is to call them, and the report fields that its
 # run record is to read.
