@@ -28,15 +28,18 @@ builds `EnvState`s from them. `windows` labels each clip from its event
 kinds and the task predicate at its last frame; `episode_windows` does the
 same for one episode already read.
 
-Index: each manifest line is indexed once, when the store opens or the
-episode is appended, into an `Entry`: the blob's offset, length and sha256
-and the ready-built instruction, roster, outcome, source, seed and n_steps.
-Indexing checks the line's layout and field types, and that `bytes` is the
-length its n_steps and object count imply; a line that fails raises
-StoreError naming the manifest and the line. Stores of earlier layouts
-carry no `layout`, so opening one raises for line 1. Before it writes a
-byte, `append` also checks that the episode's arrays are C-contiguous rows
-of the layout's dtypes and of the shapes its n_steps and roster imply.
+Index: each manifest line is indexed once into an `Entry`: the blob's
+offset, length and sha256 and the ready-built instruction, roster, outcome,
+source, seed and n_steps. Opening a store builds each entry from the line
+it parses, after checking the line's layout and field types and that
+`bytes` is the length its n_steps and object count imply; a line that
+fails raises StoreError naming the manifest and the line. Stores of
+earlier layouts carry no `layout`, so opening one raises for line 1.
+`append` builds the entry from the episode it writes. Before it writes a
+byte, it checks the line the same way, with tuples where JSON has lists,
+so the episode reads back the same from a reopened store, and it checks
+that the arrays are C-contiguous rows of the layout's dtypes and of the
+shapes its n_steps and roster imply, which fixes `bytes`.
 
 Durability: `append` writes the blob with one `pwrite` at the segment's
 committed end, then the manifest line with one unbuffered `write` in
@@ -221,8 +224,9 @@ class EpisodeStore:
             "task": vars(episode.instruction.task),
             "perturb": vars(episode.instruction.perturb),
         }
-        entry = _entry(rec, self._segment_bytes,
-                       f"{self._manifest_path}: line {len(self._index) + 1}")
+        fault = _fault(rec, tuple)  # the arrays' shapes, so `bytes`, are checked above
+        if fault is not None:
+            raise StoreError(f"{self._manifest_path}: line {len(self._index) + 1} {fault}")
         line = (_JSON.encode(rec) + "\n").encode()
         fd = os.open(self._segment_path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
@@ -246,7 +250,9 @@ class EpisodeStore:
             if os.path.exists(self._manifest_path):
                 os.truncate(self._manifest_path, self._manifest_bytes)
             raise
-        self._index[episode.eid] = entry
+        self._index[episode.eid] = Entry(self._segment_bytes, len(blob), rec["sha256"],
+                                         episode.source, episode.instruction, episode.outcome,
+                                         episode.seed, episode.n_steps, episode.roster)
         self._segment_bytes += len(blob)
         self._manifest_bytes += len(line)
         return episode.eid
@@ -385,47 +391,52 @@ def _check_rows(ep: Episode) -> None:
                              f"holds C-contiguous {dtype.str} {shape}")
 
 
-def _numbers(v, n: int | None = None) -> bool:
-    """Whether v is a list or tuple of ints and floats, n of them if n is given."""
-    return type(v) in (list, tuple) and (n is None or len(v) == n) \
-        and {*map(type, v)} <= {int, float}
-
-
 _TASK = {f.name for f in fields(TaskSpec)}
 _PERTURB = {f.name for f in fields(Perturbation)}
-# what each field of a manifest line holds, and a check of that, on the line
-# as parsed and as `append` builds it (tuples where JSON has lists)
-_FIELDS = {
-    "id": ("a string", lambda v: type(v) is str),
-    "bytes": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
-    "sha256": ("64 lowercase hex digits", lambda v: type(v) is str and bool(_SHA256.fullmatch(v))),
-    "source": ("a string", lambda v: type(v) is str),
-    "outcome": ("a bool", lambda v: type(v) is bool),
-    "seed": ("an integer", lambda v: type(v) is int),
-    "n_steps": ("a nonnegative integer", lambda v: type(v) is int and v >= 0),
-    "objects": ("a list of [id, kind, size]", lambda v: type(v) in (list, tuple) and all(
-        type(o) in (list, tuple) and len(o) == 3 and type(o[0]) is int and type(o[1]) is str
-        and _numbers(o[2]) for o in v)),
-    "task": ("a task's fields", lambda v: type(v) is dict and v.keys() == _TASK
-             and v["verb"] in VERBS and type(v["subject"]) is int
-             and (v["target"] is None or type(v["target"]) is int)
-             and (v["region"] is None or _numbers(v["region"], 2))),
-    "perturb": ("a perturbation's fields", lambda v: type(v) is dict and v.keys() == _PERTURB
-                and _numbers([v["sigma_w"], v["sigma_g"], v["speed_mult"]])
-                and type(v["synonym"]) is int),
-}
+_NUMBER = {int, float}
+_TYPES = {"id": str, "bytes": int, "sha256": str, "source": str, "outcome": bool, "seed": int,
+          "n_steps": int, "task": dict, "perturb": dict}  # of a manifest line's fields
+
+
+def _fault(rec: dict, seq: type) -> str | None:
+    """What a reader could not use in a manifest line, or None. `seq` is the
+    type of the line's arrays: list as parsed, tuple as `append` builds the
+    line from an episode, so that an appended episode reads back the same."""
+    layout = rec.get("layout")
+    if type(layout) is not int or layout != LAYOUT:
+        return (f"has layout {layout!r}; this store reads layout {LAYOUT} only, and stores "
+                f"of earlier layouts are not readable")
+    for key, kind in _TYPES.items():
+        if type(rec.get(key)) is not kind:
+            return f"needs {kind.__name__} in {key!r}, not {rec.get(key)!r}"
+    for key in ("bytes", "n_steps"):
+        if rec[key] < 0:
+            return f"needs a nonnegative integer in {key!r}, not {rec[key]!r}"
+    if not _SHA256.fullmatch(rec["sha256"]):
+        return f"needs 64 lowercase hex digits in 'sha256', not {rec['sha256']!r}"
+    objects, t, p = rec.get("objects"), rec["task"], rec["perturb"]
+    if type(objects) is not seq or not all(
+            type(o) is seq and len(o) == 3 and type(o[0]) is int and type(o[1]) is str
+            and type(o[2]) is seq and {*map(type, o[2])} <= _NUMBER for o in objects):
+        return f"needs a {seq.__name__} of [id, kind, size] in 'objects', not {objects!r}"
+    region = t.get("region")
+    if t.keys() != _TASK or t["verb"] not in VERBS or type(t["subject"]) is not int \
+            or t["target"] is not None and type(t["target"]) is not int \
+            or region is not None and (type(region) is not seq or len(region) != 2
+                                       or not {*map(type, region)} <= _NUMBER):
+        return f"needs a task's fields in 'task', not {t!r}"
+    if p.keys() != _PERTURB or type(p["synonym"]) is not int \
+            or not {type(p["sigma_w"]), type(p["sigma_g"]), type(p["speed_mult"])} <= _NUMBER:
+        return f"needs a perturbation's fields in 'perturb', not {p!r}"
+    return None
 
 
 def _entry(rec: dict, offset: int, where: str) -> Entry:
-    """The entry of a manifest line whose blob starts at `offset`; a line
-    that readers could not use raises StoreError naming it (`where`)."""
-    layout = rec.get("layout")
-    if type(layout) is not int or layout != LAYOUT:
-        raise StoreError(f"{where} has layout {layout!r}; this store reads layout {LAYOUT} "
-                         f"only, and stores of earlier layouts are not readable")
-    for key, (what, ok) in _FIELDS.items():
-        if not ok(rec.get(key)):
-            raise StoreError(f"{where} needs {what} in {key!r}, not {rec.get(key)!r}")
+    """The entry of a parsed manifest line whose blob starts at `offset`; a
+    line that readers could not use raises StoreError naming it (`where`)."""
+    fault = _fault(rec, list)
+    if fault is not None:
+        raise StoreError(f"{where} {fault}")
     n_steps, objects, t = rec["n_steps"], rec["objects"], rec["task"]
     nbytes = 8 * ((n_steps + 1) * (6 + 5 * len(objects)) + 5 * n_steps) + 12 * n_steps
     if rec["bytes"] != nbytes:

@@ -749,9 +749,13 @@ class TestAppendChecks:
         {"seed": 1.5}, {"outcome": 1}, {"eid": 7},
         {"roster": ((0, "bowl", (np.float64(0.11), 0.085)),)},
         {"instruction": Instruction(TaskSpec("put_in", 1, 0), Perturbation(sigma_w=np.float64(0.1)))},
-    ], ids=["float-seed", "int-outcome", "int-id", "numpy-size", "numpy-perturb"])
+        {"instruction": Instruction(TaskSpec("push_to", 1, region=[0.5, 0.5]), Perturbation())},
+        {"roster": ((0, "bowl", [0.11, 0.085]),)},
+    ], ids=["float-seed", "int-outcome", "int-id", "numpy-size", "numpy-perturb", "list-region",
+            "list-size"])
     def test_unreadable_metadata_rejected(self, tmp_path, edit):
-        """Metadata that a reopened store would not read back the same."""
+        """Metadata that a reopened store would not read back the same: a
+        value JSON would change, or a list where reads give a tuple."""
         root = str(tmp_path / "s")
         store = EpisodeStore(root)
         store.append(expert_episode("e0", seed=0))
