@@ -24,7 +24,8 @@ from .curation import Embedder
 from .dynamics import Action
 from .env import Env
 from .metrics import METRIC_NAMES, lpips_proxy, mse, psnr, ssim
-from .policies import INIT_JITTER, DiffusionPolicy, SuiteEntry, closed_loop, measure_env_success
+from .policies import (INIT_JITTER, SUITE_POLICIES, DiffusionPolicy, SuiteEntry, closed_loop,
+                       measure_env_success)
 from .render import render_frames, render_states
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
@@ -175,6 +176,12 @@ class EvalStudyConfig:
     max_steps: int = 30
     replan: int = 5      # aligned with the model chunk inside rollouts
 
+    def __post_init__(self):
+        for name in ("n_real", "n_wm", "max_steps", "replan"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 @dataclass
 class PolicyEvalRow:
@@ -217,8 +224,6 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
     succeeded by one model chunk, driven by the actions the simulator would
     execute, and labels their predicted transitions one at a time.
     """
-    if cfg.n_wm < 1:
-        raise ValueError(f"n_wm must be at least 1, got {cfg.n_wm}")
     if not isinstance(wm, WorldModel):
         return measure_env_success(policy, wm, cfg.task, cfg.n_wm, rng, cfg.max_steps,
                                    cfg.replan)
@@ -248,8 +253,9 @@ def _labelled(path: list[EnvState], actions: list[list[float]]):
 
 def run_policy_eval(entries: list[SuiteEntry], wm: WorldModel | SceneConfig,
                     scene: SceneConfig, cfg: EvalStudyConfig, rng: Rng) -> PolicyEvalReport:
-    if len(entries) < 6:
-        raise ValueError("the correlation study needs at least 6 policies")
+    if len(entries) < SUITE_POLICIES:
+        raise ValueError(f"a correlation study needs at least {SUITE_POLICIES} policies, "
+                         f"got {len(entries)}")
     rows = []
     for entry in entries:
         real_rate, real_hist = measure_real(entry.policy, scene, cfg, Rng(rng.spawn_seed()))

@@ -5,10 +5,11 @@ frames, the stand-in for a pretrained image encoder: the embedder's
 (4096, 32) matrix has i.i.d. entries +-1/sqrt(32), drawn from its seed with
 the package RNG, so it is reproducible and (in expectation) preserves
 pairwise distances of the projected frames. The store keeps no frames: each
-episode is read once as an array view, only its sampled state rows are
-taken from it, and those of consecutive episodes are rendered and projected
-in blocks of at most BLOCK_FRAMES frames, one rasterizer call and one
-product a block. Success centroids, a (k, dim) array, come from k-means
+episode is read once as an array view and only its sampled state rows are
+taken from it. Those rows are rendered and projected in `store.blocks`,
+one rasterizer call and one product a block: whole consecutive episodes of
+one roster, at most BLOCK_FRAMES sampled frames a block unless one episode
+alone samples more. Success centroids, a (k, dim) array, come from k-means
 over demo-success windows, each success demo read once for both its
 windows and their embeddings; each play window gets a distance-to-success
 (min Euclidean distance to any centroid) and a rank from equal-mass
@@ -27,12 +28,13 @@ import numpy as np
 
 from .render import FRAME_SIZE, render_frames
 from .rng import Rng
-from .store import ClipWindow, Episode, EpisodeStore, episode_windows, windows as store_windows
+from .store import (ClipWindow, Episode, EpisodeStore, blocks, episode_windows,
+                    windows as store_windows)
 
 EMBED_DIM = 32
 FRAME_PIXELS = FRAME_SIZE * FRAME_SIZE
 SAMPLED_FRAMES = 4
-BLOCK_FRAMES = 256     # sampled frames rendered and projected per call
+BLOCK_FRAMES = 256     # sampled frames of whole episodes rendered and projected per call
 MIN_PRODUCT_ROWS = 16  # zero rows pad a smaller block's projection to this many
 KMEANS_ITERS = 100     # Lloyd iterations at most
 KMEANS_TOL = 1e-6      # Lloyd stops once no centroid moves this far
@@ -75,7 +77,8 @@ def window_sample_indices(W: int) -> tuple[int, int, int, int]:
 def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
                         embedder: Embedder) -> np.ndarray:
     """Embed every window, reading each episode once. Each sampled frame is
-    rendered and projected once, in blocks of at most BLOCK_FRAMES frames."""
+    rendered and projected once, in the `store.blocks` of BLOCK_FRAMES
+    sampled frames: an episode's sampled frames are never split."""
     return _embed_windows(store.read, wins, embedder)
 
 
@@ -98,38 +101,14 @@ def _embed_windows(read: Callable[[str], Episode], wins: list[ClipWindow],
         n_rows += len(sampled[eid])
     embedded = np.empty((n_rows, EMBED_DIM))
     done = 0
-    for roster, gripper, objects in _sampled_blocks(read, sampled):
+    for block in blocks(((read(eid), len(ts)) for eid, ts in sampled.items()), BLOCK_FRAMES):
+        gripper, _, objects = (np.concatenate(part) for part in
+                               zip(*(view.state_arrays(sampled[view.eid]) for view, _ in block)))
         k = len(gripper)
-        embedded[done:done + k] = embedder.embed_frames(render_frames(gripper, objects, roster))
+        embedded[done:done + k] = embedder.embed_frames(
+            render_frames(gripper, objects, block[0][0].roster))
         done += k
     return embedded[picks].reshape(len(wins), embedder.dim)
-
-
-def _sampled_blocks(read: Callable[[str], Episode], sampled: dict[str, list[int]]):
-    """(roster, gripper, objects) blocks of the `render_frames` inputs of
-    every sampled frame, in order: at most BLOCK_FRAMES frames each, from
-    consecutive episodes with one object roster."""
-    roster, parts, n = None, [], 0
-    for eid, ts in sampled.items():
-        view = read(eid)
-        if parts and view.roster != roster:
-            yield roster, *_stack(parts)
-            parts, n = [], 0
-        roster = view.roster
-        while ts:
-            take, ts = ts[:BLOCK_FRAMES - n], ts[BLOCK_FRAMES - n:]
-            gripper, _, objects = view.state_arrays(take)
-            parts.append((gripper, objects))
-            n += len(take)
-            if n == BLOCK_FRAMES:
-                yield roster, *_stack(parts)
-                parts, n = [], 0
-    if parts:
-        yield roster, *_stack(parts)
-
-
-def _stack(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    return np.concatenate([g for g, _ in parts]), np.concatenate([o for _, o in parts])
 
 
 # -- k-means ------------------------------------------------------------------

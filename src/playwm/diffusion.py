@@ -145,12 +145,12 @@ def q_sample(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.
 
 
 def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarray,
-                   cond: np.ndarray, rng: Rng, grads: nets.FlatParams | None = None) -> float:
+                   cond: np.ndarray, rng: Rng, grads: nets.FlatParams) -> float:
     """Clean-signal loss: mean squared error between x0 and its estimate.
 
-    Samples t uniformly in {1..T} and eps ~ N(0, I) per batch row. With
-    grads (a FlatParams laid out like the denoiser's parameters) this is a
-    training step's loss: its parameter gradient is written into grads.
+    Samples t uniformly in {1..T} and eps ~ N(0, I) per batch row. Its
+    parameter gradient is written into grads, a FlatParams laid out like
+    the denoiser's parameters.
     Every timestep weighs the same; the noise-space objective would barely
     weigh the high-noise steps that few-step samplers depend on.
     """
@@ -161,11 +161,10 @@ def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarra
     x_t = q_sample(schedule, x0, t, eps)
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     inp = np.concatenate([x_t, cond, time_embedding(t, schedule.T)], axis=-1)
-    cache = None if grads is None else []
+    cache = []
     diff = nets.forward(denoiser.net, inp, cache) - x0
     inv_n = 1.0 / diff.size
-    if grads is not None:
-        ad.backward(denoiser.net, cache, (2.0 * diff) * inv_n, grads)
+    ad.backward(denoiser.net, cache, (2.0 * diff) * inv_n, grads)
     return float((diff * diff).sum() * inv_n)
 
 

@@ -252,12 +252,12 @@ def update(st: DsrlState, rng: Rng) -> dict:
 
 
 def actor_loss(st: DsrlState, s: np.ndarray, xi: np.ndarray, alpha: float,
-               grads: nets.FlatParams | None = None) -> tuple[float, np.ndarray]:
+               grads: nets.FlatParams) -> tuple[float, np.ndarray]:
     """The SAC actor objective and the log densities of its samples.
 
     loss = mean(alpha * logp(w | s) - min(q1, q2)(s, w)) over the
-    reparameterized squashed sample w = M tanh(mu + std * xi). With grads,
-    the loss gradient in the actor's parameters is written into grads; it
+    reparameterized squashed sample w = M tanh(mu + std * xi). The loss
+    gradient in the actor's parameters is written into grads; it
     reaches the actor through both critics' inputs and through logp.
     """
     B, M = s.shape[0], st.cfg.action_magnitude
@@ -268,9 +268,6 @@ def actor_loss(st: DsrlState, s: np.ndarray, xi: np.ndarray, alpha: float,
     q2 = nets.forward(st.critics.q2, joint, cache2)
     take1 = q1 <= q2
     loss = float((logp * alpha - np.where(take1, q1, q2).sum(axis=1)).sum() * (1.0 / B))
-    if grads is None:
-        return loss, logp
-
     g_logp = np.full(B, 1.0 / B) * alpha
     g_q = np.full((B, 1), -(1.0 / B))
     g_joint = (ad.backward(st.critics.q1, cache1, g_q * take1, None, input_grad=True)

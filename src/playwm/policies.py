@@ -41,6 +41,7 @@ HORIZON = 16     # actions per planned chunk
 LR = 1e-3        # behaviour-cloning Adam rate
 GRAD_CLIP = 1.0  # behaviour-cloning gradient-norm bound
 LOG_EVERY = 50   # steps between loss-trace entries
+SUITE_POLICIES = 6  # the fewest policies a correlation study compares
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,9 @@ class PolicySuiteSpec:
     variants: tuple
 
     def __post_init__(self):
-        if len(self.variants) < 2:
-            raise ValueError("a correlation study needs at least 2 policies")
+        if len(self.variants) < SUITE_POLICIES:
+            raise ValueError(f"a correlation study needs at least {SUITE_POLICIES} policies, "
+                             f"got {len(self.variants)}")
 
 
 def default_suite_spec() -> PolicySuiteSpec:
@@ -271,6 +273,8 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
     """
     if replan < 1:
         raise ValueError(f"replan must be at least 1, got {replan}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if n_rollouts < 1:
         raise ValueError(f"n_rollouts must be at least 1, got {n_rollouts}")
     envs = []

@@ -43,16 +43,14 @@ class NoSuccessDemos(ValueError):
     pass
 
 
-def progress_loss(net: nets.Mlp, x: np.ndarray, y: np.ndarray,
-                  grads: nets.FlatParams | None = None) -> float:
+def progress_loss(net: nets.Mlp, x: np.ndarray, y: np.ndarray, grads: nets.FlatParams) -> float:
     """Mean squared error of sigmoid(net(x)) against the progress targets y;
-    with grads, the parameter gradient is written into grads."""
-    cache = None if grads is None else []
+    the parameter gradient is written into grads."""
+    cache = []
     out = nets.forward(net, x, cache)
     pred = 1.0 / (1.0 + np.exp(-out))
     loss, dpred = ad.mse(pred, y)
-    if grads is not None:
-        ad.backward(net, cache, dpred * pred * (1.0 - pred), grads)
+    ad.backward(net, cache, dpred * pred * (1.0 - pred), grads)
     return loss
 
 

@@ -26,7 +26,10 @@ the blob's bytes. `episode.state_arrays(frames)` gives the arrays that
 `encode_states` and `render_frames` take; `episode.states_at(frames)`
 builds `EnvState`s from them. `windows` labels each clip from its event
 kinds and the task predicate at its last frame; `episode_windows` does the
-same for one episode already read.
+same for one episode already read. `blocks` is the one rule by which
+readers batch episodes for vectorized work: whole consecutive episodes of
+one roster, as many as fit a frame budget, each read only when its block
+is built.
 
 Index: each manifest line is indexed once into an `Entry`: the blob's
 offset, length and sha256 and the ready-built instruction, roster, outcome,
@@ -68,7 +71,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -341,6 +344,23 @@ def split(store: EpisodeStore, held_out_fraction: float, rng) -> tuple[list[str]
     held = sorted(ids[:k])
     train = sorted(ids[k:])
     return train, held
+
+
+def blocks(items: Iterable[tuple[Episode, int]],
+           limit: int) -> Iterator[list[tuple[Episode, int]]]:
+    """Lists of consecutive (episode, n) pairs of `items`, pulled one at a
+    time: the episodes of a list share one roster and their n sum to at
+    most `limit`, except that an episode whose n alone is over it forms a
+    list of its own."""
+    block, n = [], 0
+    for episode, k in items:
+        if block and (n + k > limit or episode.roster != block[0][0].roster):
+            yield block
+            block, n = [], 0
+        block.append((episode, k))
+        n += k
+    if block:
+        yield block
 
 
 # -- rows and blobs ---------------------------------------------------------

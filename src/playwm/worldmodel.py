@@ -23,7 +23,7 @@ from .optim import Adam, clip_grad_norm, warmup_cosine_lr
 from .render import render_frames
 from .rng import Rng
 from .scene import EnvState, SceneConfig, roster, scene_from_dict, scene_to_dict
-from .store import ClipWindow, EpisodeStore
+from .store import ClipWindow, EpisodeStore, blocks
 
 
 LR = 1e-3            # desk preset; full-scale preset is 5e-6
@@ -129,11 +129,11 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) ->
     """Assemble (conditioning, target) arrays for every training window.
 
     Each episode is read once, in order of first appearance in `wins`.
-    Consecutive episodes are encoded together in blocks of at most
-    BLOCK_FRAMES frames (an episode longer than that is a block of its
-    own): one `encode_states` and one `encode_action_rows` call a block,
-    then one gather of every window of the block. Both codecs work row by
-    row, so the arrays equal those of encoding each window on its own.
+    Consecutive episodes are encoded together in the `store.blocks` of
+    BLOCK_FRAMES frames: one `encode_states` and one `encode_action_rows`
+    call a block, then one gather of every window of the block. Both codecs
+    work row by row, so the arrays equal those of encoding each window on
+    its own.
     No windows raise TrainingError naming the store: the arrays' widths
     come from the episodes read."""
     if not wins:
@@ -143,13 +143,15 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) ->
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
     conds = targets = None
-    for views, rows in _episode_blocks(store, by_ep):
+    for block in blocks(((view, view.n_frames) for view in map(store.read, by_ep)),
+                        BLOCK_FRAMES):
+        views = [view for view, _ in block]
         states = statecodec.encode_states(*(np.concatenate(part) for part in
                                             zip(*(v.state_arrays() for v in views))))
         actions = statecodec.encode_action_rows(np.concatenate([v.actions for v in views]))
-        at = [i for ep_rows in rows for i in ep_rows]
+        at = [i for v in views for i in by_ep[v.eid]]
         starts = np.array([wins[i].start for i in at])
-        per_ep = [len(ep_rows) for ep_rows in rows]
+        per_ep = [len(by_ep[v.eid]) for v in views]
         # each window's first frame and first step in the block's arrays
         frame0 = np.repeat(np.cumsum([0] + [v.n_frames for v in views[:-1]]), per_ep) + starts
         step0 = np.repeat(np.cumsum([0] + [v.n_steps for v in views[:-1]]), per_ep) + starts
@@ -162,23 +164,6 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) ->
         conds[at, H * width:] = actions[step0[:, None] + np.arange(H - 1 + C)].reshape(len(at), -1)
         targets[at] = window_states[:, H:].reshape(len(at), -1)
     return WindowDataset(windows=wins, conds=conds, targets=targets)
-
-
-def _episode_blocks(store: EpisodeStore, by_ep: dict[str, list[int]]):
-    """(views, rows) blocks of consecutive episodes of `by_ep` read from the
-    store, each with the window rows of each of its episodes: at most
-    BLOCK_FRAMES frames a block, or one episode that alone holds more."""
-    views, rows, n = [], [], 0
-    for eid, ep_rows in by_ep.items():
-        view = store.read(eid)
-        if views and n + view.n_frames > BLOCK_FRAMES:
-            yield views, rows
-            views, rows, n = [], [], 0
-        views.append(view)
-        rows.append(ep_rows)
-        n += view.n_frames
-    if views:
-        yield views, rows
 
 
 # -- training -----------------------------------------------------------------

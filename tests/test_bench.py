@@ -282,10 +282,12 @@ def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan,
             assert env.flags == [False] * max_steps
 
 
-@pytest.mark.parametrize("bad", [{"replan": 0}, {"replan": -1}, {"n_rollouts": 0}])
+@pytest.mark.parametrize("bad", [{"replan": 0}, {"replan": -1}, {"n_rollouts": 0},
+                                 {"max_steps": 0}, {"max_steps": -3}])
 def test_real_rollouts_reject_bad_counts(trained, bad):
-    """A replan below 1 would never advance the loop, and no rollouts have no
-    success rate; both fail, naming the value, before the loop draws."""
+    """A replan below 1 would never advance the loop, a step budget below 1
+    would label every rollout without a step, and no rollouts have no
+    success rate; each fails, naming the value, before the loop draws."""
     scene, policy, _ = trained
     rng = Rng(73)
     args = {"n_rollouts": 3, "max_steps": 30, "replan": 5, **bad}
@@ -311,14 +313,24 @@ def test_measure_real_plans_once_per_decision(trained, monkeypatch):
 @pytest.mark.parametrize("n_wm", [0, -2])
 @pytest.mark.parametrize("in_model", [True, False])
 def test_imagined_rollouts_reject_bad_counts(trained, n_wm, in_model):
-    """No imagined rollouts have no success rate: in the world model and in
-    the simulator alike, n_wm below 1 fails by name before anything draws."""
+    """No imagined rollouts have no success rate: the config refuses n_wm
+    below 1 by name, so neither the world model nor the simulator draws."""
     scene, policy, wm = trained
     rng = Rng(71)
     with pytest.raises(ValueError, match=f"n_wm must be at least 1, got {n_wm}"):
         measure_imagined(policy, wm if in_model else scene,
                          EvalStudyConfig(task=TASK, n_wm=n_wm), rng)
     assert rng.spawn_seed() == Rng(71).spawn_seed()
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("field", ["n_real", "n_wm", "max_steps", "replan"])
+def test_eval_config_rejects_counts_that_run_nothing(field, value):
+    """A config whose rollouts take no step or that runs no rollout would
+    report rates over nothing: max_steps 0 once labelled every real rollout
+    a success without a step."""
+    with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+        EvalStudyConfig(task=TASK, **{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -475,14 +487,29 @@ def test_build_suite_keeps_each_trained_variant_demos_under_the_root(tmp_path):
     root; the entries come back in spec order, each trained as its variant
     asks."""
     scene = default_scene()
-    spec = policies.PolicySuiteSpec(TASK, (policies.PolicyVariant("untrained", 0, 0.0, 0),
-                                           policies.PolicyVariant("d1", 1, 0.2, 3)))
+    untrained = tuple(policies.PolicyVariant(f"untrained{k}", 0, 0.0, 0) for k in range(5))
+    trained_variant = policies.PolicyVariant("d1", 1, 0.2, 3)
+    spec = policies.PolicySuiteSpec(TASK, (untrained[0], trained_variant, *untrained[1:]))
     root = tmp_path / "suite"
     entries = policies.build_suite(spec, scene, Rng(9), str(root))
     assert [e.variant for e in entries] == list(spec.variants)
-    assert [e.policy.train_steps_done for e in entries] == [0, 3]
+    assert [e.policy.train_steps_done for e in entries] == [0, 3, 0, 0, 0, 0]
     assert sorted(os.listdir(root)) == ["d1"]
     assert len(EpisodeStore(str(root / "d1"))) == 1
+
+
+def test_a_suite_of_too_few_policies_is_refused_before_training(trained):
+    """The spec refuses fewer than SUITE_POLICIES variants when it is built,
+    and `run_policy_eval` as many entries, before it measures any."""
+    scene, policy, _ = trained
+    variants = tuple(policies.PolicyVariant(f"v{k}", 0, 0.0, 0)
+                     for k in range(policies.SUITE_POLICIES))
+    policies.PolicySuiteSpec(TASK, variants)
+    with pytest.raises(ValueError, match="at least 6 policies, got 3"):
+        policies.PolicySuiteSpec(TASK, variants[:3])
+    entries = [policies.SuiteEntry(v, policy) for v in variants[:-1]]
+    with pytest.raises(ValueError, match="at least 6 policies, got 5"):
+        bench.run_policy_eval(entries, scene, scene, EvalStudyConfig(task=TASK), Rng(0))
 
 
 @pytest.mark.parametrize("in_model", [True, False])

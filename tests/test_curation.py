@@ -129,7 +129,7 @@ class TestEmbedder:
                 return x @ self.view(np.ndarray)
 
         monkeypatch.setattr(cu, "render_frames", counting_render)
-        wins = windows(play_store, 12, stride=2)
+        wins = windows(play_store, 12, stride=1)
         emb = cu.Embedder(cu.Embedder.create(4).matrix.view(CountingMatrix))
         cu.embed_store_windows(play_store, wins + wins, emb)
         sampled = {}
@@ -138,10 +138,17 @@ class TestEmbedder:
                 w.start + j for j in cu.window_sample_indices(w.length))
         want = np.concatenate([play_store.read(eid).state_arrays()[0][sorted(ts)]
                                for eid, ts in sampled.items()])
+        assert len(want) > cu.BLOCK_FRAMES  # the windows cross a block boundary
+        assert len({play_store.meta(eid).roster for eid in sampled}) == 1
         assert np.concatenate(rendered).tobytes() == want.tobytes()
-        n = len(want)
-        assert [len(g) for g in rendered] == \
-            [cu.BLOCK_FRAMES] * (n // cu.BLOCK_FRAMES) + [n % cu.BLOCK_FRAMES]
+        blocks, n = [], 0  # whole episodes, as many as fit
+        for k in map(len, sampled.values()):
+            if n + k > cu.BLOCK_FRAMES:
+                blocks.append(n)
+                n = 0
+            n += k
+        assert [len(g) for g in rendered] == blocks + [n]
+        assert max(map(len, rendered)) <= cu.BLOCK_FRAMES
         assert products == [max(len(g), cu.MIN_PRODUCT_ROWS) for g in rendered]
 
     def test_peak_memory_does_not_grow_with_the_store(self, tmp_path):

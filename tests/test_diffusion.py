@@ -95,7 +95,7 @@ class TestLoss:
         net = zero_denoiser(target_dim=2, cond_dim=3)
         rng = Rng(1)
         x0 = np.zeros((4, 2))  # zero net output == the true clean signal here
-        loss = df.diffusion_loss(net, s, x0, np.zeros((4, 3)), rng)
+        loss = df.diffusion_loss(net, s, x0, np.zeros((4, 3)), rng, net.net.params.zeros_like())
         assert loss == 0.0
 
     def test_zero_net_loss_is_mean_square_of_x0(self):
@@ -103,7 +103,8 @@ class TestLoss:
         s = df.NoiseSchedule.linear(10, 1e-4, 0.02)
         net = zero_denoiser(target_dim=4, cond_dim=2)
         x0 = Rng(2).normal((64, 4))
-        loss = df.diffusion_loss(net, s, x0, np.zeros((64, 2)), Rng(3))
+        loss = df.diffusion_loss(net, s, x0, np.zeros((64, 2)), Rng(3),
+                                 net.net.params.zeros_like())
         assert loss == pytest.approx(float((x0 * x0).mean()), rel=1e-14)
 
     def test_loss_nonnegative_and_differentiable(self):
@@ -122,6 +123,7 @@ class TestLoss:
 
         def loss(grads=None):
             # a fresh generator per call: every evaluation draws the same t and eps
+            grads = net.net.params.zeros_like() if grads is None else grads
             return df.diffusion_loss(net, s, x0, cond, Rng(8), grads)
 
         grads = net.net.params.zeros_like()

@@ -163,7 +163,8 @@ class TestLossGradients:
         assert loss == pytest.approx(float(((p - y) ** 2).mean()), rel=1e-12)
         for name, arr in net.params.items():
             assert_grads_close(grads[name],
-                               finite_diff(arr, lambda: progress.progress_loss(net, x, y)), name)
+                               finite_diff(arr, lambda: progress.progress_loss(
+                                   net, x, y, net.params.zeros_like())), name)
 
     def test_dsrl_actor_loss_through_both_critics(self):
         st, s, xi = small_dsrl(15)
@@ -174,7 +175,8 @@ class TestLossGradients:
         grads = st.actor.net.params.zeros_like()
         dsrl.actor_loss(st, s, xi, 0.3, grads)
         for name, arr in st.actor.net.params.items():
-            want = finite_diff(arr, lambda: dsrl.actor_loss(st, s, xi, 0.3)[0])
+            want = finite_diff(arr, lambda: dsrl.actor_loss(
+                st, s, xi, 0.3, st.actor.net.params.zeros_like())[0])
             assert_grads_close(grads[name], want, name)
 
 
@@ -185,7 +187,8 @@ def test_dsrl_sample_log_density_is_the_trained_one():
     st, s, _ = small_dsrl(16)
     xi = Rng(30).normal((len(s), st.actor.latent_dim))
     _, logp = st.actor.sample(s, Rng(30))
-    assert np.array_equal(logp, dsrl.actor_loss(st, s, xi, 0.2)[1])
+    grads = st.actor.net.params.zeros_like()
+    assert np.array_equal(logp, dsrl.actor_loss(st, s, xi, 0.2, grads)[1])
 
 
 class TestMlpForward:

@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from playwm.render import render
 from playwm.rng import Rng
 from playwm.scene import EnvState, GripperState, ObjectState, default_scene, jittered_state
 from playwm.skills import Instruction, Perturbation
-from playwm.store import Episode, EpisodeStore, StoreError, record, split, windows
+from playwm.store import Episode, EpisodeStore, StoreError, blocks, record, split, windows
 from playwm.tasks import BehaviorMode, TaskSpec, check_success
 from playwm.worldmodel import WmConfig, build_dataset
 
@@ -958,3 +959,51 @@ class TestSplit:
         assert not set(train) & set(held)
         train2, held2 = split(store, 0.2, Rng(3))
         assert train == train2 and held == held2
+
+
+class Stub(NamedTuple):
+    """What `blocks` reads of an episode: its roster."""
+    eid: str
+    roster: tuple
+
+
+def grouped(sizes, limit, rosters=None):
+    """The eids, block by block, that `blocks` groups stubs e0, e1, ... of
+    the given sizes (and rosters, one roster by default) into."""
+    rosters = rosters or [()] * len(sizes)
+    items = [(Stub(f"e{k}", r), n) for k, (n, r) in enumerate(zip(sizes, rosters))]
+    return [[ep.eid for ep, _ in block] for block in blocks(items, limit)]
+
+
+class TestBlocks:
+    def test_a_block_closes_at_the_limit(self):
+        assert grouped([3, 4, 2, 5, 1], 7) == [["e0", "e1"], ["e2", "e3"], ["e4"]]
+        assert grouped([3, 4, 1], 8) == [["e0", "e1", "e2"]]
+
+    def test_a_roster_change_closes_a_block(self):
+        a, b = ((1, "cube", (0.1,)),), ((2, "towel", (0.2, 0.3)),)
+        assert grouped([1] * 5, 100, [a, a, b, b, a]) == [["e0", "e1"], ["e2", "e3"], ["e4"]]
+
+    def test_an_oversized_episode_is_a_block_of_its_own(self):
+        assert grouped([2, 9, 3], 5) == [["e0"], ["e1"], ["e2"]]
+        assert grouped([9, 1, 1], 5) == [["e0"], ["e1", "e2"]]
+
+    def test_no_items_no_blocks(self):
+        assert grouped([], 5) == []
+
+    def test_items_are_pulled_once_in_order_as_their_block_is_built(self):
+        """When a block is handed out, the items pulled are those of the
+        blocks so far and at most the one that opens the next block."""
+        pulled = []
+
+        def items():
+            for k, n in enumerate([3, 4, 2, 5, 1, 6]):
+                pulled.append(f"e{k}")
+                yield Stub(f"e{k}", ()), n
+
+        handed = []
+        for block in blocks(items(), 7):
+            handed += [ep.eid for ep, _ in block]
+            assert pulled[:len(handed)] == handed
+            assert len(pulled) <= len(handed) + 1
+        assert pulled == handed == [f"e{k}" for k in range(6)]
