@@ -24,8 +24,8 @@ from .curation import Embedder
 from .dynamics import Action
 from .env import Env
 from .metrics import METRIC_NAMES, lpips_proxy, mse, psnr, ssim
-from .policies import (INIT_JITTER, SUITE_POLICIES, DiffusionPolicy, SuiteEntry, closed_loop,
-                       measure_env_success)
+from .policies import (HORIZON, INIT_JITTER, SUITE_POLICIES, DiffusionPolicy, SuiteEntry,
+                       closed_loop, measure_env_success)
 from .render import render_frames, render_states
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
@@ -181,6 +181,8 @@ class EvalStudyConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.replan > HORIZON:
+            raise ValueError(f"replan must be at most {HORIZON}, got {self.replan}")
 
 
 @dataclass

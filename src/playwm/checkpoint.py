@@ -33,6 +33,13 @@ def header_builds(path: str):
         raise CheckpointError(f"{path}: checkpoint header does not build ({exc})") from None
 
 
+def count(value) -> int:
+    """value, a step count read from a header; ValueError unless it is a nonnegative int."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"a count must be a nonnegative int, got {value!r}")
+    return value
+
+
 def save_checkpoint(path: str, kind: str, header: dict, params: dict[str, np.ndarray]) -> None:
     names = sorted(params)
     head = {

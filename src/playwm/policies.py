@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import nets, statecodec
-from .checkpoint import header_builds, load_checkpoint, save_checkpoint
+from .checkpoint import count, header_builds, load_checkpoint, save_checkpoint
 from .diffusion import DenoiserNet, NoiseSchedule, ddim_sample, diffusion_loss
 from .dynamics import Action, EventKind
 from .env import Env
@@ -144,7 +144,7 @@ def plan_actions(policy: DiffusionPolicy, conds: np.ndarray, w0: np.ndarray) -> 
 def act(policy: DiffusionPolicy, state: EnvState, w0: np.ndarray) -> list[Action]:
     """The HORIZON actions of the chunk that `plan_actions` denoises for one
     state from the latent w0."""
-    rows = plan_actions(policy, statecodec.encode_state(state)[None, :],
+    rows = plan_actions(policy, statecodec.encode_states(*statecodec.state_arrays([state])),
                         np.asarray(w0).reshape(1, -1))[0]
     return [Action(*row) for row in rows.tolist()]
 
@@ -215,8 +215,8 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
     state, all stepping in lockstep.
 
     A rollout that starts in success takes no step. Each decision encodes
-    the states of the B rollouts that have not yet succeeded as one
-    (B, width) array, takes their (B, L) latents from latent(encoded), or
+    the states of the B rollouts that have not yet succeeded in one
+    `encode_states` call, takes their (B, L) latents from latent(encoded), or
     draws them from rng without it, and plans them in one `plan_actions`
     call. advance(rows, actions) gets those rollouts' indices into states
     and their first `replan` planned actions, (B, replan, 4), and returns
@@ -232,7 +232,7 @@ def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
     live = [b for b, state in enumerate(states) if not check_success(state, task)]
     t = 0
     while t < max_steps and live:
-        conds = np.stack([statecodec.encode_state(states[b]) for b in live])
+        conds = statecodec.encode_states(*statecodec.state_arrays([states[b] for b in live]))
         w0 = latent(conds) if latent is not None else rng.normal((len(live), policy.latent_dim))
         acts = plan_actions(policy, conds, w0)[:, :replan]
         n = min(acts.shape[1], max_steps - t)
@@ -273,6 +273,8 @@ def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskS
     """
     if replan < 1:
         raise ValueError(f"replan must be at least 1, got {replan}")
+    if replan > HORIZON:
+        raise ValueError(f"replan must be at most {HORIZON}, got {replan}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     if n_rollouts < 1:
@@ -323,6 +325,6 @@ def load_policy(path: str) -> DiffusionPolicy:
     with header_builds(path):
         policy = create_policy(scene_from_dict(header["scene"]),
                                PolicyConfig(**header["config"]), None)
+        policy.train_steps_done = count(header["train_steps_done"])
     nets.load_params(policy.denoiser.net, params, path)
-    policy.train_steps_done = header["train_steps_done"]
     return policy

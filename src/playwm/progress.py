@@ -32,7 +32,7 @@ class ProgressModel:
     scene: SceneConfig
 
     def __call__(self, state: EnvState) -> float:
-        return self.value(statecodec.encode_state(state))
+        return self.value(statecodec.encode_states(*statecodec.state_arrays([state])))
 
     def value(self, enc: np.ndarray) -> float:
         out = nets.forward(self.net, np.asarray(enc).reshape(1, -1))

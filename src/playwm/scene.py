@@ -36,14 +36,8 @@ class ObjectState:
     z_level: int = 0
     fold_angle: float = 0.0
 
-    def effective_radius(self) -> float:
-        if self.kind == "disk":
-            return self.size[0]
-        if self.kind == "rect":
-            return math.hypot(self.size[0], self.size[1])
-        if self.kind == "bowl":
-            return self.size[0]
-        return self.size[0]  # towel: link length
+    def effective_radius(self) -> float:  # a towel's first size is its link length
+        return math.hypot(self.size[0], self.size[1]) if self.kind == "rect" else self.size[0]
 
     def towel_free_end(self) -> tuple[float, float]:
         if self.kind != "towel2link":

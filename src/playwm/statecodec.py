@@ -7,7 +7,9 @@ to restore it and projects the vector back onto the valid state manifold
 clips it to what the simulator executes. `state_arrays` flattens states into
 arrays and `build_states` builds them back; `encode_states`, `project_states`,
 `encode_action_rows` and `decode_action_rows` code many states or actions
-given as arrays at once, equal bit for bit to the per-object codecs.
+given as arrays at once; they are the program's only codecs. The per-object
+`encode_state`, `decode_state`, `encode_action` and `decode_action` are the
+references that tests hold them to, bit for bit.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import nets, statecodec
-from .checkpoint import header_builds, load_checkpoint, save_checkpoint
+from .checkpoint import count, header_builds, load_checkpoint, save_checkpoint
 from .curation import AnnealSchedule, CurriculumIndex, sample_batch
 from .diffusion import DenoiserNet, NoiseSchedule, ddpm_sample, diffusion_loss
 from .optim import Adam, clip_grad_norm, warmup_cosine_lr
@@ -277,7 +277,7 @@ class RolloutBackend:
         With rows, restart only those rollouts, rows[i] from states[i], and
         leave every other rollout's history as it is."""
         H = self.wm.cfg.history
-        enc = np.stack([statecodec.encode_state(s) for s in states])
+        enc = statecodec.encode_states(*statecodec.state_arrays(states))
         held = np.repeat(enc[:, None, :], H, axis=1)
         if rows is None:
             self.hist_states = held
@@ -329,11 +329,12 @@ def save_worldmodel(wm: WorldModel, path: str) -> None:
 
 
 def load_worldmodel(path: str) -> WorldModel:
-    header, params = load_checkpoint(path, "worldmodel", ("config", "scene", "step_count"))
+    header, params = load_checkpoint(path, "worldmodel",
+                                     ("config", "scene", "step_count", "loss_trace"))
     with header_builds(path):
         wm = create_worldmodel(scene_from_dict(header["scene"]), WmConfig(**header["config"]),
                                None)
+        wm.step_count = count(header["step_count"])
+        wm.loss_trace = [(count(step), float(loss)) for step, loss in header["loss_trace"]]
     nets.load_params(wm.denoiser.net, params, path)
-    wm.step_count = header["step_count"]
-    wm.loss_trace = [tuple(x) for x in header.get("loss_trace", [])]
     return wm

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +310,68 @@ def test_measure_real_plans_once_per_decision(trained, monkeypatch):
     cfg = EvalStudyConfig(task=TASK, n_real=10, max_steps=30, replan=5)
     bench.measure_real(policy, scene, cfg, Rng(70))
     assert 0 < len(calls) <= 6 and calls[0] == cfg.n_real
+
+
+def test_closed_loops_encode_live_states_through_arrays(trained, monkeypatch):
+    """The real and imagined evaluations and DSRL encode live states only
+    through `encode_states`: one call per `closed_loop` decision, on that
+    decision's live rollouts, and one per `RolloutBackend.reset`, beside
+    the one with which each `step_chunk` encodes its predictions."""
+    scene, policy, wm = trained
+    encode, plan = statecodec.encode_states, policies.plan_actions
+    reset, step = worldmodel.RolloutBackend.reset, worldmodel.RolloutBackend.step_chunk
+    encoded, want = [], Counter()  # per encode_states call: its caller and its rows
+
+    def scalar(state):
+        raise AssertionError("the program called the scalar encode_state")
+
+    def counted_encode(*arrays):
+        encoded.append((sys._getframe(1).f_code.co_name, len(arrays[0])))
+        return encode(*arrays)
+
+    def counted_plan(policy_, conds, w0):
+        want["closed_loop", len(conds)] += 1
+        return plan(policy_, conds, w0)
+
+    def counted_reset(backend, states, rows=None):
+        want["reset", len(states)] += 1
+        return reset(backend, states, rows)
+
+    def counted_step(backend, actions, rows=None):
+        want["step_chunk", len(actions) * wm.cfg.chunk] += 1
+        return step(backend, actions, rows)
+
+    monkeypatch.setattr(statecodec, "encode_state", scalar)
+    monkeypatch.setattr(statecodec, "encode_states", counted_encode)
+    monkeypatch.setattr(policies, "plan_actions", counted_plan)
+    monkeypatch.setattr(worldmodel.RolloutBackend, "reset", counted_reset)
+    monkeypatch.setattr(worldmodel.RolloutBackend, "step_chunk", counted_step)
+    cfg = EvalStudyConfig(task=TASK, n_real=6, n_wm=6)
+    bench.measure_real(policy, scene, cfg, Rng(70))
+    bench.measure_imagined(policy, wm, cfg, Rng(71))
+    width = statecodec.state_dim(len(scene.objects))
+    prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), scene)
+    dsrl_cfg = dsrl.DsrlConfig(hidden=16, depth=1, batch=8, initial_rollout_steps=10,
+                               max_episode_steps=10, train_freq=5, eval_rollouts=2)
+    dsrl.finetune(worldmodel.RolloutBackend(wm, Rng(5)), policy, prog, scene, TASK, dsrl_cfg,
+                  Rng(6), total_updates=2, inits=[scene.nominal_state()] * 5)
+    assert {name for name, _ in want} == {"closed_loop", "reset", "step_chunk"}
+    assert Counter(encoded) == want
+
+
+@pytest.mark.parametrize("entry", ["measure_env_success", "EvalStudyConfig"])
+def test_replan_above_the_policy_horizon_is_refused(trained, entry):
+    """A plan holds HORIZON actions, so a larger replan would silently
+    re-plan after HORIZON of them; it is refused by name before any draw."""
+    scene, policy, _ = trained
+    rng = Rng(73)
+    with pytest.raises(ValueError, match="replan must be at most 16, got 20"):
+        if entry == "measure_env_success":
+            policies.measure_env_success(policy, scene, TASK, 3, rng, 40, 20)
+        else:
+            bench.measure_real(policy, scene, EvalStudyConfig(task=TASK, max_steps=40,
+                                                              replan=20), rng)
+    assert rng.spawn_seed() == Rng(73).spawn_seed()
 
 
 @pytest.mark.parametrize("n_wm", [0, -2])

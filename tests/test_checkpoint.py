@@ -146,7 +146,7 @@ def test_model_of_another_kind(tmp_path, kind):
         loaded_hash(path)
 
 
-REQUIRED = {"worldmodel": ("config", "scene", "step_count"),
+REQUIRED = {"worldmodel": ("config", "scene", "step_count", "loss_trace"),
             "policy": ("config", "scene", "train_steps_done"),
             "progress": ("widths", "scene"),
             "noise_actor": ("config", "widths")}
@@ -209,10 +209,40 @@ def _unknown_config_key(header):
     header["config"]["width"] = 3
 
 
+def _steps(header):
+    """The name of the header's step count: the world model's or the policy's."""
+    return "step_count" if "step_count" in header else "train_steps_done"
+
+
+def _steps_as_text(header):
+    header[_steps(header)] = "7"
+
+
+def _negative_steps(header):
+    header[_steps(header)] = -4
+
+
+def _fractional_steps(header):
+    header[_steps(header)] = 2.5
+
+
+def _trace_of_bare_steps(header):
+    header["loss_trace"] = [3]
+
+
+def _trace_of_text(header):
+    """A string iterates as one-letter rows, which once loaded as [('a',), ('b',)]."""
+    header["loss_trace"] = "ab"
+
+
 @pytest.mark.parametrize("kind, spoil", [(k, f) for k in ("worldmodel", "policy", "progress")
                                          for f in (_old_physics, _old_scene_seed, _unknown_kind,
                                                    _bowl_colour, _disk_without_z_level)]
-                         + [("worldmodel", _unknown_config_key),
+                         + [(k, f) for k in ("worldmodel", "policy")
+                            for f in (_steps_as_text, _negative_steps, _fractional_steps)]
+                         + [("worldmodel", _trace_of_bare_steps),
+                            ("worldmodel", _trace_of_text),
+                            ("worldmodel", _unknown_config_key),
                             ("policy", _unknown_config_key),
                             ("noise_actor", _unknown_config_key),
                             ("policy", _old_policy_replan),
@@ -226,6 +256,23 @@ def test_model_header_that_does_not_build(tmp_path, kind, spoil):
     save_checkpoint(path, kind, header, params)
     with raises_naming(path, "checkpoint header does not build"):
         loaded_hash(path)
+
+
+def test_step_counts_and_loss_trace_round_trip(tmp_path):
+    from playwm import policies, worldmodel
+    from playwm.rng import Rng
+    from playwm.scene import default_scene
+
+    scene, path = default_scene(), str(tmp_path / "m.ckpt")
+    wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=8, depth=1), Rng(1))
+    wm.step_count, wm.loss_trace = 7, [(0, 1.5), (5, 0.25)]
+    worldmodel.save_worldmodel(wm, path)
+    loaded = worldmodel.load_worldmodel(path)
+    assert (loaded.step_count, loaded.loss_trace) == (7, [(0, 1.5), (5, 0.25)])
+    policy = policies.create_policy(scene, policies.PolicyConfig(hidden=8, depth=1), Rng(2))
+    policy.train_steps_done = 3
+    policies.save_policy(policy, path)
+    assert policies.load_policy(path).train_steps_done == 3
 
 
 @pytest.mark.parametrize("kind", ["worldmodel", "policy"])

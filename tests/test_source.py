@@ -170,7 +170,7 @@ def test_settable_values_are_pinned():
 # A ceiling on the lines of src/playwm/*.py, as `wc -l` counts them. A change
 # that needs more raises it and says why in CHANGES.md; one that removes
 # lines lowers it to the new count.
-PACKAGE_LINES = 4854
+PACKAGE_LINES = 4862
 
 
 def test_package_lines_are_capped():
@@ -207,6 +207,7 @@ AWAITING_CLI = (
 # Scalar codecs that the program replaced with array twins; tests check the
 # twins against them, element by element.
 REFERENCES = (
+    "statecodec.encode_state",
     "statecodec.encode_action",
     "statecodec.decode_action",
     "statecodec.decode_state",
