@@ -5,15 +5,16 @@ frames, the stand-in for a pretrained image encoder: the embedder's
 (4096, 32) matrix has i.i.d. entries +-1/sqrt(32), drawn from its seed with
 the package RNG, so it is reproducible and (in expectation) preserves
 pairwise distances of the projected frames. The store keeps no frames: each
-episode is read once as an array view and only its sampled state rows are
-taken from it. Those rows are rendered and projected in `store.blocks`,
-one rasterizer call and one product a block: whole consecutive episodes of
-one roster, at most BLOCK_FRAMES sampled frames a block unless one episode
-alone samples more. Success centroids, a (k, dim) array, come from k-means
-over demo-success windows, each success demo read once for both its
-windows and their embeddings; each play window gets a distance-to-success
-(min Euclidean distance to any centroid) and a rank from equal-mass
-quantile thresholds.
+episode is read once as an array view, and only its windows' sampled state
+rows are taken from it, four a window in window order (a frame that windows
+share once for each; no caller's windows overlap). Those rows are rendered
+and projected in `store.blocks`, one rasterizer call and one product a
+block: whole consecutive episodes of one roster, at most BLOCK_FRAMES
+sampled frames a block unless one episode alone samples more. Success
+centroids, a (k, dim) array, come from k-means over demo-success windows,
+each success demo read once for both its windows and their embeddings;
+each play window gets a distance-to-success (min Euclidean distance to any
+centroid) and a rank from equal-mass quantile thresholds.
 The index keeps only each rank's window rows. Training samples ranks from
 an annealed distribution that starts concentrated on the near-success ranks
 and spreads toward the long tail.
@@ -76,39 +77,29 @@ def window_sample_indices(W: int) -> tuple[int, int, int, int]:
 
 def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
                         embedder: Embedder) -> np.ndarray:
-    """Embed every window, reading each episode once. Each sampled frame is
-    rendered and projected once, in the `store.blocks` of BLOCK_FRAMES
-    sampled frames: an episode's sampled frames are never split."""
+    """Embed every window, reading each episode once. Each window's four
+    sampled frames are rendered and projected in window order (a frame that
+    windows share once for each; no caller's windows overlap), in the
+    `store.blocks` of BLOCK_FRAMES sampled frames: episodes are not split."""
     return _embed_windows(store.read, wins, embedder)
 
 
 def _embed_windows(read: Callable[[str], Episode], wins: list[ClipWindow],
                    embedder: Embedder) -> np.ndarray:
     """`embed_store_windows`, taking each episode from read(eid) once."""
-    by_ep: dict[str, list[int]] = {}
+    by_ep: dict[str, list[int]] = {}  # each episode's window rows, in window order
     for i, w in enumerate(wins):
         by_ep.setdefault(w.episode_id, []).append(i)
-    sampled: dict[str, list[int]] = {}  # each episode's sampled frames, ascending
-    picks = np.empty((len(wins), SAMPLED_FRAMES), dtype=np.int64)  # rows of `embedded`
-    n_rows = 0
-    for eid, rows in by_ep.items():
-        idx = {i: [wins[i].start + j for j in window_sample_indices(wins[i].length)]
-               for i in rows}
-        sampled[eid] = sorted({t for ts in idx.values() for t in ts})
-        row_of = {t: n_rows + k for k, t in enumerate(sampled[eid])}
-        for i, ts in idx.items():
-            picks[i] = [row_of[t] for t in ts]
-        n_rows += len(sampled[eid])
-    embedded = np.empty((n_rows, EMBED_DIM))
-    done = 0
+    sampled = {eid: [wins[i].start + j for i in rows for j in window_sample_indices(wins[i].length)]
+               for eid, rows in by_ep.items()}  # each episode's windows' frames, in window order
+    embedded = np.empty((len(wins), embedder.dim))
     for block in blocks(((read(eid), len(ts)) for eid, ts in sampled.items()), BLOCK_FRAMES):
+        rows = [i for view, _ in block for i in by_ep[view.eid]]
         gripper, _, objects = (np.concatenate(part) for part in
                                zip(*(view.state_arrays(sampled[view.eid]) for view, _ in block)))
-        k = len(gripper)
-        embedded[done:done + k] = embedder.embed_frames(
-            render_frames(gripper, objects, block[0][0].roster))
-        done += k
-    return embedded[picks].reshape(len(wins), embedder.dim)
+        embedded[rows] = embedder.embed_frames(
+            render_frames(gripper, objects, block[0][0].roster)).reshape(len(rows), -1)
+    return embedded
 
 
 # -- k-means ------------------------------------------------------------------

@@ -70,6 +70,9 @@ class DsrlConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if self.max_episode_steps % self.replan:
+            raise ValueError(f"max_episode_steps ({self.max_episode_steps}) must be a whole "
+                             f"number of replan chunks ({self.replan})")
 
 
 class NoiseActor:
@@ -295,7 +298,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
              total_updates: int = 4000, inits: list[EnvState] | None = None
              ) -> tuple[DsrlState, list[EvalPoint], dict[str, np.ndarray]]:
     """Rollout/update loop inside the world model of `backend`, with periodic
-    env evals. cfg.replan must be the model chunk.
+    env evals in `scene`, every model's scene. cfg.replan must be the model chunk.
 
     One imagined rollout runs per start state in `inits` (N of them), all in
     lockstep. Each step draws the N latents at once, plans the N policy
@@ -313,6 +316,10 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
                          f"the model chunk is {backend.wm.cfg.chunk}")
     if inits is not None and not inits:
         raise ValueError("inits must hold at least one start state, got none")
+    other = [name for name, model in (("world model", backend.wm), ("policy", policy),
+                                      ("progress model", progress_model)) if model.scene != scene]
+    if other:
+        raise ValueError(f"finetune's scene differs from that of the {' and the '.join(other)}")
     state_dim = statecodec.state_dim(len(scene.objects))
     st = make_dsrl(state_dim, policy.latent_dim, cfg, rng)
     if inits is None:
@@ -340,7 +347,8 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
             w = np.clip(rng.normal((N, st.actor.latent_dim)), -M, M)
         else:
             w, _ = st.actor.sample(s_vecs, rng)
-        ends = [row[-1] for row in backend.step_chunk(plan_actions(policy, s_vecs, w)[:, :C])]
+        ends = [row[-1] for row in backend.step_chunk(plan_actions(policy, s_vecs, w)[:, :C],
+                                                      list(range(N)))]
         end_vecs = backend.hist_states[:, -1].copy()
         end_values = np.array([progress_model.value(v) for v in end_vecs])
         restart = []

@@ -377,18 +377,19 @@ def record(eid: str, source: str, instruction: Instruction, outcome: bool, seed:
     if len(events) != len(actions) or len(noise) != len(actions):
         raise ValueError("events/noise must align with actions")
     n_steps, n_frames = len(actions), len(states)
-    gripper, _, objects = statecodec.state_arrays(states)
-    held_slip, action_rows, event_rows = [], [], []  # each flat, row after row
+    state_rows, action_rows, event_rows = [], [], []  # each flat, row after row
     for s in states:
-        held_slip += (-1 if s.gripper.held is None else s.gripper.held, s.slip_fated)
+        g = s.gripper
+        state_rows += (g.x, g.y, g.z, g.aperture, -1 if g.held is None else g.held, s.slip_fated)
+        for o in s.objects:
+            state_rows += (o.x, o.y, o.theta, o.z_level, o.fold_angle)
     for a, e in zip(actions, events):
         action_rows += (a.dx, a.dy, a.dz, a.dg)
         event_rows += (e.kind, *e.oids, -1, -1)[:3]  # the first two ids, -1 for none
     episode = Episode(
         eid=eid, source=source, instruction=instruction, outcome=outcome, seed=seed,
         roster=roster(states[0].objects),
-        states=np.concatenate([gripper, np.fromiter(held_slip, _F8, 2 * n_frames).reshape(-1, 2),
-                               objects.reshape(n_frames, -1)], axis=1, dtype=_F8),
+        states=np.fromiter(state_rows, _F8, len(state_rows)).reshape(n_frames, -1),
         actions=np.fromiter(action_rows, _F8, 4 * n_steps).reshape(n_steps, 4),
         event_rows=np.fromiter(event_rows, _I4, 3 * n_steps).reshape(n_steps, 3),
         noise=np.array(noise, dtype=_F8),

@@ -288,17 +288,14 @@ class RolloutBackend:
         self.hist_states[rows] = held
         self.hist_actions[rows] = 0.0
 
-    def step_chunk(self, actions: np.ndarray,
-                   rows: list[int] | None = None) -> list[list[EnvState]]:
-        """Drive every rollout, or with rows only those, by its C executed
-        actions, (B, C, 4) in simulator units for the B rollouts driven,
-        encoded as `build_dataset` encodes stored actions; return each driven
-        rollout's C predicted states. Every other rollout's history stays as
-        it is. The raw predicted vectors are projected once onto valid
-        states; the returned states, none of them slip-fated, are built
+    def step_chunk(self, actions: np.ndarray, rows: list[int]) -> list[list[EnvState]]:
+        """Drive the B rollouts of rows by their C executed actions, (B, C, 4)
+        in simulator units and encoded as `build_dataset` encodes stored
+        actions, and return the C predicted states of each; other rows'
+        histories stay as they are. The raw predictions are projected once
+        onto valid states; the returned states, none slip-fated, are built
         from those arrays, and their encodings enter the history."""
         H, C = self.wm.cfg.history, self.wm.cfg.chunk
-        rows = slice(None) if rows is None else rows
         hist_states, hist_actions = self.hist_states[rows], self.hist_actions[rows]
         if actions.shape != (len(hist_states), C, 4):
             raise ValueError(f"step_chunk takes (B, C, 4) = ({len(hist_states)}, {C}, 4) "

@@ -112,8 +112,11 @@ class TestEmbedder:
         got = cu.embed_store_windows(store, wins, emb)
         assert got.tobytes() == whole_episode_embed(store, wins, emb).tobytes()
 
-    def test_each_sampled_frame_renders_once_and_each_block_projects_once(
+    def test_each_window_renders_its_frames_in_order_and_each_block_projects_once(
             self, play_store, monkeypatch):
+        """Each window's four sampled frames are rendered in window order, a
+        frame that overlapping windows share once for each of them, in
+        blocks of whole episodes."""
         rendered, products = [], []
         render_frames = cu.render_frames
 
@@ -131,18 +134,16 @@ class TestEmbedder:
         monkeypatch.setattr(cu, "render_frames", counting_render)
         wins = windows(play_store, 12, stride=1)
         emb = cu.Embedder(cu.Embedder.create(4).matrix.view(CountingMatrix))
-        cu.embed_store_windows(play_store, wins + wins, emb)
-        sampled = {}
-        for w in wins:
-            sampled.setdefault(w.episode_id, set()).update(
-                w.start + j for j in cu.window_sample_indices(w.length))
-        want = np.concatenate([play_store.read(eid).state_arrays()[0][sorted(ts)]
-                               for eid, ts in sampled.items()])
+        cu.embed_store_windows(play_store, wins, emb)
+        want = np.concatenate([play_store.read(w.episode_id).state_arrays()[0][
+            [w.start + j for j in cu.window_sample_indices(w.length)]] for w in wins])
         assert len(want) > cu.BLOCK_FRAMES  # the windows cross a block boundary
-        assert len({play_store.meta(eid).roster for eid in sampled}) == 1
+        ids = [w.episode_id for w in wins]
+        assert ids == sorted(ids, key=ids.index)  # each episode's windows are consecutive
+        assert len({play_store.meta(w.episode_id).roster for w in wins}) == 1
         assert np.concatenate(rendered).tobytes() == want.tobytes()
         blocks, n = [], 0  # whole episodes, as many as fit
-        for k in map(len, sampled.values()):
+        for k in (cu.SAMPLED_FRAMES * ids.count(eid) for eid in dict.fromkeys(ids)):
             if n + k > cu.BLOCK_FRAMES:
                 blocks.append(n)
                 n = 0

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from playwm import dsrl, nets, policies, progress, statecodec, worldmodel
 from playwm.diffusion import ddim_sample
 from playwm.rng import Rng
-from playwm.scene import default_scene, jittered_state
+from playwm.scene import SceneConfig, default_scene, jittered_state
 from conftest import TASK
 
 
@@ -22,19 +22,22 @@ class RecordingBackend(worldmodel.RolloutBackend):
         self.resets.append((len(self.actions), list(states), rows))
         super().reset(states, rows)
 
-    def step_chunk(self, actions):
+    def step_chunk(self, actions, rows):
         self.actions.append(actions.copy())
-        return super().step_chunk(actions)
+        return super().step_chunk(actions, rows)
 
 
-def _finetune(total_updates, n_inits=2, policy=None, **overrides):
-    """(DSRL state, backend, start states) of a tiny fine-tuning run."""
-    scene = default_scene()
-    wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=16, depth=1,
-                                                                 denoise_steps=25), Rng(1))
-    policy = policy or _policy(scene)
+def _finetune(total_updates, n_inits=2, policy=None, scene=None, **overrides):
+    """(DSRL state, backend, start states) of a tiny fine-tuning run, its
+    models in the default scene and `scene` (by default that one) given to
+    finetune."""
+    models_scene = default_scene()
+    scene = scene or models_scene
+    wm = worldmodel.create_worldmodel(models_scene, worldmodel.WmConfig(hidden=16, depth=1,
+                                                                        denoise_steps=25), Rng(1))
+    policy = policy or _policy(models_scene)
     width = statecodec.state_dim(len(scene.objects))
-    prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), scene)
+    prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), models_scene)
     init_rng = Rng(4)
     inits = [jittered_state(scene, init_rng, policies.INIT_JITTER) for _ in range(n_inits)]
     cfg = dsrl.DsrlConfig(**{**dict(hidden=16, depth=1, batch=8, buffer_capacity=64,
@@ -138,9 +141,39 @@ def test_act_decodes_the_chunk_plan_actions_plans():
     assert [astuple(a) for a in actions] == [tuple(row) for row in rows.tolist()]
 
 
+@pytest.mark.parametrize("max_episode_steps, replan", [(7, 5), (12, 5), (10, 4), (3, 5)])
+def test_config_episode_must_be_whole_chunks(max_episode_steps, replan):
+    """A rollout restarts only at a chunk's end, so an episode length that
+    is not a whole number of chunks would run imagined episodes longer than
+    the real evaluations, which cut at max_episode_steps."""
+    with pytest.raises(ValueError, match=rf"max_episode_steps \({max_episode_steps}\) must be a "
+                                         rf"whole number of replan chunks \({replan}\)"):
+        dsrl.DsrlConfig(max_episode_steps=max_episode_steps, replan=replan)
+    dsrl.DsrlConfig(max_episode_steps=2 * replan, replan=replan)
+
+
 def test_finetune_replan_must_match_model_chunk():
     with pytest.raises(ValueError, match="once per model chunk"):
-        _finetune(2, replan=4)
+        _finetune(2, replan=4, max_episode_steps=8)
+
+
+def test_finetune_rejects_models_of_another_scene(monkeypatch):
+    """Each model whose scene is not finetune's is named before the actor
+    is drawn or the first real evaluation runs: start states and real
+    evaluations come from finetune's scene, rollouts from the world
+    model's."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("finetune went past its argument checks")
+
+    monkeypatch.setattr(dsrl, "make_dsrl", not_reached)
+    monkeypatch.setattr(dsrl, "measure_env_success", not_reached)
+    bowl, *rest = default_scene().objects
+    moved = SceneConfig((replace(bowl, x=bowl.x + 0.1), *rest))
+    with pytest.raises(ValueError, match="differs from that of the world model and the policy "
+                                         "and the progress model$"):
+        _finetune(2, scene=moved)
+    with pytest.raises(ValueError, match="differs from that of the policy$"):
+        _finetune(2, policy=_policy(moved))
 
 
 def test_finetune_rejects_no_start_states(monkeypatch):
@@ -163,7 +196,7 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
     backend.reset([jittered_state(scene, init_rng, 0.03) for _ in range(3)])
     H, C = wm.cfg.history, wm.cfg.chunk
     actions = Rng(4).normal((3, C, 4)) * 0.1  # executed: dx, dy in simulator units
-    states = backend.step_chunk(actions)
+    states = backend.step_chunk(actions, [0, 1, 2])
     assert [len(row) for row in states] == [C] * 3
     assert backend.hist_states.shape == (3, H, wm.state_width)
 
@@ -174,15 +207,14 @@ def test_rollout_backend_steps_a_batch_one_chunk_at_a_time():
     # the history ends in the re-encoded predicted states and driving actions
     assert_history_encodes(states)
     assert (backend.hist_actions[:, -C:] == statecodec.encode_action_rows(actions)).all()
-    assert_history_encodes(backend.step_chunk(actions[::-1] * 5.0))  # and after a second chunk
+    assert_history_encodes(backend.step_chunk(actions[::-1] * 5.0, [0, 1, 2]))  # a second chunk
     with pytest.raises(ValueError, match="executed actions"):
-        backend.step_chunk(actions[:, :C - 1])
+        backend.step_chunk(actions[:, :C - 1], [0, 1, 2])
 
 
 def test_rollout_backend_steps_only_the_chosen_rows():
     """step_chunk(actions, rows) advances the histories of those rows by one
-    chunk and leaves every other row's history byte for byte; with every
-    row listed it steps as rows=None does."""
+    chunk and leaves every other row's history byte for byte."""
     scene = default_scene()
     wm = worldmodel.create_worldmodel(scene, worldmodel.WmConfig(hidden=16, depth=1), Rng(1))
     H, C = wm.cfg.history, wm.cfg.chunk
@@ -190,7 +222,7 @@ def test_rollout_backend_steps_only_the_chosen_rows():
     starts = [jittered_state(scene, init_rng, 0.03) for _ in range(4)]
     backend = worldmodel.RolloutBackend(wm, Rng(2))
     backend.reset(starts)
-    backend.step_chunk(Rng(4).normal((4, C, 4)) * 0.1)
+    backend.step_chunk(Rng(4).normal((4, C, 4)) * 0.1, [0, 1, 2, 3])
     kept_states, kept_actions = backend.hist_states.copy(), backend.hist_actions.copy()
     rows, actions = [3, 1], Rng(5).normal((2, C, 4)) * 0.1
     states = backend.step_chunk(actions, rows)
@@ -207,19 +239,6 @@ def test_rollout_backend_steps_only_the_chosen_rows():
     with pytest.raises(ValueError, match=rf"\(2, {C}, 4\) executed actions, got \(4, {C}, 4\)"):
         backend.step_chunk(Rng(5).normal((4, C, 4)), rows)
 
-    # every row listed: the same stream, states and histories as rows=None
-    steppers = [worldmodel.RolloutBackend(wm, Rng(6)) for _ in range(2)]
-    actions = Rng(7).normal((4, C, 4)) * 0.1
-    out = []
-    for stepper, chosen in zip(steppers, (None, [0, 1, 2, 3])):
-        stepper.reset(starts)
-        chunks = stepper.step_chunk(actions, chosen)
-        out.append(np.array([[statecodec.encode_state(s) for s in c] for c in chunks]))
-    assert out[0].tobytes() == out[1].tobytes()
-    assert steppers[0].hist_states.tobytes() == steppers[1].hist_states.tobytes()
-    assert steppers[0].hist_actions.tobytes() == steppers[1].hist_actions.tobytes()
-    assert steppers[0].rng.spawn_seed() == steppers[1].rng.spawn_seed()
-
 
 def test_rollout_backend_resets_only_the_chosen_rows():
     scene = default_scene()
@@ -229,7 +248,7 @@ def test_rollout_backend_resets_only_the_chosen_rows():
     starts = [jittered_state(scene, init_rng, 0.03) for _ in range(4)]
     backend.reset(starts)
     H, C = wm.cfg.history, wm.cfg.chunk
-    backend.step_chunk(Rng(4).normal((4, C, 4)) * 0.1)
+    backend.step_chunk(Rng(4).normal((4, C, 4)) * 0.1, [0, 1, 2, 3])
     kept_states, kept_actions = backend.hist_states.copy(), backend.hist_actions.copy()
     fresh = [jittered_state(scene, init_rng, 0.03) for _ in range(2)]
     backend.reset(fresh, rows=[3, 1])
