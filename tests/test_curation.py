@@ -472,3 +472,12 @@ class TestPcaHull:
     def test_mean_pairwise(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert cu.mean_pairwise_distance(pts) == pytest.approx(5.0)
+
+    def test_coverage_needs_two_windows_a_store(self, play_store, tmp_path):
+        one = EpisodeStore(str(tmp_path / "one"))
+        one.append(demo_episode("e1"))
+        n = one.read("e1").n_frames
+        assert len(windows(one, n)) == 1
+        with pytest.raises(ValueError, match="store 'one' has fewer than 2 windows"):
+            cu.coverage_report({"play": play_store, "one": one}, cu.Embedder.create(0),
+                               window_len=n)

@@ -1,7 +1,7 @@
 """Golden digests of one seeded curation pass and of every reader of stored
 episodes: window modes, embeddings, distances to success, rank counts, the
-world-model dataset, the BC chunk dataset, the progress training inputs and
-the replay clips. A refactor of the read path must leave each one bit-identical.
+world-model dataset, the BC chunk dataset, the progress training inputs, the
+replay clips and the coverage report of the play and demo stores. A refactor of the read path must leave each one bit-identical.
 """
 
 import hashlib
@@ -27,6 +27,7 @@ GOLDEN = {
     "progress_inputs": "bf25dbee732f3ecbc6f9cb1aac9698cc540637d655c3631c7c5d5e3a9367aa5a",
     "progress_params": "a8786d35860faa481229b2f827026cf4654b19da23fa301d720007fdde38f906",
     "replay_clips": "2662effaf3de27fedadc2b4779a5309fdb268cf3fa436e5009f77af291294d14",
+    "coverage": "b7a9da3921fe937999fe89e483ca593ee3a36706500ea132a2d4f9a831c27309",
 }
 
 
@@ -132,3 +133,17 @@ def test_replay_init_states_encode_as_their_last_history_state(replay):
     assert len(replay.clips) == 8
     for c in replay.clips:
         assert statecodec.encode_state(c.init_state).tobytes() == c.hist_states[-1].tobytes()
+
+
+def test_coverage_report(stores):
+    """Every window of both stores in store order with its shared PCA
+    coordinates, and each store's hull area, mean pairwise distance and
+    mode counts; the counts are hashed sorted, so only their values are
+    pinned."""
+    _, play, demo = stores
+    report = curation.coverage_report({"play": play, "demo": demo}, curation.Embedder.create(38),
+                                      window_len=W, stride=6)
+    assert [r["source"] for r in report.rows].count("demo") > 1
+    assert digest(report.rows, report.hull_area, report.mean_pairwise,
+                  {s: sorted(c.items()) for s, c in report.mode_counts.items()}) \
+        == GOLDEN["coverage"]
