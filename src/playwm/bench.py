@@ -59,9 +59,9 @@ class ReplayBenchmark:
 
 
 def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str]],
-                    target_per_mode: int, rng: Rng, history: int = 7,
-                    chunk: int = 5, stride: int = 3) -> ReplayBenchmark:
-    """Draw a mode-balanced clip set from held-out episodes only.
+                    target_per_mode: int, rng: Rng, history: int, chunk: int,
+                    stride: int) -> ReplayBenchmark:
+    """Draw a mode-balanced clip set of history + chunk frames from held-out episodes only.
     BenchmarkError, naming each short mode, unless every mode has at least
     MIN_CLIP_FRACTION of target_per_mode candidate clips."""
     W = history + chunk
@@ -254,10 +254,18 @@ def _labelled(path: list[EnvState], actions: list[list[float]]):
 
 
 def run_policy_eval(entries: list[SuiteEntry], wm: WorldModel | SceneConfig,
-                    scene: SceneConfig, cfg: EvalStudyConfig, rng: Rng) -> PolicyEvalReport:
+                    cfg: EvalStudyConfig, rng: Rng) -> PolicyEvalReport:
+    """Each policy's real and imagined success and mode histogram, and the rates' Pearson.
+    Real rollouts run in the scene of the imagined ones: wm's, or wm itself for the
+    simulator. ValueError before any rollout on too few entries or, naming them, on
+    policies of another scene."""
     if len(entries) < SUITE_POLICIES:
         raise ValueError(f"a correlation study needs at least {SUITE_POLICIES} policies, "
                          f"got {len(entries)}")
+    scene = wm.scene if isinstance(wm, WorldModel) else wm
+    other = [e.variant.name for e in entries if e.policy.scene != scene]
+    if other:
+        raise ValueError(f"policies trained in another scene than the model's: {other}")
     rows = []
     for entry in entries:
         real_rate, real_hist = measure_real(entry.policy, scene, cfg, Rng(rng.spawn_seed()))

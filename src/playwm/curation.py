@@ -22,6 +22,7 @@ and spreads toward the long tail.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,9 +160,10 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
-                          rng: Rng, window_len: int = 12) -> np.ndarray:
+                          rng: Rng, window_len: int) -> np.ndarray:
     """The (k, dim) k-means centroids of the embeddings of the demo store's
-    success-episode windows."""
+    success-episode windows of window_len frames, the length of the play
+    windows measured against them."""
     views = {eid: demo_store.read(eid) for eid in demo_store.ids()
              if demo_store.meta(eid).outcome}
     wins = [w for view in views.values() for w in episode_windows(view, window_len, window_len)]
@@ -335,37 +337,22 @@ class CoverageReport:
 
 
 def coverage_report(stores: dict[str, EpisodeStore], embedder: Embedder,
-                    window_len: int = 12, stride: int | None = None) -> CoverageReport:
-    """Project every store's windows into a shared 2D PCA and compare spread."""
-    all_embs = []
-    tagged = []
+                    window_len: int, stride: int | None = None) -> CoverageReport:
+    """Project every store's windows into one shared 2D PCA and compare spread: each
+    store's hull area in that plane, mean pairwise embedding distance and mode counts.
+    ValueError names a store with fewer than 2 windows."""
+    wins, embs = {}, {}
     for source, store in stores.items():
-        wins = store_windows(store, window_len, stride)
-        if len(wins) < 2:
+        wins[source] = store_windows(store, window_len, stride)
+        if len(wins[source]) < 2:
             raise ValueError(f"store {source!r} has fewer than 2 windows")
-        embs = embed_store_windows(store, wins, embedder)
-        all_embs.append(embs)
-        tagged.extend((source, w) for w in wins)
-    stacked = np.vstack(all_embs)
-    coords, _ = pca_2d(stacked)
-
-    rows = []
-    hull: dict[str, float] = {}
-    pair: dict[str, float] = {}
-    modes: dict[str, dict[str, int]] = {}
-    offset = 0
-    for (source, store), embs in zip(stores.items(), all_embs):
-        n = embs.shape[0]
-        sub = coords[offset:offset + n]
-        src_rows = tagged[offset:offset + n]
-        hull[source] = convex_hull_area(sub)
-        pair[source] = mean_pairwise_distance(embs)
-        counts: dict[str, int] = {}
-        for (src, w), (pc1, pc2) in zip(src_rows, sub):
-            counts[w.mode.value] = counts.get(w.mode.value, 0) + 1
-            rows.append({"source": src, "episode": w.episode_id, "start": w.start,
-                         "pc1": float(pc1), "pc2": float(pc2), "mode": w.mode.value})
-        modes[source] = counts
-        offset += n
-    return CoverageReport(rows=rows, hull_area=hull, mean_pairwise=pair,
-                          mode_counts=modes)
+        embs[source] = embed_store_windows(store, wins[source], embedder)
+    coords, _ = pca_2d(np.vstack(list(embs.values())))
+    split = np.split(coords, np.cumsum([len(ws) for ws in wins.values()])[:-1])
+    rows = [{"source": source, "episode": w.episode_id, "start": w.start,
+             "pc1": float(pc1), "pc2": float(pc2), "mode": w.mode.value}
+            for (source, ws), sub in zip(wins.items(), split) for w, (pc1, pc2) in zip(ws, sub)]
+    hull = {source: convex_hull_area(sub) for source, sub in zip(wins, split)}
+    pair = {source: mean_pairwise_distance(e) for source, e in embs.items()}
+    modes = {source: Counter(w.mode.value for w in ws) for source, ws in wins.items()}
+    return CoverageReport(rows=rows, hull_area=hull, mean_pairwise=pair, mode_counts=modes)

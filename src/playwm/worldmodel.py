@@ -134,10 +134,13 @@ def build_dataset(store: EpisodeStore, cfg: WmConfig, wins: list[ClipWindow]) ->
     call a block, then one gather of every window of the block. Both codecs
     work row by row, so the arrays equal those of encoding each window on
     its own.
-    No windows raise TrainingError naming the store: the arrays' widths
-    come from the episodes read."""
+    No windows (the arrays' widths come from the episodes read), or one not
+    cfg.window_len frames long, raise TrainingError naming the store before any read."""
     if not wins:
         raise TrainingError(f"{store.root}: no training windows to build a dataset from")
+    other = [w for w in wins if w.length != cfg.window_len]
+    if other:
+        raise TrainingError(f"{store.root}: {other[0]} is not {cfg.window_len} frames long")
     H, C = cfg.history, cfg.chunk
     by_ep: dict[str, list[int]] = {}
     for i, w in enumerate(wins):

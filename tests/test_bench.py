@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -409,7 +410,7 @@ def replay_benchmark(store, per_mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench, "MIN_CLIP_FRACTION", 0.0)  # a mode may have fewer clips
         bm = bench.build_benchmark({"play": store}, {"play": store.ids()}, per_mode, Rng(44),
-                                   stride=3)
+                                   history=7, chunk=5, stride=3)
     # each mode's clips come out together; interleave them, so that rows
     # scored against the wrong clip's frames differ
     bm.clips = bm.clips[::2] + bm.clips[1::2]
@@ -446,7 +447,7 @@ def test_build_benchmark_names_each_short_mode(replay_store):
     candidates, and Missed Grasp, with 12, are not short."""
     with pytest.raises(bench.BenchmarkError) as err:
         bench.build_benchmark({"play": replay_store}, {"play": replay_store.ids()}, 12,
-                              Rng(44), stride=3)
+                              Rng(44), history=7, chunk=5, stride=3)
     assert str(err.value) == ("insufficient held-out clips per mode (need >= 10): "
                               "{'Success': 9, 'Slide': 2, 'Slip': 0, 'Collision': 2}")
 
@@ -573,7 +574,61 @@ def test_a_suite_of_too_few_policies_is_refused_before_training(trained):
         policies.PolicySuiteSpec(TASK, variants[:3])
     entries = [policies.SuiteEntry(v, policy) for v in variants[:-1]]
     with pytest.raises(ValueError, match="at least 6 policies, got 5"):
-        bench.run_policy_eval(entries, scene, scene, EvalStudyConfig(task=TASK), Rng(0))
+        bench.run_policy_eval(entries, scene, EvalStudyConfig(task=TASK), Rng(0))
+
+
+def suite_entries(policy, other=None, at=()):
+    """SUITE_POLICIES untrained variants v0, v1, ..., each with `policy`,
+    or with `other` at the indices `at`."""
+    return [policies.SuiteEntry(policies.PolicyVariant(f"v{k}", 0, 0.0, 0),
+                                other if k in at else policy)
+            for k in range(policies.SUITE_POLICIES)]
+
+
+@pytest.mark.parametrize("in_model", [True, False])
+def test_policy_eval_runs_real_rollouts_in_the_model_scene(trained, monkeypatch, in_model):
+    """One row per entry, in entry order, over the world model or the
+    simulator alike; every real rollout runs in the scene of the imagined
+    ones."""
+    scene, policy, wm = trained
+    model = wm if in_model else scene
+    seen = []
+    measure = bench.measure_env_success
+
+    def spy(policy, scene, *args):
+        seen.append(scene)
+        return measure(policy, scene, *args)
+
+    monkeypatch.setattr(bench, "measure_env_success", spy)
+    cfg = EvalStudyConfig(task=TASK, n_real=2, n_wm=2, max_steps=10)
+    report = bench.run_policy_eval(suite_entries(policy), model, cfg, Rng(7))
+    assert [r.name for r in report.rows] == [f"v{k}" for k in range(6)]
+    assert len(seen) == (6 if in_model else 12)
+    assert all(s is (wm.scene if in_model else scene) for s in seen)
+    assert report.mean_tv == pytest.approx(np.mean([r.tv for r in report.rows]))
+    assert (report.pearson is None) != (report.flagged is None)
+
+
+@pytest.mark.parametrize("in_model", [True, False])
+def test_policy_eval_refuses_policies_of_another_scene(trained, monkeypatch, in_model):
+    """Policies trained with the bowl moved are named before any rollout,
+    against the world model's scene or the simulator's."""
+    scene, policy, wm = trained
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("run_policy_eval went past its argument checks")
+
+    monkeypatch.setattr(bench, "measure_real", not_reached)
+    monkeypatch.setattr(bench, "measure_imagined", not_reached)
+    bowl, *rest = scene.objects
+    moved = SceneConfig((replace(bowl, x=bowl.x + 0.1), *rest))
+    other = create_policy(moved, PolicyConfig(hidden=16, depth=1), Rng(5))
+    entries = suite_entries(policy, other, at=(1, 4))
+    names = ["v1", "v4"] if in_model else ["v0", "v2", "v3", "v5"]
+    with pytest.raises(ValueError, match=re.escape(
+            f"policies trained in another scene than the model's: {names}")):
+        bench.run_policy_eval(entries, wm if in_model else moved,
+                              EvalStudyConfig(task=TASK), Rng(0))
 
 
 @pytest.mark.parametrize("in_model", [True, False])

@@ -234,7 +234,7 @@ class TestKmeans:
         assert store.meta("e1").outcome
         rng = Rng(0)
         with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
-            cu.fit_success_centroids(store, cu.Embedder.create(0), k, rng)
+            cu.fit_success_centroids(store, cu.Embedder.create(0), k, rng, window_len=12)
         assert rng.next_u64() == Rng(0).next_u64()
 
     def test_success_centroids_never_read_a_failed_demo(self, tmp_path, monkeypatch):
@@ -256,9 +256,10 @@ class TestKmeans:
 
         monkeypatch.setattr(mixed, "read", counting_read)
         embedder = cu.Embedder.create(0)
-        got = cu.fit_success_centroids(mixed, embedder, 2, Rng(5))
+        got = cu.fit_success_centroids(mixed, embedder, 2, Rng(5), window_len=12)
         assert seen == ["e1", "e2"]
-        assert np.array_equal(got, cu.fit_success_centroids(only, embedder, 2, Rng(5)))
+        assert np.array_equal(got, cu.fit_success_centroids(only, embedder, 2, Rng(5),
+                                                            window_len=12))
 
 
 class TestDistance:

@@ -1,7 +1,8 @@
 """Golden digests of one seeded curation pass and of every reader of stored
 episodes: window modes, embeddings, distances to success, rank counts, the
 world-model dataset, the BC chunk dataset, the progress training inputs, the
-replay clips and the coverage report of the play and demo stores. A refactor of the read path must leave each one bit-identical.
+replay clips and the coverage report of the play and demo stores. A refactor
+of the read path must leave each one bit-identical.
 """
 
 import hashlib
@@ -114,7 +115,7 @@ def replay(stores, curated):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
         return bench.build_benchmark({"play": stores[1]}, {"play": curated["held"]}, 3,
-                                     Rng(37), stride=3)
+                                     Rng(37), history=7, chunk=5, stride=3)
 
 
 def test_replay_clips(replay):

@@ -878,6 +878,22 @@ class TestWindowEnumerator:
         with pytest.raises(worldmodel.TrainingError, match=re.escape(seeded_play_store.root)):
             build_dataset(seeded_play_store, WmConfig(), [])
 
+    def test_build_dataset_refuses_windows_of_another_length(self, seeded_play_store):
+        """A 12-frame window for a model of 5-frame windows is named, with
+        the store, before any episode is read; it is not cut to its first
+        5 frames."""
+        cfg = WmConfig(history=3, chunk=2)
+        long = windows(seeded_play_store, 12)
+        wins = windows(seeded_play_store, cfg.window_len)[:2] + long
+        store = EpisodeStore(seeded_play_store.root)
+        read = []
+        store_read = store.read
+        store.read = lambda eid: read.append(eid) or store_read(eid)
+        with pytest.raises(worldmodel.TrainingError,
+                           match=re.escape(f"{store.root}: {long[0]} is not 5 frames long")):
+            build_dataset(store, cfg, wins)
+        assert read == []
+
     @pytest.mark.parametrize("block", [20, 64])
     def test_build_dataset_blocks_keep_each_window_bits(self, seeded_play_store, monkeypatch,
                                                         block):
@@ -931,7 +947,7 @@ class TestWindowEnumerator:
         store_read = store.read
         store.read = lambda eid: read.append(eid) or store_read(eid)
         bm = bench.build_benchmark({"play": store}, {"play": held}, 2, Rng(1),
-                                   stride=3)
+                                   history=7, chunk=5, stride=3)
         assert bm.clips and read
         assert set(read) <= set(held)
 
@@ -939,7 +955,7 @@ class TestWindowEnumerator:
         monkeypatch.setattr(bench, "MIN_CLIP_FRACTION", 0.0)
         _, held = split(seeded_play_store, 0.25, Rng(5))
         bm = bench.build_benchmark({"play": seeded_play_store}, {"play": held}, 2, Rng(1),
-                                   stride=3)
+                                   history=7, chunk=5, stride=3)
         report = bench.run_replay(bm, "oracle", Embedder.create(0), scene=default_scene())
         ideal = {"mse": 0.0, "ssim": 1.0, "lpips_proxy": 0.0}
         assert bm.clips and len(report.rows) == len(bm.clips)

@@ -131,7 +131,7 @@ def test_states_are_built_in_one_place():
 # and defaulted parameters of public functions and methods. A change that
 # needs another option raises this pin and says why in CHANGES.md; one that
 # removes options lowers it.
-SETTABLE_VALUES = 79
+SETTABLE_VALUES = 74
 
 
 def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
@@ -170,7 +170,7 @@ def test_settable_values_are_pinned():
 # A ceiling on the lines of src/playwm/*.py, as `wc -l` counts them. A change
 # that needs more raises it and says why in CHANGES.md; one that removes
 # lines lowers it to the new count.
-PACKAGE_LINES = 4859
+PACKAGE_LINES = 4857
 
 
 def test_package_lines_are_capped():
