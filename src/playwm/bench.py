@@ -7,30 +7,35 @@ substitutes the simulator (replaying each clip's recorded noise draws) and
 must reach the ideal scores, bounding harness error.
 
 Policy evaluation: success rates and mode histograms of rollouts in the
-simulator against imagined rollouts, where the policy's executed actions
-drive the model. Both run through `policies.closed_loop`, which plans all
-the rollouts that have not yet succeeded in one batch per decision; the
-world model steps only those rollouts.
+simulator (`measure_real`, which DSRL's evaluations call too) against
+imagined rollouts (`measure_imagined`), where the policy's executed actions
+drive the model. Both run through `closed_loop`, the one closed loop of a
+policy, which plans all the rollouts that have not yet succeeded in one
+batch per decision; the world model steps only those rollouts. Their
+settings are checked once, by `EvalStudyConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import metrics, statecodec
 from .curation import Embedder
-from .dynamics import Action
+from .dynamics import Action, EventKind
 from .env import Env
 from .metrics import METRIC_NAMES, lpips_proxy, mse, psnr, ssim
 from .policies import (HORIZON, INIT_JITTER, SUITE_POLICIES, DiffusionPolicy, SuiteEntry,
-                       closed_loop, measure_env_success)
+                       plan_actions)
 from .render import render_frames, render_states
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
 from .store import ClipWindow, EpisodeStore, windows
-from .tasks import BehaviorMode, MODES, TaskSpec, infer_transition_event
+from .tasks import (BehaviorMode, MODES, TaskSpec, check_success, classify_clip,
+                    infer_transition_event)
 from .worldmodel import RolloutBackend, WorldModel, predict_chunk, predicted_frames
 
 SCORE_BLOCK = 16  # frames scored per metrics call; a block's SSIM temporaries are about 3 MB
@@ -209,17 +214,91 @@ def _mode_distribution(hist: dict[str, int]) -> np.ndarray:
     return vec / total if total > 0 else np.full(len(MODES), 1.0 / len(MODES))
 
 
+def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
+                advance: Callable[[list[int], np.ndarray], list[Iterator[tuple[EnvState, EventKind]]]],
+                cfg: EvalStudyConfig, rng: Rng,
+                latent: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> tuple[float, dict[str, int]]:
+    """Success rate and mode histogram of one closed-loop rollout of
+    cfg.task per start state, all stepping in lockstep.
+
+    A rollout that starts in success takes no step. Each decision encodes
+    the states of the B rollouts that have not yet succeeded in one
+    `encode_states` call, takes their (B, L) latents from latent(encoded), or
+    draws them from rng without it, and plans them in one `plan_actions`
+    call. advance(rows, actions) gets those rollouts' indices into states
+    and their first cfg.replan planned actions, (B, replan, 4), and returns
+    an iterator of (state, event kind) pairs for each. The loop takes the
+    pairs one at a time, up to each rollout's first success and to
+    cfg.max_steps steps in all, so an advance that steps lazily takes no
+    step past them. `classify_clip` labels each rollout from its steps'
+    kinds and the loop's own success flag: a rollout succeeded exactly when
+    a success stopped it, or it started in success.
+    """
+    task, max_steps = cfg.task, cfg.max_steps
+    states = list(states)
+    kinds: list[list[EventKind]] = [[] for _ in states]
+    live = [b for b, state in enumerate(states) if not check_success(state, task)]
+    t = 0
+    while t < max_steps and live:
+        conds = statecodec.encode_states(*statecodec.state_arrays([states[b] for b in live]))
+        w0 = latent(conds) if latent is not None else rng.normal((len(live), policy.latent_dim))
+        acts = plan_actions(policy, conds, w0)[:, :cfg.replan]
+        n = min(acts.shape[1], max_steps - t)
+        still = []
+        for b, pairs in zip(live, advance(live, acts)):
+            for state, kind in itertools.islice(pairs, n):
+                states[b] = state
+                kinds[b].append(kind)
+                if check_success(state, task):
+                    break
+            else:
+                still.append(b)
+        live = still
+        t += n
+    failed = set(live)
+    hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
+    for b, clip in enumerate(kinds):
+        hist[classify_clip(clip, task, b not in failed).value] += 1
+    return (len(states) - len(failed)) / len(states), hist
+
+
 def measure_real(policy: DiffusionPolicy, scene: SceneConfig, cfg: EvalStudyConfig,
-                 rng: Rng) -> tuple[float, dict[str, int]]:
-    """Success rate and mode histogram of n_real lockstep rollouts in the simulator."""
-    return measure_env_success(policy, scene, cfg.task, cfg.n_real, rng, cfg.max_steps,
-                               cfg.replan)
+                 rng: Rng, latent: Callable[[np.ndarray], np.ndarray] | None = None
+                 ) -> tuple[float, dict[str, int]]:
+    """Success rate and mode histogram of cfg.n_real lockstep rollouts in
+    the simulator, each from a jittered nominal scene in an env of its own
+    noise seed; `closed_loop` takes latent. ValueError before any draw on a
+    policy trained in another scene.
+
+    Every rollout's env seed and start state are drawn first; then
+    `closed_loop` steps them, each env only as far as its rollout runs.
+    """
+    if policy.scene != scene:
+        raise ValueError("the policy was trained in another scene than the simulator's")
+    envs = []
+    for _ in range(cfg.n_real):
+        env = Env(scene, seed=rng.spawn_seed())
+        env.reset(jittered_state(scene, rng, INIT_JITTER))
+        envs.append(env)
+
+    def advance(rows, actions):
+        return [_env_steps(envs[b], row) for b, row in zip(rows, actions.tolist())]
+
+    return closed_loop(policy, [env.state for env in envs], advance, cfg, rng, latent)
+
+
+def _env_steps(env: Env, actions: list[list[float]]) -> Iterator[tuple[EnvState, EventKind]]:
+    for row in actions:
+        state, event = env.step(Action(*row))
+        yield state, event.kind
 
 
 def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
                      cfg: EvalStudyConfig, rng: Rng) -> tuple[float, dict[str, int]]:
     """Success rate and mode histogram of n_wm closed-loop rollouts inside
     the world model, or inside the simulator when given its scene.
+    ValueError before any draw on a policy trained in another scene.
 
     In the world model, `closed_loop` steps the rollouts from jittered start
     states: each decision advances only the rollouts that have not yet
@@ -227,8 +306,9 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
     execute, and labels their predicted transitions one at a time.
     """
     if not isinstance(wm, WorldModel):
-        return measure_env_success(policy, wm, cfg.task, cfg.n_wm, rng, cfg.max_steps,
-                                   cfg.replan)
+        return measure_real(policy, wm, replace(cfg, n_real=cfg.n_wm), rng)
+    if policy.scene != wm.scene:
+        raise ValueError("the policy was trained in another scene than the world model's")
     if cfg.replan != wm.cfg.chunk:
         raise ValueError(f"imagined rollouts re-plan once per model chunk: replan is "
                          f"{cfg.replan}, the model chunk is {wm.cfg.chunk}")
@@ -243,7 +323,7 @@ def measure_imagined(policy: DiffusionPolicy, wm: WorldModel | SceneConfig,
             last[b] = path[-1]
         return [_labelled(path, row) for path, row in zip(paths, actions.tolist())]
 
-    return closed_loop(policy, starts, advance, cfg.task, rng, cfg.max_steps, cfg.replan)
+    return closed_loop(policy, starts, advance, cfg, rng)
 
 
 def _labelled(path: list[EnvState], actions: list[list[float]]):

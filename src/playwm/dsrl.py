@@ -10,9 +10,9 @@ Decisions happen once per world-model chunk; the reward is the progress
 change over the executed chunk, which telescopes the per-step dense reward.
 Fine-tuning runs one imagined rollout per start state, all in lockstep, so
 the policy sampler and the world model each run once per decision for the
-whole batch of rollouts. The real-simulator evaluation steps its rollouts in
-lockstep too: the actor maps each decision's batch of encoded states to
-their mean latents in one forward pass.
+whole batch of rollouts. The real-simulator evaluations run through
+`bench.measure_real`, whose rollouts step in lockstep too: the actor maps each
+decision's batch of encoded states to their mean latents in one forward pass.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nets, statecodec
+from .bench import EvalStudyConfig, measure_real
 from .checkpoint import header_builds, load_checkpoint, save_checkpoint
 from .optim import Adam
-from .policies import INIT_JITTER, DiffusionPolicy, measure_env_success, plan_actions
+from .policies import INIT_JITTER, DiffusionPolicy, plan_actions
 from .progress import ProgressModel
 from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state
@@ -298,7 +299,8 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
              total_updates: int = 4000, inits: list[EnvState] | None = None
              ) -> tuple[DsrlState, list[EvalPoint], dict[str, np.ndarray]]:
     """Rollout/update loop inside the world model of `backend`, with periodic
-    env evals in `scene`, every model's scene. cfg.replan must be the model chunk.
+    env evals in `scene`, every model's scene. cfg.replan must be the model chunk;
+    `EvalStudyConfig` checks the evals' settings before anything is drawn.
 
     One imagined rollout runs per start state in `inits` (N of them), all in
     lockstep. Each step draws the N latents at once, plans the N policy
@@ -320,6 +322,8 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
                                       ("progress model", progress_model)) if model.scene != scene]
     if other:
         raise ValueError(f"finetune's scene differs from that of the {' and the '.join(other)}")
+    eval_cfg = EvalStudyConfig(task, n_real=cfg.eval_rollouts, max_steps=cfg.max_episode_steps,
+                               replan=cfg.replan)
     state_dim = statecodec.state_dim(len(scene.objects))
     st = make_dsrl(state_dim, policy.latent_dim, cfg, rng)
     if inits is None:
@@ -327,9 +331,7 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
         inits = [jittered_state(scene, init_rng, INIT_JITTER) for _ in range(16)]
     N, C, M = len(inits), cfg.replan, cfg.action_magnitude
 
-    trace = [EvalPoint(0, measure_env_success(policy, scene, task, cfg.eval_rollouts,
-                                              Rng(EVAL_SEED), cfg.max_episode_steps,
-                                              cfg.replan, latent=None)[0], 0.0)]
+    trace = [EvalPoint(0, measure_real(policy, scene, eval_cfg, Rng(EVAL_SEED))[0], 0.0)]
     best_success = -1.0
     control_steps = 0
     recent_returns: list[float] = []
@@ -369,9 +371,8 @@ def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: P
                         break
                     update(st, rng)
                     if st.updates_done >= next_eval:
-                        success = measure_env_success(
-                            policy, scene, task, cfg.eval_rollouts, Rng(EVAL_SEED),
-                            cfg.max_episode_steps, cfg.replan, latent=st.actor.mean_latent)[0]
+                        success = measure_real(policy, scene, eval_cfg, Rng(EVAL_SEED),
+                                               st.actor.mean_latent)[0]
                         wm_ret = float(np.mean(recent_returns[-20:])) if recent_returns else 0.0
                         trace.append(EvalPoint(st.updates_done, success, wm_ret))
                         if success > best_success:

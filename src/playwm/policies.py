@@ -5,28 +5,21 @@ A diffusion policy denoises a 16-action chunk conditioned on the current
 encoded state; inference is 5-step deterministic DDIM from an explicit
 initial latent, which makes the policy a pure function of (state, latent)
 and therefore steerable by the RL stack. The caller chooses how many of a
-chunk's actions execute before re-planning.
-
-`closed_loop` is the one closed loop of a policy, in the simulator
-(`measure_env_success`) and in a world model (`bench.measure_imagined`):
-its rollouts step in lockstep, each decision plans every rollout that has
-not yet succeeded in one `plan_actions` call, and only the step that
-executes the planned actions differs between the two.
+chunk's actions execute before re-planning. `bench` runs policies in
+closed loop, in the simulator and in a world model.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterator
 
 import numpy as np
 
 from . import nets, statecodec
 from .checkpoint import count, header_builds, load_checkpoint, save_checkpoint
 from .diffusion import DenoiserNet, NoiseSchedule, ddim_sample, diffusion_loss
-from .dynamics import Action, EventKind
+from .dynamics import Action
 from .env import Env
 from .optim import Adam, clip_grad_norm
 from .playsys import execute
@@ -34,7 +27,7 @@ from .rng import Rng
 from .scene import EnvState, SceneConfig, jittered_state, scene_from_dict, scene_to_dict
 from .skills import Instruction, Perturbation
 from .store import EpisodeStore
-from .tasks import BehaviorMode, TaskSpec, check_success, classify_clip
+from .tasks import TaskSpec
 
 
 HORIZON = 16     # actions per planned chunk
@@ -204,92 +197,6 @@ def collect_task_demos(scene: SceneConfig, task: TaskSpec, episodes: int, noise:
                                speed_mult=1.0 + 0.6 * noise * (rng.uniform() - 0.3))
         ep = execute(env, Instruction(task, perturb), rng)
         store.append(replace(ep, eid=f"demo-{len(store):06d}", source="demo", seed=i))
-
-
-def closed_loop(policy: DiffusionPolicy, states: list[EnvState],
-                advance: Callable[[list[int], np.ndarray], list[Iterator[tuple[EnvState, EventKind]]]],
-                task: TaskSpec, rng: Rng, max_steps: int, replan: int,
-                latent: Callable[[np.ndarray], np.ndarray] | None = None
-                ) -> tuple[float, dict[str, int]]:
-    """Success rate and mode histogram of one closed-loop rollout per start
-    state, all stepping in lockstep.
-
-    A rollout that starts in success takes no step. Each decision encodes
-    the states of the B rollouts that have not yet succeeded in one
-    `encode_states` call, takes their (B, L) latents from latent(encoded), or
-    draws them from rng without it, and plans them in one `plan_actions`
-    call. advance(rows, actions) gets those rollouts' indices into states
-    and their first `replan` planned actions, (B, replan, 4), and returns
-    an iterator of (state, event kind) pairs for each. The loop takes the
-    pairs one at a time, up to each rollout's first success and to
-    max_steps steps in all, so an advance that steps lazily takes no step
-    past them. `classify_clip` labels each rollout from its steps' kinds
-    and the loop's own success flag: a rollout succeeded exactly when a
-    success stopped it, or it started in success.
-    """
-    states = list(states)
-    kinds: list[list[EventKind]] = [[] for _ in states]
-    live = [b for b, state in enumerate(states) if not check_success(state, task)]
-    t = 0
-    while t < max_steps and live:
-        conds = statecodec.encode_states(*statecodec.state_arrays([states[b] for b in live]))
-        w0 = latent(conds) if latent is not None else rng.normal((len(live), policy.latent_dim))
-        acts = plan_actions(policy, conds, w0)[:, :replan]
-        n = min(acts.shape[1], max_steps - t)
-        still = []
-        for b, pairs in zip(live, advance(live, acts)):
-            for state, kind in itertools.islice(pairs, n):
-                states[b] = state
-                kinds[b].append(kind)
-                if check_success(state, task):
-                    break
-            else:
-                still.append(b)
-        live = still
-        t += n
-    failed = set(live)
-    hist: dict[str, int] = {m.value: 0 for m in BehaviorMode}
-    for b, clip in enumerate(kinds):
-        hist[classify_clip(clip, task, b not in failed).value] += 1
-    return (len(states) - len(failed)) / len(states), hist
-
-
-def _env_steps(env: Env, actions: list[list[float]]) -> Iterator[tuple[EnvState, EventKind]]:
-    for row in actions:
-        state, event = env.step(Action(*row))
-        yield state, event.kind
-
-
-def measure_env_success(policy: DiffusionPolicy, scene: SceneConfig, task: TaskSpec,
-                        n_rollouts: int, rng: Rng, max_steps: int, replan: int,
-                        latent: Callable[[np.ndarray], np.ndarray] | None = None
-                        ) -> tuple[float, dict[str, int]]:
-    """Success rate and mode histogram of n_rollouts simulator rollouts of
-    at most max_steps steps, each from a jittered nominal scene in an env of
-    its own noise seed, re-planning after every `replan` executed actions.
-
-    Every rollout's env seed and start state are drawn first; then
-    `closed_loop` steps them, each env only as far as its rollout runs.
-    """
-    if replan < 1:
-        raise ValueError(f"replan must be at least 1, got {replan}")
-    if replan > HORIZON:
-        raise ValueError(f"replan must be at most {HORIZON}, got {replan}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    if n_rollouts < 1:
-        raise ValueError(f"n_rollouts must be at least 1, got {n_rollouts}")
-    envs = []
-    for _ in range(n_rollouts):
-        env = Env(scene, seed=rng.spawn_seed())
-        env.reset(jittered_state(scene, rng, INIT_JITTER))
-        envs.append(env)
-
-    def advance(rows, actions):
-        return [_env_steps(envs[b], row) for b, row in zip(rows, actions.tolist())]
-
-    return closed_loop(policy, [env.state for env in envs], advance, task, rng, max_steps,
-                       replan, latent)
 
 
 def build_suite(spec: PolicySuiteSpec, scene: SceneConfig, rng: Rng,

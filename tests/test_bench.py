@@ -108,7 +108,7 @@ def test_imagined_decodes_each_prediction_once(trained, monkeypatch):
     plan, planned = policies.plan_actions, []
     monkeypatch.setattr(statecodec, "project_states",
                         lambda vecs, roster: rows.append(len(vecs)) or project(vecs, roster))
-    monkeypatch.setattr(policies, "plan_actions",
+    monkeypatch.setattr(bench, "plan_actions",
                         lambda *args: planned.append(len(args[1])) or plan(*args))
     rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))
     assert 0 < rate < 1 and planned[-1] < cfg.n_wm
@@ -203,7 +203,7 @@ def test_imagined_rollouts_step_in_lockstep(trained, monkeypatch, max_steps):
         stepped.append((list(range(len(out))) if rows is None else list(rows), out))
         return out
 
-    monkeypatch.setattr(policies, "plan_actions", spied_plan)
+    monkeypatch.setattr(bench, "plan_actions", spied_plan)
     monkeypatch.setattr(worldmodel, "predict_chunk", spied_predict)
     monkeypatch.setattr(worldmodel.RolloutBackend, "step_chunk", spied_step)
     cfg = EvalStudyConfig(task=TASK, n_wm=n, max_steps=max_steps)
@@ -236,7 +236,7 @@ def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan,
     scene, policy, _ = trained
     envs, plans, latents = [], [], []
 
-    class RecordingEnv(policies.Env):
+    class RecordingEnv(bench.Env):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.flags = []  # per step: did it reach success
@@ -260,11 +260,11 @@ def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan,
         latents.append(conds.copy())
         return np.zeros((len(conds), policy.latent_dim))
 
-    monkeypatch.setattr(policies, "Env", RecordingEnv)
-    monkeypatch.setattr(policies, "plan_actions", spied_plan)
+    monkeypatch.setattr(bench, "Env", RecordingEnv)
+    monkeypatch.setattr(bench, "plan_actions", spied_plan)
     n = 10
-    rate, _ = policies.measure_env_success(policy, scene, TASK, n, Rng(73), max_steps, replan,
-                                           latent=latent if steered else None)
+    cfg = EvalStudyConfig(task=TASK, n_real=n, max_steps=max_steps, replan=replan)
+    rate, _ = bench.measure_real(policy, scene, cfg, Rng(73), latent=latent if steered else None)
     assert len(envs) == n
     rows = [len(conds) for conds, _ in plans]
     assert rows[0] == n and rows == sorted(rows, reverse=True)
@@ -285,28 +285,13 @@ def test_real_rollouts_step_in_lockstep(trained, monkeypatch, max_steps, replan,
             assert env.flags == [False] * max_steps
 
 
-@pytest.mark.parametrize("bad", [{"replan": 0}, {"replan": -1}, {"n_rollouts": 0},
-                                 {"max_steps": 0}, {"max_steps": -3}])
-def test_real_rollouts_reject_bad_counts(trained, bad):
-    """A replan below 1 would never advance the loop, a step budget below 1
-    would label every rollout without a step, and no rollouts have no
-    success rate; each fails, naming the value, before the loop draws."""
-    scene, policy, _ = trained
-    rng = Rng(73)
-    args = {"n_rollouts": 3, "max_steps": 30, "replan": 5, **bad}
-    name, value = next(iter(bad.items()))
-    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
-        policies.measure_env_success(policy, scene, TASK, rng=rng, **args)
-    assert rng.spawn_seed() == Rng(73).spawn_seed()
-
-
 def test_measure_real_plans_once_per_decision(trained, monkeypatch):
     """Ten rollouts of 30 steps at replan 5 make at most 30 / 5 = 6
     `plan_actions` calls, one per decision, however many rollouts live; a
     loop that planned each rollout on its own would make up to 60."""
     scene, policy, _ = trained
     calls, plan = [], policies.plan_actions
-    monkeypatch.setattr(policies, "plan_actions",
+    monkeypatch.setattr(bench, "plan_actions",
                         lambda *args: calls.append(len(args[1])) or plan(*args))
     cfg = EvalStudyConfig(task=TASK, n_real=10, max_steps=30, replan=5)
     bench.measure_real(policy, scene, cfg, Rng(70))
@@ -344,7 +329,7 @@ def test_closed_loops_encode_live_states_through_arrays(trained, monkeypatch):
 
     monkeypatch.setattr(statecodec, "encode_state", scalar)
     monkeypatch.setattr(statecodec, "encode_states", counted_encode)
-    monkeypatch.setattr(policies, "plan_actions", counted_plan)
+    monkeypatch.setattr(bench, "plan_actions", counted_plan)
     monkeypatch.setattr(worldmodel.RolloutBackend, "reset", counted_reset)
     monkeypatch.setattr(worldmodel.RolloutBackend, "step_chunk", counted_step)
     cfg = EvalStudyConfig(task=TASK, n_real=6, n_wm=6)
@@ -360,15 +345,26 @@ def test_closed_loops_encode_live_states_through_arrays(trained, monkeypatch):
     assert Counter(encoded) == want
 
 
-@pytest.mark.parametrize("entry", ["measure_env_success", "EvalStudyConfig"])
-def test_replan_above_the_policy_horizon_is_refused(trained, entry):
+@pytest.mark.parametrize("entry", ["finetune", "EvalStudyConfig"])
+def test_replan_above_the_policy_horizon_is_refused(trained, monkeypatch, entry):
     """A plan holds HORIZON actions, so a larger replan would silently
-    re-plan after HORIZON of them; it is refused by name before any draw."""
+    re-plan after HORIZON of them; it is refused by name before any draw.
+    DSRL's real evaluations re-plan once per model chunk, so a model chunk
+    of 20 is refused before the actor or a start state is drawn."""
     scene, policy, _ = trained
     rng = Rng(73)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("finetune went past its argument checks")
+
+    monkeypatch.setattr(dsrl, "make_dsrl", not_reached)
     with pytest.raises(ValueError, match="replan must be at most 16, got 20"):
-        if entry == "measure_env_success":
-            policies.measure_env_success(policy, scene, TASK, 3, rng, 40, 20)
+        if entry == "finetune":
+            wm = create_worldmodel(scene, WmConfig(hidden=16, depth=1, chunk=20), Rng(0))
+            width = statecodec.state_dim(len(scene.objects))
+            prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), scene)
+            dsrl.finetune(worldmodel.RolloutBackend(wm, Rng(5)), policy, prog, scene, TASK,
+                          dsrl.DsrlConfig(replan=20, max_episode_steps=40), rng)
         else:
             bench.measure_real(policy, scene, EvalStudyConfig(task=TASK, max_steps=40,
                                                               replan=20), rng)
@@ -593,13 +589,13 @@ def test_policy_eval_runs_real_rollouts_in_the_model_scene(trained, monkeypatch,
     scene, policy, wm = trained
     model = wm if in_model else scene
     seen = []
-    measure = bench.measure_env_success
+    measure = bench.measure_real
 
     def spy(policy, scene, *args):
         seen.append(scene)
         return measure(policy, scene, *args)
 
-    monkeypatch.setattr(bench, "measure_env_success", spy)
+    monkeypatch.setattr(bench, "measure_real", spy)
     cfg = EvalStudyConfig(task=TASK, n_real=2, n_wm=2, max_steps=10)
     report = bench.run_policy_eval(suite_entries(policy), model, cfg, Rng(7))
     assert [r.name for r in report.rows] == [f"v{k}" for k in range(6)]
@@ -631,13 +627,43 @@ def test_policy_eval_refuses_policies_of_another_scene(trained, monkeypatch, in_
                               EvalStudyConfig(task=TASK), Rng(0))
 
 
+def moved_policy():
+    """A tiny policy of the default scene with the bowl moved 0.1 to the right."""
+    bowl, *rest = default_scene().objects
+    moved = SceneConfig((replace(bowl, x=bowl.x + 0.1), *rest))
+    return create_policy(moved, PolicyConfig(hidden=16, depth=1), Rng(5))
+
+
+def test_measure_real_refuses_a_policy_of_another_scene(trained):
+    """A policy trained with the bowl moved is refused before any draw: its
+    rollouts would start from states it never saw."""
+    scene, _, _ = trained
+    rng = Rng(70)
+    with pytest.raises(ValueError, match="trained in another scene than the simulator's"):
+        bench.measure_real(moved_policy(), scene, EvalStudyConfig(task=TASK), rng)
+    assert rng.spawn_seed() == Rng(70).spawn_seed()
+
+
+@pytest.mark.parametrize("in_model", [True, False])
+def test_measure_imagined_refuses_a_policy_of_another_scene(trained, in_model):
+    """The same refusal, before any draw, in the world model or in the
+    simulator."""
+    scene, _, wm = trained
+    rng = Rng(71)
+    where = "world model" if in_model else "simulator"
+    with pytest.raises(ValueError, match=f"trained in another scene than the {where}'s"):
+        bench.measure_imagined(moved_policy(), wm if in_model else scene,
+                               EvalStudyConfig(task=TASK), rng)
+    assert rng.spawn_seed() == Rng(71).spawn_seed()
+
+
 @pytest.mark.parametrize("in_model", [True, False])
 def test_closed_loop_labels_clips_with_its_own_success_flags(trained, monkeypatch, in_model):
     """`closed_loop` hands `classify_clip` each rollout's own success flag:
     rate × n of them are true, and each is `check_success` of its rollout's
     last state."""
     scene, policy, wm = trained
-    loop, classify = policies.closed_loop, policies.classify_clip
+    loop, classify = bench.closed_loop, bench.classify_clip
     last: dict[int, object] = {}  # each rollout's latest state
     flags: list[bool] = []
 
@@ -646,20 +672,19 @@ def test_closed_loop_labels_clips_with_its_own_success_flags(trained, monkeypatc
             last[b] = state
             yield state, kind
 
-    def spied_loop(policy, states, advance, task, *rest):
+    def spied_loop(policy, states, advance, *rest):
         last.update(enumerate(states))
 
         def spied_advance(rows, actions):
             return [tracked(b, pairs) for b, pairs in zip(rows, advance(rows, actions))]
-        return loop(policy, states, spied_advance, task, *rest)
+        return loop(policy, states, spied_advance, *rest)
 
     def spied_classify(kinds, task, success):
         flags.append(success)
         return classify(kinds, task, success)
 
     monkeypatch.setattr(bench, "closed_loop", spied_loop)
-    monkeypatch.setattr(policies, "closed_loop", spied_loop)
-    monkeypatch.setattr(policies, "classify_clip", spied_classify)
+    monkeypatch.setattr(bench, "classify_clip", spied_classify)
     cfg = EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
     if in_model:
         rate, _ = bench.measure_imagined(policy, wm, cfg, Rng(71))

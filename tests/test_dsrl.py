@@ -166,7 +166,7 @@ def test_finetune_rejects_models_of_another_scene(monkeypatch):
         raise AssertionError("finetune went past its argument checks")
 
     monkeypatch.setattr(dsrl, "make_dsrl", not_reached)
-    monkeypatch.setattr(dsrl, "measure_env_success", not_reached)
+    monkeypatch.setattr(dsrl, "measure_real", not_reached)
     bowl, *rest = default_scene().objects
     moved = SceneConfig((replace(bowl, x=bowl.x + 0.1), *rest))
     with pytest.raises(ValueError, match="differs from that of the world model and the policy "
@@ -183,7 +183,7 @@ def test_finetune_rejects_no_start_states(monkeypatch):
         raise AssertionError("finetune went past its argument checks")
 
     monkeypatch.setattr(dsrl, "make_dsrl", not_reached)
-    monkeypatch.setattr(dsrl, "measure_env_success", not_reached)
+    monkeypatch.setattr(dsrl, "measure_real", not_reached)
     with pytest.raises(ValueError, match="inits must hold at least one start state"):
         _finetune(2, n_inits=0)
 

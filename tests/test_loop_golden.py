@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from conftest import TASK
-from playwm import bench, dsrl, policies, statecodec
+from playwm import bench, dsrl, statecodec
 from playwm.rng import Rng
 
 CFG = bench.EvalStudyConfig(task=TASK, n_real=10, n_wm=10, max_steps=30)
@@ -74,8 +74,8 @@ def test_imagined_predicted_states(trained, monkeypatch):
 def test_measure_env_success(trained):
     scene, policy, _ = trained
     rng = Rng(73)
-    pin("env_success", rng, *policies.measure_env_success(policy, scene, TASK, 10, rng,
-                                                          max_steps=30, replan=8)[:2])
+    cfg = bench.EvalStudyConfig(TASK, n_real=10, max_steps=30, replan=8)
+    pin("env_success", rng, *bench.measure_real(policy, scene, cfg, rng))
 
 
 @pytest.mark.parametrize("steered", [False, True])
@@ -86,7 +86,7 @@ def test_evaluate_steered(trained, steered):
         st = dsrl.make_dsrl(statecodec.state_dim(len(scene.objects)), policy.latent_dim,
                             dsrl.DsrlConfig(hidden=32, depth=2), Rng(80))
     rng = Rng(74)
-    rate, _ = policies.measure_env_success(policy, scene, TASK, 10, rng, 30, 5,
-                                           latent=st.actor.mean_latent if steered else None)
+    rate, _ = bench.measure_real(policy, scene, bench.EvalStudyConfig(TASK, n_real=10), rng,
+                                 latent=st.actor.mean_latent if steered else None)
     assert 0.0 < rate < 1.0
     assert digest(rng, rate) == GOLDEN[f"steered_{steered}"]

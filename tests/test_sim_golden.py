@@ -7,6 +7,7 @@ digests of the same collections pin what reads return, so a change of the
 store's file layout moves only the manifest hashes."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from playwm.playsys import ProposerConfig, bench_config, collect, expert_config
 from playwm.rng import Rng
 from playwm.scene import default_scene, jittered_state
 from playwm.store import EpisodeStore
+from playwm.tasks import infer_transition_event
 
 # name -> (proposer, episodes, reset_each, seed, manifest sha256 of layout 3)
 COLLECTIONS = {
@@ -155,3 +157,39 @@ def test_step_digest_pinned():
     assert kinds == set(EventKind)
     assert held_towel and stacked and out and wide and numpy_field
     assert h.hexdigest() == GOLDEN_STEP
+
+
+# name -> (proposer, seed, digest of the (simulator kind, inferred kind) count table)
+LABELLED = {
+    "play": (ProposerConfig, 11,
+             "d4e2e5cb3116eb711ae9ae556a4a799c38fd16958887e3bbbf91d2fc5c4feccb"),
+    "bench": (bench_config, 12,
+              "a5c6370bad3d0ad6ebc4425cf20bcd2c58a01f0e0f995b16516caed9df2d9627"),
+}
+EXACT_KINDS = (EventKind.GRASP_SUCCESS, EventKind.GRASP_MISS, EventKind.SLIP_DROP)
+
+
+@pytest.mark.parametrize("name", sorted(LABELLED))
+def test_labeller_against_the_simulator(name, tmp_path):
+    """The imagined rollouts' labeller, `infer_transition_event`, on every
+    transition of 60 collected episodes, against the kind the simulator
+    stored. Grasps, misses and slips are labelled exactly, both ways; the
+    whole count table is pinned, so a change to the rules shows which kinds
+    it moves. At this digest the labeller never infers STACK_TOPPLE, misses
+    some FOLD_CHANGE steps and swaps some slides and collisions."""
+    proposer, seed, want = LABELLED[name]
+    store = EpisodeStore(str(tmp_path))
+    collect(default_scene(), proposer(), 60, Rng(seed), store)
+    table = Counter()
+    for eid in store.ids():
+        view = store.read(eid)
+        states = view.states_at(slice(None))
+        for t, (row, kind) in enumerate(zip(view.actions.tolist(),
+                                            view.event_rows[:, 0].tolist())):
+            table[EventKind(kind), infer_transition_event(states[t], Action(*row),
+                                                          states[t + 1])] += 1
+    wrong = {pair: n for pair, n in table.items()
+             if pair[0] != pair[1] and set(pair) & set(EXACT_KINDS)}
+    assert not wrong and all(table[k, k] for k in EXACT_KINDS), wrong
+    rows = sorted((sim.name, inferred.name, n) for (sim, inferred), n in table.items())
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == want, rows

@@ -170,7 +170,7 @@ def test_settable_values_are_pinned():
 # A ceiling on the lines of src/playwm/*.py, as `wc -l` counts them. A change
 # that needs more raises it and says why in CHANGES.md; one that removes
 # lines lowers it to the new count.
-PACKAGE_LINES = 4857
+PACKAGE_LINES = 4845
 
 
 def test_package_lines_are_capped():
