@@ -337,13 +337,13 @@ class CoverageReport:
 
 
 def coverage_report(stores: dict[str, EpisodeStore], embedder: Embedder,
-                    window_len: int, stride: int | None = None) -> CoverageReport:
-    """Project every store's windows into one shared 2D PCA and compare spread: each
-    store's hull area in that plane, mean pairwise embedding distance and mode counts.
-    ValueError names a store with fewer than 2 windows."""
+                    window_len: int) -> CoverageReport:
+    """Project every store's windows, which tile its episodes, into one shared 2D PCA
+    and compare spread: each store's hull area in that plane, mean pairwise embedding
+    distance and mode counts. ValueError names a store with fewer than 2 windows."""
     wins, embs = {}, {}
     for source, store in stores.items():
-        wins[source] = store_windows(store, window_len, stride)
+        wins[source] = store_windows(store, window_len)
         if len(wins[source]) < 2:
             raise ValueError(f"store {source!r} has fewer than 2 windows")
         embs[source] = embed_store_windows(store, wins[source], embedder)

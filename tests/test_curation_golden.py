@@ -28,7 +28,7 @@ GOLDEN = {
     "progress_inputs": "bf25dbee732f3ecbc6f9cb1aac9698cc540637d655c3631c7c5d5e3a9367aa5a",
     "progress_params": "a8786d35860faa481229b2f827026cf4654b19da23fa301d720007fdde38f906",
     "replay_clips": "2662effaf3de27fedadc2b4779a5309fdb268cf3fa436e5009f77af291294d14",
-    "coverage": "b7a9da3921fe937999fe89e483ca593ee3a36706500ea132a2d4f9a831c27309",
+    "coverage": "df0f8726cab74073918ff681a50382fb9e98f2b56e6a3283bddc2cc647aff9d7",
 }
 
 
@@ -143,7 +143,7 @@ def test_coverage_report(stores):
     pinned."""
     _, play, demo = stores
     report = curation.coverage_report({"play": play, "demo": demo}, curation.Embedder.create(38),
-                                      window_len=W, stride=6)
+                                      window_len=W)
     assert [r["source"] for r in report.rows].count("demo") > 1
     assert digest(report.rows, report.hull_area, report.mean_pairwise,
                   {s: sorted(c.items()) for s, c in report.mode_counts.items()}) \
