@@ -209,9 +209,9 @@ class PolicyEvalReport:
 
 
 def _mode_distribution(hist: dict[str, int]) -> np.ndarray:
-    vec = np.array([hist.get(m.value, 0) for m in MODES], dtype=np.float64)
-    total = vec.sum()
-    return vec / total if total > 0 else np.full(len(MODES), 1.0 / len(MODES))
+    """The shares of a `closed_loop` histogram: every mode, one rollout or more."""
+    vec = np.array([hist[m.value] for m in MODES], dtype=np.float64)
+    return vec / vec.sum()
 
 
 def closed_loop(policy: DiffusionPolicy, states: list[EnvState],

@@ -17,7 +17,7 @@ each play window gets a distance-to-success (min Euclidean distance to any
 centroid) and a rank from equal-mass quantile thresholds.
 The index keeps only each rank's window rows. Training samples ranks from
 an annealed distribution that starts concentrated on the near-success ranks
-and spreads toward the long tail.
+(P_INIT) and spreads toward the long tail (P_FINAL) over each training run.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ MIN_PRODUCT_ROWS = 16  # zero rows pad a smaller block's projection to this many
 KMEANS_ITERS = 100     # Lloyd iterations at most
 KMEANS_TOL = 1e-6      # Lloyd stops once no centroid moves this far
 RANKS = 5              # curriculum ranks, nearest to success first
+P_INIT = (0.5, 0.3, 0.1, 0.05, 0.05)   # rank distribution at a run's first step
+P_FINAL = (0.1, 0.2, 0.2, 0.25, 0.25)  # the one it anneals toward; every entry is positive
 PAIRWISE_CAP = 2000    # mean_pairwise_distance reads at most this many points
 
 
@@ -210,57 +212,38 @@ def build_ranks(distances: np.ndarray, wins: list[ClipWindow]) -> CurriculumInde
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    p_init: tuple = (0.5, 0.3, 0.1, 0.05, 0.05)
-    p_final: tuple = (0.1, 0.2, 0.2, 0.25, 0.25)
+    """Rank sampling annealed from P_INIT to P_FINAL over each run's steps."""
     update_period: int = 500        # paper-scale preset uses 5000
-    total_steps: int = 2500
 
     def __post_init__(self):
-        for name in ("update_period", "total_steps"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        for name in ("p_init", "p_final"):
-            p = getattr(self, name)
-            if len(p) != RANKS:
-                raise ValueError(f"{name} must hold one probability per rank ({RANKS}), "
-                                 f"got {len(p)}")
-            if any(x < 0.0 for x in p):
-                raise ValueError(f"{name} holds a negative probability: {p}")
-            if abs(sum(p) - 1.0) > 1e-9:
-                raise ValueError("rank distributions must sum to 1")
+        if self.update_period < 1:
+            raise ValueError(f"update_period must be at least 1, got {self.update_period}")
 
 
-def rank_distribution(schedule: AnnealSchedule, step: int) -> np.ndarray:
-    """Piecewise-constant interpolation, frozen within each update period."""
-    if step < 0:
-        raise ValueError("step must be nonnegative")
+def rank_distribution(schedule: AnnealSchedule, step: int, total: int) -> np.ndarray:
+    """P_INIT annealed toward P_FINAL over total steps, frozen within each update period."""
+    if step < 0 or total < 1:
+        raise ValueError(f"need step >= 0 and total >= 1, got step {step} of {total}")
     u = schedule.update_period
-    lam = min(1.0, (step // u) * u / schedule.total_steps)
-    p0 = np.asarray(schedule.p_init)
-    p1 = np.asarray(schedule.p_final)
-    return (1.0 - lam) * p0 + lam * p1
+    lam = min(1.0, (step // u) * u / total)
+    return (1.0 - lam) * np.asarray(P_INIT) + lam * np.asarray(P_FINAL)
 
 
 def effective_rank_distribution(index: CurriculumIndex, schedule: AnnealSchedule,
-                                step: int) -> np.ndarray:
+                                step: int, total: int) -> np.ndarray:
     """Schedule distribution with empty-rank mass pushed onto nonempty ranks."""
-    p = rank_distribution(schedule, step)
+    p = rank_distribution(schedule, step, total)
     sizes = np.array([len(m) for m in index.members])
     if sizes.sum() == 0:
         raise ValueError("all ranks are empty")
     p = np.where(sizes > 0, p, 0.0)
-    total = p.sum()
-    if total <= 0.0:
-        p = (sizes > 0).astype(np.float64)
-        total = p.sum()
-    return p / total
+    return p / p.sum()
 
 
-def sample_batch(index: CurriculumIndex, schedule: AnnealSchedule, step: int,
+def sample_batch(index: CurriculumIndex, schedule: AnnealSchedule, step: int, total: int,
                  batch_size: int, rng: Rng) -> np.ndarray:
-    """Window rows drawn rank-first (annealed), then uniformly within rank."""
-    p = effective_rank_distribution(index, schedule, step)
+    """Window rows drawn rank-first (annealed over total steps), then uniformly within rank."""
+    p = effective_rank_distribution(index, schedule, step, total)
     cum = np.cumsum(p)
     u = rng.uniform_array(batch_size)
     rank_idx = np.searchsorted(cum, u, side="left").clip(0, len(p) - 1)

@@ -186,10 +186,10 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
     """Fit the denoiser for `steps` steps; sampling is uniform or
     curriculum-driven per batch.
 
-    Each call starts a fresh Adam and a fresh warmup/cosine learning-rate
-    schedule (and the curriculum restarts at its step 0), and checkpoints
-    hold no optimizer state: resuming is not supported, so train(50) then
-    train(50) is not train(100). step_count and the loss trace do continue.
+    Each call starts a fresh Adam, warmup/cosine learning-rate schedule and
+    curriculum anneal, each over its `steps`, and checkpoints hold no
+    optimizer state: resuming is not supported, so train(50) then train(50)
+    is not train(100). step_count and the loss trace do continue.
     """
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
@@ -204,7 +204,7 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
             rows = rng.randint_array(wm.cfg.batch, n)
         else:
             index, schedule = curriculum
-            rows = sample_batch(index, schedule, step, wm.cfg.batch, rng)
+            rows = sample_batch(index, schedule, step, steps, wm.cfg.batch, rng)
         cond = dataset.conds[rows]
         x0 = wm.to_targets(dataset.targets[rows], last_history_state(wm, cond))
         value = diffusion_loss(wm.denoiser, wm.schedule, x0, cond, rng, grads)
@@ -223,7 +223,7 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
 def _check_curriculum(index: CurriculumIndex, dataset: WindowDataset) -> None:
     """ValueError unless the index ranks exactly the dataset's windows, row
     for row: its members are dataset rows. Its rank count needs no check:
-    `build_ranks` and `AnnealSchedule` both hold `curation.RANKS` ranks."""
+    `build_ranks`, `P_INIT` and `P_FINAL` all hold `curation.RANKS` ranks."""
     if len(index.windows) != len(dataset.windows):
         raise ValueError(f"curriculum index holds {len(index.windows)} windows, "
                          f"the dataset {len(dataset.windows)}")

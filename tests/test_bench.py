@@ -559,6 +559,21 @@ def test_build_suite_keeps_each_trained_variant_demos_under_the_root(tmp_path):
     assert len(EpisodeStore(str(root / "d1"))) == 1
 
 
+def test_default_suite_degrades_from_clean_to_untrained():
+    """The suite the study trains: enough distinctly named variants on
+    put_in 1 -> 0, the untrained one first, then demo counts rising and
+    noise not rising, so the policies span success rates."""
+    spec = policies.default_suite_spec()
+    variants = spec.variants
+    assert spec.task == TaskSpec("put_in", 1, 0)
+    assert len(variants) >= policies.SUITE_POLICIES
+    assert len({v.name for v in variants}) == len(variants)
+    first, *rest = variants
+    assert (first.demo_count, first.train_steps) == (0, 0)
+    assert all(a.demo_count < b.demo_count and a.noise >= b.noise
+               for a, b in zip(rest, rest[1:]))
+
+
 def test_a_suite_of_too_few_policies_is_refused_before_training(trained):
     """The spec refuses fewer than SUITE_POLICIES variants when it is built,
     and `run_policy_eval` as many entries, before it measures any."""

@@ -339,62 +339,69 @@ class TestRanks:
 
 
 class TestAnneal:
+    def test_rank_distributions_are_positive_over_every_rank(self):
+        """P_INIT and P_FINAL are distributions over the RANKS ranks that
+        build_ranks makes, and every rank has mass in both, so a nonempty
+        rank keeps mass whichever ranks are empty."""
+        for p in (cu.P_INIT, cu.P_FINAL):
+            assert len(p) == cu.RANKS
+            assert all(x > 0.0 for x in p)
+            assert abs(sum(p) - 1.0) < 1e-9
+
     def test_initial_and_final_exact(self):
         s = cu.AnnealSchedule()
-        assert tuple(cu.rank_distribution(s, 0)) == (0.5, 0.3, 0.1, 0.05, 0.05)
-        assert tuple(cu.rank_distribution(s, s.total_steps)) == (0.1, 0.2, 0.2, 0.25, 0.25)
-        assert tuple(cu.rank_distribution(s, s.total_steps * 3)) == (0.1, 0.2, 0.2, 0.25, 0.25)
+        assert tuple(cu.rank_distribution(s, 0, 2500)) == cu.P_INIT == (0.5, 0.3, 0.1, 0.05, 0.05)
+        assert tuple(cu.rank_distribution(s, 2500, 2500)) == cu.P_FINAL \
+            == (0.1, 0.2, 0.2, 0.25, 0.25)
+        assert tuple(cu.rank_distribution(s, 2500 * 3, 2500)) == cu.P_FINAL
 
     def test_midpoint(self):
-        s = cu.AnnealSchedule(update_period=500, total_steps=2500)
-        p = cu.rank_distribution(s, 1250)  # floor(1250/500)*500/2500 = 0.4, not 0.5
+        s = cu.AnnealSchedule(update_period=500)
+        p = cu.rank_distribution(s, 1250, 2500)  # floor(1250/500)*500/2500 = 0.4, not 0.5
         lam = (1250 // 500) * 500 / 2500
-        expect = (1 - lam) * np.array(s.p_init) + lam * np.array(s.p_final)
+        expect = (1 - lam) * np.array(cu.P_INIT) + lam * np.array(cu.P_FINAL)
         assert np.allclose(p, expect)
         # exact midpoint needs a period boundary at S/2
-        s2 = cu.AnnealSchedule(update_period=250, total_steps=2500)
-        p2 = cu.rank_distribution(s2, 1250)
+        s2 = cu.AnnealSchedule(update_period=250)
+        p2 = cu.rank_distribution(s2, 1250, 2500)
         assert np.allclose(p2, [0.3, 0.25, 0.15, 0.15, 0.15])
+
+    def test_anneal_spans_the_run(self):
+        """The same step is further along a shorter run: at step 500, a
+        1000-step run is halfway and a 2500-step run a fifth of the way."""
+        s = cu.AnnealSchedule()
+        for total, lam in ((1000, 0.5), (2500, 0.2), (500, 1.0)):
+            expect = (1 - lam) * np.array(cu.P_INIT) + lam * np.array(cu.P_FINAL)
+            assert np.allclose(cu.rank_distribution(s, 500, total), expect)
+        # below one update period no run has annealed
+        assert tuple(cu.rank_distribution(s, 499, 60)) == cu.P_INIT
 
     def test_piecewise_constant_within_period(self):
         s = cu.AnnealSchedule()
-        assert np.array_equal(cu.rank_distribution(s, 500), cu.rank_distribution(s, 999))
+        assert np.array_equal(cu.rank_distribution(s, 500, 2500),
+                              cu.rank_distribution(s, 999, 2500))
 
     def test_sums_to_one_everywhere(self):
         s = cu.AnnealSchedule()
         for step in range(0, 4000, 83):
-            p = cu.rank_distribution(s, step)
+            p = cu.rank_distribution(s, step, 2500)
             assert abs(p.sum() - 1.0) < 1e-12
-            assert np.all(p >= min(min(s.p_init), min(s.p_final)) - 1e-12)
+            assert np.all(p >= min(min(cu.P_INIT), min(cu.P_FINAL)) - 1e-12)
 
-    def test_invalid_distributions(self):
-        with pytest.raises(ValueError, match="rank distributions must sum to 1"):
-            cu.AnnealSchedule(p_init=(0.5, 0.5, 0.1, 0.0, 0.0))
-
-    @pytest.mark.parametrize("name", ["p_init", "p_final"])
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_distributions_hold_one_probability_per_rank(self, name, n):
-        """A distribution over another number of ranks than build_ranks
-        makes fails by name when built, not inside numpy at the first
-        curriculum batch."""
-        with pytest.raises(ValueError, match=rf"{name} must hold one probability per rank "
-                                             rf"\({cu.RANKS}\), got {n}"):
-            cu.AnnealSchedule(**{name: (1.0 / n,) * n})
-
-    @pytest.mark.parametrize("name", ["update_period", "total_steps"])
+    @pytest.mark.parametrize("name", ["update_period"])
     def test_periods_must_be_at_least_one(self, name):
-        """Each fails by name when built, not by dividing by zero in
+        """It fails by name when built, not by dividing by zero in
         rank_distribution."""
         for value in (0, -1):
             with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
                 cu.AnnealSchedule(**{name: value})
 
-    @pytest.mark.parametrize("name", ["p_init", "p_final"])
-    def test_probabilities_must_be_nonnegative(self, name):
-        """A distribution that sums to 1 through a negative entry is rejected,
-        not sampled from."""
-        with pytest.raises(ValueError, match=f"{name} holds a negative probability"):
-            cu.AnnealSchedule(**{name: (1.5, -0.5, 0.0, 0.0, 0.0)})
+    @pytest.mark.parametrize("step, total", [(-1, 10), (0, 0), (3, -2)])
+    def test_step_and_run_length_are_checked(self, step, total):
+        """A negative step, or a run of no steps, fails by name, not by
+        dividing by zero or annealing past P_FINAL."""
+        with pytest.raises(ValueError, match=f"got step {step} of {total}"):
+            cu.rank_distribution(cu.AnnealSchedule(), step, total)
 
 
 def tiny_index(sizes):
@@ -405,26 +412,26 @@ def tiny_index(sizes):
 
 
 class TestSampler:
-    def test_degenerate_distribution(self):
+    def test_degenerate_distribution(self, monkeypatch):
         idx = tiny_index([10, 10, 10, 10, 10])
-        sched = cu.AnnealSchedule(p_init=(1.0, 0.0, 0.0, 0.0, 0.0),
-                                  p_final=(1.0, 0.0, 0.0, 0.0, 0.0))
-        rows = cu.sample_batch(idx, sched, 0, 200, Rng(1))
+        monkeypatch.setattr(cu, "P_INIT", (1.0, 0.0, 0.0, 0.0, 0.0))
+        monkeypatch.setattr(cu, "P_FINAL", (1.0, 0.0, 0.0, 0.0, 0.0))
+        rows = cu.sample_batch(idx, cu.AnnealSchedule(), 0, 10, 200, Rng(1))
         assert np.all(window_ranks(idx, 50)[rows] == 1)
 
     def test_determinism(self):
         idx = tiny_index([10, 10, 10, 10, 10])
         sched = cu.AnnealSchedule()
-        a = cu.sample_batch(idx, sched, 100, 64, Rng(7))
-        b = cu.sample_batch(idx, sched, 100, 64, Rng(7))
+        a = cu.sample_batch(idx, sched, 100, 2500, 64, Rng(7))
+        b = cu.sample_batch(idx, sched, 100, 2500, 64, Rng(7))
         assert np.array_equal(a, b)
 
     def test_frequencies_match_schedule(self):
         idx = tiny_index([200, 200, 200, 200, 200])
         sched = cu.AnnealSchedule()
         step = 1000
-        p = cu.rank_distribution(sched, step)
-        rows = cu.sample_batch(idx, sched, step, 100_000, Rng(3))
+        p = cu.rank_distribution(sched, step, 2500)
+        rows = cu.sample_batch(idx, sched, step, 2500, 100_000, Rng(3))
         ranks = window_ranks(idx, 1000)[rows]
         freq = np.array([(ranks == r).mean() for r in range(1, 6)])
         assert np.all(np.abs(freq - p) < 0.01)
@@ -438,10 +445,10 @@ class TestSampler:
         ranks = window_ranks(idx, 50)
         idx.members[0] = np.array([], dtype=np.int64)  # force an empty rank
         sched = cu.AnnealSchedule()
-        p = cu.effective_rank_distribution(idx, sched, 0)
+        p = cu.effective_rank_distribution(idx, sched, 0, 2500)
         assert p[0] == 0.0
         assert abs(p.sum() - 1.0) < 1e-12
-        rows = cu.sample_batch(idx, sched, 0, 500, Rng(5))
+        rows = cu.sample_batch(idx, sched, 0, 2500, 500, Rng(5))
         assert np.all(ranks[rows] != 1)
 
 

@@ -290,6 +290,24 @@ class TestCollect:
 
         assert initial_var(play) > initial_var(demo)
 
+    @pytest.mark.parametrize("oid, x, grasped", [(1, 0.01, True), (0, 0.02, False)])
+    def test_expert_retrieves_an_object_out_of_bounds(self, oid, x, grasped):
+        """A stray disk is proposed for retrieval, grasped and placed at the
+        retrieve target; a stray bowl, which cannot be grasped, is shoved
+        home. Both end inside the retrieve box."""
+        for seed in range(4):
+            state = default_scene().nominal_state()
+            state.object_by_id(oid).x = x
+            instr = propose(state, expert_config(), Rng(seed))
+            assert instr.task == TaskSpec("reset_retrieve", oid)
+            assert not check_success(state, instr.task)
+            env = Env(default_scene(), seed=seed)
+            env.reset(state)
+            ep = execute(env, expert_instruction(instr.task), Rng(seed))
+            assert ep.outcome
+            held = [s.gripper.held for s in ep.states_at(range(ep.n_frames))]
+            assert (oid in held) == grasped
+
     def test_oob_recovery(self, tmp_path):
         store = EpisodeStore(str(tmp_path / "s"))
         human_play = ProposerConfig(sigma_w_max=0.12, sigma_g_max=0.10, speed_range=(0.5, 2.0))

@@ -67,7 +67,7 @@ def test_worldmodel_train(stores, dataset, sampling, monkeypatch):
     monkeypatch.setattr(worldmodel, "LOG_EVERY", 3)
     ds, index = dataset
     wm = worldmodel.create_worldmodel(stores[0], WM_CFG, Rng(45))
-    curriculum = (index, curation.AnnealSchedule(update_period=4, total_steps=12))
+    curriculum = (index, curation.AnnealSchedule(update_period=4))
     trace = worldmodel.train(wm, ds, 12, Rng(46),
                              curriculum=curriculum if sampling == "curriculum" else None)
     assert digest(wm.param_hash(), trace) == GOLDEN[f"wm_{sampling}"]
@@ -86,6 +86,23 @@ def test_worldmodel_train_rejects_an_index_over_other_windows(stores, dataset):
     with pytest.raises(ValueError, match="curriculum index row 0 is "):
         worldmodel.train(wm, ds, 1, Rng(46), curriculum=(reversed_, curation.AnnealSchedule()))
     assert wm.step_count == 0
+
+
+@pytest.mark.parametrize("sampling", ["uniform", "curriculum"])
+def test_worldmodel_train_stops_on_a_non_finite_loss(stores, dataset, sampling):
+    """NaN targets stop a run at its first step, before the optimizer
+    moves any parameter: the hash, step count and loss trace are those of
+    the steps before it."""
+    ds, index = dataset
+    wm = worldmodel.create_worldmodel(stores[0], WM_CFG, Rng(45))
+    worldmodel.train(wm, ds, 2, Rng(46))
+    before = (wm.param_hash(), wm.step_count, list(wm.loss_trace))
+    nan = worldmodel.WindowDataset(ds.windows, ds.conds, np.full_like(ds.targets, np.nan))
+    with pytest.raises(worldmodel.TrainingError, match="non-finite loss at step 2"):
+        worldmodel.train(wm, nan, 5, Rng(47),
+                         curriculum=(index, curation.AnnealSchedule()) if sampling == "curriculum"
+                         else None)
+    assert (wm.param_hash(), wm.step_count, wm.loss_trace) == before
 
 
 @pytest.mark.parametrize("config, name", [(worldmodel.WmConfig, n) for n in
@@ -116,6 +133,20 @@ def test_train_bc(stores, monkeypatch):
     policy = policies.create_policy(stores[0], BC_CFG, Rng(47))
     trace = policies.train_bc(policy, stores[2], 12, Rng(48))
     assert digest(policy.param_hash(), trace) == GOLDEN["bc"]
+
+
+def test_train_bc_stops_on_a_non_finite_loss(stores, monkeypatch):
+    """NaN conditioning stops a run at its first step, before the optimizer
+    moves any parameter or the step count advances."""
+    policy = policies.create_policy(stores[0], BC_CFG, Rng(47))
+    policies.train_bc(policy, stores[2], 2, Rng(48))
+    before = (policy.param_hash(), policy.train_steps_done)
+    conds, chunks = policies.chunk_dataset(stores[2])
+    monkeypatch.setattr(policies, "chunk_dataset",
+                        lambda demos: (np.full_like(conds, np.nan), chunks))
+    with pytest.raises(FloatingPointError, match="non-finite BC loss at step 0"):
+        policies.train_bc(policy, stores[2], 5, Rng(49))
+    assert (policy.param_hash(), policy.train_steps_done) == before
 
 
 def test_train_progress(stores, monkeypatch):
