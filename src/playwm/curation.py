@@ -42,7 +42,7 @@ KMEANS_ITERS = 100     # Lloyd iterations at most
 KMEANS_TOL = 1e-6      # Lloyd stops once no centroid moves this far
 RANKS = 5              # curriculum ranks, nearest to success first
 P_INIT = (0.5, 0.3, 0.1, 0.05, 0.05)   # rank distribution at a run's first step
-P_FINAL = (0.1, 0.2, 0.2, 0.25, 0.25)  # the one it anneals toward; every entry is positive
+P_FINAL = (0.1, 0.2, 0.2, 0.25, 0.25)  # the one it anneals toward
 PAIRWISE_CAP = 2000    # mean_pairwise_distance reads at most this many points
 
 
@@ -208,6 +208,20 @@ def build_ranks(distances: np.ndarray, wins: list[ClipWindow]) -> CurriculumInde
     ranks = np.searchsorted(thresholds, distances, side="right") + 1
     members = [np.flatnonzero(ranks == r) for r in range(1, RANKS + 1)]
     return CurriculumIndex(windows=wins, members=members)
+
+
+def check_rank_distribution(name: str, p: tuple) -> None:
+    """Fail by name on a distribution that is not positive over the RANKS ranks."""
+    if len(p) != RANKS:
+        raise ValueError(f"{name} must hold one probability per rank ({RANKS}), got {len(p)}")
+    if abs(sum(p) - 1.0) > 1e-9:
+        raise ValueError(f"rank distributions must sum to 1: {name} sums to {sum(p)}")
+    if any(x <= 0.0 for x in p):
+        raise ValueError(f"{name} holds a negative probability or a zero: {p}")
+
+
+check_rank_distribution("P_INIT", P_INIT)
+check_rank_distribution("P_FINAL", P_FINAL)
 
 
 @dataclass(frozen=True)

@@ -388,6 +388,29 @@ class TestAnneal:
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= min(min(cu.P_INIT), min(cu.P_FINAL)) - 1e-12)
 
+    def test_invalid_distributions(self):
+        with pytest.raises(ValueError, match="rank distributions must sum to 1"):
+            cu.check_rank_distribution("P_INIT", (0.5, 0.5, 0.1, 0.0, 0.0))
+
+    @pytest.mark.parametrize("name", ["p_init", "p_final"])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_distributions_hold_one_probability_per_rank(self, name, n):
+        """A distribution over another number of ranks than build_ranks
+        makes fails by name when the module loads, not inside numpy at the
+        first curriculum batch."""
+        with pytest.raises(ValueError, match=rf"{name.upper()} must hold one probability "
+                                             rf"per rank \({cu.RANKS}\), got {n}"):
+            cu.check_rank_distribution(name.upper(), (1.0 / n,) * n)
+
+    @pytest.mark.parametrize("name", ["p_init", "p_final"])
+    def test_probabilities_must_be_nonnegative(self, name):
+        """A distribution that sums to 1 through a negative entry is rejected,
+        not sampled from; so is one with a zero, which would leave a
+        nonempty rank without mass."""
+        for p in ((1.5, -0.5, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match=f"{name.upper()} holds a negative probability"):
+                cu.check_rank_distribution(name.upper(), p)
+
     @pytest.mark.parametrize("name", ["update_period"])
     def test_periods_must_be_at_least_one(self, name):
         """It fails by name when built, not by dividing by zero in
