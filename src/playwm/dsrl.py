@@ -296,7 +296,7 @@ class EvalPoint:
 
 def finetune(backend: RolloutBackend, policy: DiffusionPolicy, progress_model: ProgressModel,
              scene: SceneConfig, task: TaskSpec, cfg: DsrlConfig, rng: Rng,
-             total_updates: int = 4000, inits: list[EnvState] | None = None
+             total_updates: int, inits: list[EnvState] | None = None
              ) -> tuple[DsrlState, list[EvalPoint], dict[str, np.ndarray]]:
     """Rollout/update loop inside the world model of `backend`, with periodic
     env evals in `scene`, every model's scene. cfg.replan must be the model chunk;

@@ -138,7 +138,8 @@ def propose(state: EnvState, cfg: ProposerConfig, rng: Rng) -> Instruction:
 
 
 def execute(env: Env, instr: Instruction, rng: Rng) -> Episode:
-    """Run one instruction to success, terminal failure, or MAX_STEPS steps.
+    """Run one instruction to success, terminal failure, or MAX_STEPS steps,
+    the one stop rule: the skill controller has no success check of its own.
     Each skill action is sanitized once (clamped to `A_MAX` and the rest):
     the simulator executes that action and the episode records it, and the
     simulator's own `sanitized` call returns it as it is. The episode's id

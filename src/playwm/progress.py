@@ -55,7 +55,7 @@ def progress_loss(net: nets.Mlp, x: np.ndarray, y: np.ndarray, grads: nets.FlatP
 
 
 def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
-                   steps: int = 1500, patience: int = 8) -> ProgressModel:
+                   steps: int, patience: int) -> ProgressModel:
     """Fit the progress regressor on the successful demos of `demos`, a
     fifth of them (one at least) held out: `steps` Adam steps of BATCH
     training pairs, evaluated on the held-out pairs every EVAL_EVERY steps

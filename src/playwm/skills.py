@@ -3,7 +3,8 @@
 One controller covers all verbs with a small phase machine. Perturbation
 scales corrupt the planned waypoints and grasp points and rescale speeds;
 at zero perturbation the controller is the scripted expert used for demo
-collection, and it is deterministic given the plan rng.
+collection, and it is deterministic given the plan rng. Success is left
+to the one driver, `playsys.execute`, which checks it before every call.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from dataclasses import dataclass, field
 from .dynamics import GRIPPER_RADIUS, Action
 from .rng import Rng
 from .scene import EnvState
-from .tasks import TaskSpec, check_success
+from .tasks import TaskSpec
 
 APPROACH_SPEED = 0.075
 CARRY_SPEED = 0.038
 PUSH_SPEED = 0.05
 WAYPOINT_TOL = 0.012
-FOLD_TARGET = 0.96 * math.pi
-UNFOLD_TARGET = 0.04 * math.pi
 MAX_ATTEMPTS = 3  # plans per instruction before the controller gives up
 
 # the controller's fixed commands; actions are immutable, so each is built once
@@ -67,7 +66,7 @@ _SYNONYMS = {
 
 
 class SkillController:
-    """Phase-machine controller; action() returns None when it gives up or finishes."""
+    """Phase-machine controller; action() returns None when it gives up."""
 
     def __init__(self, instr: Instruction, plan_rng: Rng):
         self.instr = instr
@@ -206,19 +205,11 @@ class SkillController:
                                 CARRY_SPEED * self.instr.perturb.speed_mult)
             if step is not None:
                 return step
-            self.phase = "finish"
+            self.phase = "plan"
             return OPEN
 
         if phase == "arc":
             subj = state.object_by_id(task.subject)
-            if g.held != task.subject:
-                self.phase = "plan"
-                return self.action(state)
-            target = FOLD_TARGET if task.verb == "fold" else UNFOLD_TARGET
-            done = subj.fold_angle >= target if task.verb == "fold" else subj.fold_angle <= target
-            if done:
-                self.phase = "finish"
-                return OPEN
             sign = 1.0 if task.verb == "fold" else -1.0
             phi = subj.theta + math.pi - subj.fold_angle
             tx, ty = sign * math.sin(phi), -sign * math.cos(phi)
@@ -238,22 +229,11 @@ class SkillController:
             return LOWER
 
         if phase == "push":
-            if check_success(state, task):
-                self.phase = "finish"
-                return RAISE
             step = _step_toward(g.x, g.y, self.push_goal, PUSH_SPEED * self.instr.perturb.speed_mult)
             if step is not None:
                 return step
-            self.phase = "finish"
-            return RAISE
-
-        if phase == "finish":
-            if check_success(state, task):
-                return None
-            if g.z == 0:
-                return RAISE
             self.phase = "plan"
-            return self.action(state)
+            return RAISE
 
         return None
 

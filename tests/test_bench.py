@@ -364,7 +364,8 @@ def test_replan_above_the_policy_horizon_is_refused(trained, monkeypatch, entry)
             width = statecodec.state_dim(len(scene.objects))
             prog = progress.ProgressModel(nets.init_mlp([width, 8, 1], Rng(3), "silu"), scene)
             dsrl.finetune(worldmodel.RolloutBackend(wm, Rng(5)), policy, prog, scene, TASK,
-                          dsrl.DsrlConfig(replan=20, max_episode_steps=40), rng)
+                          dsrl.DsrlConfig(replan=20, max_episode_steps=40), rng,
+                          total_updates=1)
         else:
             bench.measure_real(policy, scene, EvalStudyConfig(task=TASK, max_steps=40,
                                                               replan=20), rng)
