@@ -67,12 +67,18 @@ def build_benchmark(stores: dict[str, EpisodeStore], heldout: dict[str, list[str
                     target_per_mode: int, rng: Rng, history: int, chunk: int,
                     stride: int) -> ReplayBenchmark:
     """Draw a mode-balanced clip set of history + chunk frames from held-out episodes only.
-    BenchmarkError, naming each short mode, unless every mode has at least
-    MIN_CLIP_FRACTION of target_per_mode candidate clips."""
+    `heldout` names each store's held-out ids, and only those stores: ValueError
+    names the missing and extra keys before any read. BenchmarkError, naming
+    each short mode, unless every mode has at least MIN_CLIP_FRACTION of
+    target_per_mode candidate clips."""
+    if heldout.keys() != stores.keys():
+        raise ValueError(f"heldout must name exactly the stores: missing "
+                         f"{sorted(stores.keys() - heldout.keys())}, extra "
+                         f"{sorted(heldout.keys() - stores.keys())}")
     W = history + chunk
     candidates: dict[BehaviorMode, list[tuple[str, ClipWindow]]] = {m: [] for m in MODES}
     for name, store in stores.items():
-        for w in windows(store, W, stride, ids=heldout.get(name, [])):
+        for w in windows(store, W, stride, ids=heldout[name]):
             candidates[w.mode].append((name, w))
     floor = int(np.ceil(target_per_mode * MIN_CLIP_FRACTION))
     shortfall = {m.value: len(candidates[m]) for m in MODES
@@ -114,7 +120,8 @@ def run_replay(benchmark: ReplayBenchmark, model: WorldModel | str, embedder: Em
     world model samples its predictions from rng. The oracle resets the
     simulator to each clip's own `init_state` and replays its recorded
     actions and noise draws, so its frames do not depend on scene, which
-    only permits oracle mode. Each raises ValueError without its input.
+    only permits oracle mode. Each raises ValueError without its input,
+    and with the other's, which it would ignore.
 
     The frames of every clip are scored in stacked blocks of at most
     SCORE_BLOCK frames, one call of each metric a block; each clip's row is
@@ -125,8 +132,12 @@ def run_replay(benchmark: ReplayBenchmark, model: WorldModel | str, embedder: Em
             raise ValueError(f"unknown predictor {model!r}")
         if scene is None:
             raise ValueError("oracle replay needs the scene config")
+        if rng is not None:
+            raise ValueError("oracle replay draws nothing: it takes no rng")
     elif rng is None:
         raise ValueError("world-model replay needs an rng")
+    elif scene is not None:
+        raise ValueError("world-model replay takes no scene config")
     if not benchmark.clips:
         return metrics.MetricReport.from_rows([])
     pred = (_oracle_predictions(benchmark, scene) if isinstance(model, str)

@@ -10,7 +10,14 @@ rows are taken from it, four a window in window order (a frame that windows
 share once for each; no caller's windows overlap). Those rows are rendered
 and projected in `store.blocks`, one rasterizer call and one product a
 block: whole consecutive episodes of one roster, at most BLOCK_FRAMES
-sampled frames a block unless one episode alone samples more. Success
+sampled frames a block unless one episode alone samples more. Stored
+episodes never change, so each embedder keeps, in memory for its life, a
+memo of the rows it has embedded (about 1 KB a window), keyed by the
+episode's manifest sha256 and roster and the window's start and length: a
+window it has seen is neither rendered nor projected again, though its
+episode is still read, and so its sha256 checked, once a call. A row's bits
+do not depend on the other rows of its product, so a hit has the bits a
+render would give. Success
 centroids, a (k, dim) array, come from k-means over demo-success windows,
 each success demo read once for both its windows and their embeddings;
 each play window gets a distance-to-success (min Euclidean distance to any
@@ -48,7 +55,15 @@ PAIRWISE_CAP = 2000    # mean_pairwise_distance reads at most this many points
 
 @dataclass(frozen=True)
 class Embedder:
+    """The sign projection, and the memo of the window rows it has embedded:
+    each window's (dim,) row, about 1 KB, by its episode's manifest
+    (sha256, roster) and then its (start, length). The memo lives as long as
+    the embedder, in memory only; a hit skips the window's rendering and
+    projection, not its episode's read and sha256 check."""
     matrix: np.ndarray  # (FRAME_PIXELS, EMBED_DIM) entries +-1/sqrt(EMBED_DIM), read-only
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dim(self) -> int:
@@ -80,29 +95,44 @@ def window_sample_indices(W: int) -> tuple[int, int, int, int]:
 
 def embed_store_windows(store: EpisodeStore, wins: list[ClipWindow],
                         embedder: Embedder) -> np.ndarray:
-    """Embed every window, reading each episode once. Each window's four
-    sampled frames are rendered and projected in window order (a frame that
-    windows share once for each; no caller's windows overlap), in the
-    `store.blocks` of BLOCK_FRAMES sampled frames: episodes are not split."""
-    return _embed_windows(store.read, wins, embedder)
+    """Embed every window, reading each episode once, so each episode's
+    sha256 is checked on every call. The four sampled frames of each window
+    not in the embedder's memo are rendered and projected in window order (a
+    frame that windows share once for each; no caller's windows overlap), in
+    the `store.blocks` of BLOCK_FRAMES sampled frames: episodes are not
+    split. The rows of memo hits are copied from the memo."""
+    return _embed_windows(store, store.read, wins, embedder)
 
 
-def _embed_windows(read: Callable[[str], Episode], wins: list[ClipWindow],
-                   embedder: Embedder) -> np.ndarray:
+def _embed_windows(store: EpisodeStore, read: Callable[[str], Episode],
+                   wins: list[ClipWindow], embedder: Embedder) -> np.ndarray:
     """`embed_store_windows`, taking each episode from read(eid) once."""
-    by_ep: dict[str, list[int]] = {}  # each episode's window rows, in window order
-    for i, w in enumerate(wins):
-        by_ep.setdefault(w.episode_id, []).append(i)
-    sampled = {eid: [wins[i].start + j for i in rows for j in window_sample_indices(wins[i].length)]
-               for eid, rows in by_ep.items()}  # each episode's windows' frames, in window order
-    embedded = np.empty((len(wins), embedder.dim))
-    for block in blocks(((read(eid), len(ts)) for eid, ts in sampled.items()), BLOCK_FRAMES):
-        rows = [i for view, _ in block for i in by_ep[view.eid]]
+    memo = {}  # each episode's rows in the embedder's memo, by (start, length)
+    for eid in dict.fromkeys(w.episode_id for w in wins):
+        entry = store.meta(eid)
+        memo[eid] = embedder._memo.setdefault((entry.sha256, entry.roster), {})
+    todo: dict[str, list[ClipWindow]] = {eid: [] for eid in memo}  # windows missing from it
+    for w in wins:
+        if (w.start, w.length) not in memo[w.episode_id]:
+            todo[w.episode_id].append(w)
+    sampled = {eid: [w.start + j for w in ws for j in window_sample_indices(w.length)]
+               for eid, ws in todo.items()}  # each episode's missed frames, in window order
+
+    def views():  # every episode is read, so its sha256 is checked, even if all its windows hit
+        for eid, ts in sampled.items():
+            view = read(eid)
+            if ts:
+                yield view, len(ts)
+
+    for block in blocks(views(), BLOCK_FRAMES):
+        missed = [w for view, _ in block for w in todo[view.eid]]
         gripper, _, objects = (np.concatenate(part) for part in
                                zip(*(view.state_arrays(sampled[view.eid]) for view, _ in block)))
-        embedded[rows] = embedder.embed_frames(
-            render_frames(gripper, objects, block[0][0].roster)).reshape(len(rows), -1)
-    return embedded
+        rows = embedder.embed_frames(
+            render_frames(gripper, objects, block[0][0].roster)).reshape(len(missed), -1)
+        for w, row in zip(missed, rows):
+            memo[w.episode_id][w.start, w.length] = row
+    return np.array([memo[w.episode_id][w.start, w.length] for w in wins]).reshape(-1, embedder.dim)
 
 
 # -- k-means ------------------------------------------------------------------
@@ -171,7 +201,7 @@ def fit_success_centroids(demo_store: EpisodeStore, embedder: Embedder, k: int,
     wins = [w for view in views.values() for w in episode_windows(view, window_len, window_len)]
     if len(wins) < k:
         raise ValueError(f"only {len(wins)} success windows, need at least {k}")
-    return kmeans(_embed_windows(views.__getitem__, wins, embedder), k, rng)
+    return kmeans(_embed_windows(demo_store, views.__getitem__, wins, embedder), k, rng)
 
 
 def distances_to_success(centroids: np.ndarray, embeddings: np.ndarray) -> np.ndarray:

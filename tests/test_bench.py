@@ -534,7 +534,8 @@ def test_replay_of_no_clips_is_the_empty_report(trained, replay_store):
 
 def test_model_replay_needs_an_rng(trained, replay_store):
     """A world model samples its predictions; without an rng it fails, as
-    the oracle does without a scene, instead of drawing from a hidden seed."""
+    the oracle does without a scene, instead of drawing from a hidden seed.
+    Each fails too when given the other's input, which it would ignore."""
     scene, _, wm = trained
     emb = Embedder.create(3)
     for bm in (replay_benchmark(replay_store, 0), replay_benchmark(replay_store, 1)):
@@ -542,6 +543,27 @@ def test_model_replay_needs_an_rng(trained, replay_store):
             bench.run_replay(bm, wm, emb)
         with pytest.raises(ValueError, match="oracle replay needs the scene config"):
             bench.run_replay(bm, "oracle", emb)
+        with pytest.raises(ValueError, match="world-model replay takes no scene config"):
+            bench.run_replay(bm, wm, emb, Rng(45), scene=scene)
+        with pytest.raises(ValueError, match="oracle replay draws nothing: it takes no rng"):
+            bench.run_replay(bm, "oracle", emb, Rng(45), scene=scene)
+
+
+@pytest.mark.parametrize("stores, heldout, missing, extra", [
+    (("play", "bench"), ("play",), ["bench"], []),
+    (("play",), ("play", "bench"), [], ["bench"]),
+    (("play",), ("bench",), ["play"], ["bench"]),
+])
+def test_held_out_ids_name_exactly_the_stores(replay_store, monkeypatch,
+                                              stores, heldout, missing, extra):
+    """A store without held-out ids would give no clips, and ids for no
+    store would be dropped: both fail, naming the keys, before any read."""
+    monkeypatch.setattr(replay_store, "read", lambda eid: pytest.fail(f"read {eid}"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"heldout must name exactly the stores: missing {missing}, extra {extra}")):
+        bench.build_benchmark({name: replay_store for name in stores},
+                              {name: replay_store.ids() for name in heldout}, 1, Rng(44),
+                              history=7, chunk=5, stride=3)
 
 
 def test_build_suite_keeps_each_trained_variant_demos_under_the_root(tmp_path):

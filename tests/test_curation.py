@@ -13,7 +13,7 @@ from playwm.render import render
 from playwm.rng import Rng
 from playwm.scene import EnvState, default_scene
 from playwm.skills import Instruction, Perturbation
-from playwm.store import ClipWindow, EpisodeStore, record, windows
+from playwm.store import ClipWindow, EpisodeStore, StoreError, record, windows
 from playwm.tasks import BehaviorMode, TaskSpec
 
 
@@ -156,15 +156,17 @@ class TestEmbedder:
         """The peak allocation of a pass over 200 episodes is that over 50,
         within one block's pixels, and below two blocks' pixels: no stack
         grows with the store, and one block's frames are freed before the
-        next block is drawn."""
+        next block is drawn. Each pass has a fresh embedder, and each episode
+        its own noise, so its own blob: a memo hit would render nothing."""
         store = EpisodeStore(str(tmp_path / "s"))
         eps = [demo_episode(f"d{k}", seed=k) for k in range(5)]
         for k in range(200):
-            store.append(replace(eps[k % 5], eid=f"e{k:03d}"))
-        emb = cu.Embedder.create(5)
+            ep = eps[k % 5]
+            store.append(replace(ep, eid=f"e{k:03d}", noise=ep.noise + k))
         peaks = []
         for n in (50, 200):
             wins = windows(store, 12, stride=3, ids=store.ids()[:n])
+            emb = cu.Embedder.create(5)
             tracemalloc.start()
             try:
                 cu.embed_store_windows(store, wins, emb)
@@ -186,6 +188,116 @@ class TestEmbedder:
     def test_sample_indices(self):
         assert cu.window_sample_indices(5) == (0, 1, 2, 4)
         assert cu.window_sample_indices(12) == (0, 3, 7, 11)
+
+
+def counting_renders(monkeypatch):
+    """The number of frames each rasterizer call of `curation` draws."""
+    counts, render_frames = [], cu.render_frames
+
+    def counting(gripper, objects, roster):
+        counts.append(len(gripper))
+        return render_frames(gripper, objects, roster)
+
+    monkeypatch.setattr(cu, "render_frames", counting)
+    return counts
+
+
+def memo_rows(embedder):
+    return sum(len(rows) for rows in embedder._memo.values())
+
+
+class TestMemo:
+    def test_a_grown_store_renders_only_its_new_windows(self, tmp_path, monkeypatch):
+        """After a pass, the episodes appended to the store are the only ones
+        rendered, and the embeddings are a fresh embedder's, bit for bit."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        collect(default_scene(), ProposerConfig(), 8, Rng(21), store)
+        warm = cu.Embedder.create(6)
+        old = windows(store, 12)
+        cu.embed_store_windows(store, old, warm)
+        collect(default_scene(), ProposerConfig(), 4, Rng(22), store, source="more")
+        wins = windows(store, 12)
+        new = [w for w in wins if w.episode_id.startswith("more")]
+        assert old and new and len(wins) == len(old) + len(new)
+        counts = counting_renders(monkeypatch)
+        got = cu.embed_store_windows(store, wins, warm)
+        assert sum(counts) == cu.SAMPLED_FRAMES * len(new)
+        assert got.tobytes() == cu.embed_store_windows(store, wins, cu.Embedder.create(6)).tobytes()
+        assert memo_rows(warm) == len(wins)
+
+    def test_the_same_blob_under_another_roster_misses(self, tmp_path, monkeypatch):
+        """The roster is part of the key: the same bytes with another bowl
+        size draw other frames, so they are rendered again."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        ep = demo_episode("e1")
+        bowl = (0, "bowl", (0.2, 0.085))
+        assert ep.roster[0][1] == "bowl" and ep.roster[0] != bowl
+        store.append(ep)
+        store.append(replace(ep, eid="e2", roster=(bowl,) + ep.roster[1:]))
+        assert store.meta("e1").sha256 == store.meta("e2").sha256
+        wins = [ClipWindow(eid, 0, 12, BehaviorMode.SUCCESS) for eid in ("e1", "e2")]
+        warm = cu.Embedder.create(7)
+        cu.embed_store_windows(store, wins[:1], warm)
+        counts = counting_renders(monkeypatch)
+        got = cu.embed_store_windows(store, wins, warm)
+        assert sum(counts) == cu.SAMPLED_FRAMES
+        assert got.tobytes() == cu.embed_store_windows(store, wins, cu.Embedder.create(7)).tobytes()
+        assert not np.array_equal(got[0], got[1])
+
+    def test_a_corrupted_blob_still_fails_after_a_warm_pass(self, tmp_path):
+        """Every call reads each episode, so a blob whose bytes changed on
+        disk after its windows were embedded still fails its sha256 check."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        for k in range(2):
+            store.append(demo_episode(f"e{k}", seed=k))
+        wins = windows(store, 12, stride=3)
+        emb = cu.Embedder.create(8)
+        cu.embed_store_windows(store, wins, emb)
+        entry = store.meta("e1")
+        with open(f"{store.root}/episodes.bin", "r+b") as fh:
+            fh.seek(entry.offset + entry.nbytes - 3)
+            byte = fh.read(1)
+            fh.seek(entry.offset + entry.nbytes - 3)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(StoreError, match=r"episodes\.bin: episode 'e1' sha256"):
+            cu.embed_store_windows(store, wins, emb)
+
+    def test_success_centroids_are_the_same_warm_and_cold(self, tmp_path, monkeypatch):
+        """A second fit renders nothing and gives the first fit's centroids,
+        which are a fresh embedder's, bit for bit."""
+        store = EpisodeStore(str(tmp_path / "demo"))
+        collect(default_scene(), ProposerConfig(), 10, Rng(3), store, source="demo",
+                reset_each=True)
+        emb = cu.Embedder.create(9)
+        cold = cu.fit_success_centroids(store, emb, 3, Rng(0), window_len=5)
+        counts = counting_renders(monkeypatch)
+        warm = cu.fit_success_centroids(store, emb, 3, Rng(0), window_len=5)
+        assert counts == [] and memo_rows(emb) > 3
+        assert warm.tobytes() == cold.tobytes()
+        fresh = cu.fit_success_centroids(store, cu.Embedder.create(9), 3, Rng(0), window_len=5)
+        assert counts and fresh.tobytes() == cold.tobytes()
+
+    def test_the_memo_holds_one_row_per_window_key(self, tmp_path, monkeypatch):
+        """Episodes that repeat a blob under one roster share its memo rows:
+        once each blob's windows are embedded, those of every copy render
+        nothing."""
+        store = EpisodeStore(str(tmp_path / "s"))
+        eps = [demo_episode(f"d{k}", seed=k) for k in range(3)]
+        for k in range(12):
+            ep = eps[k % 3]
+            store.append(replace(ep, eid=f"e{k:02d}", noise=ep.noise + k % 3))
+        wins = windows(store, 12, stride=3)
+        keys = {(store.meta(w.episode_id).sha256, store.meta(w.episode_id).roster,
+                 w.start, w.length) for w in wins}
+        assert len(keys) == len(wins) // 4
+        emb = cu.Embedder.create(10)
+        first = [w for w in wins if w.episode_id < "e03"]
+        cu.embed_store_windows(store, first, emb)
+        assert memo_rows(emb) == len(first) == len(keys)
+        counts = counting_renders(monkeypatch)
+        got = cu.embed_store_windows(store, wins, emb)
+        assert counts == [] and memo_rows(emb) == len(keys)
+        assert got.tobytes() == whole_episode_embed(store, wins, emb).tobytes()
 
 
 class TestKmeans:

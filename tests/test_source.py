@@ -14,11 +14,8 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in src/playwm: {found}"
 
 
-def test_package_imports_only_stdlib_and_numpy():
-    """numpy is the only runtime dependency; other installed packages must not
-    creep in unnoticed."""
-    allowed = set(sys.stdlib_module_names) | {"numpy", "playwm"}
-    found = []
+def _absolute_imports():
+    """(where, top-level module) of each absolute import in src/playwm."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -27,9 +24,26 @@ def test_package_imports_only_stdlib_and_numpy():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] not in allowed]
+            yield from ((f"{path.name}:{node.lineno} {name}", name.split(".")[0])
+                        for name in names)
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    """numpy is the only runtime dependency; other installed packages must not
+    creep in unnoticed."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "playwm"}
+    found = [where for where, top in _absolute_imports() if top not in allowed]
     assert not found, f"imports outside the stdlib and numpy in src/playwm: {found}"
+
+
+def test_package_runs_on_one_thread():
+    """src/playwm imports no module that starts threads or processes or
+    runs an event loop. The benchmark's clock is the main thread's CPU time
+    (`perfbench/yardstick.py`), so work moved to another thread or process
+    would read as a speed-up that did not happen."""
+    banned = {"threading", "_thread", "multiprocessing", "concurrent", "asyncio"}
+    found = [where for where, top in _absolute_imports() if top in banned]
+    assert not found, f"thread, process or event-loop imports in src/playwm: {found}"
 
 
 def test_every_parameter_is_read():
@@ -186,7 +200,7 @@ def test_settable_values_are_pinned():
 # A ceiling on the lines of src/playwm/*.py, as `wc -l` counts them. A change
 # that needs more raises it and says why in CHANGES.md; one that removes
 # lines lowers it to the new count.
-PACKAGE_LINES = 4823
+PACKAGE_LINES = 4864
 
 
 def test_package_lines_are_capped():
