@@ -216,7 +216,7 @@ class PolicyEvalReport:
     rows: list[PolicyEvalRow]
     pearson: float | None
     mean_tv: float
-    flagged: str | None = None
+    flagged: str | None
 
 
 def _mode_distribution(hist: dict[str, int]) -> np.ndarray:

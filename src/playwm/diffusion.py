@@ -108,7 +108,6 @@ class DenoiserNet:
         multiplies only x_t through layer 0. A conditioning of the wrong
         width raises ShapeError.
         """
-        cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
         k = self.target_dim
         cond_dim = self.net.in_dim - k - TIME_EMBED_DIM
         if cond.ndim != 2 or cond.shape[1] != cond_dim:
@@ -126,21 +125,12 @@ class DenoiserNet:
         return predict
 
 
-def q_sample(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:
-    """Forward noising: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps.
-
-    t may be a scalar in [0, T] or a per-row integer array for batches.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != x0.shape:
-        raise ValueError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    t_arr = np.asarray(t)
-    if np.any(t_arr < 0) or np.any(t_arr > schedule.T):
-        raise ValueError(f"timestep out of range 0..{schedule.T}")
-    abar = schedule.alpha_bars[t_arr]
-    if t_arr.ndim > 0 and x0.ndim > 1:
-        abar = abar[:, None]
+def q_sample(schedule: NoiseSchedule, x0: np.ndarray, t: np.ndarray, eps: np.ndarray
+             ) -> np.ndarray:
+    """Forward noising sqrt(abar_t) x0 + sqrt(1 - abar_t) eps of a float
+    (batch, dim) x0, with t an integer array of one timestep in 0..T per
+    row and eps shaped like x0."""
+    abar = schedule.alpha_bars[t][:, None]
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
@@ -148,18 +138,17 @@ def diffusion_loss(denoiser: DenoiserNet, schedule: NoiseSchedule, x0: np.ndarra
                    cond: np.ndarray, rng: Rng, grads: nets.FlatParams) -> float:
     """Clean-signal loss: mean squared error between x0 and its estimate.
 
+    x0 (batch, target_dim) and cond (batch, cond_dim) are float arrays.
     Samples t uniformly in {1..T} and eps ~ N(0, I) per batch row. Its
     parameter gradient is written into grads, a FlatParams laid out like
     the denoiser's parameters.
     Every timestep weighs the same; the noise-space objective would barely
     weigh the high-noise steps that few-step samplers depend on.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     batch = x0.shape[0]
     t = rng.randint_array(batch, schedule.T) + 1
     eps = rng.normal(x0.shape)
     x_t = q_sample(schedule, x0, t, eps)
-    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     inp = np.concatenate([x_t, cond, time_embedding(t, schedule.T)], axis=-1)
     cache = []
     diff = nets.forward(denoiser.net, inp, cache) - x0
@@ -182,7 +171,8 @@ def strided_timesteps(T: int, steps: int) -> np.ndarray:
 def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray,
                 rng: Rng, *, steps: int, clip_x0: float) -> np.ndarray:
     """Strided ancestral reverse sampler over `steps` of the schedule's T
-    timesteps (those of `strided_timesteps`).
+    timesteps (those of `strided_timesteps`), conditioned on a float
+    (batch, cond_dim) cond; returns (batch, target_dim).
 
     Each step from t to the next visited s (0 after the last) takes the
     posterior mean of x_s given x_t and the clean-signal estimate, clamped
@@ -194,7 +184,6 @@ def ddpm_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
     steps raise before any draw.
     """
     taus = strided_timesteps(schedule.T, steps)
-    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     predict = denoiser.conditioned(cond, schedule.T, taus)
     x = rng.normal((cond.shape[0], denoiser.target_dim))
     for t, s in zip(taus, [*taus[1:], 0]):
@@ -218,18 +207,17 @@ def ddim_sample(denoiser: DenoiserNet, schedule: NoiseSchedule, cond: np.ndarray
 
     The output is a pure function of (net parameters, cond, w0, steps); w0 is
     the explicit initial latent, which is what makes the diffusion policy
-    steerable through its noise input. w0 and cond must have one row per
-    sample each. The net's output is the step's x0 estimate, and the noise
-    estimate is derived from it.
+    steerable through its noise input. w0 (batch, target_dim) and cond
+    (batch, cond_dim) are float arrays, one row per sample each. The net
+    estimates each step's x0, and the noise estimate is derived from it.
     """
     taus = strided_timesteps(schedule.T, steps)
-    cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-    x = np.atleast_2d(np.asarray(w0, dtype=np.float64)).copy()
-    if x.shape[-1] != denoiser.target_dim:
-        raise ValueError(f"w0 width {x.shape[-1]} != target width {denoiser.target_dim}")
-    if x.shape[0] != cond.shape[0]:
-        raise ValueError(f"w0 shape {x.shape} and cond shape {cond.shape} differ in rows")
+    if w0.shape[-1] != denoiser.target_dim:
+        raise ValueError(f"w0 width {w0.shape[-1]} != target width {denoiser.target_dim}")
+    if w0.shape[0] != cond.shape[0]:
+        raise ValueError(f"w0 shape {w0.shape} and cond shape {cond.shape} differ in rows")
     predict = denoiser.conditioned(cond, schedule.T, taus)
+    x = w0
     for t, t_prev in zip(taus, [*taus[1:], 0]):
         abar_t = schedule.alpha_bars[t]
         abar_prev = schedule.alpha_bars[t_prev]

@@ -200,18 +200,17 @@ def make_dsrl(state_dim: int, latent_dim: int, cfg: DsrlConfig, rng: Rng) -> Dsr
         cfg=cfg,
         alpha_param=alpha_param,
         alpha_grad=alpha_param.zeros_like(),
-        actor_opt=Adam(lr=ACTOR_LR),
-        q1_opt=Adam(lr=CRITIC_LR),
-        q2_opt=Adam(lr=CRITIC_LR),
-        alpha_opt=Adam(lr=ALPHA_LR),
+        actor_opt=Adam(), q1_opt=Adam(), q2_opt=Adam(), alpha_opt=Adam(),
     )
 
 
 def update(st: DsrlState, rng: Rng) -> dict:
-    """One SAC-style update: both critics, then actor and temperature, then Polyak."""
+    """One SAC-style update: both critics, then actor and temperature, then Polyak.
+    ValueError if the buffer holds fewer transitions than one batch."""
     cfg = st.cfg
     if st.buffer.size < cfg.batch:
-        return {}
+        raise ValueError(f"the replay buffer holds {st.buffer.size} transitions, "
+                         f"fewer than one batch of {cfg.batch}")
     s, w, r, s2, done = st.buffer.sample(cfg.batch, rng)
     alpha = math.exp(st.log_alpha)
 
@@ -233,7 +232,7 @@ def update(st: DsrlState, rng: Rng) -> dict:
         if not np.isfinite(loss):
             raise FloatingPointError(f"NaN loss in critic {name}")
         ad.backward(net, cache, dpred, grads)
-        opt.step(net.params, grads)
+        opt.step(net.params, grads, CRITIC_LR)
         losses[name] = loss
 
     # actor update via the reparameterized squashed sample
@@ -241,12 +240,12 @@ def update(st: DsrlState, rng: Rng) -> dict:
     loss, logp = actor_loss(st, s, xi, alpha, st.actor.grads)
     if not np.isfinite(loss):
         raise FloatingPointError("NaN loss in actor")
-    st.actor_opt.step(st.actor.net.params, st.actor.grads)
+    st.actor_opt.step(st.actor.net.params, st.actor.grads, ACTOR_LR)
     losses["actor"] = loss
 
     # temperature toward the entropy target
     st.alpha_grad.flat[0] = np.mean(-(logp + TARGET_ENTROPY))
-    st.alpha_opt.step(st.alpha_param, st.alpha_grad)
+    st.alpha_opt.step(st.alpha_param, st.alpha_grad, ALPHA_LR)
     np.clip(st.alpha_param.flat, -10.0, 4.0, out=st.alpha_param.flat)
     losses["alpha"] = math.exp(st.log_alpha)
 
@@ -403,6 +402,6 @@ def load_actor_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     header, params = load_checkpoint(path, "noise_actor", ("config", "widths"))
     with header_builds(path):
         DsrlConfig(**header["config"])
-    net = nets.Mlp(header["widths"], "relu")
+        net = nets.Mlp(header["widths"], "relu")
     nets.load_params(net, params, path)
     return header, net.params

@@ -1,11 +1,11 @@
 """Adam with bias correction, plus gradient clipping and the warmup/cosine
 learning-rate schedule.
 
-Adam keeps its moments as flat vectors. Given a FlatParams and a gradient
-FlatParams of the same layout it updates the whole parameter vector in
-place, one cache-sized block at a time, with scratch for one block
-allocated once. Each element sees the same operations in the same order,
-so results do not depend on the blocking.
+Adam keeps its moments as flat vectors; the learning rate comes with every
+step. Given a FlatParams, a gradient FlatParams of the same layout and a
+rate it updates the whole parameter vector in place, one cache-sized block
+at a time, with scratch for one block allocated once. Each element sees the
+same operations in the same order, so results do not depend on the blocking.
 
 The moments are kept scaled, m~ = m / (1 - b1) and v~ = v / (1 - b2), so a
 step is m~ = b1 m~ + g, v~ = b2 v~ + g^2 and p -= a' m~ / (sqrt(v~) + e'),
@@ -36,14 +36,13 @@ EPS = 1e-8     # added to the root of the second moment
 
 @dataclass
 class Adam:
-    lr: float = 1e-4
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     _scratch: np.ndarray | None = field(default=None, repr=False)
 
-    def step(self, params: FlatParams, grads: FlatParams, lr: float | None = None) -> None:
-        """One in-place Adam update.
+    def step(self, params: FlatParams, grads: FlatParams, lr: float) -> None:
+        """One in-place Adam update at learning rate lr.
 
         The whole gradient is checked first: a non-finite value raises
         FloatingPointError naming its parameter, and leaves the parameters,
@@ -62,11 +61,10 @@ class Adam:
             self._scratch = np.empty((2, min(BLOCK, size)))
         elif self.m.size != size:
             raise ValueError(f"Adam state holds {self.m.size} parameters, got {size}")
-        eta = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
         r = math.sqrt((1.0 - BETA2 ** t) / (1.0 - BETA2))
-        alpha = eta * (1.0 - BETA1) * r / (1.0 - BETA1 ** t)
+        alpha = lr * (1.0 - BETA1) * r / (1.0 - BETA1 ** t)
         for lo in range(0, size, BLOCK):
             hi = min(lo + BLOCK, size)
             self._update(p[lo:hi], g[lo:hi], self.m[lo:hi], self.v[lo:hi], alpha, EPS * r)

@@ -107,7 +107,7 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng)
     train_bc(100). train_steps_done does continue.
     """
     conds, chunks = chunk_dataset(demos)
-    opt = Adam(lr=LR)
+    opt = Adam()
     grads = policy.denoiser.net.params.zeros_like()
     n = conds.shape[0]
     trace = []
@@ -118,7 +118,7 @@ def train_bc(policy: DiffusionPolicy, demos: EpisodeStore, steps: int, rng: Rng)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite BC loss at step {step}")
         clip_grad_norm(grads, GRAD_CLIP)
-        opt.step(policy.denoiser.net.params, grads)
+        opt.step(policy.denoiser.net.params, grads, LR)
         if step % LOG_EVERY == 0 or step == steps - 1:
             trace.append((policy.train_steps_done + step, value))
     policy.train_steps_done += steps

@@ -82,7 +82,7 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
     x_ho, y_ho = pairs(held_ids)
     width = statecodec.state_dim(len(scene.objects))
     net = nets.init_mlp([width, HIDDEN, HIDDEN, 1], rng, "silu")
-    opt = Adam(lr=LR)
+    opt = Adam()
     grads = net.params.zeros_like()
     best = {k: v.copy() for k, v in net.params.items()}
     best_err = np.inf
@@ -92,7 +92,7 @@ def train_progress(demos: EpisodeStore, scene: SceneConfig, rng: Rng,
         rows = rng.randint_array(BATCH, n)
         progress_loss(net, x_tr[rows], y_tr[rows], grads)
         clip_grad_norm(grads, GRAD_CLIP)
-        opt.step(net.params, grads)
+        opt.step(net.params, grads, LR)
         if step % EVAL_EVERY == 0 or step == steps - 1:
             p = 1.0 / (1.0 + np.exp(-nets.forward(net, x_ho)))
             err = float(((p - y_ho) ** 2).mean())
@@ -118,6 +118,6 @@ def load_progress(path: str) -> ProgressModel:
     header, params = load_checkpoint(path, "progress", ("widths", "scene"))
     with header_builds(path):
         scene = scene_from_dict(header["scene"])
-    net = nets.Mlp(widths=header["widths"], activation="silu")
+        net = nets.Mlp(widths=header["widths"], activation="silu")
     nets.load_params(net, params, path)
     return ProgressModel(net=net, scene=scene)

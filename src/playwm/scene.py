@@ -132,7 +132,8 @@ def scene_from_dict(data: dict) -> SceneConfig:
     """The scene of a `scene_to_dict` record. Any key this does not read, or
     that the record lacks, at the top level or in an object, raises
     ValueError naming it (and the object's id), so a record from another
-    layout fails instead of losing or defaulting the key silently."""
+    layout fails instead of losing or defaulting the key silently. So does
+    a repeated object id, or a z_level that is not an int."""
     _check_keys(data, {"objects"}, "scene")
     objs = []
     for od in data["objects"]:
@@ -140,6 +141,11 @@ def scene_from_dict(data: dict) -> SceneConfig:
         kind = od["kind"]
         if kind not in KINDS:
             raise ValueError(f"unknown object kind {kind!r}")
+        if any(o.oid == od["id"] for o in objs):
+            raise ValueError(f"scene object id {od['id']!r} repeats")
+        if type(od["z_level"]) is not int:
+            raise ValueError(f"scene object {od['id']!r} z_level must be an int, "
+                             f"got {od['z_level']!r}")
         x, y, theta = od["pose"]
         objs.append(ObjectState(od["id"], kind, x, y, theta, tuple(od["size"]),
                                 od["z_level"], od["fold_angle"]))

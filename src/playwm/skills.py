@@ -10,7 +10,7 @@ to the one driver, `playsys.execute`, which checks it before every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dynamics import GRIPPER_RADIUS, Action
 from .rng import Rng
@@ -42,7 +42,7 @@ class Perturbation:
 @dataclass(frozen=True)
 class Instruction:
     task: TaskSpec
-    perturb: Perturbation = field(default_factory=Perturbation)
+    perturb: Perturbation
 
     def text(self) -> str:
         t = self.task

@@ -195,7 +195,7 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
         raise TrainingError("empty dataset")
     if curriculum is not None:
         _check_curriculum(curriculum[0], dataset)
-    opt = Adam(lr=LR)
+    opt = Adam()
     grads = wm.denoiser.net.params.zeros_like()
     trace: list[tuple[int, float]] = []
     n = len(dataset)
@@ -212,7 +212,7 @@ def train(wm: WorldModel, dataset: WindowDataset, steps: int, rng: Rng,
             raise TrainingError(f"non-finite loss at step {wm.step_count + step}")
         clip_grad_norm(grads, GRAD_CLIP)
         lr = warmup_cosine_lr(LR, step, wm.cfg.warmup, steps)
-        opt.step(wm.denoiser.net.params, grads, lr=lr)
+        opt.step(wm.denoiser.net.params, grads, lr)
         if step % LOG_EVERY == 0 or step == steps - 1:
             trace.append((wm.step_count + step, value))
     wm.step_count += steps

@@ -205,6 +205,23 @@ def _disk_without_z_level(header):
     del header["scene"]["objects"][1]["z_level"]
 
 
+def _repeated_object_id(header):
+    """Ids [0, 1, 1, 3, 4]: EnvState.object_by_id would find only the first 1."""
+    header["scene"]["objects"][2]["id"] = 1
+
+
+def _z_level_as_text(header):
+    header["scene"]["objects"][1]["z_level"] = "x"
+
+
+def _widths_as_int(header):
+    header["widths"] = 5
+
+
+def _widths_with_text(header):
+    header["widths"] = [34, "a", 1]
+
+
 def _unknown_config_key(header):
     header["config"]["width"] = 3
 
@@ -237,7 +254,8 @@ def _trace_of_text(header):
 
 @pytest.mark.parametrize("kind, spoil", [(k, f) for k in ("worldmodel", "policy", "progress")
                                          for f in (_old_physics, _old_scene_seed, _unknown_kind,
-                                                   _bowl_colour, _disk_without_z_level)]
+                                                   _bowl_colour, _disk_without_z_level,
+                                                   _repeated_object_id, _z_level_as_text)]
                          + [(k, f) for k in ("worldmodel", "policy")
                             for f in (_steps_as_text, _negative_steps, _fractional_steps)]
                          + [("worldmodel", _trace_of_bare_steps),
@@ -248,7 +266,9 @@ def _trace_of_text(header):
                             ("policy", _old_policy_replan),
                             ("worldmodel", _old_wm_clip_x0),
                             ("policy", _old_policy_horizon),
-                            ("noise_actor", _old_actor_gamma)])
+                            ("noise_actor", _old_actor_gamma)]
+                         + [(k, f) for k in ("progress", "noise_actor")
+                            for f in (_widths_as_int, _widths_with_text)])
 def test_model_header_that_does_not_build(tmp_path, kind, spoil):
     path, loaded_hash, _ = _saved_model(tmp_path, kind)
     header, params = load_checkpoint(path, kind, REQUIRED[kind])

@@ -11,7 +11,7 @@ from playwm.env import Env
 from playwm.playsys import ProposerConfig, collect, execute
 from playwm.render import render
 from playwm.rng import Rng
-from playwm.scene import EnvState, default_scene
+from playwm.scene import EnvState, default_scene, jittered_state
 from playwm.skills import Instruction, Perturbation
 from playwm.store import ClipWindow, EpisodeStore, StoreError, record, windows
 from playwm.tasks import BehaviorMode, TaskSpec
@@ -39,9 +39,22 @@ def whole_episode_embed(store, wins, embedder):
 
 
 def demo_episode(eid, seed=1):
-    ep = execute(Env(default_scene(), seed=0), Instruction(TaskSpec("put_in", 1, 0), Perturbation()),
-                 Rng(seed))
+    """A successful put_in demo from a start state that Rng(seed) jitters,
+    as a demo collection starts each episode."""
+    scene, rng = default_scene(), Rng(seed)
+    env = Env(scene, seed=rng.spawn_seed())
+    env.reset(jittered_state(scene, rng))
+    ep = execute(env, Instruction(TaskSpec("put_in", 1, 0), Perturbation()), rng)
+    assert ep.outcome
     return replace(ep, eid=eid, source="demo")
+
+
+def test_demo_episode_seeds_give_distinct_demos(tmp_path):
+    """The tests that build several demos build different episodes."""
+    store = EpisodeStore(str(tmp_path / "s"))
+    for k in range(5):
+        store.append(demo_episode(f"e{k}", seed=k))
+    assert len({store.meta(eid).sha256 for eid in store.ids()}) == 5
 
 
 def without_towel(ep, eid):

@@ -71,6 +71,16 @@ def test_config_counts_must_be_positive(name):
             dsrl.DsrlConfig(**{name: value})
 
 
+def test_update_refuses_a_buffer_short_of_a_batch():
+    cfg = dsrl.DsrlConfig(hidden=8, depth=1, batch=8)
+    st = dsrl.make_dsrl(6, 4, cfg, Rng(1))
+    st.buffer.push(np.zeros(6), np.zeros(4), 0.0, np.zeros(6), False)
+    before = st.actor.net.params.flat.copy()
+    with pytest.raises(ValueError, match="holds 1 transitions, fewer than one batch of 8"):
+        dsrl.update(st, Rng(2))
+    assert st.updates_done == 0 and np.array_equal(st.actor.net.params.flat, before)
+
+
 @pytest.mark.parametrize("total_updates, utd", [(8, 2), (30, 10), (7, 3)])
 def test_finetune_stops_at_total_updates(total_updates, utd):
     st, _, _ = _finetune(total_updates, utd=utd)

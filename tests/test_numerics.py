@@ -238,27 +238,27 @@ class TestAdam:
         rng = Rng(1)
         net = nets.init_mlp([2, 3], rng, "silu")
         before = {k: v.copy() for k, v in net.params.items()}
-        opt = optim.Adam(lr=0.1)
+        opt = optim.Adam()
         zero = net.params.zeros_like()
         for _ in range(5):
-            opt.step(net.params, zero)
+            opt.step(net.params, zero, 0.1)
         for k in net.params:
             assert np.allclose(net.params[k], before[k])
 
     def test_first_step_is_sign_scaled(self):
         params = flat_params(p=[1.0, -2.0])
         g = np.array([0.5, -0.25])
-        opt = optim.Adam(lr=0.1)
-        opt.step(params, flat_params(p=g))
+        opt = optim.Adam()
+        opt.step(params, flat_params(p=g), 0.1)
         expect = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(params["p"], expect, atol=1e-6)
 
     def test_constant_gradient_descends_monotonically(self):
         params = flat_params(p=[0.0])
-        opt = optim.Adam(lr=0.1)
+        opt = optim.Adam()
         prev = 0.0
         for _ in range(1000):
-            opt.step(params, flat_params(p=[1.0]))
+            opt.step(params, flat_params(p=[1.0]), 0.1)
             assert params["p"][0] < prev
             prev = params["p"][0]
 
@@ -266,16 +266,16 @@ class TestAdam:
         params = flat_params(theta=[0.0])
         opt = optim.Adam()
         with pytest.raises(FloatingPointError, match="theta"):
-            opt.step(params, flat_params(theta=[np.nan]))
+            opt.step(params, flat_params(theta=[np.nan]), 0.1)
 
     def test_nan_gradient_changes_nothing(self):
         params = flat_params(a=[1.0], b=[2.0])
-        opt = optim.Adam(lr=0.1)
+        opt = optim.Adam()
         with pytest.raises(FloatingPointError, match="'b'"):
-            opt.step(params, flat_params(a=[1.0], b=[np.nan]))
+            opt.step(params, flat_params(a=[1.0], b=[np.nan]), 0.1)
         assert params["a"][0] == 1.0 and params["b"][0] == 2.0
         assert opt.step_count == 0 and opt.m is None
-        opt.step(params, flat_params(a=[1.0], b=[1.0]))
+        opt.step(params, flat_params(a=[1.0], b=[1.0]), 0.1)
         assert opt.step_count == 1 and params["a"][0] == pytest.approx(0.9)
 
     def test_nan_gradient_in_flat_params_names_parameter(self):
@@ -285,7 +285,7 @@ class TestAdam:
         grads["w1"][1, 0] = np.inf
         opt = optim.Adam()
         with pytest.raises(FloatingPointError, match="non-finite gradient for parameter 'w1'"):
-            opt.step(net.params, grads)
+            opt.step(net.params, grads, 0.1)
         assert np.array_equal(net.params.flat, before) and opt.step_count == 0
 
     def test_finite_gradient_whose_square_overflows_updates(self):
@@ -293,9 +293,9 @@ class TestAdam:
         runs, reporting the overflow, and the other parameter moves as it
         would alone."""
         params = flat_params(a=[1.0], b=[2.0])
-        opt = optim.Adam(lr=0.1)
+        opt = optim.Adam()
         with pytest.warns(RuntimeWarning, match="overflow"):
-            opt.step(params, flat_params(a=[1e200], b=[0.5]))
+            opt.step(params, flat_params(a=[1e200], b=[0.5]), 0.1)
         assert opt.step_count == 1
         assert np.isfinite(params.flat).all()
         assert params["b"][0] == pytest.approx(1.9)
@@ -310,7 +310,7 @@ class TestAdam:
         ref = {k: v.copy() for k, v in net.params.items()}
         ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
         ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
-        opt = optim.Adam(lr=1e-2)
+        opt = optim.Adam()
         grads = net.params.zeros_like()
         b1, b2 = optim.BETA1, optim.BETA2
         for t in range(1, 5):
@@ -387,7 +387,7 @@ class TestAdam:
         assert math.isnan(optim.clip_grad_norm(grads, 1.0))
         assert math.isnan(grads["a"][0]) and grads["b"][0] == 1.0
         with pytest.raises(FloatingPointError, match="non-finite gradient for parameter 'a'"):
-            optim.Adam().step(flat_params(a=[0.0], b=[0.0]), grads)
+            optim.Adam().step(flat_params(a=[0.0], b=[0.0]), grads, 0.1)
 
 
 class TestRng:

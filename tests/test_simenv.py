@@ -646,3 +646,15 @@ class TestCodec:
         del record["objects"][1]["z_level"]  # the disk
         with pytest.raises(ValueError, match=r"missing scene object 1 keys \['z_level'\]"):
             scene_from_dict(record)
+
+    def test_scene_record_with_a_repeated_id_or_a_bad_z_level_fails(self):
+        """EnvState.object_by_id returns the first object of an id, so a
+        repeated id would hide the second; a z_level is an int."""
+        record = scene_to_dict(default_scene())
+        record["objects"][2]["id"] = 1
+        with pytest.raises(ValueError, match="scene object id 1 repeats"):
+            scene_from_dict(record)
+        record = scene_to_dict(default_scene())
+        record["objects"][1]["z_level"] = "x"
+        with pytest.raises(ValueError, match="scene object 1 z_level must be an int, got 'x'"):
+            scene_from_dict(record)
